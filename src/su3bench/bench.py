@@ -5,12 +5,20 @@ after warmup repetitions (default 3) fault in code paths and data. If the
 timed region comes in under the minimum region length (default 10 ms) the
 repetition count is grown geometrically and the measurement redone, so
 per-invocation figures never rest on a handful of clock ticks; set
-min_region_s=0 to pin the repetition count exactly (then the output digest
-is reproducible too). Hot mode re-applies the kernel to the same
-cache-resident operands; streaming mode sweeps site-major lattice fields so
-successive invocations walk through memory. One measurement runs at a time
-(a module lock refuses concurrent entry) and the process is pinned to a
-single cpu for the duration where the platform allows it.
+min_region_s=0 to pin the repetition count exactly. Hot mode re-applies the
+kernel to the same cache-resident operands; streaming mode sweeps site-major
+lattice fields so successive invocations walk through memory. One
+measurement runs at a time (a module lock refuses concurrent entry) and the
+process is pinned to a single cpu for the duration where the platform allows
+it. A configuration whose operand, result and snapshot arrays would not fit
+in physical memory is rejected before anything is allocated.
+
+The output digest hashes the result of one kernel call on the seeded
+operands, so it does not depend on how many repetitions ran and scalar and
+vector runs of one seed hash alike. In-place routines keep applying to the
+same operand while timed, so their target is copied to a snapshot before
+warmup; after the timed region it is restored from that snapshot and the
+call is made once more, untimed, before hashing.
 
 Reported figures: elapsed seconds for the whole region, invocations per
 second, and real floating-point operations per second (from the instrumented
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -77,6 +86,24 @@ class BenchConfig:
             if self.dims is None:
                 raise ValueError("streaming mode requires lattice dims")
             self.dims = Lattice4D.from_dims(self.dims).dims
+        need, limit = _footprint_bytes(self), _physical_memory_bytes()
+        if limit is not None and need > limit:
+            raise ValueError(f"{self.routine} needs {need} bytes of operand and result arrays, more than the {limit} bytes of physical memory")
+
+
+def _footprint_bytes(config: BenchConfig) -> int:
+    """Bytes of the operand and result (or in-place snapshot) arrays of one run."""
+    spec = routine_spec(config.routine)
+    sites = config.batch_sites if config.mode == "hot" else Lattice4D.from_dims(config.dims).volume
+    per_site = sum(math.prod(OPERAND_SHAPES[kind]) for kind in spec.operands + (spec.result,))
+    return sites * per_site * dtype_for(config.precision).itemsize
+
+
+def _physical_memory_bytes() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -164,6 +191,14 @@ def _digest(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
 
+def _final_digest(call, watched: np.ndarray, snapshot: np.ndarray | None) -> str:
+    """Digest of one call on the initial operands, however many calls came before."""
+    if snapshot is not None:
+        np.copyto(watched, snapshot)
+        call()
+    return _digest(watched)
+
+
 def _timed_region(call, repetitions: int, min_region_s: float) -> tuple[int, float]:
     """Run `call` `repetitions` times; grow the count until the region is long enough."""
     reps = repetitions
@@ -188,22 +223,23 @@ def run_hot(config: BenchConfig) -> TimingRecord:
         rng = np.random.default_rng(config.seed)
         operands = random_operands(config.routine, rng, config.precision, batch=config.batch_sites)
         if spec.in_place:
-            target = operands[0]
+            watched = operands[0]
+            snapshot = watched.copy()
 
             def call():
                 backend.batch_apply(config.routine, operands)
 
-            watched = target
         else:
             out = np.empty((config.batch_sites,) + OPERAND_SHAPES[spec.result], dtype=dtype_for(config.precision))
+            watched, snapshot = out, None
 
             def call():
                 backend.batch_apply(config.routine, operands, out=out)
 
-            watched = out
         for _ in range(config.warmup):
             call()
         reps, elapsed = _timed_region(call, config.repetitions, config.min_region_s)
+        digest = _final_digest(call, watched, snapshot)
         return TimingRecord(
             routine=config.routine,
             backend=config.backend,
@@ -213,7 +249,7 @@ def run_hot(config: BenchConfig) -> TimingRecord:
             invocations=reps * config.batch_sites,
             elapsed_s=elapsed,
             flops_per_invocation=flop_count(config.routine).total,
-            output_digest=_digest(watched),
+            output_digest=digest,
             environment=_environment(cpu),
             config=config,
         )
@@ -242,13 +278,14 @@ def run_streaming(config: BenchConfig) -> TimingRecord:
             operands.append(scalar_value if kind == "scalar" else buf[f"op{i}"])
         if spec.in_place:
             watched = operands[0]
+            snapshot = watched.copy()
 
             def sweep():
                 backend.batch_apply(config.routine, operands)
 
         else:
             out = buf["result"]
-            watched = out
+            watched, snapshot = out, None
 
             def sweep():
                 backend.batch_apply(config.routine, operands, out=out)
@@ -256,6 +293,7 @@ def run_streaming(config: BenchConfig) -> TimingRecord:
         for _ in range(config.warmup):
             sweep()
         sweeps, elapsed = _timed_region(sweep, config.repetitions, config.min_region_s)
+        digest = _final_digest(sweep, watched, snapshot)
         return TimingRecord(
             routine=config.routine,
             backend=config.backend,
@@ -265,7 +303,7 @@ def run_streaming(config: BenchConfig) -> TimingRecord:
             invocations=sweeps * lat.volume,
             elapsed_s=elapsed,
             flops_per_invocation=flop_count(config.routine).total,
-            output_digest=_digest(watched),
+            output_digest=digest,
             environment=_environment(cpu),
             config=config,
         )

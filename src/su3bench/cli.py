@@ -5,8 +5,8 @@ lattice-bench (streaming sweeps), flops (operation counts), model
 (analytical speedup model and shipped historical data).
 
 Exit codes: 0 success, 1 verification failure, 2 bad input (unknown flags,
-malformed files, invalid values). Output is deterministic for a fixed seed
-and flags except for measured-time fields.
+malformed files, invalid values, inputs too large for memory). Output is
+deterministic for a fixed seed and flags except for measured-time fields.
 """
 from __future__ import annotations
 
@@ -296,6 +296,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as err:
         print(f"su3bench: error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"su3bench: error: out of memory: {err}", file=sys.stderr)
         return 2
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -5,6 +5,15 @@ read or written at a time, in the arrays' own precision. This backend is the
 correctness reference and the substrate for operation counting: any object
 supporting ``*``, ``+``, ``-`` can flow through it.
 
+That includes whole arrays of sites. A kernel also accepts operands with
+extra trailing axes after the per-object shape, and ``batch_apply`` uses
+this: it evaluates the same bodies once, site-parallel, on site-last views
+of the stacked operands (``np.moveaxis(op, 0, -1)``), so every expression
+becomes one elementwise numpy operation over all sites. Elementwise
+operations round each site exactly as the scalar ones do, so the batch
+result is bitwise equal to calling ``apply`` site by site. Scalar bench rows
+with ``batch_sites > 1`` time this site-parallel path.
+
 Summation convention: each output component of a complex contraction
 accumulates the four real product sums (re*re, re*im, im*re, im*im)
 separately, left to right over the contraction index, and combines them with
@@ -25,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import validation
-from .types import OPERAND_SHAPES, batch_count, routine_spec
+from .types import batch_count, check_batch_out, result_shape, routine_spec
 
 
 def _result(out: np.ndarray | None, like: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -39,7 +48,7 @@ def _result(out: np.ndarray | None, like: np.ndarray, shape: tuple[int, ...]) ->
 def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i] = a[i] + b[i]."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, (3, 2))
+    c = _result(out, a, (3, 2) + a.shape[2:])
     for i in range(3):
         c[i, 0] = a[i, 0] + b[i, 0]
         c[i, 1] = a[i, 1] + b[i, 1]
@@ -49,7 +58,7 @@ def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) 
 def mult_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i] = sum_j a[i][j] * b[j]."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, b, (3, 2))
+    c = _result(out, b, (3, 2) + b.shape[2:])
     for i in range(3):
         rr = a[i, 0, 0] * b[0, 0] + a[i, 1, 0] * b[1, 0] + a[i, 2, 0] * b[2, 0]
         ri = a[i, 0, 0] * b[0, 1] + a[i, 1, 0] * b[1, 1] + a[i, 2, 0] * b[2, 1]
@@ -63,7 +72,7 @@ def mult_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
 def mult_adj_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i] = sum_j conj(a[j][i]) * b[j]."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, b, (3, 2))
+    c = _result(out, b, (3, 2) + b.shape[2:])
     for i in range(3):
         rr = a[0, i, 0] * b[0, 0] + a[1, i, 0] * b[1, 0] + a[2, i, 0] * b[2, 0]
         ri = a[0, i, 0] * b[0, 1] + a[1, i, 0] * b[1, 1] + a[2, i, 0] * b[2, 1]
@@ -77,7 +86,7 @@ def mult_adj_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = 
 def mult_su3_nn(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i][k] = sum_j a[i][j] * b[j][k]."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, (3, 3, 2))
+    c = _result(out, a, (3, 3, 2) + a.shape[3:])
     for i in range(3):
         for k in range(3):
             rr = a[i, 0, 0] * b[0, k, 0] + a[i, 1, 0] * b[1, k, 0] + a[i, 2, 0] * b[2, k, 0]
@@ -92,7 +101,7 @@ def mult_su3_nn(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
 def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i][k] = sum_j a[i][j] * conj(b[k][j])."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, (3, 3, 2))
+    c = _result(out, a, (3, 3, 2) + a.shape[3:])
     for i in range(3):
         for k in range(3):
             rr = b[k, 0, 0] * a[i, 0, 0] + b[k, 1, 0] * a[i, 1, 0] + b[k, 2, 0] * a[i, 2, 0]
@@ -107,7 +116,7 @@ def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
 def mult_su3_an(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i][k] = sum_j conj(a[j][i]) * b[j][k]."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, (3, 3, 2))
+    c = _result(out, a, (3, 3, 2) + a.shape[3:])
     for i in range(3):
         for k in range(3):
             rr = a[0, i, 0] * b[0, k, 0] + a[1, i, 0] * b[1, k, 0] + a[2, i, 0] * b[2, k, 0]
@@ -122,7 +131,7 @@ def mult_su3_an(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
 def mult_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[k] = a * h[k] for both halves k."""
     validation.check_no_alias(out, a, h)
-    c = _result(out, h, (2, 3, 2))
+    c = _result(out, h, (2, 3, 2) + h.shape[3:])
     for k in range(2):
         mult_su3_mat_vec(a, h[k], out=c[k])
     return c
@@ -131,7 +140,7 @@ def mult_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None = No
 def mult_adj_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[k] = adj(a) * h[k] for both halves k."""
     validation.check_no_alias(out, a, h)
-    c = _result(out, h, (2, 3, 2))
+    c = _result(out, h, (2, 3, 2) + h.shape[3:])
     for k in range(2):
         mult_adj_su3_mat_vec(a, h[k], out=c[k])
     return c
@@ -140,7 +149,7 @@ def mult_adj_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None 
 def mult_adj_su3_mat_vec_4dir(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[d] = adj(a4[d]) * b for the four directions."""
     validation.check_no_alias(out, a4, b)
-    c = _result(out, b, (4, 3, 2))
+    c = _result(out, b, (4, 3, 2) + b.shape[2:])
     for d in range(4):
         mult_adj_su3_mat_vec(a4[d], b, out=c[d])
     return c
@@ -168,7 +177,7 @@ def mult_adj_su3_mat_4vec(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None 
 def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c = sum_d adj(a4[d]) * b4[d], accumulated direction-major."""
     validation.check_no_alias(out, a4, b4)
-    c = _result(out, b4, (3, 2))
+    c = _result(out, b4, (3, 2) + b4.shape[3:])
     for i in range(3):
         rr = ri = ir = ii = None
         for d in range(4):
@@ -197,7 +206,7 @@ def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray | 
 def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray | None = None) -> np.ndarray:
     """c[i][j] = a[i][j] + s * b[i][j] for real s."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, (3, 3, 2))
+    c = _result(out, a, (3, 3, 2) + a.shape[3:])
     for i in range(3):
         for j in range(3):
             c[i, j, 0] = a[i, j, 0] + s * b[i, j, 0]
@@ -208,7 +217,7 @@ def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray 
 def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray | None = None) -> np.ndarray:
     """c[i] = a[i] + s * b[i] for real s."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, (3, 2))
+    c = _result(out, a, (3, 2) + a.shape[2:])
     for i in range(3):
         c[i, 0] = a[i, 0] + s * b[i, 0]
         c[i, 1] = a[i, 1] + s * b[i, 1]
@@ -218,7 +227,7 @@ def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray 
 def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i][j] = a[i] * conj(b[j]) (outer product)."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, (3, 3, 2))
+    c = _result(out, a, (3, 3, 2) + a.shape[2:])
     for i in range(3):
         for j in range(3):
             rr = b[j, 0] * a[i, 0]
@@ -270,21 +279,22 @@ def batch_apply(routine: str, operands, count: int | None = None, out: np.ndarra
     """Apply one kernel independently to each of `count` stacked operand sets.
 
     Operand arrays carry the batch axis in front of the per-object shape;
-    scalars are (count,) arrays or plain numbers. Equivalent to slicing out
-    each set and calling the kernel, and bitwise identical to doing so.
+    scalars are (count,) arrays or plain numbers. The kernel body runs once
+    on site-last views of the operands and of `out`, so each of its
+    expressions is one elementwise operation over all sets, bitwise
+    identical to slicing out each set and calling the kernel on it.
     """
     spec = routine_spec(routine)
     kernel = KERNELS[routine]
     n = batch_count(spec, operands, count)
+    views = [op if kind == "scalar" and np.ndim(op) == 0 else np.moveaxis(op, 0, -1) for op, kind in zip(operands, spec.operands)]
     if spec.in_place:
-        target = operands[0]
-        for s in range(n):
-            kernel(*(op[s] for op in operands))
-        return target
+        kernel(*views)
+        return operands[0]
     if out is None:
         first = next(op for op, kind in zip(operands, spec.operands) if kind != "scalar")
-        out = np.empty((n,) + OPERAND_SHAPES[spec.result], dtype=first.dtype)
-    for s in range(n):
-        args = [op if kind == "scalar" and np.ndim(op) == 0 else op[s] for op, kind in zip(operands, spec.operands)]
-        kernel(*args, out=out[s])
+        out = np.empty(result_shape(spec, (n,)), dtype=first.dtype)
+    else:
+        check_batch_out(spec, out, n)
+    kernel(*views, out=np.moveaxis(out, 0, -1))
     return out

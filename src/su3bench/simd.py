@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import validation
-from .types import OPERAND_SHAPES, batch_count, routine_spec
+from .types import OPERAND_SHAPES, batch_count, check_batch_out, routine_spec
 
 _SIGNS: dict[tuple, np.ndarray] = {}
 
@@ -307,10 +307,12 @@ def batch_apply(routine: str, operands, count: int | None = None, out: np.ndarra
     Bitwise identical to slicing out each set and calling the kernel on it.
     """
     spec = routine_spec(routine)
-    batch_count(spec, operands, count)
+    n = batch_count(spec, operands, count)
     kernel = KERNELS[routine]
     if spec.in_place:
         return kernel(*operands)
+    if out is not None:
+        check_batch_out(spec, out, n)
     return kernel(*operands, out=out)
 
 

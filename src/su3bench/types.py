@@ -226,6 +226,13 @@ def batch_count(spec: RoutineSpec, operands, count: int | None = None) -> int:
     return 0 if count is None else count
 
 
+def check_batch_out(spec: RoutineSpec, out: np.ndarray, count: int) -> None:
+    """Reject a batch result array that is not (count,) + the result shape."""
+    expected = result_shape(spec, (count,))
+    if np.shape(out) != expected:
+        raise ValueError(f"{spec.name} result array has shape {np.shape(out)}, expected {expected}")
+
+
 def random_operands(
     routine: str,
     rng: np.random.Generator,

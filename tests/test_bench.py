@@ -70,6 +70,32 @@ def test_scalar_and_vector_digests_agree():
     assert v.output_digest == s.output_digest
 
 
+@pytest.mark.parametrize("mode", [{}, {"mode": "streaming", "dims": (2, 2, 2, 2)}])
+def test_in_place_digest_ignores_backend_and_repetitions(mode):
+    # The in-place target is restored before the hashed call, so neither
+    # the backend nor how many repetitions ran moves the digest.
+    fixed = {
+        bench.run(_cfg(routine="sub_four_su3_vecs", backend=b, repetitions=r, seed=9, **mode)).output_digest
+        for b in ("scalar", "vector")
+        for r in (4, 8)
+    }
+    grown = {
+        bench.run(_cfg(routine="sub_four_su3_vecs", backend=b, repetitions=1, min_region_s=0.005, seed=9, **mode)).output_digest
+        for b in ("scalar", "vector")
+    }
+    assert len(fixed) == 1
+    assert grown == fixed
+
+
+def test_config_rejects_footprint_beyond_physical_memory(monkeypatch):
+    monkeypatch.setattr(bench, "_physical_memory_bytes", lambda: 1 << 30)
+    BenchConfig(routine="mult_su3_mat_vec", batch_sites=1 << 20)
+    with pytest.raises(ValueError, match="physical memory"):
+        BenchConfig(routine="mult_su3_mat_vec", batch_sites=1 << 30)
+    with pytest.raises(ValueError, match="physical memory"):
+        BenchConfig(routine="mult_su3_mat_vec", mode="streaming", dims=(64, 64, 64, 64))
+
+
 def test_in_place_routine_hot_run():
     rec = bench.run(_cfg(routine="sub_four_su3_vecs"))
     assert rec.flops_per_invocation == 24

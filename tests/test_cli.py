@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from su3bench import bench, cli
+
 VERIFY_HEADER = "routine,precision,trials,seed,tolerance_ulps,max_ulp,worst_trial,worst_component,status"
 BENCH_HEADER = "routine,backend,precision,mode,alignment,reps,elapsed_s,invocations_per_s,flops_per_s"
 
@@ -140,6 +142,26 @@ def test_lattice_bench_both_alignments():
 def test_lattice_bench_rejects_bad_dims():
     proc = run_cli("lattice-bench", "--routine", "mult_su3_mat_vec", "--dims", "2,2,2")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("bench", "--routine", "mult_su3_mat_vec", "--batch-sites", "100000000000000"),
+    ("lattice-bench", "--routine", "mult_su3_mat_vec", "--dims", "100000,100000,1000,1000"),
+])
+def test_oversized_input_is_refused_before_allocating(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "physical memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 1 TiB")
+
+    monkeypatch.setattr(bench, "run_hot", exhausted)
+    assert cli.main(["bench", "--routine", "mult_su3_mat_vec"]) == 2
+    assert "out of memory: Unable to allocate 1 TiB" in capsys.readouterr().err
 
 
 def test_model_scenario_regression(tmp_path):

@@ -203,24 +203,56 @@ def test_kernel_table_matches_registry():
         scalar.apply("mult_su3_zz", np.zeros((3, 2)))
 
 
+def _scalar_kind_variants(routine, ops):
+    """`ops` with any scalar-kind operand as a Python float, a numpy 0-d value and its (count,) array."""
+    spec = types.routine_spec(routine)
+    if "scalar" not in spec.operands:
+        return [ops]
+    pos = spec.operands.index("scalar")
+    return [ops[:pos] + [s] + ops[pos + 1:] for s in (0.37, np.float64(-0.61), ops[pos])]
+
+
+def _per_site_loop(routine, ops, count):
+    """The batch result built one site at a time through scalar.apply."""
+    spec = types.routine_spec(routine)
+    want = np.empty((count,) + types.OPERAND_SHAPES[spec.result], dtype=ops[0].dtype)
+    for s in range(count):
+        args = [op[s] if np.ndim(op) else op for op in ops]
+        if spec.in_place:
+            want[s] = scalar.apply(routine, args[0].copy(), *args[1:])
+        else:
+            scalar.apply(routine, *args, out=want[s])
+    return want
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("routine", ALL)
 def test_batch_apply_equals_per_site_loop(routine, precision):
-    rng = np.random.default_rng([12, ALL.index(routine)])
-    n = 7
-    ops = types.random_operands(routine, rng, precision, batch=n)
+    # Counts are looped rather than parametrised so the test ids stay fixed.
     spec = types.routine_spec(routine)
-    if spec.in_place:
-        mutated = ops[0].copy()
-        ret = scalar.batch_apply(routine, [mutated] + ops[1:])
-        assert ret is mutated
-        for s in range(n):
-            assert np.array_equal(mutated[s], oracles.ORACLES[routine](*(op[s] for op in ops)))
-    else:
-        got = scalar.batch_apply(routine, ops)
-        assert got.shape == (n,) + types.OPERAND_SHAPES[spec.result]
-        for s in range(n):
-            single = scalar.apply(routine, *(op[s] for op in ops))
-            assert np.array_equal(got[s], single)
+    for count in (0, 1, 5, 64):
+        rng = np.random.default_rng([12, ALL.index(routine), count])
+        for ops in _scalar_kind_variants(routine, types.random_operands(routine, rng, precision, batch=count)):
+            want = _per_site_loop(routine, ops, count)
+            if spec.in_place:
+                mutated = ops[0].copy()
+                assert scalar.batch_apply(routine, [mutated] + ops[1:]) is mutated
+                assert _same_bits(mutated, want)
+                continue
+            assert _same_bits(scalar.batch_apply(routine, ops), want)
+            out = np.full_like(want, np.nan)
+            assert scalar.batch_apply(routine, ops, out=out) is out
+            assert _same_bits(out, want)
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 3, 2), (3, 3, 3, 2), (4, 3, 2), (3, 3, 2, 4)])
+def test_batch_apply_rejects_misshapen_out(rng, shape):
+    ops = types.random_operands("mult_su3_nn", rng, batch=4)
+    with pytest.raises(ValueError, match="expected"):
+        scalar.batch_apply("mult_su3_nn", ops, out=np.empty(shape))
 
 
 def test_batch_apply_empty_batch(precision):

@@ -56,6 +56,13 @@ def test_batch_shape_mismatch_rejected(rng):
         simd.batch_apply("mult_su3_nn", [a, b], count=9)
 
 
+@pytest.mark.parametrize("shape", [(5, 3, 3, 2), (3, 3, 3, 2), (4, 3, 2), (3, 3, 2, 4)])
+def test_batch_apply_rejects_misshapen_out(rng, shape):
+    ops = types.random_operands("mult_su3_nn", rng, batch=4)
+    with pytest.raises(ValueError, match="expected"):
+        simd.batch_apply("mult_su3_nn", ops, out=np.empty(shape))
+
+
 def test_operand_shape_mismatch_rejected(rng):
     a, b = types.random_operands("mult_su3_mat_vec", rng)
     with pytest.raises(ValueError):
