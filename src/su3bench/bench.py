@@ -80,8 +80,8 @@ class BenchConfig:
             raise ValueError(f"alignment must be 'aligned' or 'unaligned', got {self.alignment!r}")
         if not isinstance(self.repetitions, int) or self.repetitions < 1:
             raise ValueError("repetitions must be a positive integer")
-        if self.warmup < 0 or self.batch_sites < 1 or self.min_region_s < 0:
-            raise ValueError("warmup must be >= 0, batch_sites >= 1, min_region_s >= 0")
+        if self.warmup < 0 or self.batch_sites < 1 or not 0 <= self.min_region_s < math.inf:
+            raise ValueError("warmup must be >= 0, batch_sites >= 1, min_region_s finite and >= 0")
         if self.mode == "streaming":
             if self.dims is None:
                 raise ValueError("streaming mode requires lattice dims")

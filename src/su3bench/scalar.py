@@ -1,9 +1,12 @@
 """Scalar reference implementations of the fifteen su3 kernels.
 
-Every kernel is straight-line real arithmetic on (re, im) pairs, one element
-read or written at a time, in the arrays' own precision. This backend is the
-correctness reference and the substrate for operation counting: any object
-supporting ``*``, ``+``, ``-`` can flow through it.
+Every kernel is straight-line real arithmetic on (re, im) pairs in the
+arrays' own precision. Each operand element is read into a local exactly
+once per call and the expressions then work on those locals, with the same
+operands, order and association as a read-at-every-use form, so reading once
+changes no rounding and no operation count. This backend is the correctness
+reference and the substrate for operation counting: any object supporting
+``*``, ``+``, ``-`` can flow through it.
 
 That includes whole arrays of sites. A kernel also accepts operands with
 extra trailing axes after the per-object shape, and ``batch_apply`` uses
@@ -55,15 +58,32 @@ def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) 
     return c
 
 
+def _vec(v: np.ndarray) -> tuple:
+    """The six components of a vector, re/im per entry, each read once."""
+    return v[0, 0], v[0, 1], v[1, 0], v[1, 1], v[2, 0], v[2, 1]
+
+
+def _row(m: np.ndarray, i: int) -> tuple:
+    """The six components of m[i][0..2], re/im per entry, each read once."""
+    return m[i, 0, 0], m[i, 0, 1], m[i, 1, 0], m[i, 1, 1], m[i, 2, 0], m[i, 2, 1]
+
+
+def _col(m: np.ndarray, k: int) -> tuple:
+    """The six components of m[0..2][k], re/im per entry, each read once."""
+    return m[0, k, 0], m[0, k, 1], m[1, k, 0], m[1, k, 1], m[2, k, 0], m[2, k, 1]
+
+
 def mult_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i] = sum_j a[i][j] * b[j]."""
     validation.check_no_alias(out, a, b)
     c = _result(out, b, (3, 2) + b.shape[2:])
+    b0r, b0i, b1r, b1i, b2r, b2i = _vec(b)
     for i in range(3):
-        rr = a[i, 0, 0] * b[0, 0] + a[i, 1, 0] * b[1, 0] + a[i, 2, 0] * b[2, 0]
-        ri = a[i, 0, 0] * b[0, 1] + a[i, 1, 0] * b[1, 1] + a[i, 2, 0] * b[2, 1]
-        ir = a[i, 0, 1] * b[0, 0] + a[i, 1, 1] * b[1, 0] + a[i, 2, 1] * b[2, 0]
-        ii = a[i, 0, 1] * b[0, 1] + a[i, 1, 1] * b[1, 1] + a[i, 2, 1] * b[2, 1]
+        a0r, a0i, a1r, a1i, a2r, a2i = _row(a, i)
+        rr = a0r * b0r + a1r * b1r + a2r * b2r
+        ri = a0r * b0i + a1r * b1i + a2r * b2i
+        ir = a0i * b0r + a1i * b1r + a2i * b2r
+        ii = a0i * b0i + a1i * b1i + a2i * b2i
         c[i, 0] = rr - ii
         c[i, 1] = ri + ir
     return c
@@ -73,11 +93,13 @@ def mult_adj_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = 
     """c[i] = sum_j conj(a[j][i]) * b[j]."""
     validation.check_no_alias(out, a, b)
     c = _result(out, b, (3, 2) + b.shape[2:])
+    b0r, b0i, b1r, b1i, b2r, b2i = _vec(b)
     for i in range(3):
-        rr = a[0, i, 0] * b[0, 0] + a[1, i, 0] * b[1, 0] + a[2, i, 0] * b[2, 0]
-        ri = a[0, i, 0] * b[0, 1] + a[1, i, 0] * b[1, 1] + a[2, i, 0] * b[2, 1]
-        ir = a[0, i, 1] * b[0, 0] + a[1, i, 1] * b[1, 0] + a[2, i, 1] * b[2, 0]
-        ii = a[0, i, 1] * b[0, 1] + a[1, i, 1] * b[1, 1] + a[2, i, 1] * b[2, 1]
+        a0r, a0i, a1r, a1i, a2r, a2i = _col(a, i)
+        rr = a0r * b0r + a1r * b1r + a2r * b2r
+        ri = a0r * b0i + a1r * b1i + a2r * b2i
+        ir = a0i * b0r + a1i * b1r + a2i * b2r
+        ii = a0i * b0i + a1i * b1i + a2i * b2i
         c[i, 0] = rr + ii
         c[i, 1] = ri - ir
     return c
@@ -87,12 +109,14 @@ def mult_su3_nn(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
     """c[i][k] = sum_j a[i][j] * b[j][k]."""
     validation.check_no_alias(out, a, b)
     c = _result(out, a, (3, 3, 2) + a.shape[3:])
+    b_cols = [_col(b, k) for k in range(3)]
     for i in range(3):
-        for k in range(3):
-            rr = a[i, 0, 0] * b[0, k, 0] + a[i, 1, 0] * b[1, k, 0] + a[i, 2, 0] * b[2, k, 0]
-            ri = a[i, 0, 0] * b[0, k, 1] + a[i, 1, 0] * b[1, k, 1] + a[i, 2, 0] * b[2, k, 1]
-            ir = a[i, 0, 1] * b[0, k, 0] + a[i, 1, 1] * b[1, k, 0] + a[i, 2, 1] * b[2, k, 0]
-            ii = a[i, 0, 1] * b[0, k, 1] + a[i, 1, 1] * b[1, k, 1] + a[i, 2, 1] * b[2, k, 1]
+        a0r, a0i, a1r, a1i, a2r, a2i = _row(a, i)
+        for k, (b0r, b0i, b1r, b1i, b2r, b2i) in enumerate(b_cols):
+            rr = a0r * b0r + a1r * b1r + a2r * b2r
+            ri = a0r * b0i + a1r * b1i + a2r * b2i
+            ir = a0i * b0r + a1i * b1r + a2i * b2r
+            ii = a0i * b0i + a1i * b1i + a2i * b2i
             c[i, k, 0] = rr - ii
             c[i, k, 1] = ri + ir
     return c
@@ -102,12 +126,14 @@ def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
     """c[i][k] = sum_j a[i][j] * conj(b[k][j])."""
     validation.check_no_alias(out, a, b)
     c = _result(out, a, (3, 3, 2) + a.shape[3:])
+    b_rows = [_row(b, k) for k in range(3)]
     for i in range(3):
-        for k in range(3):
-            rr = b[k, 0, 0] * a[i, 0, 0] + b[k, 1, 0] * a[i, 1, 0] + b[k, 2, 0] * a[i, 2, 0]
-            ir = b[k, 0, 0] * a[i, 0, 1] + b[k, 1, 0] * a[i, 1, 1] + b[k, 2, 0] * a[i, 2, 1]
-            ri = b[k, 0, 1] * a[i, 0, 0] + b[k, 1, 1] * a[i, 1, 0] + b[k, 2, 1] * a[i, 2, 0]
-            ii = b[k, 0, 1] * a[i, 0, 1] + b[k, 1, 1] * a[i, 1, 1] + b[k, 2, 1] * a[i, 2, 1]
+        a0r, a0i, a1r, a1i, a2r, a2i = _row(a, i)
+        for k, (b0r, b0i, b1r, b1i, b2r, b2i) in enumerate(b_rows):
+            rr = b0r * a0r + b1r * a1r + b2r * a2r
+            ir = b0r * a0i + b1r * a1i + b2r * a2i
+            ri = b0i * a0r + b1i * a1r + b2i * a2r
+            ii = b0i * a0i + b1i * a1i + b2i * a2i
             c[i, k, 0] = rr + ii
             c[i, k, 1] = ir - ri
     return c
@@ -117,12 +143,14 @@ def mult_su3_an(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
     """c[i][k] = sum_j conj(a[j][i]) * b[j][k]."""
     validation.check_no_alias(out, a, b)
     c = _result(out, a, (3, 3, 2) + a.shape[3:])
+    b_cols = [_col(b, k) for k in range(3)]
     for i in range(3):
-        for k in range(3):
-            rr = a[0, i, 0] * b[0, k, 0] + a[1, i, 0] * b[1, k, 0] + a[2, i, 0] * b[2, k, 0]
-            ri = a[0, i, 0] * b[0, k, 1] + a[1, i, 0] * b[1, k, 1] + a[2, i, 0] * b[2, k, 1]
-            ir = a[0, i, 1] * b[0, k, 0] + a[1, i, 1] * b[1, k, 0] + a[2, i, 1] * b[2, k, 0]
-            ii = a[0, i, 1] * b[0, k, 1] + a[1, i, 1] * b[1, k, 1] + a[2, i, 1] * b[2, k, 1]
+        a0r, a0i, a1r, a1i, a2r, a2i = _col(a, i)
+        for k, (b0r, b0i, b1r, b1i, b2r, b2i) in enumerate(b_cols):
+            rr = a0r * b0r + a1r * b1r + a2r * b2r
+            ri = a0r * b0i + a1r * b1i + a2r * b2i
+            ir = a0i * b0r + a1i * b1r + a2i * b2r
+            ii = a0i * b0i + a1i * b1i + a2i * b2i
             c[i, k, 0] = rr + ii
             c[i, k, 1] = ri - ir
     return c
@@ -174,30 +202,25 @@ def mult_adj_su3_mat_4vec(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None 
     return tuple(outs)
 
 
+_DIR_TERMS = tuple((d, j) for d in range(4) for j in range(3))
+
+
 def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c = sum_d adj(a4[d]) * b4[d], accumulated direction-major."""
     validation.check_no_alias(out, a4, b4)
     c = _result(out, b4, (3, 2) + b4.shape[3:])
+    b_terms = [(b4[d, j, 0], b4[d, j, 1]) for d, j in _DIR_TERMS]
     for i in range(3):
         rr = ri = ir = ii = None
-        for d in range(4):
-            a = a4[d]
-            b = b4[d]
+        for (d, j), (br, bi) in zip(_DIR_TERMS, b_terms):
+            ar, ai = a4[d, j, i, 0], a4[d, j, i, 1]
             if rr is None:
-                rr = a[0, i, 0] * b[0, 0]
-                ri = a[0, i, 0] * b[0, 1]
-                ir = a[0, i, 1] * b[0, 0]
-                ii = a[0, i, 1] * b[0, 1]
+                rr, ri, ir, ii = ar * br, ar * bi, ai * br, ai * bi
             else:
-                rr = rr + a[0, i, 0] * b[0, 0]
-                ri = ri + a[0, i, 0] * b[0, 1]
-                ir = ir + a[0, i, 1] * b[0, 0]
-                ii = ii + a[0, i, 1] * b[0, 1]
-            for j in (1, 2):
-                rr = rr + a[j, i, 0] * b[j, 0]
-                ri = ri + a[j, i, 0] * b[j, 1]
-                ir = ir + a[j, i, 1] * b[j, 0]
-                ii = ii + a[j, i, 1] * b[j, 1]
+                rr = rr + ar * br
+                ri = ri + ar * bi
+                ir = ir + ai * br
+                ii = ii + ai * bi
         c[i, 0] = rr + ii
         c[i, 1] = ri - ir
     return c
@@ -228,12 +251,14 @@ def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -
     """c[i][j] = a[i] * conj(b[j]) (outer product)."""
     validation.check_no_alias(out, a, b)
     c = _result(out, a, (3, 3, 2) + a.shape[2:])
+    b_pairs = [(b[j, 0], b[j, 1]) for j in range(3)]
     for i in range(3):
-        for j in range(3):
-            rr = b[j, 0] * a[i, 0]
-            ir = b[j, 0] * a[i, 1]
-            ri = b[j, 1] * a[i, 0]
-            ii = b[j, 1] * a[i, 1]
+        ar, ai = a[i, 0], a[i, 1]
+        for j, (br, bi) in enumerate(b_pairs):
+            rr = br * ar
+            ir = br * ai
+            ri = bi * ar
+            ii = bi * ai
             c[i, j, 0] = rr + ii
             c[i, j, 1] = ir - ri
     return c

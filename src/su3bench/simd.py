@@ -18,6 +18,18 @@ swap lands on its imaginary-part sums.
 
 Every kernel accepts operands with any (shared) leading batch shape in front
 of the per-object shape documented in the scalar reference.
+
+Composite kernels run the recipe once per call, not once per part. The
+half-Wilson kernels view the matrix with one more batch axis
+(``a[..., None, :, :, :]``) so it broadcasts against both halves; the
+four-direction kernels view the vector that way (``b[..., None, :, :]``) so it
+broadcasts against the four matrices. The half or direction then rides along
+as a batch axis of one mat-vec pass. ``mult_su3_mat_vec_sum_4dir`` forms all
+of its packed products in one broadcast multiply and adds them direction-major
+in the order the one-direction-at-a-time recipe would. ``mult_adj_su3_mat_4vec``
+with separate destinations computes the packed result and copies it out.
+Broadcasting only repeats operands, so every output component still sees the
+same products in the same order and stays bitwise equal to the per-part loop.
 """
 from __future__ import annotations
 
@@ -45,7 +57,7 @@ def _sign(dtype: np.dtype, mode: str) -> np.ndarray:
 def _combine(acc1: np.ndarray, acc2: np.ndarray, mode: str, out: np.ndarray) -> None:
     # acc1 holds the re*? lane sums, acc2 the im*? lane sums of the
     # broadcast operand; swap acc2's lanes, flip one sign, add once.
-    out[...] = acc1 + acc2[..., ::-1] * _sign(acc1.dtype, mode)
+    np.add(acc1, acc2[..., ::-1] * _sign(acc1.dtype, mode), out=out)
 
 
 def _result(out: np.ndarray | None, like: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -77,17 +89,36 @@ def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) 
     return c
 
 
+def _mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    # The mat-vec recipe, unchecked; a's and b's batch shapes broadcast to out's.
+    b0 = b[..., None, 0, :]
+    acc1 = a[..., :, 0, 0:1] * b0
+    acc2 = a[..., :, 0, 1:2] * b0
+    for j in (1, 2):
+        bj = b[..., None, j, :]
+        acc1 += a[..., :, j, 0:1] * bj
+        acc2 += a[..., :, j, 1:2] * bj
+    _combine(acc1, acc2, "plain", out)
+
+
+def _adj_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    # As _mat_vec for adj(a): broadcast column elements, conj sign.
+    b0 = b[..., None, 0, :]
+    acc1 = a[..., 0, :, 0:1] * b0
+    acc2 = a[..., 0, :, 1:2] * b0
+    for j in (1, 2):
+        bj = b[..., None, j, :]
+        acc1 += a[..., j, :, 0:1] * bj
+        acc2 += a[..., j, :, 1:2] * bj
+    _combine(acc1, acc2, "conj", out)
+
+
 def mult_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i] = sum_j a[i][j] * b[j]."""
     _check_shapes("mult_su3_mat_vec", a=(a, "mat"), b=(b, "vec"))
     validation.check_no_alias(out, a, b)
     c = _result(out, b, b.shape)
-    acc1 = a[..., :, 0, 0:1] * b[..., None, 0, :]
-    acc2 = a[..., :, 0, 1:2] * b[..., None, 0, :]
-    for j in (1, 2):
-        acc1 = acc1 + a[..., :, j, 0:1] * b[..., None, j, :]
-        acc2 = acc2 + a[..., :, j, 1:2] * b[..., None, j, :]
-    _combine(acc1, acc2, "plain", c)
+    _mat_vec(a, b, c)
     return c
 
 
@@ -96,12 +127,7 @@ def mult_adj_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = 
     _check_shapes("mult_adj_su3_mat_vec", a=(a, "mat"), b=(b, "vec"))
     validation.check_no_alias(out, a, b)
     c = _result(out, b, b.shape)
-    acc1 = a[..., 0, :, 0:1] * b[..., None, 0, :]
-    acc2 = a[..., 0, :, 1:2] * b[..., None, 0, :]
-    for j in (1, 2):
-        acc1 = acc1 + a[..., j, :, 0:1] * b[..., None, j, :]
-        acc2 = acc2 + a[..., j, :, 1:2] * b[..., None, j, :]
-    _combine(acc1, acc2, "conj", c)
+    _adj_mat_vec(a, b, c)
     return c
 
 
@@ -150,37 +176,37 @@ def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
 
 
 def mult_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """c[k] = a * h[k] for both halves k."""
+    """c[k] = a * h[k] for both halves k, the half as one more batch axis."""
     _check_shapes("mult_su3_mat_hwvec", a=(a, "mat"), h=(h, "hwvec"))
     validation.check_no_alias(out, a, h)
     c = _result(out, h, h.shape)
-    for k in (0, 1):
-        mult_su3_mat_vec(a, h[..., k, :, :], out=c[..., k, :, :])
+    _mat_vec(a[..., None, :, :, :], h, c)
     return c
 
 
 def mult_adj_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """c[k] = adj(a) * h[k] for both halves k."""
+    """c[k] = adj(a) * h[k] for both halves k, the half as one more batch axis."""
     _check_shapes("mult_adj_su3_mat_hwvec", a=(a, "mat"), h=(h, "hwvec"))
     validation.check_no_alias(out, a, h)
     c = _result(out, h, h.shape)
-    for k in (0, 1):
-        mult_adj_su3_mat_vec(a, h[..., k, :, :], out=c[..., k, :, :])
+    _adj_mat_vec(a[..., None, :, :, :], h, c)
     return c
 
 
 def mult_adj_su3_mat_vec_4dir(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """c[d] = adj(a4[d]) * b for the four directions."""
+    """c[d] = adj(a4[d]) * b for the four directions, the direction as one more batch axis."""
     _check_shapes("mult_adj_su3_mat_vec_4dir", a4=(a4, "mat4"), b=(b, "vec"))
     validation.check_no_alias(out, a4, b)
     c = _result(out, b, b.shape[:-2] + (4, 3, 2))
-    for d in range(4):
-        mult_adj_su3_mat_vec(a4[..., d, :, :, :], b, out=c[..., d, :, :])
+    _adj_mat_vec(a4, b[..., None, :, :], c)
     return c
 
 
 def mult_adj_su3_mat_4vec(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, outs=None) -> np.ndarray | tuple:
-    """c_d = adj(a4[d]) * b, four destinations; packed when outs is omitted."""
+    """c_d = adj(a4[d]) * b, four destinations; packed when outs is omitted.
+
+    With ``outs`` the packed result is formed once and copied out.
+    """
     if outs is None:
         return mult_adj_su3_mat_vec_4dir(a4, b, out=out)
     if out is not None:
@@ -188,29 +214,32 @@ def mult_adj_su3_mat_4vec(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None 
     if len(outs) != 4:
         raise ValueError("outs must hold four destination vectors")
     _check_shapes("mult_adj_su3_mat_4vec", a4=(a4, "mat4"), b=(b, "vec"))
-    for d in range(4):
-        validation.check_no_alias(outs[d], a4, b)
-        mult_adj_su3_mat_vec(a4[..., d, :, :, :], b, out=outs[d])
+    for dest in outs:
+        validation.check_no_alias(dest, a4, b)
+        _result(dest, b, b.shape)
+    packed = mult_adj_su3_mat_vec_4dir(a4, b)
+    for d, dest in enumerate(outs):
+        np.copyto(dest, packed[..., d, :, :])
     return tuple(outs)
 
 
 def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """c = sum_d adj(a4[d]) * b4[d], accumulated direction-major."""
+    """c = sum_d adj(a4[d]) * b4[d], accumulated direction-major.
+
+    One broadcast multiply forms all 72 packed products, the real-part and
+    imaginary-part broadcasts side by side on an axis of their own; the
+    products are then added in (direction, row) order, so both lane sums
+    round exactly as in the one-direction-at-a-time recipe.
+    """
     _check_shapes("mult_su3_mat_vec_sum_4dir", a4=(a4, "mat4"), b4=(b4, "vec4"))
     validation.check_no_alias(out, a4, b4)
     c = _result(out, b4, b4.shape[:-3] + (3, 2))
-    acc1 = acc2 = None
-    for d in range(4):
-        for j in range(3):
-            bp = b4[..., d, None, j, :]
-            p1 = a4[..., d, j, :, 0:1] * bp
-            p2 = a4[..., d, j, :, 1:2] * bp
-            if acc1 is None:
-                acc1, acc2 = p1, p2
-            else:
-                acc1 = acc1 + p1
-                acc2 = acc2 + p2
-    _combine(acc1, acc2, "conj", c)
+    # p[..., 3 * d + j, i, part, lane] = a4[d][j][i][part] * b4[d][j][lane]
+    p = (a4[..., :, None] * b4[..., :, :, None, None, :]).reshape(b4.shape[:-3] + (12, 3, 2, 2))
+    acc = p[..., 0, :, :, :] + p[..., 1, :, :, :]
+    for k in range(2, 12):
+        acc += p[..., k, :, :, :]
+    _combine(acc[..., 0, :], acc[..., 1, :], "conj", c)
     return c
 
 

@@ -17,6 +17,7 @@ zero; the tolerance exists to catch any divergence.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -64,6 +65,13 @@ class EquivalenceRow:
         return self.max_ulp <= self.tolerance_ulps
 
 
+def _check_sweep(trials: int, tolerance_ulps: float) -> None:
+    if not isinstance(trials, (int, np.integer)) or trials < 0:
+        raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
+    if not 0 <= tolerance_ulps < math.inf:
+        raise ValueError(f"tolerance_ulps must be finite and >= 0, got {tolerance_ulps!r}")
+
+
 def _route(backend_kind: str, routine: str, operands, in_place: bool):
     backend = get_backend(backend_kind)
     ops = [op.copy() if in_place and i == 0 else op for i, op in enumerate(operands)]
@@ -81,6 +89,7 @@ def check_routine(
     inject_fault: bool = False,
 ) -> EquivalenceRow:
     """Compare two backends on `trials` random operand sets of one routine."""
+    _check_sweep(trials, tolerance_ulps)
     spec = routine_spec(routine)
     dt = dtype_for(precision)
     rng = np.random.default_rng([seed, ROUTINE_NAMES.index(routine), dt.itemsize])
@@ -139,6 +148,7 @@ def check_all(
     inject_fault: bool = False,
 ) -> EquivalenceReport:
     """Sweep a set of routines (default: all fifteen) over both precisions."""
+    _check_sweep(trials, tolerance_ulps)
     names = list(routines) if routines else list(ROUTINE_NAMES)
     for name in names:
         routine_spec(name)

@@ -151,6 +151,9 @@ def test_config_validation():
         BenchConfig(routine="mult_su3_mat_vec", alignment="diagonal")
     with pytest.raises(ValueError):
         BenchConfig(routine="mult_su3_everything")
+    for bad in (float("inf"), float("nan"), -0.5):
+        with pytest.raises(ValueError, match="min_region_s"):
+            BenchConfig(routine="mult_su3_mat_vec", min_region_s=bad)
 
 
 def test_speedup_row_ratio_and_flag():

@@ -155,6 +155,23 @@ def test_oversized_input_is_refused_before_allocating(args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args, named", [
+    (("bench", "--routine", "mult_su3_mat_vec", "--min-region-ms", "inf"), "min_region_s"),
+    (("bench", "--routine", "mult_su3_mat_vec", "--min-region-ms", "nan"), "min_region_s"),
+    (("lattice-bench", "--routine", "mult_su3_mat_vec", "--min-region-ms", "inf"), "min_region_s"),
+    (("lattice-bench", "--routine", "mult_su3_mat_vec", "--min-region-ms", "nan"), "min_region_s"),
+    (("verify", "--routines", "add_su3_vector", "--tolerance-ulps", "nan"), "tolerance_ulps"),
+    (("verify", "--routines", "add_su3_vector", "--tolerance-ulps", "-1"), "tolerance_ulps"),
+    (("verify", "--routines", "add_su3_vector", "--trials", "-1"), "trials"),
+])
+def test_bad_numeric_input_exits_2(args, named):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "su3bench: error:" in proc.stderr and named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_memory_error_exits_2(monkeypatch, capsys):
     def exhausted(config):
         raise MemoryError("Unable to allocate 1 TiB")

@@ -91,6 +91,37 @@ def test_mat_4vec_separate_destinations(rng, precision):
         scalar.mult_adj_su3_mat_4vec(a4, b, out=packed, outs=outs)
 
 
+class _ReadLog(np.ndarray):
+    """An array that records the index of every read made through it."""
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("routine, reads", [
+    ("mult_su3_mat_vec", 24),
+    ("mult_adj_su3_mat_vec", 24),
+    ("mult_su3_nn", 36),
+    ("mult_su3_na", 36),
+    ("mult_su3_an", 36),
+    ("mult_su3_mat_vec_sum_4dir", 96),
+    ("su3_projector", 12),
+])
+def test_each_operand_element_is_read_once(routine, reads, rng, precision):
+    ops = types.random_operands(routine, rng, precision)
+    logged = []
+    for op in ops:
+        view = op.view(_ReadLog)
+        view.reads = []
+        logged.append(view)
+    got = scalar.apply(routine, *logged)
+    assert np.array_equal(got, scalar.apply(routine, *ops))
+    for view in logged:
+        assert sorted(view.reads) == list(np.ndindex(view.shape))
+    assert sum(len(view.reads) for view in logged) == reads
+
+
 def test_hwvec_is_two_mat_vecs(rng, precision):
     a, h = types.random_operands("mult_su3_mat_hwvec", rng, precision)
     out = scalar.mult_su3_mat_hwvec(a, h)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,81 @@ def test_batch_apply_equals_singles(routine, precision, count):
         assert got.shape == (count,) + types.OPERAND_SHAPES[spec.result]
         for s in range(count):
             assert np.array_equal(got[s], _apply(simd, routine, [op[s] for op in ops]))
+
+
+def _lane_loop_sum_4dir(a4, b4):
+    # The one-direction-at-a-time lane recipe: per (direction, row) packed
+    # products added into two running accumulators, then one combine.
+    acc1 = acc2 = None
+    for d in range(4):
+        for j in range(3):
+            bp = b4[..., d, None, j, :]
+            p1 = a4[..., d, j, :, 0:1] * bp
+            p2 = a4[..., d, j, :, 1:2] * bp
+            acc1, acc2 = (p1, p2) if acc1 is None else (acc1 + p1, acc2 + p2)
+    return acc1 + acc2[..., ::-1] * np.array([1.0, -1.0], dtype=acc1.dtype)
+
+
+def _single_call_loop(routine, ops):
+    """A composite kernel's result from single mat-vec calls, half by half or direction by direction."""
+    if routine == "mult_su3_mat_vec_sum_4dir":
+        return _lane_loop_sum_4dir(*ops)
+    if routine.endswith("hwvec"):
+        a, h = ops
+        single = simd.mult_su3_mat_vec if routine == "mult_su3_mat_hwvec" else simd.mult_adj_su3_mat_vec
+        return np.stack([single(a, h[..., k, :, :]) for k in range(2)], axis=-3)
+    a4, b = ops
+    return np.stack([simd.mult_adj_su3_mat_vec(a4[..., d, :, :, :], b) for d in range(4)], axis=-3)
+
+
+def _scalar_result(routine, ops, shape):
+    if not shape:
+        return scalar.apply(routine, *ops)
+    n = math.prod(shape)
+    flat = scalar.batch_apply(routine, [op.reshape((n,) + op.shape[len(shape):]) for op in ops], count=n)
+    return flat.reshape(shape + flat.shape[1:])
+
+
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    "mult_su3_mat_hwvec",
+    "mult_adj_su3_mat_hwvec",
+    "mult_adj_su3_mat_vec_4dir",
+    "mult_adj_su3_mat_4vec",
+    "mult_adj_su3_mat_4vec:outs",
+    "mult_su3_mat_vec_sum_4dir",
+])
+@pytest.mark.parametrize("shape", [(), (0,), (5,), (2, 3)])
+def test_composite_kernels_equal_single_calls_and_scalar(call, shape, precision):
+    # The composite kernels run the lane recipe once, with the half or the
+    # direction as a batch axis; that must not move a single bit.
+    routine = call.split(":")[0]
+    rng = np.random.default_rng([22, ALL.index(routine), len(shape)])
+    ops = types.random_operands(routine, rng, precision, batch=math.prod(shape) if shape else None)
+    ops = [op.reshape(shape + op.shape[len(op.shape) - len(types.OPERAND_SHAPES[kind]):])
+           for op, kind in zip(ops, types.routine_spec(routine).operands)]
+    if call.endswith(":outs"):
+        outs = [np.full(ops[1].shape, np.nan, dtype=ops[1].dtype) for _ in range(4)]
+        ret = simd.mult_adj_su3_mat_4vec(*ops, outs=outs)
+        assert all(r is o for r, o in zip(ret, outs))
+        got = np.stack(outs, axis=-3)
+    else:
+        got = simd.KERNELS[routine](*ops)
+    assert _same_bytes(got, _single_call_loop(routine, ops))
+    assert _same_bytes(got, _scalar_result(routine, ops, shape))
+
+
+def test_4vec_outs_checks_every_destination_before_writing(rng, debug_checks):
+    a4, b = types.random_operands("mult_adj_su3_mat_4vec", rng)
+    outs = [np.zeros_like(b) for _ in range(4)]
+    with pytest.raises(ValueError, match="aliases"):
+        simd.mult_adj_su3_mat_4vec(a4, b, outs=outs[:3] + [b])
+    with pytest.raises(ValueError, match="expected"):
+        simd.mult_adj_su3_mat_4vec(a4, b, outs=outs[:3] + [np.zeros((3, 3, 2))])
+    assert not any(o.any() for o in outs)
 
 
 def test_batch_shape_mismatch_rejected(rng):
