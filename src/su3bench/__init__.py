@@ -8,8 +8,6 @@ from .lattice import (
     Lattice4D,
     SiteBuffer,
     allocate_aligned,
-    neighbor,
-    unaligned_variant,
 )
 from .perfmodel import (
     InstructionMix,
@@ -82,12 +80,10 @@ __all__ = [
     "lane_group",
     "lane_op_count",
     "load_instruction_mixes",
-    "neighbor",
     "precision_of",
     "predicted_speedup",
     "random_operands",
     "su3_matrix",
     "su3_vector",
     "ulp_error",
-    "unaligned_variant",
 ]

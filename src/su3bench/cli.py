@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from . import bench, flops, perfmodel, simd, verify
 from .bench import BenchConfig, format_rows
@@ -19,7 +20,7 @@ from .perfmodel import ModelInputError
 from .types import PRECISIONS, ROUTINE_NAMES
 
 VERIFY_COLUMNS = ("routine", "precision", "trials", "seed", "tolerance_ulps", "max_ulp", "worst_trial", "worst_component", "status")
-FLOP_COLUMNS = ("routine", "real_mults", "real_adds", "moves", "shuffles")
+FLOP_COLUMNS = ("routine", "real_mults", "real_adds")
 LANE_COLUMNS = ("routine", "broadcasts", "packed_mults", "packed_adds", "swaps", "negates")
 
 
@@ -193,33 +194,9 @@ def _cmd_lattice_bench(args) -> tuple[str, int]:
 
 
 def _cmd_flops(args) -> tuple[str, int]:
-    rows = []
-    if args.lane_ops:
-        for name in args.routines:
-            ops = simd.lane_op_count(name)
-            rows.append(
-                {
-                    "routine": name,
-                    "broadcasts": ops.broadcasts,
-                    "packed_mults": ops.packed_mults,
-                    "packed_adds": ops.packed_adds,
-                    "swaps": ops.swaps,
-                    "negates": ops.negates,
-                }
-            )
-        return format_rows(rows, LANE_COLUMNS, args.format), 0
-    for name in args.routines:
-        fc = flops.flop_count(name)
-        rows.append(
-            {
-                "routine": name,
-                "real_mults": fc.real_mults,
-                "real_adds": fc.real_adds,
-                "moves": fc.moves,
-                "shuffles": fc.shuffles,
-            }
-        )
-    return format_rows(rows, FLOP_COLUMNS, args.format), 0
+    count, columns = (simd.lane_op_count, LANE_COLUMNS) if args.lane_ops else (flops.flop_count, FLOP_COLUMNS)
+    rows = [{"routine": name, **asdict(count(name))} for name in args.routines]
+    return format_rows(rows, columns, args.format), 0
 
 
 def _cmd_model(args) -> tuple[str, int]:

@@ -3,9 +3,7 @@
 The scalar backend accepts any operand supporting ``*``, ``+``, ``-``, so an
 instrumented number type can flow through a kernel and tally what it does.
 Counts are therefore read off the reference implementation itself rather
-than transcribed from anywhere, and subtraction counts as an add. Scalar
-execution performs no data-movement operations, so ``moves`` and
-``shuffles`` in the returned FlopCount are structurally zero; packed-lane
+than transcribed from anywhere, and subtraction counts as an add. Packed-lane
 movement tallies live in the vector backend's LaneOpCount.
 """
 from __future__ import annotations
@@ -87,7 +85,7 @@ def flop_count(routine: str) -> FlopCount:
     rng = np.random.default_rng(0)
     operands = [_counting_operand(kind, rng) for kind in spec.operands]
     _counts["mults"] = _counts["adds"] = 0
-    scalar.KERNELS[routine](*operands)
+    getattr(scalar, routine)(*operands)
     result = FlopCount(real_mults=_counts["mults"], real_adds=_counts["adds"])
     _cache[routine] = result
     return result

@@ -74,11 +74,6 @@ class AlignedBuffer:
         return np.ndarray(shape, dtype=dt, buffer=self._raw.data, offset=start)
 
 
-def unaligned_variant(buffer: AlignedBuffer, dtype, shape, offset: int = UNALIGNED_OFFSET) -> np.ndarray:
-    """Deliberately misaligned view of an aligned buffer's payload."""
-    return buffer.unaligned_view(dtype, shape, offset=offset)
-
-
 def allocate_aligned(dtype, shape, alignment: int = DEFAULT_ALIGNMENT) -> np.ndarray:
     """A fresh zero-filled array on an explicit alignment boundary."""
     dt = np.dtype(dtype)
@@ -146,10 +141,6 @@ class Lattice4D:
         coord = list(self.site_coord(index))
         coord[axis] = (coord[axis] + step) % self.dims[axis]
         return self.site_index(coord)
-
-
-def neighbor(lattice: Lattice4D, index: int, direction: str) -> int:
-    return lattice.neighbor(index, direction)
 
 
 class SiteBuffer:

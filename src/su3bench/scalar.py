@@ -9,13 +9,17 @@ reference and the substrate for operation counting: any object supporting
 ``*``, ``+``, ``-`` can flow through it.
 
 That includes whole arrays of sites. A kernel also accepts operands with
-extra trailing axes after the per-object shape, and ``batch_apply`` uses
-this: it evaluates the same bodies once, site-parallel, on site-last views
-of the stacked operands (``np.moveaxis(op, 0, -1)``), so every expression
-becomes one elementwise numpy operation over all sites. Elementwise
-operations round each site exactly as the scalar ones do, so the batch
-result is bitwise equal to calling ``apply`` site by site. Scalar bench rows
-with ``batch_sites > 1`` time this site-parallel path.
+extra trailing axes after the per-object shape. The scalar backend's
+``batch_apply`` (``backends.Backend``) uses this: it evaluates these bodies
+once, site-parallel, on site-last views of the stacked operands
+(``np.moveaxis(op, 0, -1)``), so every expression becomes one elementwise
+numpy operation over all sites. Elementwise operations round each site
+exactly as the scalar ones do, so the batch result is bitwise equal to
+calling the kernel site by site. Scalar bench rows with ``batch_sites > 1``
+time this site-parallel path.
+
+The module holds only the kernels' arithmetic; dispatch by routine name,
+batching and result allocation for a batch live in ``backends``.
 
 Summation convention: each output component of a complex contraction
 accumulates the four real product sums (re*re, re*im, im*re, im*im)
@@ -37,21 +41,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import validation
-from .types import batch_count, check_batch_out, result_shape, routine_spec
-
-
-def _result(out: np.ndarray | None, like: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if out is None:
-        return np.empty(shape, dtype=like.dtype)
-    if out.shape != shape:
-        raise ValueError(f"result array has shape {out.shape}, expected {shape}")
-    return out
+from .types import result_array
 
 
 def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i] = a[i] + b[i]."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, (3, 2) + a.shape[2:])
+    c = result_array(out, a, (3, 2) + a.shape[2:])
     for i in range(3):
         c[i, 0] = a[i, 0] + b[i, 0]
         c[i, 1] = a[i, 1] + b[i, 1]
@@ -76,7 +72,7 @@ def _col(m: np.ndarray, k: int) -> tuple:
 def mult_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i] = sum_j a[i][j] * b[j]."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, b, (3, 2) + b.shape[2:])
+    c = result_array(out, b, (3, 2) + b.shape[2:])
     b0r, b0i, b1r, b1i, b2r, b2i = _vec(b)
     for i in range(3):
         a0r, a0i, a1r, a1i, a2r, a2i = _row(a, i)
@@ -92,7 +88,7 @@ def mult_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
 def mult_adj_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i] = sum_j conj(a[j][i]) * b[j]."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, b, (3, 2) + b.shape[2:])
+    c = result_array(out, b, (3, 2) + b.shape[2:])
     b0r, b0i, b1r, b1i, b2r, b2i = _vec(b)
     for i in range(3):
         a0r, a0i, a1r, a1i, a2r, a2i = _col(a, i)
@@ -108,7 +104,7 @@ def mult_adj_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = 
 def mult_su3_nn(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i][k] = sum_j a[i][j] * b[j][k]."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, (3, 3, 2) + a.shape[3:])
+    c = result_array(out, a, (3, 3, 2) + a.shape[3:])
     b_cols = [_col(b, k) for k in range(3)]
     for i in range(3):
         a0r, a0i, a1r, a1i, a2r, a2i = _row(a, i)
@@ -125,7 +121,7 @@ def mult_su3_nn(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
 def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i][k] = sum_j a[i][j] * conj(b[k][j])."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, (3, 3, 2) + a.shape[3:])
+    c = result_array(out, a, (3, 3, 2) + a.shape[3:])
     b_rows = [_row(b, k) for k in range(3)]
     for i in range(3):
         a0r, a0i, a1r, a1i, a2r, a2i = _row(a, i)
@@ -142,7 +138,7 @@ def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
 def mult_su3_an(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i][k] = sum_j conj(a[j][i]) * b[j][k]."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, (3, 3, 2) + a.shape[3:])
+    c = result_array(out, a, (3, 3, 2) + a.shape[3:])
     b_cols = [_col(b, k) for k in range(3)]
     for i in range(3):
         a0r, a0i, a1r, a1i, a2r, a2i = _col(a, i)
@@ -159,7 +155,7 @@ def mult_su3_an(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
 def mult_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[k] = a * h[k] for both halves k."""
     validation.check_no_alias(out, a, h)
-    c = _result(out, h, (2, 3, 2) + h.shape[3:])
+    c = result_array(out, h, (2, 3, 2) + h.shape[3:])
     for k in range(2):
         mult_su3_mat_vec(a, h[k], out=c[k])
     return c
@@ -168,7 +164,7 @@ def mult_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None = No
 def mult_adj_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[k] = adj(a) * h[k] for both halves k."""
     validation.check_no_alias(out, a, h)
-    c = _result(out, h, (2, 3, 2) + h.shape[3:])
+    c = result_array(out, h, (2, 3, 2) + h.shape[3:])
     for k in range(2):
         mult_adj_su3_mat_vec(a, h[k], out=c[k])
     return c
@@ -177,7 +173,7 @@ def mult_adj_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None 
 def mult_adj_su3_mat_vec_4dir(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[d] = adj(a4[d]) * b for the four directions."""
     validation.check_no_alias(out, a4, b)
-    c = _result(out, b, (4, 3, 2) + b.shape[2:])
+    c = result_array(out, b, (4, 3, 2) + b.shape[2:])
     for d in range(4):
         mult_adj_su3_mat_vec(a4[d], b, out=c[d])
     return c
@@ -186,9 +182,10 @@ def mult_adj_su3_mat_vec_4dir(a4: np.ndarray, b: np.ndarray, out: np.ndarray | N
 def mult_adj_su3_mat_4vec(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, outs=None) -> np.ndarray | tuple:
     """c_d = adj(a4[d]) * b, written to four separate destinations.
 
-    With ``outs`` given (a sequence of four (3, 2) arrays) each product lands
-    in its own destination and the tuple is returned; otherwise the packed
-    (4, 3, 2) form is produced in ``out`` or a fresh array.
+    With ``outs`` given (a sequence of four (3, 2) arrays) every destination
+    is checked first, then the packed result is formed and copied out, and
+    the tuple is returned; otherwise the packed (4, 3, 2) form is produced in
+    ``out`` or a fresh array.
     """
     if outs is None:
         return mult_adj_su3_mat_vec_4dir(a4, b, out=out)
@@ -196,9 +193,12 @@ def mult_adj_su3_mat_4vec(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None 
         raise ValueError("pass either out or outs, not both")
     if len(outs) != 4:
         raise ValueError("outs must hold four destination vectors")
-    for d in range(4):
-        validation.check_no_alias(outs[d], a4, b)
-        mult_adj_su3_mat_vec(a4[d], b, out=outs[d])
+    for dest in outs:
+        validation.check_no_alias(dest, a4, b)
+        result_array(dest, b, b.shape)
+    packed = mult_adj_su3_mat_vec_4dir(a4, b)
+    for d, dest in enumerate(outs):
+        np.copyto(dest, packed[d])
     return tuple(outs)
 
 
@@ -208,7 +208,7 @@ _DIR_TERMS = tuple((d, j) for d in range(4) for j in range(3))
 def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c = sum_d adj(a4[d]) * b4[d], accumulated direction-major."""
     validation.check_no_alias(out, a4, b4)
-    c = _result(out, b4, (3, 2) + b4.shape[3:])
+    c = result_array(out, b4, (3, 2) + b4.shape[3:])
     b_terms = [(b4[d, j, 0], b4[d, j, 1]) for d, j in _DIR_TERMS]
     for i in range(3):
         rr = ri = ir = ii = None
@@ -229,7 +229,7 @@ def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray | 
 def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray | None = None) -> np.ndarray:
     """c[i][j] = a[i][j] + s * b[i][j] for real s."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, (3, 3, 2) + a.shape[3:])
+    c = result_array(out, a, (3, 3, 2) + a.shape[3:])
     for i in range(3):
         for j in range(3):
             c[i, j, 0] = a[i, j, 0] + s * b[i, j, 0]
@@ -240,7 +240,7 @@ def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray 
 def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray | None = None) -> np.ndarray:
     """c[i] = a[i] + s * b[i] for real s."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, (3, 2) + a.shape[2:])
+    c = result_array(out, a, (3, 2) + a.shape[2:])
     for i in range(3):
         c[i, 0] = a[i, 0] + s * b[i, 0]
         c[i, 1] = a[i, 1] + s * b[i, 1]
@@ -250,7 +250,7 @@ def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray 
 def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i][j] = a[i] * conj(b[j]) (outer product)."""
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, (3, 3, 2) + a.shape[2:])
+    c = result_array(out, a, (3, 3, 2) + a.shape[2:])
     b_pairs = [(b[j, 0], b[j, 1]) for j in range(3)]
     for i in range(3):
         ar, ai = a[i, 0], a[i, 1]
@@ -271,55 +271,3 @@ def sub_four_su3_vecs(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndar
             a[i, k] = a[i, k] - b1[i, k] - b2[i, k] - b3[i, k] - b4[i, k]
     return a
 
-
-KERNELS = {
-    "add_su3_vector": add_su3_vector,
-    "mult_adj_su3_mat_hwvec": mult_adj_su3_mat_hwvec,
-    "mult_adj_su3_mat_vec": mult_adj_su3_mat_vec,
-    "mult_adj_su3_mat_vec_4dir": mult_adj_su3_mat_vec_4dir,
-    "mult_adj_su3_mat_4vec": mult_adj_su3_mat_4vec,
-    "mult_su3_an": mult_su3_an,
-    "mult_su3_mat_hwvec": mult_su3_mat_hwvec,
-    "mult_su3_na": mult_su3_na,
-    "mult_su3_nn": mult_su3_nn,
-    "mult_su3_mat_vec": mult_su3_mat_vec,
-    "mult_su3_mat_vec_sum_4dir": mult_su3_mat_vec_sum_4dir,
-    "scalar_mult_add_su3_matrix": scalar_mult_add_su3_matrix,
-    "scalar_mult_add_su3_vector": scalar_mult_add_su3_vector,
-    "su3_projector": su3_projector,
-    "sub_four_su3_vecs": sub_four_su3_vecs,
-}
-
-
-def apply(routine: str, *operands, out: np.ndarray | None = None):
-    """Invoke one kernel by name on a single operand set."""
-    spec = routine_spec(routine)
-    kernel = KERNELS[routine]
-    if spec.in_place:
-        return kernel(*operands)
-    return kernel(*operands, out=out)
-
-
-def batch_apply(routine: str, operands, count: int | None = None, out: np.ndarray | None = None):
-    """Apply one kernel independently to each of `count` stacked operand sets.
-
-    Operand arrays carry the batch axis in front of the per-object shape;
-    scalars are (count,) arrays or plain numbers. The kernel body runs once
-    on site-last views of the operands and of `out`, so each of its
-    expressions is one elementwise operation over all sets, bitwise
-    identical to slicing out each set and calling the kernel on it.
-    """
-    spec = routine_spec(routine)
-    kernel = KERNELS[routine]
-    n = batch_count(spec, operands, count)
-    views = [op if kind == "scalar" and np.ndim(op) == 0 else np.moveaxis(op, 0, -1) for op, kind in zip(operands, spec.operands)]
-    if spec.in_place:
-        kernel(*views)
-        return operands[0]
-    if out is None:
-        first = next(op for op, kind in zip(operands, spec.operands) if kind != "scalar")
-        out = np.empty(result_shape(spec, (n,)), dtype=first.dtype)
-    else:
-        check_batch_out(spec, out, n)
-    kernel(*views, out=np.moveaxis(out, 0, -1))
-    return out

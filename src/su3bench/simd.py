@@ -17,7 +17,10 @@ conjugate-on-the-right broadcasts the conjugated operand's components so the
 swap lands on its imaginary-part sums.
 
 Every kernel accepts operands with any (shared) leading batch shape in front
-of the per-object shape documented in the scalar reference.
+of the per-object shape documented in the scalar reference, so the vector
+backend's ``batch_apply`` (``backends.Backend``) passes stacked operands to
+the kernels as they are. The module holds only the kernels' arithmetic and
+the lane tallies; dispatch by routine name lives in ``backends``.
 
 Composite kernels run the recipe once per call, not once per part. The
 half-Wilson kernels view the matrix with one more batch axis
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import validation
-from .types import OPERAND_SHAPES, batch_count, check_batch_out, routine_spec
+from .types import OPERAND_SHAPES, result_array, routine_spec
 
 _SIGNS: dict[tuple, np.ndarray] = {}
 
@@ -60,14 +63,6 @@ def _combine(acc1: np.ndarray, acc2: np.ndarray, mode: str, out: np.ndarray) -> 
     np.add(acc1, acc2[..., ::-1] * _sign(acc1.dtype, mode), out=out)
 
 
-def _result(out: np.ndarray | None, like: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if out is None:
-        return np.empty(shape, dtype=like.dtype)
-    if out.shape != shape:
-        raise ValueError(f"result array has shape {out.shape}, expected {shape}")
-    return out
-
-
 def _check_shapes(name: str, **arrays) -> None:
     prefixes = set()
     for label, (arr, kind) in arrays.items():
@@ -84,7 +79,7 @@ def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) 
     """c[i] = a[i] + b[i]."""
     _check_shapes("add_su3_vector", a=(a, "vec"), b=(b, "vec"))
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, a.shape)
+    c = result_array(out, a, a.shape)
     np.add(a, b, out=c)
     return c
 
@@ -117,7 +112,7 @@ def mult_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
     """c[i] = sum_j a[i][j] * b[j]."""
     _check_shapes("mult_su3_mat_vec", a=(a, "mat"), b=(b, "vec"))
     validation.check_no_alias(out, a, b)
-    c = _result(out, b, b.shape)
+    c = result_array(out, b, b.shape)
     _mat_vec(a, b, c)
     return c
 
@@ -126,7 +121,7 @@ def mult_adj_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = 
     """c[i] = sum_j conj(a[j][i]) * b[j]."""
     _check_shapes("mult_adj_su3_mat_vec", a=(a, "mat"), b=(b, "vec"))
     validation.check_no_alias(out, a, b)
-    c = _result(out, b, b.shape)
+    c = result_array(out, b, b.shape)
     _adj_mat_vec(a, b, c)
     return c
 
@@ -135,7 +130,7 @@ def mult_su3_nn(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
     """c[i][k] = sum_j a[i][j] * b[j][k]."""
     _check_shapes("mult_su3_nn", a=(a, "mat"), b=(b, "mat"))
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, a.shape)
+    c = result_array(out, a, a.shape)
     acc1 = a[..., :, 0, 0, None, None] * b[..., None, 0, :, :]
     acc2 = a[..., :, 0, 1, None, None] * b[..., None, 0, :, :]
     for j in (1, 2):
@@ -149,7 +144,7 @@ def mult_su3_an(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
     """c[i][k] = sum_j conj(a[j][i]) * b[j][k]."""
     _check_shapes("mult_su3_an", a=(a, "mat"), b=(b, "mat"))
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, a.shape)
+    c = result_array(out, a, a.shape)
     acc1 = a[..., 0, :, 0, None, None] * b[..., None, 0, :, :]
     acc2 = a[..., 0, :, 1, None, None] * b[..., None, 0, :, :]
     for j in (1, 2):
@@ -163,7 +158,7 @@ def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
     """c[i][k] = sum_j a[i][j] * conj(b[k][j])."""
     _check_shapes("mult_su3_na", a=(a, "mat"), b=(b, "mat"))
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, a.shape)
+    c = result_array(out, a, a.shape)
     # b is the conjugated operand: broadcast its components so the final
     # swap lands on its imaginary-part sums.
     acc1 = b[..., None, :, 0, 0, None] * a[..., :, None, 0, :]
@@ -179,7 +174,7 @@ def mult_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None = No
     """c[k] = a * h[k] for both halves k, the half as one more batch axis."""
     _check_shapes("mult_su3_mat_hwvec", a=(a, "mat"), h=(h, "hwvec"))
     validation.check_no_alias(out, a, h)
-    c = _result(out, h, h.shape)
+    c = result_array(out, h, h.shape)
     _mat_vec(a[..., None, :, :, :], h, c)
     return c
 
@@ -188,7 +183,7 @@ def mult_adj_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None 
     """c[k] = adj(a) * h[k] for both halves k, the half as one more batch axis."""
     _check_shapes("mult_adj_su3_mat_hwvec", a=(a, "mat"), h=(h, "hwvec"))
     validation.check_no_alias(out, a, h)
-    c = _result(out, h, h.shape)
+    c = result_array(out, h, h.shape)
     _adj_mat_vec(a[..., None, :, :, :], h, c)
     return c
 
@@ -197,7 +192,7 @@ def mult_adj_su3_mat_vec_4dir(a4: np.ndarray, b: np.ndarray, out: np.ndarray | N
     """c[d] = adj(a4[d]) * b for the four directions, the direction as one more batch axis."""
     _check_shapes("mult_adj_su3_mat_vec_4dir", a4=(a4, "mat4"), b=(b, "vec"))
     validation.check_no_alias(out, a4, b)
-    c = _result(out, b, b.shape[:-2] + (4, 3, 2))
+    c = result_array(out, b, b.shape[:-2] + (4, 3, 2))
     _adj_mat_vec(a4, b[..., None, :, :], c)
     return c
 
@@ -216,7 +211,7 @@ def mult_adj_su3_mat_4vec(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None 
     _check_shapes("mult_adj_su3_mat_4vec", a4=(a4, "mat4"), b=(b, "vec"))
     for dest in outs:
         validation.check_no_alias(dest, a4, b)
-        _result(dest, b, b.shape)
+        result_array(dest, b, b.shape)
     packed = mult_adj_su3_mat_vec_4dir(a4, b)
     for d, dest in enumerate(outs):
         np.copyto(dest, packed[..., d, :, :])
@@ -233,7 +228,7 @@ def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray | 
     """
     _check_shapes("mult_su3_mat_vec_sum_4dir", a4=(a4, "mat4"), b4=(b4, "vec4"))
     validation.check_no_alias(out, a4, b4)
-    c = _result(out, b4, b4.shape[:-3] + (3, 2))
+    c = result_array(out, b4, b4.shape[:-3] + (3, 2))
     # p[..., 3 * d + j, i, part, lane] = a4[d][j][i][part] * b4[d][j][lane]
     p = (a4[..., :, None] * b4[..., :, :, None, None, :]).reshape(b4.shape[:-3] + (12, 3, 2, 2))
     acc = p[..., 0, :, :, :] + p[..., 1, :, :, :]
@@ -254,7 +249,7 @@ def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray 
     """c[i][j] = a[i][j] + s * b[i][j] for real s."""
     _check_shapes("scalar_mult_add_su3_matrix", a=(a, "mat"), b=(b, "mat"))
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, a.shape)
+    c = result_array(out, a, a.shape)
     c[...] = a + _scalar_factor(s, a, 3) * b
     return c
 
@@ -263,7 +258,7 @@ def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray 
     """c[i] = a[i] + s * b[i] for real s."""
     _check_shapes("scalar_mult_add_su3_vector", a=(a, "vec"), b=(b, "vec"))
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, a.shape)
+    c = result_array(out, a, a.shape)
     c[...] = a + _scalar_factor(s, a, 2) * b
     return c
 
@@ -272,7 +267,7 @@ def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -
     """c[i][j] = a[i] * conj(b[j]) (outer product)."""
     _check_shapes("su3_projector", a=(a, "vec"), b=(b, "vec"))
     validation.check_no_alias(out, a, b)
-    c = _result(out, a, a.shape[:-2] + (3, 3, 2))
+    c = result_array(out, a, a.shape[:-2] + (3, 3, 2))
     ap = a[..., :, None, :]
     acc1 = b[..., None, :, 0, None] * ap
     acc2 = b[..., None, :, 1, None] * ap
@@ -286,63 +281,6 @@ def sub_four_su3_vecs(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndar
     for b in (b1, b2, b3, b4):
         np.subtract(a, b, out=a)
     return a
-
-
-KERNELS = {
-    "add_su3_vector": add_su3_vector,
-    "mult_adj_su3_mat_hwvec": mult_adj_su3_mat_hwvec,
-    "mult_adj_su3_mat_vec": mult_adj_su3_mat_vec,
-    "mult_adj_su3_mat_vec_4dir": mult_adj_su3_mat_vec_4dir,
-    "mult_adj_su3_mat_4vec": mult_adj_su3_mat_4vec,
-    "mult_su3_an": mult_su3_an,
-    "mult_su3_mat_hwvec": mult_su3_mat_hwvec,
-    "mult_su3_na": mult_su3_na,
-    "mult_su3_nn": mult_su3_nn,
-    "mult_su3_mat_vec": mult_su3_mat_vec,
-    "mult_su3_mat_vec_sum_4dir": mult_su3_mat_vec_sum_4dir,
-    "scalar_mult_add_su3_matrix": scalar_mult_add_su3_matrix,
-    "scalar_mult_add_su3_vector": scalar_mult_add_su3_vector,
-    "su3_projector": su3_projector,
-    "sub_four_su3_vecs": sub_four_su3_vecs,
-}
-
-
-def apply(routine: str, *operands, out: np.ndarray | None = None):
-    """Invoke one kernel by name on a single operand set."""
-    spec = routine_spec(routine)
-    kernel = KERNELS[routine]
-    if spec.in_place:
-        return kernel(*operands)
-    return kernel(*operands, out=out)
-
-
-def aligned_apply(routine: str, *operands, out: np.ndarray | None = None, alignment: int = 16):
-    """Like apply(), for operands promised to sit on aligned storage.
-
-    The promise is only checked under debug validation; the arithmetic is
-    the same either way.
-    """
-    for pos, arr in enumerate(operands):
-        if isinstance(arr, np.ndarray):
-            validation.check_aligned(arr, alignment, name=f"{routine} operand {pos}")
-    if out is not None:
-        validation.check_aligned(out, alignment, name=f"{routine} result")
-    return apply(routine, *operands, out=out)
-
-
-def batch_apply(routine: str, operands, count: int | None = None, out: np.ndarray | None = None):
-    """Apply one kernel to `count` stacked operand sets in a single call.
-
-    Bitwise identical to slicing out each set and calling the kernel on it.
-    """
-    spec = routine_spec(routine)
-    n = batch_count(spec, operands, count)
-    kernel = KERNELS[routine]
-    if spec.in_place:
-        return kernel(*operands)
-    if out is not None:
-        check_batch_out(spec, out, n)
-    return kernel(*operands, out=out)
 
 
 @dataclass(frozen=True)

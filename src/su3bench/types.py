@@ -46,26 +46,22 @@ class Complex(NamedTuple):
 class FlopCount:
     """Real floating-point operation tally for one kernel invocation.
 
-    Subtractions count as adds. ``moves`` and ``shuffles`` are zero when the
-    tally comes from instrumented scalar execution, which performs no
-    data-movement operations; lane-level movement tallies live in the vector
-    backend's LaneOpCount.
+    Subtractions count as adds. Lane-level data movement is tallied in the
+    vector backend's LaneOpCount.
     """
 
     real_mults: int
     real_adds: int
-    moves: int = 0
-    shuffles: int = 0
 
     def __post_init__(self) -> None:
-        for field in ("real_mults", "real_adds", "moves", "shuffles"):
+        for field in ("real_mults", "real_adds"):
             value = getattr(self, field)
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{field} must be a nonnegative integer, got {value!r}")
 
     @property
     def total(self) -> int:
-        return self.real_mults + self.real_adds + self.moves + self.shuffles
+        return self.real_mults + self.real_adds
 
 
 @dataclass(frozen=True)
@@ -132,6 +128,15 @@ def routine_spec(name: str) -> RoutineSpec:
 
 def result_shape(spec: RoutineSpec, batch_shape: tuple[int, ...] = ()) -> tuple[int, ...]:
     return batch_shape + OPERAND_SHAPES[spec.result]
+
+
+def result_array(out: np.ndarray | None, like: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """`out` if it has `shape`, or a fresh array of that shape in like's dtype."""
+    if out is None:
+        return np.empty(shape, dtype=like.dtype)
+    if out.shape != shape:
+        raise ValueError(f"result array has shape {out.shape}, expected {shape}")
+    return out
 
 
 def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -224,13 +229,6 @@ def batch_count(spec: RoutineSpec, operands, count: int | None = None) -> int:
             raise ValueError(f"count={count} does not match operand batch size {inferred}")
         return inferred
     return 0 if count is None else count
-
-
-def check_batch_out(spec: RoutineSpec, out: np.ndarray, count: int) -> None:
-    """Reject a batch result array that is not (count,) + the result shape."""
-    expected = result_shape(spec, (count,))
-    if np.shape(out) != expected:
-        raise ValueError(f"{spec.name} result array has shape {np.shape(out)}, expected {expected}")
 
 
 def random_operands(

@@ -1,9 +1,8 @@
-"""Optional debug checks shared by both kernel backends.
+"""Optional debug check shared by both kernel backends.
 
 Disabled by default so the hot path stays one branch per call. When enabled,
-kernels reject result arrays that alias their inputs (except the routines
-whose contract is in-place) and aligned entry points reject misaligned
-storage.
+kernels reject result arrays that alias their inputs (except the routine
+whose contract is in-place).
 """
 from __future__ import annotations
 
@@ -32,15 +31,3 @@ def check_no_alias(out: np.ndarray | None, *inputs: np.ndarray) -> None:
     for arr in inputs:
         if isinstance(arr, np.ndarray) and np.shares_memory(out, arr):
             raise ValueError("result array aliases an input; kernels require distinct storage")
-
-
-def check_aligned(arr: np.ndarray, alignment: int, name: str = "array") -> None:
-    """Reject storage whose base address is not a multiple of `alignment`.
-
-    No-op unless debug validation is enabled.
-    """
-    if not _enabled:
-        return
-    addr = arr.__array_interface__["data"][0]
-    if addr % alignment != 0:
-        raise ValueError(f"{name} base address {addr:#x} is not {alignment}-byte aligned")

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 import oracles
-from su3bench import bench, flops, lattice, perfmodel, scalar, simd, types, verify
+from su3bench import bench, flops, get_backend, lattice, perfmodel, scalar, simd, types, verify
 from su3bench.bench import BenchConfig
 from symterms import sym_matrix, sym_vector, terms
 from tutil import adjoint
 
 TRIALS = 10_000
 PRECISIONS = ("double", "single")
+SCALAR = get_backend("scalar")
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -44,9 +45,9 @@ def _oracle_sweep(routine: str, precision: str, trials: int) -> float:
     rng = np.random.default_rng([2, types.ROUTINE_NAMES.index(routine), dt.itemsize])
     operands = types.random_operands(routine, rng, precision, batch=trials)
     if spec.in_place:
-        ref = scalar.batch_apply(routine, [operands[0].copy()] + operands[1:])
+        ref = SCALAR.batch_apply(routine, [operands[0].copy()] + operands[1:])
     else:
-        ref = scalar.batch_apply(routine, operands)
+        ref = SCALAR.batch_apply(routine, operands)
     want = np.empty_like(np.asarray(ref))
     fn = oracles.ORACLES[routine]
     for s in range(trials):
@@ -66,8 +67,8 @@ def test_criterion_02_oracle_equivalence():
         rng = np.random.default_rng([3, types.dtype_for(precision).itemsize])
         a, b = types.random_operands("mult_su3_nn", rng, precision, batch=2000)
         pairs = [
-            (scalar.batch_apply("mult_su3_an", [a, b]), scalar.batch_apply("mult_su3_nn", [adjoint(a), b])),
-            (scalar.batch_apply("mult_su3_na", [a, b]), scalar.batch_apply("mult_su3_nn", [a, adjoint(b)])),
+            (SCALAR.batch_apply("mult_su3_an", [a, b]), SCALAR.batch_apply("mult_su3_nn", [adjoint(a), b])),
+            (SCALAR.batch_apply("mult_su3_na", [a, b]), SCALAR.batch_apply("mult_su3_nn", [a, adjoint(b)])),
         ]
         for got, want in pairs:
             flat = want.reshape(len(want), -1)

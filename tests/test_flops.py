@@ -46,10 +46,11 @@ def test_counts_come_from_instrumentation_not_a_table():
     assert first == second
 
 
-def test_moves_and_shuffles_are_zero_in_scalar_accounting():
+def test_total_is_mults_plus_adds():
     for routine in types.ROUTINE_NAMES:
         fc = flops.flop_count(routine)
-        assert fc.moves == 0 and fc.shuffles == 0
+        assert fc.total == fc.real_mults + fc.real_adds
+    assert sum(fc.total for fc in flops.flop_table().values()) == 1932
 
 
 def test_unknown_routine_rejected():

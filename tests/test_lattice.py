@@ -71,11 +71,6 @@ def test_neighbor_map_is_permutation():
         assert image == list(range(lat.volume))
 
 
-def test_module_level_neighbor_matches_method():
-    lat = Lattice4D(4, 4, 4, 4)
-    assert lattice.neighbor(lat, 7, "+y") == lat.neighbor(7, "+y")
-
-
 def test_bad_inputs_rejected():
     lat = Lattice4D(4, 4, 4, 4)
     with pytest.raises(ValueError):
@@ -155,12 +150,6 @@ def test_allocate_aligned():
     assert not arr.any()
     arr[...] = 1.5
     assert arr.sum() == 1.5 * arr.size
-
-
-def test_unaligned_variant_function():
-    buf = AlignedBuffer(256, 16)
-    crooked = lattice.unaligned_variant(buf, np.float64, (4,))
-    assert crooked.__array_interface__["data"][0] % 8 != 0
 
 
 def test_site_buffer_layout(precision):

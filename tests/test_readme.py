@@ -1,0 +1,52 @@
+"""The README's examples, run against the code they describe."""
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from su3bench import cli
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _section(title: str) -> str:
+    start = README.index(f"\n## {title}\n")
+    end = README.find("\n## ", start + 1)
+    return README[start:end if end >= 0 else None]
+
+
+def _cli_examples() -> dict[str, tuple[list[str], list[str]]]:
+    """Each `$ python3 -m su3bench ...` block: its arguments and printed lines."""
+    examples = {}
+    for block in re.findall(r"^```\n\$ python3 -m su3bench (.*?)\n```$", README, re.S | re.M):
+        command, *lines = block.split("\n")
+        args = shlex.split(command)
+        examples[" ".join(args[:2])] = (args, lines)
+    return examples
+
+
+CLI_EXAMPLES = _cli_examples()
+
+
+def test_library_quick_start_runs_and_prints_what_it_says(capsys):
+    code = re.search(r"```python\n(.*?)```", _section("Library quick start"), re.S).group(1)
+    exec(compile(code, "README quick start", "exec"), {})
+    expected = [line.split("# ", 1)[1].strip() for line in code.splitlines() if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_readme_shows_the_flops_examples():
+    assert {"flops --routines", "flops --lane-ops"} <= set(CLI_EXAMPLES)
+
+
+@pytest.mark.parametrize("example", sorted(CLI_EXAMPLES))
+def test_cli_example_matches_real_output(example, capsys):
+    # An example ending in "..." shows only the first lines of the output.
+    args, lines = CLI_EXAMPLES[example]
+    assert cli.main(args) == 0
+    printed = capsys.readouterr().out.splitlines()
+    if lines[-1] == "...":
+        lines = lines[:-1]
+        printed = printed[: len(lines)]
+    assert printed == lines

@@ -5,19 +5,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from su3bench import scalar, types, validation
+from su3bench import get_backend, scalar, types, validation
 from tutil import adjoint, max_ulp, random_unitary, rel_norm_err
 
 ALL = types.ROUTINE_NAMES
+SCALAR = get_backend("scalar")
 
 
 def _call_both(routine, ops):
     """(kernel result, oracle result), copying for the in-place routine."""
     spec = types.routine_spec(routine)
     if spec.in_place:
-        got = scalar.apply(routine, ops[0].copy(), *ops[1:])
+        got = SCALAR.apply(routine, ops[0].copy(), *ops[1:])
     else:
-        got = scalar.apply(routine, *ops)
+        got = SCALAR.apply(routine, *ops)
     want = oracles.ORACLES[routine](*ops)
     return got, want
 
@@ -115,8 +116,8 @@ def test_each_operand_element_is_read_once(routine, reads, rng, precision):
         view = op.view(_ReadLog)
         view.reads = []
         logged.append(view)
-    got = scalar.apply(routine, *logged)
-    assert np.array_equal(got, scalar.apply(routine, *ops))
+    got = SCALAR.apply(routine, *logged)
+    assert np.array_equal(got, SCALAR.apply(routine, *ops))
     for view in logged:
         assert sorted(view.reads) == list(np.ndindex(view.shape))
     assert sum(len(view.reads) for view in logged) == reads
@@ -229,9 +230,10 @@ def test_aliasing_unchecked_by_default(rng):
 
 
 def test_kernel_table_matches_registry():
-    assert set(scalar.KERNELS) == set(ALL)
+    assert list(SCALAR.kernels) == list(ALL)
+    assert all(SCALAR.kernels[name] is getattr(scalar, name) for name in ALL)
     with pytest.raises(ValueError):
-        scalar.apply("mult_su3_zz", np.zeros((3, 2)))
+        SCALAR.apply("mult_su3_zz", np.zeros((3, 2)))
 
 
 def _scalar_kind_variants(routine, ops):
@@ -244,15 +246,15 @@ def _scalar_kind_variants(routine, ops):
 
 
 def _per_site_loop(routine, ops, count):
-    """The batch result built one site at a time through scalar.apply."""
+    """The batch result built one site at a time through the scalar backend's apply."""
     spec = types.routine_spec(routine)
     want = np.empty((count,) + types.OPERAND_SHAPES[spec.result], dtype=ops[0].dtype)
     for s in range(count):
         args = [op[s] if np.ndim(op) else op for op in ops]
         if spec.in_place:
-            want[s] = scalar.apply(routine, args[0].copy(), *args[1:])
+            want[s] = SCALAR.apply(routine, args[0].copy(), *args[1:])
         else:
-            scalar.apply(routine, *args, out=want[s])
+            SCALAR.apply(routine, *args, out=want[s])
     return want
 
 
@@ -270,12 +272,12 @@ def test_batch_apply_equals_per_site_loop(routine, precision):
             want = _per_site_loop(routine, ops, count)
             if spec.in_place:
                 mutated = ops[0].copy()
-                assert scalar.batch_apply(routine, [mutated] + ops[1:]) is mutated
+                assert SCALAR.batch_apply(routine, [mutated] + ops[1:]) is mutated
                 assert _same_bits(mutated, want)
                 continue
-            assert _same_bits(scalar.batch_apply(routine, ops), want)
+            assert _same_bits(SCALAR.batch_apply(routine, ops), want)
             out = np.full_like(want, np.nan)
-            assert scalar.batch_apply(routine, ops, out=out) is out
+            assert SCALAR.batch_apply(routine, ops, out=out) is out
             assert _same_bits(out, want)
 
 
@@ -283,10 +285,10 @@ def test_batch_apply_equals_per_site_loop(routine, precision):
 def test_batch_apply_rejects_misshapen_out(rng, shape):
     ops = types.random_operands("mult_su3_nn", rng, batch=4)
     with pytest.raises(ValueError, match="expected"):
-        scalar.batch_apply("mult_su3_nn", ops, out=np.empty(shape))
+        SCALAR.batch_apply("mult_su3_nn", ops, out=np.empty(shape))
 
 
 def test_batch_apply_empty_batch(precision):
     ops = types.random_operands("mult_su3_nn", np.random.default_rng(0), precision, batch=0)
-    got = scalar.batch_apply("mult_su3_nn", ops)
+    got = SCALAR.batch_apply("mult_su3_nn", ops)
     assert got.shape == (0, 3, 3, 2)

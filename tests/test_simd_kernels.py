@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from su3bench import lattice, scalar, simd, types, validation, verify
+from su3bench import BACKEND_NAMES, get_backend, scalar, simd, types, verify
 from symterms import sym_matrix, sym_vector
 
 ALL = types.ROUTINE_NAMES
+SCALAR = get_backend("scalar")
+VECTOR = get_backend("vector")
 
 
 def _apply(backend, routine, ops):
@@ -29,7 +31,7 @@ def test_bitwise_equal_to_scalar(routine, precision):
     rng = np.random.default_rng([20, ALL.index(routine)])
     for _ in range(50):
         ops = types.random_operands(routine, rng, precision)
-        assert np.array_equal(_apply(simd, routine, ops), _apply(scalar, routine, ops))
+        assert np.array_equal(_apply(VECTOR, routine, ops), _apply(SCALAR, routine, ops))
 
 
 @pytest.mark.parametrize("routine", ALL)
@@ -40,14 +42,14 @@ def test_batch_apply_equals_singles(routine, precision, count):
     spec = types.routine_spec(routine)
     if spec.in_place:
         mutated = ops[0].copy()
-        simd.batch_apply(routine, [mutated] + ops[1:])
+        VECTOR.batch_apply(routine, [mutated] + ops[1:])
         for s in range(count):
-            assert np.array_equal(mutated[s], _apply(simd, routine, [op[s] for op in ops]))
+            assert np.array_equal(mutated[s], _apply(VECTOR, routine, [op[s] for op in ops]))
     else:
-        got = simd.batch_apply(routine, ops)
+        got = VECTOR.batch_apply(routine, ops)
         assert got.shape == (count,) + types.OPERAND_SHAPES[spec.result]
         for s in range(count):
-            assert np.array_equal(got[s], _apply(simd, routine, [op[s] for op in ops]))
+            assert np.array_equal(got[s], _apply(VECTOR, routine, [op[s] for op in ops]))
 
 
 def _lane_loop_sum_4dir(a4, b4):
@@ -77,9 +79,9 @@ def _single_call_loop(routine, ops):
 
 def _scalar_result(routine, ops, shape):
     if not shape:
-        return scalar.apply(routine, *ops)
+        return SCALAR.apply(routine, *ops)
     n = math.prod(shape)
-    flat = scalar.batch_apply(routine, [op.reshape((n,) + op.shape[len(shape):]) for op in ops], count=n)
+    flat = SCALAR.batch_apply(routine, [op.reshape((n,) + op.shape[len(shape):]) for op in ops], count=n)
     return flat.reshape(shape + flat.shape[1:])
 
 
@@ -110,34 +112,36 @@ def test_composite_kernels_equal_single_calls_and_scalar(call, shape, precision)
         assert all(r is o for r, o in zip(ret, outs))
         got = np.stack(outs, axis=-3)
     else:
-        got = simd.KERNELS[routine](*ops)
+        got = VECTOR.kernels[routine](*ops)
     assert _same_bytes(got, _single_call_loop(routine, ops))
     assert _same_bytes(got, _scalar_result(routine, ops, shape))
 
 
-def test_4vec_outs_checks_every_destination_before_writing(rng, debug_checks):
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_4vec_outs_checks_every_destination_before_writing(kind, rng, debug_checks):
+    kernel = get_backend(kind).kernels["mult_adj_su3_mat_4vec"]
     a4, b = types.random_operands("mult_adj_su3_mat_4vec", rng)
     outs = [np.zeros_like(b) for _ in range(4)]
     with pytest.raises(ValueError, match="aliases"):
-        simd.mult_adj_su3_mat_4vec(a4, b, outs=outs[:3] + [b])
+        kernel(a4, b, outs=outs[:3] + [b])
     with pytest.raises(ValueError, match="expected"):
-        simd.mult_adj_su3_mat_4vec(a4, b, outs=outs[:3] + [np.zeros((3, 3, 2))])
+        kernel(a4, b, outs=outs[:3] + [np.zeros((3, 3, 2))])
     assert not any(o.any() for o in outs)
 
 
 def test_batch_shape_mismatch_rejected(rng):
     a, b = types.random_operands("mult_su3_nn", rng, batch=4)
     with pytest.raises(ValueError):
-        simd.batch_apply("mult_su3_nn", [a, b[:3]])
+        VECTOR.batch_apply("mult_su3_nn", [a, b[:3]])
     with pytest.raises(ValueError):
-        simd.batch_apply("mult_su3_nn", [a, b], count=9)
+        VECTOR.batch_apply("mult_su3_nn", [a, b], count=9)
 
 
 @pytest.mark.parametrize("shape", [(5, 3, 3, 2), (3, 3, 3, 2), (4, 3, 2), (3, 3, 2, 4)])
 def test_batch_apply_rejects_misshapen_out(rng, shape):
     ops = types.random_operands("mult_su3_nn", rng, batch=4)
     with pytest.raises(ValueError, match="expected"):
-        simd.batch_apply("mult_su3_nn", ops, out=np.empty(shape))
+        VECTOR.batch_apply("mult_su3_nn", ops, out=np.empty(shape))
 
 
 def test_operand_shape_mismatch_rejected(rng):
@@ -170,25 +174,6 @@ def test_aliasing_rejected_under_debug_validation(rng, debug_checks):
         simd.mult_su3_mat_vec(a, b, out=b)
 
 
-def test_aligned_apply_happy_path(rng, precision):
-    dt = types.dtype_for(precision)
-    a = lattice.allocate_aligned(dt, (3, 3, 2))
-    b = lattice.allocate_aligned(dt, (3, 2))
-    src = types.random_operands("mult_su3_mat_vec", rng, precision)
-    a[...], b[...] = src[0], src[1]
-    got = simd.aligned_apply("mult_su3_mat_vec", a, b)
-    assert np.array_equal(got, simd.mult_su3_mat_vec(a, b))
-
-
-def test_aligned_apply_rejects_misaligned_under_debug(debug_checks):
-    dt = types.dtype_for("double")
-    buf = lattice.AlignedBuffer(3 * 2 * dt.itemsize, 16)
-    crooked = buf.unaligned_view(dt, (3, 2))
-    straight_m = lattice.allocate_aligned(dt, (3, 3, 2))
-    with pytest.raises(ValueError):
-        simd.aligned_apply("mult_su3_mat_vec", straight_m, crooked)
-
-
 def test_in_place_routine_mutates_and_returns(rng, precision):
     ops = types.random_operands("sub_four_su3_vecs", rng, precision)
     mine = ops[0].copy()
@@ -199,7 +184,8 @@ def test_in_place_routine_mutates_and_returns(rng, precision):
 
 
 def test_kernel_table_matches_registry():
-    assert set(simd.KERNELS) == set(ALL)
+    assert list(VECTOR.kernels) == list(ALL)
+    assert all(VECTOR.kernels[name] is getattr(simd, name) for name in ALL)
 
 
 def test_lane_group_widths():
