@@ -92,35 +92,41 @@ def test_mat_4vec_separate_destinations(rng, precision):
         scalar.mult_adj_su3_mat_4vec(a4, b, out=packed, outs=outs)
 
 
-class _ReadLog(np.ndarray):
-    """An array that records the index of every read made through it."""
+class _UnpackLog(np.ndarray):
+    """An array that counts the calls that unpack it into components."""
 
-    def __getitem__(self, index):
-        self.reads.append(index)
-        return super().__getitem__(index)
+    def ravel(self, *args, **kwargs):
+        self.unpacks += 1
+        return super().ravel(*args, **kwargs)
+
+    def reshape(self, *args, **kwargs):
+        self.unpacks += 1
+        return super().reshape(*args, **kwargs)
 
 
-@pytest.mark.parametrize("routine, reads", [
-    ("mult_su3_mat_vec", 24),
-    ("mult_adj_su3_mat_vec", 24),
-    ("mult_su3_nn", 36),
-    ("mult_su3_na", 36),
-    ("mult_su3_an", 36),
-    ("mult_su3_mat_vec_sum_4dir", 96),
-    ("su3_projector", 12),
-])
-def test_each_operand_element_is_read_once(routine, reads, rng, precision):
+@pytest.mark.parametrize("routine", ALL)
+def test_each_operand_is_unpacked_once(routine, rng, precision):
+    spec = types.routine_spec(routine)
     ops = types.random_operands(routine, rng, precision)
-    logged = []
-    for op in ops:
-        view = op.view(_ReadLog)
-        view.reads = []
-        logged.append(view)
+    logged = list(ops)
+    for k, kind in enumerate(spec.operands):
+        if kind != "scalar":
+            logged[k] = ops[k].copy().view(_UnpackLog)
+            logged[k].unpacks = 0
+    want = SCALAR.apply(routine, ops[0].copy(), *ops[1:])
     got = SCALAR.apply(routine, *logged)
-    assert np.array_equal(got, SCALAR.apply(routine, *ops))
-    for view in logged:
-        assert sorted(view.reads) == list(np.ndindex(view.shape))
-    assert sum(len(view.reads) for view in logged) == reads
+    assert _same_bits(np.asarray(got), want)
+    unpacks = [op.unpacks for op, kind in zip(logged, spec.operands) if kind != "scalar"]
+    assert unpacks == [1] * len(unpacks)
+
+
+def test_component_types_follow_the_operand(rng):
+    # Python floats only where they round as binary64: a single float64 object.
+    a = types.random_operands("mult_su3_nn", rng, "double")[0]
+    assert [type(x) for x in scalar._parts(a, 3)] == [float] * 18
+    assert [type(x) for x in scalar._parts(a.astype(np.float32), 3)] == [np.float32] * 18
+    rows = scalar._parts(np.stack([a, a], axis=-1), 3)
+    assert [row.shape for row in rows] == [(2,)] * 18
 
 
 def test_hwvec_is_two_mat_vecs(rng, precision):
@@ -262,13 +268,26 @@ def _same_bits(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _special_operands(routine, rng, precision, count):
+    """A batch whose components are signed zeros, subnormals, infinities and a few normal values."""
+    finfo = np.finfo(types.dtype_for(precision))
+    pool = np.array([0.0, -0.0, finfo.smallest_subnormal, -finfo.tiny / 3, np.inf, -np.inf, 1.5, -0.75], dtype=finfo.dtype)
+    weights = [0.2, 0.2, 0.15, 0.15, 0.01, 0.01, 0.14, 0.14]  # rare infinities leave some sums finite
+    spec = types.routine_spec(routine)
+    return [rng.choice(pool, size=(count,) + types.OPERAND_SHAPES[kind], p=weights) for kind in spec.operands]
+
+
 @pytest.mark.parametrize("routine", ALL)
+@np.errstate(invalid="ignore", over="ignore")
 def test_batch_apply_equals_per_site_loop(routine, precision):
     # Counts are looped rather than parametrised so the test ids stay fixed.
+    # Single float64 sets run on Python floats, batches on numpy arrays; the
+    # special values check that both round, overflow and sign zeros alike.
     spec = types.routine_spec(routine)
     for count in (0, 1, 5, 64):
         rng = np.random.default_rng([12, ALL.index(routine), count])
-        for ops in _scalar_kind_variants(routine, types.random_operands(routine, rng, precision, batch=count)):
+        operand_sets = [types.random_operands(routine, rng, precision, batch=count), _special_operands(routine, rng, precision, count)]
+        for ops in (variant for ops in operand_sets for variant in _scalar_kind_variants(routine, ops)):
             want = _per_site_loop(routine, ops, count)
             if spec.in_place:
                 mutated = ops[0].copy()

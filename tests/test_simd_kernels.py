@@ -129,6 +129,62 @@ def test_4vec_outs_checks_every_destination_before_writing(kind, rng, debug_chec
     assert not any(o.any() for o in outs)
 
 
+@pytest.mark.parametrize("routine", ["scalar_mult_add_su3_matrix", "scalar_mult_add_su3_vector"])
+def test_scalar_factor_forms_agree_across_backends(routine, precision):
+    # Both backends convert the factor to the operands' dtype before using it,
+    # whatever form it comes in.
+    rng = np.random.default_rng([22, ALL.index(routine)])
+    for _ in range(20):
+        a, b, _ = types.random_operands(routine, rng, precision)
+        x = rng.uniform(-1.0, 1.0)
+        for s in (x, np.float32(x), np.float64(x), np.asarray(x, np.float32), np.asarray(x, np.float64)):
+            assert _same_bytes(SCALAR.apply(routine, a, b, s), VECTOR.apply(routine, a, b, s))
+    a, b, _ = types.random_operands(routine, rng, precision, batch=64)
+    s = rng.uniform(-1.0, 1.0, 64)
+    assert _same_bytes(SCALAR.batch_apply(routine, [a, b, s]), VECTOR.batch_apply(routine, [a, b, s]))
+
+
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_mixed_precision_operands_rejected(kind, rng):
+    backend = get_backend(kind)
+    a64, b64 = types.random_operands("mult_su3_nn", rng, "double")
+    a32 = a64.astype(np.float32)
+    for ops in ([a32, b64], [b64, a32]):
+        with pytest.raises(ValueError, match="mix"):
+            backend.apply("mult_su3_nn", *ops)
+        with pytest.raises(ValueError, match="mix"):
+            backend.batch_apply("mult_su3_nn", [op[None] for op in ops])
+    with pytest.raises(ValueError, match="dtype"):
+        backend.apply("mult_su3_nn", a64, b64, out=np.zeros((3, 3, 2), np.float32))
+    with pytest.raises(ValueError, match="dtype"):
+        backend.batch_apply("mult_su3_nn", [a64[None], b64[None]], out=np.zeros((1, 3, 3, 2), np.float32))
+    # The real factor may come in either precision.
+    a, b, _ = types.random_operands("scalar_mult_add_su3_vector", rng, "single")
+    assert backend.apply("scalar_mult_add_su3_vector", a, b, np.float64(0.5)).dtype == np.float32
+
+
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_apply_rejects_wrong_operand_count(kind, rng):
+    a, b = types.random_operands("mult_su3_nn", rng)
+    with pytest.raises(ValueError, match="takes 2 operands, got 1"):
+        get_backend(kind).apply("mult_su3_nn", a)
+    with pytest.raises(ValueError, match="takes 2 operands, got 3"):
+        get_backend(kind).apply("mult_su3_nn", a, b, b)
+
+
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_in_place_routine_rejects_out(kind, rng):
+    backend = get_backend(kind)
+    ops = types.random_operands("sub_four_su3_vecs", rng, batch=3)
+    first = ops[0].copy()
+    out = np.zeros_like(first)
+    with pytest.raises(ValueError, match="in place"):
+        backend.apply("sub_four_su3_vecs", *(op[0] for op in ops), out=out[0])
+    with pytest.raises(ValueError, match="in place"):
+        backend.batch_apply("sub_four_su3_vecs", ops, out=out)
+    assert _same_bytes(ops[0], first) and not out.any()
+
+
 def test_batch_shape_mismatch_rejected(rng):
     a, b = types.random_operands("mult_su3_nn", rng, batch=4)
     with pytest.raises(ValueError):
