@@ -57,7 +57,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import validation
-from .types import result_array
+from .types import four_destinations, result_array
 
 
 def _parts(x, depth: int):
@@ -192,17 +192,7 @@ def mult_adj_su3_mat_4vec(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None 
     """
     if outs is None:
         return mult_adj_su3_mat_vec_4dir(a4, b, out=out)
-    if out is not None:
-        raise ValueError("pass either out or outs, not both")
-    if len(outs) != 4:
-        raise ValueError("outs must hold four destination vectors")
-    for dest in outs:
-        validation.check_no_alias(dest, a4, b)
-        result_array(dest, b, b.shape)
-    packed = mult_adj_su3_mat_vec_4dir(a4, b)
-    for d, dest in enumerate(outs):
-        np.copyto(dest, packed[d])
-    return tuple(outs)
+    return four_destinations(mult_adj_su3_mat_vec_4dir, a4, b, out, outs, axis=0)
 
 
 def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

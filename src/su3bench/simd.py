@@ -1,204 +1,219 @@
 """Packed-lane implementations of the su3 kernels.
 
-The code follows a 128-bit register recipe: a complex value's (re, im) pair
-rides in one packed lane group; each matrix element contributes through two
-broadcasts (its real and its imaginary part), packed multiplies against the
-untouched pair, and packed adds into two running accumulators; one
-swap + sign-flip + add at the end turns the accumulated (re*re, re*im) and
-(im*re, im*im) lane sums into the complex result. Lanes here are numpy array
-axes rather than xmm registers, and a leading batch axis widens every lane so
-one call covers many operand sets; the arithmetic sequence per output
-component is identical either way, which keeps this backend bitwise equal to
-the scalar reference.
+The code follows a 128-bit register recipe. A complex value's (re, im) pair
+rides in one packed lane group. A contraction kernel broadcasts each
+component of one operand across a lane pair (``_mm_set1_pd``), multiplies it
+by a pair of the other operand, adds the packed products over the
+contraction index in order, and ends with one swap + sign + add that turns
+the (re*re, re*im) and (im*re, im*im) lane sums into the complex result.
+Lanes here are numpy array rows rather than xmm registers; the arithmetic
+sequence per output component is the same, which keeps this backend bitwise
+equal to the scalar reference.
 
-Conjugate variants reuse the recipe: adjoint-on-the-left broadcasts column
-elements instead of row elements and flips the sign applied after the swap;
-conjugate-on-the-right broadcasts the conjugated operand's components so the
-swap lands on its imaginary-part sums.
+The eleven contraction kernels (mat-vec, adjoint mat-vec, the three matrix
+products, both half-Wilson kernels, the four-direction kernels and
+``mult_su3_mat_vec_sum_4dir``, ``su3_projector``) run one executor,
+``_contract``, driven by a gather table (``Contraction``) built once at
+import:
 
-Every kernel accepts operands with any (shared) leading batch shape in front
+- **Broadcast.** A broadcast is a gathered component, as ``_mm_set1_pd``
+  loads one component into both lanes. For every contraction step j and
+  every packed product, the table names the component of the broadcast
+  operand (the matrix, or for ``mult_su3_na`` and ``su3_projector`` the
+  conjugated operand) and the component of the pair operand that the
+  product multiplies.
+- **Packed multiply.** Both operands are gathered with one ``take`` each and
+  multiplied in one call, forming every product of every step at once.
+- **Adds over j.** The step rows are summed left to right, p0 + p1, then
+  + p2 and so on, exactly the order of running accumulators.
+- **Swap, sign, add.** The lane swap of the imaginary-part sums is folded
+  into the gather: the products of imaginary-part broadcasts read the pair
+  with its lanes swapped, so after the adds their sums line up with the
+  real-part sums. They are multiplied by the table's sign (+-1, exact), and
+  one add writes the result. Adjoint and conjugate variants differ from the
+  plain ones only in their tables.
+- **Site blocks.** Stacked operands run in blocks of ``BLOCK`` sites, the
+  site axis innermost, so every multiply and add is one long contiguous
+  loop and a block's temporaries stay in cache. One object is a block of
+  one site, so every batch size takes the same path.
+
+Every output component sees the same products, added in the same order, as
+in the scalar reference, so blocking and gathering move no bits.
+
+Every kernel accepts operands with any shared leading batch shape in front
 of the per-object shape documented in the scalar reference, so the vector
 backend's ``batch_apply`` (``backends.Backend``) passes stacked operands to
-the kernels as they are. The module holds only the kernels' arithmetic and
-the lane tallies; dispatch by routine name lives in ``backends``.
-
-Composite kernels run the recipe once per call, not once per part. The
-half-Wilson kernels view the matrix with one more batch axis
-(``a[..., None, :, :, :]``) so it broadcasts against both halves; the
-four-direction kernels view the vector that way (``b[..., None, :, :]``) so it
-broadcasts against the four matrices. The half or direction then rides along
-as a batch axis of one mat-vec pass. ``mult_su3_mat_vec_sum_4dir`` forms all
-of its packed products in one broadcast multiply and adds them direction-major
-in the order the one-direction-at-a-time recipe would. ``mult_adj_su3_mat_4vec``
-with separate destinations computes the packed result and copies it out.
-Broadcasting only repeats operands, so every output component still sees the
-same products in the same order and stays bitwise equal to the per-part loop.
-
-The adjoint mat-vec recipe (``mult_adj_su3_mat_vec``, its half-Wilson and
-four-direction forms) keeps its two accumulators stacked, the real-part and
-imaginary-part broadcasts on an axis of their own, so each contraction step
-is one multiply and one add; the sums and their order are those of two
-accumulators. The plain mat-vec recipe and the matrix products keep two
-separate accumulators: stacked, they were slower on 16^4 fields.
+the kernels as they are. The kernels do not check their arguments:
+``Backend.apply`` and ``Backend.batch_apply`` are the checked entry points.
+The module holds only the kernels' arithmetic and the lane tallies.
 """
 from __future__ import annotations
 
+import math
 import platform
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import validation
-from .types import OPERAND_SHAPES, result_array, routine_spec
+from .types import four_destinations, result_array, routine_spec
 
-_SIGNS: dict[tuple, np.ndarray] = {}
-
-
-def _sign(dtype: np.dtype, mode: str) -> np.ndarray:
-    # "plain": (rr - ii, ri + ir); "conj": (rr + ii, ri - ir)
-    key = (dtype, mode)
-    cached = _SIGNS.get(key)
-    if cached is None:
-        pair = [-1.0, 1.0] if mode == "plain" else [1.0, -1.0]
-        cached = _SIGNS[key] = np.array(pair, dtype=dtype)
-    return cached
+# Sites per block. The widest tables (the four-direction kernels, 144 packed
+# products per site) give 512 * 144 * 8 B = 576 KiB of products in double;
+# with the pair operand's gather and the transposed operands a block stays
+# inside a 2 MiB L2. Of 256, 512, 1024 and 2048, 512 gave the lowest ns/site
+# summed over the tables on 65536-site double operands.
+BLOCK = 512
 
 
-def _combine(acc1: np.ndarray, acc2: np.ndarray, mode: str, out: np.ndarray) -> None:
-    # acc1 holds the re*? lane sums, acc2 the im*? lane sums of the
-    # broadcast operand; swap acc2's lanes, flip one sign, add once.
-    np.add(acc1, acc2[..., ::-1] * _sign(acc1.dtype, mode), out=out)
+@dataclass(frozen=True, eq=False)
+class Contraction:
+    """The gather table of one contraction kernel.
+
+    ia, ib: (steps, 2, N) component indices into the flattened broadcast and
+    pair operands of each packed product. Row [j, 0] holds the products of
+    step j with the real parts of the broadcast entries, row [j, 1] those
+    with the imaginary parts; column 2*o + lane is lane `lane` of output
+    entry o. The swap of the imaginary-part sums is folded into the pair
+    operand's gather: row [j, 1] reads the pair with its lanes swapped, so
+    after the adds over j, [1] lines up with [0]. sign: the +-1 that the
+    swapped sums take in the combine, an (N, 1) column per dtype. x_size,
+    y_size: components per object of the two operands; outputs: N.
+    """
+
+    ia: np.ndarray
+    ib: np.ndarray
+    sign: dict
+    x_size: int
+    y_size: int
+    steps: int
+    outputs: int
 
 
-def _check_shapes(name: str, **arrays) -> None:
-    prefixes = set()
-    for label, (arr, kind) in arrays.items():
-        obj = OPERAND_SHAPES[kind]
-        nd = len(obj)
-        if arr.ndim < nd or arr.shape[arr.ndim - nd:] != obj:
-            raise ValueError(f"{name}: operand {label} has shape {arr.shape}, expected (...,) + {obj}")
-        prefixes.add(arr.shape[: arr.ndim - nd])
-    if len(prefixes) > 1:
-        raise ValueError(f"{name}: operands disagree on batch shape: {sorted(prefixes)}")
+def _table(grid: tuple, steps: int, x_shape: tuple, x_at, y_shape: tuple, y_at, conj: bool) -> Contraction:
+    """The table of c[o] = sum_j x[x_at(o, j)] * y[y_at(o, j)] over the complex output grid.
+
+    x is the broadcast operand, y the pair operand, both with complex entry
+    shapes x_shape and y_shape. x_at and y_at map the output index (one array
+    per grid axis) and the step j to an entry of x and of y. With conj the
+    result is x's conjugate times y: the sign flips after the swap.
+    """
+    *o, j = np.indices(grid + (steps,))
+    xc = np.moveaxis(np.ravel_multi_index(x_at(*o, j), x_shape), -1, 0).reshape(steps, 1, -1, 1)
+    yc = np.moveaxis(np.ravel_multi_index(y_at(*o, j), y_shape), -1, 0).reshape(steps, 1, -1, 1)
+    part, lane = np.indices((2, 2))
+    sign = np.tile([1.0, -1.0] if conj else [-1.0, 1.0], xc.shape[2])[:, None]
+    return Contraction(
+        ia=(2 * xc + part[:, None]).reshape(steps, 2, -1),
+        ib=(2 * yc + (lane ^ part)[:, None]).reshape(steps, 2, -1),
+        sign={np.dtype(dt): sign.astype(dt) for dt in (np.float64, np.float32, object)},
+        x_size=2 * math.prod(x_shape),
+        y_size=2 * math.prod(y_shape),
+        steps=steps,
+        outputs=sign.size,
+    )
+
+
+_MAT_VEC = _table((3,), 3, (3, 3), lambda i, j: (i, j), (3,), lambda i, j: (j,), conj=False)
+_ADJ_MAT_VEC = _table((3,), 3, (3, 3), lambda i, j: (j, i), (3,), lambda i, j: (j,), conj=True)
+_FOUR_DIR = _table((4, 3), 3, (4, 3, 3), lambda d, i, j: (d, j, i), (3,), lambda d, i, j: (j,), conj=True)
+
+TABLES: dict[str, Contraction] = {
+    "mult_su3_mat_vec": _MAT_VEC,
+    "mult_adj_su3_mat_vec": _ADJ_MAT_VEC,
+    "mult_su3_nn": _table((3, 3), 3, (3, 3), lambda i, k, j: (i, j), (3, 3), lambda i, k, j: (j, k), conj=False),
+    "mult_su3_an": _table((3, 3), 3, (3, 3), lambda i, k, j: (j, i), (3, 3), lambda i, k, j: (j, k), conj=True),
+    # b is the conjugated operand, so its components are the broadcast ones.
+    "mult_su3_na": _table((3, 3), 3, (3, 3), lambda i, k, j: (k, j), (3, 3), lambda i, k, j: (i, j), conj=True),
+    "mult_su3_mat_hwvec": _table((2, 3), 3, (3, 3), lambda h, i, j: (i, j), (2, 3), lambda h, i, j: (h, j), conj=False),
+    "mult_adj_su3_mat_hwvec": _table((2, 3), 3, (3, 3), lambda h, i, j: (j, i), (2, 3), lambda h, i, j: (h, j), conj=True),
+    "mult_adj_su3_mat_vec_4dir": _FOUR_DIR,
+    "mult_adj_su3_mat_4vec": _FOUR_DIR,
+    # Step s = 3 * d + j: the products are added direction-major.
+    "mult_su3_mat_vec_sum_4dir": _table(
+        (3,), 12, (4, 3, 3), lambda i, s: (s // 3, s % 3, i), (4, 3), lambda i, s: (s // 3, s % 3), conj=True
+    ),
+    "su3_projector": _table((3, 3), 1, (3,), lambda i, k, j: (k,), (3,), lambda i, k, j: (i,), conj=True),
+}
+
+
+def _contract(t: Contraction, x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Run table t on the broadcast operand x and the pair operand y into c, block by block."""
+    n = c.size // t.outputs
+    direct = c.flags.c_contiguous
+    rows = c.reshape(n, t.outputs) if direct else np.empty((n, t.outputs), c.dtype)
+    x, y = x.reshape(n, t.x_size), y.reshape(n, t.y_size)
+    sign = t.sign[c.dtype]
+    for start in range(0, n, BLOCK):
+        stop = start + BLOCK
+        xb, yb, cb = (x, y, rows) if n <= BLOCK else (x[start:stop], y[start:stop], rows[start:stop])
+        p = xb.T.take(t.ia, 0)
+        p *= yb.T.take(t.ib, 0)
+        acc = p[0]
+        for j in range(1, t.steps):
+            acc += p[j]
+        im = acc[1]
+        im *= sign
+        np.add(acc[0], im, out=cb.T)
+    if not direct:
+        np.copyto(c, rows.reshape(c.shape))
+    return c
 
 
 def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i] = a[i] + b[i]."""
-    _check_shapes("add_su3_vector", a=(a, "vec"), b=(b, "vec"))
     validation.check_no_alias(out, a, b)
     c = result_array(out, a, a.shape)
     np.add(a, b, out=c)
     return c
 
 
-def _mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    # The mat-vec recipe, unchecked; a's and b's batch shapes broadcast to out's.
-    b0 = b[..., None, 0, :]
-    acc1 = a[..., :, 0, 0:1] * b0
-    acc2 = a[..., :, 0, 1:2] * b0
-    for j in (1, 2):
-        bj = b[..., None, j, :]
-        acc1 += a[..., :, j, 0:1] * bj
-        acc2 += a[..., :, j, 1:2] * bj
-    _combine(acc1, acc2, "plain", out)
-
-
-def _adj_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    # As _mat_vec for adj(a): broadcast column elements, conj sign; the two
-    # accumulators stacked, acc[..., i, part, lane] = sum_j a[j][i][part] * b[j][lane].
-    acc = a[..., 0, :, :, None] * b[..., None, 0, None, :]
-    for j in (1, 2):
-        acc += a[..., j, :, :, None] * b[..., None, j, None, :]
-    _combine(acc[..., 0, :], acc[..., 1, :], "conj", out)
-
-
 def mult_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i] = sum_j a[i][j] * b[j]."""
-    _check_shapes("mult_su3_mat_vec", a=(a, "mat"), b=(b, "vec"))
     validation.check_no_alias(out, a, b)
-    c = result_array(out, b, b.shape)
-    _mat_vec(a, b, c)
-    return c
+    return _contract(_MAT_VEC, a, b, result_array(out, b, b.shape))
 
 
 def mult_adj_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i] = sum_j conj(a[j][i]) * b[j]."""
-    _check_shapes("mult_adj_su3_mat_vec", a=(a, "mat"), b=(b, "vec"))
     validation.check_no_alias(out, a, b)
-    c = result_array(out, b, b.shape)
-    _adj_mat_vec(a, b, c)
-    return c
+    return _contract(_ADJ_MAT_VEC, a, b, result_array(out, b, b.shape))
 
 
 def mult_su3_nn(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i][k] = sum_j a[i][j] * b[j][k]."""
-    _check_shapes("mult_su3_nn", a=(a, "mat"), b=(b, "mat"))
     validation.check_no_alias(out, a, b)
-    c = result_array(out, a, a.shape)
-    acc1 = a[..., :, 0, 0, None, None] * b[..., None, 0, :, :]
-    acc2 = a[..., :, 0, 1, None, None] * b[..., None, 0, :, :]
-    for j in (1, 2):
-        acc1 = acc1 + a[..., :, j, 0, None, None] * b[..., None, j, :, :]
-        acc2 = acc2 + a[..., :, j, 1, None, None] * b[..., None, j, :, :]
-    _combine(acc1, acc2, "plain", c)
-    return c
+    return _contract(TABLES["mult_su3_nn"], a, b, result_array(out, a, a.shape))
 
 
 def mult_su3_an(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i][k] = sum_j conj(a[j][i]) * b[j][k]."""
-    _check_shapes("mult_su3_an", a=(a, "mat"), b=(b, "mat"))
     validation.check_no_alias(out, a, b)
-    c = result_array(out, a, a.shape)
-    acc1 = a[..., 0, :, 0, None, None] * b[..., None, 0, :, :]
-    acc2 = a[..., 0, :, 1, None, None] * b[..., None, 0, :, :]
-    for j in (1, 2):
-        acc1 = acc1 + a[..., j, :, 0, None, None] * b[..., None, j, :, :]
-        acc2 = acc2 + a[..., j, :, 1, None, None] * b[..., None, j, :, :]
-    _combine(acc1, acc2, "conj", c)
-    return c
+    return _contract(TABLES["mult_su3_an"], a, b, result_array(out, a, a.shape))
 
 
 def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i][k] = sum_j a[i][j] * conj(b[k][j])."""
-    _check_shapes("mult_su3_na", a=(a, "mat"), b=(b, "mat"))
     validation.check_no_alias(out, a, b)
-    c = result_array(out, a, a.shape)
-    # b is the conjugated operand: broadcast its components so the final
-    # swap lands on its imaginary-part sums.
-    acc1 = b[..., None, :, 0, 0, None] * a[..., :, None, 0, :]
-    acc2 = b[..., None, :, 0, 1, None] * a[..., :, None, 0, :]
-    for j in (1, 2):
-        acc1 = acc1 + b[..., None, :, j, 0, None] * a[..., :, None, j, :]
-        acc2 = acc2 + b[..., None, :, j, 1, None] * a[..., :, None, j, :]
-    _combine(acc1, acc2, "conj", c)
-    return c
+    return _contract(TABLES["mult_su3_na"], b, a, result_array(out, a, a.shape))
 
 
 def mult_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """c[k] = a * h[k] for both halves k, the half as one more batch axis."""
-    _check_shapes("mult_su3_mat_hwvec", a=(a, "mat"), h=(h, "hwvec"))
+    """c[k] = a * h[k] for both halves k."""
     validation.check_no_alias(out, a, h)
-    c = result_array(out, h, h.shape)
-    _mat_vec(a[..., None, :, :, :], h, c)
-    return c
+    return _contract(TABLES["mult_su3_mat_hwvec"], a, h, result_array(out, h, h.shape))
 
 
 def mult_adj_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """c[k] = adj(a) * h[k] for both halves k, the half as one more batch axis."""
-    _check_shapes("mult_adj_su3_mat_hwvec", a=(a, "mat"), h=(h, "hwvec"))
+    """c[k] = adj(a) * h[k] for both halves k."""
     validation.check_no_alias(out, a, h)
-    c = result_array(out, h, h.shape)
-    _adj_mat_vec(a[..., None, :, :, :], h, c)
-    return c
+    return _contract(TABLES["mult_adj_su3_mat_hwvec"], a, h, result_array(out, h, h.shape))
 
 
 def mult_adj_su3_mat_vec_4dir(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """c[d] = adj(a4[d]) * b for the four directions, the direction as one more batch axis."""
-    _check_shapes("mult_adj_su3_mat_vec_4dir", a4=(a4, "mat4"), b=(b, "vec"))
+    """c[d] = adj(a4[d]) * b for the four directions."""
     validation.check_no_alias(out, a4, b)
-    c = result_array(out, b, b.shape[:-2] + (4, 3, 2))
-    _adj_mat_vec(a4, b[..., None, :, :], c)
-    return c
+    return _contract(_FOUR_DIR, a4, b, result_array(out, b, b.shape[:-2] + (4, 3, 2)))
 
 
 def mult_adj_su3_mat_4vec(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, outs=None) -> np.ndarray | tuple:
@@ -208,38 +223,13 @@ def mult_adj_su3_mat_4vec(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None 
     """
     if outs is None:
         return mult_adj_su3_mat_vec_4dir(a4, b, out=out)
-    if out is not None:
-        raise ValueError("pass either out or outs, not both")
-    if len(outs) != 4:
-        raise ValueError("outs must hold four destination vectors")
-    _check_shapes("mult_adj_su3_mat_4vec", a4=(a4, "mat4"), b=(b, "vec"))
-    for dest in outs:
-        validation.check_no_alias(dest, a4, b)
-        result_array(dest, b, b.shape)
-    packed = mult_adj_su3_mat_vec_4dir(a4, b)
-    for d, dest in enumerate(outs):
-        np.copyto(dest, packed[..., d, :, :])
-    return tuple(outs)
+    return four_destinations(mult_adj_su3_mat_vec_4dir, a4, b, out, outs, axis=-3)
 
 
 def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """c = sum_d adj(a4[d]) * b4[d], accumulated direction-major.
-
-    One broadcast multiply forms all 72 packed products, the real-part and
-    imaginary-part broadcasts side by side on an axis of their own; the
-    products are then added in (direction, row) order, so both lane sums
-    round exactly as in the one-direction-at-a-time recipe.
-    """
-    _check_shapes("mult_su3_mat_vec_sum_4dir", a4=(a4, "mat4"), b4=(b4, "vec4"))
+    """c = sum_d adj(a4[d]) * b4[d], accumulated direction-major."""
     validation.check_no_alias(out, a4, b4)
-    c = result_array(out, b4, b4.shape[:-3] + (3, 2))
-    # p[..., 3 * d + j, i, part, lane] = a4[d][j][i][part] * b4[d][j][lane]
-    p = (a4[..., :, None] * b4[..., :, :, None, None, :]).reshape(b4.shape[:-3] + (12, 3, 2, 2))
-    acc = p[..., 0, :, :, :] + p[..., 1, :, :, :]
-    for k in range(2, 12):
-        acc += p[..., k, :, :, :]
-    _combine(acc[..., 0, :], acc[..., 1, :], "conj", c)
-    return c
+    return _contract(TABLES["mult_su3_mat_vec_sum_4dir"], a4, b4, result_array(out, b4, b4.shape[:-3] + (3, 2)))
 
 
 def _scalar_factor(s, like: np.ndarray, extra_axes: int):
@@ -251,7 +241,6 @@ def _scalar_factor(s, like: np.ndarray, extra_axes: int):
 
 def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray | None = None) -> np.ndarray:
     """c[i][j] = a[i][j] + s * b[i][j] for real s."""
-    _check_shapes("scalar_mult_add_su3_matrix", a=(a, "mat"), b=(b, "mat"))
     validation.check_no_alias(out, a, b)
     c = result_array(out, a, a.shape)
     c[...] = a + _scalar_factor(s, a, 3) * b
@@ -260,7 +249,6 @@ def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray 
 
 def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray | None = None) -> np.ndarray:
     """c[i] = a[i] + s * b[i] for real s."""
-    _check_shapes("scalar_mult_add_su3_vector", a=(a, "vec"), b=(b, "vec"))
     validation.check_no_alias(out, a, b)
     c = result_array(out, a, a.shape)
     c[...] = a + _scalar_factor(s, a, 2) * b
@@ -269,19 +257,12 @@ def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray 
 
 def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c[i][j] = a[i] * conj(b[j]) (outer product)."""
-    _check_shapes("su3_projector", a=(a, "vec"), b=(b, "vec"))
     validation.check_no_alias(out, a, b)
-    c = result_array(out, a, a.shape[:-2] + (3, 3, 2))
-    ap = a[..., :, None, :]
-    acc1 = b[..., None, :, 0, None] * ap
-    acc2 = b[..., None, :, 1, None] * ap
-    _combine(acc1, acc2, "conj", c)
-    return c
+    return _contract(TABLES["su3_projector"], b, a, result_array(out, a, a.shape[:-2] + (3, 3, 2)))
 
 
 def sub_four_su3_vecs(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray, b4: np.ndarray) -> np.ndarray:
     """a[i] -= b1[i] + b2[i] + b3[i] + b4[i], in place, left to right."""
-    _check_shapes("sub_four_su3_vecs", a=(a, "vec"), b1=(b1, "vec"), b2=(b2, "vec"), b3=(b3, "vec"), b4=(b4, "vec"))
     for b in (b1, b2, b3, b4):
         np.subtract(a, b, out=a)
     return a

@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import validation
+
 PRECISIONS = {
     "single": np.dtype(np.float32),
     "double": np.dtype(np.float64),
@@ -137,6 +139,26 @@ def result_array(out: np.ndarray | None, like: np.ndarray, shape: tuple[int, ...
     if out.shape != shape:
         raise ValueError(f"result array has shape {out.shape}, expected {shape}")
     return out
+
+
+def four_destinations(packed_4dir, a4: np.ndarray, b: np.ndarray, out, outs, axis: int) -> tuple:
+    """The ``outs`` form of ``mult_adj_su3_mat_4vec``, shared by both backends.
+
+    Checks every destination before writing any, then forms the packed result
+    with `packed_4dir` and copies its direction `axis` out, one part per
+    destination.
+    """
+    if out is not None:
+        raise ValueError("pass either out or outs, not both")
+    if len(outs) != 4:
+        raise ValueError("outs must hold four destination vectors")
+    for dest in outs:
+        validation.check_no_alias(dest, a4, b)
+        result_array(dest, b, b.shape)
+    packed = packed_4dir(a4, b)
+    for dest, part in zip(outs, np.moveaxis(packed, axis, 0)):
+        np.copyto(dest, part)
+    return tuple(outs)
 
 
 def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:

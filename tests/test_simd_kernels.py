@@ -164,6 +164,15 @@ def test_mixed_precision_operands_rejected(kind, rng):
 
 
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_apply_rejects_unsupported_dtype(kind, rng):
+    a, b = (op.astype(np.float16) for op in types.random_operands("mult_su3_nn", rng))
+    with pytest.raises(ValueError, match="dtype"):
+        get_backend(kind).apply("mult_su3_nn", a, b)
+    with pytest.raises(ValueError, match="dtype"):
+        get_backend(kind).batch_apply("mult_su3_nn", [a[None], b[None]])
+
+
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
 def test_apply_rejects_wrong_operand_count(kind, rng):
     a, b = types.random_operands("mult_su3_nn", rng)
     with pytest.raises(ValueError, match="takes 2 operands, got 1"):
@@ -201,11 +210,30 @@ def test_batch_apply_rejects_misshapen_out(rng, shape):
 
 
 def test_operand_shape_mismatch_rejected(rng):
+    # The kernels are unchecked internals; the backends' apply is the checked entry point.
     a, b = types.random_operands("mult_su3_mat_vec", rng)
-    with pytest.raises(ValueError):
-        simd.mult_su3_mat_vec(b, b)
-    with pytest.raises(ValueError):
-        simd.mult_su3_nn(a, b)
+    for kind in BACKEND_NAMES:
+        with pytest.raises(ValueError):
+            get_backend(kind).apply("mult_su3_mat_vec", b, b)
+        with pytest.raises(ValueError):
+            get_backend(kind).apply("mult_su3_nn", a, b)
+
+
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_apply_rejects_misshapen_operands(kind, rng):
+    # Each of these has the right number of components in the wrong shape;
+    # a kernel would happily compute on it.
+    backend = get_backend(kind)
+    a, b = types.random_operands("mult_su3_mat_vec", rng)
+    for bad in (b.reshape(2, 3), b.reshape(6), b.reshape(3, 2, 1)):
+        with pytest.raises(ValueError, match="shape"):
+            backend.apply("mult_su3_mat_vec", a, bad)
+    with pytest.raises(ValueError, match="shape"):
+        backend.apply("mult_su3_nn", a, a.reshape(9, 2))
+    with pytest.raises(ValueError, match="shape"):
+        backend.apply("scalar_mult_add_su3_vector", b, b, np.ones(2))
+    with pytest.raises(ValueError, match="shape"):
+        backend.batch_apply("mult_su3_mat_vec", [a[None], b.reshape(1, 2, 3)])
 
 
 def test_deterministic_across_calls(rng, precision):
@@ -278,6 +306,53 @@ def test_lane_op_count_spot_values():
     assert (add.packed_mults, add.packed_adds) == (0, 3)
     with pytest.raises(ValueError):
         simd.lane_op_count("nonesuch")
+
+
+TABLE_KERNELS = tuple(simd.TABLES)
+
+
+@pytest.mark.parametrize("routine", TABLE_KERNELS)
+@pytest.mark.parametrize("shape", [(), (0,), (5,), (2, 3)])
+def test_table_kernels_equal_scalar_on_any_batch_shape(routine, shape, precision):
+    rng = np.random.default_rng([23, ALL.index(routine), len(shape)])
+    ops = types.random_operands(routine, rng, precision, batch=math.prod(shape) if shape else None)
+    ops = [op.reshape(shape + types.OPERAND_SHAPES[kind])
+           for op, kind in zip(ops, types.routine_spec(routine).operands)]
+    assert _same_bytes(VECTOR.kernels[routine](*ops), _scalar_result(routine, ops, shape))
+
+
+@pytest.mark.parametrize("routine", TABLE_KERNELS)
+def test_table_kernels_run_several_site_blocks(routine, precision):
+    # Two whole blocks and a partial one.
+    rng = np.random.default_rng([24, ALL.index(routine)])
+    ops = types.random_operands(routine, rng, precision, batch=2 * simd.BLOCK + 3)
+    assert _same_bytes(VECTOR.batch_apply(routine, ops), SCALAR.batch_apply(routine, ops))
+
+
+@pytest.mark.parametrize("routine", TABLE_KERNELS)
+def test_table_kernels_write_a_non_contiguous_out(routine, precision):
+    rng = np.random.default_rng([25, ALL.index(routine)])
+    ops = types.random_operands(routine, rng, precision, batch=7)
+    want = SCALAR.batch_apply(routine, ops)
+    # The same shape as the result, its axes stored in reverse order.
+    out = np.full(want.shape[::-1], np.nan, dtype=want.dtype).T
+    assert not out.flags.c_contiguous
+    assert VECTOR.kernels[routine](*ops, out=out) is out
+    assert _same_bytes(np.ascontiguousarray(out), want)
+
+
+@pytest.mark.parametrize("routine", TABLE_KERNELS)
+def test_lane_ops_derived_from_the_table(routine):
+    # N output components, K = 2N packed products per contraction step:
+    # the hand-written tally must be what the executor runs.
+    t = simd.TABLES[routine]
+    steps, halves, n = t.ia.shape
+    k = halves * n
+    assert t.ib.shape == t.ia.shape and (t.steps, t.outputs) == (steps, n) and k == 2 * n
+    lanes = simd.lane_op_count(routine)
+    assert lanes.packed_mults == steps * k // 2
+    assert lanes.packed_adds == (steps - 1) * k // 2 + n // 2
+    assert lanes.swaps == lanes.negates == n // 2
 
 
 def test_capability_report():
