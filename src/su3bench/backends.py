@@ -62,15 +62,18 @@ def _check(plan: _Plan, operands, out: np.ndarray | None, batch: tuple[int, ...]
         raise ValueError(f"{name} takes {plan.count} operands, got {len(operands)}")
     if out is not None and plan.spec.in_place:
         raise ValueError(f"{name} works in place on its first operand and takes no out")
-    dtype = operands[0].dtype  # a real factor is never first
-    if dtype not in _PRECISIONS:
-        raise ValueError(f"{name}: operands have dtype {dtype}; expected float32 or float64")
-    for i, shape in plan.arrays if not batch else [(i, batch + shape) for i, shape in plan.arrays]:
-        op = operands[i]
-        if op.shape != shape:
-            raise ValueError(f"{name}: operand {i} has shape {op.shape}, expected {shape}")
-        if op.dtype != dtype:
-            raise ValueError(f"{name}: operands mix {dtype} and {op.dtype}; pass one precision")
+    try:
+        dtype = operands[0].dtype  # a real factor is never first
+        if dtype not in _PRECISIONS:
+            raise ValueError(f"{name}: operands have dtype {dtype}; expected float32 or float64")
+        for i, shape in plan.arrays if not batch else [(i, batch + shape) for i, shape in plan.arrays]:
+            op = operands[i]
+            if op.shape != shape:
+                raise ValueError(f"{name}: operand {i} has shape {op.shape}, expected {shape}")
+            if op.dtype != dtype:
+                raise ValueError(f"{name}: operands mix {dtype} and {op.dtype}; pass one precision")
+    except AttributeError:
+        raise ValueError(f"{name}: array operands must be numpy arrays") from None
     for i in plan.factors:
         if np.ndim(operands[i]) and np.shape(operands[i]) != batch:
             raise ValueError(f"{name}: real factor has shape {np.shape(operands[i])}, expected () or {batch}")

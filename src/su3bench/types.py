@@ -227,24 +227,16 @@ def from_complex(carr: np.ndarray, precision: str | np.dtype = "double") -> np.n
 
 
 def batch_count(spec: RoutineSpec, operands, count: int | None = None) -> int:
-    """Validate stacked operands against a routine signature; return the batch size.
+    """The batch size of stacked operands: the leading size their arrays share.
 
-    Every array operand must be (count,) + its per-object shape; scalar-kind
-    operands may also be plain numbers.
+    Array operands carry the batch axis first; scalar-kind operands may also
+    be plain numbers. Raises ValueError if the leading sizes differ or
+    disagree with `count`. Per-object shapes are checked once, by
+    ``backends.Backend``.
     """
-    if len(operands) != len(spec.operands):
-        raise ValueError(f"{spec.name} takes {len(spec.operands)} operands, got {len(operands)}")
-    sizes = set()
-    for op, kind in zip(operands, spec.operands):
-        if kind == "scalar" and np.ndim(op) == 0:
-            continue
-        per_object = OPERAND_SHAPES[kind]
-        shape = np.shape(op)
-        if len(shape) != len(per_object) + 1 or shape[1:] != per_object:
-            raise ValueError(f"{spec.name} operand of kind {kind} has shape {shape}, expected (count,) + {per_object}")
-        sizes.add(shape[0])
+    sizes = {np.shape(op)[0] for op in operands if np.ndim(op)}
     if len(sizes) > 1:
-        raise ValueError(f"inconsistent batch sizes {sorted(sizes)}")
+        raise ValueError(f"{spec.name}: inconsistent batch sizes {sorted(sizes)}")
     if sizes:
         inferred = sizes.pop()
         if count is not None and count != inferred:
@@ -266,5 +258,5 @@ def random_operands(
     ops = []
     for kind in spec.operands:
         shape = prefix + OPERAND_SHAPES[kind]
-        ops.append(rng.uniform(-1.0, 1.0, size=shape).astype(dt))
+        ops.append(rng.uniform(-1.0, 1.0, size=shape).astype(dt, copy=False))
     return ops

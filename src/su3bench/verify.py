@@ -14,6 +14,14 @@ at the precision of a coincidentally tiny component.
 Both backends evaluate each output component with one canonical association
 (see the scalar backend), so measured errors are expected to be exactly
 zero; the tolerance exists to catch any divergence.
+
+``check_routine`` measures only the components where the two outputs
+differ: an equal component (``-0.0`` and ``+0.0`` included) has error 0 by
+definition, so floors are computed for the trials holding a difference and
+``ulp_error`` runs on the differing components alone. The row it reports is
+the one the metric gives over every component: the largest error (NaN
+counting as largest) at its first occurrence in memory order, or 0 at
+component 0 when nothing differs.
 """
 from __future__ import annotations
 
@@ -96,22 +104,30 @@ def check_routine(
     operands = random_operands(routine, rng, precision, batch=trials)
     ref = np.asarray(_route(reference, routine, operands, spec.in_place))
     cand = np.asarray(_route(candidate, routine, operands, spec.in_place))
-    flat_ref = ref.reshape(trials, -1) if trials else ref.reshape(0, 1)
-    floor = np.abs(flat_ref).max(axis=1, initial=0.0).reshape((trials,) + (1,) * (ref.ndim - 1))
     if inject_fault and trials:
         # Negative control: nudge one component far outside tolerance,
         # sized to the same scale the metric floors at.
         cand = cand.copy()
-        scale0 = dt.type(max(float(floor.reshape(-1)[0]), 1.0))
+        scale0 = dt.type(max(float(np.abs(ref[0]).max()), 1.0))
         cand.reshape(-1)[0] += dt.type(64) * np.spacing(scale0)
-    err = ulp_error(cand, ref, scale_floor=floor)
-    if err.size:
-        worst_flat = int(np.argmax(err))
-        worst = np.unravel_index(worst_flat, err.shape)
-        max_ulp = float(err.reshape(-1)[worst_flat])
+    # Equal components have error 0, so only differing ones are measured.
+    differ = np.flatnonzero(cand != ref)
+    max_ulp, worst_flat = 0.0, 0
+    if differ.size:
+        per_trial = math.prod(ref.shape[1:])
+        trial, of_trial = np.unique(differ // per_trial, return_inverse=True)
+        floor = np.abs(ref.reshape(-1, per_trial)[trial]).max(axis=1)[of_trial]
+        err = ulp_error(cand.reshape(-1)[differ], ref.reshape(-1)[differ], scale_floor=floor)
+        k = int(np.argmax(err))
+        # As over all components: the first largest error, or component 0
+        # when every error is 0 (a difference far below the floor's spacing).
+        if not err[k] == 0:
+            max_ulp, worst_flat = float(err[k]), int(differ[k])
+    if trials:
+        worst = np.unravel_index(worst_flat, ref.shape)
         worst_trial, worst_component = int(worst[0]), tuple(int(k) for k in worst[1:])
     else:
-        max_ulp, worst_trial, worst_component = 0.0, -1, ()
+        worst_trial, worst_component = -1, ()
     return EquivalenceRow(
         routine=routine,
         precision=precision,

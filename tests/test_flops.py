@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from su3bench import flops, types
+from su3bench import flops, get_backend, scalar, types
 
 # Hand-derived from the complex arithmetic: a 3-term complex dot costs
 # 12 mults and 10 adds (4 mults and 2 combines per term pair, summed
@@ -73,3 +74,38 @@ def test_counting_scalar_arithmetic():
     assert (-a).v == -2.0
     assert (1.5 * a).v == 3.0
     assert (1.0 + a).v == 3.0
+
+
+def _counting_stack(kind, rng, n):
+    """n CountingScalar objects of `kind` on a leading batch axis."""
+    arr = np.empty((n,) + types.OPERAND_SHAPES[kind], dtype=object)
+    arr.reshape(-1)[:] = [flops.CountingScalar(v) for v in rng.uniform(-1.0, 1.0, arr.size)]
+    return arr
+
+
+def _values(arr):
+    return [float(x) for x in arr.reshape(-1)]
+
+
+@pytest.mark.parametrize("routine", types.ROUTINE_NAMES)
+def test_batch_form_does_the_reference_arithmetic(routine):
+    # Site-last object arrays take the scalar kernels' batch form, as
+    # Backend.batch_apply's float operands do (over two site blocks here):
+    # each site must cost one single-object call's count and give its values.
+    spec = types.routine_spec(routine)
+    kernel = get_backend("scalar").kernels[routine]
+    fc = flops.flop_count(routine)
+    n = scalar._BLOCK + 3
+    rng = np.random.default_rng([41, types.ROUTINE_NAMES.index(routine)])
+    ops = [_counting_stack(kind, rng, n) for kind in spec.operands]
+    want = [kernel(ops[0][s].copy(), *(op[s] for op in ops[1:])) for s in range(n)]
+    views = [op.transpose(*range(1, op.ndim), 0) for op in ops]
+    flops._counts.update(mults=0, adds=0)
+    if spec.in_place:
+        kernel(*views)
+        got = ops[0]
+    else:
+        got = np.empty((n,) + types.OPERAND_SHAPES[spec.result], dtype=object)
+        kernel(*views, out=got.transpose(*range(1, got.ndim), 0))
+    assert flops._counts == {"mults": n * fc.real_mults, "adds": n * fc.real_adds}
+    assert [_values(site) for site in got] == [_values(site) for site in want]

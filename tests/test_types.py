@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from su3bench import types
+from su3bench import BACKEND_NAMES, get_backend, types
 
 
 def test_routine_registry_is_complete():
@@ -145,3 +145,26 @@ def test_batch_count_scalar_operand_may_be_0d(rng):
     a, b, s = types.random_operands("scalar_mult_add_su3_vector", rng, batch=4)
     shared = np.float64(0.5)
     assert types.batch_count(spec, [a, b, shared]) == 4
+
+
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_batch_apply_rejects_what_batch_count_rejected(kind, rng):
+    # batch_count infers the size; every shape is checked once, in Backend.
+    backend = get_backend(kind)
+    a, b, s = types.random_operands("scalar_mult_add_su3_vector", rng, batch=4)
+    rejected = {
+        "ragged": ([a, b[:3], s], None),
+        "count mismatch": ([a, b, s], 5),
+        "factor of another batch size": ([a, b, s[:3]], None),
+        "factor with an extra axis": ([a, b, s[:, None]], None),
+        "factor shaped like an operand": ([a, b, np.ones((4, 3, 2))], None),
+        "misshapen object": ([a, b.reshape(4, 2, 3), s], None),
+        "operand missing its batch axis": ([a, b[0], s], None),
+        "a number for an array operand": ([a, 0.5, s], None),
+        "too few operands": ([a, b], None),
+    }
+    for name, (operands, count) in rejected.items():
+        with pytest.raises(ValueError):
+            backend.batch_apply("scalar_mult_add_su3_vector", operands, count=count)
+            pytest.fail(name)
+    assert backend.batch_apply("scalar_mult_add_su3_vector", [a, b, s], count=4).shape == (4, 3, 2)
