@@ -1,14 +1,8 @@
 """su3 complex linear-algebra kernels with scalar and packed-lane backends,
 a benchmark harness, and an analytical speedup model."""
-from .backends import BACKEND_NAMES, Backend, get_backend
+from .backends import BACKEND_NAMES, Backend, debug_validation, get_backend
 from .flops import CountingScalar, flop_count, flop_table
-from .lattice import (
-    DIRECTIONS,
-    AlignedBuffer,
-    Lattice4D,
-    SiteBuffer,
-    allocate_aligned,
-)
+from .lattice import DIRECTIONS, AlignedBuffer, Lattice4D, SiteBuffer
 from .perfmodel import (
     InstructionMix,
     ModelInputError,
@@ -19,24 +13,20 @@ from .perfmodel import (
     load_instruction_mixes,
     predicted_speedup,
 )
-from .simd import LaneGroup, LaneOpCount, capability, lane_group, lane_op_count
+from .simd import LaneOpCount, capability, lane_op_count
 from .types import (
     OPERAND_SHAPES,
     PRECISIONS,
     ROUTINE_NAMES,
     ROUTINES,
-    Complex,
     FlopCount,
     RoutineSpec,
     dtype_for,
     half_wilson_vector,
-    identity_matrix,
-    precision_of,
     random_operands,
     su3_matrix,
     su3_vector,
 )
-from .validation import debug_validation
 from .verify import EquivalenceReport, EquivalenceRow, check_all, check_routine, ulp_error
 
 __version__ = "0.1.0"
@@ -45,7 +35,6 @@ __all__ = [
     "AlignedBuffer",
     "BACKEND_NAMES",
     "Backend",
-    "Complex",
     "CountingScalar",
     "DIRECTIONS",
     "EquivalenceReport",
@@ -53,7 +42,6 @@ __all__ = [
     "FlopCount",
     "InstructionMix",
     "Lattice4D",
-    "LaneGroup",
     "LaneOpCount",
     "ModelInputError",
     "OPERAND_SHAPES",
@@ -63,7 +51,6 @@ __all__ = [
     "RoutineSpec",
     "SiteBuffer",
     "TimeComponents",
-    "allocate_aligned",
     "arithmetic_fraction",
     "bound_from_mix",
     "capability",
@@ -76,11 +63,8 @@ __all__ = [
     "flop_table",
     "get_backend",
     "half_wilson_vector",
-    "identity_matrix",
-    "lane_group",
     "lane_op_count",
     "load_instruction_mixes",
-    "precision_of",
     "predicted_speedup",
     "random_operands",
     "su3_matrix",

@@ -7,11 +7,19 @@ views (the batch axis moved last, ``op.transpose(1, ..., 0)``); the vector
 kernels take the stacked operands as they are.
 
 ``Backend.apply`` and ``Backend.batch_apply`` are the checked entry points:
-they check the operand count, every operand's shape and dtype, and ``out``,
-from a per-routine plan built once. The kernel functions themselves
-(``Backend.kernels``, ``scalar.*``, ``simd.*``) are unchecked internals: on
-misshapen or mixed-precision operands they may compute a wrong result
-rather than raise.
+they check the operand count, every operand's shape and dtype, and the
+result array, from a per-routine plan built once. Each allocates the result
+or checks the caller's ``out`` for shape and dtype (``_result``), so every
+kernel is arithmetic only: ``kernel(*operands, out) -> out``, with ``out``
+required and unchecked (the in-place ``sub_four_su3_vecs`` takes no
+``out``). The kernel functions (``Backend.kernels``, ``scalar.*``,
+``simd.*``) are unchecked internals: on misshapen or mixed-precision
+operands, or a misshapen ``out``, they may compute a wrong result rather
+than raise.
+
+Debug validation (``debug_validation``, off by default so the hot path pays
+nothing for it) adds one check at the entry points: a result array the
+caller passes may not share memory with an operand.
 """
 from __future__ import annotations
 
@@ -21,10 +29,18 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import scalar, simd
-from .types import OPERAND_SHAPES, PRECISIONS, ROUTINE_NAMES, ROUTINES, RoutineSpec, batch_count, result_array, result_shape
+from .types import OPERAND_SHAPES, PRECISIONS, ROUTINE_NAMES, ROUTINES, RoutineSpec, batch_count, result_shape
 
 
 _PRECISIONS = tuple(PRECISIONS.values())
+_debug = False
+
+
+def debug_validation(on: bool) -> bool:
+    """Globally enable or disable the debug checks; returns the previous setting."""
+    global _debug
+    before, _debug = _debug, bool(on)
+    return before
 
 
 class _Plan(NamedTuple):
@@ -35,6 +51,7 @@ class _Plan(NamedTuple):
     count: int  # operands
     arrays: tuple  # (position, per-object shape) of each array operand
     factors: tuple[int, ...]  # positions of the real factors
+    result: tuple[int, ...]  # per-object result shape
 
 
 def _plan_for(spec: RoutineSpec, kernel: Callable) -> _Plan:
@@ -45,17 +62,17 @@ def _plan_for(spec: RoutineSpec, kernel: Callable) -> _Plan:
         len(kinds),
         tuple((i, OPERAND_SHAPES[kind]) for i, kind in kinds if kind != "scalar"),
         tuple(i for i, kind in kinds if kind == "scalar"),
+        result_shape(spec),
     )
 
 
 def _check(plan: _Plan, operands, out: np.ndarray | None, batch: tuple[int, ...]) -> None:
     """Reject a wrong operand count, an operand not shaped `batch` + its
     per-object shape, `out` for the in-place routine, operands of neither
-    precision, and operands or `out` of mixed precision.
+    precision, and operands of mixed precision.
 
     A real factor is a number, or one per set; the kernels convert it to the
-    operands' dtype. The shape of `out` is checked where the result is
-    allocated (``types.result_array``).
+    operands' dtype. A caller's result array is checked by ``_result``.
     """
     name = plan.spec.name
     if len(operands) != plan.count:
@@ -77,8 +94,23 @@ def _check(plan: _Plan, operands, out: np.ndarray | None, batch: tuple[int, ...]
     for i in plan.factors:
         if np.ndim(operands[i]) and np.shape(operands[i]) != batch:
             raise ValueError(f"{name}: real factor has shape {np.shape(operands[i])}, expected () or {batch}")
-    if out is not None and out.dtype != dtype:
-        raise ValueError(f"{name}: out has dtype {out.dtype}, the operands {dtype}")
+
+
+def _result(plan: _Plan, operands, out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """A fresh result array of `shape` in the operands' dtype, or the
+    caller's `out` once it has that shape and dtype and, under debug
+    validation, shares no memory with an operand."""
+    dtype = operands[0].dtype
+    if out is None:
+        return np.empty(shape, dtype)
+    name = plan.spec.name
+    if out.shape != shape:
+        raise ValueError(f"{name}: result array has shape {out.shape}, expected {shape}")
+    if out.dtype != dtype:
+        raise ValueError(f"{name}: result array has dtype {out.dtype}, the operands {dtype}")
+    if _debug and any(np.shares_memory(out, operands[i]) for i, _ in plan.arrays):
+        raise ValueError(f"{name}: result array aliases an operand; kernels require distinct storage")
+    return out
 
 
 def _site_last(x: np.ndarray) -> np.ndarray:
@@ -101,13 +133,21 @@ class Backend:
         except KeyError:
             raise ValueError(f"unknown routine {routine!r}") from None
 
-    def apply(self, routine: str, *operands, out: np.ndarray | None = None):
-        """Invoke one kernel by name on a single operand set."""
+    def apply(self, routine: str, *operands, out: np.ndarray | None = None, outs=None):
+        """Invoke one kernel by name on a single operand set.
+
+        ``mult_adj_su3_mat_4vec`` also takes ``outs``, four (3, 2) arrays in
+        place of the packed (4, 3, 2) ``out``: every destination is checked
+        as ``out`` would be before any is written, then the packed result is
+        copied out, one direction per destination, and the tuple returned.
+        """
         plan = self._plan(routine)
         _check(plan, operands, out, ())
+        if outs is not None:
+            return _four_destinations(plan, operands, out, outs)
         if plan.spec.in_place:
             return plan.kernel(*operands)
-        return plan.kernel(*operands, out=out)
+        return plan.kernel(*operands, out=_result(plan, operands, out, plan.result))
 
     def batch_apply(self, routine: str, operands, count: int | None = None, out: np.ndarray | None = None):
         """Apply one kernel independently to each of `count` stacked operand sets.
@@ -124,9 +164,26 @@ class Backend:
         if plan.spec.in_place:
             plan.kernel(*views)
             return operands[0]
-        out = result_array(out, operands[0], result_shape(plan.spec, (n,)))
+        out = _result(plan, operands, out, (n,) + plan.result)
         plan.kernel(*views, out=_site_last(out) if self.site_last else out)
         return out
+
+
+def _four_destinations(plan: _Plan, operands, out, outs) -> tuple:
+    """The ``outs`` form of ``Backend.apply``."""
+    name = plan.spec.name
+    if name != "mult_adj_su3_mat_4vec":
+        raise ValueError(f"{name} takes no outs; only mult_adj_su3_mat_4vec does")
+    if out is not None:
+        raise ValueError("pass either out or outs, not both")
+    if len(outs) != 4:
+        raise ValueError("outs must hold four destination vectors")
+    for dest in outs:
+        _result(plan, operands, dest, plan.result[1:])
+    packed = plan.kernel(*operands, out=_result(plan, operands, None, plan.result))
+    for dest, part in zip(outs, packed):
+        np.copyto(dest, part)
+    return tuple(outs)
 
 
 _BACKENDS = {

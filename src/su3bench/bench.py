@@ -42,13 +42,13 @@ import numpy as np
 from .backends import get_backend
 from .flops import flop_count
 from .lattice import Lattice4D, SiteBuffer
-from .simd import capability
+from .simd import LANES, capability
 from .types import OPERAND_SHAPES, dtype_for, random_operands, routine_spec
 
 _active = threading.Lock()
 _REPS_CAP = 1_000_000_000
 
-LANE_BOUND = {"double": 2.0, "single": 4.0}
+LANE_BOUND = {precision: float(lanes) for precision, lanes in LANES.items()}
 
 CSV_COLUMNS = ("routine", "backend", "precision", "mode", "alignment", "reps", "elapsed_s", "invocations_per_s", "flops_per_s")
 SPEEDUP_COLUMNS = ("routine", "precision", "mode", "alignment", "t_ref_s", "t_vec_s", "ratio", "lane_bound", "anomalous")
@@ -213,28 +213,23 @@ def _timed_region(call, repetitions: int, min_region_s: float) -> tuple[int, flo
         reps = min(max(2 * reps, grown), _REPS_CAP)
 
 
-def run_hot(config: BenchConfig) -> TimingRecord:
-    """Time repeated application to one cache-resident operand set."""
-    if config.mode != "hot":
-        raise ValueError("run_hot requires a hot-mode config")
+def _measure(config: BenchConfig, setup, sites_per_call: int) -> TimingRecord:
+    """The one measurement body of both modes.
+
+    Under the module lock and a cpu pin, `setup()` gives the operands and the
+    result array (None for the in-place routine, whose target is snapshotted
+    instead); then warmup, the timed region and the final digest. Each call
+    is one batch_apply over `sites_per_call` sites.
+    """
     spec = routine_spec(config.routine)
     backend = get_backend(config.backend)
     with _exclusive(), _pinned() as cpu:
-        rng = np.random.default_rng(config.seed)
-        operands = random_operands(config.routine, rng, config.precision, batch=config.batch_sites)
-        if spec.in_place:
-            watched = operands[0]
-            snapshot = watched.copy()
+        operands, out = setup()
+        watched = operands[0] if spec.in_place else out
+        snapshot = watched.copy() if spec.in_place else None
 
-            def call():
-                backend.batch_apply(config.routine, operands)
-
-        else:
-            out = np.empty((config.batch_sites,) + OPERAND_SHAPES[spec.result], dtype=dtype_for(config.precision))
-            watched, snapshot = out, None
-
-            def call():
-                backend.batch_apply(config.routine, operands, out=out)
+        def call():
+            backend.batch_apply(config.routine, operands, out=out)
 
         for _ in range(config.warmup):
             call()
@@ -244,15 +239,30 @@ def run_hot(config: BenchConfig) -> TimingRecord:
             routine=config.routine,
             backend=config.backend,
             precision=config.precision,
-            mode="hot",
+            mode=config.mode,
             alignment=config.alignment,
-            invocations=reps * config.batch_sites,
+            invocations=reps * sites_per_call,
             elapsed_s=elapsed,
             flops_per_invocation=flop_count(config.routine).total,
             output_digest=digest,
             environment=_environment(cpu),
             config=config,
         )
+
+
+def run_hot(config: BenchConfig) -> TimingRecord:
+    """Time repeated application to one cache-resident operand set."""
+    if config.mode != "hot":
+        raise ValueError("run_hot requires a hot-mode config")
+    spec = routine_spec(config.routine)
+
+    def setup():
+        rng = np.random.default_rng(config.seed)
+        operands = random_operands(config.routine, rng, config.precision, batch=config.batch_sites)
+        shape = (config.batch_sites,) + OPERAND_SHAPES[spec.result]
+        return operands, None if spec.in_place else np.empty(shape, dtype=dtype_for(config.precision))
+
+    return _measure(config, setup, config.batch_sites)
 
 
 def _streaming_fields(spec) -> dict[str, str]:
@@ -267,46 +277,16 @@ def run_streaming(config: BenchConfig) -> TimingRecord:
     if config.mode != "streaming":
         raise ValueError("run_streaming requires a streaming-mode config")
     spec = routine_spec(config.routine)
-    backend = get_backend(config.backend)
     lat = Lattice4D.from_dims(config.dims)
-    with _exclusive(), _pinned() as cpu:
+
+    def setup():
         buf = SiteBuffer(lat, _streaming_fields(spec), precision=config.precision, aligned=config.alignment == "aligned")
         buf.randomize(config.seed)
-        operands = []
         scalar_value = dtype_for(config.precision).type(0.5)  # fixed real factor for *_scalar_mult_* routines
-        for i, kind in enumerate(spec.operands):
-            operands.append(scalar_value if kind == "scalar" else buf[f"op{i}"])
-        if spec.in_place:
-            watched = operands[0]
-            snapshot = watched.copy()
+        operands = [scalar_value if kind == "scalar" else buf[f"op{i}"] for i, kind in enumerate(spec.operands)]
+        return operands, None if spec.in_place else buf["result"]
 
-            def sweep():
-                backend.batch_apply(config.routine, operands)
-
-        else:
-            out = buf["result"]
-            watched, snapshot = out, None
-
-            def sweep():
-                backend.batch_apply(config.routine, operands, out=out)
-
-        for _ in range(config.warmup):
-            sweep()
-        sweeps, elapsed = _timed_region(sweep, config.repetitions, config.min_region_s)
-        digest = _final_digest(sweep, watched, snapshot)
-        return TimingRecord(
-            routine=config.routine,
-            backend=config.backend,
-            precision=config.precision,
-            mode="streaming",
-            alignment=config.alignment,
-            invocations=sweeps * lat.volume,
-            elapsed_s=elapsed,
-            flops_per_invocation=flop_count(config.routine).total,
-            output_digest=digest,
-            environment=_environment(cpu),
-            config=config,
-        )
+    return _measure(config, setup, lat.volume)
 
 
 def run(config: BenchConfig) -> TimingRecord:

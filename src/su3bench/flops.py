@@ -84,8 +84,12 @@ def flop_count(routine: str) -> FlopCount:
         return cached
     rng = np.random.default_rng(0)
     operands = [_counting_operand(kind, rng) for kind in spec.operands]
+    kernel = getattr(scalar, routine)
     _counts["mults"] = _counts["adds"] = 0
-    getattr(scalar, routine)(*operands)
+    if spec.in_place:
+        kernel(*operands)
+    else:
+        kernel(*operands, out=np.empty(OPERAND_SHAPES[spec.result], dtype=object))
     result = FlopCount(real_mults=_counts["mults"], real_adds=_counts["adds"])
     _cache[routine] = result
     return result

@@ -74,17 +74,6 @@ class AlignedBuffer:
         return np.ndarray(shape, dtype=dt, buffer=self._raw.data, offset=start)
 
 
-def allocate_aligned(dtype, shape, alignment: int = DEFAULT_ALIGNMENT) -> np.ndarray:
-    """A fresh zero-filled array on an explicit alignment boundary."""
-    dt = np.dtype(dtype)
-    if isinstance(shape, int):
-        shape = (shape,)
-    buf = AlignedBuffer(math.prod(shape) * dt.itemsize, alignment)
-    arr = buf.view(dt, shape)
-    # The ndarray keeps the buffer's raw storage alive via its base chain.
-    return arr
-
-
 @dataclass(frozen=True)
 class Lattice4D:
     """Periodic 4d site geometry with x-fastest lexicographic numbering."""

@@ -31,8 +31,9 @@ elementwise numpy operation over all sites. The contraction bodies
 entries are independent (vec, row) groups, so the batch form gathers every
 group's components into one array per operand, with one ``take`` each, and
 runs the body once over all groups, in blocks of ``_BLOCK`` sites
-(``_grouped``). ``mult_su3_nn`` then makes 22 elementwise calls per block
-instead of 198. The gather indices come from applying the same selections (``_rows``,
+(``_grouped``), writing each block's result straight into ``out``.
+``mult_su3_nn`` then makes 22 elementwise calls per block instead of 198.
+The gather indices come from applying the same selections (``_rows``,
 ``_columns``, ...) to component indices, so each group multiplies the
 components the single-object form does, in the same order. Elementwise
 operations round each site exactly as the scalar ones do, so the batch
@@ -42,8 +43,11 @@ objects never take this form: the choice is made once per contraction, where
 the operands are unpacked. Scalar bench rows with ``batch_sites > 1`` time
 this site-parallel path.
 
-The module holds only the kernels' arithmetic; dispatch by routine name,
-batching and result allocation for a batch live in ``backends``.
+The module holds only the kernels' arithmetic: ``kernel(*operands, out)``
+writes every component of ``out`` and returns it (the in-place
+``sub_four_su3_vecs`` takes no ``out``). Dispatch by routine name,
+batching, and allocating and checking result arrays live in ``backends``;
+the kernels check nothing.
 
 Summation convention: each output component of a complex contraction
 accumulates the four real product sums (re*re, re*im, im*re, im*im)
@@ -67,9 +71,6 @@ from functools import cache
 from operator import itemgetter
 
 import numpy as np
-
-from . import validation
-from .types import four_destinations, result_array
 
 
 def _parts(x, depth: int):
@@ -207,34 +208,36 @@ def _group_index(rows_of, row_components: int, vecs_of, vec_components: int) -> 
     return index
 
 
-def _grouped(body, rows_of, x: np.ndarray, x_depth: int, vecs_of, y: np.ndarray, y_depth: int, *args) -> list | np.ndarray:
-    """body(rows_of(x's components), vecs_of(y's components), *args): the
-    body's (re, im) result pair for each (vec, row) group, v-major.
+def _grouped(c: np.ndarray, body, rows_of, x: np.ndarray, x_depth: int, vecs_of, y: np.ndarray, y_depth: int, *args) -> np.ndarray:
+    """Write body(rows_of(x's components), vecs_of(y's components), *args),
+    the body's (re, im) result pair for each (vec, row) group, v-major,
+    into c, whose components in index order are those pairs; return c.
 
-    A single object runs exactly that. Site-last batch operands (x and y
+    A single object runs exactly that. Site-last batch operands (x, y and c
     sharing their trailing axes) gather each (vec, row) group's components
     into (..., groups, sites) arrays, one take per operand and block of
     _BLOCK sites, and run the body once per block with one row and one vec
     whose every component covers all groups; each expression of the body is
     then one elementwise operation over all groups and sites of the block,
-    with the operands, order and association of the single-object form.
-    Returns the components as rows of a (2 * groups, sites) array.
+    with the operands, order and association of the single-object form. Its
+    re and im rows are written straight into c's block.
     """
     if x.ndim == x_depth:
-        return body(rows_of(_parts(x, x_depth)), vecs_of(_parts(y, y_depth)), *args)
+        return _store(c, body(rows_of(_parts(x, x_depth)), vecs_of(_parts(y, y_depth)), *args))
     xp = x.reshape(math.prod(x.shape[:x_depth]), -1)
     yp = y.reshape(math.prod(y.shape[:y_depth]), -1)
     row_index, vec_index = _group_index(rows_of, len(xp), vecs_of, len(yp))
-    groups, sites = row_index.shape[-1], xp.shape[1]
-    c = np.empty((groups, 2, sites), dtype=np.result_type(xp, yp))
-    for s in range(0, sites, _BLOCK):
+    entries = c.shape[:-2]  # the groups, as c's entry axes; then (re, im) and the sites
+    for s in range(0, xp.shape[1], _BLOCK):
         block = slice(s, s + _BLOCK)
-        c[:, 0, block], c[:, 1, block] = body([xp[:, block].take(row_index, 0)], [yp[:, block].take(vec_index, 0)], *args)
-    return c.reshape(2 * groups, sites)
+        re, im = body([xp[:, block].take(row_index, 0)], [yp[:, block].take(vec_index, 0)], *args)
+        c[..., 0, block] = re.reshape(entries + re.shape[-1:])
+        c[..., 1, block] = im.reshape(entries + im.shape[-1:])
+    return c
 
 
 def _store(c: np.ndarray, values) -> np.ndarray:
-    """Write `values`, the components of c in memory order, into c."""
+    """Write `values`, the components of c in index (C) order, into c."""
     c[...] = np.asarray(values, dtype=c.dtype).reshape(c.shape)
     return c
 
@@ -245,116 +248,81 @@ def _factor(s, like: np.ndarray):
     return f
 
 
-def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + b[i]."""
-    validation.check_no_alias(out, a, b)
-    c = result_array(out, a, (3, 2) + a.shape[2:])
-    return _store(c, [x + y for x, y in zip(_parts(a, 2), _parts(b, 2))])
+    return _store(out, [x + y for x, y in zip(_parts(a, 2), _parts(b, 2))])
 
 
-def mult_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = sum_j a[i][j] * b[j]."""
-    validation.check_no_alias(out, a, b)
-    c = result_array(out, b, (3, 2) + b.shape[2:])
-    return _store(c, _grouped(_contract, _rows, a, 3, _whole, b, 2, False))
+    return _grouped(out, _contract, _rows, a, 3, _whole, b, 2, False)
 
 
-def mult_adj_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_adj_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = sum_j conj(a[j][i]) * b[j]."""
-    validation.check_no_alias(out, a, b)
-    c = result_array(out, b, (3, 2) + b.shape[2:])
-    return _store(c, _grouped(_contract, _columns, a, 3, _whole, b, 2, True))
+    return _grouped(out, _contract, _columns, a, 3, _whole, b, 2, True)
 
 
-def mult_su3_nn(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_su3_nn(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][k] = sum_j a[i][j] * b[j][k]."""
-    validation.check_no_alias(out, a, b)
-    c = result_array(out, a, (3, 3, 2) + a.shape[3:])
-    # One contraction per column of b gives the columns of c.
-    c_columns = _grouped(_contract, _rows, a, 3, _columns, b, 3, False)
-    return _store(c, _transpose(c_columns))
+    # One contraction per column of b gives the columns of c: the rows of its transpose.
+    _grouped(out.swapaxes(0, 1), _contract, _rows, a, 3, _columns, b, 3, False)
+    return out
 
 
-def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][k] = sum_j a[i][j] * conj(b[k][j])."""
-    validation.check_no_alias(out, a, b)
-    c = result_array(out, a, (3, 3, 2) + a.shape[3:])
     # b is the conjugated operand: its rows are the contraction's rows, so
     # each sum multiplies b's component by a's, and each row of a gives a row of c.
-    return _store(c, _grouped(_contract, _rows, b, 3, _rows, a, 3, True))
+    return _grouped(out, _contract, _rows, b, 3, _rows, a, 3, True)
 
 
-def mult_su3_an(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_su3_an(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][k] = sum_j conj(a[j][i]) * b[j][k]."""
-    validation.check_no_alias(out, a, b)
-    c = result_array(out, a, (3, 3, 2) + a.shape[3:])
-    c_columns = _grouped(_contract, _columns, a, 3, _columns, b, 3, True)
-    return _store(c, _transpose(c_columns))
+    _grouped(out.swapaxes(0, 1), _contract, _columns, a, 3, _columns, b, 3, True)
+    return out
 
 
-def mult_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[k] = a * h[k] for both halves k."""
-    validation.check_no_alias(out, a, h)
-    c = result_array(out, h, (2, 3, 2) + h.shape[3:])
-    return _store(c, _grouped(_contract, _rows, a, 3, _rows, h, 3, False))
+    return _grouped(out, _contract, _rows, a, 3, _rows, h, 3, False)
 
 
-def mult_adj_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_adj_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[k] = adj(a) * h[k] for both halves k."""
-    validation.check_no_alias(out, a, h)
-    c = result_array(out, h, (2, 3, 2) + h.shape[3:])
-    return _store(c, _grouped(_contract, _columns, a, 3, _rows, h, 3, True))
+    return _grouped(out, _contract, _columns, a, 3, _rows, h, 3, True)
 
 
-def mult_adj_su3_mat_vec_4dir(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_adj_su3_mat_vec_4dir(a4: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[d] = adj(a4[d]) * b for the four directions."""
-    validation.check_no_alias(out, a4, b)
-    c = result_array(out, b, (4, 3, 2) + b.shape[2:])
     # Row 3d + i of the stacked adjoints gives c[d][i].
-    return _store(c, _grouped(_contract, _columns4, a4, 4, _whole, b, 2, True))
+    return _grouped(out, _contract, _columns4, a4, 4, _whole, b, 2, True)
 
 
-def mult_adj_su3_mat_4vec(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, outs=None) -> np.ndarray | tuple:
-    """c_d = adj(a4[d]) * b, written to four separate destinations.
-
-    With ``outs`` given (a sequence of four (3, 2) arrays) every destination
-    is checked first, then the packed result is formed and copied out, and
-    the tuple is returned; otherwise the packed (4, 3, 2) form is produced in
-    ``out`` or a fresh array.
-    """
-    if outs is None:
-        return mult_adj_su3_mat_vec_4dir(a4, b, out=out)
-    return four_destinations(mult_adj_su3_mat_vec_4dir, a4, b, out, outs, axis=0)
+# The packed (4, 3, 2) result; ``Backend.apply`` also offers it in four destinations.
+mult_adj_su3_mat_4vec = mult_adj_su3_mat_vec_4dir
 
 
-def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c = sum_d adj(a4[d]) * b4[d], accumulated direction-major."""
-    validation.check_no_alias(out, a4, b4)
-    c = result_array(out, b4, (3, 2) + b4.shape[3:])
-    return _store(c, _grouped(_direction_sums, _direction_terms, a4, 4, _all_pairs, b4, 3))
+    return _grouped(out, _direction_sums, _direction_terms, a4, 4, _all_pairs, b4, 3)
 
 
-def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray | None = None) -> np.ndarray:
+def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i][j] = a[i][j] + s * b[i][j] for real s."""
-    validation.check_no_alias(out, a, b)
-    c = result_array(out, a, (3, 3, 2) + a.shape[3:])
     f = _factor(s, a)
-    return _store(c, [x + f * y for x, y in zip(_parts(a, 3), _parts(b, 3))])
+    return _store(out, [x + f * y for x, y in zip(_parts(a, 3), _parts(b, 3))])
 
 
-def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray | None = None) -> np.ndarray:
+def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + s * b[i] for real s."""
-    validation.check_no_alias(out, a, b)
-    c = result_array(out, a, (3, 2) + a.shape[2:])
     f = _factor(s, a)
-    return _store(c, [x + f * y for x, y in zip(_parts(a, 2), _parts(b, 2))])
+    return _store(out, [x + f * y for x, y in zip(_parts(a, 2), _parts(b, 2))])
 
 
-def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][j] = a[i] * conj(b[j]) (outer product)."""
-    validation.check_no_alias(out, a, b)
-    c = result_array(out, a, (3, 3, 2) + a.shape[2:])
-    return _store(c, _grouped(_outer, _pairs, b, 2, _pairs, a, 2))
+    return _grouped(out, _outer, _pairs, b, 2, _pairs, a, 2)
 
 
 def sub_four_su3_vecs(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray, b4: np.ndarray) -> np.ndarray:

@@ -43,9 +43,11 @@ in the scalar reference, so blocking and gathering move no bits.
 Every kernel accepts operands with any shared leading batch shape in front
 of the per-object shape documented in the scalar reference, so the vector
 backend's ``batch_apply`` (``backends.Backend``) passes stacked operands to
-the kernels as they are. The kernels do not check their arguments:
-``Backend.apply`` and ``Backend.batch_apply`` are the checked entry points.
-The module holds only the kernels' arithmetic and the lane tallies.
+the kernels as they are. A kernel is ``kernel(*operands, out) -> out`` (the
+in-place ``sub_four_su3_vecs`` takes no ``out``) and checks nothing:
+``Backend.apply`` and ``Backend.batch_apply`` are the checked entry points,
+and they allocate or check ``out``. The module holds only the kernels'
+arithmetic, the lane counts per precision and the lane tallies.
 """
 from __future__ import annotations
 
@@ -55,8 +57,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import validation
-from .types import four_destinations, result_array, routine_spec
+from .types import PRECISIONS, routine_spec
+
+# The packed register, and how many lanes of each precision it holds: 2 double, 4 single.
+WIDTH_BITS = 128
+LANES = {name: WIDTH_BITS // (8 * dt.itemsize) for name, dt in PRECISIONS.items()}
 
 # Sites per block. The widest tables (the four-direction kernels, 144 packed
 # products per site) give 512 * 144 * 8 B = 576 KiB of products in double;
@@ -160,76 +165,58 @@ def _contract(t: Contraction, x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np
     return c
 
 
-def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + b[i]."""
-    validation.check_no_alias(out, a, b)
-    c = result_array(out, a, a.shape)
-    np.add(a, b, out=c)
-    return c
+    return np.add(a, b, out=out)
 
 
-def mult_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = sum_j a[i][j] * b[j]."""
-    validation.check_no_alias(out, a, b)
-    return _contract(_MAT_VEC, a, b, result_array(out, b, b.shape))
+    return _contract(_MAT_VEC, a, b, out)
 
 
-def mult_adj_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_adj_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = sum_j conj(a[j][i]) * b[j]."""
-    validation.check_no_alias(out, a, b)
-    return _contract(_ADJ_MAT_VEC, a, b, result_array(out, b, b.shape))
+    return _contract(_ADJ_MAT_VEC, a, b, out)
 
 
-def mult_su3_nn(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_su3_nn(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][k] = sum_j a[i][j] * b[j][k]."""
-    validation.check_no_alias(out, a, b)
-    return _contract(TABLES["mult_su3_nn"], a, b, result_array(out, a, a.shape))
+    return _contract(TABLES["mult_su3_nn"], a, b, out)
 
 
-def mult_su3_an(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_su3_an(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][k] = sum_j conj(a[j][i]) * b[j][k]."""
-    validation.check_no_alias(out, a, b)
-    return _contract(TABLES["mult_su3_an"], a, b, result_array(out, a, a.shape))
+    return _contract(TABLES["mult_su3_an"], a, b, out)
 
 
-def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][k] = sum_j a[i][j] * conj(b[k][j])."""
-    validation.check_no_alias(out, a, b)
-    return _contract(TABLES["mult_su3_na"], b, a, result_array(out, a, a.shape))
+    return _contract(TABLES["mult_su3_na"], b, a, out)
 
 
-def mult_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[k] = a * h[k] for both halves k."""
-    validation.check_no_alias(out, a, h)
-    return _contract(TABLES["mult_su3_mat_hwvec"], a, h, result_array(out, h, h.shape))
+    return _contract(TABLES["mult_su3_mat_hwvec"], a, h, out)
 
 
-def mult_adj_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_adj_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[k] = adj(a) * h[k] for both halves k."""
-    validation.check_no_alias(out, a, h)
-    return _contract(TABLES["mult_adj_su3_mat_hwvec"], a, h, result_array(out, h, h.shape))
+    return _contract(TABLES["mult_adj_su3_mat_hwvec"], a, h, out)
 
 
-def mult_adj_su3_mat_vec_4dir(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_adj_su3_mat_vec_4dir(a4: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[d] = adj(a4[d]) * b for the four directions."""
-    validation.check_no_alias(out, a4, b)
-    return _contract(_FOUR_DIR, a4, b, result_array(out, b, b.shape[:-2] + (4, 3, 2)))
+    return _contract(_FOUR_DIR, a4, b, out)
 
 
-def mult_adj_su3_mat_4vec(a4: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, outs=None) -> np.ndarray | tuple:
-    """c_d = adj(a4[d]) * b, four destinations; packed when outs is omitted.
-
-    With ``outs`` the packed result is formed once and copied out.
-    """
-    if outs is None:
-        return mult_adj_su3_mat_vec_4dir(a4, b, out=out)
-    return four_destinations(mult_adj_su3_mat_vec_4dir, a4, b, out, outs, axis=-3)
+# The packed (4, 3, 2) result; ``Backend.apply`` also offers it in four destinations.
+mult_adj_su3_mat_4vec = mult_adj_su3_mat_vec_4dir
 
 
-def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c = sum_d adj(a4[d]) * b4[d], accumulated direction-major."""
-    validation.check_no_alias(out, a4, b4)
-    return _contract(TABLES["mult_su3_mat_vec_sum_4dir"], a4, b4, result_array(out, b4, b4.shape[:-3] + (3, 2)))
+    return _contract(TABLES["mult_su3_mat_vec_sum_4dir"], a4, b4, out)
 
 
 def _scalar_factor(s, like: np.ndarray, extra_axes: int):
@@ -239,26 +226,19 @@ def _scalar_factor(s, like: np.ndarray, extra_axes: int):
     return s_arr
 
 
-def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray | None = None) -> np.ndarray:
+def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i][j] = a[i][j] + s * b[i][j] for real s."""
-    validation.check_no_alias(out, a, b)
-    c = result_array(out, a, a.shape)
-    c[...] = a + _scalar_factor(s, a, 3) * b
-    return c
+    return np.add(a, _scalar_factor(s, a, 3) * b, out=out)
 
 
-def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray | None = None) -> np.ndarray:
+def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + s * b[i] for real s."""
-    validation.check_no_alias(out, a, b)
-    c = result_array(out, a, a.shape)
-    c[...] = a + _scalar_factor(s, a, 2) * b
-    return c
+    return np.add(a, _scalar_factor(s, a, 2) * b, out=out)
 
 
-def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][j] = a[i] * conj(b[j]) (outer product)."""
-    validation.check_no_alias(out, a, b)
-    return _contract(TABLES["su3_projector"], b, a, result_array(out, a, a.shape[:-2] + (3, 3, 2)))
+    return _contract(TABLES["su3_projector"], b, a, out)
 
 
 def sub_four_su3_vecs(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray, b4: np.ndarray) -> np.ndarray:
@@ -266,32 +246,6 @@ def sub_four_su3_vecs(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndar
     for b in (b1, b2, b3, b4):
         np.subtract(a, b, out=a)
     return a
-
-
-@dataclass(frozen=True)
-class LaneGroup:
-    """One packed register's worth of same-precision lanes."""
-
-    width_bits: int
-    element_bits: int
-
-    def __post_init__(self) -> None:
-        if self.element_bits not in (32, 64):
-            raise ValueError(f"element_bits must be 32 or 64, got {self.element_bits}")
-        if self.width_bits <= 0 or self.width_bits % self.element_bits:
-            raise ValueError(f"width_bits {self.width_bits} is not a positive multiple of element_bits {self.element_bits}")
-
-    @property
-    def lanes(self) -> int:
-        return self.width_bits // self.element_bits
-
-
-def lane_group(precision: str) -> LaneGroup:
-    """The 128-bit lane group backing a precision: 2 double or 4 single lanes."""
-    bits = {"single": 32, "double": 64}
-    if precision not in bits:
-        raise ValueError(f"unknown precision {precision!r}")
-    return LaneGroup(128, bits[precision])
 
 
 @dataclass(frozen=True)
@@ -351,8 +305,8 @@ def capability() -> dict:
             continue
     return {
         "backend": "array-lane emulation",
-        "width_bits": 128,
-        "lanes": {"single": lane_group("single").lanes, "double": lane_group("double").lanes},
+        "width_bits": WIDTH_BITS,
+        "lanes": dict(LANES),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),

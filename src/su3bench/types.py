@@ -15,11 +15,8 @@ storage. Kernels are dtype-generic; precision is carried by the arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-
-from . import validation
 
 PRECISIONS = {
     "single": np.dtype(np.float32),
@@ -35,13 +32,6 @@ OPERAND_SHAPES = {
     "vec4": (4, 3, 2),
     "scalar": (),
 }
-
-
-class Complex(NamedTuple):
-    """One complex value as an explicit (re, im) pair."""
-
-    re: float
-    im: float
 
 
 @dataclass(frozen=True)
@@ -113,14 +103,6 @@ def dtype_for(precision: str | np.dtype) -> np.dtype:
     return dt
 
 
-def precision_of(arr: np.ndarray) -> str:
-    """Name of the precision an array is stored in."""
-    for name, dt in PRECISIONS.items():
-        if arr.dtype == dt:
-            return name
-    raise ValueError(f"array dtype {arr.dtype} is not a supported precision")
-
-
 def routine_spec(name: str) -> RoutineSpec:
     try:
         return ROUTINES[name]
@@ -130,35 +112,6 @@ def routine_spec(name: str) -> RoutineSpec:
 
 def result_shape(spec: RoutineSpec, batch_shape: tuple[int, ...] = ()) -> tuple[int, ...]:
     return batch_shape + OPERAND_SHAPES[spec.result]
-
-
-def result_array(out: np.ndarray | None, like: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """`out` if it has `shape`, or a fresh array of that shape in like's dtype."""
-    if out is None:
-        return np.empty(shape, dtype=like.dtype)
-    if out.shape != shape:
-        raise ValueError(f"result array has shape {out.shape}, expected {shape}")
-    return out
-
-
-def four_destinations(packed_4dir, a4: np.ndarray, b: np.ndarray, out, outs, axis: int) -> tuple:
-    """The ``outs`` form of ``mult_adj_su3_mat_4vec``, shared by both backends.
-
-    Checks every destination before writing any, then forms the packed result
-    with `packed_4dir` and copies its direction `axis` out, one part per
-    destination.
-    """
-    if out is not None:
-        raise ValueError("pass either out or outs, not both")
-    if len(outs) != 4:
-        raise ValueError("outs must hold four destination vectors")
-    for dest in outs:
-        validation.check_no_alias(dest, a4, b)
-        result_array(dest, b, b.shape)
-    packed = packed_4dir(a4, b)
-    for dest, part in zip(outs, np.moveaxis(packed, axis, 0)):
-        np.copyto(dest, part)
-    return tuple(outs)
 
 
 def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -173,10 +126,6 @@ def _pack_complex(values: np.ndarray, shape: tuple[int, ...], dtype: np.dtype, n
     if carr.shape == shape + (2,) and not np.iscomplexobj(carr):
         out = carr.astype(dtype, copy=True)
         return _check_finite(name, out)
-    # Accept Complex pairs, python complex, or plain reals.
-    if carr.dtype == object:
-        flat = [complex(v.re, v.im) if isinstance(v, Complex) else complex(v) for v in carr.ravel()]
-        carr = np.array(flat, dtype=np.complex128).reshape(carr.shape)
     carr = np.asarray(carr, dtype=np.complex128)
     if carr.shape != shape:
         raise ValueError(f"{name} expects shape {shape} (complex) or {shape + (2,)} (re/im pairs), got {carr.shape}")
@@ -199,13 +148,6 @@ def su3_matrix(values, precision: str | np.dtype = "double") -> np.ndarray:
 def half_wilson_vector(values, precision: str | np.dtype = "double") -> np.ndarray:
     """Pack two su3 vectors into a (2, 3, 2) pair-layout array."""
     return _pack_complex(values, (2, 3), dtype_for(precision), "half_wilson_vector")
-
-
-def identity_matrix(precision: str | np.dtype = "double") -> np.ndarray:
-    out = np.zeros((3, 3, 2), dtype=dtype_for(precision))
-    for i in range(3):
-        out[i, i, 0] = 1.0
-    return out
 
 
 def zeros(kind: str, precision: str | np.dtype = "double") -> np.ndarray:

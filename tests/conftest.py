@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from su3bench import validation
+from su3bench import debug_validation
 
 settings.register_profile(
     "suite",
@@ -25,8 +25,7 @@ def precision(request):
 
 @pytest.fixture
 def debug_checks():
-    """Enable input validation for one test, restoring the prior state."""
-    before = validation.enabled()
-    validation.debug_validation(True)
+    """Enable debug validation for one test, restoring the prior state."""
+    before = debug_validation(True)
     yield
-    validation.debug_validation(before)
+    debug_validation(before)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from su3bench import flops, get_backend, scalar, types
+from tutil import run_kernel
 
 # Hand-derived from the complex arithmetic: a 3-term complex dot costs
 # 12 mults and 10 adds (4 mults and 2 combines per term pair, summed
@@ -98,7 +99,7 @@ def test_batch_form_does_the_reference_arithmetic(routine):
     n = scalar._BLOCK + 3
     rng = np.random.default_rng([41, types.ROUTINE_NAMES.index(routine)])
     ops = [_counting_stack(kind, rng, n) for kind in spec.operands]
-    want = [kernel(ops[0][s].copy(), *(op[s] for op in ops[1:])) for s in range(n)]
+    want = [run_kernel(kernel, ops[0][s].copy(), *(op[s] for op in ops[1:])) for s in range(n)]
     views = [op.transpose(*range(1, op.ndim), 0) for op in ops]
     flops._counts.update(mults=0, adds=0)
     if spec.in_place:

@@ -143,15 +143,6 @@ def test_alignment_must_be_power_of_two_at_least_eight():
             AlignedBuffer(64, bad)
 
 
-def test_allocate_aligned():
-    arr = lattice.allocate_aligned(np.float32, (5, 3, 2), alignment=64)
-    assert arr.shape == (5, 3, 2) and arr.dtype == np.float32
-    assert arr.__array_interface__["data"][0] % 64 == 0
-    assert not arr.any()
-    arr[...] = 1.5
-    assert arr.sum() == 1.5 * arr.size
-
-
 def test_site_buffer_layout(precision):
     lat = Lattice4D(2, 2, 2, 2)
     sb = SiteBuffer(lat, {"links": "mat4", "src": "vec"}, precision=precision)

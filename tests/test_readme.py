@@ -7,7 +7,8 @@ import pytest
 
 from su3bench import cli
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _section(title: str) -> str:
@@ -50,3 +51,11 @@ def test_cli_example_matches_real_output(example, capsys):
         lines = lines[:-1]
         printed = printed[: len(lines)]
     assert printed == lines
+
+
+def test_layout_lists_exactly_the_package_modules():
+    # Package entry files (__init__, __main__) are not listed.
+    block = re.search(r"```\nsrc/su3bench/\n(.*?)```", _section("Layout"), re.S).group(1)
+    listed = re.findall(r"^  (\w+\.py) ", block, re.M)
+    modules = sorted(p.name for p in (ROOT / "src" / "su3bench").glob("*.py") if not p.name.startswith("__"))
+    assert sorted(listed) == modules and len(listed) == len(set(listed))

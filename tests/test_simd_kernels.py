@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from su3bench import BACKEND_NAMES, get_backend, scalar, simd, types, verify
+from su3bench import BACKEND_NAMES, bench, get_backend, scalar, simd, types, verify
 from symterms import sym_matrix, sym_vector
+from tutil import run_kernel
 
 ALL = types.ROUTINE_NAMES
 SCALAR = get_backend("scalar")
@@ -72,9 +73,9 @@ def _single_call_loop(routine, ops):
     if routine.endswith("hwvec"):
         a, h = ops
         single = simd.mult_su3_mat_vec if routine == "mult_su3_mat_hwvec" else simd.mult_adj_su3_mat_vec
-        return np.stack([single(a, h[..., k, :, :]) for k in range(2)], axis=-3)
+        return np.stack([run_kernel(single, a, h[..., k, :, :]) for k in range(2)], axis=-3)
     a4, b = ops
-    return np.stack([simd.mult_adj_su3_mat_vec(a4[..., d, :, :, :], b) for d in range(4)], axis=-3)
+    return np.stack([run_kernel(simd.mult_adj_su3_mat_vec, a4[..., d, :, :, :], b) for d in range(4)], axis=-3)
 
 
 def _scalar_result(routine, ops, shape):
@@ -94,39 +95,20 @@ def _same_bytes(got, want):
     "mult_adj_su3_mat_hwvec",
     "mult_adj_su3_mat_vec_4dir",
     "mult_adj_su3_mat_4vec",
-    "mult_adj_su3_mat_4vec:outs",
     "mult_su3_mat_vec_sum_4dir",
 ])
 @pytest.mark.parametrize("shape", [(), (0,), (5,), (2, 3)])
 def test_composite_kernels_equal_single_calls_and_scalar(call, shape, precision):
     # The composite kernels run the lane recipe once, with the half or the
     # direction as a batch axis; that must not move a single bit.
-    routine = call.split(":")[0]
+    routine = call
     rng = np.random.default_rng([22, ALL.index(routine), len(shape)])
     ops = types.random_operands(routine, rng, precision, batch=math.prod(shape) if shape else None)
     ops = [op.reshape(shape + op.shape[len(op.shape) - len(types.OPERAND_SHAPES[kind]):])
            for op, kind in zip(ops, types.routine_spec(routine).operands)]
-    if call.endswith(":outs"):
-        outs = [np.full(ops[1].shape, np.nan, dtype=ops[1].dtype) for _ in range(4)]
-        ret = simd.mult_adj_su3_mat_4vec(*ops, outs=outs)
-        assert all(r is o for r, o in zip(ret, outs))
-        got = np.stack(outs, axis=-3)
-    else:
-        got = VECTOR.kernels[routine](*ops)
+    got = run_kernel(VECTOR.kernels[routine], *ops)
     assert _same_bytes(got, _single_call_loop(routine, ops))
     assert _same_bytes(got, _scalar_result(routine, ops, shape))
-
-
-@pytest.mark.parametrize("kind", BACKEND_NAMES)
-def test_4vec_outs_checks_every_destination_before_writing(kind, rng, debug_checks):
-    kernel = get_backend(kind).kernels["mult_adj_su3_mat_4vec"]
-    a4, b = types.random_operands("mult_adj_su3_mat_4vec", rng)
-    outs = [np.zeros_like(b) for _ in range(4)]
-    with pytest.raises(ValueError, match="aliases"):
-        kernel(a4, b, outs=outs[:3] + [b])
-    with pytest.raises(ValueError, match="expected"):
-        kernel(a4, b, outs=outs[:3] + [np.zeros((3, 3, 2))])
-    assert not any(o.any() for o in outs)
 
 
 @pytest.mark.parametrize("routine", ["scalar_mult_add_su3_matrix", "scalar_mult_add_su3_vector"])
@@ -202,13 +184,6 @@ def test_batch_shape_mismatch_rejected(rng):
         VECTOR.batch_apply("mult_su3_nn", [a, b], count=9)
 
 
-@pytest.mark.parametrize("shape", [(5, 3, 3, 2), (3, 3, 3, 2), (4, 3, 2), (3, 3, 2, 4)])
-def test_batch_apply_rejects_misshapen_out(rng, shape):
-    ops = types.random_operands("mult_su3_nn", rng, batch=4)
-    with pytest.raises(ValueError, match="expected"):
-        VECTOR.batch_apply("mult_su3_nn", ops, out=np.empty(shape))
-
-
 def test_operand_shape_mismatch_rejected(rng):
     # The kernels are unchecked internals; the backends' apply is the checked entry point.
     a, b = types.random_operands("mult_su3_mat_vec", rng)
@@ -238,24 +213,9 @@ def test_apply_rejects_misshapen_operands(kind, rng):
 
 def test_deterministic_across_calls(rng, precision):
     a, b = types.random_operands("mult_su3_na", rng, precision)
-    first = simd.mult_su3_na(a, b)
-    second = simd.mult_su3_na(a, b)
+    first = run_kernel(simd.mult_su3_na, a, b)
+    second = run_kernel(simd.mult_su3_na, a, b)
     assert np.array_equal(first, second)
-
-
-def test_out_parameter(rng, precision):
-    a, b = types.random_operands("mult_su3_mat_vec", rng, precision)
-    out = types.zeros("vec", precision)
-    ret = simd.mult_su3_mat_vec(a, b, out=out)
-    assert ret is out
-    with pytest.raises(ValueError):
-        simd.mult_su3_mat_vec(a, b, out=types.zeros("mat", precision))
-
-
-def test_aliasing_rejected_under_debug_validation(rng, debug_checks):
-    a, b = types.random_operands("mult_su3_mat_vec", rng)
-    with pytest.raises(ValueError):
-        simd.mult_su3_mat_vec(a, b, out=b)
 
 
 def test_in_place_routine_mutates_and_returns(rng, precision):
@@ -272,17 +232,10 @@ def test_kernel_table_matches_registry():
     assert all(VECTOR.kernels[name] is getattr(simd, name) for name in ALL)
 
 
-def test_lane_group_widths():
-    assert simd.lane_group("double").lanes == 2
-    assert simd.lane_group("single").lanes == 4
-    assert simd.lane_group("double").width_bits == 128
-
-
-def test_lane_group_validation():
-    with pytest.raises(ValueError):
-        simd.LaneGroup(width_bits=128, element_bits=16)
-    with pytest.raises(ValueError):
-        simd.LaneGroup(width_bits=100, element_bits=64)
+def test_lanes_follow_the_dtype_width():
+    assert simd.WIDTH_BITS == 128
+    assert simd.LANES == {"double": 2, "single": 4}
+    assert bench.LANE_BOUND == {"double": 2.0, "single": 4.0}
 
 
 def test_lane_op_table_consistent_with_flop_counts():
@@ -318,7 +271,7 @@ def test_table_kernels_equal_scalar_on_any_batch_shape(routine, shape, precision
     ops = types.random_operands(routine, rng, precision, batch=math.prod(shape) if shape else None)
     ops = [op.reshape(shape + types.OPERAND_SHAPES[kind])
            for op, kind in zip(ops, types.routine_spec(routine).operands)]
-    assert _same_bytes(VECTOR.kernels[routine](*ops), _scalar_result(routine, ops, shape))
+    assert _same_bytes(run_kernel(VECTOR.kernels[routine], *ops), _scalar_result(routine, ops, shape))
 
 
 @pytest.mark.parametrize("routine", TABLE_KERNELS)
@@ -368,8 +321,8 @@ def test_symbolic_flow_through_vector_backend():
     # complex definition; Sym atoms expose the term structure.
     a = sym_matrix("a")
     b = sym_vector("b")
-    got = simd.mult_su3_mat_vec(a, b)
-    want = scalar.mult_su3_mat_vec(a, b)
+    got = run_kernel(simd.mult_su3_mat_vec, a, b)
+    want = run_kernel(scalar.mult_su3_mat_vec, a, b)
     for i in range(3):
         for k in range(2):
             assert got[i, k].canonical() == want[i, k].canonical()

@@ -45,11 +45,6 @@ def test_dtype_for_rejects_unknown():
         types.dtype_for("half")
 
 
-def test_precision_of_round_trips(precision):
-    arr = types.zeros("vec", precision)
-    assert types.precision_of(arr) == precision
-
-
 def test_vector_constructor_from_pairs(precision):
     v = types.su3_vector([(1, 2), (3, 4), (5, 6)], precision)
     assert v.shape == (3, 2)
@@ -79,11 +74,6 @@ def test_constructor_rejects_non_finite():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         types.su3_vector(bad)
-
-
-def test_identity_matrix(precision):
-    m = types.identity_matrix(precision)
-    assert np.array_equal(types.to_complex(m), np.eye(3))
 
 
 def test_complex_round_trip(rng, precision):

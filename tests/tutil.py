@@ -46,6 +46,23 @@ def random_unitary(rng: np.random.Generator, precision: str = "double") -> np.nd
     return types.from_complex(u, precision)
 
 
+def run_kernel(kernel, *ops):
+    """kernel(*ops, out=...) into a fresh NaN-filled result array; returns it.
+
+    The routine is the kernel's name. The result array has the routine's
+    result shape behind the first operand's leading batch axes, as the
+    vector kernels take stacked operands (the scalar ones take single
+    objects here), and its dtype (object for symbolic operands). The
+    in-place routine takes no out.
+    """
+    spec = types.ROUTINES[kernel.__name__]
+    if spec.in_place:
+        return kernel(*ops)
+    first = ops[0]
+    batch = first.shape[:first.ndim - len(types.OPERAND_SHAPES[spec.operands[0]])]
+    return kernel(*ops, out=np.full(batch + types.OPERAND_SHAPES[spec.result], np.nan, dtype=first.dtype))
+
+
 def max_ulp(candidate: np.ndarray, reference: np.ndarray) -> float:
     """Worst componentwise ULP error, floored at the reference scale."""
     floor = float(np.abs(reference).max()) if reference.size else 0.0
