@@ -98,16 +98,19 @@ def _check(plan: _Plan, operands, out: np.ndarray | None, batch: tuple[int, ...]
 
 def _result(plan: _Plan, operands, out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
     """A fresh result array of `shape` in the operands' dtype, or the
-    caller's `out` once it has that shape and dtype and, under debug
-    validation, shares no memory with an operand."""
+    caller's `out` once it is a numpy array of that shape and dtype and,
+    under debug validation, shares no memory with an operand."""
     dtype = operands[0].dtype
     if out is None:
         return np.empty(shape, dtype)
     name = plan.spec.name
-    if out.shape != shape:
-        raise ValueError(f"{name}: result array has shape {out.shape}, expected {shape}")
-    if out.dtype != dtype:
-        raise ValueError(f"{name}: result array has dtype {out.dtype}, the operands {dtype}")
+    try:
+        if out.shape != shape:
+            raise ValueError(f"{name}: result array has shape {out.shape}, expected {shape}")
+        if out.dtype != dtype:
+            raise ValueError(f"{name}: result array has dtype {out.dtype}, the operands {dtype}")
+    except AttributeError:
+        raise ValueError(f"{name}: result arrays must be numpy arrays") from None
     if _debug and any(np.shares_memory(out, operands[i]) for i, _ in plan.arrays):
         raise ValueError(f"{name}: result array aliases an operand; kernels require distinct storage")
     return out

@@ -267,6 +267,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text, status = args.handler(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except ModelInputError as err:
         where = f" (line {err.line})" if err.line is not None else ""
         print(f"su3bench: error{where}: {err}", file=sys.stderr)
@@ -277,10 +280,7 @@ def main(argv=None) -> int:
     except MemoryError as err:
         print(f"su3bench: error: out of memory: {err}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return status
 

@@ -15,6 +15,30 @@ count. What a component is follows from the operand:
 - a site-last batch view gives one row view over all sites per component;
 - an object array (the op counter's CountingScalar) gives its elements.
 
+A single float object does not run the body as written. On a routine's
+first such call, its kernel runs the body once on symbolic reals (``_Sym``),
+which records every ``*``, ``+`` and ``-`` as one assignment, in the order
+performed (``_trace``), and compiles the record into one straight-line
+function (``_program``): unpack each operand once with ``_parts`` (the real
+factor with ``_factor``), run the assignments, and store the result once
+through ``flat``, which writes index order whatever the result's strides.
+Each assignment has the body's operands and order, so the result is bitwise
+the body's. What the program drops is the interpreter work around the
+arithmetic: the selections, list building and tuple unpacking of the bodies,
+and a store through an intermediate array. The tracer raises TypeError on
+anything it cannot emit (a constant operand, unary minus, a branch on a
+value), so a body change cannot compile to a different program.
+
+Programs are built lazily and cached per routine: importing this module or
+counting operations (``flops``, which runs the bodies on object arrays)
+builds none. Building all fifteen takes ~25 ms, most of it compiling (the
+traces alone take ~4 ms); at import that would add an eighth to the
+benchmark's ~0.19 s set-up time. Object arrays (the op counter's
+CountingScalar, the tracer's symbols) and site-last batch views run the
+bodies, so the bodies stay the one source of every kernel's arithmetic. The
+switch lives in the kernel functions (``_traced``), so ``backends.Backend``
+and direct calls run the same code.
+
 The real factor of ``scalar_mult_add_*`` is converted once to the operands'
 dtype, as in the vector backend. Operands of one kernel call share one
 dtype; ``backends.Backend`` rejects a mix. This backend is the correctness
@@ -67,10 +91,13 @@ Conjugation conventions (adj = conjugate transpose):
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, update_wrapper
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
+
+from .types import OPERAND_SHAPES, ROUTINES
 
 
 def _parts(x, depth: int):
@@ -248,21 +275,145 @@ def _factor(s, like: np.ndarray):
     return f
 
 
+class _Sym:
+    """A traced real: each ``*``, ``+`` or ``-`` between two of them appends
+    one step to their shared tape and gives the step's result.
+
+    Anything else a body could do with a component (a constant operand,
+    unary minus, a comparison or branch on its value) raises TypeError, so a
+    body the trace cannot reproduce exactly is never compiled.
+    """
+
+    __slots__ = ("name", "tape")
+
+    def __init__(self, name: str, tape: list) -> None:
+        self.name = name
+        self.tape = tape
+
+    def _step(self, op: str, other) -> "_Sym":
+        if not isinstance(other, _Sym) or other.tape is not self.tape:
+            raise TypeError(f"cannot trace {self.name} {op} {other!r}: only operations between traced components are emitted")
+        result = _Sym(f"t{len(self.tape)}", self.tape)
+        self.tape.append((result.name, self.name, op, other.name))
+        return result
+
+    def __mul__(self, other):
+        return self._step("*", other)
+
+    def __add__(self, other):
+        return self._step("+", other)
+
+    def __sub__(self, other):
+        return self._step("-", other)
+
+    def _untraceable(self, *args):
+        raise TypeError(f"cannot trace this operation on {self.name}: only *, + and - between traced components are emitted")
+
+    __rmul__ = __radd__ = __rsub__ = __neg__ = __bool__ = __eq__ = __ne__ = _untraceable
+
+    def __repr__(self) -> str:
+        return f"_Sym({self.name!r})"
+
+
+class _Trace(NamedTuple):
+    """One call of a kernel body as straight-line code over named reals."""
+
+    operands: tuple[tuple[str, ...], ...]  # each operand's components, in memory order (a real factor has one)
+    steps: tuple[tuple[str, str, str, str], ...]  # (result, left, op, right), in the order the body performed them
+    results: tuple[str, ...]  # what the body stored in each result component, in index order
+
+
+def _trace(routine: str) -> _Trace:
+    """Run the routine's body once on symbolic reals and record every step."""
+    spec = ROUTINES[routine]
+    tape: list = []
+    operands, names = [], []
+    for k, kind in enumerate(spec.operands):
+        shape = OPERAND_SHAPES[kind]
+        syms = [_Sym(f"x{k}_{i}", tape) for i in range(math.prod(shape))]
+        names.append(tuple(sym.name for sym in syms))
+        if kind == "scalar":
+            operands.append(syms[0])
+        else:
+            operands.append(np.empty(shape, dtype=object))
+            operands[-1].flat = syms
+    kernel = globals()[routine]
+    if spec.in_place:
+        result = kernel(*operands)
+    else:
+        result = kernel(*operands, out=np.empty(OPERAND_SHAPES[spec.result], dtype=object))
+    stored = result.ravel().tolist()
+    if not all(isinstance(sym, _Sym) and sym.tape is tape for sym in stored):
+        raise TypeError(f"{routine}: the body left a result component untraced")
+    return _Trace(tuple(names), tuple(tape), tuple(sym.name for sym in stored))
+
+
+@cache
+def _program(routine: str):
+    """The routine's trace compiled into one Python function with the
+    kernel's signature: unpack each operand once, run the steps, store once."""
+    spec = ROUTINES[routine]
+    trace = _trace(routine)
+    args = [f"x{k}" for k in range(len(spec.operands))]
+    lines = []
+    for arg, kind, names in zip(args, spec.operands, trace.operands):
+        if kind == "scalar":
+            lines.append(f"{names[0]} = _factor({arg}, x0)")
+        else:
+            lines.append(f"{', '.join(names)}, = _parts({arg}, {len(OPERAND_SHAPES[kind])})")
+    lines += [f"{result} = {left} {op} {right}" for result, left, op, right in trace.steps]
+    target = args[0] if spec.in_place else "out"
+    lines += [f"{target}.flat = {', '.join(trace.results)},", f"return {target}"]
+    params = ", ".join(args if spec.in_place else args + ["out"])
+    source = f"def {routine}({params}):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {"_parts": _parts, "_factor": _factor}
+    exec(compile(source, f"<{routine} trace>", "exec"), namespace)
+    return namespace[routine]
+
+
+def _traced(body):
+    """The kernel for `body`: a single float object runs the routine's
+    program, built on first use; object arrays and site-last batch views
+    run `body`.
+
+    The switch is compiled with the body's own parameters, so a call pays
+    for no argument packing on either path.
+    """
+    routine = body.__name__
+    code = body.__code__
+    first = code.co_varnames[0]
+    params = ", ".join(code.co_varnames[:code.co_argcount])
+    depth = len(OPERAND_SHAPES[ROUTINES[routine].operands[0]])
+    source = (
+        f"def {routine}({params}):\n"
+        f"    if {first}.ndim == {depth} and not {first}.dtype.hasobject:\n"
+        f"        return _program({routine!r})({params})\n"
+        f"    return body({params})\n"
+    )
+    namespace = {"_program": _program, "body": body}
+    exec(compile(source, f"<{routine} switch>", "exec"), namespace)
+    return update_wrapper(namespace[routine], body)
+
+
+@_traced
 def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + b[i]."""
     return _store(out, [x + y for x, y in zip(_parts(a, 2), _parts(b, 2))])
 
 
+@_traced
 def mult_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = sum_j a[i][j] * b[j]."""
     return _grouped(out, _contract, _rows, a, 3, _whole, b, 2, False)
 
 
+@_traced
 def mult_adj_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = sum_j conj(a[j][i]) * b[j]."""
     return _grouped(out, _contract, _columns, a, 3, _whole, b, 2, True)
 
 
+@_traced
 def mult_su3_nn(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][k] = sum_j a[i][j] * b[j][k]."""
     # One contraction per column of b gives the columns of c: the rows of its transpose.
@@ -270,6 +421,7 @@ def mult_su3_nn(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+@_traced
 def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][k] = sum_j a[i][j] * conj(b[k][j])."""
     # b is the conjugated operand: its rows are the contraction's rows, so
@@ -277,22 +429,26 @@ def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return _grouped(out, _contract, _rows, b, 3, _rows, a, 3, True)
 
 
+@_traced
 def mult_su3_an(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][k] = sum_j conj(a[j][i]) * b[j][k]."""
     _grouped(out.swapaxes(0, 1), _contract, _columns, a, 3, _columns, b, 3, True)
     return out
 
 
+@_traced
 def mult_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[k] = a * h[k] for both halves k."""
     return _grouped(out, _contract, _rows, a, 3, _rows, h, 3, False)
 
 
+@_traced
 def mult_adj_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[k] = adj(a) * h[k] for both halves k."""
     return _grouped(out, _contract, _columns, a, 3, _rows, h, 3, True)
 
 
+@_traced
 def mult_adj_su3_mat_vec_4dir(a4: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[d] = adj(a4[d]) * b for the four directions."""
     # Row 3d + i of the stacked adjoints gives c[d][i].
@@ -303,28 +459,33 @@ def mult_adj_su3_mat_vec_4dir(a4: np.ndarray, b: np.ndarray, out: np.ndarray) ->
 mult_adj_su3_mat_4vec = mult_adj_su3_mat_vec_4dir
 
 
+@_traced
 def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c = sum_d adj(a4[d]) * b4[d], accumulated direction-major."""
     return _grouped(out, _direction_sums, _direction_terms, a4, 4, _all_pairs, b4, 3)
 
 
+@_traced
 def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i][j] = a[i][j] + s * b[i][j] for real s."""
     f = _factor(s, a)
     return _store(out, [x + f * y for x, y in zip(_parts(a, 3), _parts(b, 3))])
 
 
+@_traced
 def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + s * b[i] for real s."""
     f = _factor(s, a)
     return _store(out, [x + f * y for x, y in zip(_parts(a, 2), _parts(b, 2))])
 
 
+@_traced
 def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][j] = a[i] * conj(b[j]) (outer product)."""
     return _grouped(out, _outer, _pairs, b, 2, _pairs, a, 2)
 
 
+@_traced
 def sub_four_su3_vecs(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray, b4: np.ndarray) -> np.ndarray:
     """a[i] -= b1[i] + b2[i] + b3[i] + b4[i], in place, left to right."""
     parts = zip(*(_parts(x, 2) for x in (a, b1, b2, b3, b4)))

@@ -136,3 +136,18 @@ def test_outs_rejected_with_out_and_on_other_routines(kind, rng, precision):
             with pytest.raises(ValueError, match="outs"):
                 backend.apply(routine, *ops, outs=outs)
     assert not packed.any() and not any(o.any() for o in outs)
+
+
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_non_array_result_rejected(kind, rng, precision):
+    backend = get_backend(kind)
+    a, b = types.random_operands("mult_su3_mat_vec", rng, precision)
+    with pytest.raises(ValueError, match="numpy arrays"):
+        backend.apply("mult_su3_mat_vec", a, b, out=[[0.0, 0.0]] * 3)
+    ops = types.random_operands("mult_su3_mat_vec", rng, precision, batch=2)
+    with pytest.raises(ValueError, match="numpy arrays"):
+        backend.batch_apply("mult_su3_mat_vec", ops, out=[[[0.0, 0.0]] * 3] * 2)
+    a4, b, outs = _mat_4vec(rng, precision)
+    with pytest.raises(ValueError, match="numpy arrays"):
+        backend.apply("mult_adj_su3_mat_4vec", a4, b, outs=outs[:3] + [[[0.0, 0.0]] * 3])
+    assert not any(o.any() for o in outs)

@@ -278,3 +278,19 @@ def test_out_flag_writes_file(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert target.read_text(encoding="utf-8").splitlines()[0] == VERIFY_HEADER
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--routines", "add_su3_vector", "--trials", "5"),
+    ("bench", "--routine", "add_su3_vector", "--reps", "3", "--warmup", "0", "--min-region-ms", "0"),
+    ("lattice-bench", "--routine", "add_su3_vector", "--dims", "2,2,2,2", "--warmup", "0", "--min-region-ms", "0"),
+    ("flops",),
+    ("model", "--history", "alignment"),
+], ids=lambda args: args[0])
+def test_unwritable_out_exits_2(args, tmp_path):
+    target = tmp_path / "missing" / "report.txt"
+    proc = run_cli(*args, "--out", str(target))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("su3bench: error:") and str(target) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

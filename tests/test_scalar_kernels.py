@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from su3bench import get_backend, scalar, types
+from su3bench import flop_count, get_backend, scalar, types
 from tutil import adjoint, max_ulp, random_unitary, rel_norm_err, run_kernel
 
 ALL = types.ROUTINE_NAMES
@@ -115,6 +118,73 @@ def test_component_types_follow_the_operand(rng):
     assert [type(x) for x in scalar._parts(a.astype(np.float32), 3)] == [np.float32] * 18
     rows = scalar._parts(np.stack([a, a], axis=-1), 3)
     assert [row.shape for row in rows] == [(2,)] * 18
+
+
+@pytest.mark.parametrize("routine", ALL)
+def test_trace_performs_the_counted_operations(routine):
+    ops = [op for _, _, op, _ in scalar._trace(routine).steps]
+    counts = flop_count(routine)
+    assert ops.count("*") == counts.real_mults
+    assert ops.count("+") + ops.count("-") == counts.real_adds == len(ops) - counts.real_mults
+
+
+def test_tracer_emits_only_operations_between_components():
+    tape = []
+    x, y = scalar._Sym("x", tape), scalar._Sym("y", tape)
+    untraceable = (lambda: x * 2.0, lambda: 2.0 * x, lambda: x + 0.0, lambda: 1.0 - x, lambda: -x, lambda: bool(x), lambda: x == y,
+                   lambda: x * scalar._Sym("z", []))
+    for op in untraceable:
+        with pytest.raises(TypeError, match="cannot trace"):
+            op()
+    assert (x * y - x).name == "t1"
+    assert tape == [("t0", "x", "*", "y"), ("t1", "t0", "-", "x")]
+
+
+def test_a_body_the_trace_cannot_emit_is_refused(monkeypatch):
+    def negated(a, b, out):
+        out.flat = [-x for x in a.flat]
+        return out
+
+    def partial(a, b, out):
+        out.flat[0] = a.flat[0] + b.flat[0]
+        return out
+
+    for body in (negated, partial):
+        monkeypatch.setattr(scalar, "add_su3_vector", body)
+        with pytest.raises(TypeError, match="trace"):
+            scalar._trace("add_su3_vector")
+
+
+def test_import_and_flop_table_build_no_program():
+    # Programs are built on a routine's first single-object call, never at
+    # import or while counting operations, which set-up time includes.
+    code = "import su3bench; su3bench.flop_table(); print(su3bench.scalar._program.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
+@pytest.mark.parametrize("routine", ALL)
+def test_program_writes_any_result_layout(routine, rng, precision):
+    # A strided result (and, in place, a strided first operand) takes the
+    # store's index-order fallback instead of its one contiguous pass.
+    spec = types.routine_spec(routine)
+    ops = types.random_operands(routine, rng, precision)
+    want = SCALAR.apply(routine, ops[0].copy(), *ops[1:])
+
+    def strided(x):
+        wide = np.full(x.shape + (2,), np.nan, x.dtype)
+        wide[..., 0] = x
+        return wide[..., 0]
+
+    if spec.in_place:
+        target = strided(ops[0])
+        assert scalar.sub_four_su3_vecs(target, *ops[1:]) is target
+    else:
+        target = strided(want)
+        assert SCALAR.apply(routine, *ops, out=target) is target
+    assert not target.flags.c_contiguous
+    assert _same_bits(np.ascontiguousarray(target), want)
 
 
 def test_hwvec_is_two_mat_vecs(rng, precision):

@@ -35,6 +35,32 @@ def test_bitwise_equal_to_scalar(routine, precision):
         assert np.array_equal(_apply(VECTOR, routine, ops), _apply(SCALAR, routine, ops))
 
 
+def _special_sets(routine, rng, precision, count):
+    """An all-(-0.0) operand set, then `count` sets drawn from signed zeros,
+    the smallest subnormal, infinities, NaN and +-1.5."""
+    dtype = types.dtype_for(precision)
+    pool = np.array([0.0, -0.0, np.finfo(dtype).smallest_subnormal, np.inf, -np.inf, np.nan, 1.5, -1.5], dtype)
+    weights = [0.22, 0.22, 0.15, 0.02, 0.02, 0.01, 0.18, 0.18]  # rare infinities and NaNs leave most sums defined
+    shapes = [types.OPERAND_SHAPES[kind] for kind in types.routine_spec(routine).operands]
+    yield [np.full(shape, -0.0, dtype) for shape in shapes]
+    for _ in range(count):
+        yield [rng.choice(pool, size=shape, p=weights) for shape in shapes]
+
+
+@pytest.mark.parametrize("routine", ALL)
+@np.errstate(invalid="ignore", over="ignore")
+def test_special_values_agree_across_backends_at_one_site(routine, precision):
+    # Signed zeros are where a reordered or seeded sum shows first: a
+    # reduction that starts from +0.0 turns an all-(-0.0) sum into +0.0.
+    rng = np.random.default_rng([23, ALL.index(routine)])
+    for ops in _special_sets(routine, rng, precision, 200):
+        want = _apply(SCALAR, routine, ops)
+        got = _apply(VECTOR, routine, ops)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 @pytest.mark.parametrize("routine", ALL)
 @pytest.mark.parametrize("count", [0, 1, 5, 64])
 def test_batch_apply_equals_singles(routine, precision, count):
