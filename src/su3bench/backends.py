@@ -139,10 +139,11 @@ class Backend:
     def apply(self, routine: str, *operands, out: np.ndarray | None = None, outs=None):
         """Invoke one kernel by name on a single operand set.
 
-        ``mult_adj_su3_mat_4vec`` also takes ``outs``, four (3, 2) arrays in
-        place of the packed (4, 3, 2) ``out``: every destination is checked
-        as ``out`` would be before any is written, then the packed result is
-        copied out, one direction per destination, and the tuple returned.
+        ``mult_adj_su3_mat_4vec`` also takes ``outs``, a list or tuple of
+        four (3, 2) arrays in place of the packed (4, 3, 2) ``out``: every
+        destination is checked as ``out`` would be before any is written,
+        then the packed result is copied out, one direction per destination,
+        and the tuple returned.
         """
         plan = self._plan(routine)
         _check(plan, operands, out, ())
@@ -179,8 +180,8 @@ def _four_destinations(plan: _Plan, operands, out, outs) -> tuple:
         raise ValueError(f"{name} takes no outs; only mult_adj_su3_mat_4vec does")
     if out is not None:
         raise ValueError("pass either out or outs, not both")
-    if len(outs) != 4:
-        raise ValueError("outs must hold four destination vectors")
+    if not isinstance(outs, (list, tuple)) or len(outs) != 4:
+        raise ValueError("outs must be a list or tuple of four destination vectors")
     for dest in outs:
         _result(plan, operands, dest, plan.result[1:])
     packed = plan.kernel(*operands, out=_result(plan, operands, None, plan.result))

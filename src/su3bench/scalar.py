@@ -17,22 +17,27 @@ count. What a component is follows from the operand:
 
 A single float object does not run the body as written. On a routine's
 first such call, its kernel runs the body once on symbolic reals (``_Sym``),
-which records every ``*``, ``+`` and ``-`` as one assignment, in the order
-performed (``_trace``), and compiles the record into one straight-line
-function (``_program``): unpack each operand once with ``_parts`` (the real
-factor with ``_factor``), run the assignments, and store the result once
-through ``flat``, which writes index order whatever the result's strides.
-Each assignment has the body's operands and order, so the result is bitwise
-the body's. What the program drops is the interpreter work around the
-arithmetic: the selections, list building and tuple unpacking of the bodies,
-and a store through an intermediate array. The tracer raises TypeError on
+which records every ``*``, ``+`` and ``-`` as one step, in the order
+performed (``_trace``), and compiles the record (``_compile``) into one
+straight-line function (``_program``): unpack each operand once with
+``_parts`` (the real factor with ``_factor``), evaluate each result
+component as one expression, and store the result once through ``flat``,
+which writes index order whatever the result's strides. A step result used
+once is written in parentheses where it is used, so every operation keeps
+the body's operands and association and the result is bitwise the body's;
+one used more than once is assigned to a name once. What the program
+drops is the interpreter work around the arithmetic: the selections, list
+building and tuple unpacking of the bodies, a store through an intermediate
+array, and a named temporary per operation. The tracer raises TypeError on
 anything it cannot emit (a constant operand, unary minus, a branch on a
-value), so a body change cannot compile to a different program.
+value), so a body change cannot compile to a different program. The vector
+backend compiles its gather tables' single-site traces with the same
+``_compile`` (``simd._program``).
 
 Programs are built lazily and cached per routine: importing this module or
 counting operations (``flops``, which runs the bodies on object arrays)
-builds none. Building all fifteen takes ~25 ms, most of it compiling (the
-traces alone take ~4 ms); at import that would add an eighth to the
+builds none. Building all fifteen takes ~22 ms, most of it compiling (the
+traces alone take ~4 ms); at import that would add a tenth to the
 benchmark's ~0.19 s set-up time. Object arrays (the op counter's
 CountingScalar, the tracer's symbols) and site-last batch views run the
 bodies, so the bodies stay the one source of every kernel's arithmetic. The
@@ -90,7 +95,9 @@ Conjugation conventions (adj = conjugate transpose):
 """
 from __future__ import annotations
 
+import linecache
 import math
+from collections import Counter
 from functools import cache, update_wrapper
 from operator import itemgetter
 from typing import NamedTuple
@@ -270,9 +277,9 @@ def _store(c: np.ndarray, values) -> np.ndarray:
 
 
 def _factor(s, like: np.ndarray):
-    """The real factor s, converted once to like's dtype and unpacked as its components are."""
-    (f,) = _parts(np.asarray(s, dtype=like.dtype), 0)
-    return f
+    """The real factor s, converted once to like's dtype, as its one component
+    (unpacked as like's components are)."""
+    return _parts(np.asarray(s, dtype=like.dtype), 0)
 
 
 class _Sym:
@@ -316,11 +323,12 @@ class _Sym:
 
 
 class _Trace(NamedTuple):
-    """One call of a kernel body as straight-line code over named reals."""
+    """One call of a kernel body (or, in ``simd``, of a gather table at one
+    site) as straight-line code over named reals."""
 
     operands: tuple[tuple[str, ...], ...]  # each operand's components, in memory order (a real factor has one)
-    steps: tuple[tuple[str, str, str, str], ...]  # (result, left, op, right), in the order the body performed them
-    results: tuple[str, ...]  # what the body stored in each result component, in index order
+    steps: tuple[tuple[str, str, str, str], ...]  # (result, left, op, right), in the order performed
+    results: tuple[str, ...]  # what was stored in each result component, in index order
 
 
 def _trace(routine: str) -> _Trace:
@@ -350,25 +358,51 @@ def _trace(routine: str) -> _Trace:
 
 @cache
 def _program(routine: str):
-    """The routine's trace compiled into one Python function with the
-    kernel's signature: unpack each operand once, run the steps, store once."""
+    """The routine's trace compiled (``_compile``) into one function with the
+    kernel's signature: unpack each operand once, evaluate, store once."""
     spec = ROUTINES[routine]
-    trace = _trace(routine)
     args = [f"x{k}" for k in range(len(spec.operands))]
-    lines = []
-    for arg, kind, names in zip(args, spec.operands, trace.operands):
-        if kind == "scalar":
-            lines.append(f"{names[0]} = _factor({arg}, x0)")
-        else:
-            lines.append(f"{', '.join(names)}, = _parts({arg}, {len(OPERAND_SHAPES[kind])})")
-    lines += [f"{result} = {left} {op} {right}" for result, left, op, right in trace.steps]
+    reads = [
+        f"_factor({arg}, x0)" if kind == "scalar" else f"_parts({arg}, {len(OPERAND_SHAPES[kind])})"
+        for arg, kind in zip(args, spec.operands)
+    ]
+    params = args if spec.in_place else args + ["out"]
     target = args[0] if spec.in_place else "out"
-    lines += [f"{target}.flat = {', '.join(trace.results)},", f"return {target}"]
-    params = ", ".join(args if spec.in_place else args + ["out"])
-    source = f"def {routine}({params}):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace = {"_parts": _parts, "_factor": _factor}
-    exec(compile(source, f"<{routine} trace>", "exec"), namespace)
-    return namespace[routine]
+    return _compile(_trace(routine), routine, params, reads, target, {"_parts": _parts, "_factor": _factor})
+
+
+def _compile(trace: _Trace, name: str, params: list[str], reads: list[str], target: str, namespace: dict):
+    """Compile `trace` into one straight-line function ``name(*params)``.
+
+    reads[k] is an expression of the params that gives operand k's
+    components in order; the function binds them once, evaluates the
+    results, stores them into `target` through ``flat`` (index order,
+    whatever its strides) and returns `target`. A step result used once is
+    inlined where it is used as ``(left op right)``, so every operation keeps
+    its operands and association; one used more than once is assigned once
+    and read by name. A name that is neither an operand component nor a step
+    result (the vector tables' +-1 signs) is a literal, emitted as written.
+
+    The source is registered with linecache under the function's filename,
+    so a traceback or ``inspect.getsource`` shows the emitted lines.
+    """
+    uses = Counter(trace.results)
+    uses.update(operand for _, left, _, right in trace.steps for operand in (left, right))
+    inlined: dict[str, str] = {}
+    lines = [f"{', '.join(names)}, = {read}" for names, read in zip(trace.operands, reads)]
+    for result, left, op, right in trace.steps:
+        expression = f"({inlined.get(left, left)} {op} {inlined.get(right, right)})"
+        if uses[result] == 1:
+            inlined[result] = expression
+        else:
+            lines.append(f"{result} = {expression}")
+    stored = [f"    {inlined.get(result, result)}," for result in trace.results]
+    lines += [f"{target}.flat = (", *stored, ")", f"return {target}"]
+    source = f"def {name}({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in lines)
+    filename = f"<{name} trace>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
 
 
 def _traced(body):
@@ -468,14 +502,14 @@ def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray) -
 @_traced
 def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i][j] = a[i][j] + s * b[i][j] for real s."""
-    f = _factor(s, a)
+    f, = _factor(s, a)
     return _store(out, [x + f * y for x, y in zip(_parts(a, 3), _parts(b, 3))])
 
 
 @_traced
 def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + s * b[i] for real s."""
-    f = _factor(s, a)
+    f, = _factor(s, a)
     return _store(out, [x + f * y for x, y in zip(_parts(a, 2), _parts(b, 2))])
 
 

@@ -34,11 +34,23 @@ import:
   plain ones only in their tables.
 - **Site blocks.** Stacked operands run in blocks of ``BLOCK`` sites, the
   site axis innermost, so every multiply and add is one long contiguous
-  loop and a block's temporaries stay in cache. One object is a block of
-  one site, so every batch size takes the same path.
+  loop and a block's temporaries stay in cache.
+- **One site.** A single float64 site, one object or a batch of one, does
+  not run the executor: its ~15 numpy calls cost far more than the site's
+  arithmetic. ``_contract`` runs the table's program instead. The program
+  is the executor's operations on one site, per lane and in its order
+  (every product, the adds over j, the sign multiply, the combining add;
+  ``_table_trace``), compiled on first use by the scalar reference's
+  straight-line compiler (``scalar._compile``) into one Python function on
+  Python floats, and cached per table. A Python float is an IEEE binary64,
+  so every operation rounds as the lane does; where a NaN arises is the
+  same, but its sign and payload bits may differ from the executor's.
+  Float32 sites stay on the executor: Python has no binary32 type, and on
+  numpy float32 scalars the program ran 1.3-3.7x slower than the executor.
 
 Every output component sees the same products, added in the same order, as
-in the scalar reference, so blocking and gathering move no bits.
+in the scalar reference, so blocking, gathering and the single-site programs
+move no bits.
 
 Every kernel accepts operands with any shared leading batch shape in front
 of the per-object shape documented in the scalar reference, so the vector
@@ -54,9 +66,11 @@ from __future__ import annotations
 import math
 import platform
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
+from .scalar import _compile, _Trace
 from .types import PRECISIONS, routine_spec
 
 # The packed register, and how many lanes of each precision it holds: 2 double, 4 single.
@@ -69,6 +83,8 @@ LANES = {name: WIDTH_BITS // (8 * dt.itemsize) for name, dt in PRECISIONS.items(
 # inside a 2 MiB L2. Of 256, 512, 1024 and 2048, 512 gave the lowest ns/site
 # summed over the tables on 65536-site double operands.
 BLOCK = 512
+
+_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,9 +158,50 @@ TABLES: dict[str, Contraction] = {
 }
 
 
+def _table_trace(t: Contraction) -> _Trace:
+    """The executor's operations on one site of table t, in its order, as a
+    trace over the components of x (operand 0) and y (operand 1).
+
+    Every packed product, then the adds over j, then each swapped sum times
+    its sign (a +-1 literal), then the combining add: per lane, exactly what
+    ``_contract`` computes with whole rows.
+    """
+    x = tuple(f"x0_{i}" for i in range(t.x_size))
+    y = tuple(f"x1_{i}" for i in range(t.y_size))
+    steps: list = []
+
+    def step(left: str, op: str, right: str) -> str:
+        steps.append((f"t{len(steps)}", left, op, right))
+        return steps[-1][0]
+
+    p = [
+        [[step(x[a], "*", y[b]) for a, b in zip(ia, ib)] for ia, ib in zip(ia_j, ib_j)]
+        for ia_j, ib_j in zip(t.ia.tolist(), t.ib.tolist())
+    ]
+    acc = p[0]
+    for p_j in p[1:]:
+        acc = [[step(s, "+", q) for s, q in zip(sums, products)] for sums, products in zip(acc, p_j)]
+    re, im = acc
+    im = [step(s, "*", repr(sign)) for s, sign in zip(im, t.sign[_FLOAT64].ravel().tolist())]
+    results = tuple(step(r, "+", i) for r, i in zip(re, im))
+    return _Trace((x, y), tuple(steps), results)
+
+
+@cache
+def _program(t: Contraction):
+    """Table t's trace compiled into one function (x, y, c) -> c for one
+    float64 site, with Python floats as its lanes; built on first use."""
+    routine = next(name for name, table in TABLES.items() if table is t)
+    reads = ["x.ravel().tolist()", "y.ravel().tolist()"]
+    return _compile(_table_trace(t), f"{routine}_table", ["x", "y", "c"], reads, "c", {})
+
+
 def _contract(t: Contraction, x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Run table t on the broadcast operand x and the pair operand y into c, block by block."""
+    """Run table t on the broadcast operand x and the pair operand y into c:
+    one float64 site through the table's program, else block by block."""
     n = c.size // t.outputs
+    if n == 1 and c.dtype == _FLOAT64:
+        return _program(t)(x, y, c)
     direct = c.flags.c_contiguous
     rows = c.reshape(n, t.outputs) if direct else np.empty((n, t.outputs), c.dtype)
     x, y = x.reshape(n, t.x_size), y.reshape(n, t.y_size)

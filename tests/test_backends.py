@@ -124,6 +124,19 @@ def test_outs_checks_every_destination_before_writing(kind, rng, precision, debu
 
 
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_outs_must_be_a_list_or_tuple_of_four(kind, rng, precision):
+    backend = get_backend(kind)
+    a4, b, outs = _mat_4vec(rng, precision)
+    for bad in (5, iter(outs), (o for o in outs), np.zeros((4,) + b.shape, b.dtype)):
+        with pytest.raises(ValueError, match="list or tuple of four"):
+            backend.apply("mult_adj_su3_mat_4vec", a4, b, outs=bad)
+    assert not any(o.any() for o in outs)
+    ret = backend.apply("mult_adj_su3_mat_4vec", a4, b, outs=tuple(outs))
+    assert all(r is o for r, o in zip(ret, outs))
+    assert np.stack(outs).tobytes() == backend.apply("mult_adj_su3_mat_4vec", a4, b).tobytes()
+
+
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
 def test_outs_rejected_with_out_and_on_other_routines(kind, rng, precision):
     backend = get_backend(kind)
     a4, b, outs = _mat_4vec(rng, precision)

@@ -1,5 +1,7 @@
+import inspect
 import subprocess
 import sys
+import traceback
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from su3bench import flop_count, get_backend, scalar, types
+from su3bench import flop_count, get_backend, scalar, simd, types
 from tutil import adjoint, max_ulp, random_unitary, rel_norm_err, run_kernel
 
 ALL = types.ROUTINE_NAMES
@@ -162,6 +164,41 @@ def test_import_and_flop_table_build_no_program():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0"]
+
+
+def test_import_and_flop_table_build_no_vector_program():
+    # The vector tables' programs are as lazy as the scalar ones.
+    code = "import su3bench; su3bench.flop_table(); print(su3bench.simd._program.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
+@pytest.mark.parametrize("build", [lambda: scalar._program("mult_su3_nn"), lambda: simd._program(simd.TABLES["mult_su3_nn"])])
+def test_program_source_is_shown(build, rng):
+    # The generated source is registered under the program's filename, so
+    # inspect and tracebacks read the emitted lines.
+    program = build()
+    filename = program.__code__.co_filename
+    assert filename == f"<{program.__name__} trace>"
+    assert inspect.getsource(program).startswith(f"def {program.__name__}(")
+    a, b = types.random_operands("mult_su3_nn", rng)
+    with pytest.raises(AttributeError) as raised:
+        program(a, b, None)
+    frame = traceback.extract_tb(raised.value.__traceback__)[-1]
+    assert frame.filename == filename and frame.line.endswith(".flat = (")
+
+
+def test_compiler_names_a_step_result_used_twice():
+    # No kernel's trace reuses a step result; inlining one would repeat its operation.
+    steps = (("t0", "a", "*", "b"), ("t1", "t0", "+", "t0"), ("t2", "t1", "-", "a"))
+    trace = scalar._Trace((("a", "b"),), steps, ("t2", "t0"))
+    program = scalar._compile(trace, "reuse", ["x", "out"], ["x.ravel().tolist()"], "out", {})
+    source = inspect.getsource(program)
+    assert "t0 = (a * b)" in source and "((t0 + t0) - a)," in source
+    out = np.empty(2)
+    assert program(np.array([3.0, 5.0]), out) is out
+    assert out.tolist() == [27.0, 15.0]
 
 
 @pytest.mark.parametrize("routine", ALL)

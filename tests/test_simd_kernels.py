@@ -62,6 +62,25 @@ def test_special_values_agree_across_backends_at_one_site(routine, precision):
 
 
 @pytest.mark.parametrize("routine", ALL)
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+@np.errstate(invalid="ignore", over="ignore")
+def test_single_site_program_agrees_with_the_general_path(kind, routine, precision):
+    # apply at one site runs a compiled program (every scalar routine, the
+    # vector tables in double). The general path stays reachable through a
+    # batch: the vector executor over two sites, the scalar body over one.
+    backend = get_backend(kind)
+    sites = 2 if kind == "vector" else 1
+    rng = np.random.default_rng([26, ALL.index(routine)])
+    random_sets = [types.random_operands(routine, rng, precision) for _ in range(50)]
+    for ops in random_sets + list(_special_sets(routine, rng, precision, 200)):
+        got = _apply(backend, routine, ops)
+        want = backend.batch_apply(routine, [np.stack([op] * sites) for op in ops])[0]
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("routine", ALL)
 @pytest.mark.parametrize("count", [0, 1, 5, 64])
 def test_batch_apply_equals_singles(routine, precision, count):
     rng = np.random.default_rng([21, ALL.index(routine), count])
@@ -332,6 +351,22 @@ def test_lane_ops_derived_from_the_table(routine):
     assert lanes.packed_mults == steps * k // 2
     assert lanes.packed_adds == (steps - 1) * k // 2 + n // 2
     assert lanes.swaps == lanes.negates == n // 2
+
+
+@pytest.mark.parametrize("routine", TABLE_KERNELS)
+def test_lane_ops_tally_the_table_trace(routine):
+    # One site's program performs every packed operation once per lane:
+    # products of two operand components, adds, and multiplies by a +-1 sign.
+    trace = simd._table_trace(simd.TABLES[routine])
+    components = {name for names in trace.operands for name in names}
+    mults = [right for _, _, op, right in trace.steps if op == "*"]
+    signs = [float(right) for right in mults if right not in components]
+    adds = [op for _, _, op, _ in trace.steps if op == "+"]
+    lanes = simd.lane_op_count(routine)
+    assert len(mults) + len(adds) == len(trace.steps)
+    assert len(mults) - len(signs) == 2 * lanes.packed_mults
+    assert len(adds) == 2 * lanes.packed_adds
+    assert len(signs) == 2 * lanes.negates and set(signs) <= {1.0, -1.0}
 
 
 def test_capability_report():
