@@ -1,7 +1,7 @@
 """su3 complex linear-algebra kernels with scalar and packed-lane backends,
 a benchmark harness, and an analytical speedup model."""
 from .backends import BACKEND_NAMES, Backend, debug_validation, get_backend
-from .flops import CountingScalar, flop_count, flop_table
+from .flops import flop_count, flop_table
 from .lattice import DIRECTIONS, AlignedBuffer, Lattice4D, SiteBuffer
 from .perfmodel import (
     InstructionMix,
@@ -35,7 +35,6 @@ __all__ = [
     "AlignedBuffer",
     "BACKEND_NAMES",
     "Backend",
-    "CountingScalar",
     "DIRECTIONS",
     "EquivalenceReport",
     "EquivalenceRow",

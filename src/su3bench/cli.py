@@ -28,6 +28,8 @@ def _routine_list(value: str) -> list[str]:
     if value == "all":
         return list(ROUTINE_NAMES)
     names = [v.strip() for v in value.split(",") if v.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"expected at least one routine name or 'all', got {value!r}")
     unknown = [n for n in names if n not in ROUTINE_NAMES]
     if unknown:
         raise argparse.ArgumentTypeError(f"unknown routine(s): {', '.join(unknown)}")
@@ -46,9 +48,12 @@ def _dims(value: str) -> tuple[int, ...]:
 
 def _float_list(value: str) -> list[float]:
     try:
-        return [float(v) for v in value.split(",") if v.strip()]
+        numbers = [float(v) for v in value.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {value!r}")
+    if not numbers:
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {value!r}")
+    return numbers
 
 
 def _add_common(p: argparse.ArgumentParser, seed: int = 12345) -> None:

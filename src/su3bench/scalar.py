@@ -13,7 +13,7 @@ count. What a component is follows from the operand:
 - a single float32 object gives numpy float32 scalars. Python has no binary32
   type, and Python floats would round every operation to binary64 instead;
 - a site-last batch view gives one row view over all sites per component;
-- an object array (the op counter's CountingScalar) gives its elements.
+- an object array (the tracer's symbols) gives its elements.
 
 A single float object does not run the body as written. On a routine's
 first such call, its kernel runs the body once on symbolic reals (``_Sym``),
@@ -34,21 +34,22 @@ value), so a body change cannot compile to a different program. The vector
 backend compiles its gather tables' single-site traces with the same
 ``_compile`` (``simd._program``).
 
-Programs are built lazily and cached per routine: importing this module or
-counting operations (``flops``, which runs the bodies on object arrays)
-builds none. Building all fifteen takes ~22 ms, most of it compiling (the
-traces alone take ~4 ms); at import that would add a tenth to the
-benchmark's ~0.19 s set-up time. Object arrays (the op counter's
-CountingScalar, the tracer's symbols) and site-last batch views run the
-bodies, so the bodies stay the one source of every kernel's arithmetic. The
-switch lives in the kernel functions (``_traced``), so ``backends.Backend``
-and direct calls run the same code.
+The trace is also the one record of what a kernel computes: ``flops``
+counts its steps, so operation counts describe the code that runs. Traces
+are cached per routine and shared by ``_program`` and the counts. Programs
+are built lazily and cached per routine: importing this module or counting
+operations (which reads only the trace) builds none. Building all fifteen
+takes ~22 ms, most of it compiling (the traces alone take ~4 ms); at import
+that would add a tenth to the benchmark's ~0.19 s set-up time. Object arrays
+(the tracer's symbols) and site-last batch views run the bodies, so the
+bodies stay the one source of every kernel's arithmetic. The switch lives in
+the kernel functions (``_traced``), so ``backends.Backend`` and direct calls
+run the same code.
 
 The real factor of ``scalar_mult_add_*`` is converted once to the operands'
 dtype, as in the vector backend. Operands of one kernel call share one
 dtype; ``backends.Backend`` rejects a mix. This backend is the correctness
-reference and the substrate for operation counting: any object supporting
-``*``, ``+``, ``-`` can flow through it.
+reference, and any object supporting ``*``, ``+``, ``-`` can flow through it.
 
 That includes whole arrays of sites. A kernel also accepts operands that
 share extra trailing axes after the per-object shape (the batch form). The
@@ -66,11 +67,10 @@ The gather indices come from applying the same selections (``_rows``,
 ``_columns``, ...) to component indices, so each group multiplies the
 components the single-object form does, in the same order. Elementwise
 operations round each site exactly as the scalar ones do, so the batch
-result is bitwise equal to calling the kernel site by site, and an object
-array of counting scalars tallies n times one call's operations. Single
-objects never take this form: the choice is made once per contraction, where
-the operands are unpacked. Scalar bench rows with ``batch_sites > 1`` time
-this site-parallel path.
+result is bitwise equal to calling the kernel site by site, and n sites
+perform n times one call's operations. Single objects never take this form:
+the choice is made once per contraction, where the operands are unpacked.
+Scalar bench rows with ``batch_sites > 1`` time this site-parallel path.
 
 The module holds only the kernels' arithmetic: ``kernel(*operands, out)``
 writes every component of ``out`` and returns it (the in-place
@@ -331,8 +331,10 @@ class _Trace(NamedTuple):
     results: tuple[str, ...]  # what was stored in each result component, in index order
 
 
+@cache
 def _trace(routine: str) -> _Trace:
-    """Run the routine's body once on symbolic reals and record every step."""
+    """Run the routine's body once on symbolic reals and record every step;
+    cached, as ``_program`` and ``flops`` read the same record."""
     spec = ROUTINES[routine]
     tape: list = []
     operands, names = [], []

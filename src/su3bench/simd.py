@@ -59,7 +59,8 @@ the kernels as they are. A kernel is ``kernel(*operands, out) -> out`` (the
 in-place ``sub_four_su3_vecs`` takes no ``out``) and checks nothing:
 ``Backend.apply`` and ``Backend.batch_apply`` are the checked entry points,
 and they allocate or check ``out``. The module holds only the kernels'
-arithmetic, the lane counts per precision and the lane tallies.
+arithmetic, the lane counts per precision and the derived lane tallies
+(``lane_op_count``).
 """
 from __future__ import annotations
 
@@ -70,6 +71,7 @@ from functools import cache
 
 import numpy as np
 
+from .flops import flop_count
 from .scalar import _compile, _Trace
 from .types import PRECISIONS, routine_spec
 
@@ -309,8 +311,9 @@ def sub_four_su3_vecs(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndar
 class LaneOpCount:
     """Packed-lane operation tally for one kernel invocation.
 
-    broadcasts: scalar components broadcast across a lane pair (matrix
-    elements, or the conjugated operand's components, or the real factor s).
+    broadcasts: distinct scalar components broadcast across a lane pair
+    (matrix elements, or the conjugated operand's components, or the real
+    factor s), each counted once however many outputs share it.
     packed_mults / packed_adds: two-lane multiplies and add-class ops,
     including the final combine add; each stands for two real operations.
     swaps: lane swaps feeding the combine. negates: the packed sign flip
@@ -325,29 +328,24 @@ class LaneOpCount:
     negates: int
 
 
-LANE_OPS: dict[str, LaneOpCount] = {
-    "add_su3_vector": LaneOpCount(0, 0, 3, 0, 0),
-    "mult_adj_su3_mat_hwvec": LaneOpCount(36, 36, 30, 6, 6),
-    "mult_adj_su3_mat_vec": LaneOpCount(18, 18, 15, 3, 3),
-    "mult_adj_su3_mat_vec_4dir": LaneOpCount(72, 72, 60, 12, 12),
-    "mult_adj_su3_mat_4vec": LaneOpCount(72, 72, 60, 12, 12),
-    "mult_su3_an": LaneOpCount(18, 54, 45, 9, 9),
-    "mult_su3_mat_hwvec": LaneOpCount(36, 36, 30, 6, 6),
-    "mult_su3_na": LaneOpCount(18, 54, 45, 9, 9),
-    "mult_su3_nn": LaneOpCount(18, 54, 45, 9, 9),
-    "mult_su3_mat_vec": LaneOpCount(18, 18, 15, 3, 3),
-    "mult_su3_mat_vec_sum_4dir": LaneOpCount(72, 72, 69, 3, 3),
-    "scalar_mult_add_su3_matrix": LaneOpCount(1, 9, 9, 0, 0),
-    "scalar_mult_add_su3_vector": LaneOpCount(1, 3, 3, 0, 0),
-    "su3_projector": LaneOpCount(6, 18, 9, 9, 9),
-    "sub_four_su3_vecs": LaneOpCount(0, 0, 12, 0, 0),
-}
-
-
+@cache
 def lane_op_count(routine: str) -> LaneOpCount:
-    """Static packed-lane operation tally for one kernel invocation."""
-    routine_spec(routine)
-    return LANE_OPS[routine]
+    """Packed-lane operation tally for one kernel invocation, derived from
+    what the kernel runs.
+
+    A table kernel's come off its gather table: one packed multiply per two
+    gathered products, the adds over the steps plus one combining add per
+    output entry, which also takes one swap and one sign flip. An
+    elementwise kernel packs its reference trace's operations in pairs and
+    broadcasts only its real factor.
+    """
+    spec = routine_spec(routine)
+    t = TABLES.get(routine)
+    if t is None:
+        real = flop_count(routine)
+        return LaneOpCount(spec.operands.count("scalar"), real.real_mults // 2, real.real_adds // 2, 0, 0)
+    entries = t.outputs // 2
+    return LaneOpCount(np.unique(t.ia).size, t.ia.size // 2, (t.steps - 1) * t.outputs + entries, entries, entries)
 
 
 def capability() -> dict:

@@ -36,7 +36,8 @@ OPERAND_SHAPES = {
 
 @dataclass(frozen=True)
 class FlopCount:
-    """Real floating-point operation tally for one kernel invocation.
+    """Real floating-point operation tally for one kernel invocation, read
+    off the scalar reference's trace (``flops.flop_count``).
 
     Subtractions count as adds. Lane-level data movement is tallied in the
     vector backend's LaneOpCount.

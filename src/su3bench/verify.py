@@ -163,9 +163,11 @@ def check_all(
     reference: str = "scalar",
     inject_fault: bool = False,
 ) -> EquivalenceReport:
-    """Sweep a set of routines (default: all fifteen) over both precisions."""
+    """Sweep a set of routines (None: all fifteen) over both precisions."""
     _check_sweep(trials, tolerance_ulps)
-    names = list(routines) if routines else list(ROUTINE_NAMES)
+    names = list(ROUTINE_NAMES) if routines is None else list(routines)
+    if not names:
+        raise ValueError("no routines to check: pass None for all fifteen")
     for name in names:
         routine_spec(name)
     t0 = time.perf_counter()

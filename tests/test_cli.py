@@ -96,6 +96,39 @@ def test_flops_lane_ops_table():
     assert proc.stdout.splitlines()[1] == "mult_su3_mat_vec,18,18,15,3,3"
 
 
+# Every tally is derived, not transcribed: a table kernel's from its gather
+# table (simd.lane_op_count), an elementwise kernel's from its traced real
+# operations, paired. A broadcast component is counted once, however many
+# outputs share it: mult_su3_nn's row operand supplies each of its 18
+# components to all three output columns, and the half-Wilson kernels' matrix
+# supplies each of its 18 to both halves in the same way, so all three show
+# 18 broadcasts.
+LANE_OPS_CSV = """\
+routine,broadcasts,packed_mults,packed_adds,swaps,negates
+add_su3_vector,0,0,3,0,0
+mult_adj_su3_mat_hwvec,18,36,30,6,6
+mult_adj_su3_mat_vec,18,18,15,3,3
+mult_adj_su3_mat_vec_4dir,72,72,60,12,12
+mult_adj_su3_mat_4vec,72,72,60,12,12
+mult_su3_an,18,54,45,9,9
+mult_su3_mat_hwvec,18,36,30,6,6
+mult_su3_na,18,54,45,9,9
+mult_su3_nn,18,54,45,9,9
+mult_su3_mat_vec,18,18,15,3,3
+mult_su3_mat_vec_sum_4dir,72,72,69,3,3
+scalar_mult_add_su3_matrix,1,9,9,0,0
+scalar_mult_add_su3_vector,1,3,3,0,0
+su3_projector,6,18,9,9,9
+sub_four_su3_vecs,0,0,12,0,0
+"""
+
+
+def test_flops_lane_ops_all_routines():
+    proc = run_cli("flops", "--lane-ops", "--routines", "all", "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == LANE_OPS_CSV.splitlines()
+
+
 def test_bench_csv_contract():
     proc = run_cli(
         "bench", "--routine", "mult_su3_mat_vec", "--reps", "3",
@@ -168,6 +201,24 @@ def test_bad_numeric_input_exits_2(args, named):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert "su3bench: error:" in proc.stderr and named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--routines", ""),
+    ("verify", "--routines", ","),
+    ("flops", "--routines", ""),
+    ("bench", "--routine", " , "),
+    ("lattice-bench", "--routine", ""),
+    ("model", "--scenario", "serial.scenario", "--sweep", ""),
+    ("model", "--scenario", "serial.scenario", "--sweep", ","),
+])
+def test_empty_list_is_usage_error(args):
+    # An empty list is not "all": it exits 2 before any work or file read.
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "error: argument --" in proc.stderr and "expected at least one" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from su3bench import flops, get_backend, scalar, types
-from tutil import run_kernel
+from tutil import Tallied, run_kernel
 
 # Hand-derived from the complex arithmetic: a 3-term complex dot costs
 # 12 mults and 10 adds (4 mults and 2 combines per term pair, summed
@@ -41,8 +43,8 @@ def test_mat_vec_headline_numbers():
 
 
 def test_counts_come_from_instrumentation_not_a_table():
-    # The counter runs the scalar kernel on counting scalars, so a repeat
-    # call must agree with itself and the cache.
+    # The counts are read off the kernel's cached trace, so a repeat call
+    # must agree with itself and the cache.
     first = flops.flop_count("mult_su3_nn")
     second = flops.flop_count("mult_su3_nn")
     assert first == second
@@ -66,26 +68,15 @@ def test_flop_table_covers_registry():
     assert all(isinstance(fc, types.FlopCount) for fc in table.values())
 
 
-def test_counting_scalar_arithmetic():
-    a = flops.CountingScalar(2.0)
-    b = flops.CountingScalar(3.0)
-    assert (a * b).v == 6.0
-    assert (a + b).v == 5.0
-    assert (a - b).v == -1.0
-    assert (-a).v == -2.0
-    assert (1.5 * a).v == 3.0
-    assert (1.0 + a).v == 3.0
-
-
-def _counting_stack(kind, rng, n):
-    """n CountingScalar objects of `kind` on a leading batch axis."""
+def _counting_stack(kind, rng, n, tally):
+    """n operands of `kind` made of Tallied reals, on a leading batch axis."""
     arr = np.empty((n,) + types.OPERAND_SHAPES[kind], dtype=object)
-    arr.reshape(-1)[:] = [flops.CountingScalar(v) for v in rng.uniform(-1.0, 1.0, arr.size)]
+    arr.reshape(-1)[:] = [Tallied(v, tally) for v in rng.uniform(-1.0, 1.0, arr.size)]
     return arr
 
 
 def _values(arr):
-    return [float(x) for x in arr.reshape(-1)]
+    return [x.v for x in arr.reshape(-1)]
 
 
 @pytest.mark.parametrize("routine", types.ROUTINE_NAMES)
@@ -98,15 +89,16 @@ def test_batch_form_does_the_reference_arithmetic(routine):
     fc = flops.flop_count(routine)
     n = scalar._BLOCK + 3
     rng = np.random.default_rng([41, types.ROUTINE_NAMES.index(routine)])
-    ops = [_counting_stack(kind, rng, n) for kind in spec.operands]
+    tally = Counter()
+    ops = [_counting_stack(kind, rng, n, tally) for kind in spec.operands]
     want = [run_kernel(kernel, ops[0][s].copy(), *(op[s] for op in ops[1:])) for s in range(n)]
     views = [op.transpose(*range(1, op.ndim), 0) for op in ops]
-    flops._counts.update(mults=0, adds=0)
+    tally.clear()
     if spec.in_place:
         kernel(*views)
         got = ops[0]
     else:
         got = np.empty((n,) + types.OPERAND_SHAPES[spec.result], dtype=object)
         kernel(*views, out=got.transpose(*range(1, got.ndim), 0))
-    assert flops._counts == {"mults": n * fc.real_mults, "adds": n * fc.real_adds}
+    assert (tally["*"], tally["+"] + tally["-"]) == (n * fc.real_mults, n * fc.real_adds)
     assert [_values(site) for site in got] == [_values(site) for site in want]

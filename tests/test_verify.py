@@ -23,6 +23,16 @@ def test_sweep_rejects_bad_arguments_before_running(kwargs, monkeypatch):
         verify.check_all(routines=["mult_su3_mat_vec"], **kwargs)
 
 
+def test_check_all_rejects_an_empty_routine_list(monkeypatch):
+    # Only routines=None means all fifteen.
+    def must_not_run(*args, **kw):
+        raise AssertionError("check_all ran a routine for an empty routine list")
+
+    monkeypatch.setattr(verify, "check_routine", must_not_run)
+    with pytest.raises(ValueError, match="no routines"):
+        verify.check_all(routines=[])
+
+
 def test_zero_trials_and_zero_tolerance_are_accepted():
     row = verify.check_routine("mult_su3_mat_vec", trials=0, tolerance_ulps=0.0)
     assert row.passed and row.trials == 0

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from su3bench import types, verify
@@ -72,3 +74,28 @@ def max_ulp(candidate: np.ndarray, reference: np.ndarray) -> float:
 def rel_norm_err(candidate: np.ndarray, reference: np.ndarray) -> float:
     denom = float(np.linalg.norm(reference.ravel()))
     return float(np.linalg.norm((candidate - reference).ravel())) / max(denom, 1e-300)
+
+
+class Tallied:
+    """A real whose ``*``, ``+`` and ``-`` with another Tallied each add one
+    to a shared Counter under the operator, to count what kernel bodies do
+    on object arrays."""
+
+    __slots__ = ("v", "tally")
+
+    def __init__(self, v: float, tally: Counter) -> None:
+        self.v = v
+        self.tally = tally
+
+    def _op(self, op: str, v: float) -> "Tallied":
+        self.tally[op] += 1
+        return Tallied(v, self.tally)
+
+    def __mul__(self, other):
+        return self._op("*", self.v * other.v)
+
+    def __add__(self, other):
+        return self._op("+", self.v + other.v)
+
+    def __sub__(self, other):
+        return self._op("-", self.v - other.v)
