@@ -1,10 +1,8 @@
 """The one dispatch path for both kernel backends, and its argument checks.
 
 A backend is a kernel module, whose functions are named after the routines
-in ``types.ROUTINE_NAMES``, plus one fact: where its kernels want the batch
-axis of stacked operands. The scalar bodies run site-parallel on site-last
-views (the batch axis moved last, ``op.transpose(1, ..., 0)``); the vector
-kernels take the stacked operands as they are.
+in ``types.ROUTINE_NAMES``. Both modules' kernels take stacked operands as
+they are, the batch axes in front of the per-object shape.
 
 ``Backend.apply`` and ``Backend.batch_apply`` are the checked entry points:
 they check the operand count, every operand's shape and dtype, and the
@@ -71,8 +69,9 @@ def _check(plan: _Plan, operands, out: np.ndarray | None, batch: tuple[int, ...]
     per-object shape, `out` for the in-place routine, operands of neither
     precision, and operands of mixed precision.
 
-    A real factor is a number, or one per set; the kernels convert it to the
-    operands' dtype. A caller's result array is checked by ``_result``.
+    A real factor is a real number (bool, integer or float, as numpy reads
+    it), or one per set; the kernels convert it to the operands' dtype. A
+    caller's result array is checked by ``_result``.
     """
     name = plan.spec.name
     if len(operands) != plan.count:
@@ -92,8 +91,11 @@ def _check(plan: _Plan, operands, out: np.ndarray | None, batch: tuple[int, ...]
     except AttributeError:
         raise ValueError(f"{name}: array operands must be numpy arrays") from None
     for i in plan.factors:
-        if np.ndim(operands[i]) and np.shape(operands[i]) != batch:
-            raise ValueError(f"{name}: real factor has shape {np.shape(operands[i])}, expected () or {batch}")
+        factor = np.asarray(operands[i])
+        if factor.dtype.kind not in "biuf":
+            raise ValueError(f"{name}: real factor has dtype {factor.dtype}; expected a real number")
+        if factor.ndim and factor.shape != batch:
+            raise ValueError(f"{name}: real factor has shape {factor.shape}, expected () or {batch}")
 
 
 def _result(plan: _Plan, operands, out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
@@ -116,17 +118,11 @@ def _result(plan: _Plan, operands, out: np.ndarray | None, shape: tuple[int, ...
     return out
 
 
-def _site_last(x: np.ndarray) -> np.ndarray:
-    """A view of x with its leading (batch) axis moved last."""
-    return x.transpose(*range(1, x.ndim), 0)
-
-
 class Backend:
     """Name -> kernel dispatch over one kernel module."""
 
-    def __init__(self, kind: str, module: ModuleType, site_last: bool) -> None:
+    def __init__(self, kind: str, module: ModuleType) -> None:
         self.kind = kind
-        self.site_last = site_last
         self.kernels = MappingProxyType({name: getattr(module, name) for name in ROUTINE_NAMES})
         self._plans = {name: _plan_for(spec, self.kernels[name]) for name, spec in ROUTINES.items()}
 
@@ -164,13 +160,9 @@ class Backend:
         plan = self._plan(routine)
         n = batch_count(plan.spec, operands, count)
         _check(plan, operands, out, (n,))
-        views = [_site_last(op) if np.ndim(op) else op for op in operands] if self.site_last else operands
         if plan.spec.in_place:
-            plan.kernel(*views)
-            return operands[0]
-        out = _result(plan, operands, out, (n,) + plan.result)
-        plan.kernel(*views, out=_site_last(out) if self.site_last else out)
-        return out
+            return plan.kernel(*operands)
+        return plan.kernel(*operands, out=_result(plan, operands, out, (n,) + plan.result))
 
 
 def _four_destinations(plan: _Plan, operands, out, outs) -> tuple:
@@ -191,8 +183,8 @@ def _four_destinations(plan: _Plan, operands, out, outs) -> tuple:
 
 
 _BACKENDS = {
-    "scalar": Backend("scalar", scalar, site_last=True),
-    "vector": Backend("vector", simd, site_last=False),
+    "scalar": Backend("scalar", scalar),
+    "vector": Backend("vector", simd),
 }
 
 BACKEND_NAMES = tuple(_BACKENDS)

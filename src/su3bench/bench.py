@@ -209,8 +209,9 @@ def _timed_region(call, repetitions: int, min_region_s: float) -> tuple[int, flo
         elapsed = time.perf_counter() - t0
         if elapsed >= min_region_s or reps >= _REPS_CAP:
             return reps, elapsed
-        grown = int(reps * min_region_s / max(elapsed, 1e-9) * 1.25) + 1
-        reps = min(max(2 * reps, grown), _REPS_CAP)
+        # In float, clamped before int(): a huge min_region_s grows it to inf.
+        grown = reps * min_region_s / max(elapsed, 1e-9) * 1.25 + 1
+        reps = int(min(max(2 * reps, grown), _REPS_CAP))
 
 
 def _measure(config: BenchConfig, setup, sites_per_call: int) -> TimingRecord:

@@ -1,76 +1,60 @@
 """Scalar reference implementations of the fifteen su3 kernels.
 
 Every kernel is straight-line real arithmetic on (re, im) pairs in the
-arrays' own precision. A kernel unpacks each operand once, into its
-components in memory order (``_parts``), works on those with the same
-operands, order and association as a read-at-every-use form, and writes its
-result with one store; so unpacking changes no rounding and no operation
-count. What a component is follows from the operand:
-
-- a single float64 object gives Python floats. A Python float is an IEEE
-  binary64, so every ``*``, ``+`` and ``-`` rounds exactly as on np.float64,
-  at a fraction of a numpy scalar operation's cost;
-- a single float32 object gives numpy float32 scalars. Python has no binary32
-  type, and Python floats would round every operation to binary64 instead;
-- a site-last batch view gives one row view over all sites per component;
-- an object array (the tracer's symbols) gives its elements.
-
-A single float object does not run the body as written. On a routine's
-first such call, its kernel runs the body once on symbolic reals (``_Sym``),
-which records every ``*``, ``+`` and ``-`` as one step, in the order
-performed (``_trace``), and compiles the record (``_compile``) into one
-straight-line function (``_program``): unpack each operand once with
-``_parts`` (the real factor with ``_factor``), evaluate each result
-component as one expression, and store the result once through ``flat``,
-which writes index order whatever the result's strides. A step result used
-once is written in parentheses where it is used, so every operation keeps
-the body's operands and association and the result is bitwise the body's;
-one used more than once is assigned to a name once. What the program
-drops is the interpreter work around the arithmetic: the selections, list
-building and tuple unpacking of the bodies, a store through an intermediate
-array, and a named temporary per operation. The tracer raises TypeError on
+arrays' own precision. The bodies below are the one source of that
+arithmetic, and each runs once: on a routine's first call, its body runs on
+symbolic reals (``_Sym``), which record every ``*``, ``+`` and ``-`` as one
+step, in the order performed (``_trace``). The tracer raises TypeError on
 anything it cannot emit (a constant operand, unary minus, a branch on a
-value), so a body change cannot compile to a different program. The vector
-backend compiles its gather tables' single-site traces with the same
-``_compile`` (``simd._program``).
+value), so a body change cannot compile to a different program. Every call
+runs code compiled from that record, in one of two forms, chosen by the
+first operand's rank (``_traced``), so ``backends.Backend`` and direct calls
+run the same code:
 
-The trace is also the one record of what a kernel computes: ``flops``
-counts its steps, so operation counts describe the code that runs. Traces
-are cached per routine and shared by ``_program`` and the counts. Programs
-are built lazily and cached per routine: importing this module or counting
-operations (which reads only the trace) builds none. Building all fifteen
-takes ~22 ms, most of it compiling (the traces alone take ~4 ms); at import
-that would add a tenth to the benchmark's ~0.19 s set-up time. Object arrays
-(the tracer's symbols) and site-last batch views run the bodies, so the
-bodies stay the one source of every kernel's arithmetic. The switch lives in
-the kernel functions (``_traced``), so ``backends.Backend`` and direct calls
-run the same code.
+- **One object** (``_program``): one straight-line function (``_compile``)
+  that unpacks each operand once with ``_parts`` (the real factor with
+  ``_factor``), evaluates each result component as one expression, and
+  stores the result once through ``flat``, which writes index order whatever
+  the result's strides. A step result used once is written in parentheses
+  where it is used, so every operation keeps the body's operands and
+  association; one used more than once is assigned to a name once. A
+  component is a Python float for a float64 object: a Python float is an
+  IEEE binary64, so every operation rounds exactly as on np.float64, at a
+  fraction of a numpy scalar operation's cost. It is a numpy float32 scalar
+  for a float32 object (Python has no binary32 type, and Python floats would
+  round every operation to binary64), and the element itself for an object
+  array.
+- **Stacked objects** (``_batch_program``): operands that share leading
+  batch axes before the per-object shape. Result components whose
+  expressions have one shape (the same operations, each leaf drawn from the
+  same operand) form a group: ``mult_su3_nn``'s nine real parts are one,
+  its nine imaginary parts another. Per block of ``_BLOCK`` sites, one
+  ``take`` per operand gathers the leaves of every group into rows over the
+  block's sites, and each group's expression, in ``_compile``'s
+  parenthesised form, runs once as elementwise numpy operations over
+  (members, sites) into the group's result rows. Elementwise operations
+  round each site exactly as the scalar ones do, so the result is bitwise
+  equal to calling the kernel site by site, and n sites perform n times one
+  call's operations (no kernel's trace uses a step result twice). Operands
+  are read in place through ``x.reshape(sites, components).T``; a result,
+  or an in-place first operand, that is not C-contiguous is computed into a
+  temporary and copied in. Scalar bench rows with ``batch_sites > 1`` time
+  this form.
+
+The vector backend compiles its gather tables' single-site traces with the
+same ``_compile`` (``simd._program``). The trace is also the one record of
+what a kernel computes: ``flops`` counts its steps, so operation counts
+describe the code that runs. Traces are cached per routine and shared by
+both programs and the counts. Programs are built lazily and cached per
+routine: importing this module or counting operations (which reads only the
+trace) builds none. Building all fifteen single-object programs takes ~22
+ms, most of it compiling (the traces alone take ~4 ms); at import that
+would add a tenth to the benchmark's ~0.19 s set-up time.
 
 The real factor of ``scalar_mult_add_*`` is converted once to the operands'
 dtype, as in the vector backend. Operands of one kernel call share one
 dtype; ``backends.Backend`` rejects a mix. This backend is the correctness
 reference, and any object supporting ``*``, ``+``, ``-`` can flow through it.
-
-That includes whole arrays of sites. A kernel also accepts operands that
-share extra trailing axes after the per-object shape (the batch form). The
-scalar backend's ``batch_apply`` (``backends.Backend``) uses this: it
-evaluates these bodies site-parallel on site-last views of the stacked
-operands (the batch axis moved last), so every expression becomes one
-elementwise numpy operation over all sites. The contraction bodies
-(``_contract``, ``_direction_sums``, ``_outer``) go further: their output
-entries are independent (vec, row) groups, so the batch form gathers every
-group's components into one array per operand, with one ``take`` each, and
-runs the body once over all groups, in blocks of ``_BLOCK`` sites
-(``_grouped``), writing each block's result straight into ``out``.
-``mult_su3_nn`` then makes 22 elementwise calls per block instead of 198.
-The gather indices come from applying the same selections (``_rows``,
-``_columns``, ...) to component indices, so each group multiplies the
-components the single-object form does, in the same order. Elementwise
-operations round each site exactly as the scalar ones do, so the batch
-result is bitwise equal to calling the kernel site by site, and n sites
-perform n times one call's operations. Single objects never take this form:
-the choice is made once per contraction, where the operands are unpacked.
-Scalar bench rows with ``batch_sites > 1`` time this site-parallel path.
 
 The module holds only the kernels' arithmetic: ``kernel(*operands, out)``
 writes every component of ``out`` and returns it (the in-place
@@ -107,15 +91,13 @@ import numpy as np
 from .types import OPERAND_SHAPES, ROUTINES
 
 
-def _parts(x, depth: int):
-    """The components of x's leading `depth` axes in memory order, from one read of x.
-
-    Python floats for a single float64 object, else one entry per component
-    (see the module docstring).
-    """
-    if x.ndim == depth and x.dtype == np.float64:
+def _parts(x):
+    """The components of the single object x in memory order, from one read
+    of x: Python floats for float64, else its elements (see the module
+    docstring)."""
+    if x.dtype == np.float64:
         return x.ravel().tolist()
-    return tuple(x.reshape((math.prod(x.shape[:depth]),) + x.shape[depth:]))
+    return tuple(x.ravel())
 
 
 def _rows(p) -> list:
@@ -131,9 +113,6 @@ _transpose = itemgetter(*_T)
 _transpose4 = itemgetter(*(18 * d + k for d in range(4) for k in _T))
 
 
-# Selections: what a body's rows or vecs are, as a function of an operand's
-# components. The single-object form applies them to the components, the
-# batch form to component indices (``_group_index``).
 def _columns(p) -> list:
     """A matrix's columns (the rows of its transpose)."""
     return _rows(_transpose(p))
@@ -142,11 +121,6 @@ def _columns(p) -> list:
 def _columns4(p) -> list:
     """The columns of each of four stacked matrices, direction-major."""
     return _rows(_transpose4(p))
-
-
-def _whole(p) -> tuple:
-    """p as the one vec of a body."""
-    return (p,)
 
 
 def _pairs(p) -> list:
@@ -158,11 +132,6 @@ def _direction_terms(p) -> list:
     """For each i, the (re, im) pairs of a4[d][j][i] in (d, j) order, each
     an iterator read once."""
     return [zip(p[2 * i::6], p[2 * i + 1::6]) for i in range(3)]
-
-
-def _all_pairs(p) -> tuple:
-    """b4[d][j] in (d, j) order, as the one vec of a body."""
-    return (_pairs(p),)
 
 
 def _contract(rows, vecs, adj: bool) -> list:
@@ -217,59 +186,6 @@ def _outer(rows, vecs) -> list:
     return values
 
 
-# Sites per pass of the batch form. The widest bodies gather 144 components
-# per site (72 per operand), 576 KiB per block in double precision, so a
-# block and its temporaries stay in a 2 MiB L2 cache; on 65536-site fields
-# the four-direction kernels ran slower with 1024-site blocks than with 512.
-_BLOCK = 512
-
-
-@cache
-def _group_index(rows_of, row_components: int, vecs_of, vec_components: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather indices that stack a body's (vec, row) groups, v-major, on a
-    new axis after their per-group structure.
-
-    They come from applying the selections to component indices, so the
-    batch form multiplies exactly the components the single-object form does.
-    """
-    rows = [list(row) for row in rows_of(range(row_components))]
-    vecs = [list(vec) for vec in vecs_of(range(vec_components))]
-    row_index = np.array([row for _ in vecs for row in rows])
-    vec_index = np.array([vec for vec in vecs for _ in rows])
-    index = tuple(np.ascontiguousarray(np.moveaxis(ix, 0, -1)) for ix in (row_index, vec_index))
-    for ix in index:
-        ix.flags.writeable = False
-    return index
-
-
-def _grouped(c: np.ndarray, body, rows_of, x: np.ndarray, x_depth: int, vecs_of, y: np.ndarray, y_depth: int, *args) -> np.ndarray:
-    """Write body(rows_of(x's components), vecs_of(y's components), *args),
-    the body's (re, im) result pair for each (vec, row) group, v-major,
-    into c, whose components in index order are those pairs; return c.
-
-    A single object runs exactly that. Site-last batch operands (x, y and c
-    sharing their trailing axes) gather each (vec, row) group's components
-    into (..., groups, sites) arrays, one take per operand and block of
-    _BLOCK sites, and run the body once per block with one row and one vec
-    whose every component covers all groups; each expression of the body is
-    then one elementwise operation over all groups and sites of the block,
-    with the operands, order and association of the single-object form. Its
-    re and im rows are written straight into c's block.
-    """
-    if x.ndim == x_depth:
-        return _store(c, body(rows_of(_parts(x, x_depth)), vecs_of(_parts(y, y_depth)), *args))
-    xp = x.reshape(math.prod(x.shape[:x_depth]), -1)
-    yp = y.reshape(math.prod(y.shape[:y_depth]), -1)
-    row_index, vec_index = _group_index(rows_of, len(xp), vecs_of, len(yp))
-    entries = c.shape[:-2]  # the groups, as c's entry axes; then (re, im) and the sites
-    for s in range(0, xp.shape[1], _BLOCK):
-        block = slice(s, s + _BLOCK)
-        re, im = body([xp[:, block].take(row_index, 0)], [yp[:, block].take(vec_index, 0)], *args)
-        c[..., 0, block] = re.reshape(entries + re.shape[-1:])
-        c[..., 1, block] = im.reshape(entries + im.shape[-1:])
-    return c
-
-
 def _store(c: np.ndarray, values) -> np.ndarray:
     """Write `values`, the components of c in index (C) order, into c."""
     c[...] = np.asarray(values, dtype=c.dtype).reshape(c.shape)
@@ -279,7 +195,14 @@ def _store(c: np.ndarray, values) -> np.ndarray:
 def _factor(s, like: np.ndarray):
     """The real factor s, converted once to like's dtype, as its one component
     (unpacked as like's components are)."""
-    return _parts(np.asarray(s, dtype=like.dtype), 0)
+    return _parts(np.asarray(s, dtype=like.dtype))
+
+
+def _factor_sites(s, like: np.ndarray, n: int) -> np.ndarray:
+    """The real factor s, converted once to like's dtype, as one value for
+    each of n sites: a number is broadcast, one per site is flattened."""
+    f = np.asarray(s, dtype=like.dtype)
+    return f.reshape(n) if f.ndim else np.broadcast_to(f, (n,))
 
 
 class _Sym:
@@ -334,7 +257,7 @@ class _Trace(NamedTuple):
 @cache
 def _trace(routine: str) -> _Trace:
     """Run the routine's body once on symbolic reals and record every step;
-    cached, as ``_program`` and ``flops`` read the same record."""
+    cached, as both programs and ``flops`` read the same record."""
     spec = ROUTINES[routine]
     tape: list = []
     operands, names = [], []
@@ -348,10 +271,11 @@ def _trace(routine: str) -> _Trace:
             operands.append(np.empty(shape, dtype=object))
             operands[-1].flat = syms
     kernel = globals()[routine]
+    body = getattr(kernel, "__wrapped__", kernel)
     if spec.in_place:
-        result = kernel(*operands)
+        result = body(*operands)
     else:
-        result = kernel(*operands, out=np.empty(OPERAND_SHAPES[spec.result], dtype=object))
+        result = body(*operands, out=np.empty(OPERAND_SHAPES[spec.result], dtype=object))
     stored = result.ravel().tolist()
     if not all(isinstance(sym, _Sym) and sym.tape is tape for sym in stored):
         raise TypeError(f"{routine}: the body left a result component untraced")
@@ -364,10 +288,7 @@ def _program(routine: str):
     kernel's signature: unpack each operand once, evaluate, store once."""
     spec = ROUTINES[routine]
     args = [f"x{k}" for k in range(len(spec.operands))]
-    reads = [
-        f"_factor({arg}, x0)" if kind == "scalar" else f"_parts({arg}, {len(OPERAND_SHAPES[kind])})"
-        for arg, kind in zip(args, spec.operands)
-    ]
+    reads = [f"_factor({arg}, x0)" if kind == "scalar" else f"_parts({arg})" for arg, kind in zip(args, spec.operands)]
     params = args if spec.in_place else args + ["out"]
     target = args[0] if spec.in_place else "out"
     return _compile(_trace(routine), routine, params, reads, target, {"_parts": _parts, "_factor": _factor})
@@ -400,33 +321,108 @@ def _compile(trace: _Trace, name: str, params: list[str], reads: list[str], targ
             lines.append(f"{result} = {expression}")
     stored = [f"    {inlined.get(result, result)}," for result in trace.results]
     lines += [f"{target}.flat = (", *stored, ")", f"return {target}"]
+    return _define(name, params, lines, f"<{name} trace>", namespace)
+
+
+def _define(name: str, params: list[str], lines: list[str], filename: str, namespace: dict):
+    """Compile ``def name(*params)`` with body `lines` in `namespace`,
+    registering its source with linecache under `filename`."""
     source = f"def {name}({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in lines)
-    filename = f"<{name} trace>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
 
 
+# Sites per pass of the batch form. The widest kernels gather 144 components
+# per site (72 per operand), 576 KiB per block in double precision, so a
+# block and its temporaries stay in a 2 MiB L2 cache; on 65536-site fields
+# the four-direction kernels ran slower with 1024-site blocks than with 512.
+_BLOCK = 512
+
+
+@cache
+def _batch_program(routine: str):
+    """The routine's trace compiled into one function with the kernel's
+    signature over stacked operands (see the module docstring).
+
+    A group's leaf at one position reads a slab: one component of one
+    operand per member. Per block, one ``take`` per operand gathers each of
+    its slabs once, however many groups read it, and binds them to names as
+    ``_compile`` binds components; the take index is one 2-D array, so the
+    groups reading an operand have one size. A group's rows are written
+    through a slice where they are evenly spaced (in every kernel), which
+    is faster than a list. The source is registered with linecache under
+    ``<routine batch>``.
+    """
+    spec = ROUTINES[routine]
+    trace = _trace(routine)
+    steps = {result: (left, op, right) for result, left, op, right in trace.steps}
+    leaves = {name: (k, i) for k, names in enumerate(trace.operands) for i, name in enumerate(names)}
+
+    def expand(name: str):
+        """name's expression as a template with a {} per leaf, the leaves' operands and their components."""
+        if name in leaves:
+            k, i = leaves[name]
+            return "{}", (k,), (i,)
+        left, op, right = steps[name]
+        (lt, lk, li), (rt, rk, ri) = expand(left), expand(right)
+        return f"({lt} {op} {rt})", lk + rk, li + ri
+
+    groups: dict = {}  # (template, leaf operands) -> [(result component, leaf components)]
+    for r, name in enumerate(trace.results):
+        template, ks, components = expand(name)
+        groups.setdefault((template, ks), []).append((r, components))
+    slabs: list[dict] = [{} for _ in spec.operands]  # per operand: slab -> its name, in gather order
+    stores = []
+    for (template, ks), members in groups.items():
+        reads = []
+        for p, k in enumerate(ks):
+            slab = tuple(components[p] for _, components in members)
+            reads.append(f"f{k}[b]" if spec.operands[k] == "scalar" else slabs[k].setdefault(slab, f"g{k}_{len(slabs[k])}"))
+        rows = [r for r, _ in members]
+        step = rows[-1] - rows[-2] if len(rows) > 1 else 1
+        at = f"{rows[0]}:{rows[-1] + 1}:{step}" if rows == list(range(rows[0], rows[-1] + 1, step)) else rows
+        stores.append(f"    c[{at}, b] = {template.format(*reads)}")
+    args = [f"x{k}" for k in range(len(spec.operands))]
+    target, size = args[0] if spec.in_place else "out", len(trace.results)
+    lines = [
+        f"n = {target}.size // {size}",
+        f"direct = {target}.flags.c_contiguous",
+        f"rows = {target}.reshape(n, {size}) if direct else _empty((n, {size}), {target}.dtype)",
+        "c = rows.T",
+    ]
+    namespace: dict = {"_empty": np.empty, "_copyto": np.copyto, "_factor_sites": _factor_sites}
+    for k, (arg, kind) in enumerate(zip(args, spec.operands)):
+        if kind == "scalar":
+            lines.append(f"f{k} = _factor_sites({arg}, x0, n)")
+        else:
+            lines.append(f"v{k} = {arg}.reshape(n, {len(trace.operands[k])}).T")
+            namespace[f"i{k}"] = np.array(list(slabs[k]), dtype=np.intp)
+    lines += [f"for s in range(0, n, {_BLOCK}):", f"    b = slice(s, s + {_BLOCK})"]
+    lines += [f"    {', '.join(names.values())}, = v{k}[:, b].take(i{k}, 0)" for k, names in enumerate(slabs) if names]
+    lines += stores + ["if not direct:", f"    _copyto({target}, rows.reshape({target}.shape))", f"return {target}"]
+    return _define(routine, args if spec.in_place else args + ["out"], lines, f"<{routine} batch>", namespace)
+
+
 def _traced(body):
-    """The kernel for `body`: a single float object runs the routine's
-    program, built on first use; object arrays and site-last batch views
-    run `body`.
+    """The kernel for `body`: a single object runs the routine's program, a
+    stack of objects its batch program, each built on first use; `body`
+    itself runs only under ``_trace``.
 
     The switch is compiled with the body's own parameters, so a call pays
     for no argument packing on either path.
     """
     routine = body.__name__
     code = body.__code__
-    first = code.co_varnames[0]
     params = ", ".join(code.co_varnames[:code.co_argcount])
     depth = len(OPERAND_SHAPES[ROUTINES[routine].operands[0]])
     source = (
         f"def {routine}({params}):\n"
-        f"    if {first}.ndim == {depth} and not {first}.dtype.hasobject:\n"
+        f"    if {code.co_varnames[0]}.ndim == {depth}:\n"
         f"        return _program({routine!r})({params})\n"
-        f"    return body({params})\n"
+        f"    return _batch_program({routine!r})({params})\n"
     )
-    namespace = {"_program": _program, "body": body}
+    namespace = {"_program": _program, "_batch_program": _batch_program}
     exec(compile(source, f"<{routine} switch>", "exec"), namespace)
     return update_wrapper(namespace[routine], body)
 
@@ -434,26 +430,26 @@ def _traced(body):
 @_traced
 def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + b[i]."""
-    return _store(out, [x + y for x, y in zip(_parts(a, 2), _parts(b, 2))])
+    return _store(out, [x + y for x, y in zip(_parts(a), _parts(b))])
 
 
 @_traced
 def mult_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = sum_j a[i][j] * b[j]."""
-    return _grouped(out, _contract, _rows, a, 3, _whole, b, 2, False)
+    return _store(out, _contract(_rows(_parts(a)), [_parts(b)], False))
 
 
 @_traced
 def mult_adj_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = sum_j conj(a[j][i]) * b[j]."""
-    return _grouped(out, _contract, _columns, a, 3, _whole, b, 2, True)
+    return _store(out, _contract(_columns(_parts(a)), [_parts(b)], True))
 
 
 @_traced
 def mult_su3_nn(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][k] = sum_j a[i][j] * b[j][k]."""
     # One contraction per column of b gives the columns of c: the rows of its transpose.
-    _grouped(out.swapaxes(0, 1), _contract, _rows, a, 3, _columns, b, 3, False)
+    _store(out.swapaxes(0, 1), _contract(_rows(_parts(a)), _columns(_parts(b)), False))
     return out
 
 
@@ -462,33 +458,33 @@ def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][k] = sum_j a[i][j] * conj(b[k][j])."""
     # b is the conjugated operand: its rows are the contraction's rows, so
     # each sum multiplies b's component by a's, and each row of a gives a row of c.
-    return _grouped(out, _contract, _rows, b, 3, _rows, a, 3, True)
+    return _store(out, _contract(_rows(_parts(b)), _rows(_parts(a)), True))
 
 
 @_traced
 def mult_su3_an(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][k] = sum_j conj(a[j][i]) * b[j][k]."""
-    _grouped(out.swapaxes(0, 1), _contract, _columns, a, 3, _columns, b, 3, True)
+    _store(out.swapaxes(0, 1), _contract(_columns(_parts(a)), _columns(_parts(b)), True))
     return out
 
 
 @_traced
 def mult_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[k] = a * h[k] for both halves k."""
-    return _grouped(out, _contract, _rows, a, 3, _rows, h, 3, False)
+    return _store(out, _contract(_rows(_parts(a)), _rows(_parts(h)), False))
 
 
 @_traced
 def mult_adj_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[k] = adj(a) * h[k] for both halves k."""
-    return _grouped(out, _contract, _columns, a, 3, _rows, h, 3, True)
+    return _store(out, _contract(_columns(_parts(a)), _rows(_parts(h)), True))
 
 
 @_traced
 def mult_adj_su3_mat_vec_4dir(a4: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[d] = adj(a4[d]) * b for the four directions."""
     # Row 3d + i of the stacked adjoints gives c[d][i].
-    return _grouped(out, _contract, _columns4, a4, 4, _whole, b, 2, True)
+    return _store(out, _contract(_columns4(_parts(a4)), [_parts(b)], True))
 
 
 # The packed (4, 3, 2) result; ``Backend.apply`` also offers it in four destinations.
@@ -498,31 +494,31 @@ mult_adj_su3_mat_4vec = mult_adj_su3_mat_vec_4dir
 @_traced
 def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c = sum_d adj(a4[d]) * b4[d], accumulated direction-major."""
-    return _grouped(out, _direction_sums, _direction_terms, a4, 4, _all_pairs, b4, 3)
+    return _store(out, _direction_sums(_direction_terms(_parts(a4)), [_pairs(_parts(b4))]))
 
 
 @_traced
 def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i][j] = a[i][j] + s * b[i][j] for real s."""
     f, = _factor(s, a)
-    return _store(out, [x + f * y for x, y in zip(_parts(a, 3), _parts(b, 3))])
+    return _store(out, [x + f * y for x, y in zip(_parts(a), _parts(b))])
 
 
 @_traced
 def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + s * b[i] for real s."""
     f, = _factor(s, a)
-    return _store(out, [x + f * y for x, y in zip(_parts(a, 2), _parts(b, 2))])
+    return _store(out, [x + f * y for x, y in zip(_parts(a), _parts(b))])
 
 
 @_traced
 def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][j] = a[i] * conj(b[j]) (outer product)."""
-    return _grouped(out, _outer, _pairs, b, 2, _pairs, a, 2)
+    return _store(out, _outer(_pairs(_parts(b)), _pairs(_parts(a))))
 
 
 @_traced
 def sub_four_su3_vecs(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray, b4: np.ndarray) -> np.ndarray:
     """a[i] -= b1[i] + b2[i] + b3[i] + b4[i], in place, left to right."""
-    parts = zip(*(_parts(x, 2) for x in (a, b1, b2, b3, b4)))
+    parts = zip(*(_parts(x) for x in (a, b1, b2, b3, b4)))
     return _store(a, [x - y1 - y2 - y3 - y4 for x, y1, y2, y3, y4 in parts])

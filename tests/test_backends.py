@@ -12,15 +12,10 @@ from su3bench import BACKEND_NAMES, ROUTINE_NAMES, get_backend, types
 OTHER_PRECISION = {"double": np.float32, "single": np.float64}
 
 
-def _site_last(x):
-    return x.transpose(*range(1, x.ndim), 0)
-
-
 @pytest.mark.parametrize("routine", ROUTINE_NAMES)
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
 def test_kernel_returns_and_fills_out(kind, routine, precision):
-    # One object, then three stacked sets in the layout the backend's
-    # batch_apply passes (site-last views for the scalar bodies).
+    # One object, then three stacked sets as the backend's batch_apply passes them.
     backend = get_backend(kind)
     kernel = backend.kernels[routine]
     spec = types.routine_spec(routine)
@@ -32,8 +27,6 @@ def test_kernel_returns_and_fills_out(kind, routine, precision):
             continue
         prefix = () if batch is None else (batch,)
         out = np.full(prefix + types.OPERAND_SHAPES[spec.result], np.nan, dtype=ops[0].dtype)
-        if batch is not None and backend.site_last:
-            ops, out = [_site_last(op) for op in ops], _site_last(out)
         assert kernel(*ops, out=out) is out
         assert not np.isnan(out).any()
 

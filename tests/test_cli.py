@@ -232,6 +232,12 @@ def test_memory_error_exits_2(monkeypatch, capsys):
     assert "out of memory: Unable to allocate 1 TiB" in capsys.readouterr().err
 
 
+def test_huge_min_region_stops_at_the_repetition_cap(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "_REPS_CAP", 8)
+    assert cli.main(["bench", "--routine", "mult_su3_nn", "--reps", "2", "--min-region-ms", "1e308"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_model_scenario_regression(tmp_path):
     scenario = tmp_path / "serial.scenario"
     scenario.write_text("normal.t_comp_accel = 220\naccel.t_comp_accel = 135\n", encoding="utf-8")

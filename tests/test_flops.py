@@ -81,7 +81,7 @@ def _values(arr):
 
 @pytest.mark.parametrize("routine", types.ROUTINE_NAMES)
 def test_batch_form_does_the_reference_arithmetic(routine):
-    # Site-last object arrays take the scalar kernels' batch form, as
+    # Stacked object arrays take the scalar kernels' batch form, as
     # Backend.batch_apply's float operands do (over two site blocks here):
     # each site must cost one single-object call's count and give its values.
     spec = types.routine_spec(routine)
@@ -92,13 +92,10 @@ def test_batch_form_does_the_reference_arithmetic(routine):
     tally = Counter()
     ops = [_counting_stack(kind, rng, n, tally) for kind in spec.operands]
     want = [run_kernel(kernel, ops[0][s].copy(), *(op[s] for op in ops[1:])) for s in range(n)]
-    views = [op.transpose(*range(1, op.ndim), 0) for op in ops]
     tally.clear()
     if spec.in_place:
-        kernel(*views)
-        got = ops[0]
+        got = kernel(*ops)
     else:
-        got = np.empty((n,) + types.OPERAND_SHAPES[spec.result], dtype=object)
-        kernel(*views, out=got.transpose(*range(1, got.ndim), 0))
+        got = kernel(*ops, out=np.empty((n,) + types.OPERAND_SHAPES[spec.result], dtype=object))
     assert (tally["*"], tally["+"] + tally["-"]) == (n * fc.real_mults, n * fc.real_adds)
     assert [_values(site) for site in got] == [_values(site) for site in want]

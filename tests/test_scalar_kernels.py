@@ -2,6 +2,7 @@ import inspect
 import subprocess
 import sys
 import traceback
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -117,10 +118,8 @@ def test_each_operand_is_unpacked_once(routine, rng, precision):
 def test_component_types_follow_the_operand(rng):
     # Python floats only where they round as binary64: a single float64 object.
     a = types.random_operands("mult_su3_nn", rng, "double")[0]
-    assert [type(x) for x in scalar._parts(a, 3)] == [float] * 18
-    assert [type(x) for x in scalar._parts(a.astype(np.float32), 3)] == [np.float32] * 18
-    rows = scalar._parts(np.stack([a, a], axis=-1), 3)
-    assert [row.shape for row in rows] == [(2,)] * 18
+    assert [type(x) for x in scalar._parts(a)] == [float] * 18
+    assert [type(x) for x in scalar._parts(a.astype(np.float32))] == [np.float32] * 18
 
 
 @pytest.mark.parametrize("routine", ALL)
@@ -160,12 +159,13 @@ def test_a_body_the_trace_cannot_emit_is_refused(monkeypatch):
 
 
 def test_import_and_flop_table_build_no_program():
-    # Programs are built on a routine's first single-object call, never at
-    # import or while counting operations, which set-up time includes.
-    code = "import su3bench; su3bench.flop_table(); print(su3bench.scalar._program.cache_info().currsize)"
+    # Programs are built on a routine's first call, never at import or
+    # while counting operations, which set-up time includes.
+    code = ("import su3bench; su3bench.flop_table(); s = su3bench.scalar; "
+            "print(s._program.cache_info().currsize, s._batch_program.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0"]
+    assert proc.stdout.split() == ["0", "0"]
 
 
 def test_import_and_flop_table_build_no_vector_program():
@@ -176,19 +176,48 @@ def test_import_and_flop_table_build_no_vector_program():
     assert proc.stdout.split() == ["0"]
 
 
-@pytest.mark.parametrize("build", [lambda: scalar._program("mult_su3_nn"), lambda: simd._program(simd.TABLES["mult_su3_nn"])])
-def test_program_source_is_shown(build, rng):
+@pytest.mark.parametrize("build, form, failing", [
+    (lambda: scalar._program("mult_su3_nn"), "trace", ".flat = ("),
+    (lambda: simd._program(simd.TABLES["mult_su3_nn"]), "trace", ".flat = ("),
+    (lambda: scalar._batch_program("mult_su3_nn"), "batch", "out.size // 18"),
+], ids=["scalar", "vector", "scalar-batch"])
+def test_program_source_is_shown(build, form, failing, rng):
     # The generated source is registered under the program's filename, so
     # inspect and tracebacks read the emitted lines.
     program = build()
     filename = program.__code__.co_filename
-    assert filename == f"<{program.__name__} trace>"
+    assert filename == f"<{program.__name__} {form}>"
     assert inspect.getsource(program).startswith(f"def {program.__name__}(")
     a, b = types.random_operands("mult_su3_nn", rng)
     with pytest.raises(AttributeError) as raised:
         program(a, b, None)
     frame = traceback.extract_tb(raised.value.__traceback__)[-1]
-    assert frame.filename == filename and frame.line.endswith(".flat = (")
+    assert frame.filename == filename and frame.line.endswith(failing)
+
+
+def test_a_body_runs_only_under_the_trace(monkeypatch):
+    # Once traced, single objects, object arrays and batches all run
+    # compiled code: a body change reaches them only through the trace.
+    calls = Counter()
+
+    def counting(routine, body):
+        def counted(*args, **kwargs):
+            calls[routine] += 1
+            return body(*args, **kwargs)
+        return counted
+
+    for kernel, routine in {getattr(scalar, routine): routine for routine in ALL}.items():  # 4vec is 4dir
+        scalar._trace(routine)
+        monkeypatch.setattr(kernel, "__wrapped__", counting(routine, kernel.__wrapped__))
+    rng = np.random.default_rng(13)
+    for routine in ALL:
+        for batch in (None, 3):
+            ops = types.random_operands(routine, rng, batch=batch)
+            for dtype in (np.float64, np.float32, object):
+                run_kernel(getattr(scalar, routine), *(op.astype(dtype) for op in ops))
+    assert not calls
+    scalar._trace.__wrapped__("mult_su3_nn")
+    assert calls == {"mult_su3_nn": 1}
 
 
 def test_compiler_names_a_step_result_used_twice():

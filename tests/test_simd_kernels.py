@@ -168,7 +168,22 @@ def test_scalar_factor_forms_agree_across_backends(routine, precision):
             assert _same_bytes(SCALAR.apply(routine, a, b, s), VECTOR.apply(routine, a, b, s))
     a, b, _ = types.random_operands(routine, rng, precision, batch=64)
     s = rng.uniform(-1.0, 1.0, 64)
-    assert _same_bytes(SCALAR.batch_apply(routine, [a, b, s]), VECTOR.batch_apply(routine, [a, b, s]))
+    want = SCALAR.batch_apply(routine, [a, b, s])
+    for backend in (SCALAR, VECTOR):
+        assert _same_bytes(backend.batch_apply(routine, [a, b, s]), want)
+        assert _same_bytes(backend.batch_apply(routine, [a, b, s.tolist()]), want)
+
+
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+@pytest.mark.parametrize("factor", [None, 1j, 10**400, np.full(4, 0.5 + 0.5j)], ids=["none", "complex", "huge-int", "complex-per-set"])
+def test_real_factor_must_be_real(kind, factor, rng):
+    # numpy reads each as object or complex, not as a real number.
+    backend = get_backend(kind)
+    a, b, _ = types.random_operands("scalar_mult_add_su3_vector", rng, batch=4)
+    with pytest.raises(ValueError, match="real factor has dtype"):
+        backend.apply("scalar_mult_add_su3_vector", a[0], b[0], factor)
+    with pytest.raises(ValueError, match="real factor has dtype"):
+        backend.batch_apply("scalar_mult_add_su3_vector", [a, b, factor])
 
 
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
@@ -327,16 +342,29 @@ def test_table_kernels_run_several_site_blocks(routine, precision):
     assert _same_bytes(VECTOR.batch_apply(routine, ops), SCALAR.batch_apply(routine, ops))
 
 
-@pytest.mark.parametrize("routine", TABLE_KERNELS)
-def test_table_kernels_write_a_non_contiguous_out(routine, precision):
+@pytest.mark.parametrize("routine", ALL)
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_batch_apply_writes_any_result_layout(kind, routine, precision):
+    # A result whose axes are stored in reverse order, and in place a
+    # Fortran-order or strided first operand, get the bits of a contiguous
+    # call: a write through a silent reshape copy would be lost.
+    backend = get_backend(kind)
     rng = np.random.default_rng([25, ALL.index(routine)])
     ops = types.random_operands(routine, rng, precision, batch=7)
-    want = SCALAR.batch_apply(routine, ops)
-    # The same shape as the result, its axes stored in reverse order.
-    out = np.full(want.shape[::-1], np.nan, dtype=want.dtype).T
-    assert not out.flags.c_contiguous
-    assert VECTOR.kernels[routine](*ops, out=out) is out
-    assert _same_bytes(np.ascontiguousarray(out), want)
+    in_place = types.routine_spec(routine).in_place
+    if in_place:
+        want = backend.batch_apply(routine, [ops[0].copy()] + ops[1:])
+        wide = np.full(ops[0].shape + (2,), np.nan, ops[0].dtype)
+        wide[..., 0] = ops[0]
+        targets = [np.asfortranarray(ops[0]), wide[..., 0]]
+    else:
+        want = backend.batch_apply(routine, ops)
+        targets = [np.full(want.shape[::-1], np.nan, dtype=want.dtype).T]
+    for target in targets:
+        assert not target.flags.c_contiguous
+        got = backend.batch_apply(routine, [target] + ops[1:]) if in_place else backend.batch_apply(routine, ops, out=target)
+        assert got is target
+        assert _same_bytes(np.ascontiguousarray(target), want)
 
 
 @pytest.mark.parametrize("routine", TABLE_KERNELS)

@@ -53,9 +53,8 @@ def run_kernel(kernel, *ops):
 
     The routine is the kernel's name. The result array has the routine's
     result shape behind the first operand's leading batch axes, as the
-    vector kernels take stacked operands (the scalar ones take single
-    objects here), and its dtype (object for symbolic operands). The
-    in-place routine takes no out.
+    kernels take stacked operands, and its dtype (object for symbolic
+    operands). The in-place routine takes no out.
     """
     spec = types.ROUTINES[kernel.__name__]
     if spec.in_place:
