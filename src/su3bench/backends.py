@@ -7,13 +7,25 @@ they are, the batch axes in front of the per-object shape.
 ``Backend.apply`` and ``Backend.batch_apply`` are the checked entry points:
 they check the operand count, every operand's shape and dtype, and the
 result array, from a per-routine plan built once. Each allocates the result
-or checks the caller's ``out`` for shape and dtype (``_result``), so every
-kernel is arithmetic only: ``kernel(*operands, out) -> out``, with ``out``
-required and unchecked (the in-place ``sub_four_su3_vecs`` takes no
-``out``). The kernel functions (``Backend.kernels``, ``scalar.*``,
+or checks the caller's ``out`` for shape, dtype and writeability
+(``_result``), so every kernel is arithmetic only:
+``kernel(*operands, out) -> out``, with ``out`` required and unchecked (the
+in-place ``sub_four_su3_vecs`` takes no ``out``, and its first operand must
+be writeable). The kernel functions (``Backend.kernels``, ``scalar.*``,
 ``simd.*``) are unchecked internals: on misshapen or mixed-precision
 operands, or a misshapen ``out``, they may compute a wrong result rather
 than raise.
+
+A single-site call is short enough that the generic checks cost about half
+as much as the kernel's arithmetic, so ``apply`` runs, per routine, an
+entry compiled from the plan on the routine's first call (``_entry``):
+straight-line tests, with the shapes written as literals, that pass the
+commonest well-formed calls (exact ndarrays of float32 or float64, a
+Python-float or 0-d factor, no ``outs``) to the kernel. Every other call,
+and every call of ``batch_apply``, runs the generic checks (``_check``,
+``_result``, ``_four_destinations``), which are the only code that words a
+rejection, so an entry changes no result and no error message. Nothing is
+compiled at import.
 
 Debug validation (``debug_validation``, off by default so the hot path pays
 nothing for it) adds one check at the entry points: a result array the
@@ -21,12 +33,14 @@ caller passes may not share memory with an operand.
 """
 from __future__ import annotations
 
+import sys
 from types import MappingProxyType, ModuleType
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import scalar, simd
+from .scalar import _define
 from .types import OPERAND_SHAPES, PRECISIONS, ROUTINE_NAMES, ROUTINES, RoutineSpec, batch_count, result_shape
 
 
@@ -67,7 +81,8 @@ def _plan_for(spec: RoutineSpec, kernel: Callable) -> _Plan:
 def _check(plan: _Plan, operands, out: np.ndarray | None, batch: tuple[int, ...]) -> None:
     """Reject a wrong operand count, an operand not shaped `batch` + its
     per-object shape, `out` for the in-place routine, operands of neither
-    precision, and operands of mixed precision.
+    precision, operands of mixed precision, and a read-only first operand
+    of the in-place routine.
 
     A real factor is a real number (bool, integer or float, as numpy reads
     it), or one per set; the kernels convert it to the operands' dtype. A
@@ -88,6 +103,8 @@ def _check(plan: _Plan, operands, out: np.ndarray | None, batch: tuple[int, ...]
                 raise ValueError(f"{name}: operand {i} has shape {op.shape}, expected {shape}")
             if op.dtype != dtype:
                 raise ValueError(f"{name}: operands mix {dtype} and {op.dtype}; pass one precision")
+        if plan.spec.in_place and not operands[0].flags.writeable:
+            raise ValueError(f"{name}: operand 0 is read-only; {name} works in place on it")
     except AttributeError:
         raise ValueError(f"{name}: array operands must be numpy arrays") from None
     for i in plan.factors:
@@ -100,8 +117,8 @@ def _check(plan: _Plan, operands, out: np.ndarray | None, batch: tuple[int, ...]
 
 def _result(plan: _Plan, operands, out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
     """A fresh result array of `shape` in the operands' dtype, or the
-    caller's `out` once it is a numpy array of that shape and dtype and,
-    under debug validation, shares no memory with an operand."""
+    caller's `out` once it is a writeable numpy array of that shape and
+    dtype and, under debug validation, shares no memory with an operand."""
     dtype = operands[0].dtype
     if out is None:
         return np.empty(shape, dtype)
@@ -111,11 +128,87 @@ def _result(plan: _Plan, operands, out: np.ndarray | None, shape: tuple[int, ...
             raise ValueError(f"{name}: result array has shape {out.shape}, expected {shape}")
         if out.dtype != dtype:
             raise ValueError(f"{name}: result array has dtype {out.dtype}, the operands {dtype}")
+        if not out.flags.writeable:
+            raise ValueError(f"{name}: result array is read-only")
     except AttributeError:
         raise ValueError(f"{name}: result arrays must be numpy arrays") from None
     if _debug and any(np.shares_memory(out, operands[i]) for i, _ in plan.arrays):
         raise ValueError(f"{name}: result array aliases an operand; kernels require distinct storage")
     return out
+
+
+def _apply(plan: _Plan, operands, out: np.ndarray | None, outs) -> np.ndarray | tuple:
+    """``Backend.apply`` through the generic checks, which word every rejection."""
+    _check(plan, operands, out, ())
+    if outs is not None:
+        return _four_destinations(plan, operands, out, outs)
+    if plan.spec.in_place:
+        return plan.kernel(*operands)
+    return plan.kernel(*operands, out=_result(plan, operands, out, plan.result))
+
+
+def _entry(plan: _Plan) -> Callable:
+    """The routine's ``apply`` entry ``(operands, out, outs)``, compiled from
+    its plan into straight-line code.
+
+    It passes a call straight to the kernel when the call has the right
+    operand count and no ``outs``; every array operand is an ndarray (not
+    a subclass) of its per-object shape, written as a literal, and of the
+    first operand's dtype, itself float32 or float64 (the dtypes compared
+    by identity); every real factor is a Python float or a 0-d real array;
+    and ``out`` is None, to be allocated as ``_result`` does, or a
+    writeable ndarray of the result's shape and dtype with debug validation
+    off (for the in-place routine: no ``out`` and a writeable first
+    operand). The generic path accepts every such call and runs the kernel
+    on the same arguments; any other call goes to it (``_apply``), so it
+    alone words a rejection. The source is registered with linecache under
+    ``<routine apply>``.
+    """
+    spec = plan.spec
+    args = [f"x{k}" for k in range(plan.count)]
+    accept = []
+    for i, shape in plan.arrays:
+        x = args[i]
+        same = f"((dtype := {x}.dtype) is _float64 or dtype is _float32)" if i == 0 else f"{x}.dtype is dtype"
+        accept += [f"type({x}) is _ndarray", f"{x}.shape == {shape!r}", same]
+    for i in plan.factors:
+        x = args[i]
+        accept.append(f'(type({x}) is float or type({x}) is _ndarray and {x}.ndim == 0 and {x}.dtype.kind in "biuf")')
+    call = f"_kernel({', '.join(args)}"
+    if spec.in_place:
+        accept.append("x0.flags.writeable")
+        lines = [f"if len(operands) == {plan.count} and out is None and outs is None:"]
+        ran = [f"        return {call})"]
+    else:
+        lines = [f"if len(operands) == {plan.count} and outs is None:"]
+        result = f"{plan.result!r}"
+        ran = [
+            "        if out is None:",
+            f"            return {call}, _empty({result}, dtype))",
+            f"        if type(out) is _ndarray and out.shape == {result} and out.dtype is dtype"
+            " and out.flags.writeable and not _backends._debug:",
+            f"            return {call}, out)",
+        ]
+    lines += [
+        f"    {', '.join(args)}, = operands",
+        "    if (",
+        f"        {accept[0]}",
+        *(f"        and {test}" for test in accept[1:]),
+        "    ):",
+        *ran,
+        "return _apply(_plan, operands, out, outs)",
+    ]
+    namespace = {
+        "_plan": plan,
+        "_kernel": plan.kernel,
+        "_apply": _apply,
+        "_backends": sys.modules[__name__],
+        "_ndarray": np.ndarray,
+        "_empty": np.empty,
+        "_float64": PRECISIONS["double"],
+        "_float32": PRECISIONS["single"],
+    }
+    return _define(spec.name, ["operands", "out", "outs"], lines, f"<{spec.name} apply>", namespace)
 
 
 class Backend:
@@ -125,6 +218,7 @@ class Backend:
         self.kind = kind
         self.kernels = MappingProxyType({name: getattr(module, name) for name in ROUTINE_NAMES})
         self._plans = {name: _plan_for(spec, self.kernels[name]) for name, spec in ROUTINES.items()}
+        self._entries: dict[str, Callable] = {}  # routine -> its apply entry, compiled on first use
 
     def _plan(self, routine: str) -> _Plan:
         try:
@@ -140,14 +234,14 @@ class Backend:
         destination is checked as ``out`` would be before any is written,
         then the packed result is copied out, one direction per destination,
         and the tuple returned.
+
+        The routine's compiled entry (``_entry``) checks and runs the call;
+        a call it does not take runs the generic checks.
         """
-        plan = self._plan(routine)
-        _check(plan, operands, out, ())
-        if outs is not None:
-            return _four_destinations(plan, operands, out, outs)
-        if plan.spec.in_place:
-            return plan.kernel(*operands)
-        return plan.kernel(*operands, out=_result(plan, operands, out, plan.result))
+        entry = self._entries.get(routine)
+        if entry is None:
+            entry = self._entries[routine] = _entry(self._plan(routine))
+        return entry(operands, out, outs)
 
     def batch_apply(self, routine: str, operands, count: int | None = None, out: np.ndarray | None = None):
         """Apply one kernel independently to each of `count` stacked operand sets.

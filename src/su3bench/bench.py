@@ -2,15 +2,16 @@
 
 Methodology: monotonic perf_counter timestamps around a repetition loop,
 after warmup repetitions (default 3) fault in code paths and data. If the
-timed region comes in under the minimum region length (default 10 ms) the
-repetition count is grown geometrically and the measurement redone, so
-per-invocation figures never rest on a handful of clock ticks; set
-min_region_s=0 to pin the repetition count exactly. Hot mode re-applies the
-kernel to the same cache-resident operands; streaming mode sweeps site-major
-lattice fields so successive invocations walk through memory. One
-measurement runs at a time (a module lock refuses concurrent entry) and the
-process is pinned to a single cpu for the duration where the platform allows
-it. A configuration whose operand, result and snapshot arrays would not fit
+timed region comes in under the minimum region length (default 10 ms, at
+most 60 s) the repetition count is grown geometrically and the measurement
+redone, up to 10^9 repetitions, so per-invocation figures never rest on a
+handful of clock ticks; set min_region_s=0 to pin the repetition count
+exactly. Repetition and warmup counts above 10^9 are rejected. Hot mode
+re-applies the kernel to the same cache-resident operands; streaming mode
+sweeps site-major lattice fields so successive invocations walk through
+memory. One measurement runs at a time (a module lock refuses concurrent
+entry) and the process is pinned to a single cpu for the duration where the
+platform allows it. A configuration whose operand, result and snapshot arrays would not fit
 in physical memory is rejected before anything is allocated.
 
 The output digest hashes the result of one kernel call on the seeded
@@ -46,7 +47,11 @@ from .simd import LANES, capability
 from .types import OPERAND_SHAPES, dtype_for, random_operands, routine_spec
 
 _active = threading.Lock()
+# A configuration's bounds, so that no run is open-ended: at most _REPS_CAP
+# repetitions (and warmup calls), and a minimum region of at most
+# MAX_REGION_S seconds, which the repetition count grows to meet.
 _REPS_CAP = 1_000_000_000
+MAX_REGION_S = 60.0
 
 LANE_BOUND = {precision: float(lanes) for precision, lanes in LANES.items()}
 
@@ -78,10 +83,14 @@ class BenchConfig:
             raise ValueError(f"mode must be 'hot' or 'streaming', got {self.mode!r}")
         if self.alignment not in ("aligned", "unaligned"):
             raise ValueError(f"alignment must be 'aligned' or 'unaligned', got {self.alignment!r}")
-        if not isinstance(self.repetitions, int) or self.repetitions < 1:
-            raise ValueError("repetitions must be a positive integer")
-        if self.warmup < 0 or self.batch_sites < 1 or not 0 <= self.min_region_s < math.inf:
-            raise ValueError("warmup must be >= 0, batch_sites >= 1, min_region_s finite and >= 0")
+        if not isinstance(self.repetitions, int) or not 1 <= self.repetitions <= _REPS_CAP:
+            raise ValueError(f"repetitions must be an integer from 1 to {_REPS_CAP}")
+        if not 0 <= self.warmup <= _REPS_CAP:
+            raise ValueError(f"warmup must be from 0 to {_REPS_CAP}")
+        if self.batch_sites < 1:
+            raise ValueError("batch_sites must be >= 1")
+        if not 0 <= self.min_region_s <= MAX_REGION_S:
+            raise ValueError(f"min_region_s must be from 0 to {MAX_REGION_S:g} seconds")
         if self.mode == "streaming":
             if self.dims is None:
                 raise ValueError("streaming mode requires lattice dims")
@@ -209,7 +218,7 @@ def _timed_region(call, repetitions: int, min_region_s: float) -> tuple[int, flo
         elapsed = time.perf_counter() - t0
         if elapsed >= min_region_s or reps >= _REPS_CAP:
             return reps, elapsed
-        # In float, clamped before int(): a huge min_region_s grows it to inf.
+        # In float, clamped to the cap before int().
         grown = reps * min_region_s / max(elapsed, 1e-9) * 1.25 + 1
         reps = int(min(max(2 * reps, grown), _REPS_CAP))
 

@@ -42,7 +42,9 @@ import:
   (every product, the adds over j, the sign multiply, the combining add;
   ``_table_trace``), compiled on first use by the scalar reference's
   straight-line compiler (``scalar._compile``) into one Python function on
-  Python floats, and cached per table. A Python float is an IEEE binary64,
+  Python floats, and cached per table; it stores a C-contiguous result in
+  one pass through its buffer and a strided one through ``flat``, as the
+  scalar programs do. A Python float is an IEEE binary64,
   so every operation rounds as the lane does; where a NaN arises is the
   same, but its sign and payload bits may differ from the executor's.
   Float32 sites stay on the executor: Python has no binary32 type, and on
@@ -72,7 +74,7 @@ from functools import cache
 import numpy as np
 
 from .flops import flop_count
-from .scalar import _compile, _Trace
+from .scalar import _FLOAT64, _compile, _Trace
 from .types import PRECISIONS, routine_spec
 
 # The packed register, and how many lanes of each precision it holds: 2 double, 4 single.
@@ -85,8 +87,6 @@ LANES = {name: WIDTH_BITS // (8 * dt.itemsize) for name, dt in PRECISIONS.items(
 # inside a 2 MiB L2. Of 256, 512, 1024 and 2048, 512 gave the lowest ns/site
 # summed over the tables on 65536-site double operands.
 BLOCK = 512
-
-_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True, eq=False)

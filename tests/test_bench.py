@@ -151,9 +151,13 @@ def test_config_validation():
         BenchConfig(routine="mult_su3_mat_vec", alignment="diagonal")
     with pytest.raises(ValueError):
         BenchConfig(routine="mult_su3_everything")
-    for bad in (float("inf"), float("nan"), -0.5):
+    for bad in (float("inf"), float("nan"), -0.5, bench.MAX_REGION_S * 1.01):
         with pytest.raises(ValueError, match="min_region_s"):
             BenchConfig(routine="mult_su3_mat_vec", min_region_s=bad)
+    BenchConfig(routine="mult_su3_mat_vec", min_region_s=bench.MAX_REGION_S, repetitions=bench._REPS_CAP, warmup=bench._REPS_CAP)
+    for field in ("repetitions", "warmup"):
+        with pytest.raises(ValueError, match=field):
+            BenchConfig(routine="mult_su3_mat_vec", **{field: bench._REPS_CAP + 1})
 
 
 def test_speedup_row_ratio_and_flag():

@@ -193,6 +193,13 @@ def test_oversized_input_is_refused_before_allocating(args):
     (("bench", "--routine", "mult_su3_mat_vec", "--min-region-ms", "nan"), "min_region_s"),
     (("lattice-bench", "--routine", "mult_su3_mat_vec", "--min-region-ms", "inf"), "min_region_s"),
     (("lattice-bench", "--routine", "mult_su3_mat_vec", "--min-region-ms", "nan"), "min_region_s"),
+    # Finite but unbounded runs: each would go on for hours before printing.
+    (("bench", "--routine", "mult_su3_mat_vec", "--min-region-ms", "1e308"), "min_region_s"),
+    (("lattice-bench", "--routine", "mult_su3_mat_vec", "--min-region-ms", "60001"), "min_region_s"),
+    (("bench", "--routine", "mult_su3_mat_vec", "--reps", "10000000000"), "repetitions"),
+    (("bench", "--routine", "mult_su3_mat_vec", "--warmup", "10000000000"), "warmup"),
+    (("lattice-bench", "--routine", "mult_su3_mat_vec", "--sweeps", "10000000000"), "repetitions"),
+    (("lattice-bench", "--routine", "mult_su3_mat_vec", "--warmup", "10000000000"), "warmup"),
     (("verify", "--routines", "add_su3_vector", "--tolerance-ulps", "nan"), "tolerance_ulps"),
     (("verify", "--routines", "add_su3_vector", "--tolerance-ulps", "-1"), "tolerance_ulps"),
     (("verify", "--routines", "add_su3_vector", "--trials", "-1"), "trials"),
@@ -233,9 +240,14 @@ def test_memory_error_exits_2(monkeypatch, capsys):
 
 
 def test_huge_min_region_stops_at_the_repetition_cap(monkeypatch, capsys):
+    # The longest region allowed, against a cap of 8 repetitions: the count
+    # grows in float, is clamped to the cap and the region ends there.
     monkeypatch.setattr(bench, "_REPS_CAP", 8)
-    assert cli.main(["bench", "--routine", "mult_su3_nn", "--reps", "2", "--min-region-ms", "1e308"]) == 0
-    assert "Traceback" not in capsys.readouterr().err
+    argv = ["bench", "--routine", "mult_su3_nn", "--reps", "2", "--min-region-ms", "60000", "--format", "csv"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert out.splitlines()[1].split(",")[5] == "8"
 
 
 def test_model_scenario_regression(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from su3bench import get_backend, scalar, simd, types
+from su3bench import BACKEND_NAMES, get_backend, scalar, simd, types
 from test_flops import EXPECTED
 from tutil import adjoint, max_ulp, random_unitary, rel_norm_err, run_kernel
 
@@ -159,13 +159,14 @@ def test_a_body_the_trace_cannot_emit_is_refused(monkeypatch):
 
 
 def test_import_and_flop_table_build_no_program():
-    # Programs are built on a routine's first call, never at import or
-    # while counting operations, which set-up time includes.
+    # Programs and apply entries are built on a routine's first call, never
+    # at import or while counting operations, which set-up time includes.
     code = ("import su3bench; su3bench.flop_table(); s = su3bench.scalar; "
-            "print(s._program.cache_info().currsize, s._batch_program.cache_info().currsize)")
+            "print(s._program.cache_info().currsize, s._batch_program.cache_info().currsize, "
+            "*(len(su3bench.get_backend(kind)._entries) for kind in su3bench.BACKEND_NAMES))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.split() == ["0", "0", "0", "0"]
 
 
 def test_import_and_flop_table_build_no_vector_program():
@@ -177,8 +178,8 @@ def test_import_and_flop_table_build_no_vector_program():
 
 
 @pytest.mark.parametrize("build, form, failing", [
-    (lambda: scalar._program("mult_su3_nn"), "trace", ".flat = ("),
-    (lambda: simd._program(simd.TABLES["mult_su3_nn"]), "trace", ".flat = ("),
+    (lambda: scalar._program("mult_su3_nn"), "trace", "if out.dtype is _float64 and out.flags.c_contiguous:"),
+    (lambda: simd._program(simd.TABLES["mult_su3_nn"]), "trace", "if c.dtype is _float64 and c.flags.c_contiguous:"),
     (lambda: scalar._batch_program("mult_su3_nn"), "batch", "out.size // 18"),
 ], ids=["scalar", "vector", "scalar-batch"])
 def test_program_source_is_shown(build, form, failing, rng):
@@ -233,12 +234,16 @@ def test_compiler_names_a_step_result_used_twice():
 
 
 @pytest.mark.parametrize("routine", ALL)
-def test_program_writes_any_result_layout(routine, rng, precision):
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_program_writes_any_result_layout(kind, routine, rng, precision):
     # A strided result (and, in place, a strided first operand) takes the
-    # store's index-order fallback instead of its one contiguous pass.
+    # store's index-order fallback, through flat, where a fresh contiguous
+    # float64 result takes its one pass through the buffer; both give the
+    # same bits. A float32 result always takes flat, as do object arrays.
     spec = types.routine_spec(routine)
+    backend = get_backend(kind)
     ops = types.random_operands(routine, rng, precision)
-    want = SCALAR.apply(routine, ops[0].copy(), *ops[1:])
+    want = backend.apply(routine, ops[0].copy(), *ops[1:])
 
     def strided(x):
         wide = np.full(x.shape + (2,), np.nan, x.dtype)
@@ -247,10 +252,10 @@ def test_program_writes_any_result_layout(routine, rng, precision):
 
     if spec.in_place:
         target = strided(ops[0])
-        assert scalar.sub_four_su3_vecs(target, *ops[1:]) is target
+        assert backend.kernels[routine](target, *ops[1:]) is target
     else:
         target = strided(want)
-        assert SCALAR.apply(routine, *ops, out=target) is target
+        assert backend.apply(routine, *ops, out=target) is target
     assert not target.flags.c_contiguous
     assert _same_bits(np.ascontiguousarray(target), want)
 
