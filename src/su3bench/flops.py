@@ -1,10 +1,10 @@
 """Floating-point operation counts, read off the kernels' traces.
 
 ``scalar._trace`` records every ``*``, ``+`` and ``-`` one call of a kernel
-body performs; the single-object programs are compiled from the same record.
-The counts are therefore those of the reference code itself, not transcribed
-from anywhere, and subtraction counts as an add. Packed-lane tallies are the
-vector backend's ``lane_op_count``.
+body performs; the programs and native loops are compiled from the same
+record. The counts are therefore those of the reference code itself, not
+transcribed from anywhere, and subtraction counts as an add. Packed-lane
+tallies are the vector backend's ``lane_op_count``.
 """
 from __future__ import annotations
 

@@ -277,15 +277,6 @@ def parse_instruction_mixes(text: str) -> list[InstructionMix]:
     return mixes
 
 
-def dump_instruction_mixes(mixes) -> str:
-    """Canonical text form; parse -> dump round-trips the shipped table byte for byte."""
-    lines = [MIX_HEADER]
-    for mix in mixes:
-        cells = ["" if c is None else str(c) for c in (mix.add, mix.mul, mix.mov, mix.shuffle_other)]
-        lines.append(",".join([mix.routine, *cells]))
-    return "\n".join(lines) + "\n"
-
-
 def _read_reference(name: str) -> str:
     return (_REFERENCE / name).read_text(encoding="utf-8")
 

@@ -7,10 +7,16 @@ symbolic reals (``_Sym``), which record every ``*``, ``+`` and ``-`` as one
 step, in the order performed (``_trace``). The tracer raises TypeError on
 anything it cannot emit (a constant operand, unary minus, a branch on a
 value), so a body change cannot compile to a different program. Every call
-runs code compiled from that record, in one of two forms, chosen by the
-first operand's rank (``_traced``), so ``backends.Backend`` and direct calls
-run the same code:
+runs code compiled from that record (``_traced``), so ``backends.Backend``
+and direct calls run the same code:
 
+- **Native** (``native``): where a C compiler exists, a call on C-contiguous
+  float64 or float32 arrays, one object or stacked, runs the trace as a C
+  loop over the sites, in the same order and precision; the first kernel
+  call of a process builds or loads it. Every other call (strided, object
+  or other dtypes, no compiler) runs one of the two Python forms, chosen
+  by the first operand's rank, which are also the reference the native
+  loops are tested against:
 - **One object** (``_program``): one straight-line function (``_compile``)
   that unpacks each operand once with ``_parts`` (the real factor with
   ``_factor``), evaluates each result component as one expression into
@@ -42,18 +48,18 @@ run the same code:
   call's operations (no kernel's trace uses a step result twice). Operands
   are read in place through ``x.reshape(sites, components).T``; a result,
   or an in-place first operand, that is not C-contiguous is computed into a
-  temporary and copied in. Scalar bench rows with ``batch_sites > 1`` time
-  this form.
+  temporary and copied in.
 
-The vector backend compiles its gather tables' single-site traces with the
-same ``_compile`` (``simd._program``). The trace is also the one record of
-what a kernel computes: ``flops`` counts its steps, so operation counts
-describe the code that runs. Traces are cached per routine and shared by
-both programs and the counts. Programs are built lazily and cached per
-routine: importing this module or counting operations (which reads only the
-trace) builds none. Building all fifteen single-object programs takes ~22
-ms, most of it compiling (the traces alone take ~4 ms); at import that
-would add a tenth to the benchmark's ~0.19 s set-up time.
+The vector backend's gather tables are traced too (``simd._table_trace``)
+and run natively the same way. The trace is also the one record of what a
+kernel computes: ``flops`` counts its steps, so operation counts describe
+the code that runs. Traces are cached per routine and shared by the
+programs, the native loops and the counts. Programs are built lazily and
+cached per routine: importing this module or counting operations (which
+reads only the trace) builds none and imports no ``native``. Building all
+fifteen single-object programs takes ~22 ms, most of it compiling (the
+traces alone take ~4 ms); at import that would add a tenth to the
+benchmark's ~0.19 s set-up time.
 
 The real factor of ``scalar_mult_add_*`` is converted once to the operands'
 dtype, as in the vector backend. Operands of one kernel call share one
@@ -422,25 +428,56 @@ def _batch_program(routine: str):
     return _define(routine, args if spec.in_place else args + ["out"], lines, f"<{routine} batch>", namespace)
 
 
+def _not_taken(*args):
+    """The native entry where the extension is unavailable: it takes no call."""
+    return NotImplemented
+
+
+class _NativeEntries(dict):
+    """Entry name -> the native extension's entry (``native``), looked up
+    on its first call, which imports the extension and, on a host's first
+    use, builds it; ``_not_taken`` where the extension is unavailable.
+    Shared by both backends' kernels, which call an entry first and run
+    their Python path when it returns NotImplemented."""
+
+    def __missing__(self, name: str):
+        from . import native
+
+        module = native.load()
+        entry = self[name] = _not_taken if module is None else getattr(module, name)
+        return entry
+
+
+_NATIVE = _NativeEntries()
+
+
 def _traced(body):
-    """The kernel for `body`: a single object runs the routine's program, a
+    """The kernel for `body`: its native entry first, then, for a call that
+    entry does not take, a single object runs the routine's program and a
     stack of objects its batch program, each built on first use; `body`
     itself runs only under ``_trace``.
 
     The switch is compiled with the body's own parameters, so a call pays
-    for no argument packing on either path.
+    for no argument packing on any path. A real factor reaches the native
+    entry converted to the first operand's dtype, as the programs convert it.
     """
     routine = body.__name__
     code = body.__code__
-    params = ", ".join(code.co_varnames[:code.co_argcount])
-    depth = len(OPERAND_SHAPES[ROUTINES[routine].operands[0]])
+    names = code.co_varnames[:code.co_argcount]
+    params = ", ".join(names)
+    kinds = ROUTINES[routine].operands
+    native = ", ".join(f"_asarray({x}, {names[0]}.dtype)" if kind == "scalar" else x for x, kind in zip(names, kinds + ("result",)))
+    depth = len(OPERAND_SHAPES[kinds[0]])
     source = (
         f"def {routine}({params}):\n"
-        f"    if {code.co_varnames[0]}.ndim == {depth}:\n"
+        f"    c = _NATIVE[{routine!r}]({native})\n"
+        f"    if c is not NotImplemented:\n"
+        f"        return c\n"
+        f"    if {names[0]}.ndim == {depth}:\n"
         f"        return _program({routine!r})({params})\n"
         f"    return _batch_program({routine!r})({params})\n"
     )
-    namespace = {"_program": _program, "_batch_program": _batch_program}
+    namespace = {"_program": _program, "_batch_program": _batch_program, "_NATIVE": _NATIVE, "_asarray": np.asarray}
     exec(compile(source, f"<{routine} switch>", "exec"), namespace)
     return update_wrapper(namespace[routine], body)
 

@@ -13,7 +13,7 @@ equal to the scalar reference.
 The eleven contraction kernels (mat-vec, adjoint mat-vec, the three matrix
 products, both half-Wilson kernels, the four-direction kernels and
 ``mult_su3_mat_vec_sum_4dir``, ``su3_projector``) run one executor,
-``_contract``, driven by a gather table (``Contraction``) built once at
+``_execute``, driven by a gather table (``Contraction``) built once at
 import:
 
 - **Broadcast.** A broadcast is a gathered component, as ``_mm_set1_pd``
@@ -35,24 +35,22 @@ import:
 - **Site blocks.** Stacked operands run in blocks of ``BLOCK`` sites, the
   site axis innermost, so every multiply and add is one long contiguous
   loop and a block's temporaries stay in cache.
-- **One site.** A single float64 site, one object or a batch of one, does
-  not run the executor: its ~15 numpy calls cost far more than the site's
-  arithmetic. ``_contract`` runs the table's program instead. The program
-  is the executor's operations on one site, per lane and in its order
-  (every product, the adds over j, the sign multiply, the combining add;
-  ``_table_trace``), compiled on first use by the scalar reference's
-  straight-line compiler (``scalar._compile``) into one Python function on
-  Python floats, and cached per table; it stores a C-contiguous result in
-  one pass through its buffer and a strided one through ``flat``, as the
-  scalar programs do. A Python float is an IEEE binary64,
-  so every operation rounds as the lane does; where a NaN arises is the
-  same, but its sign and payload bits may differ from the executor's.
-  Float32 sites stay on the executor: Python has no binary32 type, and on
-  numpy float32 scalars the program ran 1.3-3.7x slower than the executor.
+- **Native.** Where a C compiler exists, ``_contract`` first offers the
+  call to the table's native site loop (``native``): the executor's
+  operations on one site, per lane and in its order (every product, the
+  adds over j, the sign multiply, the combining add; ``_table_trace``), in
+  C, site after site. It takes C-contiguous float64 and float32 operands,
+  one object or stacked, so it serves ``apply``, where the executor's ~15
+  numpy calls cost far more than the site's arithmetic, and ``batch_apply``
+  alike, with no per-call temporaries. Every other call runs the executor.
+  The four elementwise kernels likewise offer the call to the scalar
+  reference's native loop of the same routine first, then run numpy. Where
+  a NaN arises is the same on every path, but its sign and payload bits
+  may differ.
 
 Every output component sees the same products, added in the same order, as
-in the scalar reference, so blocking, gathering and the single-site programs
-move no bits.
+in the scalar reference, so blocking, gathering and the native loops move
+no bits.
 
 Every kernel accepts operands with any shared leading batch shape in front
 of the per-object shape documented in the scalar reference, so the vector
@@ -68,13 +66,14 @@ from __future__ import annotations
 
 import math
 import platform
+import sys
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .flops import flop_count
-from .scalar import _FLOAT64, _compile, _Trace
+from .scalar import _NATIVE, _Trace
 from .types import PRECISIONS, routine_spec
 
 # The packed register, and how many lanes of each precision it holds: 2 double, 4 single.
@@ -101,9 +100,11 @@ class Contraction:
     operand's gather: row [j, 1] reads the pair with its lanes swapped, so
     after the adds over j, [1] lines up with [0]. sign: the +-1 that the
     swapped sums take in the combine, an (N, 1) column per dtype. x_size,
-    y_size: components per object of the two operands; outputs: N.
+    y_size: components per object of the two operands; outputs: N. entry:
+    the name of its native site loop (``native``).
     """
 
+    entry: str
     ia: np.ndarray
     ib: np.ndarray
     sign: dict
@@ -113,8 +114,8 @@ class Contraction:
     outputs: int
 
 
-def _table(grid: tuple, steps: int, x_shape: tuple, x_at, y_shape: tuple, y_at, conj: bool) -> Contraction:
-    """The table of c[o] = sum_j x[x_at(o, j)] * y[y_at(o, j)] over the complex output grid.
+def _table(routine: str, grid: tuple, steps: int, x_shape: tuple, x_at, y_shape: tuple, y_at, conj: bool) -> Contraction:
+    """Routine's table of c[o] = sum_j x[x_at(o, j)] * y[y_at(o, j)] over the complex output grid.
 
     x is the broadcast operand, y the pair operand, both with complex entry
     shapes x_shape and y_shape. x_at and y_at map the output index (one array
@@ -127,6 +128,7 @@ def _table(grid: tuple, steps: int, x_shape: tuple, x_at, y_shape: tuple, y_at, 
     part, lane = np.indices((2, 2))
     sign = np.tile([1.0, -1.0] if conj else [-1.0, 1.0], xc.shape[2])[:, None]
     return Contraction(
+        entry=f"{routine}_table",
         ia=(2 * xc + part[:, None]).reshape(steps, 2, -1),
         ib=(2 * yc + (lane ^ part)[:, None]).reshape(steps, 2, -1),
         sign={np.dtype(dt): sign.astype(dt) for dt in (np.float64, np.float32, object)},
@@ -137,26 +139,26 @@ def _table(grid: tuple, steps: int, x_shape: tuple, x_at, y_shape: tuple, y_at, 
     )
 
 
-_MAT_VEC = _table((3,), 3, (3, 3), lambda i, j: (i, j), (3,), lambda i, j: (j,), conj=False)
-_ADJ_MAT_VEC = _table((3,), 3, (3, 3), lambda i, j: (j, i), (3,), lambda i, j: (j,), conj=True)
-_FOUR_DIR = _table((4, 3), 3, (4, 3, 3), lambda d, i, j: (d, j, i), (3,), lambda d, i, j: (j,), conj=True)
+_MAT_VEC = _table("mult_su3_mat_vec", (3,), 3, (3, 3), lambda i, j: (i, j), (3,), lambda i, j: (j,), conj=False)
+_ADJ_MAT_VEC = _table("mult_adj_su3_mat_vec", (3,), 3, (3, 3), lambda i, j: (j, i), (3,), lambda i, j: (j,), conj=True)
+_FOUR_DIR = _table("mult_adj_su3_mat_vec_4dir", (4, 3), 3, (4, 3, 3), lambda d, i, j: (d, j, i), (3,), lambda d, i, j: (j,), conj=True)
 
 TABLES: dict[str, Contraction] = {
     "mult_su3_mat_vec": _MAT_VEC,
     "mult_adj_su3_mat_vec": _ADJ_MAT_VEC,
-    "mult_su3_nn": _table((3, 3), 3, (3, 3), lambda i, k, j: (i, j), (3, 3), lambda i, k, j: (j, k), conj=False),
-    "mult_su3_an": _table((3, 3), 3, (3, 3), lambda i, k, j: (j, i), (3, 3), lambda i, k, j: (j, k), conj=True),
+    "mult_su3_nn": _table("mult_su3_nn", (3, 3), 3, (3, 3), lambda i, k, j: (i, j), (3, 3), lambda i, k, j: (j, k), conj=False),
+    "mult_su3_an": _table("mult_su3_an", (3, 3), 3, (3, 3), lambda i, k, j: (j, i), (3, 3), lambda i, k, j: (j, k), conj=True),
     # b is the conjugated operand, so its components are the broadcast ones.
-    "mult_su3_na": _table((3, 3), 3, (3, 3), lambda i, k, j: (k, j), (3, 3), lambda i, k, j: (i, j), conj=True),
-    "mult_su3_mat_hwvec": _table((2, 3), 3, (3, 3), lambda h, i, j: (i, j), (2, 3), lambda h, i, j: (h, j), conj=False),
-    "mult_adj_su3_mat_hwvec": _table((2, 3), 3, (3, 3), lambda h, i, j: (j, i), (2, 3), lambda h, i, j: (h, j), conj=True),
+    "mult_su3_na": _table("mult_su3_na", (3, 3), 3, (3, 3), lambda i, k, j: (k, j), (3, 3), lambda i, k, j: (i, j), conj=True),
+    "mult_su3_mat_hwvec": _table("mult_su3_mat_hwvec", (2, 3), 3, (3, 3), lambda h, i, j: (i, j), (2, 3), lambda h, i, j: (h, j), conj=False),
+    "mult_adj_su3_mat_hwvec": _table("mult_adj_su3_mat_hwvec", (2, 3), 3, (3, 3), lambda h, i, j: (j, i), (2, 3), lambda h, i, j: (h, j), conj=True),
     "mult_adj_su3_mat_vec_4dir": _FOUR_DIR,
     "mult_adj_su3_mat_4vec": _FOUR_DIR,
     # Step s = 3 * d + j: the products are added direction-major.
     "mult_su3_mat_vec_sum_4dir": _table(
-        (3,), 12, (4, 3, 3), lambda i, s: (s // 3, s % 3, i), (4, 3), lambda i, s: (s // 3, s % 3), conj=True
+        "mult_su3_mat_vec_sum_4dir", (3,), 12, (4, 3, 3), lambda i, s: (s // 3, s % 3, i), (4, 3), lambda i, s: (s // 3, s % 3), conj=True
     ),
-    "su3_projector": _table((3, 3), 1, (3,), lambda i, k, j: (k,), (3,), lambda i, k, j: (i,), conj=True),
+    "su3_projector": _table("su3_projector", (3, 3), 1, (3,), lambda i, k, j: (k,), (3,), lambda i, k, j: (i,), conj=True),
 }
 
 
@@ -184,26 +186,23 @@ def _table_trace(t: Contraction) -> _Trace:
     for p_j in p[1:]:
         acc = [[step(s, "+", q) for s, q in zip(sums, products)] for sums, products in zip(acc, p_j)]
     re, im = acc
-    im = [step(s, "*", repr(sign)) for s, sign in zip(im, t.sign[_FLOAT64].ravel().tolist())]
+    im = [step(s, "*", repr(sign)) for s, sign in zip(im, t.sign[PRECISIONS["double"]].ravel().tolist())]
     results = tuple(step(r, "+", i) for r, i in zip(re, im))
     return _Trace((x, y), tuple(steps), results)
 
 
-@cache
-def _program(t: Contraction):
-    """Table t's trace compiled into one function (x, y, c) -> c for one
-    float64 site, with Python floats as its lanes; built on first use."""
-    routine = next(name for name, table in TABLES.items() if table is t)
-    reads = ["x.ravel().tolist()", "y.ravel().tolist()"]
-    return _compile(_table_trace(t), f"{routine}_table", ["x", "y", "c"], reads, "c", {})
-
-
 def _contract(t: Contraction, x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Run table t on the broadcast operand x and the pair operand y into c:
-    one float64 site through the table's program, else block by block."""
+    through its native site loop where that takes the call, else block by
+    block (``_execute``)."""
+    if _NATIVE[t.entry](x, y, c) is NotImplemented:
+        _execute(t, x, y, c)
+    return c
+
+
+def _execute(t: Contraction, x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Run table t on x and y into c block by block, as whole-row numpy operations."""
     n = c.size // t.outputs
-    if n == 1 and c.dtype == _FLOAT64:
-        return _program(t)(x, y, c)
     direct = c.flags.c_contiguous
     rows = c.reshape(n, t.outputs) if direct else np.empty((n, t.outputs), c.dtype)
     x, y = x.reshape(n, t.x_size), y.reshape(n, t.y_size)
@@ -226,7 +225,9 @@ def _contract(t: Contraction, x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np
 
 def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + b[i]."""
-    return np.add(a, b, out=out)
+    if _NATIVE["add_su3_vector"](a, b, out) is NotImplemented:
+        np.add(a, b, out=out)
+    return out
 
 
 def mult_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -287,12 +288,16 @@ def _scalar_factor(s, like: np.ndarray, extra_axes: int):
 
 def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i][j] = a[i][j] + s * b[i][j] for real s."""
-    return np.add(a, _scalar_factor(s, a, 3) * b, out=out)
+    if _NATIVE["scalar_mult_add_su3_matrix"](a, b, np.asarray(s, a.dtype), out) is NotImplemented:
+        np.add(a, _scalar_factor(s, a, 3) * b, out=out)
+    return out
 
 
 def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + s * b[i] for real s."""
-    return np.add(a, _scalar_factor(s, a, 2) * b, out=out)
+    if _NATIVE["scalar_mult_add_su3_vector"](a, b, np.asarray(s, a.dtype), out) is NotImplemented:
+        np.add(a, _scalar_factor(s, a, 2) * b, out=out)
+    return out
 
 
 def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -302,8 +307,9 @@ def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def sub_four_su3_vecs(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray, b4: np.ndarray) -> np.ndarray:
     """a[i] -= b1[i] + b2[i] + b3[i] + b4[i], in place, left to right."""
-    for b in (b1, b2, b3, b4):
-        np.subtract(a, b, out=a)
+    if _NATIVE["sub_four_su3_vecs"](a, b1, b2, b3, b4) is NotImplemented:
+        for b in (b1, b2, b3, b4):
+            np.subtract(a, b, out=a)
     return a
 
 
@@ -349,7 +355,9 @@ def lane_op_count(routine: str) -> LaneOpCount:
 
 
 def capability() -> dict:
-    """Report what backs the packed lanes on this host."""
+    """Report what backs the packed lanes on this host, and the native
+    extension: its path once loaded, "not built yet" before the first
+    kernel call of this process, or why it is unavailable."""
     features: list[str] = []
     for mod in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
         try:
@@ -366,4 +374,5 @@ def capability() -> dict:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "cpu_features": features,
+        "native": native.status() if (native := sys.modules.get(f"{__package__}.native")) else "not built yet",
     }

@@ -14,6 +14,7 @@ storage. Kernels are dtype-generic; precision is carried by the arrays.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,24 +152,6 @@ def half_wilson_vector(values, precision: str | np.dtype = "double") -> np.ndarr
     return _pack_complex(values, (2, 3), dtype_for(precision), "half_wilson_vector")
 
 
-def zeros(kind: str, precision: str | np.dtype = "double") -> np.ndarray:
-    return np.zeros(OPERAND_SHAPES[kind], dtype=dtype_for(precision))
-
-
-def to_complex(arr: np.ndarray) -> np.ndarray:
-    """View a pair-layout array as a complex array (copy)."""
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def from_complex(carr: np.ndarray, precision: str | np.dtype = "double") -> np.ndarray:
-    """Split a complex array into pair layout."""
-    carr = np.asarray(carr)
-    out = np.empty(carr.shape + (2,), dtype=dtype_for(precision))
-    out[..., 0] = carr.real
-    out[..., 1] = carr.imag
-    return out
-
-
 def batch_count(spec: RoutineSpec, operands, count: int | None = None) -> int:
     """The batch size of stacked operands: the leading size their arrays share.
 
@@ -194,12 +177,25 @@ def random_operands(
     precision: str | np.dtype = "double",
     batch: int | None = None,
 ) -> list[np.ndarray]:
-    """Draw one operand set (or a batch) with components uniform in [-1, 1]."""
+    """Draw one operand set (or a batch) with components uniform in [-1, 1].
+
+    One draw serves the set: ``rng.random`` gives every component's double
+    in operand order, and ``2 * u - 1`` is what ``Generator.uniform(-1, 1)``
+    computes from it, so the components are those that one ``uniform`` call
+    per operand would draw. The operands are views of the one array,
+    converted to the precision once.
+    """
     spec = routine_spec(routine)
     dt = dtype_for(precision)
     prefix = () if batch is None else (batch,)
-    ops = []
-    for kind in spec.operands:
-        shape = prefix + OPERAND_SHAPES[kind]
-        ops.append(rng.uniform(-1.0, 1.0, size=shape).astype(dt, copy=False))
+    shapes = [prefix + OPERAND_SHAPES[kind] for kind in spec.operands]
+    u = rng.random(sum(math.prod(shape) for shape in shapes))
+    u *= 2.0
+    u -= 1.0
+    u = u.astype(dt, copy=False)
+    ops, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        ops.append(u[start:stop].reshape(shape))
+        start = stop
     return ops

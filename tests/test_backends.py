@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from su3bench import BACKEND_NAMES, ROUTINE_NAMES, backends, debug_validation, get_backend, types
+from tutil import zeros
 
 OTHER_PRECISION = {"double": np.float32, "single": np.float64}
 
@@ -37,7 +38,7 @@ def test_kernel_returns_and_fills_out(kind, routine, precision):
 def test_out_parameter_is_used(kind, rng, precision):
     backend = get_backend(kind)
     a, b = types.random_operands("mult_su3_mat_vec", rng, precision)
-    out = types.zeros("vec", precision)
+    out = zeros("vec", precision)
     assert backend.apply("mult_su3_mat_vec", a, b, out=out) is out
     assert np.array_equal(out, backend.apply("mult_su3_mat_vec", a, b))
 

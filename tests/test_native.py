@@ -1,0 +1,278 @@
+"""The native site loops against the Python paths they stand in for, and
+what their build promises: no packed or fused arithmetic, no per-call
+temporaries, nothing at import, and the Python paths where there is no
+compiler."""
+import re
+import shutil
+import subprocess
+import sys
+import tracemalloc
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import su3bench
+from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Lattice4D, SiteBuffer, get_backend, native, scalar, simd, types
+from test_simd_kernels import _special_sets
+
+MODULE = native.load()
+needs_native = pytest.mark.skipif(MODULE is None, reason=f"native extension unavailable: {native.status()}")
+ENTRIES = ROUTINE_NAMES + tuple(t.entry for t in simd.TABLES.values())
+TESTS = Path(__file__).resolve().parent
+
+
+@contextmanager
+def _entries(make):
+    """Every kernel calls make(name) as its native entry, for the duration."""
+    saved = dict(scalar._NATIVE)
+    scalar._NATIVE.update({name: make(name) for name in ENTRIES})
+    try:
+        yield
+    finally:
+        scalar._NATIVE.clear()
+        scalar._NATIVE.update(saved)
+
+
+def _python_paths():
+    """Every kernel runs its Python path: no native entry takes a call."""
+    return _entries(lambda name: scalar._not_taken)
+
+
+def _native_only():
+    """Every kernel call must be taken by its native entry."""
+    def strict(name):
+        entry = getattr(MODULE, name)
+
+        def call(*args):
+            result = entry(*args)
+            assert result is not NotImplemented, f"{name} did not take the call"
+            return result
+        return call
+    return _entries(strict)
+
+
+def _same(got, want):
+    """Same dtype, shape and NaN mask, and the same bytes where not NaN."""
+    nan = np.isnan(want)
+    return (got.dtype == want.dtype and got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+def _operand_sets(routine, precision, n):
+    """Random sets and special-value sets of n stacked sites (one object at n=None)."""
+    rng = np.random.default_rng([40, ROUTINE_NAMES.index(routine), n or 0])
+    sets = [types.random_operands(routine, rng, precision, batch=n)]
+    for ops in _special_sets(routine, rng, precision, 40 if n is None else 8):
+        sets.append(ops if n is None else [np.stack([o] * n) for o in ops])
+        if n is not None:  # the special values differing from site to site
+            sets.append([rng.permutation(np.stack([o] * n).ravel()).reshape((n,) + o.shape) for o in ops])
+    return sets
+
+
+def _calls(spec, ops):
+    """(operands, the operand position `out` shares or None) for each form
+    of call: a fresh result (in place: the first operand), an out that is an
+    operand of the result's shape, and a real factor as a Python float."""
+    calls = [(ops, None)]
+    if not spec.in_place:
+        result = types.OPERAND_SHAPES[spec.result]
+        calls += [(ops, k) for k, kind in enumerate(spec.operands) if kind != "scalar" and types.OPERAND_SHAPES[kind] == result]
+    if "scalar" in spec.operands:
+        k = spec.operands.index("scalar")
+        calls.append((ops[:k] + [float(ops[k].ravel()[0])] + ops[k + 1:], None))
+    return calls
+
+
+def _run(kernel, spec, ops, alias):
+    """kernel on copies of ops; what it wrote."""
+    ops = [op.copy() if isinstance(op, np.ndarray) else op for op in ops]
+    if spec.in_place:
+        target = ops[0]
+        assert kernel(*ops) is target
+        return target
+    batch = ops[0].shape[:ops[0].ndim - len(types.OPERAND_SHAPES[spec.operands[0]])]
+    target = ops[alias] if alias is not None else np.full(batch + types.OPERAND_SHAPES[spec.result], np.nan, ops[0].dtype)
+    assert kernel(*ops, out=target) is target
+    return target
+
+
+@needs_native
+@pytest.mark.parametrize("routine", ROUTINE_NAMES)
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+@np.errstate(invalid="ignore", over="ignore")
+def test_native_matches_the_python_paths(kind, routine, precision):
+    # Per site the native loop performs the trace's steps in order, as the
+    # Python programs (scalar) and the executor or numpy (vector) do; an out
+    # that is an operand is read before it is written in both.
+    spec = types.routine_spec(routine)
+    kernel = get_backend(kind).kernels[routine]
+    for n in (None, 1, 2, 513):
+        for ops in _operand_sets(routine, precision, n):
+            for call_ops, alias in _calls(spec, ops):
+                with _native_only():
+                    got = _run(kernel, spec, call_ops, alias)
+                with _python_paths():
+                    want = _run(kernel, spec, call_ops, alias)
+                assert _same(got, want), (n, alias)
+
+
+@needs_native
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_native_takes_operands_off_their_alignment(kind, precision):
+    # A SiteBuffer(aligned=False) field starts 4 bytes off an 8-byte
+    # boundary; the loops load and store through memcpy.
+    lattice = Lattice4D.from_dims((2, 2, 2, 3))
+    routine = "mult_su3_mat_vec_sum_4dir"
+    fields = {"a": "mat4", "b": "vec4", "c": "vec"}
+    crooked = SiteBuffer(lattice, fields, precision, aligned=False)
+    crooked.randomize(5)
+    assert crooked["a"].ctypes.data % 8
+    kernel = get_backend(kind).kernels[routine]
+    with _native_only():
+        kernel(crooked["a"], crooked["b"], out=crooked["c"])
+        want = kernel(crooked["a"].copy(), crooked["b"].copy(), out=np.empty_like(crooked["c"]))
+    assert crooked["c"].tobytes() == want.tobytes()
+
+
+@needs_native
+@pytest.mark.parametrize("name", ["mult_su3_nn", "scalar_mult_add_su3_vector", "sub_four_su3_vecs", "mult_su3_nn_table"])
+def test_native_entry_refuses_what_it_does_not_take(name):
+    # It writes nothing and returns NotImplemented, so the caller's Python
+    # path runs; none of these may read or write past a buffer.
+    entry = getattr(MODULE, name)
+    routine = name.removesuffix("_table")
+    spec = types.routine_spec(routine)
+    ops = types.random_operands(routine, np.random.default_rng(7), batch=3)
+    args = list(ops) if spec.in_place else list(ops) + [np.full((3,) + types.OPERAND_SHAPES[spec.result], np.nan)]
+    target = 0 if spec.in_place else len(args) - 1
+
+    def variant(position, value):
+        return args[:position] + [value] + args[position + 1:]
+
+    wide = np.zeros(args[target].shape + (2,))
+    read_only = args[target].copy()
+    read_only.flags.writeable = False
+    refused = [
+        args[:-1],
+        args + [args[0]],
+        variant(0, args[0].astype(object)),
+        variant(0, args[0].astype(np.float32)),
+        variant(0, args[0].astype(np.float16)),
+        variant(0, args[0].astype(">f8")),
+        variant(0, args[0][::-1]),
+        variant(0, args[0][:2]),
+        variant(1, np.concatenate([args[1], args[1]])),
+        variant(target, wide[..., 0]),
+        variant(target, read_only),
+        variant(target, args[target][:2]),
+        variant(1, args[1].tolist()),
+    ]
+    if "scalar" in spec.operands:
+        k = spec.operands.index("scalar")
+        refused += [variant(k, np.ones(2)), variant(k, 0.5)]
+    before = [np.array(a, copy=True) if isinstance(a, np.ndarray) and a.dtype != object else None for a in args]
+    for call in refused:
+        assert entry(*call) is NotImplemented
+    for a, b in zip(args, before):
+        if b is not None:
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+@needs_native
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+@pytest.mark.parametrize("routine", ["mult_adj_su3_mat_vec_4dir", "mult_su3_mat_vec_sum_4dir"])
+def test_warm_batch_apply_allocates_only_its_result(kind, routine):
+    # numpy reports its data allocations to tracemalloc. The executors'
+    # per-call temporaries (here ~150 KB of gathered products) decided
+    # whether a process's heap churned; the native loops allocate none.
+    # The Python path measured the same way shows what the check would catch.
+    backend = get_backend(kind)
+    ops = types.random_operands(routine, np.random.default_rng(3), "double", batch=128)
+    slack = 1024  # the call's Python objects
+
+    def traced_peak():
+        backend.batch_apply(routine, ops)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            result = backend.batch_apply(routine, ops)
+            return tracemalloc.get_traced_memory()[1] - before, result.nbytes
+        finally:
+            tracemalloc.stop()
+
+    with _python_paths():
+        python_peak, nbytes = traced_peak()
+    assert python_peak > nbytes + slack
+    peak, nbytes = traced_peak()
+    assert nbytes <= peak <= nbytes + slack
+
+
+@needs_native
+def test_module_has_no_packed_or_fused_arithmetic():
+    # gcc -O2 would vectorise the plain site loops into packed lanes, and
+    # -march flags or contraction would fuse a multiply into an add; either
+    # would stop the loops being the trace's scalar arithmetic.
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        pytest.skip("objdump not found")
+    text = subprocess.run([objdump, "-d", "--no-show-raw-insn", MODULE.__file__],
+                          capture_output=True, text=True, timeout=120, check=True).stdout
+    assert re.search(r"\bmulsd\b", text) and re.search(r"\bmulss\b", text)
+    assert re.findall(r"\b(v?(?:mul|add|sub)p[sd]|vfn?m(?:add|sub)\w*)\b", text) == []
+
+
+@needs_native
+def test_native_source_is_the_trace():
+    # The emitted source is kept beside the module; each loop's steps are
+    # the trace's, one line each, in its order, signs as literals.
+    path = Path(MODULE.__file__)
+    text = (path.parent / f"{path.name.split('.')[0]}.c").read_text()
+    for name, trace in [("mult_su3_nn", scalar._trace("mult_su3_nn")), ("mult_su3_nn_table", simd._table_trace(simd.TABLES["mult_su3_nn"]))]:
+        for code, ctype in (("d", "double"), ("f", "float")):
+            body = text.split(f"static void {name}_{code}(")[1].split("\n}\n")[0]
+            steps = re.findall(rf"const {ctype} (t\d+) = (\S+) ([*+-]) (\S+);", body)
+            literal = re.compile(rf"\(\({ctype}\)(.*)\)")
+            assert [(r, x, op, literal.sub(r"\1", y)) for r, x, op, y in steps] == list(trace.steps)
+
+
+def test_module_builds_where_a_compiler_exists():
+    # Otherwise a source or flag that gcc rejects would only skip the tests above.
+    if shutil.which(native.COMPILER) is None:
+        pytest.skip(f"{native.COMPILER} not found")
+    assert MODULE is not None, native.status()
+
+
+@needs_native
+def test_capability_reports_the_loaded_module():
+    assert simd.capability()["native"] == MODULE.__file__ == native.status()
+
+
+def test_import_and_flop_table_import_no_native():
+    # Set-up time includes importing the package and counting operations;
+    # neither may import the emitter, let alone start a compiler.
+    code = "import sys, su3bench; su3bench.flop_table(); print('su3bench.native' in sys.modules, su3bench.capability()['native'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False not built yet"
+
+
+def test_without_a_compiler_the_python_paths_give_the_digests(tmp_path):
+    # An empty build directory and no compiler: every kernel of both
+    # backends runs its Python path, silently (-W error), to the same bits.
+    code = (
+        "import sys, pathlib; sys.path[:0] = sys.argv[1:3]\n"
+        "from su3bench import capability, native\n"
+        "native.BUILD, native.COMPILER = pathlib.Path(sys.argv[3]), 'su3bench-no-such-compiler'\n"
+        "import test_digests\n"
+        "assert test_digests.output_digest() == test_digests.EXPECTED\n"
+        "print(native.load(), capability()['native'])\n"
+    )
+    src = str(Path(su3bench.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, src, str(TESTS), str(tmp_path)],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.strip() == "None no C compiler: su3bench-no-such-compiler is not on PATH"
+    assert list(tmp_path.iterdir()) == []

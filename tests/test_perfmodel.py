@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from su3bench import perfmodel as pm
 from su3bench import types
+from tutil import dump_instruction_mixes
 
 SERIAL_DOUBLE = (pm.TimeComponents(t_comp_accel=220.0), pm.TimeComponents(t_comp_accel=135.0))
 SERIAL_SINGLE = (pm.TimeComponents(t_comp_accel=153.0), pm.TimeComponents(t_comp_accel=89.0))
@@ -130,7 +131,7 @@ def test_mix_all_or_none_enforced():
 
 def test_mix_table_round_trips_byte_for_byte():
     shipped = pm._read_reference(pm.TABLE_PATH)
-    assert pm.dump_instruction_mixes(pm.parse_instruction_mixes(shipped)) == shipped
+    assert dump_instruction_mixes(pm.parse_instruction_mixes(shipped)) == shipped
 
 
 def test_mix_parse_errors_carry_line_numbers():

@@ -62,25 +62,6 @@ def test_special_values_agree_across_backends_at_one_site(routine, precision):
 
 
 @pytest.mark.parametrize("routine", ALL)
-@pytest.mark.parametrize("kind", BACKEND_NAMES)
-@np.errstate(invalid="ignore", over="ignore")
-def test_single_site_program_agrees_with_the_general_path(kind, routine, precision):
-    # apply at one site runs a compiled program (every scalar routine, the
-    # vector tables in double). The general path stays reachable through a
-    # batch: the vector executor over two sites, the scalar body over one.
-    backend = get_backend(kind)
-    sites = 2 if kind == "vector" else 1
-    rng = np.random.default_rng([26, ALL.index(routine)])
-    random_sets = [types.random_operands(routine, rng, precision) for _ in range(50)]
-    for ops in random_sets + list(_special_sets(routine, rng, precision, 200)):
-        got = _apply(backend, routine, ops)
-        want = backend.batch_apply(routine, [np.stack([op] * sites) for op in ops])[0]
-        nan = np.isnan(want)
-        assert np.array_equal(np.isnan(got), nan)
-        assert got[~nan].tobytes() == want[~nan].tobytes()
-
-
-@pytest.mark.parametrize("routine", ALL)
 @pytest.mark.parametrize("count", [0, 1, 5, 64])
 def test_batch_apply_equals_singles(routine, precision, count):
     rng = np.random.default_rng([21, ALL.index(routine), count])

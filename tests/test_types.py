@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from su3bench import BACKEND_NAMES, get_backend, types
+from tutil import complex_to_pairs, pairs_to_complex
 
 
 def test_routine_registry_is_complete():
@@ -78,7 +79,7 @@ def test_constructor_rejects_non_finite():
 
 def test_complex_round_trip(rng, precision):
     arr = rng.uniform(-1, 1, size=(3, 3, 2)).astype(types.dtype_for(precision))
-    assert np.array_equal(types.from_complex(types.to_complex(arr), precision), arr)
+    assert np.array_equal(complex_to_pairs(pairs_to_complex(arr), precision), arr)
 
 
 def test_flop_count_total_and_validation():
@@ -104,6 +105,27 @@ def test_random_operands_shapes_and_range(rng, precision):
     assert [op.shape for op in batched] == [(5, 3, 2), (5, 3, 2), (5,)]
     for op in batched:
         assert np.all(np.abs(op) <= 1.0)
+
+
+def _uniform_per_operand(routine, rng, precision, batch):
+    """random_operands as one uniform draw per operand, the form it replaced."""
+    prefix = () if batch is None else (batch,)
+    dt = types.dtype_for(precision)
+    shapes = [prefix + types.OPERAND_SHAPES[kind] for kind in types.routine_spec(routine).operands]
+    return [rng.uniform(-1.0, 1.0, size=shape).astype(dt, copy=False) for shape in shapes]
+
+
+@pytest.mark.parametrize("batch", [None, 128])
+def test_random_operands_draw_what_per_operand_uniform_draws(batch, precision):
+    # One rng.random call scaled to [-1, 1) in place gives uniform's bits
+    # (low + (high - low) * u), and leaves the generator in the same state.
+    for routine in types.ROUTINE_NAMES:
+        for seed in range(3):
+            mine, theirs = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 5])
+            got = types.random_operands(routine, mine, precision, batch)
+            want = _uniform_per_operand(routine, theirs, precision, batch)
+            assert [(type(x), x.dtype, x.shape, x.tobytes()) for x in got] == [(type(x), x.dtype, x.shape, x.tobytes()) for x in want]
+            assert mine.random() == theirs.random()
 
 
 def test_random_operands_deterministic(precision):

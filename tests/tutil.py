@@ -6,14 +6,35 @@ from collections import Counter
 import numpy as np
 
 from su3bench import types, verify
+from su3bench.perfmodel import MIX_HEADER
+
+
+def zeros(kind: str, precision: str = "double") -> np.ndarray:
+    return np.zeros(types.OPERAND_SHAPES[kind], dtype=types.dtype_for(precision))
 
 
 def pairs_to_complex(arr: np.ndarray) -> np.ndarray:
+    """View a pair-layout array as a complex array (copy)."""
     return arr[..., 0] + 1j * arr[..., 1]
 
 
 def complex_to_pairs(carr: np.ndarray, precision: str = "double") -> np.ndarray:
-    return types.from_complex(carr, precision)
+    """Split a complex array into pair layout."""
+    carr = np.asarray(carr)
+    out = np.empty(carr.shape + (2,), dtype=types.dtype_for(precision))
+    out[..., 0] = carr.real
+    out[..., 1] = carr.imag
+    return out
+
+
+def dump_instruction_mixes(mixes) -> str:
+    """Canonical text form of an instruction-mix table; parse -> dump
+    round-trips the shipped table byte for byte."""
+    lines = [MIX_HEADER]
+    for mix in mixes:
+        cells = ["" if c is None else str(c) for c in (mix.add, mix.mul, mix.mov, mix.shuffle_other)]
+        lines.append(",".join([mix.routine, *cells]))
+    return "\n".join(lines) + "\n"
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
@@ -45,7 +66,7 @@ def random_unitary(rng: np.random.Generator, precision: str = "double") -> np.nd
     for p, q in ((0, 1), (0, 2), (1, 2)):
         theta, phi = rng.uniform(0.0, 2.0 * np.pi, size=2)
         u = u @ _plane_rotation(p, q, theta, phi)
-    return types.from_complex(u, precision)
+    return complex_to_pairs(u, precision)
 
 
 def run_kernel(kernel, *ops):
