@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import scalar, simd
-from .scalar import _define
+from .trace import define
 from .types import OPERAND_SHAPES, PRECISIONS, ROUTINE_NAMES, ROUTINES, RoutineSpec, batch_count, result_shape
 
 
@@ -208,7 +208,7 @@ def _entry(plan: _Plan) -> Callable:
         "_float64": PRECISIONS["double"],
         "_float32": PRECISIONS["single"],
     }
-    return _define(spec.name, ["operands", "out", "outs"], lines, f"<{spec.name} apply>", namespace)
+    return define(spec.name, ["operands", "out", "outs"], lines, f"<{spec.name} apply>", namespace)
 
 
 class Backend:

@@ -46,6 +46,12 @@ def _dims(value: str) -> tuple[int, ...]:
     return parts
 
 
+def _seed(value: str) -> int:
+    if not (value.isascii() and value.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def _float_list(value: str) -> list[float]:
     try:
         numbers = [float(v) for v in value.split(",") if v.strip()]
@@ -59,7 +65,7 @@ def _float_list(value: str) -> list[float]:
 def _add_common(p: argparse.ArgumentParser, seed: int = 12345) -> None:
     p.add_argument("--precision", choices=sorted(PRECISIONS), default="double")
     p.add_argument("--format", choices=("csv", "table", "json-lines"), default="table")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_seed, default=seed)
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 

@@ -1,10 +1,10 @@
 """Floating-point operation counts, read off the kernels' traces.
 
-``scalar._trace`` records every ``*``, ``+`` and ``-`` one call of a kernel
-body performs; the programs and native loops are compiled from the same
-record. The counts are therefore those of the reference code itself, not
-transcribed from anywhere, and subtraction counts as an add. Packed-lane
-tallies are the vector backend's ``lane_op_count``.
+``scalar.routine_trace`` records every ``*``, ``+`` and ``-`` one call of a
+kernel body performs; the kernel's Python program and native loop are
+compiled from the same record. The counts are therefore those of the
+reference code itself, not transcribed from anywhere, and subtraction counts
+as an add. Packed-lane tallies are the vector backend's ``lane_op_count``.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .types import FlopCount, ROUTINE_NAMES, routine_spec
 def flop_count(routine: str) -> FlopCount:
     """Real multiply and add counts for one invocation of a kernel."""
     routine_spec(routine)
-    ops = Counter(op for _, _, op, _ in scalar._trace(routine).steps)
+    ops = Counter(op for _, _, op, _ in scalar.routine_trace(routine).steps)
     return FlopCount(real_mults=ops["*"], real_adds=ops["+"] + ops["-"])
 
 

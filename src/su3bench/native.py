@@ -2,20 +2,20 @@
 extension.
 
 Every trace becomes one C function per precision that runs it over n sites:
-each routine's ``scalar._trace`` (which the vector backend's elementwise
-kernels share) and each gather table's ``simd._table_trace``. A site loads
-every component it reads, then performs each step as one
+each routine's ``scalar.routine_trace`` (which the vector backend's
+elementwise kernels share) and each gather table's ``simd.table_trace``. A
+site loads every component it reads, then performs each step as one
 ``const T tK = l op r;`` in the trace's order, in the operands' own
 precision (``double`` or ``float``; x86-64 C rounds a float operation to
 float), then stores every result component. So each site rounds exactly as
-the Python programs do, and an ``out`` that is an operand reads its values
-before any is written. Where a NaN arises is the same; its sign and payload
-bits may differ (gcc may fold a ``* -1.0`` sign into a negation). Loads and
-stores go through ``memcpy``, which compiles to one scalar move and needs no
-alignment, so a ``SiteBuffer`` 4 bytes off its boundary runs here too. The
-+-1 signs are literals, and a real factor is a 1- or n-element buffer (one
-for every site, or one per site), converted by numpy to the operands' dtype
-by the caller. Identical traces (``mult_adj_su3_mat_4vec`` is
+the trace's Python program does, and an ``out`` that is an operand reads its
+values before any is written. Where a NaN arises is the same; its sign and
+payload bits may differ (gcc may fold a ``* -1.0`` sign into a negation).
+Loads and stores go through ``memcpy``, which compiles to one scalar move
+and needs no alignment, so a ``SiteBuffer`` 4 bytes off its boundary runs
+here too. The +-1 signs are literals, and a real factor is a 1- or n-element
+buffer (one for every site, or one per site), converted by numpy to the
+operands' dtype by the caller. Identical traces (``mult_adj_su3_mat_4vec`` is
 ``mult_adj_su3_mat_vec_4dir``) share one pair of loops.
 
 Each trace's entry, named after its routine (a table's after ``Contraction.
@@ -194,14 +194,14 @@ def _entries() -> list[tuple]:
     argument written) for every routine and every distinct gather table."""
     entries = []
     for routine in ROUTINE_NAMES:
-        spec, trace = ROUTINES[routine], scalar._trace(routine)
+        spec, trace = ROUTINES[routine], scalar.routine_trace(routine)
         sizes = tuple(0 if kind == "scalar" else len(names) for kind, names in zip(spec.operands, trace.operands))
         if spec.in_place:
             entries.append((routine, trace, sizes, 0))
         else:
             entries.append((routine, trace, sizes + (len(trace.results),), len(sizes)))
     for t in dict.fromkeys(simd.TABLES.values()):
-        entries.append((t.entry, simd._table_trace(t), (t.x_size, t.y_size, t.outputs), 2))
+        entries.append((t.entry, simd.table_trace(t), (t.x_size, t.y_size, t.outputs), 2))
     return entries
 
 

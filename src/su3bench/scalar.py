@@ -3,63 +3,20 @@
 Every kernel is straight-line real arithmetic on (re, im) pairs in the
 arrays' own precision. The bodies below are the one source of that
 arithmetic, and each runs once: on a routine's first call, its body runs on
-symbolic reals (``_Sym``), which record every ``*``, ``+`` and ``-`` as one
-step, in the order performed (``_trace``). The tracer raises TypeError on
-anything it cannot emit (a constant operand, unary minus, a branch on a
-value), so a body change cannot compile to a different program. Every call
-runs code compiled from that record (``_traced``), so ``backends.Backend``
-and direct calls run the same code:
-
-- **Native** (``native``): where a C compiler exists, a call on C-contiguous
-  float64 or float32 arrays, one object or stacked, runs the trace as a C
-  loop over the sites, in the same order and precision; the first kernel
-  call of a process builds or loads it. Every other call (strided, object
-  or other dtypes, no compiler) runs one of the two Python forms, chosen
-  by the first operand's rank, which are also the reference the native
-  loops are tested against:
-- **One object** (``_program``): one straight-line function (``_compile``)
-  that unpacks each operand once with ``_parts`` (the real factor with
-  ``_factor``), evaluates each result component as one expression into
-  one tuple, and stores it once: into a C-contiguous float64 result in one
-  pass through its buffer (``struct.Struct.pack_into``, which writes each
-  Python float's binary64 bits, about a third of the cost of ``flat`` for
-  18 components), into any other result (strided, float32, object) through
-  ``flat``, which writes index order whatever the strides. A step result
-  used once is written in parentheses where it is used, so every
-  operation keeps the body's operands and association; one used more than
-  once is assigned to a name once. A
-  component is a Python float for a float64 object: a Python float is an
-  IEEE binary64, so every operation rounds exactly as on np.float64, at a
-  fraction of a numpy scalar operation's cost. It is a numpy float32 scalar
-  for a float32 object (Python has no binary32 type, and Python floats would
-  round every operation to binary64), and the element itself for an object
-  array.
-- **Stacked objects** (``_batch_program``): operands that share leading
-  batch axes before the per-object shape. Result components whose
-  expressions have one shape (the same operations, each leaf drawn from the
-  same operand) form a group: ``mult_su3_nn``'s nine real parts are one,
-  its nine imaginary parts another. Per block of ``_BLOCK`` sites, one
-  ``take`` per operand gathers the leaves of every group into rows over the
-  block's sites, and each group's expression, in ``_compile``'s
-  parenthesised form, runs once as elementwise numpy operations over
-  (members, sites) into the group's result rows. Elementwise operations
-  round each site exactly as the scalar ones do, so the result is bitwise
-  equal to calling the kernel site by site, and n sites perform n times one
-  call's operations (no kernel's trace uses a step result twice). Operands
-  are read in place through ``x.reshape(sites, components).T``; a result,
-  or an in-place first operand, that is not C-contiguous is computed into a
-  temporary and copied in.
-
-The vector backend's gather tables are traced too (``simd._table_trace``)
-and run natively the same way. The trace is also the one record of what a
-kernel computes: ``flops`` counts its steps, so operation counts describe
-the code that runs. Traces are cached per routine and shared by the
-programs, the native loops and the counts. Programs are built lazily and
-cached per routine: importing this module or counting operations (which
-reads only the trace) builds none and imports no ``native``. Building all
-fifteen single-object programs takes ~22 ms, most of it compiling (the
-traces alone take ~4 ms); at import that would add a tenth to the
-benchmark's ~0.19 s set-up time.
+symbolic reals (``trace.Sym``), which record every ``*``, ``+`` and ``-`` as
+one step, in the order performed (``routine_trace``). The tracer raises
+TypeError on anything it cannot emit (a constant operand, unary minus, a
+branch on a value), so a body change cannot compile to a different program.
+Every call runs code compiled from that record, so ``backends.Backend`` and
+direct calls run the same code: the routine's native loop (``native``)
+where it takes the call (C-contiguous float64 or float32 arrays, one object
+or stacked, where a C compiler exists), else the trace's Python program
+(``trace.program``), which runs a single object as one site and is the
+reference the native loops are tested against. The trace is also the one
+record of what a kernel computes: ``flops`` counts its steps, so operation
+counts describe the code that runs. Traces and programs are built lazily
+and cached per routine: importing this module or counting operations
+(which reads only the trace) builds no program and imports no ``native``.
 
 The real factor of ``scalar_mult_add_*`` is converted once to the operands'
 dtype, as in the vector backend. Operands of one kernel call share one
@@ -89,27 +46,18 @@ Conjugation conventions (adj = conjugate transpose):
 """
 from __future__ import annotations
 
-import linecache
 import math
-from collections import Counter
 from functools import cache, update_wrapper
 from operator import itemgetter
-from struct import Struct
-from typing import NamedTuple
 
 import numpy as np
 
+from .trace import NATIVE, Sym, Trace, define, program
 from .types import OPERAND_SHAPES, ROUTINES
 
-_FLOAT64 = np.dtype(np.float64)
 
-
-def _parts(x):
-    """The components of the single object x in memory order, from one read
-    of x: Python floats for float64, else its elements (see the module
-    docstring)."""
-    if x.dtype == np.float64:
-        return x.ravel().tolist()
+def _parts(x) -> tuple:
+    """The components of the single object x in memory order."""
     return tuple(x.ravel())
 
 
@@ -205,78 +153,17 @@ def _store(c: np.ndarray, values) -> np.ndarray:
     return c
 
 
-def _factor(s, like: np.ndarray):
-    """The real factor s, converted once to like's dtype, as its one component
-    (unpacked as like's components are)."""
-    return _parts(np.asarray(s, dtype=like.dtype))
-
-
-def _factor_sites(s, like: np.ndarray, n: int) -> np.ndarray:
-    """The real factor s, converted once to like's dtype, as one value for
-    each of n sites: a number is broadcast, one per site is flattened."""
-    f = np.asarray(s, dtype=like.dtype)
-    return f.reshape(n) if f.ndim else np.broadcast_to(f, (n,))
-
-
-class _Sym:
-    """A traced real: each ``*``, ``+`` or ``-`` between two of them appends
-    one step to their shared tape and gives the step's result.
-
-    Anything else a body could do with a component (a constant operand,
-    unary minus, a comparison or branch on its value) raises TypeError, so a
-    body the trace cannot reproduce exactly is never compiled.
-    """
-
-    __slots__ = ("name", "tape")
-
-    def __init__(self, name: str, tape: list) -> None:
-        self.name = name
-        self.tape = tape
-
-    def _step(self, op: str, other) -> "_Sym":
-        if not isinstance(other, _Sym) or other.tape is not self.tape:
-            raise TypeError(f"cannot trace {self.name} {op} {other!r}: only operations between traced components are emitted")
-        result = _Sym(f"t{len(self.tape)}", self.tape)
-        self.tape.append((result.name, self.name, op, other.name))
-        return result
-
-    def __mul__(self, other):
-        return self._step("*", other)
-
-    def __add__(self, other):
-        return self._step("+", other)
-
-    def __sub__(self, other):
-        return self._step("-", other)
-
-    def _untraceable(self, *args):
-        raise TypeError(f"cannot trace this operation on {self.name}: only *, + and - between traced components are emitted")
-
-    __rmul__ = __radd__ = __rsub__ = __neg__ = __bool__ = __eq__ = __ne__ = _untraceable
-
-    def __repr__(self) -> str:
-        return f"_Sym({self.name!r})"
-
-
-class _Trace(NamedTuple):
-    """One call of a kernel body (or, in ``simd``, of a gather table at one
-    site) as straight-line code over named reals."""
-
-    operands: tuple[tuple[str, ...], ...]  # each operand's components, in memory order (a real factor has one)
-    steps: tuple[tuple[str, str, str, str], ...]  # (result, left, op, right), in the order performed
-    results: tuple[str, ...]  # what was stored in each result component, in index order
-
-
 @cache
-def _trace(routine: str) -> _Trace:
+def routine_trace(routine: str) -> Trace:
     """Run the routine's body once on symbolic reals and record every step;
-    cached, as both programs and ``flops`` read the same record."""
+    cached, as the programs, the native loops and ``flops`` read the same
+    record."""
     spec = ROUTINES[routine]
     tape: list = []
     operands, names = [], []
     for k, kind in enumerate(spec.operands):
         shape = OPERAND_SHAPES[kind]
-        syms = [_Sym(f"x{k}_{i}", tape) for i in range(math.prod(shape))]
+        syms = [Sym(f"x{k}_{i}", tape) for i in range(math.prod(shape))]
         names.append(tuple(sym.name for sym in syms))
         if kind == "scalar":
             operands.append(syms[0])
@@ -290,196 +177,40 @@ def _trace(routine: str) -> _Trace:
     else:
         result = body(*operands, out=np.empty(OPERAND_SHAPES[spec.result], dtype=object))
     stored = result.ravel().tolist()
-    if not all(isinstance(sym, _Sym) and sym.tape is tape for sym in stored):
+    if not all(isinstance(sym, Sym) and sym.tape is tape for sym in stored):
         raise TypeError(f"{routine}: the body left a result component untraced")
-    return _Trace(tuple(names), tuple(tape), tuple(sym.name for sym in stored))
-
-
-@cache
-def _program(routine: str):
-    """The routine's trace compiled (``_compile``) into one function with the
-    kernel's signature: unpack each operand once, evaluate, store once."""
-    spec = ROUTINES[routine]
-    args = [f"x{k}" for k in range(len(spec.operands))]
-    reads = [f"_factor({arg}, x0)" if kind == "scalar" else f"_parts({arg})" for arg, kind in zip(args, spec.operands)]
-    params = args if spec.in_place else args + ["out"]
-    target = args[0] if spec.in_place else "out"
-    return _compile(_trace(routine), routine, params, reads, target, {"_parts": _parts, "_factor": _factor})
-
-
-def _compile(trace: _Trace, name: str, params: list[str], reads: list[str], target: str, namespace: dict):
-    """Compile `trace` into one straight-line function ``name(*params)``.
-
-    reads[k] is an expression of the params that gives operand k's
-    components in order; the function binds them once, evaluates the
-    results into one tuple, stores it into `target` and returns `target`.
-    The store is one pass through the buffer (``Struct.pack_into``) when
-    `target` is a C-contiguous float64 array, and through ``flat`` (index
-    order, whatever the strides, converting to the dtype) otherwise: a
-    strided, float32 or object array. A step result used once is
-    inlined where it is used as ``(left op right)``, so every operation keeps
-    its operands and association; one used more than once is assigned once
-    and read by name. A name that is neither an operand component nor a step
-    result (the vector tables' +-1 signs) is a literal, emitted as written.
-
-    The source is registered with linecache under the function's filename,
-    so a traceback or ``inspect.getsource`` shows the emitted lines.
-    """
-    uses = Counter(trace.results)
-    uses.update(operand for _, left, _, right in trace.steps for operand in (left, right))
-    inlined: dict[str, str] = {}
-    lines = [f"{', '.join(names)}, = {read}" for names, read in zip(trace.operands, reads)]
-    for result, left, op, right in trace.steps:
-        expression = f"({inlined.get(left, left)} {op} {inlined.get(right, right)})"
-        if uses[result] == 1:
-            inlined[result] = expression
-        else:
-            lines.append(f"{result} = {expression}")
-    stored = [f"    {inlined.get(result, result)}," for result in trace.results]
-    lines += [
-        "values = (", *stored, ")",
-        f"if {target}.dtype is _float64 and {target}.flags.c_contiguous:",
-        f"    _pack_into({target}, 0, *values)",
-        "else:",
-        f"    {target}.flat = values",
-        f"return {target}",
-    ]
-    namespace = {**namespace, "_float64": _FLOAT64, "_pack_into": Struct(f"{len(trace.results)}d").pack_into}
-    return _define(name, params, lines, f"<{name} trace>", namespace)
-
-
-def _define(name: str, params: list[str], lines: list[str], filename: str, namespace: dict):
-    """Compile ``def name(*params)`` with body `lines` in `namespace`,
-    registering its source with linecache under `filename`."""
-    source = f"def {name}({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in lines)
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace[name]
-
-
-# Sites per pass of the batch form. The widest kernels gather 144 components
-# per site (72 per operand), 576 KiB per block in double precision, so a
-# block and its temporaries stay in a 2 MiB L2 cache; on 65536-site fields
-# the four-direction kernels ran slower with 1024-site blocks than with 512.
-_BLOCK = 512
+    return Trace(tuple(names), tuple(tape), tuple(sym.name for sym in stored))
 
 
 @cache
 def _batch_program(routine: str):
     """The routine's trace compiled into one function with the kernel's
-    signature over stacked operands (see the module docstring).
-
-    A group's leaf at one position reads a slab: one component of one
-    operand per member. Per block, one ``take`` per operand gathers each of
-    its slabs once, however many groups read it, and binds them to names as
-    ``_compile`` binds components; the take index is one 2-D array, so the
-    groups reading an operand have one size. A group's rows are written
-    through a slice where they are evenly spaced (in every kernel), which
-    is faster than a list. The source is registered with linecache under
-    ``<routine batch>``.
-    """
-    spec = ROUTINES[routine]
-    trace = _trace(routine)
-    steps = {result: (left, op, right) for result, left, op, right in trace.steps}
-    leaves = {name: (k, i) for k, names in enumerate(trace.operands) for i, name in enumerate(names)}
-
-    def expand(name: str):
-        """name's expression as a template with a {} per leaf, the leaves' operands and their components."""
-        if name in leaves:
-            k, i = leaves[name]
-            return "{}", (k,), (i,)
-        left, op, right = steps[name]
-        (lt, lk, li), (rt, rk, ri) = expand(left), expand(right)
-        return f"({lt} {op} {rt})", lk + rk, li + ri
-
-    groups: dict = {}  # (template, leaf operands) -> [(result component, leaf components)]
-    for r, name in enumerate(trace.results):
-        template, ks, components = expand(name)
-        groups.setdefault((template, ks), []).append((r, components))
-    slabs: list[dict] = [{} for _ in spec.operands]  # per operand: slab -> its name, in gather order
-    stores = []
-    for (template, ks), members in groups.items():
-        reads = []
-        for p, k in enumerate(ks):
-            slab = tuple(components[p] for _, components in members)
-            reads.append(f"f{k}[b]" if spec.operands[k] == "scalar" else slabs[k].setdefault(slab, f"g{k}_{len(slabs[k])}"))
-        rows = [r for r, _ in members]
-        step = rows[-1] - rows[-2] if len(rows) > 1 else 1
-        at = f"{rows[0]}:{rows[-1] + 1}:{step}" if rows == list(range(rows[0], rows[-1] + 1, step)) else rows
-        stores.append(f"    c[{at}, b] = {template.format(*reads)}")
-    args = [f"x{k}" for k in range(len(spec.operands))]
-    target, size = args[0] if spec.in_place else "out", len(trace.results)
-    lines = [
-        f"n = {target}.size // {size}",
-        f"direct = {target}.flags.c_contiguous",
-        f"rows = {target}.reshape(n, {size}) if direct else _empty((n, {size}), {target}.dtype)",
-        "c = rows.T",
-    ]
-    namespace: dict = {"_empty": np.empty, "_copyto": np.copyto, "_factor_sites": _factor_sites}
-    for k, (arg, kind) in enumerate(zip(args, spec.operands)):
-        if kind == "scalar":
-            lines.append(f"f{k} = _factor_sites({arg}, x0, n)")
-        else:
-            lines.append(f"v{k} = {arg}.reshape(n, {len(trace.operands[k])}).T")
-            namespace[f"i{k}"] = np.array(list(slabs[k]), dtype=np.intp)
-    lines += [f"for s in range(0, n, {_BLOCK}):", f"    b = slice(s, s + {_BLOCK})"]
-    lines += [f"    {', '.join(names.values())}, = v{k}[:, b].take(i{k}, 0)" for k, names in enumerate(slabs) if names]
-    lines += stores + ["if not direct:", f"    _copyto({target}, rows.reshape({target}.shape))", f"return {target}"]
-    return _define(routine, args if spec.in_place else args + ["out"], lines, f"<{routine} batch>", namespace)
-
-
-def _not_taken(*args):
-    """The native entry where the extension is unavailable: it takes no call."""
-    return NotImplemented
-
-
-class _NativeEntries(dict):
-    """Entry name -> the native extension's entry (``native``), looked up
-    on its first call, which imports the extension and, on a host's first
-    use, builds it; ``_not_taken`` where the extension is unavailable.
-    Shared by both backends' kernels, which call an entry first and run
-    their Python path when it returns NotImplemented."""
-
-    def __missing__(self, name: str):
-        from . import native
-
-        module = native.load()
-        entry = self[name] = _not_taken if module is None else getattr(module, name)
-        return entry
-
-
-_NATIVE = _NativeEntries()
+    signature (``trace.program``)."""
+    return program(routine_trace(routine), routine, ROUTINES[routine].in_place)
 
 
 def _traced(body):
     """The kernel for `body`: its native entry first, then, for a call that
-    entry does not take, a single object runs the routine's program and a
-    stack of objects its batch program, each built on first use; `body`
-    itself runs only under ``_trace``.
+    entry does not take, the routine's program, built on first use; `body`
+    itself runs only under ``routine_trace``.
 
     The switch is compiled with the body's own parameters, so a call pays
     for no argument packing on any path. A real factor reaches the native
-    entry converted to the first operand's dtype, as the programs convert it.
+    entry converted to the first operand's dtype, as the program converts it.
     """
     routine = body.__name__
     code = body.__code__
     names = code.co_varnames[:code.co_argcount]
-    params = ", ".join(names)
     kinds = ROUTINES[routine].operands
     native = ", ".join(f"_asarray({x}, {names[0]}.dtype)" if kind == "scalar" else x for x, kind in zip(names, kinds + ("result",)))
-    depth = len(OPERAND_SHAPES[kinds[0]])
-    source = (
-        f"def {routine}({params}):\n"
-        f"    c = _NATIVE[{routine!r}]({native})\n"
-        f"    if c is not NotImplemented:\n"
-        f"        return c\n"
-        f"    if {names[0]}.ndim == {depth}:\n"
-        f"        return _program({routine!r})({params})\n"
-        f"    return _batch_program({routine!r})({params})\n"
-    )
-    namespace = {"_program": _program, "_batch_program": _batch_program, "_NATIVE": _NATIVE, "_asarray": np.asarray}
-    exec(compile(source, f"<{routine} switch>", "exec"), namespace)
-    return update_wrapper(namespace[routine], body)
+    lines = [
+        f"c = _NATIVE[{routine!r}]({native})",
+        "if c is not NotImplemented:",
+        "    return c",
+        f"return _batch_program({routine!r})({', '.join(names)})",
+    ]
+    namespace = {"_batch_program": _batch_program, "_NATIVE": NATIVE, "_asarray": np.asarray}
+    return update_wrapper(define(routine, list(names), lines, f"<{routine} switch>", namespace), body)
 
 
 @_traced
@@ -555,15 +286,13 @@ def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray) -
 @_traced
 def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i][j] = a[i][j] + s * b[i][j] for real s."""
-    f, = _factor(s, a)
-    return _store(out, [x + f * y for x, y in zip(_parts(a), _parts(b))])
+    return _store(out, [x + s * y for x, y in zip(_parts(a), _parts(b))])
 
 
 @_traced
 def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + s * b[i] for real s."""
-    f, = _factor(s, a)
-    return _store(out, [x + f * y for x, y in zip(_parts(a), _parts(b))])
+    return _store(out, [x + s * y for x, y in zip(_parts(a), _parts(b))])
 
 
 @_traced

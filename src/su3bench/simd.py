@@ -6,51 +6,38 @@ component of one operand across a lane pair (``_mm_set1_pd``), multiplies it
 by a pair of the other operand, adds the packed products over the
 contraction index in order, and ends with one swap + sign + add that turns
 the (re*re, re*im) and (im*re, im*im) lane sums into the complex result.
-Lanes here are numpy array rows rather than xmm registers; the arithmetic
-sequence per output component is the same, which keeps this backend bitwise
-equal to the scalar reference.
+This backend performs that sequence lane by lane; the arithmetic sequence
+per output component is the recipe's, which keeps it bitwise equal to the
+scalar reference.
 
 The eleven contraction kernels (mat-vec, adjoint mat-vec, the three matrix
 products, both half-Wilson kernels, the four-direction kernels and
-``mult_su3_mat_vec_sum_4dir``, ``su3_projector``) run one executor,
-``_execute``, driven by a gather table (``Contraction``) built once at
-import:
+``mult_su3_mat_vec_sum_4dir``, ``su3_projector``) each read a gather table
+(``Contraction``) built once at import:
 
-- **Broadcast.** A broadcast is a gathered component, as ``_mm_set1_pd``
-  loads one component into both lanes. For every contraction step j and
-  every packed product, the table names the component of the broadcast
-  operand (the matrix, or for ``mult_su3_na`` and ``su3_projector`` the
-  conjugated operand) and the component of the pair operand that the
-  product multiplies.
-- **Packed multiply.** Both operands are gathered with one ``take`` each and
-  multiplied in one call, forming every product of every step at once.
-- **Adds over j.** The step rows are summed left to right, p0 + p1, then
-  + p2 and so on, exactly the order of running accumulators.
+- **Broadcast.** For every contraction step j and every packed product, the
+  table names the component of the broadcast operand (the matrix, or for
+  ``mult_su3_na`` and ``su3_projector`` the conjugated operand) and the
+  component of the pair operand that the product multiplies.
 - **Swap, sign, add.** The lane swap of the imaginary-part sums is folded
   into the gather: the products of imaginary-part broadcasts read the pair
-  with its lanes swapped, so after the adds their sums line up with the
-  real-part sums. They are multiplied by the table's sign (+-1, exact), and
-  one add writes the result. Adjoint and conjugate variants differ from the
-  plain ones only in their tables.
-- **Site blocks.** Stacked operands run in blocks of ``BLOCK`` sites, the
-  site axis innermost, so every multiply and add is one long contiguous
-  loop and a block's temporaries stay in cache.
-- **Native.** Where a C compiler exists, ``_contract`` first offers the
-  call to the table's native site loop (``native``): the executor's
-  operations on one site, per lane and in its order (every product, the
-  adds over j, the sign multiply, the combining add; ``_table_trace``), in
-  C, site after site. It takes C-contiguous float64 and float32 operands,
-  one object or stacked, so it serves ``apply``, where the executor's ~15
-  numpy calls cost far more than the site's arithmetic, and ``batch_apply``
-  alike, with no per-call temporaries. Every other call runs the executor.
-  The four elementwise kernels likewise offer the call to the scalar
-  reference's native loop of the same routine first, then run numpy. Where
-  a NaN arises is the same on every path, but its sign and payload bits
-  may differ.
+  with its lanes swapped, so after the adds over j their sums line up with
+  the real-part sums. They are multiplied by the table's sign (+-1, exact),
+  and one add writes the result. Adjoint and conjugate variants differ from
+  the plain ones only in their tables.
 
-Every output component sees the same products, added in the same order, as
-in the scalar reference, so blocking, gathering and the native loops move
-no bits.
+``table_trace`` writes a table's sequence at one site as a trace: every
+product, the adds over j left to right, each swapped sum times its sign and
+the combining add, per lane. A kernel runs that trace (``_contract``)
+through the table's native site loop (``native``) where it takes the call
+(C-contiguous float64 and float32 operands, one object or stacked; no
+per-call temporaries), and otherwise through the trace's Python program
+(``trace.program``: numpy operations over the sites, a single object as one
+site). The four elementwise kernels likewise offer the call to the scalar
+reference's native loop of the same routine first, then run numpy. Every
+output component sees the same products, added in the same order, as in
+the scalar reference, so no path moves a bit; where a NaN arises is the
+same on every path, but its sign and payload bits may differ.
 
 Every kernel accepts operands with any shared leading batch shape in front
 of the per-object shape documented in the scalar reference, so the vector
@@ -73,19 +60,12 @@ from functools import cache
 import numpy as np
 
 from .flops import flop_count
-from .scalar import _NATIVE, _Trace
+from .trace import NATIVE, Trace, program
 from .types import PRECISIONS, routine_spec
 
 # The packed register, and how many lanes of each precision it holds: 2 double, 4 single.
 WIDTH_BITS = 128
 LANES = {name: WIDTH_BITS // (8 * dt.itemsize) for name, dt in PRECISIONS.items()}
-
-# Sites per block. The widest tables (the four-direction kernels, 144 packed
-# products per site) give 512 * 144 * 8 B = 576 KiB of products in double;
-# with the pair operand's gather and the transposed operands a block stays
-# inside a 2 MiB L2. Of 256, 512, 1024 and 2048, 512 gave the lowest ns/site
-# summed over the tables on 65536-site double operands.
-BLOCK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +78,8 @@ class Contraction:
     with the imaginary parts; column 2*o + lane is lane `lane` of output
     entry o. The swap of the imaginary-part sums is folded into the pair
     operand's gather: row [j, 1] reads the pair with its lanes swapped, so
-    after the adds over j, [1] lines up with [0]. sign: the +-1 that the
-    swapped sums take in the combine, an (N, 1) column per dtype. x_size,
+    after the adds over j, [1] lines up with [0]. sign: the +-1.0 that each
+    output lane's swapped sum takes in the combine. x_size,
     y_size: components per object of the two operands; outputs: N. entry:
     the name of its native site loop (``native``).
     """
@@ -107,7 +87,7 @@ class Contraction:
     entry: str
     ia: np.ndarray
     ib: np.ndarray
-    sign: dict
+    sign: tuple[float, ...]
     x_size: int
     y_size: int
     steps: int
@@ -126,16 +106,16 @@ def _table(routine: str, grid: tuple, steps: int, x_shape: tuple, x_at, y_shape:
     xc = np.moveaxis(np.ravel_multi_index(x_at(*o, j), x_shape), -1, 0).reshape(steps, 1, -1, 1)
     yc = np.moveaxis(np.ravel_multi_index(y_at(*o, j), y_shape), -1, 0).reshape(steps, 1, -1, 1)
     part, lane = np.indices((2, 2))
-    sign = np.tile([1.0, -1.0] if conj else [-1.0, 1.0], xc.shape[2])[:, None]
+    sign = ((1.0, -1.0) if conj else (-1.0, 1.0)) * xc.shape[2]
     return Contraction(
         entry=f"{routine}_table",
         ia=(2 * xc + part[:, None]).reshape(steps, 2, -1),
         ib=(2 * yc + (lane ^ part)[:, None]).reshape(steps, 2, -1),
-        sign={np.dtype(dt): sign.astype(dt) for dt in (np.float64, np.float32, object)},
+        sign=sign,
         x_size=2 * math.prod(x_shape),
         y_size=2 * math.prod(y_shape),
         steps=steps,
-        outputs=sign.size,
+        outputs=len(sign),
     )
 
 
@@ -162,13 +142,12 @@ TABLES: dict[str, Contraction] = {
 }
 
 
-def _table_trace(t: Contraction) -> _Trace:
-    """The executor's operations on one site of table t, in its order, as a
+def table_trace(t: Contraction) -> Trace:
+    """The recipe's operations on one site of table t, in its order, as a
     trace over the components of x (operand 0) and y (operand 1).
 
     Every packed product, then the adds over j, then each swapped sum times
-    its sign (a +-1 literal), then the combining add: per lane, exactly what
-    ``_contract`` computes with whole rows.
+    its sign (a +-1 literal), then the combining add, lane by lane.
     """
     x = tuple(f"x0_{i}" for i in range(t.x_size))
     y = tuple(f"x1_{i}" for i in range(t.y_size))
@@ -186,46 +165,28 @@ def _table_trace(t: Contraction) -> _Trace:
     for p_j in p[1:]:
         acc = [[step(s, "+", q) for s, q in zip(sums, products)] for sums, products in zip(acc, p_j)]
     re, im = acc
-    im = [step(s, "*", repr(sign)) for s, sign in zip(im, t.sign[PRECISIONS["double"]].ravel().tolist())]
+    im = [step(s, "*", repr(sign)) for s, sign in zip(im, t.sign)]
     results = tuple(step(r, "+", i) for r, i in zip(re, im))
-    return _Trace((x, y), tuple(steps), results)
+    return Trace((x, y), tuple(steps), results)
+
+
+@cache
+def _table_program(t: Contraction):
+    """Table t's trace compiled into one function ``(x, y, out)`` (``trace.program``)."""
+    return program(table_trace(t), t.entry, in_place=False)
 
 
 def _contract(t: Contraction, x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Run table t on the broadcast operand x and the pair operand y into c:
-    through its native site loop where that takes the call, else block by
-    block (``_execute``)."""
-    if _NATIVE[t.entry](x, y, c) is NotImplemented:
-        _execute(t, x, y, c)
-    return c
-
-
-def _execute(t: Contraction, x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Run table t on x and y into c block by block, as whole-row numpy operations."""
-    n = c.size // t.outputs
-    direct = c.flags.c_contiguous
-    rows = c.reshape(n, t.outputs) if direct else np.empty((n, t.outputs), c.dtype)
-    x, y = x.reshape(n, t.x_size), y.reshape(n, t.y_size)
-    sign = t.sign[c.dtype]
-    for start in range(0, n, BLOCK):
-        stop = start + BLOCK
-        xb, yb, cb = (x, y, rows) if n <= BLOCK else (x[start:stop], y[start:stop], rows[start:stop])
-        p = xb.T.take(t.ia, 0)
-        p *= yb.T.take(t.ib, 0)
-        acc = p[0]
-        for j in range(1, t.steps):
-            acc += p[j]
-        im = acc[1]
-        im *= sign
-        np.add(acc[0], im, out=cb.T)
-    if not direct:
-        np.copyto(c, rows.reshape(c.shape))
+    through its native site loop where that takes the call, else its program."""
+    if NATIVE[t.entry](x, y, c) is NotImplemented:
+        _table_program(t)(x, y, c)
     return c
 
 
 def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + b[i]."""
-    if _NATIVE["add_su3_vector"](a, b, out) is NotImplemented:
+    if NATIVE["add_su3_vector"](a, b, out) is NotImplemented:
         np.add(a, b, out=out)
     return out
 
@@ -288,14 +249,14 @@ def _scalar_factor(s, like: np.ndarray, extra_axes: int):
 
 def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i][j] = a[i][j] + s * b[i][j] for real s."""
-    if _NATIVE["scalar_mult_add_su3_matrix"](a, b, np.asarray(s, a.dtype), out) is NotImplemented:
+    if NATIVE["scalar_mult_add_su3_matrix"](a, b, np.asarray(s, a.dtype), out) is NotImplemented:
         np.add(a, _scalar_factor(s, a, 3) * b, out=out)
     return out
 
 
 def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + s * b[i] for real s."""
-    if _NATIVE["scalar_mult_add_su3_vector"](a, b, np.asarray(s, a.dtype), out) is NotImplemented:
+    if NATIVE["scalar_mult_add_su3_vector"](a, b, np.asarray(s, a.dtype), out) is NotImplemented:
         np.add(a, _scalar_factor(s, a, 2) * b, out=out)
     return out
 
@@ -307,7 +268,7 @@ def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def sub_four_su3_vecs(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray, b4: np.ndarray) -> np.ndarray:
     """a[i] -= b1[i] + b2[i] + b3[i] + b4[i], in place, left to right."""
-    if _NATIVE["sub_four_su3_vecs"](a, b1, b2, b3, b4) is NotImplemented:
+    if NATIVE["sub_four_su3_vecs"](a, b1, b2, b3, b4) is NotImplemented:
         for b in (b1, b2, b3, b4):
             np.subtract(a, b, out=a)
     return a
@@ -355,9 +316,11 @@ def lane_op_count(routine: str) -> LaneOpCount:
 
 
 def capability() -> dict:
-    """Report what backs the packed lanes on this host, and the native
-    extension: its path once loaded, "not built yet" before the first
-    kernel call of this process, or why it is unavailable."""
+    """Report what runs the packed recipe on this host: the register it
+    models (width and lanes per precision, which the lane bound reads), how
+    its per-lane sequence runs, and the native extension: its path once
+    loaded, "not built yet" before the first kernel call of this process,
+    or why it is unavailable."""
     features: list[str] = []
     for mod in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
         try:
@@ -367,7 +330,7 @@ def capability() -> dict:
         except (ImportError, AttributeError):
             continue
     return {
-        "backend": "array-lane emulation",
+        "backend": "gather-table lane sequence: native C where the module is built, else compiled numpy over sites",
         "width_bits": WIDTH_BITS,
         "lanes": dict(LANES),
         "python": platform.python_version(),

@@ -1,0 +1,194 @@
+"""The kernels' one intermediate form, the trace, and its one Python form.
+
+The scalar backend records a kernel body's trace by running it on ``Sym``
+values (``scalar.routine_trace``); the vector backend writes one for each
+gather table (``simd.table_trace``). Both backends' kernels run a trace as
+its native loop (``native``, looked up in ``NATIVE``) where that takes the
+call, and otherwise as its compiled ``program``, the reference the native
+loops are tested against bit for bit.
+"""
+from __future__ import annotations
+
+import linecache
+from typing import NamedTuple
+
+import numpy as np
+
+
+class Sym:
+    """A traced real: each ``*``, ``+`` or ``-`` between two of them appends
+    one step to their shared tape and gives the step's result.
+
+    Anything else a body could do with a component (a constant operand,
+    unary minus, a comparison or branch on its value) raises TypeError, so a
+    body the trace cannot reproduce exactly is never compiled.
+    """
+
+    __slots__ = ("name", "tape")
+
+    def __init__(self, name: str, tape: list) -> None:
+        self.name = name
+        self.tape = tape
+
+    def _step(self, op: str, other) -> "Sym":
+        if not isinstance(other, Sym) or other.tape is not self.tape:
+            raise TypeError(f"cannot trace {self.name} {op} {other!r}: only operations between traced components are emitted")
+        result = Sym(f"t{len(self.tape)}", self.tape)
+        self.tape.append((result.name, self.name, op, other.name))
+        return result
+
+    def __mul__(self, other):
+        return self._step("*", other)
+
+    def __add__(self, other):
+        return self._step("+", other)
+
+    def __sub__(self, other):
+        return self._step("-", other)
+
+    def _untraceable(self, *args):
+        raise TypeError(f"cannot trace this operation on {self.name}: only *, + and - between traced components are emitted")
+
+    __rmul__ = __radd__ = __rsub__ = __neg__ = __bool__ = __eq__ = __ne__ = _untraceable
+
+    def __repr__(self) -> str:
+        return f"Sym({self.name!r})"
+
+
+class Trace(NamedTuple):
+    """One call of a kernel body (or of a gather table at one site) as
+    straight-line code over named reals. A name that is neither an operand
+    component nor a step result is a literal (the tables' +-1 signs)."""
+
+    operands: tuple[tuple[str, ...], ...]  # each operand's components, in memory order (a real factor has one)
+    steps: tuple[tuple[str, str, str, str], ...]  # (result, left, op, right), in the order performed
+    results: tuple[str, ...]  # what was stored in each result component, in index order
+
+
+def define(name: str, params: list[str], lines: list[str], filename: str, namespace: dict):
+    """Compile ``def name(*params)`` with body `lines` in `namespace`,
+    registering its source with linecache under `filename`, so a traceback
+    or ``inspect.getsource`` shows the emitted lines."""
+    source = f"def {name}({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in lines)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+# Sites per pass of a program. The widest traces gather 144 components per
+# site (72 per operand), 576 KiB per block in double precision, so a block
+# and its temporaries stay in a 2 MiB L2 cache; on 65536-site fields the
+# four-direction kernels ran slower with 1024-site blocks than with 512.
+BLOCK = 512
+
+
+def _factor_sites(s, like: np.ndarray, n: int) -> np.ndarray:
+    """The real factor s, converted once to like's dtype, as one value for
+    each of n sites: a number is broadcast, one per site is flattened."""
+    f = np.asarray(s, dtype=like.dtype)
+    return f.reshape(n) if f.ndim else np.broadcast_to(f, (n,))
+
+
+def program(trace: Trace, name: str, in_place: bool):
+    """`trace` compiled into ``name(x0, ..., out) -> out`` (in place:
+    ``name(x0, ...) -> x0``) over operands that share leading batch axes
+    before the per-object shape; a single object is one site.
+
+    Result components whose expressions have one shape (the same
+    operations, each leaf drawn from the same operand) form a group:
+    ``mult_su3_nn``'s nine real parts are one, its nine imaginary parts
+    another. A step result is written in parentheses where it is used, so
+    every operation keeps the trace's operands and association (one used
+    twice is evaluated twice; no kernel's trace reuses one), and a literal
+    as written. Per block of ``BLOCK`` sites, one ``take`` per operand
+    gathers the slabs its groups read (a slab: one component per member, at
+    one leaf position), each slab once however many groups read it, and
+    each group's expression runs once as elementwise numpy operations over
+    (members, sites) into the group's result rows, through a slice where
+    they are evenly spaced (in every kernel). The groups that read one
+    operand must have one size (the take index is one 2-D array).
+    Elementwise operations round each site exactly as scalar ones do, so
+    the result is bitwise the trace's, site by site, in the operands' own
+    precision (numpy float32 for float32, the elements themselves for an
+    object array).
+
+    Operands are read in place through ``x.reshape(sites, components).T``;
+    an operand of one component is a real factor, one for every site or
+    one per site, converted once to x0's dtype. A result, or an in-place
+    first operand, that is not C-contiguous is computed into a temporary and
+    copied in. The source is registered with linecache under
+    ``<name batch>``.
+    """
+    steps = {result: (left, op, right) for result, left, op, right in trace.steps}
+    leaves = {x: (k, i) for k, names in enumerate(trace.operands) for i, x in enumerate(names)}
+
+    def expand(x: str):
+        """x's expression as a template with a {} per leaf, the leaves' operands and their components."""
+        if x in leaves:
+            k, i = leaves[x]
+            return "{}", (k,), (i,)
+        if x not in steps:
+            return x, (), ()
+        left, op, right = steps[x]
+        (lt, lk, li), (rt, rk, ri) = expand(left), expand(right)
+        return f"({lt} {op} {rt})", lk + rk, li + ri
+
+    groups: dict = {}  # (template, leaf operands) -> [(result component, leaf components)]
+    for r, x in enumerate(trace.results):
+        template, ks, components = expand(x)
+        groups.setdefault((template, ks), []).append((r, components))
+    factors = {k for k, names in enumerate(trace.operands) if len(names) == 1}
+    slabs: list[dict] = [{} for _ in trace.operands]  # per operand: slab -> its name, in gather order
+    stores = []
+    for (template, ks), members in groups.items():
+        reads = []
+        for p, k in enumerate(ks):
+            slab = tuple(components[p] for _, components in members)
+            reads.append(f"f{k}[b]" if k in factors else slabs[k].setdefault(slab, f"g{k}_{len(slabs[k])}"))
+        rows = [r for r, _ in members]
+        step = rows[-1] - rows[-2] if len(rows) > 1 else 1
+        at = f"{rows[0]}:{rows[-1] + 1}:{step}" if rows == list(range(rows[0], rows[-1] + 1, step)) else rows
+        stores.append(f"    c[{at}, b] = {template.format(*reads)}")
+    args = [f"x{k}" for k in range(len(trace.operands))]
+    target, size = "x0" if in_place else "out", len(trace.results)
+    lines = [f"n = {target}.size // {size}"]
+    namespace: dict = {"_empty": np.empty, "_copyto": np.copyto, "_factor_sites": _factor_sites}
+    for k, names in enumerate(trace.operands):
+        if k in factors:
+            lines.append(f"f{k} = _factor_sites(x{k}, x0, n)")
+        else:
+            lines.append(f"v{k} = x{k}.reshape(n, {len(names)}).T")
+            namespace[f"i{k}"] = np.array(list(slabs[k]), dtype=np.intp)
+    view = "v0" if in_place else f"out.reshape(n, {size}).T"
+    lines += [
+        f"direct = {target}.flags.c_contiguous",
+        f"c = {view} if direct else _empty((n, {size}), {target}.dtype).T",
+        f"for s in range(0, n, {BLOCK}):",
+        f"    b = slice(s, s + {BLOCK})",
+    ]
+    lines += [f"    {', '.join(names.values())}, = v{k}[:, b].take(i{k}, 0)" for k, names in enumerate(slabs) if names]
+    lines += stores + ["if not direct:", f"    _copyto({target}, c.T.reshape({target}.shape))", f"return {target}"]
+    return define(name, args if in_place else args + ["out"], lines, f"<{name} batch>", namespace)
+
+
+def not_taken(*args):
+    """The native entry where the extension is unavailable: it takes no call."""
+    return NotImplemented
+
+
+class _NativeEntries(dict):
+    """Entry name -> the native extension's entry (``native``), looked up
+    on its first call, which imports the extension and, on a host's first
+    use, builds it; ``not_taken`` where the extension is unavailable.
+    Shared by both backends' kernels, which call an entry first and run
+    their program when it returns NotImplemented."""
+
+    def __missing__(self, name: str):
+        from . import native
+
+        module = native.load()
+        entry = self[name] = not_taken if module is None else getattr(module, name)
+        return entry
+
+
+NATIVE = _NativeEntries()

@@ -212,6 +212,17 @@ def test_bad_numeric_input_exits_2(args, named):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", [("verify", "--routines"), ("bench", "--routine"), ("lattice-bench", "--routine")])
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_bad_seed_is_a_usage_error(command, seed):
+    # argparse names the option; a seed numpy would refuse never reaches it.
+    proc = run_cli(*command, "mult_su3_mat_vec", "--seed", seed)
+    assert proc.returncode == 2
+    assert "error: argument --seed: expected a non-negative integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("args", [
     ("verify", "--routines", ""),
     ("verify", "--routines", ","),

@@ -3,7 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from su3bench import flops, get_backend, scalar, types
+from su3bench import flops, get_backend, types
+from su3bench.trace import BLOCK
 from tutil import Tallied, run_kernel
 
 # Hand-derived from the complex arithmetic: a 3-term complex dot costs
@@ -81,17 +82,17 @@ def _values(arr):
 
 @pytest.mark.parametrize("routine", types.ROUTINE_NAMES)
 def test_batch_form_does_the_reference_arithmetic(routine):
-    # Stacked object arrays take the scalar kernels' batch form, as
-    # Backend.batch_apply's float operands do (over two site blocks here):
-    # each site must cost one single-object call's count and give its values.
+    # Stacked object arrays take the compiled program of the scalar kernel's
+    # trace (over two site blocks here): each site must cost one call's count
+    # and give the values of the hand-written body run on that site alone.
     spec = types.routine_spec(routine)
     kernel = get_backend("scalar").kernels[routine]
     fc = flops.flop_count(routine)
-    n = scalar._BLOCK + 3
+    n = BLOCK + 3
     rng = np.random.default_rng([41, types.ROUTINE_NAMES.index(routine)])
     tally = Counter()
     ops = [_counting_stack(kind, rng, n, tally) for kind in spec.operands]
-    want = [run_kernel(kernel, ops[0][s].copy(), *(op[s] for op in ops[1:])) for s in range(n)]
+    want = [run_kernel(kernel.__wrapped__, ops[0][s].copy(), *(op[s] for op in ops[1:])) for s in range(n)]
     tally.clear()
     if spec.in_place:
         got = kernel(*ops)

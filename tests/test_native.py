@@ -15,6 +15,7 @@ import pytest
 
 import su3bench
 from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Lattice4D, SiteBuffer, get_backend, native, scalar, simd, types
+from su3bench.trace import NATIVE, not_taken
 from test_simd_kernels import _special_sets
 
 MODULE = native.load()
@@ -26,18 +27,18 @@ TESTS = Path(__file__).resolve().parent
 @contextmanager
 def _entries(make):
     """Every kernel calls make(name) as its native entry, for the duration."""
-    saved = dict(scalar._NATIVE)
-    scalar._NATIVE.update({name: make(name) for name in ENTRIES})
+    saved = dict(NATIVE)
+    NATIVE.update({name: make(name) for name in ENTRIES})
     try:
         yield
     finally:
-        scalar._NATIVE.clear()
-        scalar._NATIVE.update(saved)
+        NATIVE.clear()
+        NATIVE.update(saved)
 
 
 def _python_paths():
     """Every kernel runs its Python path: no native entry takes a call."""
-    return _entries(lambda name: scalar._not_taken)
+    return _entries(lambda name: not_taken)
 
 
 def _native_only():
@@ -104,8 +105,9 @@ def _run(kernel, spec, ops, alias):
 @np.errstate(invalid="ignore", over="ignore")
 def test_native_matches_the_python_paths(kind, routine, precision):
     # Per site the native loop performs the trace's steps in order, as the
-    # Python programs (scalar) and the executor or numpy (vector) do; an out
-    # that is an operand is read before it is written in both.
+    # trace's Python program (both backends) or numpy (the vector
+    # elementwise kernels) does; an out that is an operand is read before it
+    # is written in both.
     spec = types.routine_spec(routine)
     kernel = get_backend(kind).kernels[routine]
     for n in (None, 1, 2, 513):
@@ -184,8 +186,8 @@ def test_native_entry_refuses_what_it_does_not_take(name):
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
 @pytest.mark.parametrize("routine", ["mult_adj_su3_mat_vec_4dir", "mult_su3_mat_vec_sum_4dir"])
 def test_warm_batch_apply_allocates_only_its_result(kind, routine):
-    # numpy reports its data allocations to tracemalloc. The executors'
-    # per-call temporaries (here ~150 KB of gathered products) decided
+    # numpy reports its data allocations to tracemalloc. The Python
+    # programs' per-call temporaries (here ~150 KB of gathered slabs) decided
     # whether a process's heap churned; the native loops allocate none.
     # The Python path measured the same way shows what the check would catch.
     backend = get_backend(kind)
@@ -229,7 +231,7 @@ def test_native_source_is_the_trace():
     # the trace's, one line each, in its order, signs as literals.
     path = Path(MODULE.__file__)
     text = (path.parent / f"{path.name.split('.')[0]}.c").read_text()
-    for name, trace in [("mult_su3_nn", scalar._trace("mult_su3_nn")), ("mult_su3_nn_table", simd._table_trace(simd.TABLES["mult_su3_nn"]))]:
+    for name, trace in [("mult_su3_nn", scalar.routine_trace("mult_su3_nn")), ("mult_su3_nn_table", simd.table_trace(simd.TABLES["mult_su3_nn"]))]:
         for code, ctype in (("d", "double"), ("f", "float")):
             body = text.split(f"static void {name}_{code}(")[1].split("\n}\n")[0]
             steps = re.findall(rf"const {ctype} (t\d+) = (\S+) ([*+-]) (\S+);", body)

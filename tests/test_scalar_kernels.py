@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from su3bench import BACKEND_NAMES, get_backend, scalar, types
+from su3bench import BACKEND_NAMES, get_backend, scalar, simd, types
+from su3bench.trace import Sym, Trace, program
 from test_flops import EXPECTED
 from tutil import adjoint, max_ulp, random_unitary, rel_norm_err, run_kernel, zeros
 
@@ -101,8 +102,9 @@ class _UnpackLog(np.ndarray):
 
 @pytest.mark.parametrize("routine", ALL)
 def test_each_operand_is_unpacked_once(routine, rng, precision):
-    # The single-object program, the path a call the native entry does not
-    # take runs (the native entry reads buffers and unpacks nothing).
+    # The routine's program, the path a call the native entry does not take
+    # runs (the native entry reads buffers and unpacks nothing), reads each
+    # array operand through one reshape, a single object as one site.
     spec = types.routine_spec(routine)
     ops = types.random_operands(routine, rng, precision)
     logged = list(ops)
@@ -111,24 +113,17 @@ def test_each_operand_is_unpacked_once(routine, rng, precision):
             logged[k] = ops[k].copy().view(_UnpackLog)
             logged[k].unpacks = 0
     want = SCALAR.apply(routine, ops[0].copy(), *ops[1:])
-    program = scalar._program(routine)
-    got = program(*logged) if spec.in_place else program(*logged, np.empty_like(want))
+    compiled = scalar._batch_program(routine)
+    got = compiled(*logged) if spec.in_place else compiled(*logged, np.empty_like(want))
     assert _same_bits(np.asarray(got), want)
     unpacks = [op.unpacks for op, kind in zip(logged, spec.operands) if kind != "scalar"]
     assert unpacks == [1] * len(unpacks)
 
 
-def test_component_types_follow_the_operand(rng):
-    # Python floats only where they round as binary64: a single float64 object.
-    a = types.random_operands("mult_su3_nn", rng, "double")[0]
-    assert [type(x) for x in scalar._parts(a)] == [float] * 18
-    assert [type(x) for x in scalar._parts(a.astype(np.float32))] == [np.float32] * 18
-
-
 @pytest.mark.parametrize("routine", ALL)
 def test_trace_performs_the_counted_operations(routine):
     # flop_count reads these steps, so this is its count against the hand derivation.
-    ops = [op for _, _, op, _ in scalar._trace(routine).steps]
+    ops = [op for _, _, op, _ in scalar.routine_trace(routine).steps]
     mults, adds = EXPECTED[routine]
     assert ops.count("*") == mults
     assert ops.count("+") + ops.count("-") == adds == len(ops) - mults
@@ -136,9 +131,9 @@ def test_trace_performs_the_counted_operations(routine):
 
 def test_tracer_emits_only_operations_between_components():
     tape = []
-    x, y = scalar._Sym("x", tape), scalar._Sym("y", tape)
+    x, y = Sym("x", tape), Sym("y", tape)
     untraceable = (lambda: x * 2.0, lambda: 2.0 * x, lambda: x + 0.0, lambda: 1.0 - x, lambda: -x, lambda: bool(x), lambda: x == y,
-                   lambda: x * scalar._Sym("z", []))
+                   lambda: x * Sym("z", []))
     for op in untraceable:
         with pytest.raises(TypeError, match="cannot trace"):
             op()
@@ -158,36 +153,36 @@ def test_a_body_the_trace_cannot_emit_is_refused(monkeypatch):
     for body in (negated, partial):
         monkeypatch.setattr(scalar, "add_su3_vector", body)
         with pytest.raises(TypeError, match="trace"):
-            scalar._trace.__wrapped__("add_su3_vector")
+            scalar.routine_trace.__wrapped__("add_su3_vector")
 
 
 def test_import_and_flop_table_build_no_program():
     # Programs and apply entries are built on a routine's first call, never
     # at import or while counting operations, which set-up time includes.
-    code = ("import su3bench; su3bench.flop_table(); s = su3bench.scalar; "
-            "print(s._program.cache_info().currsize, s._batch_program.cache_info().currsize, "
+    code = ("import su3bench; su3bench.flop_table(); "
+            "print(su3bench.scalar._batch_program.cache_info().currsize, su3bench.simd._table_program.cache_info().currsize, "
             "*(len(su3bench.get_backend(kind)._entries) for kind in su3bench.BACKEND_NAMES))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0", "0", "0"]
 
 
-@pytest.mark.parametrize("build, form, failing", [
-    (lambda: scalar._program("mult_su3_nn"), "trace", "if out.dtype is _float64 and out.flags.c_contiguous:"),
-    (lambda: scalar._batch_program("mult_su3_nn"), "batch", "out.size // 18"),
-], ids=["scalar", "scalar-batch"])
-def test_program_source_is_shown(build, form, failing, rng):
+@pytest.mark.parametrize("build, name", [
+    (lambda: scalar._batch_program("mult_su3_nn"), "mult_su3_nn"),
+    (lambda: simd._table_program(simd.TABLES["mult_su3_nn"]), "mult_su3_nn_table"),
+], ids=["scalar", "vector"])
+def test_program_source_is_shown(build, name, rng):
     # The generated source is registered under the program's filename, so
     # inspect and tracebacks read the emitted lines.
-    program = build()
-    filename = program.__code__.co_filename
-    assert filename == f"<{program.__name__} {form}>"
-    assert inspect.getsource(program).startswith(f"def {program.__name__}(")
+    compiled = build()
+    filename = compiled.__code__.co_filename
+    assert compiled.__name__ == name and filename == f"<{name} batch>"
+    assert inspect.getsource(compiled).startswith(f"def {name}(")
     a, b = types.random_operands("mult_su3_nn", rng)
     with pytest.raises(AttributeError) as raised:
-        program(a, b, None)
+        compiled(a, b, None)
     frame = traceback.extract_tb(raised.value.__traceback__)[-1]
-    assert frame.filename == filename and frame.line.endswith(failing)
+    assert frame.filename == filename and frame.line.endswith("out.size // 18")
 
 
 def test_a_body_runs_only_under_the_trace(monkeypatch):
@@ -202,7 +197,7 @@ def test_a_body_runs_only_under_the_trace(monkeypatch):
         return counted
 
     for kernel, routine in {getattr(scalar, routine): routine for routine in ALL}.items():  # 4vec is 4dir
-        scalar._trace(routine)
+        scalar.routine_trace(routine)
         monkeypatch.setattr(kernel, "__wrapped__", counting(routine, kernel.__wrapped__))
     rng = np.random.default_rng(13)
     for routine in ALL:
@@ -211,29 +206,27 @@ def test_a_body_runs_only_under_the_trace(monkeypatch):
             for dtype in (np.float64, np.float32, object):
                 run_kernel(getattr(scalar, routine), *(op.astype(dtype) for op in ops))
     assert not calls
-    scalar._trace.__wrapped__("mult_su3_nn")
+    scalar.routine_trace.__wrapped__("mult_su3_nn")
     assert calls == {"mult_su3_nn": 1}
 
 
-def test_compiler_names_a_step_result_used_twice():
-    # No kernel's trace reuses a step result; inlining one would repeat its operation.
+def test_compiler_repeats_a_step_result_used_twice():
+    # No kernel's trace reuses a step result; the compiler inlines every
+    # use, so each repeats the operation, and the values are the trace's.
     steps = (("t0", "a", "*", "b"), ("t1", "t0", "+", "t0"), ("t2", "t1", "-", "a"))
-    trace = scalar._Trace((("a", "b"),), steps, ("t2", "t0"))
-    program = scalar._compile(trace, "reuse", ["x", "out"], ["x.ravel().tolist()"], "out", {})
-    source = inspect.getsource(program)
-    assert "t0 = (a * b)" in source and "((t0 + t0) - a)," in source
+    compiled = program(Trace((("a", "b"),), steps, ("t2", "t0")), "reuse", in_place=False)
+    assert "(((g0_0 * g0_1) + (g0_0 * g0_1)) - g0_0)" in inspect.getsource(compiled)
     out = np.empty(2)
-    assert program(np.array([3.0, 5.0]), out) is out
+    assert compiled(np.array([3.0, 5.0]), out) is out
     assert out.tolist() == [27.0, 15.0]
 
 
 @pytest.mark.parametrize("routine", ALL)
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
 def test_program_writes_any_result_layout(kind, routine, rng, precision):
-    # A strided result (and, in place, a strided first operand) takes the
-    # store's index-order fallback, through flat, where a fresh contiguous
-    # float64 result takes its one pass through the buffer; both give the
-    # same bits. A float32 result always takes flat, as do object arrays.
+    # A strided result (and, in place, a strided first operand) is not taken
+    # by the native entry: the program computes into a temporary and copies
+    # it in, to the bits of a fresh contiguous result.
     spec = types.routine_spec(routine)
     backend = get_backend(kind)
     ops = types.random_operands(routine, rng, precision)
@@ -377,8 +370,8 @@ def _special_operands(routine, rng, precision, count):
 @np.errstate(invalid="ignore", over="ignore")
 def test_batch_apply_equals_per_site_loop(routine, precision):
     # Counts are looped rather than parametrised so the test ids stay fixed.
-    # Single float64 sets run on Python floats, batches on numpy arrays; the
-    # special values check that both round, overflow and sign zeros alike.
+    # The special values check that a batch and its single sites round,
+    # overflow and sign zeros alike.
     spec = types.routine_spec(routine)
     for count in (0, 1, 5, 64):
         rng = np.random.default_rng([12, ALL.index(routine), count])
