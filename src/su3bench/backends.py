@@ -16,16 +16,17 @@ be writeable). The kernel functions (``Backend.kernels``, ``scalar.*``,
 operands, or a misshapen ``out``, they may compute a wrong result rather
 than raise.
 
-A single-site call is short enough that the generic checks cost about half
-as much as the kernel's arithmetic, so ``apply`` runs, per routine, an
-entry compiled from the plan on the routine's first call (``_entry``):
-straight-line tests, with the shapes written as literals, that pass the
-commonest well-formed calls (exact ndarrays of float32 or float64, a
-Python-float or 0-d factor, no ``outs``) to the kernel. Every other call,
-and every call of ``batch_apply``, runs the generic checks (``_check``,
-``_result``, ``_four_destinations``), which are the only code that words a
-rejection, so an entry changes no result and no error message. Nothing is
-compiled at import.
+Each call is offered first to the native entry of the routine's kernel
+(``native``; ``<entry>_apply`` or ``<entry>_batch`` in ``trace.NATIVE``),
+which makes the same checks in C for the calls it takes (C-contiguous exact
+ndarrays of one native float type; a 0-d or per-set factor of that type,
+or a Python float for float64), allocates the result only once they pass,
+and runs the kernel's loop; a call with ``outs``, a ``count``, or debug
+validation on is not offered. A call the entry refuses, or every call
+where there is no extension, runs the generic checks (``_check``,
+``_result``, ``_four_destinations``) and the kernel. Only the generic
+checks word a rejection, so the native entry changes no result and no
+error message.
 
 Debug validation (``debug_validation``, off by default so the hot path pays
 nothing for it) adds one check at the entry points: a result array the
@@ -33,14 +34,13 @@ caller passes may not share memory with an operand.
 """
 from __future__ import annotations
 
-import sys
 from types import MappingProxyType, ModuleType
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import scalar, simd
-from .trace import define
+from .trace import NATIVE
 from .types import OPERAND_SHAPES, PRECISIONS, ROUTINE_NAMES, ROUTINES, RoutineSpec, batch_count, result_shape
 
 
@@ -64,9 +64,11 @@ class _Plan(NamedTuple):
     arrays: tuple  # (position, per-object shape) of each array operand
     factors: tuple[int, ...]  # positions of the real factors
     result: tuple[int, ...]  # per-object result shape
+    apply: str  # the native entries (``trace.NATIVE``) that check and run apply's calls
+    batch: str  # and batch_apply's
 
 
-def _plan_for(spec: RoutineSpec, kernel: Callable) -> _Plan:
+def _plan_for(spec: RoutineSpec, kernel: Callable, entry: str) -> _Plan:
     kinds = list(enumerate(spec.operands))
     return _Plan(
         spec,
@@ -75,14 +77,16 @@ def _plan_for(spec: RoutineSpec, kernel: Callable) -> _Plan:
         tuple((i, OPERAND_SHAPES[kind]) for i, kind in kinds if kind != "scalar"),
         tuple(i for i, kind in kinds if kind == "scalar"),
         result_shape(spec),
+        f"{entry}_apply",
+        f"{entry}_batch",
     )
 
 
 def _check(plan: _Plan, operands, out: np.ndarray | None, batch: tuple[int, ...]) -> None:
     """Reject a wrong operand count, an operand not shaped `batch` + its
-    per-object shape, `out` for the in-place routine, operands of neither
-    precision, operands of mixed precision, and a read-only first operand
-    of the in-place routine.
+    per-object shape (naming a missing batch axis as such), `out` for the
+    in-place routine, operands of neither precision, operands of mixed
+    precision, and a read-only first operand of the in-place routine.
 
     A real factor is a real number (bool, integer or float, as numpy reads
     it), or one per set; the kernels convert it to the operands' dtype. A
@@ -100,6 +104,9 @@ def _check(plan: _Plan, operands, out: np.ndarray | None, batch: tuple[int, ...]
         for i, shape in plan.arrays if not batch else [(i, batch + shape) for i, shape in plan.arrays]:
             op = operands[i]
             if op.shape != shape:
+                if batch and op.ndim == len(shape) - len(batch):
+                    raise ValueError(f"{name}: operand {i} has shape {op.shape}, one object with no batch axis; "
+                                     f"expected (count,) + {shape[len(batch):]}")
                 raise ValueError(f"{name}: operand {i} has shape {op.shape}, expected {shape}")
             if op.dtype != dtype:
                 raise ValueError(f"{name}: operands mix {dtype} and {op.dtype}; pass one precision")
@@ -137,78 +144,12 @@ def _result(plan: _Plan, operands, out: np.ndarray | None, shape: tuple[int, ...
     return out
 
 
-def _apply(plan: _Plan, operands, out: np.ndarray | None, outs) -> np.ndarray | tuple:
-    """``Backend.apply`` through the generic checks, which word every rejection."""
-    _check(plan, operands, out, ())
-    if outs is not None:
-        return _four_destinations(plan, operands, out, outs)
+def _run(plan: _Plan, operands, out: np.ndarray | None, batch: tuple[int, ...]):
+    """The kernel on operands that ``_check`` passed at `batch`: in place, or
+    into ``_result``'s array."""
     if plan.spec.in_place:
         return plan.kernel(*operands)
-    return plan.kernel(*operands, out=_result(plan, operands, out, plan.result))
-
-
-def _entry(plan: _Plan) -> Callable:
-    """The routine's ``apply`` entry ``(operands, out, outs)``, compiled from
-    its plan into straight-line code.
-
-    It passes a call straight to the kernel when the call has the right
-    operand count and no ``outs``; every array operand is an ndarray (not
-    a subclass) of its per-object shape, written as a literal, and of the
-    first operand's dtype, itself float32 or float64 (the dtypes compared
-    by identity); every real factor is a Python float or a 0-d real array;
-    and ``out`` is None, to be allocated as ``_result`` does, or a
-    writeable ndarray of the result's shape and dtype with debug validation
-    off (for the in-place routine: no ``out`` and a writeable first
-    operand). The generic path accepts every such call and runs the kernel
-    on the same arguments; any other call goes to it (``_apply``), so it
-    alone words a rejection. The source is registered with linecache under
-    ``<routine apply>``.
-    """
-    spec = plan.spec
-    args = [f"x{k}" for k in range(plan.count)]
-    accept = []
-    for i, shape in plan.arrays:
-        x = args[i]
-        same = f"((dtype := {x}.dtype) is _float64 or dtype is _float32)" if i == 0 else f"{x}.dtype is dtype"
-        accept += [f"type({x}) is _ndarray", f"{x}.shape == {shape!r}", same]
-    for i in plan.factors:
-        x = args[i]
-        accept.append(f'(type({x}) is float or type({x}) is _ndarray and {x}.ndim == 0 and {x}.dtype.kind in "biuf")')
-    call = f"_kernel({', '.join(args)}"
-    if spec.in_place:
-        accept.append("x0.flags.writeable")
-        lines = [f"if len(operands) == {plan.count} and out is None and outs is None:"]
-        ran = [f"        return {call})"]
-    else:
-        lines = [f"if len(operands) == {plan.count} and outs is None:"]
-        result = f"{plan.result!r}"
-        ran = [
-            "        if out is None:",
-            f"            return {call}, _empty({result}, dtype))",
-            f"        if type(out) is _ndarray and out.shape == {result} and out.dtype is dtype"
-            " and out.flags.writeable and not _backends._debug:",
-            f"            return {call}, out)",
-        ]
-    lines += [
-        f"    {', '.join(args)}, = operands",
-        "    if (",
-        f"        {accept[0]}",
-        *(f"        and {test}" for test in accept[1:]),
-        "    ):",
-        *ran,
-        "return _apply(_plan, operands, out, outs)",
-    ]
-    namespace = {
-        "_plan": plan,
-        "_kernel": plan.kernel,
-        "_apply": _apply,
-        "_backends": sys.modules[__name__],
-        "_ndarray": np.ndarray,
-        "_empty": np.empty,
-        "_float64": PRECISIONS["double"],
-        "_float32": PRECISIONS["single"],
-    }
-    return define(spec.name, ["operands", "out", "outs"], lines, f"<{spec.name} apply>", namespace)
+    return plan.kernel(*operands, out=_result(plan, operands, out, batch + plan.result))
 
 
 class Backend:
@@ -217,8 +158,7 @@ class Backend:
     def __init__(self, kind: str, module: ModuleType) -> None:
         self.kind = kind
         self.kernels = MappingProxyType({name: getattr(module, name) for name in ROUTINE_NAMES})
-        self._plans = {name: _plan_for(spec, self.kernels[name]) for name, spec in ROUTINES.items()}
-        self._entries: dict[str, Callable] = {}  # routine -> its apply entry, compiled on first use
+        self._plans = {name: _plan_for(spec, self.kernels[name], module.ENTRIES[name]) for name, spec in ROUTINES.items()}
 
     def _plan(self, routine: str) -> _Plan:
         try:
@@ -235,28 +175,39 @@ class Backend:
         then the packed result is copied out, one direction per destination,
         and the tuple returned.
 
-        The routine's compiled entry (``_entry``) checks and runs the call;
-        a call it does not take runs the generic checks.
+        Without ``outs`` or debug validation, the routine's native entry
+        checks and runs the call first; a call it refuses runs the generic
+        checks, which word every rejection.
         """
-        entry = self._entries.get(routine)
-        if entry is None:
-            entry = self._entries[routine] = _entry(self._plan(routine))
-        return entry(operands, out, outs)
+        plan = self._plan(routine)
+        if outs is None and not _debug:
+            result = NATIVE[plan.apply](operands, out)
+            if result is not NotImplemented:
+                return result
+        _check(plan, operands, out, ())
+        if outs is not None:
+            return _four_destinations(plan, operands, out, outs)
+        return _run(plan, operands, out, ())
 
     def batch_apply(self, routine: str, operands, count: int | None = None, out: np.ndarray | None = None):
         """Apply one kernel independently to each of `count` stacked operand sets.
 
-        Operand arrays carry the batch axis in front of the per-object shape;
-        scalars are (count,) arrays or plain numbers. A caller's `out` must be
-        (count,) + the result shape. The kernel runs once over all sets,
-        bitwise identical to slicing out each set and calling it on that.
+        `operands` is a list or tuple. Operand arrays carry the batch axis
+        in front of the per-object shape; scalars are (count,) arrays or
+        plain numbers. A caller's `out` must be (count,) + the result shape.
+        The kernel runs once over all sets, bitwise identical to slicing out
+        each set and calling it on that. Without `count` or debug
+        validation, the routine's native entry checks and runs the call
+        first, as in ``apply``.
         """
         plan = self._plan(routine)
-        n = batch_count(plan.spec, operands, count)
-        _check(plan, operands, out, (n,))
-        if plan.spec.in_place:
-            return plan.kernel(*operands)
-        return plan.kernel(*operands, out=_result(plan, operands, out, (n,) + plan.result))
+        if count is None and not _debug:
+            result = NATIVE[plan.batch](operands, out)
+            if result is not NotImplemented:
+                return result
+        batch = (batch_count(plan.spec, operands, count),)
+        _check(plan, operands, out, batch)
+        return _run(plan, operands, out, batch)
 
 
 def _four_destinations(plan: _Plan, operands, out, outs) -> tuple:

@@ -1,5 +1,5 @@
 """The kernels' traces as C site loops, built on first use into one CPython
-extension.
+extension, and the checked entries that run them.
 
 Every trace becomes one C function per precision that runs it over n sites:
 each routine's ``scalar.routine_trace`` (which the vector backend's
@@ -11,34 +11,34 @@ float), then stores every result component. So each site rounds exactly as
 the trace's Python program does, and an ``out`` that is an operand reads its
 values before any is written. Where a NaN arises is the same; its sign and
 payload bits may differ (gcc may fold a ``* -1.0`` sign into a negation).
-Loads and stores go through ``memcpy``, which compiles to one scalar move
-and needs no alignment, so a ``SiteBuffer`` 4 bytes off its boundary runs
-here too. The +-1 signs are literals, and a real factor is a 1- or n-element
-buffer (one for every site, or one per site), converted by numpy to the
-operands' dtype by the caller. Identical traces (``mult_adj_su3_mat_4vec`` is
+Loads and stores go through ``memcpy``, which needs no alignment, so a
+``SiteBuffer`` 4 bytes off its boundary runs here too. The +-1 signs are
+literals. Identical traces (``mult_adj_su3_mat_4vec`` is
 ``mult_adj_su3_mat_vec_4dir``) share one pair of loops.
 
-Each trace's entry, named after its routine (a table's after ``Contraction.
-entry``), is a METH_FASTCALL function over the kernel's arguments, read
-through the buffer protocol. It takes C-contiguous float64 or float32
-buffers of one type, whose lengths are n sites of each argument, and
-returns the argument written; for any other arguments (a strided or
-read-only result, object arrays, mixed types, misfitting lengths) it writes
-nothing and returns ``NotImplemented``, and the caller runs its Python path.
+Each trace has three METH_FASTCALL entries, named after its routine (a
+table's after ``Contraction.entry``) with the suffixes of ``_MODES``, each
+called as ``entry(operands, out)`` with the routine's operands in its order.
+``run`` makes, in C, every check of ``backends``' generic path for the calls
+it takes (see there), at a batch rank fixed per entry: the written
+argument's for the kernels' own calls, 0 for ``Backend.apply``, 1 for
+``Backend.batch_apply``. It allocates a result with ``numpy.empty`` only
+once every check passes, and returns the argument written. Any other call
+it leaves untouched and returns ``NotImplemented``, and the caller runs its
+Python path, so an entry changes no result and no error message.
 
 gcc builds the module with ``-ffp-contract=off`` (no fused multiply-add,
 which would round once where the trace rounds twice) and
-``-fno-tree-vectorize`` (no packed arithmetic: the loops are the plain C of
-the trace, one site at a time), synchronously and with a timeout, on the
-first call of ``load`` in a process, which the first kernel call makes;
-importing the package or counting operations imports not even this module.
-The module goes to the source checkout's git-ignored ``build/`` under a name
-keyed by a hash of this file and the traces, written to a temporary file
-and renamed into place, so a cached module is loaded without emitting
-anything and concurrent builds do not collide. The source is streamed to
-disk beside it and kept. Where there is no compiler, the build fails or the
-module does not load, ``load`` returns None, ``status`` says why, and every
-kernel runs its Python path.
+``-fno-tree-vectorize`` (no packed arithmetic), synchronously and with a
+timeout, on the first call of ``load`` in a process, which the first
+kernel call makes; importing the package or counting operations imports
+not even this module. The module goes to the source checkout's git-ignored
+``build/`` under a name keyed by a hash of this file and the traces, written
+to a temporary file and renamed into place, so a cached module is loaded
+without emitting anything and concurrent builds do not collide; its source
+is kept beside it. Where there is no compiler, the build fails or the module
+does not load, ``load`` returns None, ``status`` says why, and every call
+runs its Python path.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ import tempfile
 from pathlib import Path
 
 from . import scalar, simd
-from .types import ROUTINE_NAMES, ROUTINES
+from .types import OPERAND_SHAPES, ROUTINES
 
 BUILD = Path(__file__).resolve().parents[2] / "build"
 COMPILER = "gcc"
@@ -60,6 +60,9 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-tree-vectorize")
 TIMEOUT_S = 300
 MAX_ARGS = 8
 _TYPES = (("d", "double"), ("f", "float"))  # buffer format and C type of each precision
+# Each entry's three functions, by name suffix, and their batch rank: the
+# kernels' own calls at the written argument's, apply's at 0, batch_apply's at 1.
+_MODES = (("", -1), ("_apply", 0), ("_batch", 1))
 
 _PRELUDE = r"""#define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -74,17 +77,21 @@ static inline void st_f(char *p, Py_ssize_t k, float v) { memcpy(p + k * sizeof 
 /* p: each operand's first site, then the result's; step: their bytes per site. */
 typedef void (*site_loop)(Py_ssize_t n, char *const *p, const Py_ssize_t *step);
 
-/* One entry: its argument count, the argument it writes, each argument's
-   components per site (0 for a real factor: one for every site, or one per
-   site), its operands, and its loops over double and float sites. */
+/* One entry: its operand count; whether it works in place on operand 0
+   (else a result argument follows the operands); each argument's
+   per-object rank, -1 for a real factor, and the per-object shapes of
+   them all in one table; and its loops over double and float sites. */
 struct kernel {
-    Py_ssize_t nargs, target;
-    const Py_ssize_t *sizes;
     Py_ssize_t operands;
+    int in_place;
+    const int *ranks;
+    const Py_ssize_t *dims;
     site_loop d, f;
 };
 
 #define MAX_ARGS %(max_args)d
+
+static PyObject *ndarray, *empty, *dtype_name; /* numpy.ndarray, numpy.empty, "dtype": set at module init */
 
 /* 'd' for a buffer of native doubles, 'f' of native floats, else 0. */
 static char element(const Py_buffer *view)
@@ -97,55 +104,129 @@ static char element(const Py_buffer *view)
     return (f[0] == 'd' && view->itemsize == 8) || (f[0] == 'f' && view->itemsize == 4) ? f[0] : 0;
 }
 
-/* Run k over the sites of its arguments and return the one written; for
-   arguments it does not take, write nothing and return NotImplemented with
-   no error set. */
-static PyObject *run(const struct kernel *k, PyObject *const *args, Py_ssize_t nargs)
+/* A new array of shape batch + dims in a's dtype, or NULL with an error set. */
+static PyObject *fresh(PyObject *a, const Py_ssize_t *batch, int rank, const Py_ssize_t *dims, int r)
+{
+    PyObject *args[2] = {PyTuple_New(rank + r), NULL}, *array = NULL, *d;
+    int i;
+    for (i = 0; args[0] && i < rank + r; i++) {
+        if (!(d = PyLong_FromSsize_t(i < rank ? batch[i] : dims[i - rank])))
+            goto done;
+        PyTuple_SET_ITEM(args[0], i, d);
+    }
+    if (args[0] && (args[1] = PyObject_GetAttr(a, dtype_name)))
+        array = PyObject_Vectorcall(empty, args, 2, NULL);
+done:
+    Py_XDECREF(args[0]);
+    Py_XDECREF(args[1]);
+    return array;
+}
+
+/* Run k over the sites of a call (operands, out) and return what it wrote:
+   operand 0 in place, else out, or where out is None a new array. It takes
+   only calls that backends' generic checks pass: the operands an exact
+   tuple or list; every argument an exact numpy.ndarray, C-contiguous, of
+   native float64 or float32, all of one type; the written one writeable;
+   each array shaped the batch shape followed by its per-object shape; a
+   real factor 0-d or of the batch shape, or for float64 a Python float.
+   The batch rank is `rank`, or for rank -1 the written argument's (out is
+   then required). Only once every check passes is a result allocated. For
+   any other call it writes nothing and returns NotImplemented with no
+   error set. */
+static PyObject *run(const struct kernel *k, int rank, PyObject *const *call, Py_ssize_t ncall)
 {
     Py_buffer views[MAX_ARGS];
-    char *p[MAX_ARGS + 1];
-    Py_ssize_t step[MAX_ARGS + 1];
-    Py_ssize_t held = 0, i, n, item;
-    char type = 0;
-    PyObject *result = Py_NotImplemented;
+    PyObject *args[MAX_ARGS], *result = Py_NotImplemented, *made = NULL;
+    char *p[MAX_ARGS + 1], type = 0;
+    Py_ssize_t step[MAX_ARGS + 1], nargs = k->operands, held = 0, n = 1, i, j;
+    double floats[MAX_ARGS];
+    const Py_ssize_t *batch, *dims = k->dims;
+    const Py_ssize_t slots = k->operands + !k->in_place, target = k->in_place ? 0 : k->operands;
 
-    if (nargs != k->nargs)
+    if (ncall != 2 || !(PyTuple_CheckExact(call[0]) || PyList_CheckExact(call[0]))
+        || PySequence_Fast_GET_SIZE(call[0]) != k->operands || (call[1] == Py_None ? rank < 0 && !k->in_place : k->in_place))
         Py_RETURN_NOTIMPLEMENTED;
+    memcpy(args, PySequence_Fast_ITEMS(call[0]), nargs * sizeof *args);
+    if (call[1] != Py_None)
+        args[nargs++] = call[1];
     for (; held < nargs; held++) {
-        int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (held == k->target ? PyBUF_WRITABLE : 0);
+        Py_buffer *view = &views[held];
         char e;
-        if (PyObject_GetBuffer(args[held], &views[held], flags) < 0) {
+        if (k->ranks[held] < 0 && type == 'd' && PyFloat_CheckExact(args[held])) {
+            floats[held] = PyFloat_AS_DOUBLE(args[held]);
+            view->obj = NULL;
+            view->buf = &floats[held];
+            view->ndim = 0;
+            continue;
+        }
+        if (Py_TYPE(args[held]) != (PyTypeObject *)ndarray)
+            goto done;
+        if (PyObject_GetBuffer(args[held], view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (held == target ? PyBUF_WRITABLE : 0)) < 0) {
             PyErr_Clear();
             goto done;
         }
-        e = element(&views[held]);
+        e = element(view);
         if (!e || (type && e != type)) {
             held++;
             goto done;
         }
         type = e;
     }
-    item = type == 'd' ? 8 : 4;
-    n = views[k->target].len / (k->sizes[k->target] * item);
-    for (i = 0; i < nargs; i++) {
-        Py_ssize_t bytes = k->sizes[i] ? k->sizes[i] * item : item;
-        if (!k->sizes[i] && views[i].len == item)
-            step[i] = 0;
-        else if (views[i].len == n * bytes)
-            step[i] = bytes;
-        else
-            goto done;
-        p[i] = views[i].buf;
+    if ((rank < 0 && (rank = views[target].ndim - k->ranks[target]) < 0) || views[0].ndim != rank + k->ranks[0])
+        goto done; /* operand 0 is never a real factor, and its leading axes are the batch shape */
+    batch = views[0].shape;
+    for (i = 0; i < rank; i++)
+        n *= batch[i];
+    for (i = 0; i < slots; i++) {
+        const int r = k->ranks[i];
+        if (r < 0) {
+            if (views[i].ndim && (views[i].ndim != rank || memcmp(views[i].shape, batch, rank * sizeof *batch)))
+                goto done;
+            step[i] = views[i].ndim ? (type == 'd' ? 8 : 4) : 0;
+        } else {
+            if (i < nargs && (views[i].ndim != rank + r || memcmp(views[i].shape, batch, rank * sizeof *batch)
+                              || memcmp(views[i].shape + rank, dims, r * sizeof *dims)))
+                goto done;
+            for (step[i] = type == 'd' ? 8 : 4, j = 0; j < r; j++)
+                step[i] *= *dims++;
+        }
+        if (i < nargs)
+            p[i] = views[i].buf;
     }
-    p[k->operands] = p[k->target];
-    step[k->operands] = step[k->target];
+    if (nargs < slots) {
+        result = NULL;
+        made = fresh(args[0], batch, rank, dims - k->ranks[target], k->ranks[target]);
+        if (!made || PyObject_GetBuffer(made, &views[held], PyBUF_WRITABLE) < 0)
+            goto done;
+        p[held++] = views[target].buf;
+        args[target] = made;
+    }
+    p[k->operands] = p[target];
+    step[k->operands] = step[target];
     (type == 'd' ? k->d : k->f)(n, p, step);
-    result = args[k->target];
+    result = args[target];
 done:
     for (i = 0; i < held; i++)
         PyBuffer_Release(&views[i]);
-    Py_INCREF(result);
+    if (result != made) {
+        Py_XDECREF(made);
+        Py_XINCREF(result);
+    }
     return result;
+}
+
+"""
+
+_INIT = r"""PyMODINIT_FUNC PyInit_su3native(void)
+{
+    PyObject *numpy = PyImport_ImportModule("numpy");
+    if (!numpy)
+        return NULL;
+    ndarray = PyObject_GetAttrString(numpy, "ndarray");
+    empty = PyObject_GetAttrString(numpy, "empty");
+    Py_DECREF(numpy);
+    dtype_name = PyUnicode_InternFromString("dtype");
+    return ndarray && empty && dtype_name ? PyModule_Create(&module) : NULL;
 }
 """
 
@@ -190,19 +271,12 @@ def _load_or_build() -> tuple:
 
 
 def _entries() -> list[tuple]:
-    """(entry name, trace, components per site of each argument, the
-    argument written) for every routine and every distinct gather table."""
-    entries = []
-    for routine in ROUTINE_NAMES:
-        spec, trace = ROUTINES[routine], scalar.routine_trace(routine)
-        sizes = tuple(0 if kind == "scalar" else len(names) for kind, names in zip(spec.operands, trace.operands))
-        if spec.in_place:
-            entries.append((routine, trace, sizes, 0))
-        else:
-            entries.append((routine, trace, sizes + (len(trace.results),), len(sizes)))
-    for t in dict.fromkeys(simd.TABLES.values()):
-        entries.append((t.entry, simd.table_trace(t), (t.x_size, t.y_size, t.outputs), 2))
-    return entries
+    """(entry name, trace, routine spec) for every routine and every
+    distinct gather table, whose trace takes the routine's operands in the
+    routine's order."""
+    entries = [(routine, scalar.routine_trace(routine), spec) for routine, spec in ROUTINES.items()]
+    tables = {t: ROUTINES[routine] for routine, t in simd.TABLES.items()}
+    return entries + [(t.entry, simd.table_trace(t), spec) for t, spec in tables.items()]
 
 
 def _key(entries) -> str:
@@ -250,26 +324,31 @@ def _emit(write, entries) -> None:
     """Write the module's C source through `write`, a line at a time."""
     write(_PRELUDE % {"max_args": MAX_ARGS})
     loops: dict = {}  # trace -> the entry whose loops run it
-    for name, trace, sizes, target in entries:
-        if len(sizes) > MAX_ARGS:
-            raise ValueError(f"{name} takes {len(sizes)} arguments; the module takes at most {MAX_ARGS}")
+    for name, trace, spec in entries:
+        kinds = spec.operands if spec.in_place else spec.operands + (spec.result,)
+        if len(kinds) > MAX_ARGS:
+            raise ValueError(f"{name} takes {len(kinds)} arguments; the module takes at most {MAX_ARGS}")
         first = loops.setdefault(trace, name)
         if first == name:
             for code, ctype in _TYPES:
                 _emit_loop(write, f"{name}_{code}", trace, code, ctype)
-        write(f"\nstatic const Py_ssize_t {name}_sizes[] = {{{', '.join(map(str, sizes))}}};\n")
-        write(f"static const struct kernel {name}_kernel = {{{len(sizes)}, {target}, {name}_sizes, "
-              f"{len(trace.operands)}, {first}_d, {first}_f}};\n")
-        write(f"static PyObject *{name}(PyObject *self, PyObject *const *args, Py_ssize_t nargs)\n"
-              f"{{\n    return run(&{name}_kernel, args, nargs);\n}}\n")
+        ranks = [-1 if kind == "scalar" else len(OPERAND_SHAPES[kind]) for kind in kinds]
+        dims = [d for kind in kinds for d in OPERAND_SHAPES[kind]]
+        write(f"\nstatic const int {name}_ranks[] = {{{', '.join(map(str, ranks))}}};\n")
+        write(f"static const Py_ssize_t {name}_dims[] = {{{', '.join(map(str, dims))}}};\n")
+        write(f"static const struct kernel {name}_kernel = {{{len(spec.operands)}, {int(spec.in_place)}, "
+              f"{name}_ranks, {name}_dims, {first}_d, {first}_f}};\n")
+        for suffix, rank in _MODES:
+            write(f"static PyObject *{name}{suffix}(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)\n"
+                  f"{{\n    return run(&{name}_kernel, {rank}, args, nargs);\n}}\n")
     write("\nstatic PyMethodDef methods[] = {\n")
-    for name, trace, sizes, target in entries:
-        args = "operands" if target == 0 else "operands, out"
-        doc = f"{name}(*{args}): its trace over the sites of C-contiguous float64 or float32 buffers"
-        write(f'    {{"{name}", (PyCFunction)(void (*)(void)){name}, METH_FASTCALL, "{doc}"}},\n')
+    for name, _, _ in entries:
+        for suffix, _ in _MODES:
+            doc = f"{name}{suffix}(operands, out): its trace over the sites of C-contiguous float64 or float32 arrays"
+            write(f'    {{"{name}{suffix}", (PyCFunction)(void (*)(void)){name}{suffix}, METH_FASTCALL, "{doc}"}},\n')
     write("    {NULL, NULL, 0, NULL}\n};\n\n"
-          'static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "su3native", NULL, -1, methods};\n\n'
-          "PyMODINIT_FUNC PyInit_su3native(void) { return PyModule_Create(&module); }\n")
+          'static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, .m_name = "su3native", .m_size = -1, .m_methods = methods};\n\n'
+          + _INIT)
 
 
 def _emit_loop(write, name: str, trace, code: str, ctype: str) -> None:

@@ -182,6 +182,10 @@ def routine_trace(routine: str) -> Trace:
     return Trace(tuple(names), tuple(tape), tuple(sym.name for sym in stored))
 
 
+# Routine -> the native entry its kernel calls: the loops of its own trace.
+ENTRIES = {routine: routine for routine in ROUTINES}
+
+
 @cache
 def _batch_program(routine: str):
     """The routine's trace compiled into one function with the kernel's
@@ -194,17 +198,18 @@ def _traced(body):
     entry does not take, the routine's program, built on first use; `body`
     itself runs only under ``routine_trace``.
 
-    The switch is compiled with the body's own parameters, so a call pays
-    for no argument packing on any path. A real factor reaches the native
-    entry converted to the first operand's dtype, as the program converts it.
+    The switch is compiled with the body's own parameters, so a call packs
+    nothing but the operand tuple the native entry takes, ``(operands,
+    out)`` (``out`` None in place). A real factor reaches the native entry
+    converted to the first operand's dtype, as the program converts it.
     """
     routine = body.__name__
     code = body.__code__
     names = code.co_varnames[:code.co_argcount]
-    kinds = ROUTINES[routine].operands
-    native = ", ".join(f"_asarray({x}, {names[0]}.dtype)" if kind == "scalar" else x for x, kind in zip(names, kinds + ("result",)))
+    spec = ROUTINES[routine]
+    operands = ", ".join(f"_asarray({x}, {names[0]}.dtype)" if kind == "scalar" else x for x, kind in zip(names, spec.operands))
     lines = [
-        f"c = _NATIVE[{routine!r}]({native})",
+        f"c = _NATIVE[{routine!r}](({operands},), {'None' if spec.in_place else names[-1]})",
         "if c is not NotImplemented:",
         "    return c",
         f"return _batch_program({routine!r})({', '.join(names)})",

@@ -26,12 +26,13 @@ products, both half-Wilson kernels, the four-direction kernels and
   and one add writes the result. Adjoint and conjugate variants differ from
   the plain ones only in their tables.
 
-``table_trace`` writes a table's sequence at one site as a trace: every
-product, the adds over j left to right, each swapped sum times its sign and
-the combining add, per lane. A kernel runs that trace (``_contract``)
-through the table's native site loop (``native``) where it takes the call
-(C-contiguous float64 and float32 operands, one object or stacked; no
-per-call temporaries), and otherwise through the trace's Python program
+``table_trace`` writes a table's sequence at one site as a trace over the
+routine's operands, in the routine's order: every product, the adds over j
+left to right, each swapped sum times its sign and the combining add, per
+lane. A kernel runs that trace (``_contract``) through the table's native
+site loop (``native``) where it takes the call (C-contiguous float64 and
+float32 operands, one object or stacked; no per-call temporaries), and
+otherwise through the trace's Python program
 (``trace.program``: numpy operations over the sites, a single object as one
 site). The four elementwise kernels likewise offer the call to the scalar
 reference's native loop of the same routine first, then run numpy. Every
@@ -61,7 +62,7 @@ import numpy as np
 
 from .flops import flop_count
 from .trace import NATIVE, Trace, program
-from .types import PRECISIONS, routine_spec
+from .types import PRECISIONS, ROUTINE_NAMES, routine_spec
 
 # The packed register, and how many lanes of each precision it holds: 2 double, 4 single.
 WIDTH_BITS = 128
@@ -81,7 +82,8 @@ class Contraction:
     after the adds over j, [1] lines up with [0]. sign: the +-1.0 that each
     output lane's swapped sum takes in the combine. x_size,
     y_size: components per object of the two operands; outputs: N. entry:
-    the name of its native site loop (``native``).
+    the name of its native site loop (``native``). swapped: the routine
+    passes the pair operand first and the broadcast operand second.
     """
 
     entry: str
@@ -92,9 +94,11 @@ class Contraction:
     y_size: int
     steps: int
     outputs: int
+    swapped: bool
 
 
-def _table(routine: str, grid: tuple, steps: int, x_shape: tuple, x_at, y_shape: tuple, y_at, conj: bool) -> Contraction:
+def _table(routine: str, grid: tuple, steps: int, x_shape: tuple, x_at, y_shape: tuple, y_at, conj: bool,
+           swapped: bool = False) -> Contraction:
     """Routine's table of c[o] = sum_j x[x_at(o, j)] * y[y_at(o, j)] over the complex output grid.
 
     x is the broadcast operand, y the pair operand, both with complex entry
@@ -116,6 +120,7 @@ def _table(routine: str, grid: tuple, steps: int, x_shape: tuple, x_at, y_shape:
         y_size=2 * math.prod(y_shape),
         steps=steps,
         outputs=len(sign),
+        swapped=swapped,
     )
 
 
@@ -129,7 +134,7 @@ TABLES: dict[str, Contraction] = {
     "mult_su3_nn": _table("mult_su3_nn", (3, 3), 3, (3, 3), lambda i, k, j: (i, j), (3, 3), lambda i, k, j: (j, k), conj=False),
     "mult_su3_an": _table("mult_su3_an", (3, 3), 3, (3, 3), lambda i, k, j: (j, i), (3, 3), lambda i, k, j: (j, k), conj=True),
     # b is the conjugated operand, so its components are the broadcast ones.
-    "mult_su3_na": _table("mult_su3_na", (3, 3), 3, (3, 3), lambda i, k, j: (k, j), (3, 3), lambda i, k, j: (i, j), conj=True),
+    "mult_su3_na": _table("mult_su3_na", (3, 3), 3, (3, 3), lambda i, k, j: (k, j), (3, 3), lambda i, k, j: (i, j), conj=True, swapped=True),
     "mult_su3_mat_hwvec": _table("mult_su3_mat_hwvec", (2, 3), 3, (3, 3), lambda h, i, j: (i, j), (2, 3), lambda h, i, j: (h, j), conj=False),
     "mult_adj_su3_mat_hwvec": _table("mult_adj_su3_mat_hwvec", (2, 3), 3, (3, 3), lambda h, i, j: (j, i), (2, 3), lambda h, i, j: (h, j), conj=True),
     "mult_adj_su3_mat_vec_4dir": _FOUR_DIR,
@@ -138,19 +143,25 @@ TABLES: dict[str, Contraction] = {
     "mult_su3_mat_vec_sum_4dir": _table(
         "mult_su3_mat_vec_sum_4dir", (3,), 12, (4, 3, 3), lambda i, s: (s // 3, s % 3, i), (4, 3), lambda i, s: (s // 3, s % 3), conj=True
     ),
-    "su3_projector": _table("su3_projector", (3, 3), 1, (3,), lambda i, k, j: (k,), (3,), lambda i, k, j: (i,), conj=True),
+    "su3_projector": _table("su3_projector", (3, 3), 1, (3,), lambda i, k, j: (k,), (3,), lambda i, k, j: (i,), conj=True, swapped=True),
 }
+
+# Routine -> the native entry its kernel calls: its table's, else the scalar reference's.
+ENTRIES = {routine: TABLES[routine].entry if routine in TABLES else routine for routine in ROUTINE_NAMES}
 
 
 def table_trace(t: Contraction) -> Trace:
     """The recipe's operations on one site of table t, in its order, as a
-    trace over the components of x (operand 0) and y (operand 1).
+    trace over the components of the broadcast operand x and the pair
+    operand y, which are operands 0 and 1 in the routine's order (1 and 0
+    where ``t.swapped``).
 
     Every packed product, then the adds over j, then each swapped sum times
     its sign (a +-1 literal), then the combining add, lane by lane.
     """
-    x = tuple(f"x0_{i}" for i in range(t.x_size))
-    y = tuple(f"x1_{i}" for i in range(t.y_size))
+    kx, ky = (1, 0) if t.swapped else (0, 1)
+    x = tuple(f"x{kx}_{i}" for i in range(t.x_size))
+    y = tuple(f"x{ky}_{i}" for i in range(t.y_size))
     steps: list = []
 
     def step(left: str, op: str, right: str) -> str:
@@ -167,7 +178,7 @@ def table_trace(t: Contraction) -> Trace:
     re, im = acc
     im = [step(s, "*", repr(sign)) for s, sign in zip(im, t.sign)]
     results = tuple(step(r, "+", i) for r, i in zip(re, im))
-    return Trace((x, y), tuple(steps), results)
+    return Trace((y, x) if t.swapped else (x, y), tuple(steps), results)
 
 
 @cache
@@ -176,17 +187,17 @@ def _table_program(t: Contraction):
     return program(table_trace(t), t.entry, in_place=False)
 
 
-def _contract(t: Contraction, x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Run table t on the broadcast operand x and the pair operand y into c:
-    through its native site loop where that takes the call, else its program."""
-    if NATIVE[t.entry](x, y, c) is NotImplemented:
-        _table_program(t)(x, y, c)
+def _contract(t: Contraction, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Run table t on the routine's operands a and b into c: through its
+    native site loop where that takes the call, else its program."""
+    if NATIVE[t.entry]((a, b), c) is NotImplemented:
+        _table_program(t)(a, b, c)
     return c
 
 
 def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + b[i]."""
-    if NATIVE["add_su3_vector"](a, b, out) is NotImplemented:
+    if NATIVE["add_su3_vector"]((a, b), out) is NotImplemented:
         np.add(a, b, out=out)
     return out
 
@@ -213,7 +224,7 @@ def mult_su3_an(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][k] = sum_j a[i][j] * conj(b[k][j])."""
-    return _contract(TABLES["mult_su3_na"], b, a, out)
+    return _contract(TABLES["mult_su3_na"], a, b, out)
 
 
 def mult_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -249,26 +260,26 @@ def _scalar_factor(s, like: np.ndarray, extra_axes: int):
 
 def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i][j] = a[i][j] + s * b[i][j] for real s."""
-    if NATIVE["scalar_mult_add_su3_matrix"](a, b, np.asarray(s, a.dtype), out) is NotImplemented:
+    if NATIVE["scalar_mult_add_su3_matrix"]((a, b, np.asarray(s, a.dtype)), out) is NotImplemented:
         np.add(a, _scalar_factor(s, a, 3) * b, out=out)
     return out
 
 
 def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + s * b[i] for real s."""
-    if NATIVE["scalar_mult_add_su3_vector"](a, b, np.asarray(s, a.dtype), out) is NotImplemented:
+    if NATIVE["scalar_mult_add_su3_vector"]((a, b, np.asarray(s, a.dtype)), out) is NotImplemented:
         np.add(a, _scalar_factor(s, a, 2) * b, out=out)
     return out
 
 
 def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i][j] = a[i] * conj(b[j]) (outer product)."""
-    return _contract(TABLES["su3_projector"], b, a, out)
+    return _contract(TABLES["su3_projector"], a, b, out)
 
 
 def sub_four_su3_vecs(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray, b4: np.ndarray) -> np.ndarray:
     """a[i] -= b1[i] + b2[i] + b3[i] + b4[i], in place, left to right."""
-    if NATIVE["sub_four_su3_vecs"](a, b1, b2, b3, b4) is NotImplemented:
+    if NATIVE["sub_four_su3_vecs"]((a, b1, b2, b3, b4), None) is NotImplemented:
         for b in (b1, b2, b3, b4):
             np.subtract(a, b, out=a)
     return a

@@ -2,9 +2,10 @@
 
 The scalar backend records a kernel body's trace by running it on ``Sym``
 values (``scalar.routine_trace``); the vector backend writes one for each
-gather table (``simd.table_trace``). Both backends' kernels run a trace as
-its native loop (``native``, looked up in ``NATIVE``) where that takes the
-call, and otherwise as its compiled ``program``, the reference the native
+gather table (``simd.table_trace``). Both backends' kernels, and
+``Backend.apply`` and ``batch_apply``, offer a call to a native entry of the
+trace (``native``, looked up in ``NATIVE``) first; a kernel runs a call the
+entry refuses as the trace's compiled ``program``, the reference the native
 loops are tested against bit for bit.
 """
 from __future__ import annotations
@@ -95,12 +96,14 @@ def program(trace: Trace, name: str, in_place: bool):
     before the per-object shape; a single object is one site.
 
     Result components whose expressions have one shape (the same
-    operations, each leaf drawn from the same operand) form a group:
-    ``mult_su3_nn``'s nine real parts are one, its nine imaginary parts
-    another. A step result is written in parentheses where it is used, so
-    every operation keeps the trace's operands and association (one used
-    twice is evaluated twice; no kernel's trace reuses one), and a literal
-    as written. Per block of ``BLOCK`` sites, one ``take`` per operand
+    operations, each leaf drawn from the same operand, or a literal) form a
+    group: ``mult_su3_nn``'s nine real parts are one, its nine imaginary
+    parts another, and every lane of a gather table one, whatever its sign.
+    A step result is written in parentheses where it is used, so every
+    operation keeps the trace's operands and association (one used twice
+    is evaluated twice; no kernel's trace reuses one); a literal is read
+    from a (members, 1) row of each member's value, converted once per call
+    to x0's dtype. Per block of ``BLOCK`` sites, one ``take`` per operand
     gathers the slabs its groups read (a slab: one component per member, at
     one leaf position), each slab once however many groups read it, and
     each group's expression runs once as elementwise numpy operations over
@@ -123,12 +126,14 @@ def program(trace: Trace, name: str, in_place: bool):
     leaves = {x: (k, i) for k, names in enumerate(trace.operands) for i, x in enumerate(names)}
 
     def expand(x: str):
-        """x's expression as a template with a {} per leaf, the leaves' operands and their components."""
+        """x's expression as a template with a {} per leaf, the leaves'
+        operands (None for a literal) and their components (a literal's
+        value)."""
         if x in leaves:
             k, i = leaves[x]
             return "{}", (k,), (i,)
         if x not in steps:
-            return x, (), ()
+            return "{}", (None,), (float(x),)
         left, op, right = steps[x]
         (lt, lk, li), (rt, rk, ri) = expand(left), expand(right)
         return f"({lt} {op} {rt})", lk + rk, li + ri
@@ -139,12 +144,16 @@ def program(trace: Trace, name: str, in_place: bool):
         groups.setdefault((template, ks), []).append((r, components))
     factors = {k for k, names in enumerate(trace.operands) if len(names) == 1}
     slabs: list[dict] = [{} for _ in trace.operands]  # per operand: slab -> its name, in gather order
+    literals: dict = {}  # literal row -> its name
     stores = []
     for (template, ks), members in groups.items():
         reads = []
         for p, k in enumerate(ks):
             slab = tuple(components[p] for _, components in members)
-            reads.append(f"f{k}[b]" if k in factors else slabs[k].setdefault(slab, f"g{k}_{len(slabs[k])}"))
+            if k is None:
+                reads.append(literals.setdefault(slab, f"r{len(literals)}"))
+            else:
+                reads.append(f"f{k}[b]" if k in factors else slabs[k].setdefault(slab, f"g{k}_{len(slabs[k])}"))
         rows = [r for r, _ in members]
         step = rows[-1] - rows[-2] if len(rows) > 1 else 1
         at = f"{rows[0]}:{rows[-1] + 1}:{step}" if rows == list(range(rows[0], rows[-1] + 1, step)) else rows
@@ -159,6 +168,9 @@ def program(trace: Trace, name: str, in_place: bool):
         else:
             lines.append(f"v{k} = x{k}.reshape(n, {len(names)}).T")
             namespace[f"i{k}"] = np.array(list(slabs[k]), dtype=np.intp)
+    for row, r in literals.items():
+        lines.append(f"{r} = _{r}.astype(x0.dtype, copy=False)")
+        namespace[f"_{r}"] = np.array(row)[:, None]
     view = "v0" if in_place else f"out.reshape(n, {size}).T"
     lines += [
         f"direct = {target}.flags.c_contiguous",
@@ -180,8 +192,8 @@ class _NativeEntries(dict):
     """Entry name -> the native extension's entry (``native``), looked up
     on its first call, which imports the extension and, on a host's first
     use, builds it; ``not_taken`` where the extension is unavailable.
-    Shared by both backends' kernels, which call an entry first and run
-    their program when it returns NotImplemented."""
+    Shared by both backends' kernels and ``Backend``, which call an entry
+    first and run their Python path when it returns NotImplemented."""
 
     def __missing__(self, name: str):
         from . import native

@@ -5,9 +5,12 @@ allocates the result array, or checks a caller's for shape, dtype and, under
 debug validation, aliasing an operand, the same way on both backends.
 """
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su3bench import BACKEND_NAMES, ROUTINE_NAMES, backends, debug_validation, get_backend, types
 from tutil import zeros
@@ -203,6 +206,7 @@ class _Sub(np.ndarray):
 
 
 _WITH_METADATA = np.dtype(np.float64, metadata={"unit": "lattice"})  # equal to float64, not identical
+BATCH = 4  # sets per batch_apply case; the rank-2 cases split it 2 x 2
 
 
 def _replaced(ops, i, new):
@@ -216,14 +220,23 @@ def _aliased(ops, result):
     return [buf[: ops[0].size].reshape(ops[0].shape), *ops[1:]], buf[: math.prod(result)].reshape(result)
 
 
-def _apply_cases(routine: str) -> dict:
-    """Name -> make(ops) giving (operands, out, debug) for one apply call, from
-    a fresh double operand set: calls the compiled entry takes and calls it
-    leaves to the generic checks."""
+def _offset(op):
+    """op's values in a C-contiguous array that starts one element into a larger buffer."""
+    buf = np.empty(op.size + 1, op.dtype)
+    buf[1:] = op.ravel()
+    return buf[1:].reshape(op.shape)
+
+
+def _call_cases(routine: str, batch: tuple) -> dict:
+    """Name -> make(ops) giving (operands, out, debug) for one call, from a
+    fresh double operand set of `batch` sets (() for apply, (BATCH,) for
+    batch_apply): calls the native entry takes and calls it leaves to the
+    generic checks."""
     spec = types.routine_spec(routine)
-    result = types.OPERAND_SHAPES[spec.result]
+    result = batch + types.OPERAND_SHAPES[spec.result]
     cases = {
         "plain": lambda ops: (ops, None, False),
+        "tuple": lambda ops: (tuple(ops), None, False),
         "debug": lambda ops: (ops, None, True),
         "count short": lambda ops: (ops[:-1], None, False),
         "count long": lambda ops: (ops + ops[-1:], None, False),
@@ -232,20 +245,33 @@ def _apply_cases(routine: str) -> dict:
         "all float16": lambda ops: ([op.astype(np.float16) for op in ops], None, False),
         "all >f8": lambda ops: ([op.astype(">f8") for op in ops], None, False),
         "all with metadata": lambda ops: ([op.astype(_WITH_METADATA) for op in ops], None, False),
+        "all offset": lambda ops: ([_offset(op) for op in ops], None, False),
+        "all with an extra axis": lambda ops: ([op[None] for op in ops], None, False),
         "out aliased": lambda ops: (*_aliased(ops, result), False),
         "out aliased, debug": lambda ops: (*_aliased(ops, result), True),
     }
+    if batch:
+        cases["rank-2 batch"] = lambda ops: ([op.reshape((2, 2) + op.shape[1:]) for op in ops], None, False)
+        cases["operand 0 rank-2 batch"] = lambda ops: (_replaced(ops, 0, ops[0].reshape((2, 2) + ops[0].shape[1:])), None, False)
+        cases["no batch axis"] = lambda ops: ([op[0] for op in ops], None, False)
+        cases["empty batch"] = lambda ops: ([op[:0] for op in ops], None, False)
+    else:
+        cases["all batched, out batched"] = lambda ops: ([op[None] for op in ops], None if spec.in_place else np.zeros((1,) + result), False)
     if spec.in_place:
         cases["out in place"] = lambda ops: (ops, np.zeros(result), False)
         cases["first operand read-only"] = lambda ops: ([_read_only(ops[0]), *ops[1:]], None, False)
     else:
         for name, make in {
             "zeros": lambda: np.zeros(result),
+            "offset": lambda: _offset(np.zeros(result)),
             "misshapen": lambda: np.zeros(result + (1,)),
             "flat": lambda: np.zeros(math.prod(result)),
+            "extra axis": lambda: np.zeros((1,) + result),
             "float32": lambda: np.zeros(result, np.float32),
             ">f8": lambda: np.zeros(result, ">f8"),
+            "with metadata": lambda: np.zeros(result, _WITH_METADATA),
             "list": lambda: np.zeros(result).tolist(),
+            "memoryview": lambda: memoryview(np.zeros(result)),
             "subclass": lambda: np.zeros(result).view(_Sub),
             "fortran": lambda: np.asfortranarray(np.zeros(result)),
             "strided": lambda: np.zeros(result + (2,))[..., 1],
@@ -259,9 +285,13 @@ def _apply_cases(routine: str) -> dict:
                 "float": 0.75, "int": 3, "bool": True, "np.float64": np.float64(0.75),
                 "0-d float64": np.array(0.75), "0-d float32": np.array(0.75, np.float32), "0-d int": np.array(2),
                 "0-d complex": np.array(0.5j), "list": [0.75], "(1,) array": np.array([0.75]),
+                "per set": np.full(batch, 0.75), "per set, float32": np.full(batch, 0.75, np.float32),
+                "per set, strided": np.full(batch + (2,), 0.75)[..., 0], "per set, list": np.full(batch, 0.75).tolist(),
                 "complex": 0.5j, "None": None, "str": "0.75",
             }.items():
                 cases[f"factor {name}"] = lambda ops, i=i, factor=factor: (_replaced(ops, i, factor), None, False)
+            cases["float32 with a float factor"] = lambda ops, i=i: (
+                _replaced([op.astype(np.float32) for op in ops], i, 0.75), None, False)
             continue
         for name, edit in {
             "misshapen": lambda op: op.reshape(-1),
@@ -270,18 +300,30 @@ def _apply_cases(routine: str) -> dict:
             ">f8": lambda op: op.astype(">f8"),
             "with metadata": lambda op: op.astype(_WITH_METADATA),
             "list": lambda op: op.tolist(),
+            "memoryview": memoryview,
+            "bytearray": lambda op: bytearray(op.tobytes()),
             "subclass": lambda op: op.view(_Sub),
             "read-only": _read_only,
             "strided": lambda op: np.stack([op, op], axis=-1)[..., 0],
+            "offset": _offset,
         }.items():
             cases[f"operand {i} {name}"] = lambda ops, i=i, edit=edit: (_replaced(ops, i, edit(ops[i])), None, False)
     return cases
 
 
+def _generic(plan, form: str):
+    """apply or batch_apply (`form`) of `plan` through the generic checks alone."""
+    def call(operands, out, count=None):
+        batch = () if form == "apply" else (types.batch_count(plan.spec, operands, count),)
+        backends._check(plan, operands, out, batch)
+        return backends._run(plan, operands, out, batch)
+    return call
+
+
 def _outcome(call, operands, out, debug):
-    """What one call did: its result's bits, dtype and shape, whether it
-    returned `out`, and the first operand's bits after; or the exception's
-    type and message."""
+    """What one call did: its result's bits, dtype (with its metadata) and
+    shape, whether it returned `out` or the first operand, and the first
+    operand's bits after; or the exception's type and message."""
     before = debug_validation(debug)
     try:
         got = call(operands, out)
@@ -290,29 +332,152 @@ def _outcome(call, operands, out, debug):
     finally:
         debug_validation(before)
     first = np.asarray(operands[0]) if operands else None
-    return (np.ascontiguousarray(got).tobytes(), got.dtype, got.shape, got is out or got is operands[0],
-            None if first is None else first.tobytes())
+    return (np.ascontiguousarray(got).tobytes(), got.dtype, got.dtype.metadata, got.shape,
+            got is out or got is operands[0], None if first is None else first.tobytes())
 
 
+@pytest.mark.parametrize("form", ["apply", "batch_apply"])
 @pytest.mark.parametrize("routine", ROUTINE_NAMES)
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
-def test_compiled_entry_agrees_with_the_generic_checks(kind, routine):
-    # Every call the entry takes straight to the kernel gives the bits the
-    # generic path gives, and every other call the same exception and message.
+def test_native_path_agrees_with_the_generic_checks(kind, routine, form):
+    # Every call the native entry takes gives the bits the generic path
+    # gives, and every other call the same exception and message.
+    backend = get_backend(kind)
+    generic = _generic(backend._plan(routine), form)
+
+    def applied(operands, out):
+        if form == "apply":
+            return backend.apply(routine, *operands, out=out)
+        return backend.batch_apply(routine, operands, out=out)
+
+    seed = [61, ROUTINE_NAMES.index(routine)]
+    count = None if form == "apply" else BATCH
+    for name, make in _call_cases(routine, () if count is None else (count,)).items():
+        outcomes = [_outcome(call, *make(types.random_operands(routine, np.random.default_rng(seed), batch=count)))
+                    for call in (generic, applied)]
+        assert outcomes[0] == outcomes[1], name
+
+
+def test_batch_apply_words_what_it_cannot_read(rng):
+    # A generator, a count that is not an integer, and one object where a
+    # stacked set is due, each named as such.
+    backend = get_backend("scalar")
+    v = types.random_operands("add_su3_vector", rng)[0]
+    stacked = [v[None], v[None]]
+    with pytest.raises(ValueError, match="add_su3_vector: operands must be a list or tuple, got generator"):
+        backend.batch_apply("add_su3_vector", (op for op in stacked))
+    for count in ("2", 2.0, -1):
+        with pytest.raises(ValueError, match=re.escape(f"count must be a non-negative integer, got {count!r}")):
+            backend.batch_apply("add_su3_vector", stacked, count=count)
+    with pytest.raises(ValueError, match=re.escape("operand 0 has shape (3, 2), one object with no batch axis; expected (count,) + (3, 2)")):
+        backend.batch_apply("add_su3_vector", [v, v])
+    assert backend.batch_apply("add_su3_vector", tuple(stacked), count=np.int64(1)).shape == (1, 3, 2)
+
+
+_DTYPES = [np.float64] * 3 + [np.float32] * 2 + [np.float16, ">f8", _WITH_METADATA]
+_ARRAY_FORMS = {
+    "ok": lambda x, batch: x,
+    "misshapen": lambda x, batch: x.reshape(batch + x.shape[len(batch):][::-1]),
+    "flat": lambda x, batch: x.reshape(-1),
+    "extra axis": lambda x, batch: x[None],
+    "no batch axes": lambda x, batch: x[(0,) * len(batch)] if x.size else np.zeros(x.shape[len(batch):], x.dtype),
+    "float32": lambda x, batch: x.astype(np.float32),
+    "float16": lambda x, batch: x.astype(np.float16),
+    ">f8": lambda x, batch: x.astype(">f8"),
+    "with metadata": lambda x, batch: x.astype(_WITH_METADATA),
+    "strided": lambda x, batch: np.stack([x, x], axis=-1)[..., 1],
+    "offset": lambda x, batch: _offset(x),
+    "fortran": lambda x, batch: np.asfortranarray(x),
+    "read-only": lambda x, batch: _read_only(x),
+    "subclass": lambda x, batch: x.view(_Sub),
+    "memoryview": lambda x, batch: memoryview(x),
+    "bytearray": lambda x, batch: bytearray(x.tobytes()),
+    "list": lambda x, batch: x.tolist(),
+}
+_FACTOR_FORMS = {
+    "float": lambda x: float(x.flat[0]) if x.size else 0.5,
+    "int": lambda x: 3,
+    "bool": lambda x: True,
+    "np.float64": lambda x: np.float64(0.5),
+    "np.float32": lambda x: np.float32(0.5),
+    "0-d": lambda x: x.reshape(-1)[:1].reshape(()) if x.size else np.array(0.5, x.dtype),
+    "0-d float32": lambda x: np.array(0.5, np.float32),
+    "0-d float64": lambda x: np.array(0.5),
+    "per set": lambda x: x,
+    "per set, float32": lambda x: x.astype(np.float32),
+    "per set, strided": lambda x: np.stack([x, x], axis=-1)[..., 0],
+    "per set, list": lambda x: x.tolist(),
+    "per set, extra axis": lambda x: x[..., None],
+    "one too many": lambda x: np.append(x, 0.5),
+    "complex": lambda x: 0.5j,
+    "None": lambda x: None,
+    "str": lambda x: "0.5",
+}
+
+
+@st.composite
+def _fuzzed_calls(draw):
+    """(kind, routine, form, count, make) where make() builds the call's
+    operands and out afresh, NaN-filling the out."""
+    kind = draw(st.sampled_from(BACKEND_NAMES))
+    routine = draw(st.sampled_from(ROUTINE_NAMES))
+    form = draw(st.sampled_from(["apply", "batch_apply"]))
+    spec = types.routine_spec(routine)
+    usual = [()] if form == "apply" else [(3,)]
+    batch = draw(st.sampled_from(usual * 4 + [(), (1,), (3,), (0,), (2, 2)]))
+    dtype = draw(st.sampled_from(_DTYPES))
+    array_forms = st.sampled_from(["ok"] * 3 * len(_ARRAY_FORMS) + list(_ARRAY_FORMS))
+    forms = [draw(st.sampled_from(list(_FACTOR_FORMS)) if kind == "scalar" else array_forms) for kind in spec.operands]
+    out_form = None if spec.in_place and draw(st.booleans()) else draw(array_forms)
+    out_form = draw(st.sampled_from([None, None, out_form]))
+    count = draw(st.sampled_from([None] * 6 + [len(batch) and batch[0], 2])) if form == "batch_apply" else None
+    seed = draw(st.integers(0, 2**32 - 1))
+
+    def make():
+        rng = np.random.default_rng(seed)
+        operands = []
+        for kind, how in zip(spec.operands, forms):
+            x = rng.uniform(-1.0, 1.0, batch + types.OPERAND_SHAPES[kind]).astype(dtype)
+            operands.append(_FACTOR_FORMS[how](x) if kind == "scalar" else _ARRAY_FORMS[how](x, batch))
+        out = None
+        if out_form is not None:
+            out = _ARRAY_FORMS[out_form](np.full(batch + types.OPERAND_SHAPES[spec.result], np.nan, dtype), batch)
+        return operands, out
+
+    return kind, routine, form, count, make
+
+
+def _target_bytes(operands, out):
+    """The bytes of what a call may write: out, else operand 0."""
+    target = out if out is not None else (operands[0] if operands else None)
+    return bytes(target) if isinstance(target, (memoryview, bytearray)) else np.asarray(target).tobytes()
+
+
+@settings(max_examples=400)
+@given(_fuzzed_calls())
+def test_fuzzed_calls_give_the_generic_paths_outcome(call):
+    # Each call gives the same bits and the same out or operand identity
+    # through the native entry as through the generic checks, or the same
+    # exception and message, and a refused call writes nothing.
+    kind, routine, form, count, make = call
     backend = get_backend(kind)
     plan = backend._plan(routine)
 
     def generic(operands, out):
-        backends._check(plan, operands, out, ())
-        if plan.spec.in_place:
-            return plan.kernel(*operands)
-        return plan.kernel(*operands, out=backends._result(plan, operands, out, plan.result))
+        return _generic(plan, form)(operands, out, count)
 
     def applied(operands, out):
-        return backend.apply(routine, *operands, out=out)
+        if form == "apply":
+            return backend.apply(routine, *operands, out=out)
+        return backend.batch_apply(routine, operands, count=count, out=out)
 
-    seed = [61, ROUTINE_NAMES.index(routine)]
-    for name, make in _apply_cases(routine).items():
-        outcomes = [_outcome(call, *make(types.random_operands(routine, np.random.default_rng(seed))))
-                    for call in (generic, applied)]
-        assert outcomes[0] == outcomes[1], name
+    outcomes = []
+    for path in (generic, applied):
+        operands, out = make()
+        before = _target_bytes(operands, out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcome = _outcome(path, operands, out, False)
+        if isinstance(outcome[0], type):
+            assert _target_bytes(operands, out) == before, outcome
+        outcomes.append(outcome)
+    assert outcomes[0] == outcomes[1]

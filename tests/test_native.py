@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import sysconfig
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
@@ -20,13 +21,14 @@ from test_simd_kernels import _special_sets
 
 MODULE = native.load()
 needs_native = pytest.mark.skipif(MODULE is None, reason=f"native extension unavailable: {native.status()}")
-ENTRIES = ROUTINE_NAMES + tuple(t.entry for t in simd.TABLES.values())
+ENTRIES = tuple(name + suffix for name in ROUTINE_NAMES + tuple(t.entry for t in simd.TABLES.values()) for suffix, *_ in native._MODES)
 TESTS = Path(__file__).resolve().parent
 
 
 @contextmanager
 def _entries(make):
-    """Every kernel calls make(name) as its native entry, for the duration."""
+    """Every kernel, apply and batch_apply call make(name) as its native
+    entry, for the duration."""
     saved = dict(NATIVE)
     NATIVE.update({name: make(name) for name in ENTRIES})
     try:
@@ -138,42 +140,59 @@ def test_native_takes_operands_off_their_alignment(kind, precision):
     assert crooked["c"].tobytes() == want.tobytes()
 
 
+class _Sub(np.ndarray):
+    """An ndarray subclass, which no native entry takes."""
+
+
 @needs_native
-@pytest.mark.parametrize("name", ["mult_su3_nn", "scalar_mult_add_su3_vector", "sub_four_su3_vecs", "mult_su3_nn_table"])
+@pytest.mark.parametrize("name", ["mult_su3_nn", "scalar_mult_add_su3_vector", "sub_four_su3_vecs", "mult_su3_nn_table",
+                                  "mult_su3_nn_apply", "sub_four_su3_vecs_batch"])
 def test_native_entry_refuses_what_it_does_not_take(name):
     # It writes nothing and returns NotImplemented, so the caller's Python
     # path runs; none of these may read or write past a buffer.
     entry = getattr(MODULE, name)
-    routine = name.removesuffix("_table")
+    routine = name.removesuffix("_table").removesuffix("_apply").removesuffix("_batch")
     spec = types.routine_spec(routine)
-    ops = types.random_operands(routine, np.random.default_rng(7), batch=3)
-    args = list(ops) if spec.in_place else list(ops) + [np.full((3,) + types.OPERAND_SHAPES[spec.result], np.nan)]
+    batch = () if name.endswith("_apply") else (3,)
+    ops = types.random_operands(routine, np.random.default_rng(7), batch=batch[0] if batch else None)
+    args = list(ops) if spec.in_place else list(ops) + [np.full(batch + types.OPERAND_SHAPES[spec.result], np.nan)]
     target = 0 if spec.in_place else len(args) - 1
 
+    out = None if spec.in_place else args[-1]
+
     def variant(position, value):
-        return args[:position] + [value] + args[position + 1:]
+        call = args[:position] + [value] + args[position + 1:]
+        return call[:len(ops)], None if spec.in_place else call[-1]
 
     wide = np.zeros(args[target].shape + (2,))
     read_only = args[target].copy()
     read_only.flags.writeable = False
     refused = [
-        args[:-1],
-        args + [args[0]],
+        (ops[:-1], out),
+        (ops + ops[:1], out),
+        (iter(ops), out),
+        (ops, out, None),
         variant(0, args[0].astype(object)),
         variant(0, args[0].astype(np.float32)),
         variant(0, args[0].astype(np.float16)),
         variant(0, args[0].astype(">f8")),
-        variant(0, args[0][::-1]),
-        variant(0, args[0][:2]),
-        variant(1, np.concatenate([args[1], args[1]])),
+        variant(0, args[0].view(_Sub)),
+        variant(0, memoryview(args[0])),
+        variant(0, args[0][None]),
+        variant(1, np.concatenate([args[1], args[1]]) if batch else args[1].reshape(-1)),
         variant(target, wide[..., 0]),
         variant(target, read_only),
-        variant(target, args[target][:2]),
         variant(1, args[1].tolist()),
     ]
+    if spec.in_place:
+        refused.append((ops, np.zeros_like(ops[0])))  # an out for the in-place routine
+    elif not name.endswith(("_apply", "_batch")):
+        refused.append((ops, None))  # a kernel's own call without its out
+    if batch:
+        refused += [variant(0, args[0][::-1]), variant(0, args[0][:2]), variant(target, args[target][:2])]
     if "scalar" in spec.operands:
         k = spec.operands.index("scalar")
-        refused += [variant(k, np.ones(2)), variant(k, 0.5)]
+        refused += [variant(k, np.ones(2)), variant(k, np.float64(0.5)), variant(k, np.array(0.5, np.float32))]
     before = [np.array(a, copy=True) if isinstance(a, np.ndarray) and a.dtype != object else None for a in args]
     for call in refused:
         assert entry(*call) is NotImplemented
@@ -209,6 +228,48 @@ def test_warm_batch_apply_allocates_only_its_result(kind, routine):
     assert python_peak > nbytes + slack
     peak, nbytes = traced_peak()
     assert nbytes <= peak <= nbytes + slack
+
+
+@needs_native
+@pytest.mark.parametrize("routine", ROUTINE_NAMES)
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_apply_and_batch_apply_run_one_native_call(kind, routine, precision):
+    # The routine's checked entry takes every well-formed call of either
+    # form (a fresh result or the caller's out, a Python-float factor for
+    # double) as it stands, and gives the generic path's bits.
+    backend = get_backend(kind)
+    plan = backend._plan(routine)
+    spec = plan.spec
+    rng = np.random.default_rng([42, ROUTINE_NAMES.index(routine)])
+    for name, count in ((plan.apply, None), (plan.batch, 5)):
+        entry = getattr(MODULE, name)
+        ops = types.random_operands(routine, rng, precision, batch=count)
+        prefix = () if count is None else (count,)
+        outs = [None] if spec.in_place else [None, np.full(prefix + types.OPERAND_SHAPES[spec.result], np.nan, ops[0].dtype)]
+        calls = [ops]
+        if "scalar" in spec.operands and precision == "double":
+            calls.append([float(op.flat[0]) if what == "scalar" else op for op, what in zip(ops, spec.operands)])
+        for call, out in ((call, out) for call in calls for out in outs):
+            with _python_paths():
+                want = _run(backend.kernels[routine], spec, call, None)
+            got = entry([op.copy() if isinstance(op, np.ndarray) else op for op in call], out)
+            assert got is not NotImplemented and (out is None or got is out)
+            assert _same(got, want), (name, out is None)
+
+
+def test_emitted_source_compiles_without_warnings(tmp_path):
+    # The whole module under -Wall -Wextra -Werror, so a change that brings
+    # in a warning fails here rather than in a build log nobody reads.
+    if shutil.which(native.COMPILER) is None:
+        pytest.skip(f"{native.COMPILER} not found")
+    source = tmp_path / "su3native.c"
+    with source.open("w") as f:
+        native._emit(f.write, native._entries())
+    include = sysconfig.get_paths()["include"]
+    proc = subprocess.run([native.COMPILER, *native.FLAGS, "-Wall", "-Wextra", "-Werror", "-I", include,
+                           "-o", str(tmp_path / "su3native.so"), str(source)],
+                          capture_output=True, text=True, timeout=native.TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
 
 
 @needs_native

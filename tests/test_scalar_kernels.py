@@ -157,14 +157,15 @@ def test_a_body_the_trace_cannot_emit_is_refused(monkeypatch):
 
 
 def test_import_and_flop_table_build_no_program():
-    # Programs and apply entries are built on a routine's first call, never
-    # at import or while counting operations, which set-up time includes.
+    # Programs are built, and native entries looked up, on a routine's first
+    # call, never at import or while counting operations, which set-up time
+    # includes.
     code = ("import su3bench; su3bench.flop_table(); "
             "print(su3bench.scalar._batch_program.cache_info().currsize, su3bench.simd._table_program.cache_info().currsize, "
-            "*(len(su3bench.get_backend(kind)._entries) for kind in su3bench.BACKEND_NAMES))")
+            "len(su3bench.trace.NATIVE))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0", "0"]
+    assert proc.stdout.split() == ["0", "0", "0"]
 
 
 @pytest.mark.parametrize("build, name", [
