@@ -16,21 +16,26 @@ be writeable). The kernel functions (``Backend.kernels``, ``scalar.*``,
 operands, or a misshapen ``out``, they may compute a wrong result rather
 than raise.
 
-Each call is offered first to the native entry of the routine's kernel
-(``native``; ``<entry>_apply`` or ``<entry>_batch`` in ``trace.NATIVE``),
-which makes the same checks in C for the calls it takes (C-contiguous exact
-ndarrays of one native float type; a 0-d or per-set factor of that type,
-or a Python float for float64), allocates the result only once they pass,
-and runs the kernel's loop; a call with ``outs``, a ``count``, or debug
-validation on is not offered. A call the entry refuses, or every call
-where there is no extension, runs the generic checks (``_check``,
-``_result``, ``_four_destinations``) and the kernel. Only the generic
-checks word a rejection, so the native entry changes no result and no
-error message.
+On a backend's first ``apply`` or ``batch_apply`` call, which loads the
+native extension (``native``), the extension's dispatchers are bound as the
+instance's ``apply`` and ``batch_apply`` (``native.dispatchers``), so a
+call is one C call from the caller's first byte. A dispatcher makes the same
+checks in C for the calls it takes (C-contiguous exact ndarrays of one
+native float type; a 0-d or per-set factor of that type, or a Python float
+for float64), allocates the result only once they pass, and runs the
+kernel's loop. Every other call (``outs``, a ``count``, another keyword, an
+unknown routine, a call the checks refuse) it passes with the same
+arguments to the class's ``apply`` or ``batch_apply``, the generic path:
+the checks in Python (``_check``, ``_result``, ``_four_destinations``) and
+the kernel, which alone words a rejection. So a dispatcher changes no
+result and no error message; where there is no extension, every call runs
+the generic path.
 
 Debug validation (``debug_validation``, off by default so the hot path pays
 nothing for it) adds one check at the entry points: a result array the
-caller passes may not share memory with an operand.
+caller passes may not share memory with an operand. Turning it on unbinds
+the dispatchers, so every call runs the generic path; turning it off binds
+them again (or, before a backend's first call, leaves that to the call).
 """
 from __future__ import annotations
 
@@ -40,7 +45,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import scalar, simd
-from .trace import NATIVE
 from .types import OPERAND_SHAPES, PRECISIONS, ROUTINE_NAMES, ROUTINES, RoutineSpec, batch_count, result_shape
 
 
@@ -49,9 +53,13 @@ _debug = False
 
 
 def debug_validation(on: bool) -> bool:
-    """Globally enable or disable the debug checks; returns the previous setting."""
+    """Globally enable or disable the debug checks; returns the previous
+    setting. Either way every backend's dispatchers are bound afresh
+    (``Backend._bind``)."""
     global _debug
     before, _debug = _debug, bool(on)
+    for backend in _BACKENDS.values():
+        backend._bind()
     return before
 
 
@@ -64,11 +72,9 @@ class _Plan(NamedTuple):
     arrays: tuple  # (position, per-object shape) of each array operand
     factors: tuple[int, ...]  # positions of the real factors
     result: tuple[int, ...]  # per-object result shape
-    apply: str  # the native entries (``trace.NATIVE``) that check and run apply's calls
-    batch: str  # and batch_apply's
 
 
-def _plan_for(spec: RoutineSpec, kernel: Callable, entry: str) -> _Plan:
+def _plan_for(spec: RoutineSpec, kernel: Callable) -> _Plan:
     kinds = list(enumerate(spec.operands))
     return _Plan(
         spec,
@@ -77,8 +83,6 @@ def _plan_for(spec: RoutineSpec, kernel: Callable, entry: str) -> _Plan:
         tuple((i, OPERAND_SHAPES[kind]) for i, kind in kinds if kind != "scalar"),
         tuple(i for i, kind in kinds if kind == "scalar"),
         result_shape(spec),
-        f"{entry}_apply",
-        f"{entry}_batch",
     )
 
 
@@ -158,7 +162,20 @@ class Backend:
     def __init__(self, kind: str, module: ModuleType) -> None:
         self.kind = kind
         self.kernels = MappingProxyType({name: getattr(module, name) for name in ROUTINE_NAMES})
-        self._plans = {name: _plan_for(spec, self.kernels[name], module.ENTRIES[name]) for name, spec in ROUTINES.items()}
+        self._plans = {name: _plan_for(spec, self.kernels[name]) for name, spec in ROUTINES.items()}
+        self._entries = module.ENTRIES
+        self._called = False  # until the first call, binding would load the extension early
+
+    def _bind(self) -> None:
+        """Bind the native dispatchers as this instance's ``apply`` and
+        ``batch_apply`` once it has been called, unless debug validation is
+        on; else unbind them, so calls run the class's generic paths."""
+        vars(self).pop("apply", None)
+        vars(self).pop("batch_apply", None)
+        if self._called and not _debug:
+            from . import native
+
+            vars(self).update(native.dispatchers(self._entries, Backend.apply.__get__(self), Backend.batch_apply.__get__(self)))
 
     def _plan(self, routine: str) -> _Plan:
         try:
@@ -175,15 +192,13 @@ class Backend:
         then the packed result is copied out, one direction per destination,
         and the tuple returned.
 
-        Without ``outs`` or debug validation, the routine's native entry
-        checks and runs the call first; a call it refuses runs the generic
-        checks, which word every rejection.
+        This is the generic path; once bound, the native dispatcher runs
+        the calls it takes and passes it the rest.
         """
+        if not self._called:
+            self._called = True
+            self._bind()
         plan = self._plan(routine)
-        if outs is None and not _debug:
-            result = NATIVE[plan.apply](operands, out)
-            if result is not NotImplemented:
-                return result
         _check(plan, operands, out, ())
         if outs is not None:
             return _four_destinations(plan, operands, out, outs)
@@ -196,15 +211,13 @@ class Backend:
         in front of the per-object shape; scalars are (count,) arrays or
         plain numbers. A caller's `out` must be (count,) + the result shape.
         The kernel runs once over all sets, bitwise identical to slicing out
-        each set and calling it on that. Without `count` or debug
-        validation, the routine's native entry checks and runs the call
-        first, as in ``apply``.
+        each set and calling it on that. This is the generic path, as for
+        ``apply``.
         """
+        if not self._called:
+            self._called = True
+            self._bind()
         plan = self._plan(routine)
-        if count is None and not _debug:
-            result = NATIVE[plan.batch](operands, out)
-            if result is not NotImplemented:
-                return result
         batch = (batch_count(plan.spec, operands, count),)
         _check(plan, operands, out, batch)
         return _run(plan, operands, out, batch)

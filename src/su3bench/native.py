@@ -16,29 +16,37 @@ Loads and stores go through ``memcpy``, which needs no alignment, so a
 literals. Identical traces (``mult_adj_su3_mat_4vec`` is
 ``mult_adj_su3_mat_vec_4dir``) share one pair of loops.
 
-Each trace has three METH_FASTCALL entries, named after its routine (a
-table's after ``Contraction.entry``) with the suffixes of ``_MODES``, each
-called as ``entry(operands, out)`` with the routine's operands in its order.
-``run`` makes, in C, every check of ``backends``' generic path for the calls
-it takes (see there), at a batch rank fixed per entry: the written
-argument's for the kernels' own calls, 0 for ``Backend.apply``, 1 for
-``Backend.batch_apply``. It allocates a result with ``numpy.empty`` only
-once every check passes, and returns the argument written. Any other call
-it leaves untouched and returns ``NotImplemented``, and the caller runs its
-Python path, so an entry changes no result and no error message.
+Each trace has one METH_FASTCALL entry, named after its routine (a
+table's after ``Contraction.entry``), for the kernels' own calls:
+``entry(*operands, out)`` with the routine's operands in its order (the
+in-place routine takes no ``out``). The module's one ``dispatcher`` type is
+a backend's ``apply`` or ``batch_apply`` (``dispatchers``), called as
+``apply(routine, *operands, out=...)`` or ``batch_apply(routine, operands,
+out=...)`` with no Python frame between the caller and C. Both run ``run``,
+which reads the arguments through numpy's C API and makes every check of
+``backends``' generic path for the calls it takes (see there), at the
+written argument's batch rank for an entry, 0 for ``apply`` and 1 for
+``batch_apply``. It allocates a result (``PyArray_NewFromDescr`` with
+operand 0's dtype) only once every check passes, and returns the argument
+written. Any other call it leaves untouched: an entry returns
+``NotImplemented``, and the kernel runs its Python path; a dispatcher passes
+the call, as it came, to the backend's generic method, as it does every call
+of another form (another keyword, a positional ``count`` or ``out``, an
+unknown routine). So neither changes a result or an error message.
 
 gcc builds the module with ``-ffp-contract=off`` (no fused multiply-add,
 which would round once where the trace rounds twice) and
 ``-fno-tree-vectorize`` (no packed arithmetic), synchronously and with a
 timeout, on the first call of ``load`` in a process, which the first
-kernel call makes; importing the package or counting operations imports
-not even this module. The module goes to the source checkout's git-ignored
-``build/`` under a name keyed by a hash of this file and the traces, written
+kernel, ``apply`` or ``batch_apply`` call makes; importing the package or
+counting operations imports not even this module. The module goes to the
+source checkout's git-ignored ``build/`` under a name keyed by a hash of
+this file, the traces, and numpy's version and include directory, written
 to a temporary file and renamed into place, so a cached module is loaded
 without emitting anything and concurrent builds do not collide; its source
-is kept beside it. Where there is no compiler, the build fails or the module
-does not load, ``load`` returns None, ``status`` says why, and every call
-runs its Python path.
+is kept beside it. Where there is no compiler or no numpy header, the build
+fails or the module does not load, ``load`` returns None, ``status`` says
+why, and every call runs its Python path.
 """
 from __future__ import annotations
 
@@ -51,21 +59,24 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from . import scalar, simd
 from .types import OPERAND_SHAPES, ROUTINES
 
 BUILD = Path(__file__).resolve().parents[2] / "build"
 COMPILER = "gcc"
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-tree-vectorize")
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-tree-vectorize",
+         "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION")
+NUMPY_INCLUDE = np.get_include()
 TIMEOUT_S = 300
 MAX_ARGS = 8
-_TYPES = (("d", "double"), ("f", "float"))  # buffer format and C type of each precision
-# Each entry's three functions, by name suffix, and their batch rank: the
-# kernels' own calls at the written argument's, apply's at 0, batch_apply's at 1.
-_MODES = (("", -1), ("_apply", 0), ("_batch", 1))
+_TYPES = (("d", "double"), ("f", "float"))  # loop name suffix and C type of each precision
 
 _PRELUDE = r"""#define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <numpy/arrayobject.h>
+#include <stddef.h>
 #include <string.h>
 
 /* Component k of a site's bytes, in or out: one scalar move, at any alignment. */
@@ -85,148 +96,235 @@ struct kernel {
     Py_ssize_t operands;
     int in_place;
     const int *ranks;
-    const Py_ssize_t *dims;
+    const npy_intp *dims;
     site_loop d, f;
 };
 
 #define MAX_ARGS %(max_args)d
+#define MAX_RANK %(max_rank)d
+#define DIMS(x) PyArray_DIMS((PyArrayObject *)(x))
 
-static PyObject *ndarray, *empty, *dtype_name; /* numpy.ndarray, numpy.empty, "dtype": set at module init */
-
-/* 'd' for a buffer of native doubles, 'f' of native floats, else 0. */
-static char element(const Py_buffer *view)
+/* Run k over the sites of a call, its `count` operands and out (None for
+   a fresh result, and for the in-place routine), and return a new
+   reference to what it wrote: operand 0 in place, else out, or a new
+   array. It takes only calls that backends' generic checks pass: every
+   argument an exact numpy.ndarray, C-contiguous, in native byte order, of
+   float64 or float32, all of one type; the written one writeable; each
+   array shaped the batch shape followed by its per-object shape; a real
+   factor 0-d or of the batch shape, or for float64 a Python float. The
+   batch rank is `rank` (0 or 1), or for rank -1 the written argument's
+   (out is then required). Only once every check passes is a result
+   allocated, with operand 0's dtype; no Python code runs between the
+   checks and the loop. For any other call it writes nothing and returns
+   NotImplemented with no error set. */
+static PyObject *run(const struct kernel *k, int rank, PyObject *const *operands, Py_ssize_t count, PyObject *out)
 {
-    const char *f = view->format;
-    if (f[0] == '@' || f[0] == '=' || (PY_LITTLE_ENDIAN && f[0] == '<'))
-        f++;
-    if (f[1] != '\0')
-        return 0;
-    return (f[0] == 'd' && view->itemsize == 8) || (f[0] == 'f' && view->itemsize == 4) ? f[0] : 0;
-}
-
-/* A new array of shape batch + dims in a's dtype, or NULL with an error set. */
-static PyObject *fresh(PyObject *a, const Py_ssize_t *batch, int rank, const Py_ssize_t *dims, int r)
-{
-    PyObject *args[2] = {PyTuple_New(rank + r), NULL}, *array = NULL, *d;
-    int i;
-    for (i = 0; args[0] && i < rank + r; i++) {
-        if (!(d = PyLong_FromSsize_t(i < rank ? batch[i] : dims[i - rank])))
-            goto done;
-        PyTuple_SET_ITEM(args[0], i, d);
-    }
-    if (args[0] && (args[1] = PyObject_GetAttr(a, dtype_name)))
-        array = PyObject_Vectorcall(empty, args, 2, NULL);
-done:
-    Py_XDECREF(args[0]);
-    Py_XDECREF(args[1]);
-    return array;
-}
-
-/* Run k over the sites of a call (operands, out) and return what it wrote:
-   operand 0 in place, else out, or where out is None a new array. It takes
-   only calls that backends' generic checks pass: the operands an exact
-   tuple or list; every argument an exact numpy.ndarray, C-contiguous, of
-   native float64 or float32, all of one type; the written one writeable;
-   each array shaped the batch shape followed by its per-object shape; a
-   real factor 0-d or of the batch shape, or for float64 a Python float.
-   The batch rank is `rank`, or for rank -1 the written argument's (out is
-   then required). Only once every check passes is a result allocated. For
-   any other call it writes nothing and returns NotImplemented with no
-   error set. */
-static PyObject *run(const struct kernel *k, int rank, PyObject *const *call, Py_ssize_t ncall)
-{
-    Py_buffer views[MAX_ARGS];
-    PyObject *args[MAX_ARGS], *result = Py_NotImplemented, *made = NULL;
-    char *p[MAX_ARGS + 1], type = 0;
-    Py_ssize_t step[MAX_ARGS + 1], nargs = k->operands, held = 0, n = 1, i, j;
+    PyObject *args[MAX_ARGS + 1];
+    char *p[MAX_ARGS + 1];
+    int nd[MAX_ARGS + 1], type = -1;
+    Py_ssize_t step[MAX_ARGS + 1], n = 1, size, i, j;
     double floats[MAX_ARGS];
-    const Py_ssize_t *batch, *dims = k->dims;
-    const Py_ssize_t slots = k->operands + !k->in_place, target = k->in_place ? 0 : k->operands;
+    const npy_intp *batch, *dims = k->dims;
+    const Py_ssize_t nargs = count + (out != Py_None), slots = k->operands + !k->in_place, target = k->in_place ? 0 : k->operands;
 
-    if (ncall != 2 || !(PyTuple_CheckExact(call[0]) || PyList_CheckExact(call[0]))
-        || PySequence_Fast_GET_SIZE(call[0]) != k->operands || (call[1] == Py_None ? rank < 0 && !k->in_place : k->in_place))
+    if (count != k->operands || (out == Py_None ? rank < 0 && !k->in_place : k->in_place))
         Py_RETURN_NOTIMPLEMENTED;
-    memcpy(args, PySequence_Fast_ITEMS(call[0]), nargs * sizeof *args);
-    if (call[1] != Py_None)
-        args[nargs++] = call[1];
-    for (; held < nargs; held++) {
-        Py_buffer *view = &views[held];
-        char e;
-        if (k->ranks[held] < 0 && type == 'd' && PyFloat_CheckExact(args[held])) {
-            floats[held] = PyFloat_AS_DOUBLE(args[held]);
-            view->obj = NULL;
-            view->buf = &floats[held];
-            view->ndim = 0;
+    memcpy(args, operands, count * sizeof *args);
+    args[count] = out;
+    for (i = 0; i < nargs; i++) {
+        PyArrayObject *a = (PyArrayObject *)args[i];
+        if (k->ranks[i] < 0 && type == NPY_DOUBLE && PyFloat_CheckExact(args[i])) {
+            floats[i] = PyFloat_AS_DOUBLE(args[i]);
+            p[i] = (char *)&floats[i];
+            nd[i] = 0;
             continue;
         }
-        if (Py_TYPE(args[held]) != (PyTypeObject *)ndarray)
-            goto done;
-        if (PyObject_GetBuffer(args[held], view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (held == target ? PyBUF_WRITABLE : 0)) < 0) {
-            PyErr_Clear();
-            goto done;
-        }
-        e = element(view);
-        if (!e || (type && e != type)) {
-            held++;
-            goto done;
-        }
-        type = e;
+        if (!PyArray_CheckExact(a) || !PyArray_IS_C_CONTIGUOUS(a) || !PyArray_ISNOTSWAPPED(a)
+            || (type < 0 ? PyArray_TYPE(a) != NPY_DOUBLE && PyArray_TYPE(a) != NPY_FLOAT : PyArray_TYPE(a) != type)
+            || (i == target && !PyArray_ISWRITEABLE(a)))
+            Py_RETURN_NOTIMPLEMENTED;
+        type = PyArray_TYPE(a);
+        p[i] = PyArray_BYTES(a);
+        nd[i] = PyArray_NDIM(a);
     }
-    if ((rank < 0 && (rank = views[target].ndim - k->ranks[target]) < 0) || views[0].ndim != rank + k->ranks[0])
-        goto done; /* operand 0 is never a real factor, and its leading axes are the batch shape */
-    batch = views[0].shape;
+    if ((rank < 0 && (rank = nd[target] - k->ranks[target]) < 0) || nd[0] != rank + k->ranks[0])
+        Py_RETURN_NOTIMPLEMENTED; /* operand 0 is never a real factor, and its leading axes are the batch shape */
+    batch = DIMS(args[0]);
+    size = type == NPY_DOUBLE ? sizeof(double) : sizeof(float);
     for (i = 0; i < rank; i++)
         n *= batch[i];
     for (i = 0; i < slots; i++) {
         const int r = k->ranks[i];
         if (r < 0) {
-            if (views[i].ndim && (views[i].ndim != rank || memcmp(views[i].shape, batch, rank * sizeof *batch)))
-                goto done;
-            step[i] = views[i].ndim ? (type == 'd' ? 8 : 4) : 0;
+            if (nd[i] && (nd[i] != rank || memcmp(DIMS(args[i]), batch, rank * sizeof *batch)))
+                Py_RETURN_NOTIMPLEMENTED;
+            step[i] = nd[i] ? size : 0;
         } else {
-            if (i < nargs && (views[i].ndim != rank + r || memcmp(views[i].shape, batch, rank * sizeof *batch)
-                              || memcmp(views[i].shape + rank, dims, r * sizeof *dims)))
-                goto done;
-            for (step[i] = type == 'd' ? 8 : 4, j = 0; j < r; j++)
+            if (i < nargs && (nd[i] != rank + r || memcmp(DIMS(args[i]), batch, rank * sizeof *batch)
+                              || memcmp(DIMS(args[i]) + rank, dims, r * sizeof *dims)))
+                Py_RETURN_NOTIMPLEMENTED;
+            for (step[i] = size, j = 0; j < r; j++)
                 step[i] *= *dims++;
         }
-        if (i < nargs)
-            p[i] = views[i].buf;
     }
     if (nargs < slots) {
-        result = NULL;
-        made = fresh(args[0], batch, rank, dims - k->ranks[target], k->ranks[target]);
-        if (!made || PyObject_GetBuffer(made, &views[held], PyBUF_WRITABLE) < 0)
-            goto done;
-        p[held++] = views[target].buf;
-        args[target] = made;
-    }
+        const int r = k->ranks[target];
+        npy_intp shape[1 + MAX_RANK];
+        PyArray_Descr *descr = PyArray_DESCR((PyArrayObject *)args[0]);
+        memcpy(shape, batch, rank * sizeof *shape);
+        memcpy(shape + rank, dims - r, r * sizeof *shape);
+        Py_INCREF(descr); /* which the constructor steals */
+        if (!(args[target] = PyArray_NewFromDescr(&PyArray_Type, descr, rank + r, shape, NULL, NULL, 0, NULL)))
+            return NULL;
+        p[target] = PyArray_BYTES((PyArrayObject *)args[target]);
+    } else
+        Py_INCREF(args[target]);
     p[k->operands] = p[target];
     step[k->operands] = step[target];
-    (type == 'd' ? k->d : k->f)(n, p, step);
-    result = args[target];
-done:
-    for (i = 0; i < held; i++)
-        PyBuffer_Release(&views[i]);
-    if (result != made) {
-        Py_XDECREF(made);
-        Py_XINCREF(result);
-    }
-    return result;
+    (type == NPY_DOUBLE ? k->d : k->f)(n, p, step);
+    return args[target];
+}
+
+/* A kernel's own call, entry(*operands, out) (in place: entry(*operands)). */
+static PyObject *flat(const struct kernel *k, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != k->operands + !k->in_place)
+        Py_RETURN_NOTIMPLEMENTED;
+    return run(k, -1, args, k->operands, k->in_place ? Py_None : args[k->operands]);
 }
 
 """
 
-_INIT = r"""PyMODINIT_FUNC PyInit_su3native(void)
+# The dispatcher type and the module's init, after the entries and their table.
+_DISPATCHER = r"""
+/* dispatcher(entries, rank, generic): a backend's apply (rank 0),
+   called as (routine, *operands, out=...), or batch_apply (rank 1),
+   called as (routine, operands, out=...), whose `entries` maps each
+   routine to the module entry that runs it. It runs a call of that form
+   through run; every other call, and every call run refuses, it passes
+   to `generic`, the backend's Python method, with the same arguments. */
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc call;
+    PyObject *kernels; /* routine -> a capsule of its struct kernel */
+    PyObject *generic;
+    int rank;
+} dispatcher;
+
+static PyObject *out_name; /* "out", interned as a call's keyword names are */
+
+static PyObject *dispatch(PyObject *self, PyObject *const *args, size_t nargsf, PyObject *kwnames)
 {
-    PyObject *numpy = PyImport_ImportModule("numpy");
-    if (!numpy)
+    const dispatcher *d = (const dispatcher *)self;
+    const Py_ssize_t nargs = PyVectorcall_NARGS(nargsf), nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
+    const int out_only = nkw == 0 || (nkw == 1 && (PyTuple_GET_ITEM(kwnames, 0) == out_name
+                                                   || PyUnicode_Compare(PyTuple_GET_ITEM(kwnames, 0), out_name) == 0));
+    PyObject *kernel, *result = Py_NotImplemented;
+    if (nargs >= 1 && out_only && PyUnicode_CheckExact(args[0]) && (kernel = PyDict_GetItemWithError(d->kernels, args[0]))) {
+        const struct kernel *k = PyCapsule_GetPointer(kernel, NULL);
+        PyObject *out = nkw ? args[nargs] : Py_None;
+        if (d->rank == 0)
+            result = run(k, 0, args + 1, nargs - 1, out);
+        else if (nargs == 2 && (PyTuple_CheckExact(args[1]) || PyList_CheckExact(args[1])))
+            result = run(k, 1, PySequence_Fast_ITEMS(args[1]), PySequence_Fast_GET_SIZE(args[1]), out);
+        if (result != Py_NotImplemented)
+            return result;
+    }
+    if (PyErr_Occurred()) /* from the lookup */
         return NULL;
-    ndarray = PyObject_GetAttrString(numpy, "ndarray");
-    empty = PyObject_GetAttrString(numpy, "empty");
-    Py_DECREF(numpy);
-    dtype_name = PyUnicode_InternFromString("dtype");
-    return ndarray && empty && dtype_name ? PyModule_Create(&module) : NULL;
+    return PyObject_Vectorcall(d->generic, args, nargsf, kwnames);
+}
+
+static PyObject *dispatcher_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"entries", "rank", "generic", NULL};
+    PyObject *entries, *generic, *routine, *entry, *capsule;
+    Py_ssize_t pos = 0;
+    int rank;
+    dispatcher *self;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!iO:dispatcher", keywords, &PyDict_Type, &entries, &rank, &generic))
+        return NULL;
+    if (rank != 0 && rank != 1)
+        return PyErr_Format(PyExc_ValueError, "rank must be 0 (apply) or 1 (batch_apply), got %d", rank);
+    if (!(self = (dispatcher *)type->tp_alloc(type, 0)))
+        return NULL;
+    self->call = dispatch;
+    self->rank = rank;
+    self->generic = Py_NewRef(generic);
+    if (!(self->kernels = PyDict_New()))
+        goto fail;
+    while (PyDict_Next(entries, &pos, &routine, &entry)) {
+        const char *name = PyUnicode_AsUTF8(entry);
+        const struct named *e = table;
+        if (!name)
+            goto fail;
+        while (e->name && strcmp(e->name, name))
+            e++;
+        if (!e->name) {
+            PyErr_Format(PyExc_KeyError, "no entry %R", entry);
+            goto fail;
+        }
+        if (!(capsule = PyCapsule_New((void *)e->k, NULL, NULL)) || PyDict_SetItem(self->kernels, routine, capsule) < 0) {
+            Py_XDECREF(capsule);
+            goto fail;
+        }
+        Py_DECREF(capsule);
+    }
+    return (PyObject *)self;
+fail:
+    Py_DECREF(self);
+    return NULL;
+}
+
+static int dispatcher_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(((dispatcher *)self)->kernels);
+    Py_VISIT(((dispatcher *)self)->generic);
+    return 0;
+}
+
+static int dispatcher_clear(PyObject *self)
+{
+    Py_CLEAR(((dispatcher *)self)->kernels);
+    Py_CLEAR(((dispatcher *)self)->generic);
+    return 0;
+}
+
+static void dispatcher_dealloc(PyObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    dispatcher_clear(self);
+    Py_TYPE(self)->tp_free(self);
+}
+
+static PyTypeObject dispatcher_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "su3native.dispatcher",
+    .tp_basicsize = sizeof(dispatcher),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "dispatcher(entries, rank, generic): a backend's checked apply (rank 0) or batch_apply (rank 1) in C",
+    .tp_vectorcall_offset = offsetof(dispatcher, call),
+    .tp_call = PyVectorcall_Call,
+    .tp_new = dispatcher_new,
+    .tp_dealloc = dispatcher_dealloc,
+    .tp_traverse = dispatcher_traverse,
+    .tp_clear = dispatcher_clear,
+    .tp_free = PyObject_GC_Del,
+};
+
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, .m_name = "su3native", .m_size = -1, .m_methods = methods};
+
+PyMODINIT_FUNC PyInit_su3native(void)
+{
+    PyObject *m;
+    import_array();
+    if (PyType_Ready(&dispatcher_type) < 0 || !(out_name = PyUnicode_InternFromString("out")) || !(m = PyModule_Create(&module)))
+        return NULL;
+    if (PyModule_AddType(m, &dispatcher_type) < 0) {
+        Py_DECREF(m);
+        return NULL;
+    }
+    return m;
 }
 """
 
@@ -247,6 +345,17 @@ def load():
 def status() -> str:
     """The loaded module's path, "not built yet", or why it is unavailable."""
     return "not built yet" if _state is None else _state[1]
+
+
+def dispatchers(entries: dict, apply, batch_apply) -> dict:
+    """A backend's ``apply`` and ``batch_apply`` as the module's dispatchers
+    over `entries` (routine -> entry name), in front of the generic methods
+    `apply` and `batch_apply`; {} where the module is unavailable. Loads the
+    module on a process's first call."""
+    module = load()
+    if module is None:
+        return {}
+    return {"apply": module.dispatcher(entries, 0, apply), "batch_apply": module.dispatcher(entries, 1, batch_apply)}
 
 
 class _Unavailable(Exception):
@@ -281,9 +390,9 @@ def _entries() -> list[tuple]:
 
 def _key(entries) -> str:
     """A hash of this file (the emitter, its C and its flags), the Python
-    ABI and every entry."""
+    ABI, numpy's version and include directory, and every entry."""
     h = hashlib.sha256(Path(__file__).read_bytes())
-    h.update(sysconfig.get_config_var("EXT_SUFFIX").encode())
+    h.update(f"{sysconfig.get_config_var('EXT_SUFFIX')} {np.__version__} {NUMPY_INCLUDE}".encode())
     for entry in entries:
         h.update(repr(entry).encode())
     return h.hexdigest()[:16]
@@ -292,12 +401,14 @@ def _key(entries) -> str:
 def _build(entries, stem: str, path: Path) -> None:
     """Emit the source and compile it into `path`, keeping the source beside
     it as `stem`.c."""
-    cc = shutil.which(COMPILER)
-    if cc is None:
-        raise _Unavailable(f"no C compiler: {COMPILER} is not on PATH")
     include = sysconfig.get_paths()["include"]
     if not os.path.isfile(os.path.join(include, "Python.h")):
         raise _Unavailable(f"no Python.h in {include}")
+    if not os.path.isfile(os.path.join(NUMPY_INCLUDE, "numpy", "arrayobject.h")):
+        raise _Unavailable(f"no numpy/arrayobject.h in {NUMPY_INCLUDE}")
+    cc = shutil.which(COMPILER)
+    if cc is None:
+        raise _Unavailable(f"no C compiler: {COMPILER} is not on PATH")
     BUILD.mkdir(parents=True, exist_ok=True)
     fd, source = tempfile.mkstemp(suffix=".c", prefix=f"{stem}.", dir=BUILD)
     built = source[:-2] + ".so"
@@ -305,7 +416,7 @@ def _build(entries, stem: str, path: Path) -> None:
         with os.fdopen(fd, "w") as f:
             _emit(f.write, entries)
         try:
-            done = subprocess.run([cc, *FLAGS, "-I", include, "-o", built, source],
+            done = subprocess.run([cc, *FLAGS, "-I", include, "-I", NUMPY_INCLUDE, "-o", built, source],
                                   capture_output=True, text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             raise _Unavailable(f"{COMPILER} timed out after {TIMEOUT_S} s") from None
@@ -322,7 +433,7 @@ def _build(entries, stem: str, path: Path) -> None:
 
 def _emit(write, entries) -> None:
     """Write the module's C source through `write`, a line at a time."""
-    write(_PRELUDE % {"max_args": MAX_ARGS})
+    write(_PRELUDE % {"max_args": MAX_ARGS, "max_rank": max(map(len, OPERAND_SHAPES.values()))})
     loops: dict = {}  # trace -> the entry whose loops run it
     for name, trace, spec in entries:
         kinds = spec.operands if spec.in_place else spec.operands + (spec.result,)
@@ -335,20 +446,20 @@ def _emit(write, entries) -> None:
         ranks = [-1 if kind == "scalar" else len(OPERAND_SHAPES[kind]) for kind in kinds]
         dims = [d for kind in kinds for d in OPERAND_SHAPES[kind]]
         write(f"\nstatic const int {name}_ranks[] = {{{', '.join(map(str, ranks))}}};\n")
-        write(f"static const Py_ssize_t {name}_dims[] = {{{', '.join(map(str, dims))}}};\n")
+        write(f"static const npy_intp {name}_dims[] = {{{', '.join(map(str, dims))}}};\n")
         write(f"static const struct kernel {name}_kernel = {{{len(spec.operands)}, {int(spec.in_place)}, "
               f"{name}_ranks, {name}_dims, {first}_d, {first}_f}};\n")
-        for suffix, rank in _MODES:
-            write(f"static PyObject *{name}{suffix}(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)\n"
-                  f"{{\n    return run(&{name}_kernel, {rank}, args, nargs);\n}}\n")
+        write(f"static PyObject *{name}(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)\n"
+              f"{{\n    return flat(&{name}_kernel, args, nargs);\n}}\n")
     write("\nstatic PyMethodDef methods[] = {\n")
     for name, _, _ in entries:
-        for suffix, _ in _MODES:
-            doc = f"{name}{suffix}(operands, out): its trace over the sites of C-contiguous float64 or float32 arrays"
-            write(f'    {{"{name}{suffix}", (PyCFunction)(void (*)(void)){name}{suffix}, METH_FASTCALL, "{doc}"}},\n')
+        doc = f"{name}(*operands, out): its trace over the sites of C-contiguous float64 or float32 arrays"
+        write(f'    {{"{name}", (PyCFunction)(void (*)(void)){name}, METH_FASTCALL, "{doc}"}},\n')
     write("    {NULL, NULL, 0, NULL}\n};\n\n"
-          'static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, .m_name = "su3native", .m_size = -1, .m_methods = methods};\n\n'
-          + _INIT)
+          "static const struct named {\n    const char *name;\n    const struct kernel *k;\n} table[] = {\n")
+    for name, _, _ in entries:
+        write(f'    {{"{name}", &{name}_kernel}},\n')
+    write("    {NULL, NULL}\n};\n" + _DISPATCHER)
 
 
 def _emit_loop(write, name: str, trace, code: str, ctype: str) -> None:

@@ -198,18 +198,18 @@ def _traced(body):
     entry does not take, the routine's program, built on first use; `body`
     itself runs only under ``routine_trace``.
 
-    The switch is compiled with the body's own parameters, so a call packs
-    nothing but the operand tuple the native entry takes, ``(operands,
-    out)`` (``out`` None in place). A real factor reaches the native entry
-    converted to the first operand's dtype, as the program converts it.
+    The switch is compiled with the body's own parameters, so a call passes
+    them to the native entry as they came, ``entry(*operands, out)``, and
+    packs nothing. A real factor reaches the native entry converted to the
+    first operand's dtype, as the program converts it.
     """
     routine = body.__name__
     code = body.__code__
     names = code.co_varnames[:code.co_argcount]
     spec = ROUTINES[routine]
-    operands = ", ".join(f"_asarray({x}, {names[0]}.dtype)" if kind == "scalar" else x for x, kind in zip(names, spec.operands))
+    args = ", ".join(f"_asarray({x}, {names[0]}.dtype)" if kind == "scalar" else x for x, kind in zip(names, spec.operands))
     lines = [
-        f"c = _NATIVE[{routine!r}](({operands},), {'None' if spec.in_place else names[-1]})",
+        f"c = _NATIVE[{routine!r}]({args}{'' if spec.in_place else ', ' + names[-1]})",
         "if c is not NotImplemented:",
         "    return c",
         f"return _batch_program({routine!r})({', '.join(names)})",

@@ -190,14 +190,14 @@ def _table_program(t: Contraction):
 def _contract(t: Contraction, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Run table t on the routine's operands a and b into c: through its
     native site loop where that takes the call, else its program."""
-    if NATIVE[t.entry]((a, b), c) is NotImplemented:
+    if NATIVE[t.entry](a, b, c) is NotImplemented:
         _table_program(t)(a, b, c)
     return c
 
 
 def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + b[i]."""
-    if NATIVE["add_su3_vector"]((a, b), out) is NotImplemented:
+    if NATIVE["add_su3_vector"](a, b, out) is NotImplemented:
         np.add(a, b, out=out)
     return out
 
@@ -260,14 +260,14 @@ def _scalar_factor(s, like: np.ndarray, extra_axes: int):
 
 def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i][j] = a[i][j] + s * b[i][j] for real s."""
-    if NATIVE["scalar_mult_add_su3_matrix"]((a, b, np.asarray(s, a.dtype)), out) is NotImplemented:
+    if NATIVE["scalar_mult_add_su3_matrix"](a, b, np.asarray(s, a.dtype), out) is NotImplemented:
         np.add(a, _scalar_factor(s, a, 3) * b, out=out)
     return out
 
 
 def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + s * b[i] for real s."""
-    if NATIVE["scalar_mult_add_su3_vector"]((a, b, np.asarray(s, a.dtype)), out) is NotImplemented:
+    if NATIVE["scalar_mult_add_su3_vector"](a, b, np.asarray(s, a.dtype), out) is NotImplemented:
         np.add(a, _scalar_factor(s, a, 2) * b, out=out)
     return out
 
@@ -279,7 +279,7 @@ def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def sub_four_su3_vecs(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray, b4: np.ndarray) -> np.ndarray:
     """a[i] -= b1[i] + b2[i] + b3[i] + b4[i], in place, left to right."""
-    if NATIVE["sub_four_su3_vecs"]((a, b1, b2, b3, b4), None) is NotImplemented:
+    if NATIVE["sub_four_su3_vecs"](a, b1, b2, b3, b4) is NotImplemented:
         for b in (b1, b2, b3, b4):
             np.subtract(a, b, out=a)
     return a

@@ -2,11 +2,11 @@
 
 The scalar backend records a kernel body's trace by running it on ``Sym``
 values (``scalar.routine_trace``); the vector backend writes one for each
-gather table (``simd.table_trace``). Both backends' kernels, and
-``Backend.apply`` and ``batch_apply``, offer a call to a native entry of the
-trace (``native``, looked up in ``NATIVE``) first; a kernel runs a call the
-entry refuses as the trace's compiled ``program``, the reference the native
-loops are tested against bit for bit.
+gather table (``simd.table_trace``). Both backends' kernels offer a call to
+the native entry of the trace (``native``, looked up in ``NATIVE``) first,
+as ``entry(*operands, out)``; a kernel runs a call the entry refuses as the
+trace's compiled ``program``, the reference the native loops are tested
+against bit for bit.
 """
 from __future__ import annotations
 
@@ -192,8 +192,8 @@ class _NativeEntries(dict):
     """Entry name -> the native extension's entry (``native``), looked up
     on its first call, which imports the extension and, on a host's first
     use, builds it; ``not_taken`` where the extension is unavailable.
-    Shared by both backends' kernels and ``Backend``, which call an entry
-    first and run their Python path when it returns NotImplemented."""
+    Shared by both backends' kernels, which call an entry first and run
+    their Python path when it returns NotImplemented."""
 
     def __missing__(self, name: str):
         from . import native

@@ -230,8 +230,8 @@ def _offset(op):
 def _call_cases(routine: str, batch: tuple) -> dict:
     """Name -> make(ops) giving (operands, out, debug) for one call, from a
     fresh double operand set of `batch` sets (() for apply, (BATCH,) for
-    batch_apply): calls the native entry takes and calls it leaves to the
-    generic checks."""
+    batch_apply): calls the native dispatcher takes and calls it leaves to
+    the generic checks."""
     spec = types.routine_spec(routine)
     result = batch + types.OPERAND_SHAPES[spec.result]
     cases = {
@@ -320,10 +320,34 @@ def _generic(plan, form: str):
     return call
 
 
+def _call_shapes(form: str, count=None) -> dict:
+    """Name -> shape(method, routine, operands, out): each form of call of
+    apply or batch_apply (`form`) besides the usual one, all of which the
+    native dispatcher passes to the generic path. `count` is a
+    batch_apply call's."""
+    if form == "apply":
+        return {
+            "a keyword besides out": lambda m, r, ops, out: m(r, *ops, out=out, bogus=1),
+            "an int routine": lambda m, r, ops, out: m(3, *ops, out=out),
+            "an unknown routine": lambda m, r, ops, out: m("mult_su3_zz", *ops, out=out),
+            "outs with out": lambda m, r, ops, out: m(r, *ops, out=out, outs=[np.zeros((3, 2)) for _ in range(4)]),
+            "a positional out": lambda m, r, ops, out: m(r, *ops, out),
+        }
+    return {
+        "a keyword besides out": lambda m, r, ops, out: m(r, ops, out=out, bogus=1),
+        "an int routine": lambda m, r, ops, out: m(3, ops, out=out),
+        "an unknown routine": lambda m, r, ops, out: m("mult_su3_zz", ops, out=out),
+        "a positional count": lambda m, r, ops, out: m(r, ops, count),
+        "a positional count and out": lambda m, r, ops, out: m(r, ops, count, out),
+        "count=None": lambda m, r, ops, out: m(r, ops, count=None, out=out),
+    }
+
+
 def _outcome(call, operands, out, debug):
     """What one call did: its result's bits, dtype (with its metadata) and
     shape, whether it returned `out` or the first operand, and the first
-    operand's bits after; or the exception's type and message."""
+    operand's bits after; or the exception's type and message. The outs
+    form's tuple of destinations counts as their stack."""
     before = debug_validation(debug)
     try:
         got = call(operands, out)
@@ -331,6 +355,7 @@ def _outcome(call, operands, out, debug):
         return type(err), str(err)
     finally:
         debug_validation(before)
+    got = np.stack(got) if isinstance(got, tuple) else got
     first = np.asarray(operands[0]) if operands else None
     return (np.ascontiguousarray(got).tobytes(), got.dtype, got.dtype.metadata, got.shape,
             got is out or got is operands[0], None if first is None else first.tobytes())
@@ -340,8 +365,9 @@ def _outcome(call, operands, out, debug):
 @pytest.mark.parametrize("routine", ROUTINE_NAMES)
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
 def test_native_path_agrees_with_the_generic_checks(kind, routine, form):
-    # Every call the native entry takes gives the bits the generic path
-    # gives, and every other call the same exception and message.
+    # Every call the native dispatcher takes gives the bits the generic
+    # path gives, and every other call the same exception and message; a
+    # call of another shape runs the generic method as it would unbound.
     backend = get_backend(kind)
     generic = _generic(backend._plan(routine), form)
 
@@ -355,6 +381,16 @@ def test_native_path_agrees_with_the_generic_checks(kind, routine, form):
     for name, make in _call_cases(routine, () if count is None else (count,)).items():
         outcomes = [_outcome(call, *make(types.random_operands(routine, np.random.default_rng(seed), batch=count)))
                     for call in (generic, applied)]
+        assert outcomes[0] == outcomes[1], name
+    spec = types.routine_spec(routine)
+    result = (() if count is None else (count,)) + types.OPERAND_SHAPES[spec.result]
+    for name, shape in _call_shapes(form, count).items():
+        outcomes = []
+        for method in (getattr(backends.Backend, form).__get__(backend), None):
+            def call(operands, out, method=method):
+                return shape(method or getattr(backend, form), routine, operands, out)
+            ops = types.random_operands(routine, np.random.default_rng(seed), batch=count)
+            outcomes.append(_outcome(call, ops, None if spec.in_place else np.full(result, np.nan), False))
         assert outcomes[0] == outcomes[1], name
 
 
@@ -417,8 +453,9 @@ _FACTOR_FORMS = {
 
 @st.composite
 def _fuzzed_calls(draw):
-    """(kind, routine, form, count, make) where make() builds the call's
-    operands and out afresh, NaN-filling the out."""
+    """(kind, routine, form, count, shape, make) where make() builds the
+    call's operands and out afresh, NaN-filling the out, and shape is None
+    for the usual form of call or one of ``_call_shapes``."""
     kind = draw(st.sampled_from(BACKEND_NAMES))
     routine = draw(st.sampled_from(ROUTINE_NAMES))
     form = draw(st.sampled_from(["apply", "batch_apply"]))
@@ -431,6 +468,7 @@ def _fuzzed_calls(draw):
     out_form = None if spec.in_place and draw(st.booleans()) else draw(array_forms)
     out_form = draw(st.sampled_from([None, None, out_form]))
     count = draw(st.sampled_from([None] * 6 + [len(batch) and batch[0], 2])) if form == "batch_apply" else None
+    shape = draw(st.sampled_from([None] * 25 + list(_call_shapes(form))))
     seed = draw(st.integers(0, 2**32 - 1))
 
     def make():
@@ -444,7 +482,7 @@ def _fuzzed_calls(draw):
             out = _ARRAY_FORMS[out_form](np.full(batch + types.OPERAND_SHAPES[spec.result], np.nan, dtype), batch)
         return operands, out
 
-    return kind, routine, form, count, make
+    return kind, routine, form, count, shape, make
 
 
 def _target_bytes(operands, out):
@@ -453,22 +491,29 @@ def _target_bytes(operands, out):
     return bytes(target) if isinstance(target, (memoryview, bytearray)) else np.asarray(target).tobytes()
 
 
-@settings(max_examples=400)
+@settings(max_examples=500)
 @given(_fuzzed_calls())
 def test_fuzzed_calls_give_the_generic_paths_outcome(call):
     # Each call gives the same bits and the same out or operand identity
-    # through the native entry as through the generic checks, or the same
-    # exception and message, and a refused call writes nothing.
-    kind, routine, form, count, make = call
+    # through the native dispatcher as through the generic checks (or, for
+    # a call of another shape, the generic method), or the same exception
+    # and message, and a refused call writes nothing.
+    kind, routine, form, count, shape, make = call
     backend = get_backend(kind)
     plan = backend._plan(routine)
 
     def generic(operands, out):
+        if shape is not None:
+            return _call_shapes(form, count)[shape](getattr(backends.Backend, form).__get__(backend), routine, operands, out)
         return _generic(plan, form)(operands, out, count)
 
     def applied(operands, out):
+        if shape is not None:
+            return _call_shapes(form, count)[shape](getattr(backend, form), routine, operands, out)
         if form == "apply":
             return backend.apply(routine, *operands, out=out)
+        if count is None:
+            return backend.batch_apply(routine, operands, out=out)
         return backend.batch_apply(routine, operands, count=count, out=out)
 
     outcomes = []

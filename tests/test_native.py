@@ -1,7 +1,7 @@
-"""The native site loops against the Python paths they stand in for, and
-what their build promises: no packed or fused arithmetic, no per-call
-temporaries, nothing at import, and the Python paths where there is no
-compiler."""
+"""The native site loops and dispatchers against the Python paths they
+stand in for, and what their build promises: no packed or fused arithmetic,
+no per-call temporaries, nothing at import, and the Python paths where there
+is no compiler or no numpy header."""
 import re
 import shutil
 import subprocess
@@ -15,20 +15,19 @@ import numpy as np
 import pytest
 
 import su3bench
-from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Lattice4D, SiteBuffer, get_backend, native, scalar, simd, types
+from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Lattice4D, SiteBuffer, backends, debug_validation, get_backend, native, scalar, simd, types
 from su3bench.trace import NATIVE, not_taken
 from test_simd_kernels import _special_sets
 
 MODULE = native.load()
 needs_native = pytest.mark.skipif(MODULE is None, reason=f"native extension unavailable: {native.status()}")
-ENTRIES = tuple(name + suffix for name in ROUTINE_NAMES + tuple(t.entry for t in simd.TABLES.values()) for suffix, *_ in native._MODES)
+ENTRIES = ROUTINE_NAMES + tuple(t.entry for t in simd.TABLES.values())
 TESTS = Path(__file__).resolve().parent
 
 
 @contextmanager
 def _entries(make):
-    """Every kernel, apply and batch_apply call make(name) as its native
-    entry, for the duration."""
+    """Every kernel call make(name) as its native entry, for the duration."""
     saved = dict(NATIVE)
     NATIVE.update({name: make(name) for name in ENTRIES})
     try:
@@ -38,9 +37,16 @@ def _entries(make):
         NATIVE.update(saved)
 
 
+@contextmanager
 def _python_paths():
-    """Every kernel runs its Python path: no native entry takes a call."""
-    return _entries(lambda name: not_taken)
+    """Every call runs its Python path: debug validation unbinds the
+    dispatchers, and no native entry takes a kernel's call."""
+    before = debug_validation(True)
+    try:
+        with _entries(lambda name: not_taken):
+            yield
+    finally:
+        debug_validation(before)
 
 
 def _native_only():
@@ -144,21 +150,38 @@ class _Sub(np.ndarray):
     """An ndarray subclass, which no native entry takes."""
 
 
+_REFUSED = object()  # what a dispatcher's generic path returns in the test below
+
+
 @needs_native
-@pytest.mark.parametrize("name", ["mult_su3_nn", "scalar_mult_add_su3_vector", "sub_four_su3_vecs", "mult_su3_nn_table",
-                                  "mult_su3_nn_apply", "sub_four_su3_vecs_batch"])
-def test_native_entry_refuses_what_it_does_not_take(name):
-    # It writes nothing and returns NotImplemented, so the caller's Python
-    # path runs; none of these may read or write past a buffer.
-    entry = getattr(MODULE, name)
-    routine = name.removesuffix("_table").removesuffix("_apply").removesuffix("_batch")
+@pytest.mark.parametrize("name, rank", [
+    ("mult_su3_nn", None), ("scalar_mult_add_su3_vector", None), ("sub_four_su3_vecs", None), ("mult_su3_nn_table", None),
+    ("mult_su3_nn", 0), ("scalar_mult_add_su3_vector", 0), ("sub_four_su3_vecs", 1), ("scalar_mult_add_su3_vector", 1),
+])
+def test_native_entry_refuses_what_it_does_not_take(name, rank):
+    # A kernel's own entry (rank None) writes nothing and returns
+    # NotImplemented, so the kernel's Python path runs; a dispatcher (apply
+    # at rank 0, batch_apply at 1) writes nothing and passes the call to
+    # its generic path. None of these may read or write past a buffer.
+    routine = name.removesuffix("_table")
     spec = types.routine_spec(routine)
-    batch = () if name.endswith("_apply") else (3,)
+    refused = NotImplemented
+    if rank is not None:
+        dispatcher = MODULE.dispatcher({routine: name}, rank, lambda *args, **kwargs: _REFUSED)
+        refused = _REFUSED
+    batch = () if rank == 0 else (3,)
     ops = types.random_operands(routine, np.random.default_rng(7), batch=batch[0] if batch else None)
     args = list(ops) if spec.in_place else list(ops) + [np.full(batch + types.OPERAND_SHAPES[spec.result], np.nan)]
     target = 0 if spec.in_place else len(args) - 1
 
     out = None if spec.in_place else args[-1]
+
+    def invoke(operands, out, *extra, routine=routine, **keywords):
+        if rank is None:
+            return getattr(MODULE, name)(*operands, *([] if out is None and spec.in_place else [out]), *extra)
+        if rank == 0:
+            return dispatcher(routine, *operands, *extra, out=out, **keywords)
+        return dispatcher(routine, operands, *extra, out=out, **keywords)
 
     def variant(position, value):
         call = args[:position] + [value] + args[position + 1:]
@@ -167,10 +190,9 @@ def test_native_entry_refuses_what_it_does_not_take(name):
     wide = np.zeros(args[target].shape + (2,))
     read_only = args[target].copy()
     read_only.flags.writeable = False
-    refused = [
+    calls = [
         (ops[:-1], out),
         (ops + ops[:1], out),
-        (iter(ops), out),
         (ops, out, None),
         variant(0, args[0].astype(object)),
         variant(0, args[0].astype(np.float32)),
@@ -185,17 +207,25 @@ def test_native_entry_refuses_what_it_does_not_take(name):
         variant(1, args[1].tolist()),
     ]
     if spec.in_place:
-        refused.append((ops, np.zeros_like(ops[0])))  # an out for the in-place routine
-    elif not name.endswith(("_apply", "_batch")):
-        refused.append((ops, None))  # a kernel's own call without its out
+        calls.append((ops, np.zeros_like(ops[0])))  # an out for the in-place routine
+    elif rank is None:
+        calls.append((ops, None))  # a kernel's own call without its out
     if batch:
-        refused += [variant(0, args[0][::-1]), variant(0, args[0][:2]), variant(target, args[target][:2])]
+        calls += [variant(0, args[0][::-1]), variant(0, args[0][:2]), variant(target, args[target][:2])]
     if "scalar" in spec.operands:
         k = spec.operands.index("scalar")
-        refused += [variant(k, np.ones(2)), variant(k, np.float64(0.5)), variant(k, np.array(0.5, np.float32))]
+        calls += [variant(k, np.ones(2)), variant(k, np.float64(0.5)), variant(k, np.array(0.5, np.float32))]
     before = [np.array(a, copy=True) if isinstance(a, np.ndarray) and a.dtype != object else None for a in args]
-    for call in refused:
-        assert entry(*call) is NotImplemented
+    for call in calls:
+        assert invoke(*call) is refused
+    if rank is not None:  # calls of another form, and routines it has no entry for
+        calls = [invoke(ops, out, bogus=1), invoke(ops, out, outs=None), invoke(ops, out, routine="mult_su3_zz"),
+                 invoke(ops, out, routine=3)]
+        if rank:
+            calls += [invoke(iter(ops), out), invoke(ops, out, count=None), dispatcher(routine, ops, 3), dispatcher(routine, ops, None, out)]
+        else:
+            calls.append(dispatcher(routine, *ops, out))  # a positional out
+        assert all(call is refused for call in calls)
     for a, b in zip(args, before):
         if b is not None:
             assert np.array_equal(a, b, equal_nan=True)
@@ -234,15 +264,18 @@ def test_warm_batch_apply_allocates_only_its_result(kind, routine):
 @pytest.mark.parametrize("routine", ROUTINE_NAMES)
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
 def test_apply_and_batch_apply_run_one_native_call(kind, routine, precision):
-    # The routine's checked entry takes every well-formed call of either
-    # form (a fresh result or the caller's out, a Python-float factor for
-    # double) as it stands, and gives the generic path's bits.
+    # The backend's dispatchers take every well-formed call of either form
+    # (a fresh result or the caller's out, a Python-float factor for
+    # double) as it stands, and give the generic path's bits.
     backend = get_backend(kind)
-    plan = backend._plan(routine)
-    spec = plan.spec
+    spec = types.routine_spec(routine)
     rng = np.random.default_rng([42, ROUTINE_NAMES.index(routine)])
-    for name, count in ((plan.apply, None), (plan.batch, 5)):
-        entry = getattr(MODULE, name)
+
+    def generic(*args, **kwargs):
+        raise AssertionError("the dispatcher did not take the call")
+
+    for count in (None, 5):
+        dispatcher = MODULE.dispatcher(backend._entries, 0 if count is None else 1, generic)
         ops = types.random_operands(routine, rng, precision, batch=count)
         prefix = () if count is None else (count,)
         outs = [None] if spec.in_place else [None, np.full(prefix + types.OPERAND_SHAPES[spec.result], np.nan, ops[0].dtype)]
@@ -252,9 +285,47 @@ def test_apply_and_batch_apply_run_one_native_call(kind, routine, precision):
         for call, out in ((call, out) for call in calls for out in outs):
             with _python_paths():
                 want = _run(backend.kernels[routine], spec, call, None)
-            got = entry([op.copy() if isinstance(op, np.ndarray) else op for op in call], out)
-            assert got is not NotImplemented and (out is None or got is out)
-            assert _same(got, want), (name, out is None)
+            copies = [op.copy() if isinstance(op, np.ndarray) else op for op in call]
+            keywords = {} if out is None else {"out": out}
+            got = dispatcher(routine, *copies, **keywords) if count is None else dispatcher(routine, copies, **keywords)
+            assert out is None or got is out
+            assert _same(got, want), (count, out is None)
+
+
+@needs_native
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_the_first_call_binds_the_dispatchers_and_debug_validation_unbinds_them(kind, monkeypatch):
+    backend = get_backend(kind)
+    a, b = types.random_operands("mult_su3_mat_vec", np.random.default_rng(5))
+    backend.apply("mult_su3_mat_vec", a, b)
+    assert type(backend.apply) is type(backend.batch_apply) is MODULE.dispatcher
+    calls = []
+
+    def counting(method):
+        def wrapper(self, routine, *args, **kwargs):
+            calls.append((method.__name__, routine))
+            return method(self, routine, *args, **kwargs)
+        return wrapper
+
+    for form in ("apply", "batch_apply"):
+        monkeypatch.setattr(backends.Backend, form, counting(getattr(backends.Backend, form)))
+    before = debug_validation(True)
+    try:
+        # Every call runs the generic path, with the debug checks: no call
+        # reaches a dispatcher, and none binds one.
+        with pytest.raises(ValueError, match="aliases an operand"):
+            backend.apply("mult_su3_mat_vec", a, b, out=b)
+        backend.apply("mult_su3_mat_vec", a, b, out=np.empty_like(b))
+        backend.batch_apply("mult_su3_mat_vec", [a[None], b[None]])
+        assert calls == [("apply", "mult_su3_mat_vec")] * 2 + [("batch_apply", "mult_su3_mat_vec")]
+        assert "apply" not in vars(backend) and "batch_apply" not in vars(backend)
+    finally:
+        monkeypatch.undo()
+        debug_validation(before)
+    # Turning it off binds the dispatchers again at once.
+    assert type(backend.apply) is type(backend.batch_apply) is MODULE.dispatcher
+    backend.batch_apply("mult_su3_mat_vec", [a[None], b[None]])
+    assert len(calls) == 3
 
 
 def test_emitted_source_compiles_without_warnings(tmp_path):
@@ -266,7 +337,7 @@ def test_emitted_source_compiles_without_warnings(tmp_path):
     with source.open("w") as f:
         native._emit(f.write, native._entries())
     include = sysconfig.get_paths()["include"]
-    proc = subprocess.run([native.COMPILER, *native.FLAGS, "-Wall", "-Wextra", "-Werror", "-I", include,
+    proc = subprocess.run([native.COMPILER, *native.FLAGS, "-Wall", "-Wextra", "-Werror", "-I", include, "-I", native.NUMPY_INCLUDE,
                            "-o", str(tmp_path / "su3native.so"), str(source)],
                           capture_output=True, text=True, timeout=native.TIMEOUT_S)
     assert proc.returncode == 0, proc.stderr
@@ -314,28 +385,50 @@ def test_capability_reports_the_loaded_module():
 
 def test_import_and_flop_table_import_no_native():
     # Set-up time includes importing the package and counting operations;
-    # neither may import the emitter, let alone start a compiler.
-    code = "import sys, su3bench; su3bench.flop_table(); print('su3bench.native' in sys.modules, su3bench.capability()['native'])"
+    # neither may import the emitter, let alone start a compiler, or bind a
+    # dispatcher.
+    code = ("import sys, su3bench; su3bench.flop_table(); print('su3bench.native' in sys.modules, "
+            "any(vars(su3bench.get_backend(kind)).keys() & {'apply', 'batch_apply'} for kind in su3bench.BACKEND_NAMES), "
+            "su3bench.capability()['native'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False not built yet"
+    assert proc.stdout.strip() == "False False not built yet"
 
 
-def test_without_a_compiler_the_python_paths_give_the_digests(tmp_path):
-    # An empty build directory and no compiler: every kernel of both
-    # backends runs its Python path, silently (-W error), to the same bits.
+def _digests_without(tmp_path, setting: str, value: str) -> str:
+    """Run the digest test in a fresh process with native.BUILD an empty
+    directory under tmp_path and `setting` of native set to `value`, silently
+    (-W error), and return what it printed: native.load() and the
+    capability report's native entry. Nothing may be built."""
     code = (
         "import sys, pathlib; sys.path[:0] = sys.argv[1:3]\n"
         "from su3bench import capability, native\n"
-        "native.BUILD, native.COMPILER = pathlib.Path(sys.argv[3]), 'su3bench-no-such-compiler'\n"
+        "native.BUILD = pathlib.Path(sys.argv[3])\n"
+        "setattr(native, sys.argv[4], sys.argv[5])\n"
         "import test_digests\n"
         "assert test_digests.output_digest() == test_digests.EXPECTED\n"
         "print(native.load(), capability()['native'])\n"
     )
     src = str(Path(su3bench.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, src, str(TESTS), str(tmp_path)],
+    build = tmp_path / "build"
+    build.mkdir()
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, src, str(TESTS), str(build), setting, value],
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert proc.stdout.strip() == "None no C compiler: su3bench-no-such-compiler is not on PATH"
-    assert list(tmp_path.iterdir()) == []
+    assert list(build.iterdir()) == []
+    return proc.stdout.strip()
+
+
+def test_without_a_compiler_the_python_paths_give_the_digests(tmp_path):
+    # No compiler: every kernel of both backends runs its Python path.
+    printed = _digests_without(tmp_path, "COMPILER", "su3bench-no-such-compiler")
+    assert printed == "None no C compiler: su3bench-no-such-compiler is not on PATH"
+
+
+def test_without_numpy_headers_the_python_paths_give_the_digests(tmp_path):
+    # numpy's include directory without numpy/arrayobject.h: the build stops
+    # before the compiler, and every call runs its Python path.
+    empty = tmp_path / "include"
+    empty.mkdir()
+    assert _digests_without(tmp_path, "NUMPY_INCLUDE", str(empty)) == f"None no numpy/arrayobject.h in {empty}"
