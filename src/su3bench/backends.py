@@ -36,6 +36,12 @@ nothing for it) adds one check at the entry points: a result array the
 caller passes may not share memory with an operand. Turning it on unbinds
 the dispatchers, so every call runs the generic path; turning it off binds
 them again (or, before a backend's first call, leaves that to the call).
+
+The dispatchers are instance attributes, so a reference to
+``backend.apply`` or ``backend.batch_apply`` taken before the backend's
+first call, or while debug validation is on, is the generic method and
+stays so, at about 2 µs a call against 0.13 µs. Take it after the first
+call.
 """
 from __future__ import annotations
 
@@ -45,6 +51,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import scalar, simd
+from .trace import entry
 from .types import OPERAND_SHAPES, PRECISIONS, ROUTINE_NAMES, ROUTINES, RoutineSpec, batch_count, result_shape
 
 
@@ -162,8 +169,9 @@ class Backend:
     def __init__(self, kind: str, module: ModuleType) -> None:
         self.kind = kind
         self.kernels = MappingProxyType({name: getattr(module, name) for name in ROUTINE_NAMES})
+        self.routine_trace = module.routine_trace  # routine -> the trace its kernel and native loop run
         self._plans = {name: _plan_for(spec, self.kernels[name]) for name, spec in ROUTINES.items()}
-        self._entries = module.ENTRIES
+        self._entries = {name: entry(kind, name) for name in ROUTINE_NAMES}
         self._called = False  # until the first call, binding would load the extension early
 
     def _bind(self) -> None:

@@ -2,9 +2,9 @@
 extension, and the checked entries that run them.
 
 Every trace becomes one C function per precision that runs it over n sites:
-each routine's ``scalar.routine_trace`` (which the vector backend's
-elementwise kernels share) and each gather table's ``simd.table_trace``. A
-site loads every component it reads, then performs each step as one
+each backend's ``routine_trace`` of each routine, the scalar bodies', the
+vector backend's gather tables' and its numpy elementwise bodies'. A site
+loads every component it reads, then performs each step as one
 ``const T tK = l op r;`` in the trace's order, in the operands' own
 precision (``double`` or ``float``; x86-64 C rounds a float operation to
 float), then stores every result component. So each site rounds exactly as
@@ -14,10 +14,11 @@ payload bits may differ (gcc may fold a ``* -1.0`` sign into a negation).
 Loads and stores go through ``memcpy``, which needs no alignment, so a
 ``SiteBuffer`` 4 bytes off its boundary runs here too. The +-1 signs are
 literals. Identical traces (``mult_adj_su3_mat_4vec`` is
-``mult_adj_su3_mat_vec_4dir``) share one pair of loops.
+``mult_adj_su3_mat_vec_4dir``; both backends' ``add_su3_vector``) share
+one pair of loops.
 
-Each trace has one METH_FASTCALL entry, named after its routine (a
-table's after ``Contraction.entry``), for the kernels' own calls:
+Each backend's routine has one METH_FASTCALL entry, named by
+``trace.entry`` (``vector_mult_su3_nn``), for the kernels' own calls:
 ``entry(*operands, out)`` with the routine's operands in its order (the
 in-place routine takes no ``out``). The module's one ``dispatcher`` type is
 a backend's ``apply`` or ``batch_apply`` (``dispatchers``), called as
@@ -61,7 +62,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import scalar, simd
+from .backends import BACKEND_NAMES, get_backend
+from .trace import entry
 from .types import OPERAND_SHAPES, ROUTINES
 
 BUILD = Path(__file__).resolve().parents[2] / "build"
@@ -380,12 +382,10 @@ def _load_or_build() -> tuple:
 
 
 def _entries() -> list[tuple]:
-    """(entry name, trace, routine spec) for every routine and every
-    distinct gather table, whose trace takes the routine's operands in the
-    routine's order."""
-    entries = [(routine, scalar.routine_trace(routine), spec) for routine, spec in ROUTINES.items()]
-    tables = {t: ROUTINES[routine] for routine, t in simd.TABLES.items()}
-    return entries + [(t.entry, simd.table_trace(t), spec) for t, spec in tables.items()]
+    """(entry name, trace, routine spec) for every routine of every
+    backend; a trace takes the routine's operands in the routine's order."""
+    return [(entry(kind, routine), get_backend(kind).routine_trace(routine), spec)
+            for kind in BACKEND_NAMES for routine, spec in ROUTINES.items()]
 
 
 def _key(entries) -> str:
@@ -393,8 +393,8 @@ def _key(entries) -> str:
     ABI, numpy's version and include directory, and every entry."""
     h = hashlib.sha256(Path(__file__).read_bytes())
     h.update(f"{sysconfig.get_config_var('EXT_SUFFIX')} {np.__version__} {NUMPY_INCLUDE}".encode())
-    for entry in entries:
-        h.update(repr(entry).encode())
+    for item in entries:
+        h.update(repr(item).encode())
     return h.hexdigest()[:16]
 
 

@@ -3,20 +3,21 @@
 Every kernel is straight-line real arithmetic on (re, im) pairs in the
 arrays' own precision. The bodies below are the one source of that
 arithmetic, and each runs once: on a routine's first call, its body runs on
-symbolic reals (``trace.Sym``), which record every ``*``, ``+`` and ``-`` as
-one step, in the order performed (``routine_trace``). The tracer raises
-TypeError on anything it cannot emit (a constant operand, unary minus, a
-branch on a value), so a body change cannot compile to a different program.
-Every call runs code compiled from that record, so ``backends.Backend`` and
-direct calls run the same code: the routine's native loop (``native``)
-where it takes the call (C-contiguous float64 or float32 arrays, one object
-or stacked, where a C compiler exists), else the trace's Python program
-(``trace.program``), which runs a single object as one site and is the
-reference the native loops are tested against. The trace is also the one
-record of what a kernel computes: ``flops`` counts its steps, so operation
-counts describe the code that runs. Traces and programs are built lazily
-and cached per routine: importing this module or counting operations
-(which reads only the trace) builds no program and imports no ``native``.
+symbolic reals (``trace.record``), which record every ``*``, ``+`` and
+``-`` as one step, in the order performed (``routine_trace``). The tracer
+raises TypeError on anything it cannot emit (a constant operand, unary
+minus, a branch on a value), so a body change cannot compile to a different
+program. Each kernel is ``trace.kernel``'s, built from that record, so
+``backends.Backend`` and direct calls run the same code: the routine's
+native loop (``native``) where it takes the call (C-contiguous float64 or
+float32 arrays, one object or stacked, where a C compiler exists), else the
+trace's Python program (``trace.program``), which runs a single object as
+one site and is the reference the native loops are tested against. The
+trace is also the one record of what a kernel computes: ``flops`` counts
+its steps, so operation counts describe the code that runs. Traces and
+programs are built lazily and cached per routine: importing this module or
+counting operations (which reads only the trace) builds no program and
+imports no ``native``.
 
 The real factor of ``scalar_mult_add_*`` is converted once to the operands'
 dtype, as in the vector backend. Operands of one kernel call share one
@@ -46,14 +47,13 @@ Conjugation conventions (adj = conjugate transpose):
 """
 from __future__ import annotations
 
-import math
 from functools import cache, update_wrapper
 from operator import itemgetter
 
 import numpy as np
 
-from .trace import NATIVE, Sym, Trace, define, program
-from .types import OPERAND_SHAPES, ROUTINES
+from .trace import Trace, kernel, record
+from .types import ROUTINES
 
 
 def _parts(x) -> tuple:
@@ -155,67 +155,18 @@ def _store(c: np.ndarray, values) -> np.ndarray:
 
 @cache
 def routine_trace(routine: str) -> Trace:
-    """Run the routine's body once on symbolic reals and record every step;
-    cached, as the programs, the native loops and ``flops`` read the same
+    """The routine's body run once on symbolic reals (``trace.record``);
+    cached, as the program, the native loops and ``flops`` read the same
     record."""
-    spec = ROUTINES[routine]
-    tape: list = []
-    operands, names = [], []
-    for k, kind in enumerate(spec.operands):
-        shape = OPERAND_SHAPES[kind]
-        syms = [Sym(f"x{k}_{i}", tape) for i in range(math.prod(shape))]
-        names.append(tuple(sym.name for sym in syms))
-        if kind == "scalar":
-            operands.append(syms[0])
-        else:
-            operands.append(np.empty(shape, dtype=object))
-            operands[-1].flat = syms
-    kernel = globals()[routine]
-    body = getattr(kernel, "__wrapped__", kernel)
-    if spec.in_place:
-        result = body(*operands)
-    else:
-        result = body(*operands, out=np.empty(OPERAND_SHAPES[spec.result], dtype=object))
-    stored = result.ravel().tolist()
-    if not all(isinstance(sym, Sym) and sym.tape is tape for sym in stored):
-        raise TypeError(f"{routine}: the body left a result component untraced")
-    return Trace(tuple(names), tuple(tape), tuple(sym.name for sym in stored))
-
-
-# Routine -> the native entry its kernel calls: the loops of its own trace.
-ENTRIES = {routine: routine for routine in ROUTINES}
-
-
-@cache
-def _batch_program(routine: str):
-    """The routine's trace compiled into one function with the kernel's
-    signature (``trace.program``)."""
-    return program(routine_trace(routine), routine, ROUTINES[routine].in_place)
+    body = globals()[routine]
+    return record(ROUTINES[routine], getattr(body, "__wrapped__", body))
 
 
 def _traced(body):
-    """The kernel for `body`: its native entry first, then, for a call that
-    entry does not take, the routine's program, built on first use; `body`
-    itself runs only under ``routine_trace``.
-
-    The switch is compiled with the body's own parameters, so a call passes
-    them to the native entry as they came, ``entry(*operands, out)``, and
-    packs nothing. A real factor reaches the native entry converted to the
-    first operand's dtype, as the program converts it.
-    """
-    routine = body.__name__
-    code = body.__code__
-    names = code.co_varnames[:code.co_argcount]
-    spec = ROUTINES[routine]
-    args = ", ".join(f"_asarray({x}, {names[0]}.dtype)" if kind == "scalar" else x for x, kind in zip(names, spec.operands))
-    lines = [
-        f"c = _NATIVE[{routine!r}]({args}{'' if spec.in_place else ', ' + names[-1]})",
-        "if c is not NotImplemented:",
-        "    return c",
-        f"return _batch_program({routine!r})({', '.join(names)})",
-    ]
-    namespace = {"_batch_program": _batch_program, "_NATIVE": NATIVE, "_asarray": np.asarray}
-    return update_wrapper(define(routine, list(names), lines, f"<{routine} switch>", namespace), body)
+    """The kernel for `body` (``trace.kernel``): its native entry first,
+    then, for a call that entry does not take, the program of its trace;
+    `body` itself runs only under ``routine_trace``."""
+    return update_wrapper(kernel("scalar", ROUTINES[body.__name__], routine_trace), body)
 
 
 @_traced

@@ -29,16 +29,18 @@ products, both half-Wilson kernels, the four-direction kernels and
 ``table_trace`` writes a table's sequence at one site as a trace over the
 routine's operands, in the routine's order: every product, the adds over j
 left to right, each swapped sum times its sign and the combining add, per
-lane. A kernel runs that trace (``_contract``) through the table's native
-site loop (``native``) where it takes the call (C-contiguous float64 and
-float32 operands, one object or stacked; no per-call temporaries), and
-otherwise through the trace's Python program
-(``trace.program``: numpy operations over the sites, a single object as one
-site). The four elementwise kernels likewise offer the call to the scalar
-reference's native loop of the same routine first, then run numpy. Every
-output component sees the same products, added in the same order, as in
-the scalar reference, so no path moves a bit; where a NaN arises is the
-same on every path, but its sign and payload bits may differ.
+lane. The four elementwise kernels are numpy bodies, whose trace
+``trace.record`` takes by running them once on object arrays of symbolic
+reals. ``routine_trace`` gives each kernel's trace, and ``trace.kernel``
+builds every kernel from it: the trace's native site loop (``native``)
+where it takes the call (C-contiguous float64 and float32 operands, one
+object or stacked; no per-call temporaries), and otherwise the trace's
+Python program (``trace.program``: numpy operations over the sites, a
+single object as one site), or for an elementwise kernel its numpy body.
+Every output component sees the same products, added in the same order, as
+in the scalar reference (``tests/test_proof.py`` proves it from the two
+backends' traces), so no path moves a bit; where a NaN arises is the same
+on every path, but its sign and payload bits may differ.
 
 Every kernel accepts operands with any shared leading batch shape in front
 of the per-object shape documented in the scalar reference, so the vector
@@ -47,8 +49,8 @@ the kernels as they are. A kernel is ``kernel(*operands, out) -> out`` (the
 in-place ``sub_four_su3_vecs`` takes no ``out``) and checks nothing:
 ``Backend.apply`` and ``Backend.batch_apply`` are the checked entry points,
 and they allocate or check ``out``. The module holds only the kernels'
-arithmetic, the lane counts per precision and the derived lane tallies
-(``lane_op_count``).
+arithmetic, the lane counts per precision and the lane tallies, read off
+the kernels' traces (``lane_op_count``).
 """
 from __future__ import annotations
 
@@ -56,13 +58,12 @@ import math
 import platform
 import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, update_wrapper
 
 import numpy as np
 
-from .flops import flop_count
-from .trace import NATIVE, Trace, program
-from .types import PRECISIONS, ROUTINE_NAMES, routine_spec
+from .trace import Trace, kernel, record
+from .types import PRECISIONS, ROUTINES, routine_spec
 
 # The packed register, and how many lanes of each precision it holds: 2 double, 4 single.
 WIDTH_BITS = 128
@@ -80,26 +81,21 @@ class Contraction:
     entry o. The swap of the imaginary-part sums is folded into the pair
     operand's gather: row [j, 1] reads the pair with its lanes swapped, so
     after the adds over j, [1] lines up with [0]. sign: the +-1.0 that each
-    output lane's swapped sum takes in the combine. x_size,
-    y_size: components per object of the two operands; outputs: N. entry:
-    the name of its native site loop (``native``). swapped: the routine
-    passes the pair operand first and the broadcast operand second.
+    output lane's swapped sum takes in the combine. x_size, y_size:
+    components per object of the two operands. swapped: the routine passes
+    the pair operand first and the broadcast operand second.
     """
 
-    entry: str
     ia: np.ndarray
     ib: np.ndarray
     sign: tuple[float, ...]
     x_size: int
     y_size: int
-    steps: int
-    outputs: int
     swapped: bool
 
 
-def _table(routine: str, grid: tuple, steps: int, x_shape: tuple, x_at, y_shape: tuple, y_at, conj: bool,
-           swapped: bool = False) -> Contraction:
-    """Routine's table of c[o] = sum_j x[x_at(o, j)] * y[y_at(o, j)] over the complex output grid.
+def _table(grid: tuple, steps: int, x_shape: tuple, x_at, y_shape: tuple, y_at, conj: bool, swapped: bool = False) -> Contraction:
+    """The table of c[o] = sum_j x[x_at(o, j)] * y[y_at(o, j)] over the complex output grid.
 
     x is the broadcast operand, y the pair operand, both with complex entry
     shapes x_shape and y_shape. x_at and y_at map the output index (one array
@@ -112,42 +108,32 @@ def _table(routine: str, grid: tuple, steps: int, x_shape: tuple, x_at, y_shape:
     part, lane = np.indices((2, 2))
     sign = ((1.0, -1.0) if conj else (-1.0, 1.0)) * xc.shape[2]
     return Contraction(
-        entry=f"{routine}_table",
         ia=(2 * xc + part[:, None]).reshape(steps, 2, -1),
         ib=(2 * yc + (lane ^ part)[:, None]).reshape(steps, 2, -1),
         sign=sign,
         x_size=2 * math.prod(x_shape),
         y_size=2 * math.prod(y_shape),
-        steps=steps,
-        outputs=len(sign),
         swapped=swapped,
     )
 
 
-_MAT_VEC = _table("mult_su3_mat_vec", (3,), 3, (3, 3), lambda i, j: (i, j), (3,), lambda i, j: (j,), conj=False)
-_ADJ_MAT_VEC = _table("mult_adj_su3_mat_vec", (3,), 3, (3, 3), lambda i, j: (j, i), (3,), lambda i, j: (j,), conj=True)
-_FOUR_DIR = _table("mult_adj_su3_mat_vec_4dir", (4, 3), 3, (4, 3, 3), lambda d, i, j: (d, j, i), (3,), lambda d, i, j: (j,), conj=True)
+_FOUR_DIR = _table((4, 3), 3, (4, 3, 3), lambda d, i, j: (d, j, i), (3,), lambda d, i, j: (j,), conj=True)
 
 TABLES: dict[str, Contraction] = {
-    "mult_su3_mat_vec": _MAT_VEC,
-    "mult_adj_su3_mat_vec": _ADJ_MAT_VEC,
-    "mult_su3_nn": _table("mult_su3_nn", (3, 3), 3, (3, 3), lambda i, k, j: (i, j), (3, 3), lambda i, k, j: (j, k), conj=False),
-    "mult_su3_an": _table("mult_su3_an", (3, 3), 3, (3, 3), lambda i, k, j: (j, i), (3, 3), lambda i, k, j: (j, k), conj=True),
+    "mult_su3_mat_vec": _table((3,), 3, (3, 3), lambda i, j: (i, j), (3,), lambda i, j: (j,), conj=False),
+    "mult_adj_su3_mat_vec": _table((3,), 3, (3, 3), lambda i, j: (j, i), (3,), lambda i, j: (j,), conj=True),
+    "mult_su3_nn": _table((3, 3), 3, (3, 3), lambda i, k, j: (i, j), (3, 3), lambda i, k, j: (j, k), conj=False),
+    "mult_su3_an": _table((3, 3), 3, (3, 3), lambda i, k, j: (j, i), (3, 3), lambda i, k, j: (j, k), conj=True),
     # b is the conjugated operand, so its components are the broadcast ones.
-    "mult_su3_na": _table("mult_su3_na", (3, 3), 3, (3, 3), lambda i, k, j: (k, j), (3, 3), lambda i, k, j: (i, j), conj=True, swapped=True),
-    "mult_su3_mat_hwvec": _table("mult_su3_mat_hwvec", (2, 3), 3, (3, 3), lambda h, i, j: (i, j), (2, 3), lambda h, i, j: (h, j), conj=False),
-    "mult_adj_su3_mat_hwvec": _table("mult_adj_su3_mat_hwvec", (2, 3), 3, (3, 3), lambda h, i, j: (j, i), (2, 3), lambda h, i, j: (h, j), conj=True),
+    "mult_su3_na": _table((3, 3), 3, (3, 3), lambda i, k, j: (k, j), (3, 3), lambda i, k, j: (i, j), conj=True, swapped=True),
+    "mult_su3_mat_hwvec": _table((2, 3), 3, (3, 3), lambda h, i, j: (i, j), (2, 3), lambda h, i, j: (h, j), conj=False),
+    "mult_adj_su3_mat_hwvec": _table((2, 3), 3, (3, 3), lambda h, i, j: (j, i), (2, 3), lambda h, i, j: (h, j), conj=True),
     "mult_adj_su3_mat_vec_4dir": _FOUR_DIR,
     "mult_adj_su3_mat_4vec": _FOUR_DIR,
     # Step s = 3 * d + j: the products are added direction-major.
-    "mult_su3_mat_vec_sum_4dir": _table(
-        "mult_su3_mat_vec_sum_4dir", (3,), 12, (4, 3, 3), lambda i, s: (s // 3, s % 3, i), (4, 3), lambda i, s: (s // 3, s % 3), conj=True
-    ),
-    "su3_projector": _table("su3_projector", (3, 3), 1, (3,), lambda i, k, j: (k,), (3,), lambda i, k, j: (i,), conj=True, swapped=True),
+    "mult_su3_mat_vec_sum_4dir": _table((3,), 12, (4, 3, 3), lambda i, s: (s // 3, s % 3, i), (4, 3), lambda i, s: (s // 3, s % 3), conj=True),
+    "su3_projector": _table((3, 3), 1, (3,), lambda i, k, j: (k,), (3,), lambda i, k, j: (i,), conj=True, swapped=True),
 }
-
-# Routine -> the native entry its kernel calls: its table's, else the scalar reference's.
-ENTRIES = {routine: TABLES[routine].entry if routine in TABLES else routine for routine in ROUTINE_NAMES}
 
 
 def table_trace(t: Contraction) -> Trace:
@@ -182,73 +168,29 @@ def table_trace(t: Contraction) -> Trace:
 
 
 @cache
-def _table_program(t: Contraction):
-    """Table t's trace compiled into one function ``(x, y, out)`` (``trace.program``)."""
-    return program(table_trace(t), t.entry, in_place=False)
+def routine_trace(routine: str) -> Trace:
+    """The trace of the routine's kernel: its gather table's
+    (``table_trace``), or its numpy body run once on symbolic reals
+    (``trace.record``); cached, as the program and the native loops read
+    the same record."""
+    t = TABLES.get(routine)
+    return table_trace(t) if t else record(routine_spec(routine), globals()[routine].__wrapped__)
 
 
-def _contract(t: Contraction, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Run table t on the routine's operands a and b into c: through its
-    native site loop where that takes the call, else its program."""
-    if NATIVE[t.entry](a, b, c) is NotImplemented:
-        _table_program(t)(a, b, c)
-    return c
+# The eleven contraction kernels, each running its table's trace.
+globals().update({routine: kernel("vector", ROUTINES[routine], routine_trace) for routine in TABLES})
 
 
+def _elementwise(body):
+    """The kernel whose trace is `body` (``trace.kernel``): its native entry
+    first, then, for a call that entry does not take, `body` itself."""
+    return update_wrapper(kernel("vector", ROUTINES[body.__name__], routine_trace, body), body)
+
+
+@_elementwise
 def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + b[i]."""
-    if NATIVE["add_su3_vector"](a, b, out) is NotImplemented:
-        np.add(a, b, out=out)
-    return out
-
-
-def mult_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c[i] = sum_j a[i][j] * b[j]."""
-    return _contract(_MAT_VEC, a, b, out)
-
-
-def mult_adj_su3_mat_vec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c[i] = sum_j conj(a[j][i]) * b[j]."""
-    return _contract(_ADJ_MAT_VEC, a, b, out)
-
-
-def mult_su3_nn(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c[i][k] = sum_j a[i][j] * b[j][k]."""
-    return _contract(TABLES["mult_su3_nn"], a, b, out)
-
-
-def mult_su3_an(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c[i][k] = sum_j conj(a[j][i]) * b[j][k]."""
-    return _contract(TABLES["mult_su3_an"], a, b, out)
-
-
-def mult_su3_na(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c[i][k] = sum_j a[i][j] * conj(b[k][j])."""
-    return _contract(TABLES["mult_su3_na"], a, b, out)
-
-
-def mult_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c[k] = a * h[k] for both halves k."""
-    return _contract(TABLES["mult_su3_mat_hwvec"], a, h, out)
-
-
-def mult_adj_su3_mat_hwvec(a: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c[k] = adj(a) * h[k] for both halves k."""
-    return _contract(TABLES["mult_adj_su3_mat_hwvec"], a, h, out)
-
-
-def mult_adj_su3_mat_vec_4dir(a4: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c[d] = adj(a4[d]) * b for the four directions."""
-    return _contract(_FOUR_DIR, a4, b, out)
-
-
-# The packed (4, 3, 2) result; ``Backend.apply`` also offers it in four destinations.
-mult_adj_su3_mat_4vec = mult_adj_su3_mat_vec_4dir
-
-
-def mult_su3_mat_vec_sum_4dir(a4: np.ndarray, b4: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c = sum_d adj(a4[d]) * b4[d], accumulated direction-major."""
-    return _contract(TABLES["mult_su3_mat_vec_sum_4dir"], a4, b4, out)
+    return np.add(a, b, out=out)
 
 
 def _scalar_factor(s, like: np.ndarray, extra_axes: int):
@@ -258,30 +200,23 @@ def _scalar_factor(s, like: np.ndarray, extra_axes: int):
     return s_arr
 
 
+@_elementwise
 def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i][j] = a[i][j] + s * b[i][j] for real s."""
-    if NATIVE["scalar_mult_add_su3_matrix"](a, b, np.asarray(s, a.dtype), out) is NotImplemented:
-        np.add(a, _scalar_factor(s, a, 3) * b, out=out)
-    return out
+    return np.add(a, _scalar_factor(s, a, 3) * b, out=out)
 
 
+@_elementwise
 def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """c[i] = a[i] + s * b[i] for real s."""
-    if NATIVE["scalar_mult_add_su3_vector"](a, b, np.asarray(s, a.dtype), out) is NotImplemented:
-        np.add(a, _scalar_factor(s, a, 2) * b, out=out)
-    return out
+    return np.add(a, _scalar_factor(s, a, 2) * b, out=out)
 
 
-def su3_projector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c[i][j] = a[i] * conj(b[j]) (outer product)."""
-    return _contract(TABLES["su3_projector"], a, b, out)
-
-
+@_elementwise
 def sub_four_su3_vecs(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray, b4: np.ndarray) -> np.ndarray:
     """a[i] -= b1[i] + b2[i] + b3[i] + b4[i], in place, left to right."""
-    if NATIVE["sub_four_su3_vecs"](a, b1, b2, b3, b4) is NotImplemented:
-        for b in (b1, b2, b3, b4):
-            np.subtract(a, b, out=a)
+    for b in (b1, b2, b3, b4):
+        np.subtract(a, b, out=a)
     return a
 
 
@@ -308,22 +243,21 @@ class LaneOpCount:
 
 @cache
 def lane_op_count(routine: str) -> LaneOpCount:
-    """Packed-lane operation tally for one kernel invocation, derived from
-    what the kernel runs.
+    """Packed-lane operation tally for one kernel invocation, read off the
+    kernel's own trace (``routine_trace``), two lanes to a packed operation.
 
-    A table kernel's come off its gather table: one packed multiply per two
-    gathered products, the adds over the steps plus one combining add per
-    output entry, which also takes one swap and one sign flip. An
-    elementwise kernel packs its reference trace's operations in pairs and
-    broadcasts only its real factor.
+    A product of two operand components is a lane of a packed multiply,
+    whose left factor is broadcast: a component of a table's broadcast
+    operand, or the real factor. A product with a +-1 literal is a lane of a
+    sign flip, which takes one swap. Every add or subtract is a lane of a
+    packed add.
     """
-    spec = routine_spec(routine)
-    t = TABLES.get(routine)
-    if t is None:
-        real = flop_count(routine)
-        return LaneOpCount(spec.operands.count("scalar"), real.real_mults // 2, real.real_adds // 2, 0, 0)
-    entries = t.outputs // 2
-    return LaneOpCount(np.unique(t.ia).size, t.ia.size // 2, (t.steps - 1) * t.outputs + entries, entries, entries)
+    trace = routine_trace(routine)
+    components = {x for names in trace.operands for x in names}
+    products = [left for _, left, op, right in trace.steps if op == "*" and right in components]
+    signs = sum(op == "*" and right not in components for _, _, op, right in trace.steps)
+    adds = len(trace.steps) - len(products) - signs
+    return LaneOpCount(len(set(products)), len(products) // 2, adds // 2, signs // 2, signs // 2)
 
 
 def capability() -> dict:

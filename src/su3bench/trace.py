@@ -1,19 +1,26 @@
-"""The kernels' one intermediate form, the trace, and its one Python form.
+"""The kernels' one intermediate form, the trace, and the one builder of
+every kernel of both backends.
 
-The scalar backend records a kernel body's trace by running it on ``Sym``
-values (``scalar.routine_trace``); the vector backend writes one for each
-gather table (``simd.table_trace``). Both backends' kernels offer a call to
-the native entry of the trace (``native``, looked up in ``NATIVE``) first,
-as ``entry(*operands, out)``; a kernel runs a call the entry refuses as the
-trace's compiled ``program``, the reference the native loops are tested
-against bit for bit.
+A trace is recorded by running a kernel body on ``Sym`` values (``record``:
+the scalar backend's bodies, the vector backend's numpy elementwise bodies)
+or written from a gather table (``simd.table_trace``); each backend's
+``routine_trace`` gives the trace of each of its fifteen kernels. ``kernel``
+builds every kernel from its trace: it offers a call to the trace's native
+entry (``native``, named by ``entry`` and looked up in ``NATIVE``) first, as
+``entry(*operands, out)``, and runs a call the entry refuses as a given
+Python body or else the trace's compiled ``program``, the reference the
+native loops are tested against bit for bit.
 """
 from __future__ import annotations
 
 import linecache
+import math
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
+
+from .types import OPERAND_SHAPES, RoutineSpec
 
 
 class Sym:
@@ -64,6 +71,33 @@ class Trace(NamedTuple):
     operands: tuple[tuple[str, ...], ...]  # each operand's components, in memory order (a real factor has one)
     steps: tuple[tuple[str, str, str, str], ...]  # (result, left, op, right), in the order performed
     results: tuple[str, ...]  # what was stored in each result component, in index order
+
+
+def record(spec: RoutineSpec, body) -> Trace:
+    """Run `body`, a kernel body of routine `spec`, once on symbolic reals
+    and record every step: a real factor is one ``Sym``, any other operand
+    and ``out`` object arrays of them. TypeError if the body does what the
+    trace cannot emit, or leaves a result component that no step or operand
+    of this call gave."""
+    tape: list = []
+    operands, names = [], []
+    for k, kind in enumerate(spec.operands):
+        shape = OPERAND_SHAPES[kind]
+        syms = [Sym(f"x{k}_{i}", tape) for i in range(math.prod(shape))]
+        names.append(tuple(sym.name for sym in syms))
+        if kind == "scalar":
+            operands.append(syms[0])
+        else:
+            operands.append(np.empty(shape, dtype=object))
+            operands[-1].flat = syms
+    if spec.in_place:
+        result = body(*operands)
+    else:
+        result = body(*operands, out=np.empty(OPERAND_SHAPES[spec.result], dtype=object))
+    stored = result.ravel().tolist()
+    if not all(isinstance(sym, Sym) and sym.tape is tape for sym in stored):
+        raise TypeError(f"{spec.name}: the body left a result component untraced")
+    return Trace(tuple(names), tuple(tape), tuple(sym.name for sym in stored))
 
 
 def define(name: str, params: list[str], lines: list[str], filename: str, namespace: dict):
@@ -183,24 +217,65 @@ def program(trace: Trace, name: str, in_place: bool):
     return define(name, args if in_place else args + ["out"], lines, f"<{name} batch>", namespace)
 
 
+def entry(kind: str, routine: str) -> str:
+    """The name of backend `kind`'s native entry (and program) for `routine`."""
+    return f"{kind}_{routine}"
+
+
+def kernel(kind: str, spec: RoutineSpec, trace_of, python=None):
+    """Backend `kind`'s kernel for routine `spec`, ``kernel(x0, ..., out) ->
+    out`` (in place: ``kernel(x0, ...) -> x0``), run from
+    ``trace_of(spec.name)``.
+
+    The kernel offers each call to the trace's native entry first, passing
+    the operands as they came, ``entry(*operands, out)``, and packing
+    nothing; a real factor reaches it converted to x0's dtype, as the
+    program converts it. A call the entry does not take runs `python`, a
+    body with the kernel's signature that computes the trace, or where that
+    is None the trace's ``program``, compiled on first use. The program is
+    also ``kernel.program()``, cached; neither the trace nor the program is
+    built before it is needed.
+    """
+    name = entry(kind, spec.name)
+    params = [f"x{k}" for k in range(len(spec.operands))]
+    args = [f"_asarray({x}, x0.dtype)" if what == "scalar" else x for x, what in zip(params, spec.operands)]
+    if not spec.in_place:
+        params.append("out")
+        args.append("out")
+
+    @cache
+    def compiled():
+        return program(trace_of(spec.name), name, spec.in_place)
+
+    lines = [
+        f"c = _NATIVE[{name!r}]({', '.join(args)})",
+        "if c is not NotImplemented:",
+        "    return c",
+        f"return {'_python' if python else '_program()'}({', '.join(params)})",
+    ]
+    namespace = {"_NATIVE": NATIVE, "_asarray": np.asarray, "_python": python, "_program": compiled}
+    switch = define(spec.name, params, lines, f"<{name} switch>", namespace)
+    switch.program = compiled
+    return switch
+
+
 def not_taken(*args):
     """The native entry where the extension is unavailable: it takes no call."""
     return NotImplemented
 
 
 class _NativeEntries(dict):
-    """Entry name -> the native extension's entry (``native``), looked up
-    on its first call, which imports the extension and, on a host's first
-    use, builds it; ``not_taken`` where the extension is unavailable.
-    Shared by both backends' kernels, which call an entry first and run
-    their Python path when it returns NotImplemented."""
+    """Entry name (``entry``) -> the native extension's entry (``native``),
+    looked up on a kernel's first call, which imports the extension and, on
+    a host's first use, builds it; ``not_taken`` where the extension is
+    unavailable."""
 
     def __missing__(self, name: str):
         from . import native
 
         module = native.load()
-        entry = self[name] = not_taken if module is None else getattr(module, name)
-        return entry
+        found = self[name] = not_taken if module is None else getattr(module, name)
+        return found
 
 
 NATIVE = _NativeEntries()

@@ -9,19 +9,20 @@ import sys
 import sysconfig
 import tracemalloc
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import su3bench
-from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Lattice4D, SiteBuffer, backends, debug_validation, get_backend, native, scalar, simd, types
-from su3bench.trace import NATIVE, not_taken
+from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Lattice4D, SiteBuffer, backends, debug_validation, get_backend, native, simd, types
+from su3bench.trace import NATIVE, entry, not_taken
 from test_simd_kernels import _special_sets
 
 MODULE = native.load()
 needs_native = pytest.mark.skipif(MODULE is None, reason=f"native extension unavailable: {native.status()}")
-ENTRIES = ROUTINE_NAMES + tuple(t.entry for t in simd.TABLES.values())
+ENTRIES = tuple(entry(kind, routine) for kind in BACKEND_NAMES for routine in ROUTINE_NAMES)
 TESTS = Path(__file__).resolve().parent
 
 
@@ -155,15 +156,16 @@ _REFUSED = object()  # what a dispatcher's generic path returns in the test belo
 
 @needs_native
 @pytest.mark.parametrize("name, rank", [
-    ("mult_su3_nn", None), ("scalar_mult_add_su3_vector", None), ("sub_four_su3_vecs", None), ("mult_su3_nn_table", None),
-    ("mult_su3_nn", 0), ("scalar_mult_add_su3_vector", 0), ("sub_four_su3_vecs", 1), ("scalar_mult_add_su3_vector", 1),
+    ("scalar_mult_su3_nn", None), ("scalar_scalar_mult_add_su3_vector", None), ("scalar_sub_four_su3_vecs", None),
+    ("vector_mult_su3_nn", None), ("vector_scalar_mult_add_su3_vector", None), ("vector_sub_four_su3_vecs", None),
+    ("scalar_mult_su3_nn", 0), ("vector_scalar_mult_add_su3_vector", 0), ("scalar_sub_four_su3_vecs", 1), ("vector_scalar_mult_add_su3_vector", 1),
 ])
 def test_native_entry_refuses_what_it_does_not_take(name, rank):
     # A kernel's own entry (rank None) writes nothing and returns
     # NotImplemented, so the kernel's Python path runs; a dispatcher (apply
     # at rank 0, batch_apply at 1) writes nothing and passes the call to
     # its generic path. None of these may read or write past a buffer.
-    routine = name.removesuffix("_table")
+    routine = name.partition("_")[2]
     spec = types.routine_spec(routine)
     refused = NotImplemented
     if rank is not None:
@@ -357,18 +359,27 @@ def test_module_has_no_packed_or_fused_arithmetic():
     assert re.findall(r"\b(v?(?:mul|add|sub)p[sd]|vfn?m(?:add|sub)\w*)\b", text) == []
 
 
-@needs_native
-def test_native_source_is_the_trace():
-    # The emitted source is kept beside the module; each loop's steps are
-    # the trace's, one line each, in its order, signs as literals.
+@cache
+def _source() -> str:
+    """The emitted source, kept beside the module."""
     path = Path(MODULE.__file__)
-    text = (path.parent / f"{path.name.split('.')[0]}.c").read_text()
-    for name, trace in [("mult_su3_nn", scalar.routine_trace("mult_su3_nn")), ("mult_su3_nn_table", simd.table_trace(simd.TABLES["mult_su3_nn"]))]:
-        for code, ctype in (("d", "double"), ("f", "float")):
-            body = text.split(f"static void {name}_{code}(")[1].split("\n}\n")[0]
-            steps = re.findall(rf"const {ctype} (t\d+) = (\S+) ([*+-]) (\S+);", body)
-            literal = re.compile(rf"\(\({ctype}\)(.*)\)")
-            assert [(r, x, op, literal.sub(r"\1", y)) for r, x, op, y in steps] == list(trace.steps)
+    return (path.parent / f"{path.name.split('.')[0]}.c").read_text()
+
+
+@needs_native
+@pytest.mark.parametrize("routine", ROUTINE_NAMES)
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_native_source_is_the_trace(kind, routine, precision):
+    # Each entry's loop (the first entry's, where traces are identical)
+    # performs its own backend's trace: the steps one line each, in its
+    # order, signs as literals.
+    code, ctype = {"double": ("d", "double"), "single": ("f", "float")}[precision]
+    text = _source()
+    loop = re.search(rf"static const struct kernel {entry(kind, routine)}_kernel = {{.*, (\w+)_d, \w+_f}};", text).group(1)
+    body = text.split(f"static void {loop}_{code}(")[1].split("\n}\n")[0]
+    steps = re.findall(rf"const {ctype} (t\d+) = (\S+) ([*+-]) (\S+);", body)
+    literal = re.compile(rf"\(\({ctype}\)(.*)\)")
+    assert [(r, x, op, literal.sub(r"\1", y)) for r, x, op, y in steps] == list(get_backend(kind).routine_trace(routine).steps)
 
 
 def test_module_builds_where_a_compiler_exists():

@@ -1,0 +1,62 @@
+"""The two backends agree bit for bit on every non-NaN input, proved from
+their traces rather than sampled: for every routine, the scalar backend's
+trace and the vector backend's give each result component one expression
+tree once both are normalised by rewrites that are exact in IEEE
+arithmetic. Association is never rewritten, so a changed order of adds or
+a changed sign is a different tree."""
+import dataclasses
+
+import pytest
+
+from su3bench import ROUTINE_NAMES, scalar, simd
+
+
+def normal_form(trace) -> tuple:
+    """Each result component's expression tree, normalised: a single `*` or
+    `+` commutes (its operands in a fixed order), ``x * 1.0`` is ``x``,
+    ``x * -1.0`` is ``-x``, and ``a + -x`` is ``a - x``. A leaf is an
+    operand component's name or a literal's value."""
+    steps = {result: (left, op, right) for result, left, op, right in trace.steps}
+    components = {x for names in trace.operands for x in names}
+
+    def tree(x: str):
+        if x not in steps:
+            return x if x in components else float(x)
+        left, op, right = steps[x]
+        a, b = tree(left), tree(right)
+        if op == "*":
+            if isinstance(a, float):
+                a, b = b, a
+            if b == 1.0:
+                return a
+            if b == -1.0:
+                return ("neg", a)
+        if op == "+":
+            if isinstance(b, tuple) and b[0] == "neg":
+                return ("-", a, b[1])
+            if isinstance(a, tuple) and a[0] == "neg":
+                return ("-", b, a[1])
+        if op in "*+":
+            a, b = sorted((a, b), key=repr)
+        return (op, a, b)
+
+    return tuple(tree(x) for x in trace.results)
+
+
+@pytest.mark.parametrize("routine", ROUTINE_NAMES)
+def test_the_backends_traces_compute_one_expression(routine):
+    ours, theirs = scalar.routine_trace(routine), simd.routine_trace(routine)
+    assert ours.operands == theirs.operands
+    assert normal_form(ours) == normal_form(theirs)
+    # Two sources: only add_su3_vector's body is the same record in both.
+    assert (ours == theirs) == (routine == "add_su3_vector")
+
+
+def test_a_flipped_sign_or_a_reversed_accumulation_is_detected():
+    want = normal_form(scalar.routine_trace("mult_su3_nn"))
+    t = simd.TABLES["mult_su3_nn"]
+    assert normal_form(simd.table_trace(t)) == want
+    flipped = dataclasses.replace(t, sign=(-t.sign[0],) + t.sign[1:])
+    reversed_steps = dataclasses.replace(t, ia=t.ia[::-1], ib=t.ib[::-1])
+    for broken in (flipped, reversed_steps):
+        assert normal_form(simd.table_trace(broken)) != want

@@ -113,7 +113,7 @@ def test_each_operand_is_unpacked_once(routine, rng, precision):
             logged[k] = ops[k].copy().view(_UnpackLog)
             logged[k].unpacks = 0
     want = SCALAR.apply(routine, ops[0].copy(), *ops[1:])
-    compiled = scalar._batch_program(routine)
+    compiled = SCALAR.kernels[routine].program()
     got = compiled(*logged) if spec.in_place else compiled(*logged, np.empty_like(want))
     assert _same_bits(np.asarray(got), want)
     unpacks = [op.unpacks for op, kind in zip(logged, spec.operands) if kind != "scalar"]
@@ -161,16 +161,16 @@ def test_import_and_flop_table_build_no_program():
     # call, never at import or while counting operations, which set-up time
     # includes.
     code = ("import su3bench; su3bench.flop_table(); "
-            "print(su3bench.scalar._batch_program.cache_info().currsize, su3bench.simd._table_program.cache_info().currsize, "
-            "len(su3bench.trace.NATIVE))")
+            "print(*(sum(k.program.cache_info().currsize for k in su3bench.get_backend(kind).kernels.values()) "
+            "for kind in ('scalar', 'vector')), len(su3bench.trace.NATIVE))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0", "0"]
 
 
 @pytest.mark.parametrize("build, name", [
-    (lambda: scalar._batch_program("mult_su3_nn"), "mult_su3_nn"),
-    (lambda: simd._table_program(simd.TABLES["mult_su3_nn"]), "mult_su3_nn_table"),
+    (lambda: scalar.mult_su3_nn.program(), "scalar_mult_su3_nn"),
+    (lambda: simd.mult_su3_nn.program(), "vector_mult_su3_nn"),
 ], ids=["scalar", "vector"])
 def test_program_source_is_shown(build, name, rng):
     # The generated source is registered under the program's filename, so

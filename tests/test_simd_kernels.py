@@ -357,7 +357,8 @@ def test_lane_ops_derived_from_the_table(routine):
     # component into both lanes, so a packed multiply is a lane pair of ia
     # and a broadcast is a distinct component of ia.
     t = simd.TABLES[routine]
-    assert t.ia.shape == t.ib.shape == (t.steps, 2, t.outputs) and t.outputs % 2 == 0
+    steps, _, outputs = t.ia.shape
+    assert t.ia.shape == t.ib.shape == (steps, 2, outputs) and outputs == len(t.sign) and outputs % 2 == 0
     assert np.array_equal(t.ia[..., 0::2], t.ia[..., 1::2])
     assert 0 <= t.ia.min() and t.ia.max() < t.x_size and 0 <= t.ib.min() and t.ib.max() < t.y_size
 
