@@ -1,6 +1,6 @@
 """su3 complex linear-algebra kernels with scalar and packed-lane backends,
 a benchmark harness, and an analytical speedup model."""
-from .backends import BACKEND_NAMES, Backend, debug_validation, get_backend
+from .backends import BACKEND_NAMES, Backend, get_backend
 from .flops import flop_count, flop_table
 from .lattice import DIRECTIONS, AlignedBuffer, Lattice4D, SiteBuffer
 from .perfmodel import (
@@ -55,7 +55,6 @@ __all__ = [
     "capability",
     "check_all",
     "check_routine",
-    "debug_validation",
     "degradation_curve",
     "dtype_for",
     "flop_count",

@@ -7,41 +7,36 @@ they are, the batch axes in front of the per-object shape.
 ``Backend.apply`` and ``Backend.batch_apply`` are the checked entry points:
 they check the operand count, every operand's shape and dtype, and the
 result array, from a per-routine plan built once. Each allocates the result
-or checks the caller's ``out`` for shape, dtype and writeability
+or checks the caller's ``out`` for shape, dtype, writeability and overlap
 (``_result``), so every kernel is arithmetic only:
 ``kernel(*operands, out) -> out``, with ``out`` required and unchecked (the
 in-place ``sub_four_su3_vecs`` takes no ``out``, and its first operand must
 be writeable). The kernel functions (``Backend.kernels``, ``scalar.*``,
 ``simd.*``) are unchecked internals: on misshapen or mixed-precision
-operands, or a misshapen ``out``, they may compute a wrong result rather
-than raise.
+operands, or a misshapen or overlapping ``out``, they may compute a wrong
+result rather than raise.
 
-On a backend's first ``apply`` or ``batch_apply`` call, which loads the
-native extension (``native``), the extension's dispatchers are bound as the
-instance's ``apply`` and ``batch_apply`` (``native.dispatchers``), so a
-call is one C call from the caller's first byte. A dispatcher makes the same
-checks in C for the calls it takes (C-contiguous exact ndarrays of one
-native float type; a 0-d or per-set factor of that type, or a Python float
-for float64), allocates the result only once they pass, and runs the
-kernel's loop. Every other call (``outs``, a ``count``, another keyword, an
-unknown routine, a call the checks refuse) it passes with the same
-arguments to the class's ``apply`` or ``batch_apply``, the generic path:
-the checks in Python (``_check``, ``_result``, ``_four_destinations``) and
-the kernel, which alone words a rejection. So a dispatcher changes no
-result and no error message; where there is no extension, every call runs
-the generic path.
+One overlap rule holds on every path: the array a call writes may share
+memory with an operand only when it is that operand (the same first byte,
+shape, strides and dtype), whose values every kernel reads before writing
+them; ``sub_four_su3_vecs``'s operands 1-4 may share no memory with operand
+0. Any other overlap raises ``ValueError`` naming the operand.
 
-Debug validation (``debug_validation``, off by default so the hot path pays
-nothing for it) adds one check at the entry points: a result array the
-caller passes may not share memory with an operand. Turning it on unbinds
-the dispatchers, so every call runs the generic path; turning it off binds
-them again (or, before a backend's first call, leaves that to the call).
-
-The dispatchers are instance attributes, so a reference to
-``backend.apply`` or ``backend.batch_apply`` taken before the backend's
-first call, or while debug validation is on, is the generic method and
-stays so, at about 2 µs a call against 0.13 µs. Take it after the first
-call.
+The first ``get_backend`` call of a process loads the native extension
+(``native``) and binds its dispatchers as every backend's ``apply`` and
+``batch_apply`` (``native.dispatchers``), so a call through a handed-out
+backend, or a reference taken from one, is one C call from the caller's
+first byte. A dispatcher makes the same checks in C for the calls it takes
+(C-contiguous exact ndarrays of one native float type; a 0-d or per-set
+factor of that type, or a Python float for float64), allocates the result
+only once they pass, and runs the kernel's loop. Every other call
+(``outs``, a ``count``, another keyword, an unknown routine, a call the
+checks refuse) it passes with the same arguments to the class's ``apply``
+or ``batch_apply``, the generic path: the checks in Python (``_check``,
+``_result``, ``_four_destinations``) and the kernel, which alone words a
+rejection. So a dispatcher changes no result and no error message; where
+there is no extension, every call runs the generic path. Importing the
+package binds nothing.
 """
 from __future__ import annotations
 
@@ -56,18 +51,6 @@ from .types import OPERAND_SHAPES, PRECISIONS, ROUTINE_NAMES, ROUTINES, RoutineS
 
 
 _PRECISIONS = tuple(PRECISIONS.values())
-_debug = False
-
-
-def debug_validation(on: bool) -> bool:
-    """Globally enable or disable the debug checks; returns the previous
-    setting. Either way every backend's dispatchers are bound afresh
-    (``Backend._bind``)."""
-    global _debug
-    before, _debug = _debug, bool(on)
-    for backend in _BACKENDS.values():
-        backend._bind()
-    return before
 
 
 class _Plan(NamedTuple):
@@ -97,7 +80,8 @@ def _check(plan: _Plan, operands, out: np.ndarray | None, batch: tuple[int, ...]
     """Reject a wrong operand count, an operand not shaped `batch` + its
     per-object shape (naming a missing batch axis as such), `out` for the
     in-place routine, operands of neither precision, operands of mixed
-    precision, and a read-only first operand of the in-place routine.
+    precision, and a read-only first operand of the in-place routine or one
+    that shares memory with another operand.
 
     A real factor is a real number (bool, integer or float, as numpy reads
     it), or one per set; the kernels convert it to the operands' dtype. A
@@ -121,8 +105,12 @@ def _check(plan: _Plan, operands, out: np.ndarray | None, batch: tuple[int, ...]
                 raise ValueError(f"{name}: operand {i} has shape {op.shape}, expected {shape}")
             if op.dtype != dtype:
                 raise ValueError(f"{name}: operands mix {dtype} and {op.dtype}; pass one precision")
-        if plan.spec.in_place and not operands[0].flags.writeable:
-            raise ValueError(f"{name}: operand 0 is read-only; {name} works in place on it")
+        if plan.spec.in_place:
+            if not operands[0].flags.writeable:
+                raise ValueError(f"{name}: operand 0 is read-only; {name} works in place on it")
+            for i, _ in plan.arrays[1:]:
+                if np.shares_memory(operands[i], operands[0]):
+                    raise ValueError(f"{name}: operand {i} shares memory with operand 0, which {name} works in place on")
     except AttributeError:
         raise ValueError(f"{name}: array operands must be numpy arrays") from None
     for i in plan.factors:
@@ -136,7 +124,7 @@ def _check(plan: _Plan, operands, out: np.ndarray | None, batch: tuple[int, ...]
 def _result(plan: _Plan, operands, out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
     """A fresh result array of `shape` in the operands' dtype, or the
     caller's `out` once it is a writeable numpy array of that shape and
-    dtype and, under debug validation, shares no memory with an operand."""
+    dtype that shares memory with no operand, unless it is that operand."""
     dtype = operands[0].dtype
     if out is None:
         return np.empty(shape, dtype)
@@ -150,9 +138,16 @@ def _result(plan: _Plan, operands, out: np.ndarray | None, shape: tuple[int, ...
             raise ValueError(f"{name}: result array is read-only")
     except AttributeError:
         raise ValueError(f"{name}: result arrays must be numpy arrays") from None
-    if _debug and any(np.shares_memory(out, operands[i]) for i, _ in plan.arrays):
-        raise ValueError(f"{name}: result array aliases an operand; kernels require distinct storage")
+    for i, op in enumerate(operands):
+        if isinstance(op, np.ndarray) and np.shares_memory(out, op) and not _same_view(out, op):
+            raise ValueError(f"{name}: result array overlaps operand {i}; pass that operand itself or separate storage")
     return out
+
+
+def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a and b are views of the same elements in the same order."""
+    return (a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+            and a.shape == b.shape and a.strides == b.strides and a.dtype == b.dtype)
 
 
 def _run(plan: _Plan, operands, out: np.ndarray | None, batch: tuple[int, ...]):
@@ -172,18 +167,6 @@ class Backend:
         self.routine_trace = module.routine_trace  # routine -> the trace its kernel and native loop run
         self._plans = {name: _plan_for(spec, self.kernels[name]) for name, spec in ROUTINES.items()}
         self._entries = {name: entry(kind, name) for name in ROUTINE_NAMES}
-        self._called = False  # until the first call, binding would load the extension early
-
-    def _bind(self) -> None:
-        """Bind the native dispatchers as this instance's ``apply`` and
-        ``batch_apply`` once it has been called, unless debug validation is
-        on; else unbind them, so calls run the class's generic paths."""
-        vars(self).pop("apply", None)
-        vars(self).pop("batch_apply", None)
-        if self._called and not _debug:
-            from . import native
-
-            vars(self).update(native.dispatchers(self._entries, Backend.apply.__get__(self), Backend.batch_apply.__get__(self)))
 
     def _plan(self, routine: str) -> _Plan:
         try:
@@ -200,12 +183,9 @@ class Backend:
         then the packed result is copied out, one direction per destination,
         and the tuple returned.
 
-        This is the generic path; once bound, the native dispatcher runs
-        the calls it takes and passes it the rest.
+        This is the generic path; a handed-out backend's native dispatcher
+        runs the calls it takes and passes it the rest.
         """
-        if not self._called:
-            self._called = True
-            self._bind()
         plan = self._plan(routine)
         _check(plan, operands, out, ())
         if outs is not None:
@@ -222,9 +202,6 @@ class Backend:
         each set and calling it on that. This is the generic path, as for
         ``apply``.
         """
-        if not self._called:
-            self._called = True
-            self._bind()
         plan = self._plan(routine)
         batch = (batch_count(plan.spec, operands, count),)
         _check(plan, operands, out, batch)
@@ -254,10 +231,22 @@ _BACKENDS = {
 }
 
 BACKEND_NAMES = tuple(_BACKENDS)
+_bound = False  # whether the native dispatchers have been bound
 
 
 def get_backend(kind: str) -> Backend:
+    """Backend `kind`. The first call of a process binds the native
+    dispatchers as every backend's ``apply`` and ``batch_apply``, loading
+    the extension (and on a host's first use building it) first."""
+    global _bound
     try:
-        return _BACKENDS[kind]
+        backend = _BACKENDS[kind]
     except KeyError:
         raise ValueError(f"unknown backend {kind!r}; expected one of {BACKEND_NAMES}") from None
+    if not _bound:
+        _bound = True
+        from . import native
+
+        for each in _BACKENDS.values():
+            vars(each).update(native.dispatchers(each._entries, Backend.apply.__get__(each), Backend.batch_apply.__get__(each)))
+    return backend

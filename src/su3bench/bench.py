@@ -292,7 +292,7 @@ def run_streaming(config: BenchConfig) -> TimingRecord:
     def setup():
         buf = SiteBuffer(lat, _streaming_fields(spec), precision=config.precision, aligned=config.alignment == "aligned")
         buf.randomize(config.seed)
-        scalar_value = dtype_for(config.precision).type(0.5)  # fixed real factor for *_scalar_mult_* routines
+        scalar_value = np.array(0.5, dtype_for(config.precision))  # fixed 0-d real factor, which the dispatchers take
         operands = [scalar_value if kind == "scalar" else buf[f"op{i}"] for i, kind in enumerate(spec.operands)]
         return operands, None if spec.in_place else buf["result"]
 

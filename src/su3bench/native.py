@@ -9,11 +9,12 @@ loads every component it reads, then performs each step as one
 precision (``double`` or ``float``; x86-64 C rounds a float operation to
 float), then stores every result component. So each site rounds exactly as
 the trace's Python program does, and an ``out`` that is an operand reads its
-values before any is written. Where a NaN arises is the same; its sign and
-payload bits may differ (gcc may fold a ``* -1.0`` sign into a negation).
-Loads and stores go through ``memcpy``, which needs no alignment, so a
-``SiteBuffer`` 4 bytes off its boundary runs here too. The +-1 signs are
-literals. Identical traces (``mult_adj_su3_mat_4vec`` is
+values before any is written; an ``out`` that overlaps an operand any other
+way is refused (see ``backends``). Where a NaN arises is the same; its sign
+and payload bits may differ (gcc may fold a ``* -1.0`` sign into a
+negation). Loads and stores go through ``memcpy``, which needs no
+alignment, so a ``SiteBuffer`` 4 bytes off its boundary runs here too. The
++-1 signs are literals. Identical traces (``mult_adj_su3_mat_4vec`` is
 ``mult_adj_su3_mat_vec_4dir``; both backends' ``add_su3_vector``) share
 one pair of loops.
 
@@ -21,7 +22,8 @@ Each backend's routine has one METH_FASTCALL entry, named by
 ``trace.entry`` (``vector_mult_su3_nn``), for the kernels' own calls:
 ``entry(*operands, out)`` with the routine's operands in its order (the
 in-place routine takes no ``out``). The module's one ``dispatcher`` type is
-a backend's ``apply`` or ``batch_apply`` (``dispatchers``), called as
+a backend's ``apply`` or ``batch_apply`` (``dispatchers``, which
+``backends.get_backend`` binds on its first call), called as
 ``apply(routine, *operands, out=...)`` or ``batch_apply(routine, operands,
 out=...)`` with no Python frame between the caller and C. Both run ``run``,
 which reads the arguments through numpy's C API and makes every check of
@@ -39,8 +41,8 @@ gcc builds the module with ``-ffp-contract=off`` (no fused multiply-add,
 which would round once where the trace rounds twice) and
 ``-fno-tree-vectorize`` (no packed arithmetic), synchronously and with a
 timeout, on the first call of ``load`` in a process, which the first
-kernel, ``apply`` or ``batch_apply`` call makes; importing the package or
-counting operations imports not even this module. The module goes to the
+``get_backend`` or kernel call makes; importing the package or counting
+operations imports not even this module. The module goes to the
 source checkout's git-ignored ``build/`` under a name keyed by a hash of
 this file, the traces, and numpy's version and include directory, written
 to a temporary file and renamed into place, so a cached module is loaded
@@ -62,7 +64,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import BACKEND_NAMES, get_backend
+from .backends import _BACKENDS
 from .trace import entry
 from .types import OPERAND_SHAPES, ROUTINES
 
@@ -113,11 +115,13 @@ struct kernel {
    argument an exact numpy.ndarray, C-contiguous, in native byte order, of
    float64 or float32, all of one type; the written one writeable; each
    array shaped the batch shape followed by its per-object shape; a real
-   factor 0-d or of the batch shape, or for float64 a Python float. The
-   batch rank is `rank` (0 or 1), or for rank -1 the written argument's
-   (out is then required). Only once every check passes is a result
-   allocated, with operand 0's dtype; no Python code runs between the
-   checks and the loop. For any other call it writes nothing and returns
+   factor 0-d or of the batch shape, or for float64 a Python float; the
+   written argument sharing no byte with another unless it is that one
+   (the same first byte, shape and strides), and in place none. The batch
+   rank is `rank` (0 or 1), or for rank -1 the written argument's (out is
+   then required). Only once every check passes is a result allocated,
+   with operand 0's dtype; no Python code runs between the checks and the
+   loop. For any other call it writes nothing and returns
    NotImplemented with no error set. */
 static PyObject *run(const struct kernel *k, int rank, PyObject *const *operands, Py_ssize_t count, PyObject *out)
 {
@@ -169,6 +173,11 @@ static PyObject *run(const struct kernel *k, int rank, PyObject *const *operands
                 step[i] *= *dims++;
         }
     }
+    for (i = 0; n && target < nargs && i < count; i++) /* overlap with the written argument (a Python float's bytes are run's own) */
+        if (i != target && p[i] < p[target] + n * step[target] && p[target] < p[i] + (nd[i] ? n * step[i] : size)
+            && (k->in_place || p[i] != p[target] || nd[i] != nd[target] || memcmp(DIMS(args[i]), DIMS(args[target]), nd[i] * sizeof *batch)
+                || memcmp(PyArray_STRIDES((PyArrayObject *)args[i]), PyArray_STRIDES((PyArrayObject *)args[target]), nd[i] * sizeof *batch)))
+            Py_RETURN_NOTIMPLEMENTED;
     if (nargs < slots) {
         const int r = k->ranks[target];
         npy_intp shape[1 + MAX_RANK];
@@ -384,8 +393,8 @@ def _load_or_build() -> tuple:
 def _entries() -> list[tuple]:
     """(entry name, trace, routine spec) for every routine of every
     backend; a trace takes the routine's operands in the routine's order."""
-    return [(entry(kind, routine), get_backend(kind).routine_trace(routine), spec)
-            for kind in BACKEND_NAMES for routine, spec in ROUTINES.items()]
+    return [(entry(kind, routine), backend.routine_trace(routine), spec)
+            for kind, backend in _BACKENDS.items() for routine, spec in ROUTINES.items()]
 
 
 def _key(entries) -> str:

@@ -1,18 +1,20 @@
 """The kernel contract and the result arrays that Backend checks for it.
 
 A kernel is arithmetic only: ``kernel(*operands, out) -> out``. ``Backend``
-allocates the result array, or checks a caller's for shape, dtype and, under
-debug validation, aliasing an operand, the same way on both backends.
+allocates the result array, or checks a caller's for shape, dtype and
+overlap with an operand, the same way on both backends and on the native
+and Python paths.
 """
 import math
 import re
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su3bench import BACKEND_NAMES, ROUTINE_NAMES, backends, debug_validation, get_backend, types
+from su3bench import BACKEND_NAMES, ROUTINE_NAMES, backends, get_backend, types
 from tutil import zeros
 
 OTHER_PRECISION = {"double": np.float32, "single": np.float64}
@@ -64,22 +66,90 @@ def test_batch_apply_rejects_misshapen_out(kind, rng, shape):
         get_backend(kind).batch_apply("mult_su3_nn", ops, out=np.empty(shape))
 
 
+PATHS = ["native", "python"]
+
+
+def _path(path, python_paths):
+    """A context under which calls run `path`: as handed out, or the Python paths."""
+    return python_paths() if path == "python" else nullcontext()
+
+
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
-def test_aliasing_rejected_under_debug_validation(kind, rng, debug_checks):
+def test_out_overlapping_an_operand_is_refused(kind, path, python_paths, rng, precision):
+    # A view into an operand, and one buffer holding operand 0 with out one
+    # element further on, where a site would read components an earlier
+    # site had overwritten: refused before anything is written.
     backend = get_backend(kind)
-    a, b = types.random_operands("mult_su3_mat_vec", rng)
-    for out in (b, a[0]):  # an operand, and a view into one
-        with pytest.raises(ValueError, match="aliases"):
-            backend.apply("mult_su3_mat_vec", a, b, out=out)
-    a, b = types.random_operands("mult_su3_mat_vec", rng, batch=4)
-    with pytest.raises(ValueError, match="aliases"):
-        backend.batch_apply("mult_su3_mat_vec", [a, b], out=b)
+    a, b = types.random_operands("mult_su3_mat_vec", rng, precision)
+    with _path(path, python_paths), pytest.raises(ValueError, match="mult_su3_mat_vec: result array overlaps operand 0"):
+        backend.apply("mult_su3_mat_vec", a, b, out=a[0])
+    for batch in (None, 4):
+        a, b = types.random_operands("add_su3_vector", rng, precision, batch=batch)
+        buf = np.concatenate([a.ravel(), np.zeros(1, a.dtype)])
+        a, out, before = buf[:-1].reshape(a.shape), buf[1:].reshape(a.shape), buf.copy()
+        with _path(path, python_paths), pytest.raises(ValueError, match="add_su3_vector: result array overlaps operand 0"):
+            if batch is None:
+                backend.apply("add_su3_vector", a, b, out=out)
+            else:
+                backend.batch_apply("add_su3_vector", [a, b], out=out)
+        assert buf.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
-def test_aliasing_unchecked_by_default(kind, rng):
-    a, b = types.random_operands("mult_su3_mat_vec", rng)
-    get_backend(kind).apply("mult_su3_mat_vec", a, b, out=b)  # the caller's responsibility then
+def test_sub_four_refuses_an_operand_sharing_operand_0(kind, path, python_paths, rng, precision):
+    backend = get_backend(kind)
+    for batch in (None, 3):
+        ops = types.random_operands("sub_four_su3_vecs", rng, precision, batch=batch)
+        before = ops[0].copy()
+        for i, shared in ((2, ops[0]), (1, ops[0][::-1]), (4, ops[0])):
+            call = _replaced(ops, i, shared)
+            with _path(path, python_paths), pytest.raises(ValueError, match=f"sub_four_su3_vecs: operand {i} shares memory with operand 0"):
+                if batch is None:
+                    backend.apply("sub_four_su3_vecs", *call)
+                else:
+                    backend.batch_apply("sub_four_su3_vecs", call)
+        assert np.array_equal(ops[0], before)
+
+
+_OUT_IS_AN_OPERAND = [routine for routine, spec in types.ROUTINES.items() if not spec.in_place and spec.result in spec.operands]
+
+
+@pytest.mark.parametrize("routine", _OUT_IS_AN_OPERAND)
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_out_that_is_an_operand_is_accepted_on_every_path(kind, routine, python_paths, precision):
+    # Every kernel reads a site's operands before writing its result, so
+    # the bits are those of a fresh result, through the dispatcher and the
+    # Python paths alike.
+    backend = get_backend(kind)
+    spec = types.routine_spec(routine)
+    for batch in (None, 5):
+        ops = types.random_operands(routine, np.random.default_rng([71, ROUTINE_NAMES.index(routine)]), precision, batch=batch)
+
+        def call(operands, out=None):
+            if batch is None:
+                return backend.apply(routine, *operands, out=out)
+            return backend.batch_apply(routine, operands, out=out)
+
+        want = call(ops).tobytes()
+        for k in (k for k, what in enumerate(spec.operands) if what == spec.result):
+            for path in PATHS:
+                copies = [op.copy() if isinstance(op, np.ndarray) else op for op in ops]
+                with _path(path, python_paths):
+                    assert call(copies, out=copies[k]) is copies[k]
+                assert copies[k].tobytes() == want, (k, path)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_outs_may_include_an_operand(kind, path, python_paths, rng, precision):
+    backend = get_backend(kind)
+    a4, b, outs = _mat_4vec(rng, precision)
+    want = backend.apply("mult_adj_su3_mat_4vec", a4, b).tobytes()
+    with _path(path, python_paths):
+        ret = backend.apply("mult_adj_su3_mat_4vec", a4, b, outs=outs[:3] + [b])
+    assert ret[3] is b and np.stack(ret).tobytes() == want
 
 
 def _mat_4vec(rng, precision):
@@ -107,19 +177,19 @@ def test_outs_rejects_a_destination_of_the_other_precision(kind, rng, precision)
 
 
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
-def test_outs_checks_every_destination_before_writing(kind, rng, precision, debug_checks):
+def test_outs_checks_every_destination_before_writing(kind, rng, precision):
     backend = get_backend(kind)
     a4, b, outs = _mat_4vec(rng, precision)
-    before = b.copy()
-    with pytest.raises(ValueError, match="aliases"):
-        backend.apply("mult_adj_su3_mat_4vec", a4, b, outs=outs[:3] + [b])
+    before = a4.copy()
+    with pytest.raises(ValueError, match="result array overlaps operand 0"):
+        backend.apply("mult_adj_su3_mat_4vec", a4, b, outs=outs[:3] + [a4[1, 2]])
     for bad in (np.zeros((3, 3, 2), b.dtype), np.zeros((4, 3, 2), b.dtype)):
         with pytest.raises(ValueError, match="expected"):
             backend.apply("mult_adj_su3_mat_4vec", a4, b, outs=outs[:3] + [bad])
         assert not bad.any()
     with pytest.raises(ValueError, match="four"):
         backend.apply("mult_adj_su3_mat_4vec", a4, b, outs=outs[:3])
-    assert not any(o.any() for o in outs) and np.array_equal(b, before)
+    assert not any(o.any() for o in outs) and np.array_equal(a4, before)
 
 
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
@@ -213,11 +283,12 @@ def _replaced(ops, i, new):
     return [new if k == i else op for k, op in enumerate(ops)]
 
 
-def _aliased(ops, result):
-    """ops with operand 0 moved into a buffer that `out` overlaps, and that out."""
-    buf = np.zeros(max(ops[0].size, math.prod(result)))
+def _aliased(ops, result, at=0):
+    """ops with operand 0 moved into a buffer that `out`, starting `at`
+    elements into it, overlaps, and that out."""
+    buf = np.zeros(ops[0].size + math.prod(result))
     buf[: ops[0].size] = ops[0].ravel()
-    return [buf[: ops[0].size].reshape(ops[0].shape), *ops[1:]], buf[: math.prod(result)].reshape(result)
+    return [buf[: ops[0].size].reshape(ops[0].shape), *ops[1:]], buf[at: at + math.prod(result)].reshape(result)
 
 
 def _offset(op):
@@ -227,39 +298,45 @@ def _offset(op):
     return buf[1:].reshape(op.shape)
 
 
+def _factor_inside_out(ops, i, batch, result):
+    """ops with real factor i a view of `out`'s first elements, and that out."""
+    out = np.zeros(result)
+    return _replaced(ops, i, out.reshape(-1)[: math.prod(batch)].reshape(batch)), out
+
+
 def _call_cases(routine: str, batch: tuple) -> dict:
-    """Name -> make(ops) giving (operands, out, debug) for one call, from a
+    """Name -> make(ops) giving (operands, out) for one call, from a
     fresh double operand set of `batch` sets (() for apply, (BATCH,) for
     batch_apply): calls the native dispatcher takes and calls it leaves to
     the generic checks."""
     spec = types.routine_spec(routine)
     result = batch + types.OPERAND_SHAPES[spec.result]
     cases = {
-        "plain": lambda ops: (ops, None, False),
-        "tuple": lambda ops: (tuple(ops), None, False),
-        "debug": lambda ops: (ops, None, True),
-        "count short": lambda ops: (ops[:-1], None, False),
-        "count long": lambda ops: (ops + ops[-1:], None, False),
-        "no operands": lambda ops: ([], None, False),
-        "all float32": lambda ops: ([op.astype(np.float32) for op in ops], None, False),
-        "all float16": lambda ops: ([op.astype(np.float16) for op in ops], None, False),
-        "all >f8": lambda ops: ([op.astype(">f8") for op in ops], None, False),
-        "all with metadata": lambda ops: ([op.astype(_WITH_METADATA) for op in ops], None, False),
-        "all offset": lambda ops: ([_offset(op) for op in ops], None, False),
-        "all with an extra axis": lambda ops: ([op[None] for op in ops], None, False),
-        "out aliased": lambda ops: (*_aliased(ops, result), False),
-        "out aliased, debug": lambda ops: (*_aliased(ops, result), True),
+        "plain": lambda ops: (ops, None),
+        "tuple": lambda ops: (tuple(ops), None),
+        "count short": lambda ops: (ops[:-1], None),
+        "count long": lambda ops: (ops + ops[-1:], None),
+        "no operands": lambda ops: ([], None),
+        "all float32": lambda ops: ([op.astype(np.float32) for op in ops], None),
+        "all float16": lambda ops: ([op.astype(np.float16) for op in ops], None),
+        "all >f8": lambda ops: ([op.astype(">f8") for op in ops], None),
+        "all with metadata": lambda ops: ([op.astype(_WITH_METADATA) for op in ops], None),
+        "all offset": lambda ops: ([_offset(op) for op in ops], None),
+        "all with an extra axis": lambda ops: ([op[None] for op in ops], None),
+        "out aliased": lambda ops: _aliased(ops, result),
+        "out one element into operand 0": lambda ops: _aliased(ops, result, 1),
     }
     if batch:
-        cases["rank-2 batch"] = lambda ops: ([op.reshape((2, 2) + op.shape[1:]) for op in ops], None, False)
-        cases["operand 0 rank-2 batch"] = lambda ops: (_replaced(ops, 0, ops[0].reshape((2, 2) + ops[0].shape[1:])), None, False)
-        cases["no batch axis"] = lambda ops: ([op[0] for op in ops], None, False)
-        cases["empty batch"] = lambda ops: ([op[:0] for op in ops], None, False)
+        cases["rank-2 batch"] = lambda ops: ([op.reshape((2, 2) + op.shape[1:]) for op in ops], None)
+        cases["operand 0 rank-2 batch"] = lambda ops: (_replaced(ops, 0, ops[0].reshape((2, 2) + ops[0].shape[1:])), None)
+        cases["no batch axis"] = lambda ops: ([op[0] for op in ops], None)
+        cases["empty batch"] = lambda ops: ([op[:0] for op in ops], None)
     else:
-        cases["all batched, out batched"] = lambda ops: ([op[None] for op in ops], None if spec.in_place else np.zeros((1,) + result), False)
+        cases["all batched, out batched"] = lambda ops: ([op[None] for op in ops], None if spec.in_place else np.zeros((1,) + result))
     if spec.in_place:
-        cases["out in place"] = lambda ops: (ops, np.zeros(result), False)
-        cases["first operand read-only"] = lambda ops: ([_read_only(ops[0]), *ops[1:]], None, False)
+        cases["out in place"] = lambda ops: (ops, np.zeros(result))
+        cases["first operand read-only"] = lambda ops: ([_read_only(ops[0]), *ops[1:]], None)
+        cases["operand 2 is operand 0"] = lambda ops: (_replaced(ops, 2, ops[0]), None)
     else:
         for name, make in {
             "zeros": lambda: np.zeros(result),
@@ -277,8 +354,10 @@ def _call_cases(routine: str, batch: tuple) -> dict:
             "strided": lambda: np.zeros(result + (2,))[..., 1],
             "read-only": lambda: _read_only(np.zeros(result)),
         }.items():
-            cases[f"out {name}"] = lambda ops, make=make: (ops, make(), False)
-        cases["out, debug"] = lambda ops: (ops, np.zeros(result), True)
+            cases[f"out {name}"] = lambda ops, make=make: (ops, make())
+        for k, kind in enumerate(spec.operands):
+            if kind == spec.result:
+                cases[f"out operand {k}"] = lambda ops, k=k: (ops, ops[k])
     for i, kind in enumerate(spec.operands):
         if kind == "scalar":
             for name, factor in {
@@ -289,9 +368,10 @@ def _call_cases(routine: str, batch: tuple) -> dict:
                 "per set, strided": np.full(batch + (2,), 0.75)[..., 0], "per set, list": np.full(batch, 0.75).tolist(),
                 "complex": 0.5j, "None": None, "str": "0.75",
             }.items():
-                cases[f"factor {name}"] = lambda ops, i=i, factor=factor: (_replaced(ops, i, factor), None, False)
+                cases[f"factor {name}"] = lambda ops, i=i, factor=factor: (_replaced(ops, i, factor), None)
+            cases["factor inside out"] = lambda ops, i=i: _factor_inside_out(ops, i, batch, result)
             cases["float32 with a float factor"] = lambda ops, i=i: (
-                _replaced([op.astype(np.float32) for op in ops], i, 0.75), None, False)
+                _replaced([op.astype(np.float32) for op in ops], i, 0.75), None)
             continue
         for name, edit in {
             "misshapen": lambda op: op.reshape(-1),
@@ -307,7 +387,7 @@ def _call_cases(routine: str, batch: tuple) -> dict:
             "strided": lambda op: np.stack([op, op], axis=-1)[..., 0],
             "offset": _offset,
         }.items():
-            cases[f"operand {i} {name}"] = lambda ops, i=i, edit=edit: (_replaced(ops, i, edit(ops[i])), None, False)
+            cases[f"operand {i} {name}"] = lambda ops, i=i, edit=edit: (_replaced(ops, i, edit(ops[i])), None)
     return cases
 
 
@@ -343,18 +423,15 @@ def _call_shapes(form: str, count=None) -> dict:
     }
 
 
-def _outcome(call, operands, out, debug):
+def _outcome(call, operands, out):
     """What one call did: its result's bits, dtype (with its metadata) and
     shape, whether it returned `out` or the first operand, and the first
     operand's bits after; or the exception's type and message. The outs
     form's tuple of destinations counts as their stack."""
-    before = debug_validation(debug)
     try:
         got = call(operands, out)
     except Exception as err:  # the comparison is the test
         return type(err), str(err)
-    finally:
-        debug_validation(before)
     got = np.stack(got) if isinstance(got, tuple) else got
     first = np.asarray(operands[0]) if operands else None
     return (np.ascontiguousarray(got).tobytes(), got.dtype, got.dtype.metadata, got.shape,
@@ -390,7 +467,7 @@ def test_native_path_agrees_with_the_generic_checks(kind, routine, form):
             def call(operands, out, method=method):
                 return shape(method or getattr(backend, form), routine, operands, out)
             ops = types.random_operands(routine, np.random.default_rng(seed), batch=count)
-            outcomes.append(_outcome(call, ops, None if spec.in_place else np.full(result, np.nan), False))
+            outcomes.append(_outcome(call, ops, None if spec.in_place else np.full(result, np.nan)))
         assert outcomes[0] == outcomes[1], name
 
 
@@ -521,7 +598,7 @@ def test_fuzzed_calls_give_the_generic_paths_outcome(call):
         operands, out = make()
         before = _target_bytes(operands, out)
         with np.errstate(over="ignore", invalid="ignore"):
-            outcome = _outcome(path, operands, out, False)
+            outcome = _outcome(path, operands, out)
         if isinstance(outcome[0], type):
             assert _target_bytes(operands, out) == before, outcome
         outcomes.append(outcome)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from su3bench import bench
+from su3bench import ROUTINE_NAMES, backends, bench, native
 from su3bench.bench import BenchConfig, TimingRecord
 
 FAST = dict(repetitions=3, warmup=1, min_region_s=0.0)
@@ -121,6 +121,22 @@ def test_streaming_scalar_factor_routines():
     cfg = _cfg(routine="scalar_mult_add_su3_vector", mode="streaming", dims=(2, 2, 2, 2))
     rec = bench.run(cfg)
     assert rec.invocations == 3 * 16
+
+
+@pytest.mark.skipif(native.load() is None, reason=f"native extension unavailable: {native.status()}")
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("backend", ["scalar", "vector"])
+def test_streaming_calls_never_reach_the_generic_checks(backend, precision, monkeypatch):
+    # Every timed call, the real factor of scalar_mult_add_* included, is
+    # one the native dispatcher takes; the Python checks would cost ~10 us.
+    def generic(*args):
+        raise AssertionError("a streaming call reached the generic checks")
+
+    monkeypatch.setattr(backends, "_check", generic)
+    for routine in ROUTINE_NAMES:
+        for alignment in ("aligned", "unaligned"):
+            bench.run(_cfg(routine=routine, backend=backend, precision=precision, alignment=alignment,
+                           mode="streaming", dims=(2, 2, 2, 2), repetitions=2))
 
 
 def test_environment_capture():

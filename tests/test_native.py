@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import su3bench
-from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Lattice4D, SiteBuffer, backends, debug_validation, get_backend, native, simd, types
-from su3bench.trace import NATIVE, entry, not_taken
+from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Lattice4D, SiteBuffer, backends, get_backend, native, simd, types
+from su3bench.trace import NATIVE, entry
 from test_simd_kernels import _special_sets
 
 MODULE = native.load()
@@ -36,18 +36,6 @@ def _entries(make):
     finally:
         NATIVE.clear()
         NATIVE.update(saved)
-
-
-@contextmanager
-def _python_paths():
-    """Every call runs its Python path: debug validation unbinds the
-    dispatchers, and no native entry takes a kernel's call."""
-    before = debug_validation(True)
-    try:
-        with _entries(lambda name: not_taken):
-            yield
-    finally:
-        debug_validation(before)
 
 
 def _native_only():
@@ -112,7 +100,7 @@ def _run(kernel, spec, ops, alias):
 @pytest.mark.parametrize("routine", ROUTINE_NAMES)
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
 @np.errstate(invalid="ignore", over="ignore")
-def test_native_matches_the_python_paths(kind, routine, precision):
+def test_native_matches_the_python_paths(kind, routine, precision, python_paths):
     # Per site the native loop performs the trace's steps in order, as the
     # trace's Python program (both backends) or numpy (the vector
     # elementwise kernels) does; an out that is an operand is read before it
@@ -124,7 +112,7 @@ def test_native_matches_the_python_paths(kind, routine, precision):
             for call_ops, alias in _calls(spec, ops):
                 with _native_only():
                     got = _run(kernel, spec, call_ops, alias)
-                with _python_paths():
+                with python_paths():
                     want = _run(kernel, spec, call_ops, alias)
                 assert _same(got, want), (n, alias)
 
@@ -210,8 +198,12 @@ def test_native_entry_refuses_what_it_does_not_take(name, rank):
     ]
     if spec.in_place:
         calls.append((ops, np.zeros_like(ops[0])))  # an out for the in-place routine
-    elif rank is None:
-        calls.append((ops, None))  # a kernel's own call without its out
+        calls += [variant(i, args[0]) for i in (1, 2)]  # an operand that is operand 0
+    else:
+        if rank is None:
+            calls.append((ops, None))  # a kernel's own call without its out
+        shared = np.zeros(args[0].size + args[-1].size, args[0].dtype)  # out one element into operand 0
+        calls.append(([shared[:args[0].size].reshape(args[0].shape), *ops[1:]], shared[1:1 + args[-1].size].reshape(args[-1].shape)))
     if batch:
         calls += [variant(0, args[0][::-1]), variant(0, args[0][:2]), variant(target, args[target][:2])]
     if "scalar" in spec.operands:
@@ -236,7 +228,7 @@ def test_native_entry_refuses_what_it_does_not_take(name, rank):
 @needs_native
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
 @pytest.mark.parametrize("routine", ["mult_adj_su3_mat_vec_4dir", "mult_su3_mat_vec_sum_4dir"])
-def test_warm_batch_apply_allocates_only_its_result(kind, routine):
+def test_warm_batch_apply_allocates_only_its_result(kind, routine, python_paths):
     # numpy reports its data allocations to tracemalloc. The Python
     # programs' per-call temporaries (here ~150 KB of gathered slabs) decided
     # whether a process's heap churned; the native loops allocate none.
@@ -255,7 +247,7 @@ def test_warm_batch_apply_allocates_only_its_result(kind, routine):
         finally:
             tracemalloc.stop()
 
-    with _python_paths():
+    with python_paths():
         python_peak, nbytes = traced_peak()
     assert python_peak > nbytes + slack
     peak, nbytes = traced_peak()
@@ -265,7 +257,7 @@ def test_warm_batch_apply_allocates_only_its_result(kind, routine):
 @needs_native
 @pytest.mark.parametrize("routine", ROUTINE_NAMES)
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
-def test_apply_and_batch_apply_run_one_native_call(kind, routine, precision):
+def test_apply_and_batch_apply_run_one_native_call(kind, routine, precision, python_paths):
     # The backend's dispatchers take every well-formed call of either form
     # (a fresh result or the caller's out, a Python-float factor for
     # double) as it stands, and give the generic path's bits.
@@ -285,7 +277,7 @@ def test_apply_and_batch_apply_run_one_native_call(kind, routine, precision):
         if "scalar" in spec.operands and precision == "double":
             calls.append([float(op.flat[0]) if what == "scalar" else op for op, what in zip(ops, spec.operands)])
         for call, out in ((call, out) for call in calls for out in outs):
-            with _python_paths():
+            with python_paths():
                 want = _run(backend.kernels[routine], spec, call, None)
             copies = [op.copy() if isinstance(op, np.ndarray) else op for op in call]
             keywords = {} if out is None else {"out": out}
@@ -296,38 +288,27 @@ def test_apply_and_batch_apply_run_one_native_call(kind, routine, precision):
 
 @needs_native
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
-def test_the_first_call_binds_the_dispatchers_and_debug_validation_unbinds_them(kind, monkeypatch):
+def test_get_backend_hands_out_the_dispatchers(kind):
+    # In a fresh process the first get_backend call binds every backend's
+    # dispatchers, so even a reference taken before any call is one.
+    code = ("import sys, su3bench; apply = su3bench.get_backend(sys.argv[1]).apply; "
+            "print(*(type(getattr(b, form)).__name__ for b in su3bench.backends._BACKENDS.values() "
+            "for form in ('apply', 'batch_apply')), type(apply).__name__)")
+    proc = subprocess.run([sys.executable, "-c", code, kind], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["dispatcher"] * 5
+
+
+@needs_native
+@pytest.mark.parametrize("kind", BACKEND_NAMES)
+def test_the_class_methods_are_the_generic_path_and_leave_the_instance_as_is(kind):
     backend = get_backend(kind)
+    bound = dict(vars(backend))
+    assert type(bound["apply"]) is type(bound["batch_apply"]) is MODULE.dispatcher
     a, b = types.random_operands("mult_su3_mat_vec", np.random.default_rng(5))
-    backend.apply("mult_su3_mat_vec", a, b)
-    assert type(backend.apply) is type(backend.batch_apply) is MODULE.dispatcher
-    calls = []
-
-    def counting(method):
-        def wrapper(self, routine, *args, **kwargs):
-            calls.append((method.__name__, routine))
-            return method(self, routine, *args, **kwargs)
-        return wrapper
-
-    for form in ("apply", "batch_apply"):
-        monkeypatch.setattr(backends.Backend, form, counting(getattr(backends.Backend, form)))
-    before = debug_validation(True)
-    try:
-        # Every call runs the generic path, with the debug checks: no call
-        # reaches a dispatcher, and none binds one.
-        with pytest.raises(ValueError, match="aliases an operand"):
-            backend.apply("mult_su3_mat_vec", a, b, out=b)
-        backend.apply("mult_su3_mat_vec", a, b, out=np.empty_like(b))
-        backend.batch_apply("mult_su3_mat_vec", [a[None], b[None]])
-        assert calls == [("apply", "mult_su3_mat_vec")] * 2 + [("batch_apply", "mult_su3_mat_vec")]
-        assert "apply" not in vars(backend) and "batch_apply" not in vars(backend)
-    finally:
-        monkeypatch.undo()
-        debug_validation(before)
-    # Turning it off binds the dispatchers again at once.
-    assert type(backend.apply) is type(backend.batch_apply) is MODULE.dispatcher
-    backend.batch_apply("mult_su3_mat_vec", [a[None], b[None]])
-    assert len(calls) == 3
+    out = backends.Backend.apply(backend, "mult_su3_mat_vec", a, b)
+    assert backends.Backend.batch_apply(backend, "mult_su3_mat_vec", [a[None], b[None]])[0].tobytes() == out.tobytes()
+    assert vars(backend) == bound
 
 
 def test_emitted_source_compiles_without_warnings(tmp_path):
@@ -399,7 +380,7 @@ def test_import_and_flop_table_import_no_native():
     # neither may import the emitter, let alone start a compiler, or bind a
     # dispatcher.
     code = ("import sys, su3bench; su3bench.flop_table(); print('su3bench.native' in sys.modules, "
-            "any(vars(su3bench.get_backend(kind)).keys() & {'apply', 'batch_apply'} for kind in su3bench.BACKEND_NAMES), "
+            "any(vars(b).keys() & {'apply', 'batch_apply'} for b in su3bench.backends._BACKENDS.values()), "
             "su3bench.capability()['native'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
