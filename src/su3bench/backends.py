@@ -24,19 +24,20 @@ them; ``sub_four_su3_vecs``'s operands 1-4 may share no memory with operand
 
 The first ``get_backend`` call of a process loads the native extension
 (``native``) and binds its dispatchers as every backend's ``apply`` and
-``batch_apply`` (``native.dispatchers``), so a call through a handed-out
+``batch_apply`` (``native.dispatchers``): builtin functions bound to the
+backend's routine table and generic method, so a call through a handed-out
 backend, or a reference taken from one, is one C call from the caller's
 first byte. A dispatcher makes the same checks in C for the calls it takes
 (C-contiguous exact ndarrays of one native float type; a 0-d or per-set
 factor of that type, or a Python float for float64), allocates the result
 only once they pass, and runs the kernel's loop. Every other call
-(``outs``, a ``count``, another keyword, an unknown routine, a call the
-checks refuse) it passes with the same arguments to the class's ``apply``
-or ``batch_apply``, the generic path: the checks in Python (``_check``,
-``_result``, ``_four_destinations``) and the kernel, which alone words a
-rejection. So a dispatcher changes no result and no error message; where
-there is no extension, every call runs the generic path. Importing the
-package binds nothing.
+(``outs``, another keyword, a positional ``out``, an unknown routine, a
+call the checks refuse) it passes with the same arguments to the class's
+``apply`` or ``batch_apply``, the generic path: the checks in Python
+(``_check``, ``_result``, ``_four_destinations``) and the kernel, which
+alone words a rejection. So a dispatcher changes no result and no error
+message; where there is no extension, every call runs the generic path.
+Importing the package binds nothing.
 """
 from __future__ import annotations
 
@@ -46,8 +47,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import scalar, simd
-from .trace import entry
-from .types import OPERAND_SHAPES, PRECISIONS, ROUTINE_NAMES, ROUTINES, RoutineSpec, batch_count, result_shape
+from .types import OPERAND_SHAPES, PRECISIONS, ROUTINE_NAMES, ROUTINES, RoutineSpec, result_shape
 
 
 _PRECISIONS = tuple(PRECISIONS.values())
@@ -166,7 +166,6 @@ class Backend:
         self.kernels = MappingProxyType({name: getattr(module, name) for name in ROUTINE_NAMES})
         self.routine_trace = module.routine_trace  # routine -> the trace its kernel and native loop run
         self._plans = {name: _plan_for(spec, self.kernels[name]) for name, spec in ROUTINES.items()}
-        self._entries = {name: entry(kind, name) for name in ROUTINE_NAMES}
 
     def _plan(self, routine: str) -> _Plan:
         try:
@@ -192,18 +191,20 @@ class Backend:
             return _four_destinations(plan, operands, out, outs)
         return _run(plan, operands, out, ())
 
-    def batch_apply(self, routine: str, operands, count: int | None = None, out: np.ndarray | None = None):
-        """Apply one kernel independently to each of `count` stacked operand sets.
+    def batch_apply(self, routine: str, operands, out: np.ndarray | None = None):
+        """Apply one kernel independently to each of the stacked operand sets.
 
         `operands` is a list or tuple. Operand arrays carry the batch axis
-        in front of the per-object shape; scalars are (count,) arrays or
-        plain numbers. A caller's `out` must be (count,) + the result shape.
-        The kernel runs once over all sets, bitwise identical to slicing out
-        each set and calling it on that. This is the generic path, as for
-        ``apply``.
+        in front of the per-object shape, and operand 0's leading size is
+        the number of sets; scalars are (count,) arrays or plain numbers. A
+        caller's `out` must be (count,) + the result shape. The kernel runs
+        once over all sets, bitwise identical to slicing out each set and
+        calling it on that. This is the generic path, as for ``apply``.
         """
         plan = self._plan(routine)
-        batch = (batch_count(plan.spec, operands, count),)
+        if not isinstance(operands, (list, tuple)):
+            raise ValueError(f"{routine}: operands must be a list or tuple, got {type(operands).__name__}")
+        batch = getattr(operands[0], "shape", ())[:1] if operands else ()  # operand 0 is never a real factor
         _check(plan, operands, out, batch)
         return _run(plan, operands, out, batch)
 
@@ -248,5 +249,5 @@ def get_backend(kind: str) -> Backend:
         from . import native
 
         for each in _BACKENDS.values():
-            vars(each).update(native.dispatchers(each._entries, Backend.apply.__get__(each), Backend.batch_apply.__get__(each)))
+            vars(each).update(native.dispatchers(each.kind, Backend.apply.__get__(each), Backend.batch_apply.__get__(each)))
     return backend

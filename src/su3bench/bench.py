@@ -1,7 +1,9 @@
 """Timing harness for the su3 kernels.
 
 Methodology: monotonic perf_counter timestamps around a repetition loop,
-after warmup repetitions (default 3) fault in code paths and data. If the
+after warmup repetitions (default 3) fault in code paths and data. The
+default repetition count covers about 10^6 site-invocations (10^6 calls of
+one site, 244 of a 4096-site batch, 15 sweeps of a 16^4 lattice). If the
 timed region comes in under the minimum region length (default 10 ms, at
 most 60 s) the repetition count is grown geometrically and the measurement
 redone, up to 10^9 repetitions, so per-invocation figures never rest on a
@@ -40,7 +42,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .backends import get_backend
+from .backends import BACKEND_NAMES, get_backend
 from .flops import flop_count
 from .lattice import Lattice4D, SiteBuffer
 from .simd import LANES, capability
@@ -52,6 +54,8 @@ _active = threading.Lock()
 # MAX_REGION_S seconds, which the repetition count grows to meet.
 _REPS_CAP = 1_000_000_000
 MAX_REGION_S = 60.0
+# The default repetition count covers about this many site-invocations.
+DEFAULT_SITES = 1_000_000
 
 LANE_BOUND = {precision: float(lanes) for precision, lanes in LANES.items()}
 
@@ -67,7 +71,7 @@ class BenchConfig:
     backend: str = "vector"
     precision: str = "double"
     mode: str = "hot"
-    repetitions: int = 1_000_000
+    repetitions: int | None = None  # None: about DEFAULT_SITES site-invocations
     warmup: int = 3
     batch_sites: int = 1
     dims: tuple[int, int, int, int] | None = None
@@ -77,35 +81,42 @@ class BenchConfig:
 
     def __post_init__(self) -> None:
         routine_spec(self.routine)
-        get_backend(self.backend)
+        if self.backend not in BACKEND_NAMES:
+            raise ValueError(f"unknown backend {self.backend!r}; expected one of {BACKEND_NAMES}")
         dtype_for(self.precision)
         if self.mode not in ("hot", "streaming"):
             raise ValueError(f"mode must be 'hot' or 'streaming', got {self.mode!r}")
         if self.alignment not in ("aligned", "unaligned"):
             raise ValueError(f"alignment must be 'aligned' or 'unaligned', got {self.alignment!r}")
-        if not isinstance(self.repetitions, int) or not 1 <= self.repetitions <= _REPS_CAP:
-            raise ValueError(f"repetitions must be an integer from 1 to {_REPS_CAP}")
         if not 0 <= self.warmup <= _REPS_CAP:
             raise ValueError(f"warmup must be from 0 to {_REPS_CAP}")
-        if self.batch_sites < 1:
-            raise ValueError("batch_sites must be >= 1")
+        if not isinstance(self.batch_sites, int) or self.batch_sites < 1:
+            raise ValueError("batch_sites must be an integer >= 1")
         if not 0 <= self.min_region_s <= MAX_REGION_S:
             raise ValueError(f"min_region_s must be from 0 to {MAX_REGION_S:g} seconds")
         if self.mode == "streaming":
             if self.dims is None:
                 raise ValueError("streaming mode requires lattice dims")
             self.dims = Lattice4D.from_dims(self.dims).dims
+        if self.repetitions is None:
+            self.repetitions = max(1, DEFAULT_SITES // _sites_per_call(self))
+        if not isinstance(self.repetitions, int) or not 1 <= self.repetitions <= _REPS_CAP:
+            raise ValueError(f"repetitions must be an integer from 1 to {_REPS_CAP}")
         need, limit = _footprint_bytes(self), _physical_memory_bytes()
         if limit is not None and need > limit:
             raise ValueError(f"{self.routine} needs {need} bytes of operand and result arrays, more than the {limit} bytes of physical memory")
 
 
+def _sites_per_call(config: BenchConfig) -> int:
+    """The sites one timed call runs over: the batch, or the whole lattice."""
+    return config.batch_sites if config.mode == "hot" else Lattice4D.from_dims(config.dims).volume
+
+
 def _footprint_bytes(config: BenchConfig) -> int:
     """Bytes of the operand and result (or in-place snapshot) arrays of one run."""
     spec = routine_spec(config.routine)
-    sites = config.batch_sites if config.mode == "hot" else Lattice4D.from_dims(config.dims).volume
     per_site = sum(math.prod(OPERAND_SHAPES[kind]) for kind in spec.operands + (spec.result,))
-    return sites * per_site * dtype_for(config.precision).itemsize
+    return _sites_per_call(config) * per_site * dtype_for(config.precision).itemsize
 
 
 def _physical_memory_bytes() -> int | None:
@@ -223,13 +234,13 @@ def _timed_region(call, repetitions: int, min_region_s: float) -> tuple[int, flo
         reps = int(min(max(2 * reps, grown), _REPS_CAP))
 
 
-def _measure(config: BenchConfig, setup, sites_per_call: int) -> TimingRecord:
+def _measure(config: BenchConfig, setup) -> TimingRecord:
     """The one measurement body of both modes.
 
     Under the module lock and a cpu pin, `setup()` gives the operands and the
     result array (None for the in-place routine, whose target is snapshotted
     instead); then warmup, the timed region and the final digest. Each call
-    is one batch_apply over `sites_per_call` sites.
+    is one batch_apply over ``_sites_per_call`` sites.
     """
     spec = routine_spec(config.routine)
     backend = get_backend(config.backend)
@@ -251,7 +262,7 @@ def _measure(config: BenchConfig, setup, sites_per_call: int) -> TimingRecord:
             precision=config.precision,
             mode=config.mode,
             alignment=config.alignment,
-            invocations=reps * sites_per_call,
+            invocations=reps * _sites_per_call(config),
             elapsed_s=elapsed,
             flops_per_invocation=flop_count(config.routine).total,
             output_digest=digest,
@@ -272,7 +283,7 @@ def run_hot(config: BenchConfig) -> TimingRecord:
         shape = (config.batch_sites,) + OPERAND_SHAPES[spec.result]
         return operands, None if spec.in_place else np.empty(shape, dtype=dtype_for(config.precision))
 
-    return _measure(config, setup, config.batch_sites)
+    return _measure(config, setup)
 
 
 def _streaming_fields(spec) -> dict[str, str]:
@@ -296,7 +307,7 @@ def run_streaming(config: BenchConfig) -> TimingRecord:
         operands = [scalar_value if kind == "scalar" else buf[f"op{i}"] for i, kind in enumerate(spec.operands)]
         return operands, None if spec.in_place else buf["result"]
 
-    return _measure(config, setup, lat.volume)
+    return _measure(config, setup)
 
 
 def run(config: BenchConfig) -> TimingRecord:

@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="hot-loop timing of one or more kernels")
     p.add_argument("--routine", type=_routine_list, required=True, help="comma-separated names or 'all'")
     p.add_argument("--backend", choices=("scalar", "vector", "both"), default="vector")
-    p.add_argument("--reps", type=int, default=1_000_000)
+    p.add_argument("--reps", type=int, help="calls to time (default: about 10^6 sites' worth)")
     p.add_argument("--warmup", type=int, default=3)
     p.add_argument("--batch-sites", type=int, default=1)
     p.add_argument("--min-region-ms", type=float, default=10.0)

@@ -18,14 +18,20 @@ alignment, so a ``SiteBuffer`` 4 bytes off its boundary runs here too. The
 ``mult_adj_su3_mat_vec_4dir``; both backends' ``add_su3_vector``) share
 one pair of loops.
 
+Every callable the module exports is a builtin function bound to its data.
 Each backend's routine has one METH_FASTCALL entry, named by
 ``trace.entry`` (``vector_mult_su3_nn``), for the kernels' own calls:
 ``entry(*operands, out)`` with the routine's operands in its order (the
-in-place routine takes no ``out``). The module's one ``dispatcher`` type is
-a backend's ``apply`` or ``batch_apply`` (``dispatchers``, which
-``backends.get_backend`` binds on its first call), called as
-``apply(routine, *operands, out=...)`` or ``batch_apply(routine, operands,
-out=...)`` with no Python frame between the caller and C. Both run ``run``,
+in-place routine takes no ``out``). All 30 are one C function, ``entry``,
+each bound to a capsule of its ``struct kernel``. A backend's ``apply`` and
+``batch_apply`` (``dispatchers``, which ``backends.get_backend`` binds on
+its first call) are one C function, ``dispatch``, bound to the backend's
+routine table (routine -> kernel), its generic method and the form,
+called as ``apply(routine, *operands, out=...)`` or ``batch_apply(routine,
+operands, out=...)`` with no Python frame between the caller and C; the
+module's ``dispatchers`` makes both, and takes only the module's own
+entries. So the module has no type of its own, and the interpreter's GC
+frees a dispatcher with what it holds. Both run ``run``,
 which reads the arguments through numpy's C API and makes every check of
 ``backends``' generic path for the calls it takes (see there), at the
 written argument's batch rank for an entry, 0 for ``apply`` and 1 for
@@ -34,8 +40,8 @@ operand 0's dtype) only once every check passes, and returns the argument
 written. Any other call it leaves untouched: an entry returns
 ``NotImplemented``, and the kernel runs its Python path; a dispatcher passes
 the call, as it came, to the backend's generic method, as it does every call
-of another form (another keyword, a positional ``count`` or ``out``, an
-unknown routine). So neither changes a result or an error message.
+of another form (another keyword, a positional ``out``, an unknown
+routine). So neither changes a result or an error message.
 
 gcc builds the module with ``-ffp-contract=off`` (no fused multiply-add,
 which would round once where the trace rounds twice) and
@@ -104,6 +110,7 @@ struct kernel {
     site_loop d, f;
 };
 
+#define KERNEL "su3native.kernel" /* the name of a capsule of a struct kernel */
 #define MAX_ARGS %(max_args)d
 #define MAX_RANK %(max_rank)d
 #define DIMS(x) PyArray_DIMS((PyArrayObject *)(x))
@@ -196,9 +203,12 @@ static PyObject *run(const struct kernel *k, int rank, PyObject *const *operands
     return args[target];
 }
 
-/* A kernel's own call, entry(*operands, out) (in place: entry(*operands)). */
-static PyObject *flat(const struct kernel *k, PyObject *const *args, Py_ssize_t nargs)
+/* A kernel's own call, entry(*operands, out) (in place: entry(*operands)),
+   bound to a capsule of its struct kernel: every entry of the module is
+   this one function. */
+static PyObject *entry(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
+    const struct kernel *k = PyCapsule_GetPointer(self, KERNEL);
     if (nargs != k->operands + !k->in_place)
         Py_RETURN_NOTIMPLEMENTED;
     return run(k, -1, args, k->operands, k->in_place ? Py_None : args[k->operands]);
@@ -206,35 +216,29 @@ static PyObject *flat(const struct kernel *k, PyObject *const *args, Py_ssize_t 
 
 """
 
-# The dispatcher type and the module's init, after the entries and their table.
-_DISPATCHER = r"""
-/* dispatcher(entries, rank, generic): a backend's apply (rank 0),
-   called as (routine, *operands, out=...), or batch_apply (rank 1),
-   called as (routine, operands, out=...), whose `entries` maps each
-   routine to the module entry that runs it. It runs a call of that form
-   through run; every other call, and every call run refuses, it passes
-   to `generic`, the backend's Python method, with the same arguments. */
-typedef struct {
-    PyObject_HEAD
-    vectorcallfunc call;
-    PyObject *kernels; /* routine -> a capsule of its struct kernel */
-    PyObject *generic;
-    int rank;
-} dispatcher;
+# The dispatchers and the module's init, after the entries' table.
+_DISPATCHERS = r"""
+static PyObject *out_name, *module_name; /* "out", interned as a call's keyword names are; "su3native" */
 
-static PyObject *out_name; /* "out", interned as a call's keyword names are */
-
-static PyObject *dispatch(PyObject *self, PyObject *const *args, size_t nargsf, PyObject *kwnames)
+/* A backend's apply, called as (routine, *operands, out=...), or
+   batch_apply, called as (routine, operands, out=...), bound to (kernels,
+   generic, batch): kernels maps each routine to a capsule of the struct
+   kernel that runs it, and batch is True for batch_apply. It runs a call of
+   that form through run, at batch rank 0 or 1; every other call, and every
+   call run refuses, it passes to generic, the backend's Python method, with
+   the same arguments. */
+static PyObject *dispatch(PyObject *self, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames)
 {
-    const dispatcher *d = (const dispatcher *)self;
-    const Py_ssize_t nargs = PyVectorcall_NARGS(nargsf), nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
+    const Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
     const int out_only = nkw == 0 || (nkw == 1 && (PyTuple_GET_ITEM(kwnames, 0) == out_name
                                                    || PyUnicode_Compare(PyTuple_GET_ITEM(kwnames, 0), out_name) == 0));
     PyObject *kernel, *result = Py_NotImplemented;
-    if (nargs >= 1 && out_only && PyUnicode_CheckExact(args[0]) && (kernel = PyDict_GetItemWithError(d->kernels, args[0]))) {
-        const struct kernel *k = PyCapsule_GetPointer(kernel, NULL);
+    if (nargs >= 1 && out_only && PyUnicode_CheckExact(args[0]) && (kernel = PyDict_GetItemWithError(PyTuple_GET_ITEM(self, 0), args[0]))) {
+        const struct kernel *k = PyCapsule_GetPointer(kernel, KERNEL); /* NULL if self[0] was altered from Python */
         PyObject *out = nkw ? args[nargs] : Py_None;
-        if (d->rank == 0)
+        if (!k)
+            return NULL;
+        if (PyTuple_GET_ITEM(self, 2) == Py_False)
             result = run(k, 0, args + 1, nargs - 1, out);
         else if (nargs == 2 && (PyTuple_CheckExact(args[1]) || PyList_CheckExact(args[1])))
             result = run(k, 1, PySequence_Fast_ITEMS(args[1]), PySequence_Fast_GET_SIZE(args[1]), out);
@@ -243,97 +247,77 @@ static PyObject *dispatch(PyObject *self, PyObject *const *args, size_t nargsf, 
     }
     if (PyErr_Occurred()) /* from the lookup */
         return NULL;
-    return PyObject_Vectorcall(d->generic, args, nargsf, kwnames);
+    return PyObject_Vectorcall(PyTuple_GET_ITEM(self, 1), args, nargs, kwnames);
 }
 
-static PyObject *dispatcher_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+static PyMethodDef forms[] = {
+    {"apply", (PyCFunction)(void (*)(void))dispatch, METH_FASTCALL | METH_KEYWORDS, "apply(routine, *operands, out=None): a backend's checked apply in C"},
+    {"batch_apply", (PyCFunction)(void (*)(void))dispatch, METH_FASTCALL | METH_KEYWORDS, "batch_apply(routine, operands, out=None): a backend's checked batch_apply in C"},
+};
+
+/* def as a builtin function of the module bound to self, whose reference it takes. */
+static PyObject *bind(PyMethodDef *def, PyObject *self)
 {
-    static char *keywords[] = {"entries", "rank", "generic", NULL};
-    PyObject *entries, *generic, *routine, *entry, *capsule;
+    PyObject *f = self ? PyCFunction_NewEx(def, self, module_name) : NULL;
+    Py_XDECREF(self);
+    return f;
+}
+
+/* dispatchers(entries, apply, batch_apply): {"apply": ..., "batch_apply":
+   ...}, the forms bound to the kernels of `entries` (routine -> one of
+   this module's entries) and the generic methods apply and batch_apply.
+   Any other value in `entries` is refused before its self is read. */
+static PyObject *dispatchers(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *entries, *generic[2], *routine, *value, *kernels, *f, *result = NULL;
     Py_ssize_t pos = 0;
-    int rank;
-    dispatcher *self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!iO:dispatcher", keywords, &PyDict_Type, &entries, &rank, &generic))
+    int i;
+    if (!PyArg_ParseTuple(args, "O!OO:dispatchers", &PyDict_Type, &entries, &generic[0], &generic[1]) || !(kernels = PyDict_New()))
         return NULL;
-    if (rank != 0 && rank != 1)
-        return PyErr_Format(PyExc_ValueError, "rank must be 0 (apply) or 1 (batch_apply), got %d", rank);
-    if (!(self = (dispatcher *)type->tp_alloc(type, 0)))
-        return NULL;
-    self->call = dispatch;
-    self->rank = rank;
-    self->generic = Py_NewRef(generic);
-    if (!(self->kernels = PyDict_New()))
-        goto fail;
-    while (PyDict_Next(entries, &pos, &routine, &entry)) {
-        const char *name = PyUnicode_AsUTF8(entry);
-        const struct named *e = table;
-        if (!name)
-            goto fail;
-        while (e->name && strcmp(e->name, name))
-            e++;
-        if (!e->name) {
-            PyErr_Format(PyExc_KeyError, "no entry %R", entry);
-            goto fail;
+    while (PyDict_Next(entries, &pos, &routine, &value)) {
+        if (!PyCFunction_Check(value) || PyCFunction_GET_FUNCTION(value) != (PyCFunction)(void (*)(void))entry) {
+            PyErr_Format(PyExc_TypeError, "%R is not an entry of this module", value);
+            goto done;
         }
-        if (!(capsule = PyCapsule_New((void *)e->k, NULL, NULL)) || PyDict_SetItem(self->kernels, routine, capsule) < 0) {
-            Py_XDECREF(capsule);
-            goto fail;
-        }
-        Py_DECREF(capsule);
+        if (PyDict_SetItem(kernels, routine, PyCFunction_GET_SELF(value)) < 0)
+            goto done;
     }
-    return (PyObject *)self;
-fail:
-    Py_DECREF(self);
-    return NULL;
+    result = PyDict_New();
+    for (i = 0; result && i < 2; i++) {
+        f = bind(&forms[i], PyTuple_Pack(3, kernels, generic[i], i ? Py_True : Py_False));
+        if (!f || PyDict_SetItemString(result, forms[i].ml_name, f) < 0)
+            Py_CLEAR(result);
+        Py_XDECREF(f);
+    }
+done:
+    Py_DECREF(kernels);
+    return result;
 }
 
-static int dispatcher_traverse(PyObject *self, visitproc visit, void *arg)
-{
-    Py_VISIT(((dispatcher *)self)->kernels);
-    Py_VISIT(((dispatcher *)self)->generic);
-    return 0;
-}
-
-static int dispatcher_clear(PyObject *self)
-{
-    Py_CLEAR(((dispatcher *)self)->kernels);
-    Py_CLEAR(((dispatcher *)self)->generic);
-    return 0;
-}
-
-static void dispatcher_dealloc(PyObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    dispatcher_clear(self);
-    Py_TYPE(self)->tp_free(self);
-}
-
-static PyTypeObject dispatcher_type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "su3native.dispatcher",
-    .tp_basicsize = sizeof(dispatcher),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_doc = "dispatcher(entries, rank, generic): a backend's checked apply (rank 0) or batch_apply (rank 1) in C",
-    .tp_vectorcall_offset = offsetof(dispatcher, call),
-    .tp_call = PyVectorcall_Call,
-    .tp_new = dispatcher_new,
-    .tp_dealloc = dispatcher_dealloc,
-    .tp_traverse = dispatcher_traverse,
-    .tp_clear = dispatcher_clear,
-    .tp_free = PyObject_GC_Del,
+static PyMethodDef methods[] = {
+    {"dispatchers", dispatchers, METH_VARARGS, "dispatchers(entries, apply, batch_apply): a backend's checked apply and batch_apply in C"},
+    {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, .m_name = "su3native", .m_size = -1, .m_methods = methods};
 
+/* The module: dispatchers, and each entry of the table bound to a capsule of its kernel. */
 PyMODINIT_FUNC PyInit_su3native(void)
 {
-    PyObject *m;
+    PyObject *m, *f;
+    size_t i;
     import_array();
-    if (PyType_Ready(&dispatcher_type) < 0 || !(out_name = PyUnicode_InternFromString("out")) || !(m = PyModule_Create(&module)))
+    if (!(out_name = PyUnicode_InternFromString("out")) || !(module_name = PyUnicode_FromString(module.m_name))
+        || !(m = PyModule_Create(&module)))
         return NULL;
-    if (PyModule_AddType(m, &dispatcher_type) < 0) {
-        Py_DECREF(m);
-        return NULL;
+    for (i = 0; i < Py_ARRAY_LENGTH(table); i++) {
+        f = bind(&table[i].def, PyCapsule_New((void *)table[i].k, KERNEL, NULL));
+        if (!f || PyModule_AddObjectRef(m, table[i].def.ml_name, f) < 0) {
+            Py_XDECREF(f);
+            Py_DECREF(m);
+            return NULL;
+        }
+        Py_DECREF(f);
     }
     return m;
 }
@@ -358,15 +342,15 @@ def status() -> str:
     return "not built yet" if _state is None else _state[1]
 
 
-def dispatchers(entries: dict, apply, batch_apply) -> dict:
-    """A backend's ``apply`` and ``batch_apply`` as the module's dispatchers
-    over `entries` (routine -> entry name), in front of the generic methods
-    `apply` and `batch_apply`; {} where the module is unavailable. Loads the
-    module on a process's first call."""
+def dispatchers(kind: str, apply, batch_apply) -> dict:
+    """Backend `kind`'s ``apply`` and ``batch_apply`` as the module's
+    dispatchers over its entries, in front of the generic methods `apply`
+    and `batch_apply`; {} where the module is unavailable. Loads the module
+    on a process's first call."""
     module = load()
     if module is None:
         return {}
-    return {"apply": module.dispatcher(entries, 0, apply), "batch_apply": module.dispatcher(entries, 1, batch_apply)}
+    return module.dispatchers({routine: getattr(module, entry(kind, routine)) for routine in ROUTINES}, apply, batch_apply)
 
 
 class _Unavailable(Exception):
@@ -458,17 +442,11 @@ def _emit(write, entries) -> None:
         write(f"static const npy_intp {name}_dims[] = {{{', '.join(map(str, dims))}}};\n")
         write(f"static const struct kernel {name}_kernel = {{{len(spec.operands)}, {int(spec.in_place)}, "
               f"{name}_ranks, {name}_dims, {first}_d, {first}_f}};\n")
-        write(f"static PyObject *{name}(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)\n"
-              f"{{\n    return flat(&{name}_kernel, args, nargs);\n}}\n")
-    write("\nstatic PyMethodDef methods[] = {\n")
+    write("\nstatic struct {\n    PyMethodDef def;\n    const struct kernel *k;\n} table[] = {\n")
     for name, _, _ in entries:
         doc = f"{name}(*operands, out): its trace over the sites of C-contiguous float64 or float32 arrays"
-        write(f'    {{"{name}", (PyCFunction)(void (*)(void)){name}, METH_FASTCALL, "{doc}"}},\n')
-    write("    {NULL, NULL, 0, NULL}\n};\n\n"
-          "static const struct named {\n    const char *name;\n    const struct kernel *k;\n} table[] = {\n")
-    for name, _, _ in entries:
-        write(f'    {{"{name}", &{name}_kernel}},\n')
-    write("    {NULL, NULL}\n};\n" + _DISPATCHER)
+        write(f'    {{{{"{name}", (PyCFunction)(void (*)(void))entry, METH_FASTCALL, "{doc}"}}, &{name}_kernel}},\n')
+    write("};\n" + _DISPATCHERS)
 
 
 def _emit_loop(write, name: str, trace, code: str, ctype: str) -> None:

@@ -152,30 +152,6 @@ def half_wilson_vector(values, precision: str | np.dtype = "double") -> np.ndarr
     return _pack_complex(values, (2, 3), dtype_for(precision), "half_wilson_vector")
 
 
-def batch_count(spec: RoutineSpec, operands, count: int | None = None) -> int:
-    """The batch size of stacked operands: the leading size their arrays share.
-
-    `operands` is a list or tuple. Array operands carry the batch axis
-    first; scalar-kind operands may also be plain numbers. Raises ValueError
-    if `operands` is not a list or tuple, `count` is not a non-negative
-    integer, or the leading sizes differ or disagree with `count`.
-    Per-object shapes are checked once, by ``backends.Backend``.
-    """
-    if not isinstance(operands, (list, tuple)):
-        raise ValueError(f"{spec.name}: operands must be a list or tuple, got {type(operands).__name__}")
-    if count is not None and (not isinstance(count, (int, np.integer)) or count < 0):
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
-    sizes = {np.shape(op)[0] for op in operands if np.ndim(op)}
-    if len(sizes) > 1:
-        raise ValueError(f"{spec.name}: inconsistent batch sizes {sorted(sizes)}")
-    if sizes:
-        inferred = sizes.pop()
-        if count is not None and count != inferred:
-            raise ValueError(f"count={count} does not match operand batch size {inferred}")
-        return inferred
-    return 0 if count is None else count
-
-
 def random_operands(
     routine: str,
     rng: np.random.Generator,

@@ -391,20 +391,19 @@ def _call_cases(routine: str, batch: tuple) -> dict:
     return cases
 
 
-def _generic(plan, form: str):
-    """apply or batch_apply (`form`) of `plan` through the generic checks alone."""
-    def call(operands, out, count=None):
-        batch = () if form == "apply" else (types.batch_count(plan.spec, operands, count),)
-        backends._check(plan, operands, out, batch)
-        return backends._run(plan, operands, out, batch)
-    return call
+def _generic(backend, routine: str, form: str):
+    """apply or batch_apply (`form`) of `routine` on the generic path: the
+    class's method, with no dispatcher in front of it."""
+    method = getattr(backends.Backend, form).__get__(backend)
+    if form == "apply":
+        return lambda operands, out: method(routine, *operands, out=out)
+    return lambda operands, out: method(routine, operands, out=out)
 
 
-def _call_shapes(form: str, count=None) -> dict:
+def _call_shapes(form: str) -> dict:
     """Name -> shape(method, routine, operands, out): each form of call of
     apply or batch_apply (`form`) besides the usual one, all of which the
-    native dispatcher passes to the generic path. `count` is a
-    batch_apply call's."""
+    native dispatcher passes to the generic path."""
     if form == "apply":
         return {
             "a keyword besides out": lambda m, r, ops, out: m(r, *ops, out=out, bogus=1),
@@ -417,9 +416,7 @@ def _call_shapes(form: str, count=None) -> dict:
         "a keyword besides out": lambda m, r, ops, out: m(r, ops, out=out, bogus=1),
         "an int routine": lambda m, r, ops, out: m(3, ops, out=out),
         "an unknown routine": lambda m, r, ops, out: m("mult_su3_zz", ops, out=out),
-        "a positional count": lambda m, r, ops, out: m(r, ops, count),
-        "a positional count and out": lambda m, r, ops, out: m(r, ops, count, out),
-        "count=None": lambda m, r, ops, out: m(r, ops, count=None, out=out),
+        "a positional out": lambda m, r, ops, out: m(r, ops, out),
     }
 
 
@@ -446,7 +443,7 @@ def test_native_path_agrees_with_the_generic_checks(kind, routine, form):
     # path gives, and every other call the same exception and message; a
     # call of another shape runs the generic method as it would unbound.
     backend = get_backend(kind)
-    generic = _generic(backend._plan(routine), form)
+    generic = _generic(backend, routine, form)
 
     def applied(operands, out):
         if form == "apply":
@@ -461,7 +458,7 @@ def test_native_path_agrees_with_the_generic_checks(kind, routine, form):
         assert outcomes[0] == outcomes[1], name
     spec = types.routine_spec(routine)
     result = (() if count is None else (count,)) + types.OPERAND_SHAPES[spec.result]
-    for name, shape in _call_shapes(form, count).items():
+    for name, shape in _call_shapes(form).items():
         outcomes = []
         for method in (getattr(backends.Backend, form).__get__(backend), None):
             def call(operands, out, method=method):
@@ -472,19 +469,19 @@ def test_native_path_agrees_with_the_generic_checks(kind, routine, form):
 
 
 def test_batch_apply_words_what_it_cannot_read(rng):
-    # A generator, a count that is not an integer, and one object where a
-    # stacked set is due, each named as such.
+    # A generator, one object where a stacked set is due, and stacks of
+    # different sizes, each named as such; the batch is operand 0's
+    # leading axis.
     backend = get_backend("scalar")
     v = types.random_operands("add_su3_vector", rng)[0]
     stacked = [v[None], v[None]]
     with pytest.raises(ValueError, match="add_su3_vector: operands must be a list or tuple, got generator"):
         backend.batch_apply("add_su3_vector", (op for op in stacked))
-    for count in ("2", 2.0, -1):
-        with pytest.raises(ValueError, match=re.escape(f"count must be a non-negative integer, got {count!r}")):
-            backend.batch_apply("add_su3_vector", stacked, count=count)
     with pytest.raises(ValueError, match=re.escape("operand 0 has shape (3, 2), one object with no batch axis; expected (count,) + (3, 2)")):
         backend.batch_apply("add_su3_vector", [v, v])
-    assert backend.batch_apply("add_su3_vector", tuple(stacked), count=np.int64(1)).shape == (1, 3, 2)
+    with pytest.raises(ValueError, match=re.escape("operand 1 has shape (2, 3, 2), expected (1, 3, 2)")):
+        backend.batch_apply("add_su3_vector", [v[None], np.stack([v, v])])
+    assert backend.batch_apply("add_su3_vector", tuple(stacked)).shape == (1, 3, 2)
 
 
 _DTYPES = [np.float64] * 3 + [np.float32] * 2 + [np.float16, ">f8", _WITH_METADATA]
@@ -530,7 +527,7 @@ _FACTOR_FORMS = {
 
 @st.composite
 def _fuzzed_calls(draw):
-    """(kind, routine, form, count, shape, make) where make() builds the
+    """(kind, routine, form, shape, make) where make() builds the
     call's operands and out afresh, NaN-filling the out, and shape is None
     for the usual form of call or one of ``_call_shapes``."""
     kind = draw(st.sampled_from(BACKEND_NAMES))
@@ -544,7 +541,6 @@ def _fuzzed_calls(draw):
     forms = [draw(st.sampled_from(list(_FACTOR_FORMS)) if kind == "scalar" else array_forms) for kind in spec.operands]
     out_form = None if spec.in_place and draw(st.booleans()) else draw(array_forms)
     out_form = draw(st.sampled_from([None, None, out_form]))
-    count = draw(st.sampled_from([None] * 6 + [len(batch) and batch[0], 2])) if form == "batch_apply" else None
     shape = draw(st.sampled_from([None] * 25 + list(_call_shapes(form))))
     seed = draw(st.integers(0, 2**32 - 1))
 
@@ -559,7 +555,7 @@ def _fuzzed_calls(draw):
             out = _ARRAY_FORMS[out_form](np.full(batch + types.OPERAND_SHAPES[spec.result], np.nan, dtype), batch)
         return operands, out
 
-    return kind, routine, form, count, shape, make
+    return kind, routine, form, shape, make
 
 
 def _target_bytes(operands, out):
@@ -575,23 +571,20 @@ def test_fuzzed_calls_give_the_generic_paths_outcome(call):
     # through the native dispatcher as through the generic checks (or, for
     # a call of another shape, the generic method), or the same exception
     # and message, and a refused call writes nothing.
-    kind, routine, form, count, shape, make = call
+    kind, routine, form, shape, make = call
     backend = get_backend(kind)
-    plan = backend._plan(routine)
 
     def generic(operands, out):
         if shape is not None:
-            return _call_shapes(form, count)[shape](getattr(backends.Backend, form).__get__(backend), routine, operands, out)
-        return _generic(plan, form)(operands, out, count)
+            return _call_shapes(form)[shape](getattr(backends.Backend, form).__get__(backend), routine, operands, out)
+        return _generic(backend, routine, form)(operands, out)
 
     def applied(operands, out):
         if shape is not None:
-            return _call_shapes(form, count)[shape](getattr(backend, form), routine, operands, out)
+            return _call_shapes(form)[shape](getattr(backend, form), routine, operands, out)
         if form == "apply":
             return backend.apply(routine, *operands, out=out)
-        if count is None:
-            return backend.batch_apply(routine, operands, out=out)
-        return backend.batch_apply(routine, operands, count=count, out=out)
+        return backend.batch_apply(routine, operands, out=out)
 
     outcomes = []
     for path in (generic, applied):

@@ -1,9 +1,11 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from su3bench import ROUTINE_NAMES, backends, bench, native
+from su3bench import ROUTINE_NAMES, backends, bench, cli, native
 from su3bench.bench import BenchConfig, TimingRecord
 
 FAST = dict(repetitions=3, warmup=1, min_region_s=0.0)
@@ -167,6 +169,9 @@ def test_config_validation():
         BenchConfig(routine="mult_su3_mat_vec", alignment="diagonal")
     with pytest.raises(ValueError):
         BenchConfig(routine="mult_su3_everything")
+    for bad in (0, 2.5):  # the default repetition count is derived from it
+        with pytest.raises(ValueError, match="batch_sites must be an integer"):
+            BenchConfig(routine="mult_su3_mat_vec", batch_sites=bad)
     for bad in (float("inf"), float("nan"), -0.5, bench.MAX_REGION_S * 1.01):
         with pytest.raises(ValueError, match="min_region_s"):
             BenchConfig(routine="mult_su3_mat_vec", min_region_s=bad)
@@ -174,6 +179,37 @@ def test_config_validation():
     for field in ("repetitions", "warmup"):
         with pytest.raises(ValueError, match=field):
             BenchConfig(routine="mult_su3_mat_vec", **{field: bench._REPS_CAP + 1})
+
+
+@pytest.mark.parametrize("settings, reps", [
+    ({}, 1_000_000),
+    ({"batch_sites": 4096}, 244),
+    ({"batch_sites": 3_000_000}, 1),
+    ({"mode": "streaming", "dims": (16, 16, 16, 16)}, 15),
+    ({"mode": "streaming", "dims": (2, 2, 2, 3)}, 41_666),
+])
+def test_default_repetitions_cover_a_million_sites(settings, reps):
+    # max(1, 10**6 // sites per call): the batch in hot mode, the lattice
+    # in streaming mode. A count that is given is kept.
+    assert BenchConfig("mult_su3_mat_vec", **settings).repetitions == reps
+    assert BenchConfig("mult_su3_mat_vec", repetitions=7, **settings).repetitions == 7
+    args = ["bench", "--routine", "mult_su3_mat_vec", "--batch-sites", str(settings.get("batch_sites", 1))]
+    if "dims" not in settings:
+        assert cli._hot_config(cli.build_parser().parse_args(args), "mult_su3_mat_vec", "vector").repetitions == reps
+
+
+def test_config_is_checked_without_the_native_module():
+    # Checking the backend's name builds and binds nothing, so on a host's
+    # first use a refused configuration does not wait for the compiler.
+    code = ("import sys\nfrom su3bench.bench import BenchConfig\n"
+            "for settings in ({'repetitions': 0}, {'backend': 'gpu'}, {}):\n"
+            "    try:\n        BenchConfig('mult_su3_nn', **settings)\n"
+            "    except ValueError as err:\n        print(err)\n"
+            "print('su3bench.native' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"repetitions must be an integer from 1 to {bench._REPS_CAP}",
+                                        "unknown backend 'gpu'; expected one of ('scalar', 'vector')", "False"]
 
 
 def test_speedup_row_ratio_and_flag():

@@ -2,6 +2,8 @@
 stand in for, and what their build promises: no packed or fused arithmetic,
 no per-call temporaries, nothing at import, and the Python paths where there
 is no compiler or no numpy header."""
+import datetime
+import gc
 import re
 import shutil
 import subprocess
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 import su3bench
-from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Lattice4D, SiteBuffer, backends, get_backend, native, simd, types
+from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Backend, Lattice4D, SiteBuffer, backends, get_backend, native, simd, types
 from su3bench.trace import NATIVE, entry
 from test_simd_kernels import _special_sets
 
@@ -36,6 +38,11 @@ def _entries(make):
     finally:
         NATIVE.clear()
         NATIVE.update(saved)
+
+
+def _table(kind):
+    """Routine -> backend `kind`'s native entry, as the module's dispatchers take it."""
+    return {routine: getattr(MODULE, entry(kind, routine)) for routine in ROUTINE_NAMES}
 
 
 def _native_only():
@@ -157,7 +164,9 @@ def test_native_entry_refuses_what_it_does_not_take(name, rank):
     spec = types.routine_spec(routine)
     refused = NotImplemented
     if rank is not None:
-        dispatcher = MODULE.dispatcher({routine: name}, rank, lambda *args, **kwargs: _REFUSED)
+        def generic(*args, **kwargs):
+            return _REFUSED
+        dispatcher = MODULE.dispatchers({routine: getattr(MODULE, name)}, generic, generic)["batch_apply" if rank else "apply"]
         refused = _REFUSED
     batch = () if rank == 0 else (3,)
     ops = types.random_operands(routine, np.random.default_rng(7), batch=batch[0] if batch else None)
@@ -269,7 +278,7 @@ def test_apply_and_batch_apply_run_one_native_call(kind, routine, precision, pyt
         raise AssertionError("the dispatcher did not take the call")
 
     for count in (None, 5):
-        dispatcher = MODULE.dispatcher(backend._entries, 0 if count is None else 1, generic)
+        dispatcher = MODULE.dispatchers(_table(kind), generic, generic)["apply" if count is None else "batch_apply"]
         ops = types.random_operands(routine, rng, precision, batch=count)
         prefix = () if count is None else (count,)
         outs = [None] if spec.in_place else [None, np.full(prefix + types.OPERAND_SHAPES[spec.result], np.nan, ops[0].dtype)]
@@ -291,12 +300,15 @@ def test_apply_and_batch_apply_run_one_native_call(kind, routine, precision, pyt
 def test_get_backend_hands_out_the_dispatchers(kind):
     # In a fresh process the first get_backend call binds every backend's
     # dispatchers, so even a reference taken before any call is one.
-    code = ("import sys, su3bench; apply = su3bench.get_backend(sys.argv[1]).apply; "
-            "print(*(type(getattr(b, form)).__name__ for b in su3bench.backends._BACKENDS.values() "
-            "for form in ('apply', 'batch_apply')), type(apply).__name__)")
+    code = ("import sys, su3bench\n"
+            "def what(f): return f'{type(f).__name__}:{f.__module__}:{f.__name__}'\n"
+            "apply = su3bench.get_backend(sys.argv[1]).apply\n"
+            "print(*(what(getattr(b, form)) for b in su3bench.backends._BACKENDS.values() "
+            "for form in ('apply', 'batch_apply')), what(apply))")
     proc = subprocess.run([sys.executable, "-c", code, kind], capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["dispatcher"] * 5
+    forms = [f"builtin_function_or_method:su3native:{form}" for form in ("apply", "batch_apply")]
+    assert proc.stdout.split() == forms * 2 + forms[:1]
 
 
 @needs_native
@@ -304,11 +316,61 @@ def test_get_backend_hands_out_the_dispatchers(kind):
 def test_the_class_methods_are_the_generic_path_and_leave_the_instance_as_is(kind):
     backend = get_backend(kind)
     bound = dict(vars(backend))
-    assert type(bound["apply"]) is type(bound["batch_apply"]) is MODULE.dispatcher
+    for form in ("apply", "batch_apply"):  # bound to (routine -> kernel, the class's method)
+        assert type(bound[form]) is type(MODULE.dispatchers) and bound[form].__module__ == "su3native"
+        assert bound[form].__self__[1] == getattr(backends.Backend, form).__get__(backend)
     a, b = types.random_operands("mult_su3_mat_vec", np.random.default_rng(5))
     out = backends.Backend.apply(backend, "mult_su3_mat_vec", a, b)
     assert backends.Backend.batch_apply(backend, "mult_su3_mat_vec", [a[None], b[None]])[0].tobytes() == out.tobytes()
     assert vars(backend) == bound
+
+
+@needs_native
+def test_dispatchers_hold_and_release_what_they_are_bound_to():
+    # Each dispatcher holds its routine table and generic method, and the
+    # interpreter's GC frees them: 1000 pairs made and dropped leave every
+    # reference count as it was.
+    table, backend = _table("vector"), get_backend("vector")
+    apply, batch_apply = Backend.apply.__get__(backend), Backend.batch_apply.__get__(backend)
+    watched = [apply, batch_apply, *table.values(), *(f.__self__ for f in table.values())]
+    gc.collect()
+    before = [sys.getrefcount(x) for x in watched]
+    for _ in range(1000):
+        pair = MODULE.dispatchers(table, apply, batch_apply)
+        assert pair["apply"].__self__[1] is apply and pair["batch_apply"].__self__[1] is batch_apply
+    del pair
+    gc.collect()
+    assert [sys.getrefcount(x) for x in watched] == before
+
+
+@needs_native
+def test_dispatchers_take_only_the_modules_entries():
+    # A value that is not one of the module's entries is refused before its
+    # self is read as a kernel, and nothing is bound; a routine table
+    # altered through a dispatcher's self raises rather than run a kernel.
+    table = _table("vector")
+    good = table["mult_su3_nn"]
+    generic = Backend.apply.__get__(get_backend("vector"))
+    watched = [generic, good, good.__self__]
+    before = [sys.getrefcount(x) for x in watched]
+    for bad in (len, good.__self__, datetime.datetime_CAPI, "vector_mult_su3_nn", None):
+        with pytest.raises(TypeError, match="is not an entry of this module"):
+            MODULE.dispatchers({"mult_su3_nn": good, "mult_su3_na": bad}, generic, generic)
+    assert [sys.getrefcount(x) for x in watched] == before
+    apply = MODULE.dispatchers(table, generic, generic)["apply"]
+    a, b = types.random_operands("mult_su3_nn", np.random.default_rng(8))
+    for value in (datetime.datetime_CAPI, len):
+        apply.__self__[0]["mult_su3_nn"] = value
+        with pytest.raises(ValueError):
+            apply("mult_su3_nn", a, b)
+
+
+@needs_native
+def test_every_export_is_a_builtin_function_of_the_module():
+    exports = {name: value for name, value in vars(MODULE).items() if not name.startswith("_")}
+    assert sorted(exports) == sorted(ENTRIES + ("dispatchers",))
+    for name, value in exports.items():
+        assert type(value) is type(len) and value.__module__ == "su3native" and value.__name__ == name
 
 
 def test_emitted_source_compiles_without_warnings(tmp_path):

@@ -135,48 +135,26 @@ def test_random_operands_deterministic(precision):
         assert np.array_equal(x, y)
 
 
-def test_batch_count_inference(rng):
-    spec = types.routine_spec("add_su3_vector")
-    ops = types.random_operands("add_su3_vector", rng, batch=6)
-    assert types.batch_count(spec, ops) == 6
-    assert types.batch_count(spec, ops, count=6) == 6
-
-
-def test_batch_count_rejects_mismatch(rng):
-    spec = types.routine_spec("add_su3_vector")
-    ops = types.random_operands("add_su3_vector", rng, batch=6)
-    with pytest.raises(ValueError):
-        types.batch_count(spec, ops, count=4)
-    ragged = [ops[0], ops[1][:3]]
-    with pytest.raises(ValueError):
-        types.batch_count(spec, ragged)
-
-
-def test_batch_count_scalar_operand_may_be_0d(rng):
-    spec = types.routine_spec("scalar_mult_add_su3_vector")
-    a, b, s = types.random_operands("scalar_mult_add_su3_vector", rng, batch=4)
-    shared = np.float64(0.5)
-    assert types.batch_count(spec, [a, b, shared]) == 4
-
-
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
-def test_batch_apply_rejects_what_batch_count_rejected(kind, rng):
-    # batch_count infers the size; every shape is checked once, in Backend.
+def test_batch_apply_rejects_misshapen_stacks(kind, rng):
+    # The batch is operand 0's leading axis; every other shape is checked
+    # against it once, in Backend. A real factor may be one number for all.
     backend = get_backend(kind)
     a, b, s = types.random_operands("scalar_mult_add_su3_vector", rng, batch=4)
     rejected = {
-        "ragged": ([a, b[:3], s], None),
-        "count mismatch": ([a, b, s], 5),
-        "factor of another batch size": ([a, b, s[:3]], None),
-        "factor with an extra axis": ([a, b, s[:, None]], None),
-        "factor shaped like an operand": ([a, b, np.ones((4, 3, 2))], None),
-        "misshapen object": ([a, b.reshape(4, 2, 3), s], None),
-        "operand missing its batch axis": ([a, b[0], s], None),
-        "a number for an array operand": ([a, 0.5, s], None),
-        "too few operands": ([a, b], None),
+        "ragged": [a, b[:3], s],
+        "operand 0 shorter": [a[:3], b, s],
+        "factor of another batch size": [a, b, s[:3]],
+        "factor with an extra axis": [a, b, s[:, None]],
+        "factor shaped like an operand": [a, b, np.ones((4, 3, 2))],
+        "misshapen object": [a, b.reshape(4, 2, 3), s],
+        "operand missing its batch axis": [a, b[0], s],
+        "a number for an array operand": [a, 0.5, s],
+        "too few operands": [a, b],
     }
-    for name, (operands, count) in rejected.items():
+    for name, operands in rejected.items():
         with pytest.raises(ValueError):
-            backend.batch_apply("scalar_mult_add_su3_vector", operands, count=count)
+            backend.batch_apply("scalar_mult_add_su3_vector", operands)
             pytest.fail(name)
-    assert backend.batch_apply("scalar_mult_add_su3_vector", [a, b, s], count=4).shape == (4, 3, 2)
+    assert backend.batch_apply("scalar_mult_add_su3_vector", [a, b, s]).shape == (4, 3, 2)
+    assert backend.batch_apply("scalar_mult_add_su3_vector", [a, b, np.float64(0.5)]).shape == (4, 3, 2)
