@@ -278,8 +278,7 @@ def run_hot(config: BenchConfig) -> TimingRecord:
     spec = routine_spec(config.routine)
 
     def setup():
-        rng = np.random.default_rng(config.seed)
-        operands = random_operands(config.routine, rng, config.precision, batch=config.batch_sites)
+        operands = random_operands(config.routine, config.seed, config.precision, batch=config.batch_sites)
         shape = (config.batch_sites,) + OPERAND_SHAPES[spec.result]
         return operands, None if spec.in_place else np.empty(shape, dtype=dtype_for(config.precision))
 

@@ -43,6 +43,18 @@ the call, as it came, to the backend's generic method, as it does every call
 of another form (another keyword, a positional ``out``, an unknown
 routine). So neither changes a result or an error message.
 
+The module's ``uniform(seed, out)`` draws ``types.random_operands``'
+components from a seed in one pass with no ``Generator`` built: numpy's
+``SeedSequence`` mixing of the seed's uint32 words (read as numpy's
+``_coerce_to_uint32_array`` reads an int >= 0 or a list or tuple of them),
+PCG64 seeded from its ``generate_state(4, uint64)``, the XSL-RR output on
+``unsigned __int128``, ``(x >> 11) * 2**-53``, then ``u *= 2.0; u -= 1.0``
+in double, stored in ``out``'s precision: the bits of
+``default_rng(seed).random()`` scaled as ``random_operands`` scales them.
+Any other seed or ``out`` it leaves untouched and returns
+``NotImplemented``, and the draw goes through numpy. It is emitted after
+the site loops and dispatchers, so their emitted source is as it was.
+
 gcc builds the module with ``-ffp-contract=off`` (no fused multiply-add,
 which would round once where the trace rounds twice) and
 ``-fno-tree-vectorize`` (no packed arithmetic), synchronously and with a
@@ -294,8 +306,185 @@ done:
     return result;
 }
 
+/* numpy's SeedSequence (numpy/random/bit_generator.pyx) with its pool of
+   four words, fed its entropy one uint32 word at a time. */
+struct seed_sequence {
+    uint32_t pool[4], hash;
+    Py_ssize_t words;
+};
+
+static uint32_t hashmix(struct seed_sequence *s, uint32_t value)
+{
+    value ^= s->hash;
+    s->hash *= 0x931e8875u;
+    value *= s->hash;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    const uint32_t result = 0xca01f9ddu * x - 0x4973f715u * y;
+    return result ^ result >> 16;
+}
+
+/* Every pool word into every other, once the first four words are in. */
+static void mix_pool(struct seed_sequence *s)
+{
+    int src, dst;
+    for (src = 0; src < 4; src++)
+        for (dst = 0; dst < 4; dst++)
+            if (src != dst)
+                s->pool[dst] = mix(s->pool[dst], hashmix(s, s->pool[src]));
+}
+
+static void feed(struct seed_sequence *s, uint32_t word)
+{
+    int dst;
+    if (s->words < 4)
+        s->pool[s->words] = hashmix(s, word);
+    else {
+        if (s->words == 4)
+            mix_pool(s);
+        for (dst = 0; dst < 4; dst++)
+            s->pool[dst] = mix(s->pool[dst], hashmix(s, word));
+    }
+    s->words++;
+}
+
+/* Feed v's words as numpy's _coerce_to_uint32_array reads an int: 0 is one
+   word, any other value its little-endian words up to the highest nonzero
+   one. Returns 1, 0 (feeding nothing more) if v is not an exact int >= 0,
+   or -1 with an error set. */
+static int feed_int(struct seed_sequence *s, PyObject *v)
+{
+    long long low;
+    int overflow, wide = 0;
+    if (!PyLong_CheckExact(v))
+        return 0;
+    Py_INCREF(v);
+    while (low = PyLong_AsLongLongAndOverflow(v, &overflow), overflow > 0) { /* 2**63 or more: 64 bits at a time */
+        const unsigned long long bits = PyLong_AsUnsignedLongLongMask(v);
+        PyObject *shift = PyLong_FromLong(64), *rest = shift ? PyNumber_Rshift(v, shift) : NULL;
+        Py_XDECREF(shift);
+        Py_DECREF(v);
+        if (!rest)
+            return -1;
+        feed(s, (uint32_t)bits);
+        feed(s, (uint32_t)(bits >> 32));
+        v = rest;
+        wide = 1;
+    }
+    Py_DECREF(v);
+    if (low == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow < 0 || low < 0)
+        return 0;
+    if (!wide || low) /* a wide int's top words end with its highest nonzero one */
+        do
+            feed(s, (uint32_t)low);
+        while (low >>= 32);
+    return 1;
+}
+
+/* SeedSequence.generate_state(4, numpy.uint64) of what s was fed. */
+static void generate_state(struct seed_sequence *s, uint64_t state[4])
+{
+    uint32_t hash = 0x8b51f9ddu, w[8];
+    int i;
+    if (s->words <= 4) {
+        while (s->words < 4)
+            s->pool[s->words++] = hashmix(s, 0);
+        mix_pool(s);
+    }
+    for (i = 0; i < 8; i++) {
+        w[i] = s->pool[i % 4] ^ hash;
+        hash *= 0x58f38dedu;
+        w[i] *= hash;
+        w[i] ^= w[i] >> 16;
+    }
+    for (i = 0; i < 4; i++)
+        state[i] = (uint64_t)w[2 * i + 1] << 32 | w[2 * i];
+}
+
+/* PCG64 (O'Neill, HMC-CS-2014-0905) as numpy's PCG64 runs it: a 128-bit LCG
+   stepped before each output, and the XSL-RR output of the new state. */
+__extension__ typedef unsigned __int128 pcg128;
+#define PCG_MULTIPLIER ((pcg128)2549297995355413924ULL << 64 | 4865540595714422341ULL)
+
+struct pcg64 {
+    pcg128 state, inc;
+};
+
+static uint64_t pcg64_next(struct pcg64 *g)
+{
+    uint64_t x;
+    unsigned rot;
+    g->state = g->state * PCG_MULTIPLIER + g->inc;
+    x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    rot = (unsigned)(g->state >> 122);
+    return x >> rot | x << (-rot & 63);
+}
+
+/* uniform(seed, out): fill out, a C-contiguous float64 or float32 array,
+   with the first out.size doubles u of numpy.random.default_rng(seed).random(),
+   each as u *= 2.0, u - 1.0 in double, stored in out's precision. seed is
+   an exact int >= 0 or a list or tuple of them. Returns out, or
+   NotImplemented, having written nothing, for any other seed or out. */
+static PyObject *uniform(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    struct seed_sequence s = {.hash = 0x43b0d7e5u};
+    struct pcg64 g;
+    uint64_t state[4];
+    PyObject *const *items;
+    PyArrayObject *a;
+    Py_ssize_t count, i, n;
+    char *p;
+    int r;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "uniform takes 2 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    a = (PyArrayObject *)args[1];
+    if (!PyArray_CheckExact(a) || !PyArray_IS_C_CONTIGUOUS(a) || !PyArray_ISNOTSWAPPED(a) || !PyArray_ISWRITEABLE(a)
+        || (PyArray_TYPE(a) != NPY_DOUBLE && PyArray_TYPE(a) != NPY_FLOAT))
+        Py_RETURN_NOTIMPLEMENTED;
+    if (PyList_CheckExact(args[0]) || PyTuple_CheckExact(args[0])) {
+        items = PySequence_Fast_ITEMS(args[0]);
+        count = PySequence_Fast_GET_SIZE(args[0]);
+    } else {
+        items = args;
+        count = 1;
+    }
+    for (i = 0; i < count; i++)
+        if ((r = feed_int(&s, items[i])) <= 0) {
+            if (r < 0)
+                return NULL;
+            Py_RETURN_NOTIMPLEMENTED;
+        }
+    generate_state(&s, state);
+    g.state = 0; /* pcg_setseq_128_srandom_r(initstate = s0 << 64 | s1, initseq = s2 << 64 | s3) */
+    g.inc = ((pcg128)state[2] << 64 | state[3]) << 1 | 1;
+    pcg64_next(&g);
+    g.state += (pcg128)state[0] << 64 | state[1];
+    pcg64_next(&g);
+    n = PyArray_SIZE(a);
+    p = PyArray_BYTES(a);
+    for (i = 0; i < n; i++) {
+        double u = (double)(pcg64_next(&g) >> 11) * (1.0 / 9007199254740992.0);
+        u *= 2.0;
+        u -= 1.0;
+        if (PyArray_TYPE(a) == NPY_DOUBLE)
+            st_d(p, i, u);
+        else
+            st_f(p, i, (float)u);
+    }
+    Py_INCREF(a);
+    return (PyObject *)a;
+}
+
 static PyMethodDef methods[] = {
     {"dispatchers", dispatchers, METH_VARARGS, "dispatchers(entries, apply, batch_apply): a backend's checked apply and batch_apply in C"},
+    {"uniform", (PyCFunction)(void (*)(void))uniform, METH_FASTCALL, "uniform(seed, out): numpy.random.default_rng(seed).random() scaled to 2u - 1 into out"},
     {NULL, NULL, 0, NULL},
 };
 

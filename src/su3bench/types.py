@@ -154,29 +154,52 @@ def half_wilson_vector(values, precision: str | np.dtype = "double") -> np.ndarr
 
 def random_operands(
     routine: str,
-    rng: np.random.Generator,
+    rng,
     precision: str | np.dtype = "double",
     batch: int | None = None,
 ) -> list[np.ndarray]:
     """Draw one operand set (or a batch) with components uniform in [-1, 1].
 
-    One draw serves the set: ``rng.random`` gives every component's double
-    in operand order, and ``2 * u - 1`` is what ``Generator.uniform(-1, 1)``
-    computes from it, so the components are those that one ``uniform`` call
-    per operand would draw. The operands are views of the one array,
-    converted to the precision once.
+    `rng` is a ``numpy.random.Generator`` or a seed, anything
+    ``np.random.default_rng`` takes; a seed draws the bits
+    ``default_rng(seed)`` would. One draw serves the set: ``rng.random``
+    gives every component's double in operand order, and ``2 * u - 1`` is
+    what ``Generator.uniform(-1, 1)`` computes from it, so the components
+    are those that one ``uniform`` call per operand would draw. The
+    operands are views of the one array, converted to the precision once.
+
+    A seed that is an exact int >= 0, or a list or tuple of them, is drawn
+    by the native module in one pass, with no Generator built: numpy's
+    SeedSequence and PCG64 stream, bit for bit. Any other seed, or a host
+    without the module, takes ``default_rng``, so its errors are numpy's.
     """
     spec = routine_spec(routine)
     dt = dtype_for(precision)
     prefix = () if batch is None else (batch,)
     shapes = [prefix + OPERAND_SHAPES[kind] for kind in spec.operands]
-    u = rng.random(sum(math.prod(shape) for shape in shapes))
-    u *= 2.0
-    u -= 1.0
-    u = u.astype(dt, copy=False)
+    size = sum(math.prod(shape) for shape in shapes)
+    # Only these forms can reach the module, so no other loads (or builds) it.
+    u = _native_uniform(rng, size, dt) if type(rng) in (int, list, tuple) else None
+    if u is None:
+        u = np.random.default_rng(rng).random(size)
+        u *= 2.0
+        u -= 1.0
+        u = u.astype(dt, copy=False)
     ops, start = [], 0
     for shape in shapes:
         stop = start + math.prod(shape)
         ops.append(u[start:stop].reshape(shape))
         start = stop
     return ops
+
+
+def _native_uniform(seed, size: int, dt: np.dtype) -> np.ndarray | None:
+    """`size` components of `seed`'s draw, each ``2 * u - 1`` in `dt`, from
+    the native module; None where it is unavailable or does not take `seed`."""
+    from . import native  # not at import: counting operations builds nothing
+
+    module = native.load()
+    if module is None:
+        return None
+    out = np.empty(size, dt)
+    return None if module.uniform(seed, out) is NotImplemented else out

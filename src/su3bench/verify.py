@@ -15,6 +15,11 @@ Both backends evaluate each output component with one canonical association
 (see the scalar backend), so measured errors are expected to be exactly
 zero; the tolerance exists to catch any divergence.
 
+``check_routine`` draws each routine and precision's operands from its own
+seed key, ``[seed, routine index, itemsize]``: ``random_operands`` draws the
+bits ``np.random.default_rng(key)`` would, in the native module's one pass
+where it is built (see ``native``), so no Generator is made per check.
+
 ``check_routine`` measures only the components where the two outputs
 differ: an equal component (``-0.0`` and ``+0.0`` included) has error 0 by
 definition, so floors are computed for the trials holding a difference and
@@ -99,8 +104,7 @@ def check_routine(
     _check_sweep(trials, tolerance_ulps)
     spec = routine_spec(routine)
     dt = dtype_for(precision)
-    rng = np.random.default_rng([seed, ROUTINE_NAMES.index(routine), dt.itemsize])
-    operands = random_operands(routine, rng, precision, batch=trials)
+    operands = random_operands(routine, [seed, ROUTINE_NAMES.index(routine), dt.itemsize], precision, batch=trials)
     ref = np.asarray(_route("scalar", routine, operands, spec.in_place))
     cand = np.asarray(_route("vector", routine, operands, spec.in_place))
     if inject_fault and trials:

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from su3bench import ROUTINE_NAMES, backends, bench, cli, native
+from su3bench import ROUTINE_NAMES, backends, bench, cli, native, types
 from su3bench.bench import BenchConfig, TimingRecord
 
 FAST = dict(repetitions=3, warmup=1, min_region_s=0.0)
@@ -63,6 +63,24 @@ def test_fixed_reps_run_is_deterministic():
     assert a.invocations == b.invocations
     c = bench.run(_cfg(seed=8))
     assert c.output_digest != a.output_digest
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**40])
+def test_hot_run_draws_its_seeds_generator_operands(seed, precision, monkeypatch):
+    # The hot run draws from config.seed itself; its operands are the bits a
+    # Generator seeded with it draws.
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append([op.copy() for op in types.random_operands(*args, **kwargs)])
+        return drawn[-1]
+
+    monkeypatch.setattr(bench, "random_operands", recording)
+    config = _cfg(routine="scalar_mult_add_su3_matrix", precision=precision, batch_sites=4, seed=seed)
+    bench.run(config)
+    want = types.random_operands(config.routine, np.random.default_rng(seed), precision, batch=4)
+    assert len(drawn) == 1
+    assert [(x.dtype, x.shape, x.tobytes()) for x in drawn[0]] == [(x.dtype, x.shape, x.tobytes()) for x in want]
 
 
 def test_scalar_and_vector_digests_agree():

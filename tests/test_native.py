@@ -368,9 +368,31 @@ def test_dispatchers_take_only_the_modules_entries():
 @needs_native
 def test_every_export_is_a_builtin_function_of_the_module():
     exports = {name: value for name, value in vars(MODULE).items() if not name.startswith("_")}
-    assert sorted(exports) == sorted(ENTRIES + ("dispatchers",))
+    assert sorted(exports) == sorted(ENTRIES + ("dispatchers", "uniform"))
     for name, value in exports.items():
         assert type(value) is type(len) and value.__module__ == "su3native" and value.__name__ == name
+
+
+@needs_native
+def test_uniform_refuses_what_it_does_not_take():
+    # It writes only a C-contiguous, writeable, native-order float64 or
+    # float32 array, from an exact int >= 0 or a list or tuple of them;
+    # anything else it leaves untouched and returns NotImplemented, so that
+    # types.random_operands draws through numpy.
+    def filled(dtype="f8"):
+        return np.full(6, 7.0, dtype)
+
+    good = filled()
+    assert MODULE.uniform([1, 2], good) is good and not (good == 7.0).any()
+    read_only = filled()
+    read_only.flags.writeable = False
+    for seed, out in [(1, filled("f2")), (1, filled(">f8")), (1, read_only), (1, np.full((3, 4), 7.0)[:, ::2]),
+                      (1, filled().tolist()), (-1, filled()), (True, filled()), (2.5, filled()), (np.int64(1), filled()),
+                      ([1, -1], filled()), ([1, 2**70, None], filled()), ([[1]], filled()), (None, filled())]:
+        assert MODULE.uniform(seed, out) is NotImplemented
+        assert np.asarray(out).tolist() == np.full(np.shape(out), 7.0).tolist()
+    with pytest.raises(TypeError):
+        MODULE.uniform(1)
 
 
 def test_emitted_source_compiles_without_warnings(tmp_path):

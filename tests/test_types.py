@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from su3bench import BACKEND_NAMES, get_backend, types
+from su3bench import BACKEND_NAMES, get_backend, native, types, verify
 from tutil import complex_to_pairs, pairs_to_complex
 
 
@@ -115,17 +117,86 @@ def _uniform_per_operand(routine, rng, precision, batch):
     return [rng.uniform(-1.0, 1.0, size=shape).astype(dt, copy=False) for shape in shapes]
 
 
-@pytest.mark.parametrize("batch", [None, 128])
-def test_random_operands_draw_what_per_operand_uniform_draws(batch, precision):
+def _bits(ops):
+    return [(type(x), x.dtype, x.shape, x.tobytes()) for x in ops]
+
+
+@pytest.mark.parametrize("form", ["generator", "seed"])
+@pytest.mark.parametrize("batch", [None, 0, 1, 128])
+def test_random_operands_draw_what_per_operand_uniform_draws(batch, precision, form):
     # One rng.random call scaled to [-1, 1) in place gives uniform's bits
-    # (low + (high - low) * u), and leaves the generator in the same state.
+    # (low + (high - low) * u), and leaves the generator in the same state;
+    # the seed a generator was made from draws the same bits.
     for routine in types.ROUTINE_NAMES:
         for seed in range(3):
             mine, theirs = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 5])
-            got = types.random_operands(routine, mine, precision, batch)
+            got = types.random_operands(routine, mine if form == "generator" else [seed, 5], precision, batch)
             want = _uniform_per_operand(routine, theirs, precision, batch)
-            assert [(type(x), x.dtype, x.shape, x.tobytes()) for x in got] == [(type(x), x.dtype, x.shape, x.tobytes()) for x in want]
-            assert mine.random() == theirs.random()
+            assert _bits(got) == _bits(want)
+            if form == "generator":
+                assert mine.random() == theirs.random()
+
+
+NATIVE = native.load() is not None
+
+# Seeds of every width: multi-word ints, empty and all-zero sequences,
+# check_routine's keys, and entropy longer than SeedSequence's pool of four
+# words (5 and 9 words).
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 5, 2**128, [], [0], [0, 0], (0, 0, 0, 0),
+         [verify.DEFAULT_SEED, 0, 8], [verify.DEFAULT_SEED, 14, 4], [41, 3, 8], [1, 2, 3, 4, 5],
+         (2**64 + 5, 7, 2**40), list(range(9))]
+
+
+def _generator_free(patch):
+    """Make building a numpy Generator fail, where the native module draws."""
+    if NATIVE:
+        patch.setattr(np.random, "default_rng", lambda *a: pytest.fail("a seed built a Generator"))
+
+
+def _draws_as_its_generator(seed, routines, precisions, batches):
+    for precision in precisions:
+        for batch in batches:
+            for routine in routines:
+                want = types.random_operands(routine, np.random.default_rng(seed), precision, batch)
+                with pytest.MonkeyPatch.context() as patch:
+                    _generator_free(patch)
+                    got = types.random_operands(routine, seed, precision, batch)
+                assert _bits(got) == _bits(want), (routine, precision, batch)
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=repr)
+def test_a_seed_draws_default_rngs_bits_with_no_generator(seed):
+    _draws_as_its_generator(seed, types.ROUTINE_NAMES, ("double", "single"), (None, 0, 1, 128))
+
+
+@given(st.one_of(st.integers(0, 2**128), st.lists(st.integers(0, 2**128), max_size=10)))
+def test_any_int_seed_draws_default_rngs_bits(seed):
+    _draws_as_its_generator(seed, ["mult_su3_mat_vec_sum_4dir", "scalar_mult_add_su3_vector"], ("double", "single"), (None, 3))
+
+
+def _outcome(draw):
+    """The bits drawn, or the error raised: its type and message."""
+    try:
+        return _bits(draw())
+    except Exception as err:  # noqa: BLE001 - any error is compared
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("seed", [True, np.int64(3), np.uint32(7), -1, [1, -1], [True, 2], [np.int64(3)], [[1, 2], 3],
+                                  2.5, [2.5], "12", np.random.SeedSequence(5), np.array([1, 2], dtype=np.uint32)], ids=repr)
+def test_seeds_the_native_path_does_not_take_go_through_default_rng(seed):
+    for precision in ("double", "single"):
+        for batch in (None, 4):
+            got = _outcome(lambda: types.random_operands("scalar_mult_add_su3_vector", seed, precision, batch))
+            want = _outcome(lambda: types.random_operands("scalar_mult_add_su3_vector", np.random.default_rng(seed), precision, batch))
+            assert got == want
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 5, [verify.DEFAULT_SEED, 3, 8], list(range(9))], ids=repr)
+def test_a_seed_draws_the_same_bits_without_the_module(seed, monkeypatch):
+    want = [_bits(types.random_operands(routine, seed, "single", 2)) for routine in types.ROUTINE_NAMES]
+    monkeypatch.setattr(native, "_state", (None, "unavailable"))
+    assert [_bits(types.random_operands(routine, seed, "single", 2)) for routine in types.ROUTINE_NAMES] == want
 
 
 def test_random_operands_deterministic(precision):

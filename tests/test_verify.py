@@ -124,3 +124,25 @@ def test_crafted_pairs_reach_each_case():
     assert cases["late trial"][1] == 8 and cases["tied maxima"][1:] == (2, (1, 1, 0))
     assert np.isnan(cases["NaN in the candidate"][0]) and cases["NaN in the candidate"][1] == 5
     assert np.isnan(cases["+inf in the candidate"][0]) and cases["zero trials"] == (0.0, -1, ())
+
+
+def test_check_routine_draws_each_case_from_its_key(monkeypatch):
+    # check_routine draws through its seed key [seed, routine index,
+    # itemsize]; its operands are those of a Generator on that key, which a
+    # replay of the check draws. A changed key, or order in it, fails here.
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(types.random_operands(*args, **kwargs))
+        return drawn[-1]
+
+    cases = [(routine, precision) for precision in ("double", "single") for routine in types.ROUTINE_NAMES]
+    monkeypatch.setattr(verify, "random_operands", recording)
+    for routine, precision in cases:
+        verify.check_routine(routine, precision, trials=128, seed=41)
+    assert len(drawn) == len(cases)
+    for (routine, precision), got in zip(cases, drawn):
+        key = [41, types.ROUTINE_NAMES.index(routine), types.dtype_for(precision).itemsize]
+        want = types.random_operands(routine, np.random.default_rng(key), precision, batch=128)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want], (routine, precision)
+        assert [(x.dtype, x.shape) for x in got] == [(x.dtype, x.shape) for x in want], (routine, precision)
