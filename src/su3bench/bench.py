@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import threading
 import time
@@ -46,7 +45,7 @@ from .backends import BACKEND_NAMES, get_backend
 from .flops import flop_count
 from .lattice import Lattice4D, SiteBuffer
 from .simd import LANES, capability
-from .types import OPERAND_SHAPES, dtype_for, random_operands, routine_spec
+from .types import OPERAND_SHAPES, OPERAND_SIZES, check_fits, dtype_for, random_operands, routine_spec
 
 _active = threading.Lock()
 # A configuration's bounds, so that no run is open-ended: at most _REPS_CAP
@@ -102,9 +101,7 @@ class BenchConfig:
             self.repetitions = max(1, DEFAULT_SITES // _sites_per_call(self))
         if not isinstance(self.repetitions, int) or not 1 <= self.repetitions <= _REPS_CAP:
             raise ValueError(f"repetitions must be an integer from 1 to {_REPS_CAP}")
-        need, limit = _footprint_bytes(self), _physical_memory_bytes()
-        if limit is not None and need > limit:
-            raise ValueError(f"{self.routine} needs {need} bytes of operand and result arrays, more than the {limit} bytes of physical memory")
+        check_fits(self.routine, _footprint_bytes(self))
 
 
 def _sites_per_call(config: BenchConfig) -> int:
@@ -115,15 +112,8 @@ def _sites_per_call(config: BenchConfig) -> int:
 def _footprint_bytes(config: BenchConfig) -> int:
     """Bytes of the operand and result (or in-place snapshot) arrays of one run."""
     spec = routine_spec(config.routine)
-    per_site = sum(math.prod(OPERAND_SHAPES[kind]) for kind in spec.operands + (spec.result,))
+    per_site = sum(OPERAND_SIZES[kind] for kind in spec.operands + (spec.result,))
     return _sites_per_call(config) * per_site * dtype_for(config.precision).itemsize
-
-
-def _physical_memory_bytes() -> int | None:
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,16 @@ Any other seed or ``out`` it leaves untouched and returns
 ``NotImplemented``, and the draw goes through numpy. It is emitted after
 the site loops and dispatchers, so their emitted source is as it was.
 
+PCG64 is a 128-bit LCG, ``s -> s * M + inc``, so two of its steps are one
+step ``s -> s * M**2 + (inc * M + inc)`` (mod 2**128), and the stream runs
+as two interleaved chains: one holds the state of output i, the other that
+of output i + 1, each advances by that double step, and an odd last output
+comes from the first. Every output's state is the serial stream's, and its
+XSL-RR output, double and store are computed from that state alone, so the
+bits are numpy's by construction. Only the order of the multiplies differs
+from the serial stream's: consecutive outputs do not wait on each other's
+128-bit multiply. The serial step, ``pcg64_next``, only seeds the stream.
+
 gcc builds the module with ``-ffp-contract=off`` (no fused multiply-add,
 which would round once where the trace rounds twice) and
 ``-fno-tree-vectorize`` (no packed arithmetic), synchronously and with a
@@ -425,16 +435,38 @@ static uint64_t pcg64_next(struct pcg64 *g)
     return x >> rot | x << (-rot & 63);
 }
 
+/* Output i of uniform from its state: the XSL-RR output pcg64_next gives
+   for that state, u = (x >> 11) * 2**-53, u *= 2.0, u -= 1.0 in double,
+   stored in a's precision. */
+static inline void put(PyArrayObject *a, char *p, Py_ssize_t i, pcg128 state)
+{
+    const uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
+    const unsigned rot = (unsigned)(state >> 122);
+    double u = (double)((x >> rot | x << (-rot & 63)) >> 11) * (1.0 / 9007199254740992.0);
+    u *= 2.0;
+    u -= 1.0;
+    if (PyArray_TYPE(a) == NPY_DOUBLE)
+        st_d(p, i, u);
+    else
+        st_f(p, i, (float)u);
+}
+
 /* uniform(seed, out): fill out, a C-contiguous float64 or float32 array,
    with the first out.size doubles u of numpy.random.default_rng(seed).random(),
    each as u *= 2.0, u - 1.0 in double, stored in out's precision. seed is
    an exact int >= 0 or a list or tuple of them. Returns out, or
-   NotImplemented, having written nothing, for any other seed or out. */
+   NotImplemented, having written nothing, for any other seed or out.
+   The stream runs as two chains, so that consecutive outputs do not wait
+   on each other's 128-bit multiply: s0 holds the state of output i and s1
+   that of output i + 1, and each steps two outputs at once,
+   s -> s * M**2 + (inc * M + inc), which is two steps of s -> s * M + inc
+   (mod 2**128). An odd last output comes from s0. */
 static PyObject *uniform(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     struct seed_sequence s = {.hash = 0x43b0d7e5u};
     struct pcg64 g;
     uint64_t state[4];
+    pcg128 s0, s1, m2, c2;
     PyObject *const *items;
     PyArrayObject *a;
     Py_ssize_t count, i, n;
@@ -469,15 +501,18 @@ static PyObject *uniform(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
     pcg64_next(&g);
     n = PyArray_SIZE(a);
     p = PyArray_BYTES(a);
-    for (i = 0; i < n; i++) {
-        double u = (double)(pcg64_next(&g) >> 11) * (1.0 / 9007199254740992.0);
-        u *= 2.0;
-        u -= 1.0;
-        if (PyArray_TYPE(a) == NPY_DOUBLE)
-            st_d(p, i, u);
-        else
-            st_f(p, i, (float)u);
+    s0 = g.state * PCG_MULTIPLIER + g.inc;
+    s1 = s0 * PCG_MULTIPLIER + g.inc;
+    m2 = PCG_MULTIPLIER * PCG_MULTIPLIER;
+    c2 = g.inc * PCG_MULTIPLIER + g.inc;
+    for (i = 0; i + 1 < n; i += 2) {
+        put(a, p, i, s0);
+        put(a, p, i + 1, s1);
+        s0 = s0 * m2 + c2;
+        s1 = s1 * m2 + c2;
     }
+    if (i < n)
+        put(a, p, i, s0);
     Py_INCREF(a);
     return (PyObject *)a;
 }

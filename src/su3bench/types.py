@@ -15,7 +15,9 @@ storage. Kernels are dtype-generic; precision is carried by the arrays.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -33,6 +35,8 @@ OPERAND_SHAPES = {
     "vec4": (4, 3, 2),
     "scalar": (),
 }
+# Operand kind -> components per object.
+OPERAND_SIZES = {kind: math.prod(shape) for kind, shape in OPERAND_SHAPES.items()}
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,26 @@ def result_shape(spec: RoutineSpec, batch_shape: tuple[int, ...] = ()) -> tuple[
     return batch_shape + OPERAND_SHAPES[spec.result]
 
 
+@cache
+def physical_memory_bytes() -> int | None:
+    """The host's physical memory in bytes, read once; None where the OS
+    does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_fits(routine: str, need: int) -> None:
+    """Refuse (ValueError) a run of `routine` whose operand and result
+    arrays need `need` bytes, more than the host's physical memory, before
+    anything is allocated: the arrays would fit one at a time and the
+    process be killed partway through."""
+    limit = physical_memory_bytes()
+    if limit is not None and need > limit:
+        raise ValueError(f"{routine} needs {need} bytes of operand and result arrays, more than the {limit} bytes of physical memory")
+
+
 def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
@@ -175,9 +199,9 @@ def random_operands(
     """
     spec = routine_spec(routine)
     dt = dtype_for(precision)
-    prefix = () if batch is None else (batch,)
-    shapes = [prefix + OPERAND_SHAPES[kind] for kind in spec.operands]
-    size = sum(math.prod(shape) for shape in shapes)
+    prefix, objects = ((), 1) if batch is None else ((batch,), batch)
+    sizes = [objects * OPERAND_SIZES[kind] for kind in spec.operands]
+    size = sum(sizes)
     # Only these forms can reach the module, so no other loads (or builds) it.
     u = _native_uniform(rng, size, dt) if type(rng) in (int, list, tuple) else None
     if u is None:
@@ -186,10 +210,9 @@ def random_operands(
         u -= 1.0
         u = u.astype(dt, copy=False)
     ops, start = [], 0
-    for shape in shapes:
-        stop = start + math.prod(shape)
-        ops.append(u[start:stop].reshape(shape))
-        start = stop
+    for kind, count in zip(spec.operands, sizes):
+        ops.append(u[start:start + count].reshape(prefix + OPERAND_SHAPES[kind]))
+        start += count
     return ops
 
 

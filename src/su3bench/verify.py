@@ -26,7 +26,15 @@ definition, so floors are computed for the trials holding a difference and
 ``ulp_error`` runs on the differing components alone. The row it reports is
 the one the metric gives over every component: the largest error (NaN
 counting as largest) at its first occurrence in memory order, or 0 at
-component 0 when nothing differs.
+component 0 when nothing differs; only a nonzero error is located with
+``np.unravel_index``.
+
+Before anything is drawn, ``check_routine`` and ``check_all`` refuse
+(``ValueError``) a case whose operands and two results would need more
+bytes than the host's physical memory, the rule ``bench`` applies to its
+runs: each array alone could pass the kernel's overcommit check while all
+of them together do not fit, and the process would be killed partway
+through the draw.
 """
 from __future__ import annotations
 
@@ -37,11 +45,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import get_backend
-from .types import OPERAND_SHAPES, ROUTINE_NAMES, dtype_for, random_operands, routine_spec
+from .types import OPERAND_SIZES, ROUTINE_NAMES, ROUTINES, RoutineSpec, check_fits, dtype_for, random_operands, routine_spec
 
 DEFAULT_TOLERANCE_ULPS = 2.0
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 20020614
+
+# Routine -> components per trial of a check: its operands and two results.
+_COMPONENTS = {name: sum(OPERAND_SIZES[kind] for kind in spec.operands) + 2 * OPERAND_SIZES[spec.result]
+               for name, spec in ROUTINES.items()}
 
 
 def ulp_error(candidate: np.ndarray, reference: np.ndarray, scale_floor: np.ndarray | float | None = None) -> np.ndarray:
@@ -85,10 +97,17 @@ def _check_sweep(trials: int, tolerance_ulps: float) -> None:
         raise ValueError(f"tolerance_ulps must be finite and >= 0, got {tolerance_ulps!r}")
 
 
+def _case(routine: str, precision: str, trials: int) -> tuple[RoutineSpec, np.dtype]:
+    """A case's spec and dtype, once ``check_fits`` has found that its
+    operands and both results fit in physical memory."""
+    spec, dt = routine_spec(routine), dtype_for(precision)
+    check_fits(routine, trials * _COMPONENTS[routine] * dt.itemsize)
+    return spec, dt
+
+
 def _route(backend_kind: str, routine: str, operands, in_place: bool):
-    backend = get_backend(backend_kind)
-    ops = [op.copy() if in_place and i == 0 else op for i, op in enumerate(operands)]
-    return backend.batch_apply(routine, ops)
+    ops = [operands[0].copy(), *operands[1:]] if in_place else operands
+    return get_backend(backend_kind).batch_apply(routine, ops)
 
 
 def check_routine(
@@ -102,8 +121,7 @@ def check_routine(
     """Compare the vector backend against the scalar one on `trials` random
     operand sets of one routine."""
     _check_sweep(trials, tolerance_ulps)
-    spec = routine_spec(routine)
-    dt = dtype_for(precision)
+    spec, dt = _case(routine, precision, trials)
     operands = random_operands(routine, [seed, ROUTINE_NAMES.index(routine), dt.itemsize], precision, batch=trials)
     ref = np.asarray(_route("scalar", routine, operands, spec.in_place))
     cand = np.asarray(_route("vector", routine, operands, spec.in_place))
@@ -114,8 +132,9 @@ def check_routine(
         scale0 = dt.type(max(float(np.abs(ref[0]).max()), 1.0))
         cand.reshape(-1)[0] += dt.type(64) * np.spacing(scale0)
     # Equal components have error 0, so only differing ones are measured.
-    differ = np.flatnonzero(cand != ref)
-    max_ulp, worst_flat = 0.0, 0
+    differ = (cand != ref).reshape(-1).nonzero()[0]
+    max_ulp = 0.0
+    worst_trial, worst_component = (0, (0,) * (ref.ndim - 1)) if trials else (-1, ())
     if differ.size:
         per_trial = math.prod(ref.shape[1:])
         trial, of_trial = np.unique(differ // per_trial, return_inverse=True)
@@ -125,12 +144,9 @@ def check_routine(
         # As over all components: the first largest error, or component 0
         # when every error is 0 (a difference far below the floor's spacing).
         if not err[k] == 0:
-            max_ulp, worst_flat = float(err[k]), int(differ[k])
-    if trials:
-        worst = np.unravel_index(worst_flat, ref.shape)
-        worst_trial, worst_component = int(worst[0]), tuple(int(k) for k in worst[1:])
-    else:
-        worst_trial, worst_component = -1, ()
+            max_ulp = float(err[k])
+            worst = np.unravel_index(int(differ[k]), ref.shape)
+            worst_trial, worst_component = int(worst[0]), tuple(int(i) for i in worst[1:])
     return EquivalenceRow(
         routine=routine,
         precision=precision,
@@ -167,7 +183,8 @@ def check_all(
     if not names:
         raise ValueError("no routines to check: pass None for all fifteen")
     for name in names:
-        routine_spec(name)
+        for precision in precisions:
+            _case(name, precision, trials)
     t0 = time.perf_counter()
     rows = tuple(
         check_routine(

@@ -108,7 +108,7 @@ def test_in_place_digest_ignores_backend_and_repetitions(mode):
 
 
 def test_config_rejects_footprint_beyond_physical_memory(monkeypatch):
-    monkeypatch.setattr(bench, "_physical_memory_bytes", lambda: 1 << 30)
+    monkeypatch.setattr(types, "physical_memory_bytes", lambda: 1 << 30)
     BenchConfig(routine="mult_su3_mat_vec", batch_sites=1 << 20)
     with pytest.raises(ValueError, match="physical memory"):
         BenchConfig(routine="mult_su3_mat_vec", batch_sites=1 << 30)

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from su3bench import bench, cli
+from su3bench import bench, cli, types, verify
 
 VERIFY_HEADER = "routine,precision,trials,seed,tolerance_ulps,max_ulp,worst_trial,worst_component,status"
 BENCH_HEADER = "routine,backend,precision,mode,alignment,reps,elapsed_s,invocations_per_s,flops_per_s"
@@ -180,12 +180,25 @@ def test_lattice_bench_rejects_bad_dims():
 @pytest.mark.parametrize("args", [
     ("bench", "--routine", "mult_su3_mat_vec", "--batch-sites", "100000000000000"),
     ("lattice-bench", "--routine", "mult_su3_mat_vec", "--dims", "100000,100000,1000,1000"),
+    ("verify", "--routines", "mult_su3_nn", "--trials", "100000000000000"),
 ])
 def test_oversized_input_is_refused_before_allocating(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert "physical memory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_verify_beyond_physical_memory_exits_2_before_drawing(monkeypatch, capsys):
+    # Each array alone could pass the kernel's overcommit check and all of
+    # them together not fit, so the check is made before anything is drawn.
+    drawn = []
+    monkeypatch.setattr(types, "physical_memory_bytes", lambda: 1 << 20)
+    monkeypatch.setattr(verify, "random_operands", lambda *args, **kw: drawn.append(args))
+    assert cli.main(["verify", "--routines", "mult_su3_mat_vec,mult_su3_nn", "--trials", "2000"]) == 2
+    err = capsys.readouterr().err
+    assert "mult_su3_nn needs 1152000 bytes" in err and "physical memory" in err
+    assert drawn == []
 
 
 @pytest.mark.parametrize("args, named", [

@@ -395,6 +395,20 @@ def test_uniform_refuses_what_it_does_not_take():
         MODULE.uniform(1)
 
 
+@needs_native
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("seed", [0, 2**64 + 5, [41, 3, 8]])
+def test_uniform_draws_numpys_stream_at_every_length(seed, dtype):
+    # The stream runs as two chains, each stepping two outputs at once, and
+    # an odd last output comes from the first; every length from 0 to 9 and
+    # some odd ones hold each output, and the tail, to numpy's.
+    for n in [*range(10), 11, 37, 127, 4609]:
+        out = np.full(n, 7.0, dtype)
+        assert MODULE.uniform(seed, out) is out
+        want = (np.random.default_rng(seed).random(n) * 2 - 1).astype(dtype)
+        assert out.tobytes() == want.tobytes(), n
+
+
 def test_emitted_source_compiles_without_warnings(tmp_path):
     # The whole module under -Wall -Wextra -Werror, so a change that brings
     # in a warning fails here rather than in a build log nobody reads.

@@ -146,3 +146,30 @@ def test_check_routine_draws_each_case_from_its_key(monkeypatch):
         want = types.random_operands(routine, np.random.default_rng(key), precision, batch=128)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want], (routine, precision)
         assert [(x.dtype, x.shape) for x in got] == [(x.dtype, x.shape) for x in want], (routine, precision)
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("routine", types.ROUTINE_NAMES)
+def test_a_passing_rows_worst_index_is_component_0(routine, precision):
+    # Where nothing differs, the row names component 0 of the result, read
+    # as unravel_index reads it, at every result rank.
+    row = verify.check_routine(routine, precision, trials=3)
+    worst = np.unravel_index(0, types.result_shape(types.routine_spec(routine), (3,)))
+    assert row.passed and row.max_ulp == 0.0
+    assert (row.worst_trial, row.worst_component) == (int(worst[0]), tuple(int(k) for k in worst[1:]))
+
+
+def test_a_case_beyond_physical_memory_is_refused_before_drawing(monkeypatch):
+    # mult_su3_nn's operands and two results are 72 components per trial.
+    def must_not_run(*args, **kw):
+        raise AssertionError("drew or checked a case that does not fit")
+
+    monkeypatch.setattr(types, "physical_memory_bytes", lambda: 72 * 8 * 100)
+    assert verify.check_routine("mult_su3_nn", trials=100).passed
+    assert verify.check_all(routines=["mult_su3_nn"], trials=200, precisions=("single",)).passed
+    monkeypatch.setattr(verify, "random_operands", must_not_run)
+    with pytest.raises(ValueError, match="physical memory"):
+        verify.check_routine("mult_su3_nn", trials=101)
+    monkeypatch.setattr(verify, "check_routine", must_not_run)
+    with pytest.raises(ValueError, match="physical memory"):
+        verify.check_all(routines=["mult_su3_mat_vec", "mult_su3_nn"], trials=101)
