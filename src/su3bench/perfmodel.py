@@ -69,6 +69,8 @@ class TimeComponents:
     def __post_init__(self) -> None:
         for name in FIELDS:
             _check_time(name, getattr(self, name))
+        if not np.isfinite(self.total):
+            raise ModelInputError(f"total time overflows: {self}")
 
     @property
     def total(self) -> float:
@@ -92,7 +94,10 @@ def predicted_speedup(normal: TimeComponents, accel: TimeComponents) -> float:
             raise ValueError(f"configurations must agree on {name}: {getattr(normal, name)} vs {getattr(accel, name)}")
     if accel.total == 0:
         raise ValueError("accelerated total time is zero")
-    return normal.total / accel.total
+    ratio = normal.total / accel.total
+    if not np.isfinite(ratio):
+        raise ModelInputError(f"predicted speedup overflows: {normal.total} / {accel.total}")
+    return ratio
 
 
 def degradation_curve(
@@ -114,6 +119,9 @@ def degradation_curve(
     return curve
 
 
+MAX_COUNT = 2**53  # a float holds every count up to here exactly, and the ratios of counts stay finite
+
+
 @dataclass(frozen=True)
 class InstructionMix:
     """Static instruction counts of one routine's packed implementation.
@@ -133,8 +141,10 @@ class InstructionMix:
         if any(missing) and not all(missing):
             raise ValueError(f"{self.routine}: instruction counts must be all present or all absent")
         for c in counts:
-            if c is not None and (not isinstance(c, int) or c < 0):
-                raise ValueError(f"{self.routine}: counts must be nonnegative integers, got {c!r}")
+            if c is not None and (not isinstance(c, int) or not 0 <= c <= MAX_COUNT):
+                raise ValueError(f"{self.routine}: counts must be integers in [0, 2**53], got {c!r}")
+        if counts == (0, 0, 0, 0):
+            raise ValueError(f"{self.routine}: instruction counts are all zero")
 
     @property
     def recorded(self) -> bool:
@@ -161,8 +171,6 @@ class InstructionMix:
 
 def arithmetic_fraction(mix: InstructionMix) -> float:
     """Share of the instruction stream doing arithmetic."""
-    if mix.total == 0:
-        raise ValueError(f"{mix.routine} has an empty instruction mix")
     return mix.arithmetic / mix.total
 
 
@@ -170,8 +178,6 @@ def bound_from_mix(mix: InstructionMix, lane_factor: int) -> float:
     """Best ratio the mix admits when only arithmetic shrinks by lane_factor."""
     if lane_factor not in (2, 4):
         raise ValueError(f"lane_factor must be 2 or 4, got {lane_factor!r}")
-    if mix.total == 0:
-        raise ValueError(f"{mix.routine} has an empty instruction mix")
     return mix.total / (mix.non_arithmetic + mix.arithmetic / lane_factor)
 
 
@@ -233,9 +239,10 @@ def parse_scenario_csv(text: str) -> dict[str, TimeComponents]:
             values = [float(cell) for cell in row[1:]]
         except ValueError:
             raise ModelInputError(f"bad numeric cell in {row!r}", line=lineno) from None
-        for name, v in zip(FIELDS, values):
-            _check_time(name, v, line=lineno)
-        out[role] = TimeComponents(*values)
+        try:
+            out[role] = TimeComponents(*values)
+        except ModelInputError as err:
+            raise ModelInputError(str(err), line=lineno) from None
     for role in ROLES:
         if role not in out:
             raise ModelInputError(f"missing row for role {role!r}")

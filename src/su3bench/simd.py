@@ -245,6 +245,8 @@ class LaneOpCount:
 def lane_op_count(routine: str) -> LaneOpCount:
     """Packed-lane operation tally for one kernel invocation, read off the
     kernel's own trace (``routine_trace``), two lanes to a packed operation.
+    The tally models the 128-bit recipe: no packed instruction runs today,
+    as the native loops perform each lane as one scalar operation.
 
     A product of two operand components is a lane of a packed multiply,
     whose left factor is broadcast: a component of a table's broadcast
@@ -262,8 +264,9 @@ def lane_op_count(routine: str) -> LaneOpCount:
 
 def capability() -> dict:
     """Report what runs the packed recipe on this host: the register it
-    models (width and lanes per precision, which the lane bound reads), how
-    its per-lane sequence runs, and the native extension: its path once
+    models (width and lanes per precision, which the lane bound reads; no
+    packed instruction runs today), how its per-lane sequence runs, and the
+    native extension: its path once
     loaded, "not built yet" before the first kernel call of this process,
     or why it is unavailable."""
     features: list[str] = []

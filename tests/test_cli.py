@@ -1,9 +1,18 @@
+import csv
+import io
+import math
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from su3bench import bench, cli, types, verify
+from su3bench import bench, cli, perfmodel, types, verify
 
 VERIFY_HEADER = "routine,precision,trials,seed,tolerance_ulps,max_ulp,worst_trial,worst_component,status"
 BENCH_HEADER = "routine,backend,precision,mode,alignment,reps,elapsed_s,invocations_per_s,flops_per_s"
@@ -387,3 +396,124 @@ def test_unwritable_out_exits_2(args, tmp_path):
     assert proc.stderr.startswith("su3bench: error:") and str(target) in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def _model(name, text, *args):
+    """``model`` run in this process on a file `name` holding `text`, named
+    where args hold ``{}``: (exit status, stdout, stderr). An exception that
+    escapes ``cli.main``, the traceback a user would see, fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        Path(tmp, name).write_text(text, encoding="utf-8")
+        status = cli.main(["model", *(arg.format(Path(tmp, name)) for arg in args), "--format", "csv"])
+    assert status in (0, 2), (status, err.getvalue())
+    if status == 0:
+        numbers = []
+        for row in csv.reader(out.getvalue().splitlines()[1:]):
+            for cell in row:
+                try:
+                    numbers.append(float(cell))
+                except ValueError:
+                    pass
+        assert all(map(math.isfinite, numbers)), out.getvalue()
+    else:
+        assert err.getvalue().startswith("su3bench: error"), err.getvalue()
+    return status, out.getvalue(), err.getvalue()
+
+
+def _error_line(err):
+    """The line number an error message names, or None."""
+    line = re.match(r"su3bench: error \(line (\d+)\)", err)
+    return int(line[1]) if line else None
+
+
+_TIMES = st.floats(min_value=0.0, max_value=1e308)
+_BAD_TIMES = st.sampled_from(["-1", "nan", "inf", "1e400", "fast", ""])
+
+
+@st.composite
+def _scenarios(draw):
+    """Both roles' time components as value tokens, the shared fields equal
+    on both (each one present or not), and at most one token replaced by one
+    that is not a time: (tokens by role, the bad (role, field) or None)."""
+    shared = {f: repr(draw(_TIMES)) for f in perfmodel.SHARED_FIELDS if draw(st.booleans())}
+    tokens = {role: {"t_comp_accel": repr(draw(_TIMES)), **shared} for role in perfmodel.ROLES}
+    bad = draw(st.none() | st.sampled_from([(role, f) for role in tokens for f in tokens[role]]))
+    if bad:
+        tokens[bad[0]][bad[1]] = draw(_BAD_TIMES)
+    return tokens, bad
+
+
+_OVERFLOWS = [
+    {role: {"t_comp_accel": "1e308", "t_noncomp": "1e308"} for role in perfmodel.ROLES},
+    {"normal": {"t_comp_accel": "1e308"}, "accel": {"t_comp_accel": "1e-300"}},
+]
+
+
+@settings(max_examples=200)
+@given(scenario=_scenarios(), as_csv=st.booleans(), sweep=st.none() | st.lists(_TIMES, min_size=1, max_size=3))
+@example(scenario=(_OVERFLOWS[0], None), as_csv=False, sweep=None)
+@example(scenario=(_OVERFLOWS[0], None), as_csv=True, sweep=None)
+@example(scenario=(_OVERFLOWS[1], None), as_csv=False, sweep=None)
+@example(scenario=(_OVERFLOWS[1], None), as_csv=True, sweep=None)
+@example(scenario=({role: {"t_comp_accel": "1e308"} for role in perfmodel.ROLES}, None), as_csv=False, sweep=[1e308])
+def test_model_scenario_fuzz(scenario, as_csv, sweep):
+    # A bad value is tied to its line, and in the CSV form so is a row whose
+    # total overflows; a key=value role spans lines, so its overflow is not.
+    tokens, bad = scenario
+    if as_csv:
+        rows = [[role] + [tokens[role].get(f, "0") for f in perfmodel.FIELDS] for role in perfmodel.ROLES]
+        text = "\n".join(",".join(row) for row in [["role", *perfmodel.FIELDS], *rows]) + "\n"
+        faults = [bad is not None and bad[0] == row[0] or not math.isfinite(sum(map(float, row[1:]))) for row in rows]
+        first_bad_line = faults.index(True) + 2 if any(faults) else None
+        name = "s.csv"
+    else:
+        cells = [(role, f) for role in tokens for f in tokens[role]]
+        text = "".join(f"{role}.{f} = {tokens[role][f]}\n" for role, f in cells)
+        first_bad_line = cells.index(bad) + 1 if bad else None
+        name = "s.scenario"
+    args = ["--scenario", "{}"] + (["--sweep", ",".join(map(repr, sweep))] if sweep else [])
+    status, out, err = _model(name, text, *args)
+    if first_bad_line is not None:
+        assert status == 2 and _error_line(err) == first_bad_line, err
+    elif status == 2:
+        assert _error_line(err) is None, err
+
+
+_COUNTS = st.integers(0, 3) | st.integers(0, 10**400)
+
+
+@st.composite
+def _mix_rows(draw):
+    """An instruction-mix row's cells and whether they must be refused: an
+    unknown routine, a wrong cell count, a partial or all-zero row, or a
+    cell that is no count."""
+    routine = draw(st.sampled_from([*types.ROUTINE_NAMES, "mult_su3_zz"]))
+    cells = [str(c) for c in draw(st.lists(_COUNTS, min_size=4, max_size=4))]
+    fault = draw(st.sampled_from(["none", "none", "unrecorded", "cells", "partial", "zero", "token"]))
+    if fault == "unrecorded":
+        cells = [""] * 4
+    elif fault == "cells":
+        cells = cells[:draw(st.integers(0, 3))]
+    elif fault == "partial":
+        cells[draw(st.integers(0, 3))] = ""
+    elif fault == "zero":
+        cells = ["0"] * 4
+    elif fault == "token":
+        cells[draw(st.integers(0, 3))] = draw(st.sampled_from(["-1", "1.5", "x"]))
+    refused = routine == "mult_su3_zz" or fault in ("cells", "partial", "token") or cells == ["0"] * 4
+    return [routine, *cells], refused
+
+
+@settings(max_examples=200)
+@given(rows=st.lists(_mix_rows(), max_size=4))
+def test_model_mix_fuzz(rows):
+    # Every row of the table is one line; a row of counts too large for the
+    # model is refused on its line too, so the error may come first from it.
+    text = "\n".join([perfmodel.MIX_HEADER, *(",".join(cells) for cells, _ in rows)]) + "\n"
+    status, out, err = _model("mix.csv", text, "--bounds", "--mix", "{}")
+    refused = [k + 2 for k, (_, bad) in enumerate(rows) if bad]
+    if refused:
+        assert status == 2, out
+    if status == 2:
+        assert 2 <= (_error_line(err) or 0) <= (refused[0] if refused else len(rows) + 1), err

@@ -222,3 +222,28 @@ def test_alignment_history_always_favors_aligned():
     assert len(rows) == 4
     for row in rows:
         assert row.unaligned_s > row.aligned_s
+
+
+def test_overflowing_totals_and_ratios_refused():
+    with pytest.raises(pm.ModelInputError, match="overflows"):
+        pm.TimeComponents(1e308, t_noncomp=1e308)
+    with pytest.raises(pm.ModelInputError, match="overflows"):
+        pm.predicted_speedup(pm.TimeComponents(1e308), pm.TimeComponents(1e-300))
+    with pytest.raises(pm.ModelInputError):
+        pm.degradation_curve(pm.TimeComponents(1e308), pm.TimeComponents(1e308), [1e308])
+    csv_text = "role,t_comp_accel,t_comp_plain,t_noncomp,t_comm\nnormal,1,0,0,0\naccel,1e308,1e308,0,0\n"
+    with pytest.raises(pm.ModelInputError, match="overflows") as exc:
+        pm.parse_scenario_csv(csv_text)
+    assert exc.value.line == 3
+
+
+def test_mix_rows_of_zeros_or_oversized_counts_refused_with_line_numbers():
+    with pytest.raises(ValueError, match="all zero"):
+        pm.InstructionMix("mult_su3_nn", 0, 0, 0, 0)
+    pm.InstructionMix("mult_su3_nn", pm.MAX_COUNT, 0, 0, 0)
+    with pytest.raises(ValueError):
+        pm.InstructionMix("mult_su3_nn", pm.MAX_COUNT + 1, 0, 0, 0)
+    for row in ("mult_su3_nn,0,0,0,0", f"mult_su3_nn,{10**400},1,1,1"):
+        with pytest.raises(pm.ModelInputError) as exc:
+            pm.parse_instruction_mixes(f"{pm.MIX_HEADER}\nmult_su3_an,1,2,3,4\n{row}\n")
+        assert exc.value.line == 3

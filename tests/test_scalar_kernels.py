@@ -129,6 +129,32 @@ def test_trace_performs_the_counted_operations(routine):
     assert ops.count("+") + ops.count("-") == adds == len(ops) - mults
 
 
+@pytest.mark.parametrize("routine", simd.TABLES)
+def test_contractions_follow_the_summation_convention(routine):
+    # The scalar module docstring's convention, read off the trace: each
+    # result component is one add or subtract of two real product sums, and
+    # each sum is a left-to-right fold of products of two operands' components
+    # over the routine's terms.
+    trace = scalar.routine_trace(routine)
+    steps = {result: (left, op, right) for result, left, op, right in trace.steps}
+    operand_of = {x: k for k, names in enumerate(trace.operands) for x in names}
+    terms = {"mult_su3_mat_vec_sum_4dir": 12, "su3_projector": 1}.get(routine, 3)
+
+    def products(x):
+        """The number of products the left fold ending at step x adds."""
+        left, op, right = steps[x]
+        if op == "*":
+            assert left in operand_of and right in operand_of and operand_of[left] != operand_of[right], (routine, x)
+            return 1
+        assert op == "+" and right in steps and products(right) == 1, (routine, x)
+        return products(left) + 1
+
+    for x in trace.results:
+        left, op, right = steps[x]
+        assert op in "+-", (routine, x)
+        assert products(left) == products(right) == terms, (routine, x)
+
+
 def test_tracer_emits_only_operations_between_components():
     tape = []
     x, y = Sym("x", tape), Sym("y", tape)
