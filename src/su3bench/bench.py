@@ -45,7 +45,7 @@ from .backends import BACKEND_NAMES, get_backend
 from .flops import flop_count
 from .lattice import Lattice4D, SiteBuffer
 from .simd import LANES, capability
-from .types import OPERAND_SHAPES, OPERAND_SIZES, check_fits, dtype_for, random_operands, routine_spec
+from .types import OPERAND_SHAPES, check_fits, dtype_for, random_operands, routine_spec
 
 _active = threading.Lock()
 # A configuration's bounds, so that no run is open-ended: at most _REPS_CAP
@@ -87,8 +87,8 @@ class BenchConfig:
             raise ValueError(f"mode must be 'hot' or 'streaming', got {self.mode!r}")
         if self.alignment not in ("aligned", "unaligned"):
             raise ValueError(f"alignment must be 'aligned' or 'unaligned', got {self.alignment!r}")
-        if not 0 <= self.warmup <= _REPS_CAP:
-            raise ValueError(f"warmup must be from 0 to {_REPS_CAP}")
+        if not isinstance(self.warmup, int) or not 0 <= self.warmup <= _REPS_CAP:
+            raise ValueError(f"warmup must be an integer from 0 to {_REPS_CAP}")
         if not isinstance(self.batch_sites, int) or self.batch_sites < 1:
             raise ValueError("batch_sites must be an integer >= 1")
         if not 0 <= self.min_region_s <= MAX_REGION_S:
@@ -101,19 +101,12 @@ class BenchConfig:
             self.repetitions = max(1, DEFAULT_SITES // _sites_per_call(self))
         if not isinstance(self.repetitions, int) or not 1 <= self.repetitions <= _REPS_CAP:
             raise ValueError(f"repetitions must be an integer from 1 to {_REPS_CAP}")
-        check_fits(self.routine, _footprint_bytes(self))
+        check_fits(self.routine, self.precision, _sites_per_call(self), 1)
 
 
 def _sites_per_call(config: BenchConfig) -> int:
     """The sites one timed call runs over: the batch, or the whole lattice."""
     return config.batch_sites if config.mode == "hot" else Lattice4D.from_dims(config.dims).volume
-
-
-def _footprint_bytes(config: BenchConfig) -> int:
-    """Bytes of the operand and result (or in-place snapshot) arrays of one run."""
-    spec = routine_spec(config.routine)
-    per_site = sum(OPERAND_SIZES[kind] for kind in spec.operands + (spec.result,))
-    return _sites_per_call(config) * per_site * dtype_for(config.precision).itemsize
 
 
 @dataclass(frozen=True)

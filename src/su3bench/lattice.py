@@ -12,6 +12,7 @@ allocators only promise their own default.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +91,12 @@ class Lattice4D:
 
     @classmethod
     def from_dims(cls, dims) -> "Lattice4D":
-        dims = tuple(int(n) for n in dims)
+        """The lattice of four integer extents (numpy integers too): a
+        float or a string is refused, not truncated or parsed."""
+        try:
+            dims = tuple(operator.index(n) for n in dims)
+        except TypeError:
+            raise ValueError(f"lattice dims must be integers, got {dims!r}") from None
         if len(dims) != 4:
             raise ValueError(f"expected four dimensions, got {dims}")
         return cls(*dims)

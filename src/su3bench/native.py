@@ -3,7 +3,7 @@ extension, and the checked entries that run them.
 
 Every trace becomes one C function per precision that runs it over n sites:
 each backend's ``routine_trace`` of each routine, the scalar bodies', the
-vector backend's gather tables' and its numpy elementwise bodies'. A site
+vector backend's contraction recipes' and its numpy elementwise bodies'. A site
 loads every component it reads, then performs each step as one
 ``const T tK = l op r;`` in the trace's order, in the operands' own
 precision (``double`` or ``float``; x86-64 C rounds a float operation to

@@ -12,35 +12,28 @@ scalar reference.
 
 The eleven contraction kernels (mat-vec, adjoint mat-vec, the three matrix
 products, both half-Wilson kernels, the four-direction kernels and
-``mult_su3_mat_vec_sum_4dir``, ``su3_projector``) each read a gather table
-(``Contraction``) built once at import:
-
-- **Broadcast.** For every contraction step j and every packed product, the
-  table names the component of the broadcast operand (the matrix, or for
-  ``mult_su3_na`` and ``su3_projector`` the conjugated operand) and the
-  component of the pair operand that the product multiplies.
-- **Swap, sign, add.** The lane swap of the imaginary-part sums is folded
-  into the gather: the products of imaginary-part broadcasts read the pair
-  with its lanes swapped, so after the adds over j their sums line up with
-  the real-part sums. They are multiplied by the table's sign (+-1, exact),
-  and one add writes the result. Adjoint and conjugate variants differ from
-  the plain ones only in their tables.
-
-``table_trace`` writes a table's sequence at one site as a trace over the
-routine's operands, in the routine's order: every product, the adds over j
-left to right, each swapped sum times its sign and the combining add, per
-lane. The four elementwise kernels are numpy bodies, whose trace
-``trace.record`` takes by running them once on object arrays of symbolic
-reals. ``routine_trace`` gives each kernel's trace, and ``trace.kernel``
-builds every kernel from it: the trace's native site loop (``native``)
-where it takes the call (C-contiguous float64 and float32 operands, one
-object or stacked; no per-call temporaries), and otherwise the trace's
-Python program (``trace.program``: numpy operations over the sites, a
-single object as one site), or for an elementwise kernel its numpy body.
-Every output component sees the same products, added in the same order, as
-in the scalar reference (``tests/test_proof.py`` proves it from the two
-backends' traces), so no path moves a bit; where a NaN arises is the same
-on every path, but its sign and payload bits may differ.
+``mult_su3_mat_vec_sum_4dir``, ``su3_projector``) are each written as that
+sequence at one site, a trace over the routine's operands (``_recipe``),
+from two index maps (``CONTRACTIONS``). For every term j of the sum and
+every output entry, one map names the broadcast entry (the matrix's, or for
+``mult_su3_na`` and ``su3_projector`` the conjugated operand's) and the
+other the pair entry it multiplies. The lane swap of the imaginary-part
+sums is folded into the products: an imaginary-part broadcast multiplies
+the pair with its lanes swapped, so after the adds over j, left to right,
+its sums line up with the real-part sums, which they meet times a +-1 sign
+(exact) in one combining add. Adjoint and conjugate variants differ from the
+plain ones only in their maps and the sign. The four elementwise kernels are
+numpy bodies, whose trace ``trace.record`` takes by running them once on
+object arrays of symbolic reals. ``routine_trace`` gives each kernel's
+trace, and ``trace.kernel`` builds every kernel from it: the trace's native
+site loop (``native``) where it takes the call (C-contiguous float64 and
+float32 operands, one object or stacked; no per-call temporaries), and
+otherwise the trace's Python program (``trace.program``: numpy operations
+over the sites, a single object as one site), or for an elementwise kernel
+its numpy body. Every output component sees the same products, added in
+the same order, as in the scalar reference (``tests/test_proof.py`` proves
+it from the two backends' traces), so no path moves a bit; where a NaN
+arises is the same on every path, but its sign and payload bits may differ.
 
 Every kernel accepts operands with any shared leading batch shape in front
 of the per-object shape documented in the scalar reference, so the vector
@@ -54,7 +47,6 @@ the kernels' traces (``lane_op_count``).
 """
 from __future__ import annotations
 
-import math
 import platform
 import sys
 from dataclasses import dataclass
@@ -62,123 +54,88 @@ from functools import cache, update_wrapper
 
 import numpy as np
 
-from .trace import Trace, kernel, record
-from .types import PRECISIONS, ROUTINES, routine_spec
+from .trace import Trace, kernel, operand_names, record
+from .types import OPERAND_SHAPES, PRECISIONS, ROUTINES, routine_spec
 
 # The packed register, and how many lanes of each precision it holds: 2 double, 4 single.
 WIDTH_BITS = 128
 LANES = {name: WIDTH_BITS // (8 * dt.itemsize) for name, dt in PRECISIONS.items()}
 
 
-@dataclass(frozen=True, eq=False)
-class Contraction:
-    """The gather table of one contraction kernel.
+def _recipe(routine: str, terms: int, x_at, y_at, conj: bool) -> Trace:
+    """The recipe's operations on one site of a contraction, in its order:
+    c[o] = sum_j x[o, j] * y[o, j] over the complex entries o of the
+    routine's result, j from 0 to `terms` - 1, as a trace over the routine's
+    operands. With conj the result is x's conjugate times y.
 
-    ia, ib: (steps, 2, N) component indices into the flattened broadcast and
-    pair operands of each packed product. Row [j, 0] holds the products of
-    step j with the real parts of the broadcast entries, row [j, 1] those
-    with the imaginary parts; column 2*o + lane is lane `lane` of output
-    entry o. The swap of the imaginary-part sums is folded into the pair
-    operand's gather: row [j, 1] reads the pair with its lanes swapped, so
-    after the adds over j, [1] lines up with [0]. sign: the +-1.0 that each
-    output lane's swapped sum takes in the combine. x_size, y_size:
-    components per object of the two operands. swapped: the routine passes
-    the pair operand first and the broadcast operand second.
+    x_at and y_at map an entry o (one index per axis) and j to ``(operand,
+    *complex entry)``: x is the broadcast factor, y the pair factor. Every
+    packed product comes first, step j by step j: each real part of x times
+    y's pair, then each imaginary part times y's pair with its lanes swapped,
+    so after the adds over j, left to right, the swapped sums line up with
+    the real-part sums. Each swapped sum is multiplied by its sign (a +-1
+    literal: -1 on the real lane, or with conj on the imaginary lane), then
+    the combining add, lane by lane.
     """
-
-    ia: np.ndarray
-    ib: np.ndarray
-    sign: tuple[float, ...]
-    x_size: int
-    y_size: int
-    swapped: bool
-
-
-def _table(grid: tuple, steps: int, x_shape: tuple, x_at, y_shape: tuple, y_at, conj: bool, swapped: bool = False) -> Contraction:
-    """The table of c[o] = sum_j x[x_at(o, j)] * y[y_at(o, j)] over the complex output grid.
-
-    x is the broadcast operand, y the pair operand, both with complex entry
-    shapes x_shape and y_shape. x_at and y_at map the output index (one array
-    per grid axis) and the step j to an entry of x and of y. With conj the
-    result is x's conjugate times y: the sign flips after the swap.
-    """
-    *o, j = np.indices(grid + (steps,))
-    xc = np.moveaxis(np.ravel_multi_index(x_at(*o, j), x_shape), -1, 0).reshape(steps, 1, -1, 1)
-    yc = np.moveaxis(np.ravel_multi_index(y_at(*o, j), y_shape), -1, 0).reshape(steps, 1, -1, 1)
-    part, lane = np.indices((2, 2))
-    sign = ((1.0, -1.0) if conj else (-1.0, 1.0)) * xc.shape[2]
-    return Contraction(
-        ia=(2 * xc + part[:, None]).reshape(steps, 2, -1),
-        ib=(2 * yc + (lane ^ part)[:, None]).reshape(steps, 2, -1),
-        sign=sign,
-        x_size=2 * math.prod(x_shape),
-        y_size=2 * math.prod(y_shape),
-        swapped=swapped,
-    )
-
-
-_FOUR_DIR = _table((4, 3), 3, (4, 3, 3), lambda d, i, j: (d, j, i), (3,), lambda d, i, j: (j,), conj=True)
-
-TABLES: dict[str, Contraction] = {
-    "mult_su3_mat_vec": _table((3,), 3, (3, 3), lambda i, j: (i, j), (3,), lambda i, j: (j,), conj=False),
-    "mult_adj_su3_mat_vec": _table((3,), 3, (3, 3), lambda i, j: (j, i), (3,), lambda i, j: (j,), conj=True),
-    "mult_su3_nn": _table((3, 3), 3, (3, 3), lambda i, k, j: (i, j), (3, 3), lambda i, k, j: (j, k), conj=False),
-    "mult_su3_an": _table((3, 3), 3, (3, 3), lambda i, k, j: (j, i), (3, 3), lambda i, k, j: (j, k), conj=True),
-    # b is the conjugated operand, so its components are the broadcast ones.
-    "mult_su3_na": _table((3, 3), 3, (3, 3), lambda i, k, j: (k, j), (3, 3), lambda i, k, j: (i, j), conj=True, swapped=True),
-    "mult_su3_mat_hwvec": _table((2, 3), 3, (3, 3), lambda h, i, j: (i, j), (2, 3), lambda h, i, j: (h, j), conj=False),
-    "mult_adj_su3_mat_hwvec": _table((2, 3), 3, (3, 3), lambda h, i, j: (j, i), (2, 3), lambda h, i, j: (h, j), conj=True),
-    "mult_adj_su3_mat_vec_4dir": _FOUR_DIR,
-    "mult_adj_su3_mat_4vec": _FOUR_DIR,
-    # Step s = 3 * d + j: the products are added direction-major.
-    "mult_su3_mat_vec_sum_4dir": _table((3,), 12, (4, 3, 3), lambda i, s: (s // 3, s % 3, i), (4, 3), lambda i, s: (s // 3, s % 3), conj=True),
-    "su3_projector": _table((3, 3), 1, (3,), lambda i, k, j: (k,), (3,), lambda i, k, j: (i,), conj=True, swapped=True),
-}
-
-
-def table_trace(t: Contraction) -> Trace:
-    """The recipe's operations on one site of table t, in its order, as a
-    trace over the components of the broadcast operand x and the pair
-    operand y, which are operands 0 and 1 in the routine's order (1 and 0
-    where ``t.swapped``).
-
-    Every packed product, then the adds over j, then each swapped sum times
-    its sign (a +-1 literal), then the combining add, lane by lane.
-    """
-    kx, ky = (1, 0) if t.swapped else (0, 1)
-    x = tuple(f"x{kx}_{i}" for i in range(t.x_size))
-    y = tuple(f"x{ky}_{i}" for i in range(t.y_size))
+    spec = routine_spec(routine)
+    names = operand_names(spec)
+    entries = [np.array(n, dtype=object).reshape(OPERAND_SHAPES[kind]) for n, kind in zip(names, spec.operands)]
+    grid = list(np.ndindex(OPERAND_SHAPES[spec.result][:-1]))
     steps: list = []
 
     def step(left: str, op: str, right: str) -> str:
         steps.append((f"t{len(steps)}", left, op, right))
         return steps[-1][0]
 
-    p = [
-        [[step(x[a], "*", y[b]) for a, b in zip(ia, ib)] for ia, ib in zip(ia_j, ib_j)]
-        for ia_j, ib_j in zip(t.ia.tolist(), t.ib.tolist())
-    ]
-    acc = p[0]
-    for p_j in p[1:]:
-        acc = [[step(s, "+", q) for s, q in zip(sums, products)] for sums, products in zip(acc, p_j)]
-    re, im = acc
-    im = [step(s, "*", repr(sign)) for s, sign in zip(im, t.sign)]
+    def entry(at, o: tuple, j: int):
+        k, *e = at(*o, j)
+        return entries[k][tuple(e)]
+
+    products = []
+    for j in range(terms):
+        pairs = [(entry(x_at, o, j), entry(y_at, o, j)) for o in grid]
+        products.append([[step(x[part], "*", y[lane ^ part]) for x, y in pairs for lane in (0, 1)] for part in (0, 1)])
+    sums = products[0]
+    for p in products[1:]:
+        sums = [[step(s, "+", q) for s, q in zip(*part)] for part in zip(sums, p)]
+    re, im = sums
+    im = [step(s, "*", repr(sign)) for s, sign in zip(im, ((1.0, -1.0) if conj else (-1.0, 1.0)) * len(grid))]
     results = tuple(step(r, "+", i) for r, i in zip(re, im))
-    return Trace((y, x) if t.swapped else (x, y), tuple(steps), results)
+    return Trace(names, tuple(steps), results)
+
+
+# Routine -> its contraction's ``_recipe`` arguments after the routine:
+# terms, the broadcast and pair factors' at-maps, conj.
+_FOUR_DIR = (3, lambda d, i, j: (0, d, j, i), lambda d, i, j: (1, j), True)
+CONTRACTIONS = {
+    "mult_su3_mat_vec": (3, lambda i, j: (0, i, j), lambda i, j: (1, j), False),
+    "mult_adj_su3_mat_vec": (3, lambda i, j: (0, j, i), lambda i, j: (1, j), True),
+    "mult_su3_nn": (3, lambda i, k, j: (0, i, j), lambda i, k, j: (1, j, k), False),
+    "mult_su3_an": (3, lambda i, k, j: (0, j, i), lambda i, k, j: (1, j, k), True),
+    # b is the conjugated operand, so its components are the broadcast ones.
+    "mult_su3_na": (3, lambda i, k, j: (1, k, j), lambda i, k, j: (0, i, j), True),
+    "mult_su3_mat_hwvec": (3, lambda h, i, j: (0, i, j), lambda h, i, j: (1, h, j), False),
+    "mult_adj_su3_mat_hwvec": (3, lambda h, i, j: (0, j, i), lambda h, i, j: (1, h, j), True),
+    "mult_adj_su3_mat_vec_4dir": _FOUR_DIR,
+    "mult_adj_su3_mat_4vec": _FOUR_DIR,
+    # Term s = 3 * d + j: the products are added direction-major.
+    "mult_su3_mat_vec_sum_4dir": (12, lambda i, s: (0, s // 3, s % 3, i), lambda i, s: (1, s // 3, s % 3), True),
+    "su3_projector": (1, lambda i, k, j: (1, k), lambda i, k, j: (0, i), True),
+}
 
 
 @cache
 def routine_trace(routine: str) -> Trace:
-    """The trace of the routine's kernel: its gather table's
-    (``table_trace``), or its numpy body run once on symbolic reals
+    """The trace of the routine's kernel: its contraction's recipe
+    (``_recipe``), or its numpy body run once on symbolic reals
     (``trace.record``); cached, as the program and the native loops read
     the same record."""
-    t = TABLES.get(routine)
-    return table_trace(t) if t else record(routine_spec(routine), globals()[routine].__wrapped__)
+    recipe = CONTRACTIONS.get(routine)
+    return _recipe(routine, *recipe) if recipe else record(routine_spec(routine), globals()[routine].__wrapped__)
 
 
-# The eleven contraction kernels, each running its table's trace.
-globals().update({routine: kernel("vector", ROUTINES[routine], routine_trace) for routine in TABLES})
+# The eleven contraction kernels, each running its recipe's trace.
+globals().update({routine: kernel("vector", ROUTINES[routine], routine_trace) for routine in CONTRACTIONS})
 
 
 def _elementwise(body):
@@ -249,8 +206,8 @@ def lane_op_count(routine: str) -> LaneOpCount:
     as the native loops perform each lane as one scalar operation.
 
     A product of two operand components is a lane of a packed multiply,
-    whose left factor is broadcast: a component of a table's broadcast
-    operand, or the real factor. A product with a +-1 literal is a lane of a
+    whose left factor is broadcast: a component of a recipe's broadcast
+    factor, or the real factor. A product with a +-1 literal is a lane of a
     sign flip, which takes one swap. Every add or subtract is a lane of a
     packed add.
     """
@@ -278,7 +235,7 @@ def capability() -> dict:
         except (ImportError, AttributeError):
             continue
     return {
-        "backend": "gather-table lane sequence: native C where the module is built, else compiled numpy over sites",
+        "backend": "recipe lane sequence: native C where the module is built, else compiled numpy over sites",
         "width_bits": WIDTH_BITS,
         "lanes": dict(LANES),
         "python": platform.python_version(),

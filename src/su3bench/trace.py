@@ -3,7 +3,8 @@ every kernel of both backends.
 
 A trace is recorded by running a kernel body on ``Sym`` values (``record``:
 the scalar backend's bodies, the vector backend's numpy elementwise bodies)
-or written from a gather table (``simd.table_trace``); each backend's
+or written from a contraction's index maps (``simd._recipe``); both name
+operand components by one rule (``operand_names``). Each backend's
 ``routine_trace`` gives the trace of each of its fifteen kernels. ``kernel``
 builds every kernel from its trace: it offers a call to the trace's native
 entry (``native``, named by ``entry`` and looked up in ``NATIVE``) first, as
@@ -14,13 +15,12 @@ native loops are tested against bit for bit.
 from __future__ import annotations
 
 import linecache
-import math
 from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .types import OPERAND_SHAPES, RoutineSpec
+from .types import OPERAND_SHAPES, OPERAND_SIZES, RoutineSpec
 
 
 class Sym:
@@ -64,13 +64,20 @@ class Sym:
 
 
 class Trace(NamedTuple):
-    """One call of a kernel body (or of a gather table at one site) as
-    straight-line code over named reals. A name that is neither an operand
-    component nor a step result is a literal (the tables' +-1 signs)."""
+    """One call of a kernel body (or of a contraction's recipe at one site)
+    as straight-line code over named reals. A name that is neither an
+    operand component nor a step result is a literal (the recipes' +-1
+    signs)."""
 
     operands: tuple[tuple[str, ...], ...]  # each operand's components, in memory order (a real factor has one)
     steps: tuple[tuple[str, str, str, str], ...]  # (result, left, op, right), in the order performed
     results: tuple[str, ...]  # what was stored in each result component, in index order
+
+
+def operand_names(spec: RoutineSpec) -> tuple[tuple[str, ...], ...]:
+    """Each operand's component names in memory order, as a trace names
+    them: ``x{k}_{i}`` is component i of operand k."""
+    return tuple(tuple(f"x{k}_{i}" for i in range(OPERAND_SIZES[kind])) for k, kind in enumerate(spec.operands))
 
 
 def record(spec: RoutineSpec, body) -> Trace:
@@ -80,16 +87,10 @@ def record(spec: RoutineSpec, body) -> Trace:
     trace cannot emit, or leaves a result component that no step or operand
     of this call gave."""
     tape: list = []
-    operands, names = [], []
-    for k, kind in enumerate(spec.operands):
-        shape = OPERAND_SHAPES[kind]
-        syms = [Sym(f"x{k}_{i}", tape) for i in range(math.prod(shape))]
-        names.append(tuple(sym.name for sym in syms))
-        if kind == "scalar":
-            operands.append(syms[0])
-        else:
-            operands.append(np.empty(shape, dtype=object))
-            operands[-1].flat = syms
+    names = operand_names(spec)
+    # [()] takes a real factor's one Sym out of its 0-d array.
+    operands = [np.array([Sym(x, tape) for x in row], dtype=object).reshape(OPERAND_SHAPES[kind])[()]
+                for kind, row in zip(spec.operands, names)]
     if spec.in_place:
         result = body(*operands)
     else:
@@ -97,7 +98,7 @@ def record(spec: RoutineSpec, body) -> Trace:
     stored = result.ravel().tolist()
     if not all(isinstance(sym, Sym) and sym.tape is tape for sym in stored):
         raise TypeError(f"{spec.name}: the body left a result component untraced")
-    return Trace(tuple(names), tuple(tape), tuple(sym.name for sym in stored))
+    return Trace(names, tuple(tape), tuple(sym.name for sym in stored))
 
 
 def define(name: str, params: list[str], lines: list[str], filename: str, namespace: dict):
@@ -132,7 +133,7 @@ def program(trace: Trace, name: str, in_place: bool):
     Result components whose expressions have one shape (the same
     operations, each leaf drawn from the same operand, or a literal) form a
     group: ``mult_su3_nn``'s nine real parts are one, its nine imaginary
-    parts another, and every lane of a gather table one, whatever its sign.
+    parts another, and every lane of a recipe one, whatever its sign.
     A step result is written in parentheses where it is used, so every
     operation keeps the trace's operands and association (one used twice
     is evaluated twice; no kernel's trace reuses one); a literal is read

@@ -130,14 +130,25 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
-def check_fits(routine: str, need: int) -> None:
-    """Refuse (ValueError) a run of `routine` whose operand and result
-    arrays need `need` bytes, more than the host's physical memory, before
-    anything is allocated: the arrays would fit one at a time and the
-    process be killed partway through."""
+def check_fits(routine: str, precision: str | np.dtype, objects: int, results: int) -> None:
+    """Refuse (ValueError) a run of `routine` in `precision` over `objects`
+    operand sets whose operand arrays and `results` result arrays (an
+    in-place routine's snapshot counts as one) need more bytes than the
+    host's physical memory, before anything is allocated: the arrays would
+    fit one at a time and the process be killed partway through."""
+    need = objects * _object_bytes(routine, precision, results)
     limit = physical_memory_bytes()
     if limit is not None and need > limit:
         raise ValueError(f"{routine} needs {need} bytes of operand and result arrays, more than the {limit} bytes of physical memory")
+
+
+@cache
+def _object_bytes(routine: str, precision: str | np.dtype, results: int) -> int:
+    """Bytes of one operand set of `routine` in `precision` and `results`
+    results; cached, as ``check_routine`` asks on every call."""
+    spec = routine_spec(routine)
+    components = sum(OPERAND_SIZES[kind] for kind in spec.operands) + results * OPERAND_SIZES[spec.result]
+    return components * dtype_for(precision).itemsize
 
 
 def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:

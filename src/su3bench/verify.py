@@ -45,15 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import get_backend
-from .types import OPERAND_SIZES, ROUTINE_NAMES, ROUTINES, RoutineSpec, check_fits, dtype_for, random_operands, routine_spec
+from .types import ROUTINE_NAMES, check_fits, dtype_for, random_operands, routine_spec
 
 DEFAULT_TOLERANCE_ULPS = 2.0
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 20020614
-
-# Routine -> components per trial of a check: its operands and two results.
-_COMPONENTS = {name: sum(OPERAND_SIZES[kind] for kind in spec.operands) + 2 * OPERAND_SIZES[spec.result]
-               for name, spec in ROUTINES.items()}
 
 
 def ulp_error(candidate: np.ndarray, reference: np.ndarray, scale_floor: np.ndarray | float | None = None) -> np.ndarray:
@@ -97,14 +93,6 @@ def _check_sweep(trials: int, tolerance_ulps: float) -> None:
         raise ValueError(f"tolerance_ulps must be finite and >= 0, got {tolerance_ulps!r}")
 
 
-def _case(routine: str, precision: str, trials: int) -> tuple[RoutineSpec, np.dtype]:
-    """A case's spec and dtype, once ``check_fits`` has found that its
-    operands and both results fit in physical memory."""
-    spec, dt = routine_spec(routine), dtype_for(precision)
-    check_fits(routine, trials * _COMPONENTS[routine] * dt.itemsize)
-    return spec, dt
-
-
 def _route(backend_kind: str, routine: str, operands, in_place: bool):
     ops = [operands[0].copy(), *operands[1:]] if in_place else operands
     return get_backend(backend_kind).batch_apply(routine, ops)
@@ -121,7 +109,8 @@ def check_routine(
     """Compare the vector backend against the scalar one on `trials` random
     operand sets of one routine."""
     _check_sweep(trials, tolerance_ulps)
-    spec, dt = _case(routine, precision, trials)
+    check_fits(routine, precision, trials, 2)  # its operands and both results
+    spec, dt = routine_spec(routine), dtype_for(precision)
     operands = random_operands(routine, [seed, ROUTINE_NAMES.index(routine), dt.itemsize], precision, batch=trials)
     ref = np.asarray(_route("scalar", routine, operands, spec.in_place))
     cand = np.asarray(_route("vector", routine, operands, spec.in_place))
@@ -184,7 +173,7 @@ def check_all(
         raise ValueError("no routines to check: pass None for all fifteen")
     for name in names:
         for precision in precisions:
-            _case(name, precision, trials)
+            check_fits(name, precision, trials, 2)
     t0 = time.perf_counter()
     rows = tuple(
         check_routine(

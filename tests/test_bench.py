@@ -197,6 +197,11 @@ def test_config_validation():
     for field in ("repetitions", "warmup"):
         with pytest.raises(ValueError, match=field):
             BenchConfig(routine="mult_su3_mat_vec", **{field: bench._REPS_CAP + 1})
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            BenchConfig(routine="mult_su3_mat_vec", **{field: 2.5})
+    # Refused, not timed on the lattice the truncated extents make.
+    with pytest.raises(ValueError, match="integers"):
+        BenchConfig(routine="mult_su3_mat_vec", mode="streaming", dims=(2.9, 2, 2, 2))
 
 
 @pytest.mark.parametrize("settings, reps", [

@@ -517,3 +517,74 @@ def test_model_mix_fuzz(rows):
         assert status == 2, out
     if status == 2:
         assert 2 <= (_error_line(err) or 0) <= (refused[0] if refused else len(rows) + 1), err
+
+
+_JUNK = st.sampled_from(["x", "", "1.5", "0", "-1", "-0", "nan", "inf", "-inf", "1e999", "2,2"])
+_SEEDS = st.integers(0, 2**70).map(str)
+_ROUTINE_ARGS = st.sampled_from(["mult_su3_nn", "add_su3_vector,su3_projector", "sub_four_su3_vecs",
+                                 "scalar_mult_add_su3_matrix", "mult_su3_mat_vec_sum_4dir", "all"])
+_DIMS = st.lists(st.integers(1, 3), min_size=4, max_size=4).map(lambda d: ",".join(map(str, d)))
+
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+def _floats(high):
+    return st.floats(0.0, high).map(repr)
+
+
+# Each command's options, each with its valid values, bounded so that no
+# run allocates much or lasts long; a flag with None is a switch. The
+# bounded sizes (and a routine where one is required) are always passed.
+_OPTIONS = {
+    "verify": {"--routines": _ROUTINE_ARGS, "--trials": _ints(0, 64), "--tolerance-ulps": _floats(4.0),
+               "--inject-fault": None, "--seed": _SEEDS},
+    "bench": {"--routine": _ROUTINE_ARGS, "--backend": st.sampled_from(["scalar", "vector", "both"]), "--reps": _ints(1, 2),
+              "--warmup": _ints(0, 1), "--batch-sites": _ints(1, 16), "--min-region-ms": _floats(5.0), "--speedup": None,
+              "--seed": _SEEDS},
+    "lattice-bench": {"--routine": _ROUTINE_ARGS, "--backend": st.sampled_from(["scalar", "vector", "both"]),
+                      "--dims": _DIMS, "--alignment": st.sampled_from(["aligned", "unaligned", "both"]),
+                      "--sweeps": _ints(1, 2), "--warmup": _ints(0, 1), "--min-region-ms": _floats(5.0), "--seed": _SEEDS},
+    "flops": {"--routines": _ROUTINE_ARGS, "--lane-ops": None},
+}
+_ALWAYS = {"--routine", "--trials", "--reps", "--warmup", "--batch-sites", "--min-region-ms", "--dims", "--sweeps"}
+_COMMON = {"--precision": st.sampled_from(["single", "double"]), "--format": st.sampled_from(["csv", "table", "json-lines"])}
+
+
+@st.composite
+def _cli_args(draw):
+    """A command line of verify, bench, lattice-bench or flops: each option
+    passed or not, with a valid value, and at most one option's value junk
+    (garbage, negative, nan, inf)."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = {**_OPTIONS[command], **_COMMON}
+    bad = draw(st.none() | st.sampled_from([flag for flag, valid in options.items() if valid is not None]))
+    args = [command]
+    for flag, valid in options.items():
+        if flag in _ALWAYS or flag == bad or draw(st.booleans()):
+            args += [flag] if valid is None else [flag, draw(_JUNK if flag == bad else valid)]
+    return args
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=_cli_args())
+@example(args=["verify", "--routines", "mult_su3_nn", "--trials", "4", "--tolerance-ulps", "nan"])
+@example(args=["verify", "--routines", "mult_su3_nn", "--trials", "4", "--inject-fault"])
+@example(args=["lattice-bench", "--routine", "mult_su3_nn", "--dims", "2.9,2,2,2", "--sweeps", "1", "--warmup", "0",
+               "--min-region-ms", "0"])
+def test_cli_fuzz(args):
+    # In process: an exception that escapes cli.main, the traceback a user
+    # would see, fails the test. Every run succeeds, fails verification only
+    # when asked to, or exits 2 with an error line naming the program.
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            status = cli.main(args)
+        except SystemExit as exit_:
+            status = exit_.code
+    assert status in ((0, 1, 2) if "--inject-fault" in args else (0, 2)), (status, err.getvalue())
+    if status == 2:
+        assert re.search(r"^su3bench( [a-z-]+)?: error", err.getvalue(), re.M), err.getvalue()
+        assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()

@@ -85,6 +85,12 @@ def test_bad_inputs_rejected():
         Lattice4D(4.5, 4, 4, 4)
     with pytest.raises(ValueError):
         Lattice4D.from_dims((4, 4, 4))
+    # Refused, not truncated (2.7 -> 2) or parsed ('3' -> 3): the lattice
+    # would not be the one asked for. A numpy integer is an integer.
+    for dims in ((2.7, 1, 1, 1), ("3", 1, 1, 1), (2, 2, 2, 2.0), 4):
+        with pytest.raises(ValueError, match="integers"):
+            Lattice4D.from_dims(dims)
+    assert Lattice4D.from_dims(np.array([2, 3, 4, 5])).dims == (2, 3, 4, 5)
 
 
 def test_dims_and_volume():

@@ -129,7 +129,7 @@ def test_trace_performs_the_counted_operations(routine):
     assert ops.count("+") + ops.count("-") == adds == len(ops) - mults
 
 
-@pytest.mark.parametrize("routine", simd.TABLES)
+@pytest.mark.parametrize("routine", simd.CONTRACTIONS)
 def test_contractions_follow_the_summation_convention(routine):
     # The scalar module docstring's convention, read off the trace: each
     # result component is one add or subtract of two real product sums, and

@@ -301,7 +301,7 @@ def test_lane_op_count_spot_values():
         simd.lane_op_count("nonesuch")
 
 
-TABLE_KERNELS = tuple(simd.TABLES)
+TABLE_KERNELS = tuple(simd.CONTRACTIONS)
 
 
 @pytest.mark.parametrize("routine", TABLE_KERNELS)
@@ -349,27 +349,34 @@ def test_batch_apply_writes_any_result_layout(kind, routine, precision):
 
 @pytest.mark.parametrize("routine", TABLE_KERNELS)
 def test_lane_ops_derived_from_the_table(routine):
-    # lane_op_count reads its tallies off the table (they are pinned in
-    # test_cli): the gathers hold one row per step and real/imaginary half
-    # and one column per output lane, and each packed product broadcasts one
-    # component into both lanes, so a packed multiply is a lane pair of ia
-    # and a broadcast is a distinct component of ia.
-    t = simd.TABLES[routine]
-    steps, _, outputs = t.ia.shape
-    assert t.ia.shape == t.ib.shape == (steps, 2, outputs) and outputs == len(t.sign) and outputs % 2 == 0
-    assert np.array_equal(t.ia[..., 0::2], t.ia[..., 1::2])
-    assert 0 <= t.ia.min() and t.ia.max() < t.x_size and 0 <= t.ib.min() and t.ib.max() < t.y_size
+    # lane_op_count reads its tallies off the recipe's trace (they are
+    # pinned in test_cli): each packed product broadcasts one component into
+    # both lanes of a pair, so the products come in lane pairs that share
+    # their left factor and read two adjacent components of the pair
+    # operand, in order or swapped, and every component read is one of the
+    # operands' (in range).
+    trace = simd.routine_trace(routine)
+    where = {x: (k, i) for k, names in enumerate(trace.operands) for i, x in enumerate(names)}
+    results = {result for result, *_ in trace.steps}
+    products = [(left, right) for _, left, op, right in trace.steps if op == "*" and left not in results]
+    assert products and len(products) % 2 == 0
+    for (x, y0), (x1, y1) in zip(products[0::2], products[1::2]):
+        assert x == x1 and x in where and y0 in where and y1 in where
+        (kx, _), (k0, i0), (k1, i1) = where[x], where[y0], where[y1]
+        assert k0 == k1 != kx
+        assert i0 // 2 == i1 // 2 and i0 != i1
 
 
-@pytest.mark.parametrize("routine", TABLE_KERNELS)
+@pytest.mark.parametrize("routine", ALL)
 def test_lane_ops_tally_the_table_trace(routine):
     # One site's program performs every packed operation once per lane:
-    # products of two operand components, adds, and multiplies by a +-1 sign.
-    trace = simd.table_trace(simd.TABLES[routine])
+    # products of two operand components, adds or subtracts, and multiplies
+    # by a +-1 sign.
+    trace = simd.routine_trace(routine)
     components = {name for names in trace.operands for name in names}
     mults = [right for _, _, op, right in trace.steps if op == "*"]
     signs = [float(right) for right in mults if right not in components]
-    adds = [op for _, _, op, _ in trace.steps if op == "+"]
+    adds = [op for _, _, op, _ in trace.steps if op in "+-"]
     lanes = simd.lane_op_count(routine)
     assert len(mults) + len(adds) == len(trace.steps)
     assert len(mults) - len(signs) == 2 * lanes.packed_mults
