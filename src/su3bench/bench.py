@@ -8,13 +8,16 @@ timed region comes in under the minimum region length (default 10 ms, at
 most 60 s) the repetition count is grown geometrically and the measurement
 redone, up to 10^9 repetitions, so per-invocation figures never rest on a
 handful of clock ticks; set min_region_s=0 to pin the repetition count
-exactly. Repetition and warmup counts above 10^9 are rejected. Hot mode
-re-applies the kernel to the same cache-resident operands; streaming mode
-sweeps site-major lattice fields so successive invocations walk through
-memory. One measurement runs at a time (a module lock refuses concurrent
-entry) and the process is pinned to a single cpu for the duration where the
-platform allows it. A configuration whose operand, result and snapshot arrays would not fit
-in physical memory is rejected before anything is allocated.
+exactly. Repetition and warmup counts above 10^9 are rejected. `run` is
+the one function that times. Hot mode re-applies the kernel to one seeded,
+cache-resident batch; streaming mode sweeps site-major lattice fields, aligned
+or 4 bytes off, so successive invocations walk through memory. A setting the
+mode ignores is refused: `dims` or `alignment="unaligned"` in hot mode,
+`batch_sites` other than 1 in streaming mode. One measurement runs at a time
+(a module lock refuses concurrent entry) and the process is pinned to a
+single cpu for the duration where the platform allows it. A configuration
+whose operand, result and snapshot arrays would not fit in physical memory is
+rejected before anything is allocated.
 
 The output digest hashes the result of one kernel call on the seeded
 operands, so it does not depend on how many repetitions ran and scalar and
@@ -36,7 +39,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -96,7 +99,13 @@ class BenchConfig:
         if self.mode == "streaming":
             if self.dims is None:
                 raise ValueError("streaming mode requires lattice dims")
+            if self.batch_sites != 1:
+                raise ValueError("batch_sites is for hot mode; a streaming call sweeps the whole lattice")
             self.dims = Lattice4D.from_dims(self.dims).dims
+        elif self.dims is not None:
+            raise ValueError("dims is for streaming mode; hot mode times one batch of batch_sites")
+        elif self.alignment != "aligned":
+            raise ValueError("alignment='unaligned' is for streaming mode; hot operands are not offset")
         if self.repetitions is None:
             self.repetitions = max(1, DEFAULT_SITES // _sites_per_call(self))
         if not isinstance(self.repetitions, int) or not 1 <= self.repetitions <= _REPS_CAP:
@@ -217,18 +226,33 @@ def _timed_region(call, repetitions: int, min_region_s: float) -> tuple[int, flo
         reps = int(min(max(2 * reps, grown), _REPS_CAP))
 
 
-def _measure(config: BenchConfig, setup) -> TimingRecord:
-    """The one measurement body of both modes.
+def _operands(config: BenchConfig) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The seeded operands of one timed call and its result array (None for
+    the in-place routine): a `random_operands` batch in hot mode; in
+    streaming mode `SiteBuffer` fields, with a fixed 0-d real factor for a
+    scalar operand, which the dispatchers take."""
+    spec = routine_spec(config.routine)
+    dt = dtype_for(config.precision)
+    if config.mode == "hot":
+        operands = random_operands(config.routine, config.seed, config.precision, batch=config.batch_sites)
+        return operands, None if spec.in_place else np.empty((config.batch_sites,) + OPERAND_SHAPES[spec.result], dt)
+    fields = {f"op{i}": kind for i, kind in enumerate(spec.operands) if kind != "scalar"}
+    if not spec.in_place:
+        fields["result"] = spec.result
+    buf = SiteBuffer(Lattice4D.from_dims(config.dims), fields, config.precision, aligned=config.alignment == "aligned")
+    buf.randomize(config.seed)
+    operands = [np.array(0.5, dt) if kind == "scalar" else buf[f"op{i}"] for i, kind in enumerate(spec.operands)]
+    return operands, buf.arrays.get("result")
 
-    Under the module lock and a cpu pin, `setup()` gives the operands and the
-    result array (None for the in-place routine, whose target is snapshotted
-    instead); then warmup, the timed region and the final digest. Each call
-    is one batch_apply over ``_sites_per_call`` sites.
-    """
+
+def run(config: BenchConfig) -> TimingRecord:
+    """Time `config`'s kernel. Under the module lock and a cpu pin: build the
+    operands, warm up, time the region, take the final digest. Each call is
+    one batch_apply over ``_sites_per_call`` sites."""
     spec = routine_spec(config.routine)
     backend = get_backend(config.backend)
     with _exclusive(), _pinned() as cpu:
-        operands, out = setup()
+        operands, out = _operands(config)
         watched = operands[0] if spec.in_place else out
         snapshot = watched.copy() if spec.in_place else None
 
@@ -254,48 +278,6 @@ def _measure(config: BenchConfig, setup) -> TimingRecord:
         )
 
 
-def run_hot(config: BenchConfig) -> TimingRecord:
-    """Time repeated application to one cache-resident operand set."""
-    if config.mode != "hot":
-        raise ValueError("run_hot requires a hot-mode config")
-    spec = routine_spec(config.routine)
-
-    def setup():
-        operands = random_operands(config.routine, config.seed, config.precision, batch=config.batch_sites)
-        shape = (config.batch_sites,) + OPERAND_SHAPES[spec.result]
-        return operands, None if spec.in_place else np.empty(shape, dtype=dtype_for(config.precision))
-
-    return _measure(config, setup)
-
-
-def _streaming_fields(spec) -> dict[str, str]:
-    fields = {f"op{i}": kind for i, kind in enumerate(spec.operands) if kind != "scalar"}
-    if not spec.in_place:
-        fields["result"] = spec.result
-    return fields
-
-
-def run_streaming(config: BenchConfig) -> TimingRecord:
-    """Time whole-lattice sweeps over site-major fields."""
-    if config.mode != "streaming":
-        raise ValueError("run_streaming requires a streaming-mode config")
-    spec = routine_spec(config.routine)
-    lat = Lattice4D.from_dims(config.dims)
-
-    def setup():
-        buf = SiteBuffer(lat, _streaming_fields(spec), precision=config.precision, aligned=config.alignment == "aligned")
-        buf.randomize(config.seed)
-        scalar_value = np.array(0.5, dtype_for(config.precision))  # fixed 0-d real factor, which the dispatchers take
-        operands = [scalar_value if kind == "scalar" else buf[f"op{i}"] for i, kind in enumerate(spec.operands)]
-        return operands, None if spec.in_place else buf["result"]
-
-    return _measure(config, setup)
-
-
-def run(config: BenchConfig) -> TimingRecord:
-    return run_hot(config) if config.mode == "hot" else run_streaming(config)
-
-
 @dataclass(frozen=True)
 class SpeedupRow:
     """Reference-over-vector time ratio for one matched pair of records."""
@@ -309,19 +291,6 @@ class SpeedupRow:
     ratio: float
     lane_bound: float
     anomalous: bool
-
-    def to_row(self) -> dict:
-        return {
-            "routine": self.routine,
-            "precision": self.precision,
-            "mode": self.mode,
-            "alignment": self.alignment,
-            "t_ref_s": self.t_ref_s,
-            "t_vec_s": self.t_vec_s,
-            "ratio": self.ratio,
-            "lane_bound": self.lane_bound,
-            "anomalous": self.anomalous,
-        }
 
 
 def speedup_row(
@@ -410,4 +379,4 @@ def format_records(records: Iterable[TimingRecord], style: str = "csv") -> str:
 
 
 def format_speedups(rows: Iterable[SpeedupRow], style: str = "table") -> str:
-    return format_rows([r.to_row() for r in rows], SPEEDUP_COLUMNS, style)
+    return format_rows([asdict(r) for r in rows], SPEEDUP_COLUMNS, style)

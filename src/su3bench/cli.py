@@ -27,7 +27,7 @@ LANE_COLUMNS = ("routine", "broadcasts", "packed_mults", "packed_adds", "swaps",
 def _routine_list(value: str) -> list[str]:
     if value == "all":
         return list(ROUTINE_NAMES)
-    names = [v.strip() for v in value.split(",") if v.strip()]
+    names = list(dict.fromkeys(v.strip() for v in value.split(",") if v.strip()))  # repeats dropped
     if not names:
         raise argparse.ArgumentTypeError(f"expected at least one routine name or 'all', got {value!r}")
     unknown = [n for n in names if n not in ROUTINE_NAMES]
@@ -90,18 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-region-ms", type=float, default=10.0)
     p.add_argument("--speedup", action="store_true", help="emit scalar/vector time ratios (implies --backend both)")
     _add_common(p)
-    p.set_defaults(handler=_cmd_bench)
+    p.set_defaults(handler=_cmd_bench, mode="hot", dims=None, alignment="aligned")
 
     p = sub.add_parser("lattice-bench", help="streaming sweeps over aligned lattice fields")
     p.add_argument("--routine", type=_routine_list, required=True)
     p.add_argument("--backend", choices=("scalar", "vector", "both"), default="vector")
     p.add_argument("--dims", type=_dims, default=(4, 4, 4, 4), help="lattice extents, e.g. 8,4,4,4")
     p.add_argument("--alignment", choices=("aligned", "unaligned", "both"), default="aligned")
-    p.add_argument("--sweeps", type=int, default=1, help="minimum full-lattice sweeps to time")
+    p.add_argument("--sweeps", dest="reps", metavar="SWEEPS", type=int, default=1, help="minimum full-lattice sweeps to time")
     p.add_argument("--warmup", type=int, default=3)
     p.add_argument("--min-region-ms", type=float, default=10.0)
     _add_common(p)
-    p.set_defaults(handler=_cmd_lattice_bench)
+    p.set_defaults(handler=_cmd_bench, mode="streaming", batch_sites=1, speedup=False)
 
     p = sub.add_parser("flops", help="per-invocation operation counts")
     p.add_argument("--routines", type=_routine_list, default=list(ROUTINE_NAMES))
@@ -133,75 +133,41 @@ def _cmd_verify(args) -> tuple[str, int]:
         tolerance_ulps=args.tolerance_ulps,
         inject_fault=args.inject_fault,
     )
-    rows = []
-    for r in report.rows:
-        rows.append(
-            {
-                "routine": r.routine,
-                "precision": r.precision,
-                "trials": r.trials,
-                "seed": r.seed,
-                "tolerance_ulps": r.tolerance_ulps,
-                "max_ulp": r.max_ulp,
-                "worst_trial": r.worst_trial,
-                "worst_component": ":".join(str(k) for k in r.worst_component) or "-",
-                "status": "pass" if r.passed else "FAIL",
-            }
-        )
+    rows = [
+        {**asdict(r), "worst_component": ":".join(map(str, r.worst_component)) or "-", "status": "pass" if r.passed else "FAIL"}
+        for r in report.rows
+    ]
     text = format_rows(rows, VERIFY_COLUMNS, args.format)
     return text, 0 if report.passed else 1
 
 
-def _hot_config(args, routine: str, backend: str) -> BenchConfig:
-    return BenchConfig(
-        routine=routine,
-        backend=backend,
-        precision=args.precision,
-        mode="hot",
-        repetitions=args.reps,
-        warmup=args.warmup,
-        batch_sites=args.batch_sites,
-        seed=args.seed,
-        min_region_s=args.min_region_ms / 1000.0,
-    )
-
-
 def _cmd_bench(args) -> tuple[str, int]:
+    """`bench` and `lattice-bench`: one record per routine, backend and alignment."""
     backends = ("scalar", "vector") if args.speedup or args.backend == "both" else (args.backend,)
-    records = {}
-    for routine in args.routine:
-        for backend in backends:
-            records[(routine, backend)] = bench.run_hot(_hot_config(args, routine, backend))
-    if args.speedup:
-        pairs = [(records[(r, "scalar")], records[(r, "vector")]) for r in args.routine]
-        return bench.format_speedups(bench.speedup_table(pairs), args.format), 0
-    return bench.format_records(records.values(), args.format), 0
-
-
-def _cmd_lattice_bench(args) -> tuple[str, int]:
-    backends = ("scalar", "vector") if args.backend == "both" else (args.backend,)
     alignments = ("aligned", "unaligned") if args.alignment == "both" else (args.alignment,)
-    recs = []
-    for routine in args.routine:
-        for backend in backends:
-            for alignment in alignments:
-                recs.append(
-                    bench.run_streaming(
-                        BenchConfig(
-                            routine=routine,
-                            backend=backend,
-                            precision=args.precision,
-                            mode="streaming",
-                            repetitions=args.sweeps,
-                            warmup=args.warmup,
-                            dims=args.dims,
-                            alignment=alignment,
-                            seed=args.seed,
-                            min_region_s=args.min_region_ms / 1000.0,
-                        )
-                    )
-                )
-    return bench.format_records(recs, args.format), 0
+    records = [
+        bench.run(
+            BenchConfig(
+                routine=routine,
+                backend=backend,
+                precision=args.precision,
+                mode=args.mode,
+                repetitions=args.reps,
+                warmup=args.warmup,
+                batch_sites=args.batch_sites,
+                dims=args.dims,
+                alignment=alignment,
+                seed=args.seed,
+                min_region_s=args.min_region_ms / 1000.0,
+            )
+        )
+        for routine in args.routine
+        for backend in backends
+        for alignment in alignments
+    ]
+    if args.speedup:
+        return bench.format_speedups(bench.speedup_table(zip(records[::2], records[1::2])), args.format), 0
+    return bench.format_records(records, args.format), 0
 
 
 def _cmd_flops(args) -> tuple[str, int]:

@@ -26,6 +26,15 @@ DEFAULT_ALIGNMENT = 16
 UNALIGNED_OFFSET = 4  # bytes; breaks 8-byte alignment without crossing an element
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """`values` as Python ints, numpy integers included; a float or a
+    string is refused, not truncated or parsed."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
+
+
 class AlignedBuffer:
     """A byte buffer whose payload starts on an `alignment`-byte boundary.
 
@@ -91,12 +100,8 @@ class Lattice4D:
 
     @classmethod
     def from_dims(cls, dims) -> "Lattice4D":
-        """The lattice of four integer extents (numpy integers too): a
-        float or a string is refused, not truncated or parsed."""
-        try:
-            dims = tuple(operator.index(n) for n in dims)
-        except TypeError:
-            raise ValueError(f"lattice dims must be integers, got {dims!r}") from None
+        """The lattice of four integer extents (see `_integers`)."""
+        dims = _integers(dims, "lattice dims")
         if len(dims) != 4:
             raise ValueError(f"expected four dimensions, got {dims}")
         return cls(*dims)
@@ -110,13 +115,14 @@ class Lattice4D:
         return self.nx * self.ny * self.nz * self.nt
 
     def site_index(self, coord) -> int:
-        x, y, z, t = coord
+        x, y, z, t = _integers(coord, "coordinate")
         for c, n in zip((x, y, z, t), self.dims):
             if not 0 <= c < n:
                 raise ValueError(f"coordinate {coord} outside lattice {self.dims}")
         return x + self.nx * (y + self.ny * (z + self.nz * t))
 
     def site_coord(self, index: int) -> tuple[int, int, int, int]:
+        (index,) = _integers((index,), "site index")
         if not 0 <= index < self.volume:
             raise ValueError(f"site index {index} outside volume {self.volume}")
         x = index % self.nx
@@ -142,10 +148,11 @@ class SiteBuffer:
     """Site-major field storage for one lattice, aligned or deliberately not.
 
     `fields` maps field names to operand kinds ('vec', 'mat', 'mat4', ...);
-    each field lives in its own explicitly aligned buffer as a
+    each field lives in its own DEFAULT_ALIGNMENT-byte aligned buffer as a
     (volume,) + kind-shape array. With aligned=False every field view is
     shifted four bytes so its base address breaks 8-byte alignment, holding
-    data and layout fixed while only the boundary changes.
+    data and layout fixed while only the boundary changes. Streaming
+    `bench.run` lays its operand and result fields out here.
     """
 
     def __init__(
@@ -153,13 +160,11 @@ class SiteBuffer:
         lattice: Lattice4D,
         fields: dict[str, str],
         precision: str = "double",
-        alignment: int = DEFAULT_ALIGNMENT,
         aligned: bool = True,
     ):
         dt = dtype_for(precision)
         self.lattice = lattice
         self.precision = precision
-        self.alignment = alignment
         self.aligned = bool(aligned)
         self.kinds = dict(fields)
         self._buffers: dict[str, AlignedBuffer] = {}
@@ -168,7 +173,7 @@ class SiteBuffer:
             if kind not in OPERAND_SHAPES:
                 raise ValueError(f"unknown field kind {kind!r} for field {name!r}")
             shape = (lattice.volume,) + OPERAND_SHAPES[kind]
-            buf = AlignedBuffer(math.prod(shape) * dt.itemsize, alignment)
+            buf = AlignedBuffer(math.prod(shape) * dt.itemsize)
             self._buffers[name] = buf
             self.arrays[name] = buf.view(dt, shape) if self.aligned else buf.unaligned_view(dt, shape)
 

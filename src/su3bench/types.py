@@ -227,12 +227,16 @@ def random_operands(
     return ops
 
 
+_native = None  # su3bench.native, imported on the first draw
+
+
 def _native_uniform(seed, size: int, dt: np.dtype) -> np.ndarray | None:
     """`size` components of `seed`'s draw, each ``2 * u - 1`` in `dt`, from
     the native module; None where it is unavailable or does not take `seed`."""
-    from . import native  # not at import: counting operations builds nothing
-
-    module = native.load()
+    global _native
+    if _native is None:
+        from . import native as _native  # not at import: counting operations builds nothing
+    module = _native.load()
     if module is None:
         return None
     out = np.empty(size, dt)

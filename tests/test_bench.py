@@ -204,6 +204,47 @@ def test_config_validation():
         BenchConfig(routine="mult_su3_mat_vec", mode="streaming", dims=(2.9, 2, 2, 2))
 
 
+@pytest.mark.parametrize("settings, setting", [
+    ({"dims": (2, 2, 2, 2)}, "dims"),
+    ({"alignment": "unaligned"}, "alignment"),
+    ({"mode": "streaming", "dims": (2, 2, 2, 2), "batch_sites": 4}, "batch_sites"),
+])
+def test_config_refuses_a_setting_its_mode_ignores(settings, setting):
+    # Hot operands are one batch, never offset; a streaming call sweeps the
+    # whole lattice. A record must not name a setting that was not applied.
+    with pytest.raises(ValueError, match=setting):
+        BenchConfig("mult_su3_mat_vec", **settings)
+
+
+# bench.run's output digests at the default seed, equal on both backends:
+# hot at batch 1, hot at batch 17, and streaming over (2, 2, 2, 3), where
+# aligned and unaligned fields hold the same values.
+RIG_DIGESTS = {
+    ("mult_su3_nn", "double"): ("f70903fb92b86201", "5a3274a6a3ae0f9f", "1a584ee79dd6add6"),
+    ("mult_su3_nn", "single"): ("b060eb9bdbb76aa1", "26cf08ee86f8180c", "eb7d5e201c063682"),
+    ("mult_su3_mat_vec_sum_4dir", "double"): ("7f0031b40657c0ca", "3523d3a76d4b9754", "c2e5ecfdee892289"),
+    ("mult_su3_mat_vec_sum_4dir", "single"): ("99dcc0c3f5e676bd", "eb99d1fe799f4eba", "4b67cd1ca0599211"),
+    ("scalar_mult_add_su3_vector", "double"): ("f387d3764d7919ae", "67dd9e77f3839cc6", "7cfc3bd257e5e364"),
+    ("scalar_mult_add_su3_vector", "single"): ("3e307cf7dfe3fc4c", "91f2f76ae80348cd", "82eb79b012f545af"),
+    ("sub_four_su3_vecs", "double"): ("403bd3de873e3877", "d61c1109d4c8ddc0", "8d16d844999f80ed"),
+    ("sub_four_su3_vecs", "single"): ("203b1b90b078afa4", "946a6b8695a333bc", "a0652b0a52924c9b"),
+}
+
+
+@pytest.mark.parametrize("routine, precision", sorted(RIG_DIGESTS))
+@pytest.mark.parametrize("backend", backends.BACKEND_NAMES)
+def test_rig_digests_are_pinned(routine, precision, backend):
+    # The rig's seeded operands and fields, not just the kernels, are fixed.
+    def digest(**settings):
+        return bench.run(_cfg(routine=routine, backend=backend, precision=precision, **settings)).output_digest
+
+    hot, batch, streaming = RIG_DIGESTS[routine, precision]
+    assert digest() == hot
+    assert digest(batch_sites=17) == batch
+    for alignment in ("aligned", "unaligned"):
+        assert digest(mode="streaming", dims=(2, 2, 2, 3), alignment=alignment) == streaming
+
+
 @pytest.mark.parametrize("settings, reps", [
     ({}, 1_000_000),
     ({"batch_sites": 4096}, 244),
@@ -211,14 +252,17 @@ def test_config_validation():
     ({"mode": "streaming", "dims": (16, 16, 16, 16)}, 15),
     ({"mode": "streaming", "dims": (2, 2, 2, 3)}, 41_666),
 ])
-def test_default_repetitions_cover_a_million_sites(settings, reps):
+def test_default_repetitions_cover_a_million_sites(settings, reps, monkeypatch):
     # max(1, 10**6 // sites per call): the batch in hot mode, the lattice
     # in streaming mode. A count that is given is kept.
     assert BenchConfig("mult_su3_mat_vec", **settings).repetitions == reps
     assert BenchConfig("mult_su3_mat_vec", repetitions=7, **settings).repetitions == 7
-    args = ["bench", "--routine", "mult_su3_mat_vec", "--batch-sites", str(settings.get("batch_sites", 1))]
-    if "dims" not in settings:
-        assert cli._hot_config(cli.build_parser().parse_args(args), "mult_su3_mat_vec", "vector").repetitions == reps
+    if "dims" not in settings:  # `bench` without --reps; lattice-bench's --sweeps defaults to 1
+        configs = []
+        monkeypatch.setattr(bench, "run", lambda config: configs.append(config) or _record())
+        args = ["bench", "--routine", "mult_su3_mat_vec", "--batch-sites", str(settings.get("batch_sites", 1))]
+        assert cli.main(args) == 0
+        assert [config.repetitions for config in configs] == [reps]
 
 
 def test_config_is_checked_without_the_native_module():

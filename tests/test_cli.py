@@ -181,6 +181,36 @@ def test_lattice_bench_both_alignments():
     assert ",streaming,unaligned," in lines[2]
 
 
+@pytest.mark.parametrize("args", [
+    ("bench", "--routine", "mult_su3_nn,add_su3_vector,mult_su3_nn", "--backend", "both"),
+    ("bench", "--routine", "mult_su3_nn,add_su3_vector,mult_su3_nn", "--speedup"),
+    ("lattice-bench", "--routine", "mult_su3_nn,add_su3_vector,mult_su3_nn", "--alignment", "both"),
+])
+def test_repeated_routine_is_measured_once(args, monkeypatch, capsys):
+    # A repeat is dropped where the list is parsed, first-seen order kept,
+    # so every bench form measures and prints each routine once.
+    measured = []
+
+    def fake(config):
+        measured.append((config.routine, config.backend, config.alignment))
+        return bench.TimingRecord(config.routine, config.backend, config.precision, config.mode, config.alignment,
+                                  invocations=1, elapsed_s=1.0, flops_per_invocation=1, output_digest="",
+                                  environment={}, config=config)
+
+    monkeypatch.setattr(bench, "run", fake)
+    assert cli.main([*args, "--format", "csv"]) == 0
+    assert [r for r, _, _ in measured] == ["mult_su3_nn"] * (len(measured) // 2) + ["add_su3_vector"] * (len(measured) // 2)
+    assert len(measured) == len(set(measured)) == 4
+    printed = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert printed == ["mult_su3_nn"] * (len(printed) // 2) + ["add_su3_vector"] * (len(printed) // 2)
+
+
+def test_verify_runs_a_repeated_routine_once(capsys):
+    assert cli._routine_list("mult_su3_nn, add_su3_vector,mult_su3_nn") == ["mult_su3_nn", "add_su3_vector"]
+    assert cli.main(["verify", "--routines", "su3_projector,su3_projector", "--trials", "5", "--format", "csv"]) == 0
+    assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]] == ["su3_projector"]
+
+
 def test_lattice_bench_rejects_bad_dims():
     proc = run_cli("lattice-bench", "--routine", "mult_su3_mat_vec", "--dims", "2,2,2")
     assert proc.returncode == 2
@@ -267,7 +297,7 @@ def test_memory_error_exits_2(monkeypatch, capsys):
     def exhausted(config):
         raise MemoryError("Unable to allocate 1 TiB")
 
-    monkeypatch.setattr(bench, "run_hot", exhausted)
+    monkeypatch.setattr(bench, "run", exhausted)
     assert cli.main(["bench", "--routine", "mult_su3_mat_vec"]) == 2
     assert "out of memory: Unable to allocate 1 TiB" in capsys.readouterr().err
 

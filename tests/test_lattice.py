@@ -93,6 +93,23 @@ def test_bad_inputs_rejected():
     assert Lattice4D.from_dims(np.array([2, 3, 4, 5])).dims == (2, 3, 4, 5)
 
 
+def test_indexing_refuses_non_integers():
+    # Refused, as from_dims refuses float extents: 0.5 is no site, and
+    # site_coord(1.5) used to return (1.5, 0.0, 0.0, 0.0).
+    lat = Lattice4D(4, 4, 4, 4)
+    for coord in ((0.5, 0, 0, 0), (0, 0, 0, 1.0), ("1", 0, 0, 0)):
+        with pytest.raises(ValueError, match="integers"):
+            lat.site_index(coord)
+    for index in (1.5, 2.0, "3", np.float64(1)):
+        with pytest.raises(ValueError, match="integers"):
+            lat.site_coord(index)
+        with pytest.raises(ValueError, match="integers"):
+            lat.neighbor(index, "+x")
+    assert lat.site_index(tuple(np.int64(c) for c in (1, 2, 3, 0))) == 1 + 4 * (2 + 4 * 3)
+    assert lat.site_coord(np.int32(5)) == (1, 1, 0, 0)
+    assert lat.neighbor(np.int64(3), "+x") == 0
+
+
 def test_dims_and_volume():
     lat = Lattice4D(2, 3, 4, 5)
     assert lat.dims == (2, 3, 4, 5)

@@ -27,7 +27,16 @@ def _cli_examples() -> dict[str, tuple[list[str], list[str]]]:
     return examples
 
 
+def _shown_commands() -> list[str]:
+    """The arguments of every other `python3 -m su3bench ...` line in a
+    fenced block: commands shown without their output, parsed, not run."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```$", README, re.S | re.M)
+    prefix = "python3 -m su3bench "
+    return [line[len(prefix):] for block in blocks for line in block.splitlines() if line.startswith(prefix)]
+
+
 CLI_EXAMPLES = _cli_examples()
+SHOWN_COMMANDS = _shown_commands()
 
 
 def test_library_quick_start_runs_and_prints_what_it_says(capsys):
@@ -51,6 +60,19 @@ def test_cli_example_matches_real_output(example, capsys):
         lines = lines[:-1]
         printed = printed[: len(lines)]
     assert printed == lines
+
+
+def test_readme_shows_the_bench_commands():
+    assert {"bench", "lattice-bench"} <= {command.split()[0] for command in SHOWN_COMMANDS}
+
+
+@pytest.mark.parametrize("command", SHOWN_COMMANDS)
+def test_shown_command_parses(command, capsys):
+    # A flag the parser no longer has, or a bad value, fails here.
+    try:
+        cli.build_parser().parse_args(shlex.split(command, comments=True))
+    except SystemExit:
+        pytest.fail(f"README command does not parse: {command}\n{capsys.readouterr().err}")
 
 
 def test_layout_lists_exactly_the_package_modules():
