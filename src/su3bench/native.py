@@ -4,19 +4,29 @@ extension, and the checked entries that run them.
 Every trace becomes one C function per precision that runs it over n sites:
 each backend's ``routine_trace`` of each routine, the scalar bodies', the
 vector backend's contraction recipes' and its numpy elementwise bodies'. A site
-loads every component it reads, then performs each step as one
-``const T tK = l op r;`` in the trace's order, in the operands' own
-precision (``double`` or ``float``; x86-64 C rounds a float operation to
-float), then stores every result component. So each site rounds exactly as
-the trace's Python program does, and an ``out`` that is an operand reads its
-values before any is written; an ``out`` that overlaps an operand any other
-way is refused (see ``backends``). Where a NaN arises is the same; its sign
-and payload bits may differ (gcc may fold a ``* -1.0`` sign into a
-negation). Loads and stores go through ``memcpy``, which needs no
-alignment, so a ``SiteBuffer`` 4 bytes off its boundary runs here too. The
-+-1 signs are literals. Identical traces (``mult_adj_su3_mat_4vec`` is
-``mult_adj_su3_mat_vec_4dir``; both backends' ``add_su3_vector``) share
-one pair of loops.
+loads every component it reads, then performs the trace's steps in its
+order, in the operands' own precision (``double`` or ``float``; x86-64 C
+rounds a float operation to float), then stores every result component.
+The scalar backend's loops are plain: each step is one
+``const T tK = l op r;``. The vector backend's are the packed SSE2 recipe
+(``simd``): its ``pack_plan`` pairs steps 2k and 2k + 1 into one operation
+on a GCC vector of two lanes (``v2d``, 128 bits of double; ``v2f``, two
+floats, the low half of an SSE register), ``const v2d tA_tB = l op r;``,
+whose operands are registers earlier steps made, a broadcast of one
+component, a constant of two +-1 signs, or two adjacent components loaded
+as one (``ld2_d``), their lanes swapped where the trace reads them
+reversed (``swap_d``); results 2o and 2o + 1 are stored as one. Each lane
+performs its own step in IEEE arithmetic, so a packed loop gives the plain
+loop's bits; a vector trace that does not pair so is refused at emit time.
+So each site rounds exactly as the trace's Python program does, and an
+``out`` that is an operand reads its values before any is written; an
+``out`` that overlaps an operand any other way is refused (see
+``backends``). Where a NaN arises is the same; its sign and payload bits
+may differ (gcc may fold a plain loop's ``* -1.0`` sign into a negation).
+Loads and stores go through ``memcpy``, which needs no alignment, so a
+``SiteBuffer`` 4 bytes off its boundary runs here too. The +-1 signs are
+literals. Identical traces of one backend (``mult_adj_su3_mat_4vec`` is
+``mult_adj_su3_mat_vec_4dir``) share one pair of loops.
 
 Every callable the module exports is a builtin function bound to its data.
 Each backend's routine has one METH_FASTCALL entry, named by
@@ -48,9 +58,11 @@ components from a seed in one pass with no ``Generator`` built: numpy's
 ``SeedSequence`` mixing of the seed's uint32 words (read as numpy's
 ``_coerce_to_uint32_array`` reads an int >= 0 or a list or tuple of them),
 PCG64 seeded from its ``generate_state(4, uint64)``, the XSL-RR output on
-``unsigned __int128``, ``(x >> 11) * 2**-53``, then ``u *= 2.0; u -= 1.0``
-in double, stored in ``out``'s precision: the bits of
-``default_rng(seed).random()`` scaled as ``random_operands`` scales them.
+``unsigned __int128``, then ``(x >> 11) * 2**-52 - 1.0`` in double, stored
+in ``out``'s precision by a loop of that precision: the bits of
+``default_rng(seed).random()`` scaled as ``random_operands`` scales them
+(``u = (x >> 11) * 2**-53; u *= 2.0; u -= 1.0``, as the power-of-two
+scalings are exact).
 Any other seed or ``out`` it leaves untouched and returns
 ``NotImplemented``, and the draw goes through numpy. It is emitted after
 the site loops and dispatchers, so their emitted source is as it was.
@@ -67,11 +79,11 @@ from the serial stream's: consecutive outputs do not wait on each other's
 
 gcc builds the module with ``-ffp-contract=off`` (no fused multiply-add,
 which would round once where the trace rounds twice) and
-``-fno-tree-vectorize`` (no packed arithmetic), synchronously and with a
-timeout, on the first call of ``load`` in a process, which the first
-``get_backend`` or kernel call makes; importing the package or counting
-operations imports not even this module. The module goes to the
-source checkout's git-ignored ``build/`` under a name keyed by a hash of
+``-fno-tree-vectorize`` (no packed arithmetic but the vector loops' own),
+synchronously and with a timeout, on the first call of ``load`` in a
+process, which the first ``get_backend`` or kernel call makes; importing the
+package or counting operations imports not even this module. The module
+goes to the source checkout's git-ignored ``build/`` under a name keyed by a hash of
 this file, the traces, and numpy's version and include directory, written
 to a temporary file and renamed into place, so a cached module is loaded
 without emitting anything and concurrent builds do not collide; its source
@@ -104,6 +116,7 @@ NUMPY_INCLUDE = np.get_include()
 TIMEOUT_S = 300
 MAX_ARGS = 8
 _TYPES = (("d", "double"), ("f", "float"))  # loop name suffix and C type of each precision
+PACK = {"scalar": 1, "vector": 2}  # trace steps to a C step in each backend's loops: plain, or the recipe's lane pairs
 
 _PRELUDE = r"""#define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -116,6 +129,19 @@ static inline double ld_d(const char *p, Py_ssize_t k) { double v; memcpy(&v, p 
 static inline float ld_f(const char *p, Py_ssize_t k) { float v; memcpy(&v, p + k * sizeof v, sizeof v); return v; }
 static inline void st_d(char *p, Py_ssize_t k, double v) { memcpy(p + k * sizeof v, &v, sizeof v); }
 static inline void st_f(char *p, Py_ssize_t k, float v) { memcpy(p + k * sizeof v, &v, sizeof v); }
+
+/* The packed loops' registers: two lanes of double (SSE2's 128 bits) or of
+   float; components k and k + 1 in or out as one, and the lanes swapped. */
+typedef double v2d __attribute__((vector_size(16)));
+typedef float v2f __attribute__((vector_size(8)));
+typedef long long v2d_lanes __attribute__((vector_size(16)));
+typedef int v2f_lanes __attribute__((vector_size(8)));
+static inline v2d ld2_d(const char *p, Py_ssize_t k) { v2d v; memcpy(&v, p + k * sizeof(double), sizeof v); return v; }
+static inline v2f ld2_f(const char *p, Py_ssize_t k) { v2f v; memcpy(&v, p + k * sizeof(float), sizeof v); return v; }
+static inline void st2_d(char *p, Py_ssize_t k, v2d v) { memcpy(p + k * sizeof(double), &v, sizeof v); }
+static inline void st2_f(char *p, Py_ssize_t k, v2f v) { memcpy(p + k * sizeof(float), &v, sizeof v); }
+static inline v2d swap_d(v2d v) { return __builtin_shuffle(v, (v2d_lanes){1, 0}); }
+static inline v2f swap_f(v2f v) { return __builtin_shuffle(v, (v2f_lanes){1, 0}); }
 
 /* p: each operand's first site, then the result's; step: their bytes per site. */
 typedef void (*site_loop)(Py_ssize_t n, char *const *p, const Py_ssize_t *step);
@@ -435,20 +461,36 @@ static uint64_t pcg64_next(struct pcg64 *g)
     return x >> rot | x << (-rot & 63);
 }
 
-/* Output i of uniform from its state: the XSL-RR output pcg64_next gives
-   for that state, u = (x >> 11) * 2**-53, u *= 2.0, u -= 1.0 in double,
-   stored in a's precision. */
-static inline void put(PyArrayObject *a, char *p, Py_ssize_t i, pcg128 state)
+/* Output i of uniform from its state, stored in double or (single) in
+   float: the XSL-RR output pcg64_next gives for that state, then
+   (x >> 11) * 2**-52 - 1.0 in double, which is u = (x >> 11) * 2**-53,
+   u *= 2.0, u -= 1.0: x >> 11 is below 2**53, and a power-of-two scaling
+   of it is exact. */
+static inline void put(char *p, Py_ssize_t i, int single, pcg128 state)
 {
     const uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
     const unsigned rot = (unsigned)(state >> 122);
-    double u = (double)((x >> rot | x << (-rot & 63)) >> 11) * (1.0 / 9007199254740992.0);
-    u *= 2.0;
-    u -= 1.0;
-    if (PyArray_TYPE(a) == NPY_DOUBLE)
-        st_d(p, i, u);
-    else
+    const double u = (double)((x >> rot | x << (-rot & 63)) >> 11) * (1.0 / 4503599627370496.0) - 1.0;
+    if (single)
         st_f(p, i, (float)u);
+    else
+        st_d(p, i, u);
+}
+
+/* Outputs 0 to n - 1 into p from the two chains (see uniform), in one
+   precision: inlined into each branch of uniform with `single` a
+   constant, so that no output tests the type. */
+static inline __attribute__((always_inline)) void fill(char *p, Py_ssize_t n, int single, pcg128 s0, pcg128 s1, pcg128 m2, pcg128 c2)
+{
+    Py_ssize_t i;
+    for (i = 0; i + 1 < n; i += 2) {
+        put(p, i, single, s0);
+        put(p, i + 1, single, s1);
+        s0 = s0 * m2 + c2;
+        s1 = s1 * m2 + c2;
+    }
+    if (i < n)
+        put(p, i, single, s0);
 }
 
 /* uniform(seed, out): fill out, a C-contiguous float64 or float32 array,
@@ -469,8 +511,7 @@ static PyObject *uniform(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
     pcg128 s0, s1, m2, c2;
     PyObject *const *items;
     PyArrayObject *a;
-    Py_ssize_t count, i, n;
-    char *p;
+    Py_ssize_t count, i;
     int r;
     if (nargs != 2) {
         PyErr_Format(PyExc_TypeError, "uniform takes 2 arguments (%zd given)", nargs);
@@ -499,20 +540,14 @@ static PyObject *uniform(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
     pcg64_next(&g);
     g.state += (pcg128)state[0] << 64 | state[1];
     pcg64_next(&g);
-    n = PyArray_SIZE(a);
-    p = PyArray_BYTES(a);
     s0 = g.state * PCG_MULTIPLIER + g.inc;
     s1 = s0 * PCG_MULTIPLIER + g.inc;
     m2 = PCG_MULTIPLIER * PCG_MULTIPLIER;
     c2 = g.inc * PCG_MULTIPLIER + g.inc;
-    for (i = 0; i + 1 < n; i += 2) {
-        put(a, p, i, s0);
-        put(a, p, i + 1, s1);
-        s0 = s0 * m2 + c2;
-        s1 = s1 * m2 + c2;
-    }
-    if (i < n)
-        put(a, p, i, s0);
+    if (PyArray_TYPE(a) == NPY_DOUBLE)
+        fill(PyArray_BYTES(a), PyArray_SIZE(a), 0, s0, s1, m2, c2);
+    else
+        fill(PyArray_BYTES(a), PyArray_SIZE(a), 1, s0, s1, m2, c2);
     Py_INCREF(a);
     return (PyObject *)a;
 }
@@ -599,9 +634,10 @@ def _load_or_build() -> tuple:
 
 
 def _entries() -> list[tuple]:
-    """(entry name, trace, routine spec) for every routine of every
-    backend; a trace takes the routine's operands in the routine's order."""
-    return [(entry(kind, routine), backend.routine_trace(routine), spec)
+    """(entry name, trace, routine spec, lanes) for every routine of every
+    backend; a trace takes the routine's operands in the routine's order,
+    and its loops run `lanes` of its steps as one (``PACK``)."""
+    return [(entry(kind, routine), backend.routine_trace(routine), spec, PACK[kind])
             for kind, backend in _BACKENDS.items() for routine, spec in ROUTINES.items()]
 
 
@@ -651,15 +687,15 @@ def _build(entries, stem: str, path: Path) -> None:
 def _emit(write, entries) -> None:
     """Write the module's C source through `write`, a line at a time."""
     write(_PRELUDE % {"max_args": MAX_ARGS, "max_rank": max(map(len, OPERAND_SHAPES.values()))})
-    loops: dict = {}  # trace -> the entry whose loops run it
-    for name, trace, spec in entries:
+    loops: dict = {}  # (lanes, trace) -> the entry whose loops run it
+    for name, trace, spec, lanes in entries:
         kinds = spec.operands if spec.in_place else spec.operands + (spec.result,)
         if len(kinds) > MAX_ARGS:
             raise ValueError(f"{name} takes {len(kinds)} arguments; the module takes at most {MAX_ARGS}")
-        first = loops.setdefault(trace, name)
+        first = loops.setdefault((lanes, trace), name)
         if first == name:
             for code, ctype in _TYPES:
-                _emit_loop(write, f"{name}_{code}", trace, code, ctype)
+                _emit_loop(write, f"{name}_{code}", trace, code, ctype, lanes)
         ranks = [-1 if kind == "scalar" else len(OPERAND_SHAPES[kind]) for kind in kinds]
         dims = [d for kind in kinds for d in OPERAND_SHAPES[kind]]
         write(f"\nstatic const int {name}_ranks[] = {{{', '.join(map(str, ranks))}}};\n")
@@ -667,20 +703,73 @@ def _emit(write, entries) -> None:
         write(f"static const struct kernel {name}_kernel = {{{len(spec.operands)}, {int(spec.in_place)}, "
               f"{name}_ranks, {name}_dims, {first}_d, {first}_f}};\n")
     write("\nstatic struct {\n    PyMethodDef def;\n    const struct kernel *k;\n} table[] = {\n")
-    for name, _, _ in entries:
+    for name, *_ in entries:
         doc = f"{name}(*operands, out): its trace over the sites of C-contiguous float64 or float32 arrays"
         write(f'    {{{{"{name}", (PyCFunction)(void (*)(void))entry, METH_FASTCALL, "{doc}"}}, &{name}_kernel}},\n')
     write("};\n" + _DISPATCHERS)
 
 
-def _emit_loop(write, name: str, trace, code: str, ctype: str) -> None:
-    """One trace over n sites in one precision: per site, load the
-    components the steps read, run the steps, store the results."""
-    known = {result for result, _, _, _ in trace.steps} | {x for names in trace.operands for x in names}
-    read = {x for _, left, _, right in trace.steps for x in (left, right)} | set(trace.results)
+def pack_plan(trace, lanes: int) -> tuple[list, list, list]:
+    """`trace` as steps of `lanes` lanes: (loads, steps, stores), each value
+    named by its lanes' trace names, a tuple. A load is (value, operand,
+    component): one component, or `lanes` adjacent ones from that one on.
+    Step k, (value, left, op, right), performs trace steps lanes * k to
+    lanes * k + lanes - 1, one a lane, the value its results. A store is
+    (result component, value), from that component on.
 
-    def value(x: str) -> str:
-        return x if x in known else f"(({ctype}){float(x)!r})"  # any other name is a +-1 sign
+    An operand of a step or a store is a value a step made, or else: one
+    operand component in every lane (a broadcast of its load), a literal in
+    every lane (a constant), or adjacent components of one operand, in
+    order (a load) or reversed (the load, its lanes swapped). At one lane
+    every trace is its own plan; ValueError for one that does not pack so.
+    The plan holds no arithmetic of its own."""
+    at = {x: (k, i) for k, names in enumerate(trace.operands) for i, x in enumerate(names)}
+    names = at.keys() | {result for result, _, _, _ in trace.steps}  # any other name is a literal
+    loads: dict = {}  # value -> (operand, component)
+    made: set = set()
+
+    def take(value: tuple) -> tuple:
+        if value in made or not set(value) & names:  # a register, or a constant
+            return value
+        if len(set(value)) == 1 and value[0] in at:  # a broadcast
+            loads[value[:1]] = at[value[0]]
+            return value
+        for pair in (value, value[::-1]):  # adjacent components, in order or reversed
+            k, i = at.get(pair[0], (0, -1))
+            if i >= 0 and trace.operands[k][i:i + lanes] == pair:
+                loads[pair] = (k, i)
+                return value
+        raise ValueError(f"{value} does not pack into {lanes} lanes: it is no register, broadcast, constant or adjacent components")
+
+    if len(trace.steps) % lanes or len(trace.results) % lanes:
+        raise ValueError(f"{len(trace.steps)} steps and {len(trace.results)} results do not pack into {lanes} lanes")
+    steps = []
+    for s in range(0, len(trace.steps), lanes):
+        results, lefts, ops, rights = zip(*trace.steps[s:s + lanes])
+        if len(set(ops)) > 1:
+            raise ValueError(f"steps {results} do not pack into {lanes} lanes: their operations {ops} differ")
+        steps.append((results, take(lefts), ops[0], take(rights)))
+        made.add(results)
+    stores = [(i, take(trace.results[i:i + lanes])) for i in range(0, len(trace.results), lanes)]
+    return sorted(loads.items(), key=lambda load: (*load[1], len(load[0]))), steps, stores
+
+
+def _emit_loop(write, name: str, trace, code: str, ctype: str, lanes: int) -> None:
+    """One trace over n sites in one precision, `lanes` trace steps to a C
+    step (``pack_plan``): per site, load the components the steps read,
+    run the steps, store the results."""
+    loads, steps, stores = pack_plan(trace, lanes)
+    vtype, wide = (ctype, "") if lanes == 1 else (f"v{lanes}{code}", str(lanes))
+    values = {value for value, _ in loads} | {value for value, _, _, _ in steps}
+
+    def c(value: tuple) -> str:
+        if value in values:
+            return "_".join(value)
+        if value[::-1] in values:
+            return f"swap_{code}({'_'.join(value[::-1])})"
+        if lanes == 1:
+            return f"(({ctype}){float(value[0])!r})"  # any other name is a +-1 sign
+        return f"({vtype}){{{', '.join(x if (x,) in values else repr(float(x)) for x in value)}}}"
 
     m = len(trace.operands)
     write(f"\nstatic void {name}(Py_ssize_t n, char *const *p, const Py_ssize_t *step)\n{{\n")
@@ -688,12 +777,11 @@ def _emit_loop(write, name: str, trace, code: str, ctype: str) -> None:
     write(f"    char *c = p[{m}];\n")
     write(f"    const Py_ssize_t {', '.join(f's{k} = step[{k}]' for k in range(m + 1))};\n")
     write(f"    for (; n > 0; n--, {', '.join(f'a{k} += s{k}' for k in range(m))}, c += s{m}) {{\n")
-    for k, names in enumerate(trace.operands):
-        for i, x in enumerate(names):
-            if x in read:
-                write(f"        const {ctype} {x} = ld_{code}(a{k}, {i});\n")
-    for result, left, op, right in trace.steps:
-        write(f"        const {ctype} {result} = {value(left)} {op} {value(right)};\n")
-    for i, x in enumerate(trace.results):
-        write(f"        st_{code}(c, {i}, {x});\n")
+    for value, (k, i) in loads:
+        one = len(value) == 1
+        write(f"        const {ctype if one else vtype} {c(value)} = ld{'' if one else wide}_{code}(a{k}, {i});\n")
+    for result, left, op, right in steps:
+        write(f"        const {vtype} {c(result)} = {c(left)} {op} {c(right)};\n")
+    for i, value in stores:
+        write(f"        st{wide}_{code}(c, {i}, {c(value)});\n")
     write("    }\n}\n")

@@ -6,9 +6,13 @@ component of one operand across a lane pair (``_mm_set1_pd``), multiplies it
 by a pair of the other operand, adds the packed products over the
 contraction index in order, and ends with one swap + sign + add that turns
 the (re*re, re*im) and (im*re, im*im) lane sums into the complex result.
-This backend performs that sequence lane by lane; the arithmetic sequence
-per output component is the recipe's, which keeps it bitwise equal to the
-scalar reference.
+Where the native module is built, this backend's site loops run that
+sequence packed (``native.pack_plan``): each lane pair of the trace is one
+SSE2 operation on two lanes, two doubles to a 128-bit register, or in
+single a 2-lane pair of floats (half the register, whose four single lanes
+the model counts). Each lane performs its own step in IEEE arithmetic, so
+the arithmetic sequence per output component is the recipe's, which keeps
+it bitwise equal to the scalar reference.
 
 The eleven contraction kernels (mat-vec, adjoint mat-vec, the three matrix
 products, both half-Wilson kernels, the four-direction kernels and
@@ -202,8 +206,10 @@ class LaneOpCount:
 def lane_op_count(routine: str) -> LaneOpCount:
     """Packed-lane operation tally for one kernel invocation, read off the
     kernel's own trace (``routine_trace``), two lanes to a packed operation.
-    The tally models the 128-bit recipe: no packed instruction runs today,
-    as the native loops perform each lane as one scalar operation.
+    The tally models the 128-bit recipe, which the native vector loops run
+    packed, two lanes to an SSE2 operation (single: a 2-lane float pair).
+    There a sign flip is a multiply by a constant +-1 pair, and a swap
+    falls on a pair load, which gcc may share between products.
 
     A product of two operand components is a lane of a packed multiply,
     whose left factor is broadcast: a component of a recipe's broadcast
@@ -221,11 +227,11 @@ def lane_op_count(routine: str) -> LaneOpCount:
 
 def capability() -> dict:
     """Report what runs the packed recipe on this host: the register it
-    models (width and lanes per precision, which the lane bound reads; no
-    packed instruction runs today), how its per-lane sequence runs, and the
-    native extension: its path once
-    loaded, "not built yet" before the first kernel call of this process,
-    or why it is unavailable."""
+    models (width and lanes per precision, which the lane bound reads; the
+    native loops fill two lanes in either precision), how its sequence
+    runs, and the native extension: its path once loaded, "not built yet"
+    before the first kernel call of this process, or why it is
+    unavailable."""
     features: list[str] = []
     for mod in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
         try:
@@ -235,7 +241,8 @@ def capability() -> dict:
         except (ImportError, AttributeError):
             continue
     return {
-        "backend": "recipe lane sequence: native C where the module is built, else compiled numpy over sites",
+        "backend": "recipe lane sequence: packed native C, SSE2 (double: 2 lanes; single: 2-lane pairs), "
+                   "where the module is built, else compiled numpy over sites",
         "width_bits": WIDTH_BITS,
         "lanes": dict(LANES),
         "python": platform.python_version(),

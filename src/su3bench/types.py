@@ -96,6 +96,20 @@ ROUTINES: dict[str, RoutineSpec] = {
 ROUTINE_NAMES = tuple(ROUTINES)
 
 
+def _draw_layout(spec: RoutineSpec) -> tuple[int, tuple]:
+    """One operand set's components, and each operand's (first component,
+    end, per-object shape) in it, in operand order: how ``random_operands``
+    cuts one object's draw."""
+    layout, end = [], 0
+    for kind in spec.operands:
+        end += OPERAND_SIZES[kind]
+        layout.append((end - OPERAND_SIZES[kind], end, OPERAND_SHAPES[kind]))
+    return end, tuple(layout)
+
+
+_DRAWS = {name: _draw_layout(spec) for name, spec in ROUTINES.items()}
+
+
 def dtype_for(precision: str | np.dtype) -> np.dtype:
     """Resolve a precision name or dtype to the canonical real dtype."""
     if isinstance(precision, str):
@@ -208,11 +222,13 @@ def random_operands(
     SeedSequence and PCG64 stream, bit for bit. Any other seed, or a host
     without the module, takes ``default_rng``, so its errors are numpy's.
     """
-    spec = routine_spec(routine)
+    draw = _DRAWS.get(routine)
+    if draw is None:
+        routine_spec(routine)  # raises: an unknown routine
     dt = dtype_for(precision)
     prefix, objects = ((), 1) if batch is None else ((batch,), batch)
-    sizes = [objects * OPERAND_SIZES[kind] for kind in spec.operands]
-    size = sum(sizes)
+    per_object, layout = draw
+    size = objects * per_object
     # Only these forms can reach the module, so no other loads (or builds) it.
     u = _native_uniform(rng, size, dt) if type(rng) in (int, list, tuple) else None
     if u is None:
@@ -220,11 +236,7 @@ def random_operands(
         u *= 2.0
         u -= 1.0
         u = u.astype(dt, copy=False)
-    ops, start = [], 0
-    for kind, count in zip(spec.operands, sizes):
-        ops.append(u[start:start + count].reshape(prefix + OPERAND_SHAPES[kind]))
-        start += count
-    return ops
+    return [u[objects * start:objects * end].reshape(prefix + shape) for start, end, shape in layout]
 
 
 _native = None  # su3bench.native, imported on the first draw

@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -68,7 +69,7 @@ def ulp_error(candidate: np.ndarray, reference: np.ndarray, scale_floor: np.ndar
     return np.where(candidate == reference, 0.0, err)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EquivalenceRow:
     """Result of sweeping one routine at one precision."""
 
@@ -81,21 +82,35 @@ class EquivalenceRow:
     worst_trial: int
     worst_component: tuple[int, ...]
 
+    def __init__(self, routine: str, precision: str, trials: int, seed: int, tolerance_ulps: float,
+                 max_ulp: float, worst_trial: int, worst_component: tuple[int, ...]) -> None:
+        # The fields in one dict, set once: a frozen dataclass's own
+        # __init__ makes one object.__setattr__ call per field.
+        object.__setattr__(self, "__dict__", {
+            "routine": routine, "precision": precision, "trials": trials, "seed": seed, "tolerance_ulps": tolerance_ulps,
+            "max_ulp": max_ulp, "worst_trial": worst_trial, "worst_component": worst_component,
+        })
+
     @property
     def passed(self) -> bool:
         return self.max_ulp <= self.tolerance_ulps
 
 
 def _check_sweep(trials: int, tolerance_ulps: float) -> None:
-    if not isinstance(trials, (int, np.integer)) or trials < 0:
+    """Refuse a trial count that is not an integer >= 0 and a tolerance
+    that is not a finite number >= 0; a bool is neither."""
+    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 0:
         raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
-    if not 0 <= tolerance_ulps < math.inf:
+    if isinstance(tolerance_ulps, (bool, np.bool_)) or not 0 <= tolerance_ulps < math.inf:
         raise ValueError(f"tolerance_ulps must be finite and >= 0, got {tolerance_ulps!r}")
 
 
-def _route(backend_kind: str, routine: str, operands, in_place: bool):
-    ops = [operands[0].copy(), *operands[1:]] if in_place else operands
-    return get_backend(backend_kind).batch_apply(routine, ops)
+@cache
+def _case(routine: str, precision) -> tuple:
+    """(routine index, itemsize, in place, scalar backend, vector backend)
+    of a check of `routine` in `precision`, derived once per case."""
+    return (ROUTINE_NAMES.index(routine), dtype_for(precision).itemsize, routine_spec(routine).in_place,
+            get_backend("scalar"), get_backend("vector"))
 
 
 def check_routine(
@@ -109,15 +124,20 @@ def check_routine(
     """Compare the vector backend against the scalar one on `trials` random
     operand sets of one routine."""
     _check_sweep(trials, tolerance_ulps)
-    check_fits(routine, precision, trials, 2)  # its operands and both results
-    spec, dt = routine_spec(routine), dtype_for(precision)
-    operands = random_operands(routine, [seed, ROUTINE_NAMES.index(routine), dt.itemsize], precision, batch=trials)
-    ref = np.asarray(_route("scalar", routine, operands, spec.in_place))
-    cand = np.asarray(_route("vector", routine, operands, spec.in_place))
+    check_fits(routine, precision, trials, 2)  # its operands and both results; refuses an unknown routine or precision
+    index, itemsize, in_place, scalar, vector = _case(routine, precision)
+    operands = random_operands(routine, [seed, index, itemsize], precision, batch=trials)
+    if in_place:  # each backend writes its own copy of operand 0
+        ref = scalar.batch_apply(routine, [operands[0].copy(), *operands[1:]])
+        cand = vector.batch_apply(routine, [operands[0].copy(), *operands[1:]])
+    else:
+        ref = scalar.batch_apply(routine, operands)
+        cand = vector.batch_apply(routine, operands)
     if inject_fault and trials:
         # Negative control: nudge one component far outside tolerance,
         # sized to the same scale the metric floors at.
         cand = cand.copy()
+        dt = cand.dtype
         scale0 = dt.type(max(float(np.abs(ref[0]).max()), 1.0))
         cand.reshape(-1)[0] += dt.type(64) * np.spacing(scale0)
     # Equal components have error 0, so only differing ones are measured.
@@ -136,16 +156,7 @@ def check_routine(
             max_ulp = float(err[k])
             worst = np.unravel_index(int(differ[k]), ref.shape)
             worst_trial, worst_component = int(worst[0]), tuple(int(i) for i in worst[1:])
-    return EquivalenceRow(
-        routine=routine,
-        precision=precision,
-        trials=trials,
-        seed=seed,
-        tolerance_ulps=tolerance_ulps,
-        max_ulp=max_ulp,
-        worst_trial=worst_trial,
-        worst_component=worst_component,
-    )
+    return EquivalenceRow(routine, precision, trials, seed, tolerance_ulps, max_ulp, worst_trial, worst_component)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """The native site loops and dispatchers against the Python paths they
-stand in for, and what their build promises: no packed or fused arithmetic,
-no per-call temporaries, nothing at import, and the Python paths where there
-is no compiler or no numpy header."""
+stand in for, and what their build promises: plain loops for the scalar
+backend and packed ones for the vector backend, each its trace, no fused
+arithmetic, no per-call temporaries, nothing at import, and the Python paths
+where there is no compiler or no numpy header."""
 import datetime
 import gc
 import re
@@ -19,7 +20,7 @@ import pytest
 
 import su3bench
 from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Backend, Lattice4D, SiteBuffer, backends, get_backend, native, simd, types
-from su3bench.trace import NATIVE, entry
+from su3bench.trace import NATIVE, Trace, entry
 from test_simd_kernels import _special_sets
 
 MODULE = native.load()
@@ -424,20 +425,6 @@ def test_emitted_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@needs_native
-def test_module_has_no_packed_or_fused_arithmetic():
-    # gcc -O2 would vectorise the plain site loops into packed lanes, and
-    # -march flags or contraction would fuse a multiply into an add; either
-    # would stop the loops being the trace's scalar arithmetic.
-    objdump = shutil.which("objdump")
-    if objdump is None:
-        pytest.skip("objdump not found")
-    text = subprocess.run([objdump, "-d", "--no-show-raw-insn", MODULE.__file__],
-                          capture_output=True, text=True, timeout=120, check=True).stdout
-    assert re.search(r"\bmulsd\b", text) and re.search(r"\bmulss\b", text)
-    assert re.findall(r"\b(v?(?:mul|add|sub)p[sd]|vfn?m(?:add|sub)\w*)\b", text) == []
-
-
 @cache
 def _source() -> str:
     """The emitted source, kept beside the module."""
@@ -445,20 +432,103 @@ def _source() -> str:
     return (path.parent / f"{path.name.split('.')[0]}.c").read_text()
 
 
+@cache
+def _disassembly() -> dict:
+    """Symbol -> its instructions, from objdump -d of the module."""
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        pytest.skip("objdump not found")
+    text = subprocess.run([objdump, "-d", "--no-show-raw-insn", MODULE.__file__],
+                          capture_output=True, text=True, timeout=120, check=True).stdout
+    return dict(re.findall(r"^[0-9a-f]+ <([^>]+)>:\n(.*?)(?=\n\n|\Z)", text, re.M | re.S))
+
+
+PLAIN = re.compile(r"\b(v?(?:mul|add|sub|div)s[sd])\b")
+PACKED = re.compile(r"\b(v?(?:mul|add|sub|div)p[sd])\b")
+FUSED = re.compile(r"\b(vfn?m(?:add|sub)\w*)\b")
+
+
+@needs_native
+def test_each_loop_is_plain_or_packed_as_its_backend_and_none_is_fused():
+    # Per loop symbol: the scalar backend's loops are the trace's scalar
+    # arithmetic (gcc -O2 would vectorise them into packed lanes but for
+    # -fno-tree-vectorize), the vector backend's are the recipe's packed
+    # arithmetic with no scalar operation left, and no loop anywhere fuses
+    # a multiply into an add (contraction or -march flags would), which
+    # would round once where the trace rounds twice.
+    code = _disassembly()
+    loops = re.findall(r"\nstatic void (\w+)\(Py_ssize_t n,", _source())
+    assert {name.partition("_")[0] for name in loops} == set(BACKEND_NAMES) and set(loops) <= set(code)
+    for name in loops:
+        plain, packed, fused = (ops.findall(code[name]) for ops in (PLAIN, PACKED, FUSED))
+        assert not fused, (name, fused)
+        if name.startswith("scalar_"):
+            assert plain and not packed, (name, packed)
+        else:
+            assert packed and not plain, (name, plain)
+    assert [name for name, text in code.items() if FUSED.search(text)] == []
+
+
 @needs_native
 @pytest.mark.parametrize("routine", ROUTINE_NAMES)
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
 def test_native_source_is_the_trace(kind, routine, precision):
-    # Each entry's loop (the first entry's, where traces are identical)
-    # performs its own backend's trace: the steps one line each, in its
-    # order, signs as literals.
+    # Each entry's loop (the first entry's of its backend, where traces are
+    # identical) performs its own backend's trace. A plain loop: the steps
+    # one line each, in its order, signs as literals. A packed loop: steps
+    # 2k and 2k + 1 are the two lanes of line k, each step once, in order,
+    # each operand's lanes read from a register its name spells, a swap of
+    # one, or a vector of two components or signs; each load its name's
+    # adjacent components and each store its results' registers.
     code, ctype = {"double": ("d", "double"), "single": ("f", "float")}[precision]
     text = _source()
+    trace = get_backend(kind).routine_trace(routine)
     loop = re.search(rf"static const struct kernel {entry(kind, routine)}_kernel = {{.*, (\w+)_d, \w+_f}};", text).group(1)
+    assert loop.startswith(f"{kind}_")
     body = text.split(f"static void {loop}_{code}(")[1].split("\n}\n")[0]
-    steps = re.findall(rf"const {ctype} (t\d+) = (\S+) ([*+-]) (\S+);", body)
-    literal = re.compile(rf"\(\({ctype}\)(.*)\)")
-    assert [(r, x, op, literal.sub(r"\1", y)) for r, x, op, y in steps] == list(get_backend(kind).routine_trace(routine).steps)
+    if native.PACK[kind] == 1:
+        steps = re.findall(rf"const {ctype} (t\d+) = (\S+) ([*+-]) (\S+);", body)
+        literal = re.compile(rf"\(\({ctype}\)(.*)\)")
+        assert [(r, x, op, literal.sub(r"\1", y)) for r, x, op, y in steps] == list(trace.steps)
+        return
+    vtype, name = f"v2{code}", r"t\d+|x\d+_\d+"
+
+    def lanes(expr: str) -> list:
+        if vector := re.fullmatch(rf"\({vtype}\){{(\S+), (\S+)}}", expr):
+            return [x if re.fullmatch(name, x) else repr(float(x)) for x in vector.groups()]
+        swap = re.fullmatch(rf"swap_{code}\((\w+)\)", expr)
+        register = swap.group(1) if swap else expr
+        found = re.findall(name, register)
+        assert "_".join(found) == register and len(found) == 2, expr
+        return found[::-1] if swap else found
+
+    steps = re.findall(rf"const {vtype} (\w+) = (.+) ([*+-]) (.+);", body)
+    assert len(steps) == len(trace.steps) // 2 and steps
+    assert [step for r, x, op, y in steps for step in zip(lanes(r), lanes(x), (op, op), lanes(y))] == list(trace.steps)
+    loads = re.findall(rf"const {vtype} (\w+) = ld2_{code}\(a(\d+), (\d+)\);", body)
+    loads += re.findall(rf"const {ctype} (\w+) = ld_{code}\(a(\d+), (\d+)\);", body)
+    assert loads and all(x == "_".join(trace.operands[int(k)][int(i):int(i) + len(re.findall(name, x))]) for x, k, i in loads)
+    stores = re.findall(rf"st2_{code}\(c, (\d+), (\S+)\);", body)
+    assert [x for i, value in stores for x in lanes(value)] == list(trace.results) and [int(i) for i, _ in stores] == list(range(0, len(trace.results), 2))
+
+
+def test_a_trace_that_does_not_pair_is_refused_at_emit_time():
+    # The vector loops have no plain fallback: steps 2k and 2k + 1 of
+    # another operation each, reading components that are not adjacent, an
+    # odd step, or results stored out of their lanes' order raise. At one
+    # lane every trace is its own plan.
+    operands = (("x0_0", "x0_1", "x0_2"),)
+    cases = [
+        ((("t0", "x0_0", "+", "x0_1"), ("t1", "x0_1", "*", "x0_2")), ("t0", "t1")),
+        ((("t0", "x0_0", "+", "x0_0"), ("t1", "x0_2", "+", "x0_0")), ("t0", "t1")),
+        ((("t0", "x0_0", "+", "x0_1"),), ("t0", "x0_2")),
+        ((("t0", "x0_0", "+", "x0_1"), ("t1", "x0_1", "+", "x0_2")), ("t1", "t0")),
+    ]
+    for steps, results in cases:
+        trace = Trace(operands, steps, results)
+        with pytest.raises(ValueError, match="pack into 2 lanes"):
+            native.pack_plan(trace, 2)
+        assert native.pack_plan(trace, 1)[1] == [((r,), (x,), op, (y,)) for r, x, op, y in steps]
 
 
 def test_module_builds_where_a_compiler_exists():

@@ -1,12 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from su3bench import types, verify
+from su3bench import get_backend, types, verify
 
 
 @pytest.mark.parametrize("kwargs", [
     {"trials": -1},
     {"trials": 2.5},
+    {"trials": True},
+    {"trials": False},
+    {"tolerance_ulps": True},
+    {"tolerance_ulps": np.True_},
     {"tolerance_ulps": float("nan")},
     {"tolerance_ulps": float("inf")},
     {"tolerance_ulps": -1.0},
@@ -21,6 +27,23 @@ def test_sweep_rejects_bad_arguments_before_running(kwargs, monkeypatch):
     monkeypatch.setattr(verify, "check_routine", must_not_run)
     with pytest.raises(ValueError):
         verify.check_all(routines=["mult_su3_mat_vec"], **kwargs)
+
+
+def test_equivalence_row_is_a_frozen_value():
+    # Its __init__ sets the instance dict in one step; the fields, their
+    # order, keyword construction, frozenness, equality, hash and repr are
+    # the dataclass's.
+    values = ("mult_su3_nn", "double", 3, 7, 2.0, 0.0, 0, (0, 0, 0))
+    names = [field.name for field in dataclasses.fields(verify.EquivalenceRow)]
+    row = verify.EquivalenceRow(*values)
+    assert names == ["routine", "precision", "trials", "seed", "tolerance_ulps", "max_ulp", "worst_trial", "worst_component"]
+    assert dataclasses.astuple(row) == values and row.passed
+    assert row == verify.EquivalenceRow(**dict(zip(names, values))) and hash(row) == hash(verify.EquivalenceRow(*values))
+    assert dataclasses.replace(row, max_ulp=3.0) != row and not dataclasses.replace(row, max_ulp=3.0).passed
+    assert repr(row) == ("EquivalenceRow(routine='mult_su3_nn', precision='double', trials=3, seed=7, tolerance_ulps=2.0, "
+                         "max_ulp=0.0, worst_trial=0, worst_component=(0, 0, 0))")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.max_ulp = 1.0
 
 
 def test_check_all_rejects_an_empty_routine_list(monkeypatch):
@@ -109,7 +132,8 @@ def _crafted_pairs(precision, trials=9):
 @np.errstate(invalid="ignore", over="ignore")
 def test_row_equals_the_full_array_computation(precision, inject_fault, monkeypatch):
     for name, cand, ref, trials in _crafted_pairs(precision):
-        monkeypatch.setattr(verify, "_route", lambda kind, *args: {"vector": cand, "scalar": ref}[kind])
+        for kind, result in (("scalar", ref), ("vector", cand)):
+            monkeypatch.setattr(get_backend(kind), "batch_apply", lambda routine, operands, result=result: result)
         row = verify.check_routine("mult_su3_nn", precision, trials=trials, inject_fault=inject_fault)
         max_ulp, worst_trial, worst_component = _full_array_row(cand, ref, trials, inject_fault)
         assert np.array_equal(row.max_ulp, max_ulp, equal_nan=True), name
