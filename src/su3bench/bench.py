@@ -90,9 +90,9 @@ class BenchConfig:
             raise ValueError(f"mode must be 'hot' or 'streaming', got {self.mode!r}")
         if self.alignment not in ("aligned", "unaligned"):
             raise ValueError(f"alignment must be 'aligned' or 'unaligned', got {self.alignment!r}")
-        if not isinstance(self.warmup, int) or not 0 <= self.warmup <= _REPS_CAP:
+        if not _count(self.warmup) or not 0 <= self.warmup <= _REPS_CAP:
             raise ValueError(f"warmup must be an integer from 0 to {_REPS_CAP}")
-        if not isinstance(self.batch_sites, int) or self.batch_sites < 1:
+        if not _count(self.batch_sites) or self.batch_sites < 1:
             raise ValueError("batch_sites must be an integer >= 1")
         if not 0 <= self.min_region_s <= MAX_REGION_S:
             raise ValueError(f"min_region_s must be from 0 to {MAX_REGION_S:g} seconds")
@@ -108,9 +108,14 @@ class BenchConfig:
             raise ValueError("alignment='unaligned' is for streaming mode; hot operands are not offset")
         if self.repetitions is None:
             self.repetitions = max(1, DEFAULT_SITES // _sites_per_call(self))
-        if not isinstance(self.repetitions, int) or not 1 <= self.repetitions <= _REPS_CAP:
+        if not _count(self.repetitions) or not 1 <= self.repetitions <= _REPS_CAP:
             raise ValueError(f"repetitions must be an integer from 1 to {_REPS_CAP}")
         check_fits(self.routine, self.precision, _sites_per_call(self), 1)
+
+
+def _count(value) -> bool:
+    """Whether `value` is an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _sites_per_call(config: BenchConfig) -> int:

@@ -26,18 +26,19 @@ sums is folded into the products: an imaginary-part broadcast multiplies
 the pair with its lanes swapped, so after the adds over j, left to right,
 its sums line up with the real-part sums, which they meet times a +-1 sign
 (exact) in one combining add. Adjoint and conjugate variants differ from the
-plain ones only in their maps and the sign. The four elementwise kernels are
-numpy bodies, whose trace ``trace.record`` takes by running them once on
-object arrays of symbolic reals. ``routine_trace`` gives each kernel's
-trace, and ``trace.kernel`` builds every kernel from it: the trace's native
-site loop (``native``) where it takes the call (C-contiguous float64 and
-float32 operands, one object or stacked; no per-call temporaries), and
-otherwise the trace's Python program (``trace.program``: numpy operations
-over the sites, a single object as one site), or for an elementwise kernel
-its numpy body. Every output component sees the same products, added in
-the same order, as in the scalar reference (``tests/test_proof.py`` proves
-it from the two backends' traces), so no path moves a bit; where a NaN
-arises is the same on every path, but its sign and payload bits may differ.
+plain ones only in their maps and the sign. The four elementwise kernels
+have no arithmetic of their own: each trace is the scalar reference's, its
+steps in dependency order (``trace.level_order``), so the steps that pack
+into one lane pair stand side by side. ``routine_trace`` gives each
+kernel's trace, and ``trace.kernel`` builds every kernel from it: the
+trace's native site loop (``native``) where it takes the call (C-contiguous
+float64 and float32 operands, one object or stacked; no per-call
+temporaries), and otherwise the trace's Python program (``trace.program``:
+numpy operations over the sites, a single object as one site). Every output
+component sees the same products, added in the same order, as in the
+scalar reference (``tests/test_proof.py`` proves it from the two backends'
+traces), so no path moves a bit; where a NaN arises is the same on every
+path, but its sign and payload bits may differ.
 
 Every kernel accepts operands with any shared leading batch shape in front
 of the per-object shape documented in the scalar reference, so the vector
@@ -45,20 +46,21 @@ backend's ``batch_apply`` (``backends.Backend``) passes stacked operands to
 the kernels as they are. A kernel is ``kernel(*operands, out) -> out`` (the
 in-place ``sub_four_su3_vecs`` takes no ``out``) and checks nothing:
 ``Backend.apply`` and ``Backend.batch_apply`` are the checked entry points,
-and they allocate or check ``out``. The module holds only the kernels'
+and they allocate or check ``out``. The module holds only the contractions'
 arithmetic, the lane counts per precision and the lane tallies, read off
-the kernels' traces (``lane_op_count``).
+the pack plan the native loops are emitted from (``lane_op_count``).
 """
 from __future__ import annotations
 
 import platform
 import sys
 from dataclasses import dataclass
-from functools import cache, update_wrapper
+from functools import cache
 
 import numpy as np
 
-from .trace import Trace, kernel, operand_names, record
+from . import scalar
+from .trace import Trace, kernel, level_order, operand_names
 from .types import OPERAND_SHAPES, PRECISIONS, ROUTINES, routine_spec
 
 # The packed register, and how many lanes of each precision it holds: 2 double, 4 single.
@@ -131,67 +133,30 @@ CONTRACTIONS = {
 @cache
 def routine_trace(routine: str) -> Trace:
     """The trace of the routine's kernel: its contraction's recipe
-    (``_recipe``), or its numpy body run once on symbolic reals
-    (``trace.record``); cached, as the program and the native loops read
-    the same record."""
+    (``_recipe``), or the scalar reference's trace in level order
+    (``trace.level_order``); cached, as the program and the native loops
+    read the same record."""
     recipe = CONTRACTIONS.get(routine)
-    return _recipe(routine, *recipe) if recipe else record(routine_spec(routine), globals()[routine].__wrapped__)
+    return _recipe(routine, *recipe) if recipe else level_order(scalar.routine_trace(routine))
 
 
-# The eleven contraction kernels, each running its recipe's trace.
-globals().update({routine: kernel("vector", ROUTINES[routine], routine_trace) for routine in CONTRACTIONS})
-
-
-def _elementwise(body):
-    """The kernel whose trace is `body` (``trace.kernel``): its native entry
-    first, then, for a call that entry does not take, `body` itself."""
-    return update_wrapper(kernel("vector", ROUTINES[body.__name__], routine_trace, body), body)
-
-
-@_elementwise
-def add_su3_vector(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c[i] = a[i] + b[i]."""
-    return np.add(a, b, out=out)
-
-
-def _scalar_factor(s, like: np.ndarray, extra_axes: int):
-    s_arr = np.asarray(s, dtype=like.dtype)
-    if s_arr.ndim:
-        s_arr = s_arr.reshape(s_arr.shape + (1,) * extra_axes)
-    return s_arr
-
-
-@_elementwise
-def scalar_mult_add_su3_matrix(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
-    """c[i][j] = a[i][j] + s * b[i][j] for real s."""
-    return np.add(a, _scalar_factor(s, a, 3) * b, out=out)
-
-
-@_elementwise
-def scalar_mult_add_su3_vector(a: np.ndarray, b: np.ndarray, s, out: np.ndarray) -> np.ndarray:
-    """c[i] = a[i] + s * b[i] for real s."""
-    return np.add(a, _scalar_factor(s, a, 2) * b, out=out)
-
-
-@_elementwise
-def sub_four_su3_vecs(a: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray, b4: np.ndarray) -> np.ndarray:
-    """a[i] -= b1[i] + b2[i] + b3[i] + b4[i], in place, left to right."""
-    for b in (b1, b2, b3, b4):
-        np.subtract(a, b, out=a)
-    return a
+# The fifteen kernels, each running its trace.
+globals().update({routine: kernel("vector", spec, routine_trace) for routine, spec in ROUTINES.items()})
 
 
 @dataclass(frozen=True)
 class LaneOpCount:
-    """Packed-lane operation tally for one kernel invocation.
+    """Packed-lane operation tally for one kernel invocation, as the native
+    vector loop performs it, two lanes to an operation.
 
-    broadcasts: distinct scalar components broadcast across a lane pair
+    broadcasts: components loaded alone and broadcast across a lane pair
     (matrix elements, or the conjugated operand's components, or the real
-    factor s), each counted once however many outputs share it.
-    packed_mults / packed_adds: two-lane multiplies and add-class ops,
-    including the final combine add; each stands for two real operations.
-    swaps: lane swaps feeding the combine. negates: the packed sign flip
-    folded into the scalar backend's combining subtraction; not a
+    factor s), each counted once however many operations read it.
+    packed_mults / packed_adds: two-lane multiplies of component pairs and
+    two-lane adds or subtracts, including the final combine add; each stands
+    for two real operations. swaps: the distinct pair loads read with their
+    lanes swapped. negates: multiplies by a constant +-1 pair, the sign the
+    scalar backend folds into its combining subtraction; not a
     floating-point add.
     """
 
@@ -205,24 +170,25 @@ class LaneOpCount:
 @cache
 def lane_op_count(routine: str) -> LaneOpCount:
     """Packed-lane operation tally for one kernel invocation, read off the
-    kernel's own trace (``routine_trace``), two lanes to a packed operation.
-    The tally models the 128-bit recipe, which the native vector loops run
-    packed, two lanes to an SSE2 operation (single: a 2-lane float pair).
-    There a sign flip is a multiply by a constant +-1 pair, and a swap
-    falls on a pair load, which gcc may share between products.
+    pack plan the native vector loops are emitted from (``native.pack_plan``
+    of ``routine_trace``); importing ``native`` builds nothing. ValueError
+    for an unknown routine."""
+    from .native import PACK, pack_plan
 
-    A product of two operand components is a lane of a packed multiply,
-    whose left factor is broadcast: a component of a recipe's broadcast
-    factor, or the real factor. A product with a +-1 literal is a lane of a
-    sign flip, which takes one swap. Every add or subtract is a lane of a
-    packed add.
-    """
+    routine_spec(routine)
     trace = routine_trace(routine)
-    components = {x for names in trace.operands for x in names}
-    products = [left for _, left, op, right in trace.steps if op == "*" and right in components]
-    signs = sum(op == "*" and right not in components for _, _, op, right in trace.steps)
-    adds = len(trace.steps) - len(products) - signs
-    return LaneOpCount(len(set(products)), len(products) // 2, adds // 2, signs // 2, signs // 2)
+    loads, steps, stores = pack_plan(trace, PACK["vector"])
+    names = {x for row in trace.operands for x in row} | {result for result, _, _, _ in trace.steps}  # else a literal
+    pairs = {value for value, _ in loads if len(value) > 1}
+    reads = [value for _, left, _, right in steps for value in (left, right)] + [value for _, value in stores]
+    negates = sum(op == "*" and not set(right) & names for _, _, op, right in steps)
+    return LaneOpCount(
+        broadcasts=len(loads) - len(pairs),
+        packed_mults=sum(op == "*" for _, _, op, _ in steps) - negates,
+        packed_adds=sum(op in "+-" for _, _, op, _ in steps),
+        swaps=len({value for value in reads if value not in pairs and value[::-1] in pairs}),
+        negates=negates,
+    )
 
 
 def capability() -> dict:

@@ -1,16 +1,17 @@
 """The kernels' one intermediate form, the trace, and the one builder of
 every kernel of both backends.
 
-A trace is recorded by running a kernel body on ``Sym`` values (``record``:
-the scalar backend's bodies, the vector backend's numpy elementwise bodies)
-or written from a contraction's index maps (``simd._recipe``); both name
-operand components by one rule (``operand_names``). Each backend's
-``routine_trace`` gives the trace of each of its fifteen kernels. ``kernel``
-builds every kernel from its trace: it offers a call to the trace's native
-entry (``native``, named by ``entry`` and looked up in ``NATIVE``) first, as
-``entry(*operands, out)``, and runs a call the entry refuses as a given
-Python body or else the trace's compiled ``program``, the reference the
-native loops are tested against bit for bit.
+A trace is recorded by running a scalar kernel body on ``Sym`` values
+(``record``) or written from a contraction's index maps (``simd._recipe``);
+both name operand components by one rule (``operand_names``). The vector
+backend's elementwise traces are the scalar ones with their steps in
+dependency order (``level_order``), so their isomorphic steps stand side by
+side. Each backend's ``routine_trace`` gives the trace of each of its
+fifteen kernels. ``kernel`` builds every kernel from its trace: it offers a
+call to the trace's native entry (``native``, named by ``entry`` and looked
+up in ``NATIVE``) first, as ``entry(*operands, out)``, and runs a call the
+entry refuses as the trace's compiled ``program``, the reference the native
+loops are tested against bit for bit.
 """
 from __future__ import annotations
 
@@ -99,6 +100,22 @@ def record(spec: RoutineSpec, body) -> Trace:
     if not all(isinstance(sym, Sym) and sym.tape is tape for sym in stored):
         raise TypeError(f"{spec.name}: the body left a result component untraced")
     return Trace(names, tuple(tape), tuple(sym.name for sym in stored))
+
+
+def level_order(trace: Trace) -> Trace:
+    """`trace` with its steps sorted by dependency depth (a step's is one
+    more than the deepest step it reads; an operand component or a literal
+    is at depth 0), in trace order within a depth, and renamed ``t0, t1, ...``
+    in that order. Every step keeps its operands, so the arithmetic is the
+    trace's."""
+    depth: dict = {}
+    for result, left, _, right in trace.steps:
+        depth[result] = 1 + max(depth.get(left, 0), depth.get(right, 0))
+    steps = sorted(trace.steps, key=lambda step: depth[step[0]])
+    names = {step[0]: f"t{k}" for k, step in enumerate(steps)}
+    return Trace(trace.operands, tuple((names[result], names.get(left, left), op, names.get(right, right))
+                                       for result, left, op, right in steps),
+                 tuple(names.get(x, x) for x in trace.results))
 
 
 def define(name: str, params: list[str], lines: list[str], filename: str, namespace: dict):
@@ -223,7 +240,7 @@ def entry(kind: str, routine: str) -> str:
     return f"{kind}_{routine}"
 
 
-def kernel(kind: str, spec: RoutineSpec, trace_of, python=None):
+def kernel(kind: str, spec: RoutineSpec, trace_of):
     """Backend `kind`'s kernel for routine `spec`, ``kernel(x0, ..., out) ->
     out`` (in place: ``kernel(x0, ...) -> x0``), run from
     ``trace_of(spec.name)``.
@@ -231,10 +248,9 @@ def kernel(kind: str, spec: RoutineSpec, trace_of, python=None):
     The kernel offers each call to the trace's native entry first, passing
     the operands as they came, ``entry(*operands, out)``, and packing
     nothing; a real factor reaches it converted to x0's dtype, as the
-    program converts it. A call the entry does not take runs `python`, a
-    body with the kernel's signature that computes the trace, or where that
-    is None the trace's ``program``, compiled on first use. The program is
-    also ``kernel.program()``, cached; neither the trace nor the program is
+    program converts it. A call the entry does not take runs the trace's
+    ``program``, compiled on first use. The program is also
+    ``kernel.program()``, cached; neither the trace nor the program is
     built before it is needed.
     """
     name = entry(kind, spec.name)
@@ -252,9 +268,9 @@ def kernel(kind: str, spec: RoutineSpec, trace_of, python=None):
         f"c = _NATIVE[{name!r}]({', '.join(args)})",
         "if c is not NotImplemented:",
         "    return c",
-        f"return {'_python' if python else '_program()'}({', '.join(params)})",
+        f"return _program()({', '.join(params)})",
     ]
-    namespace = {"_NATIVE": NATIVE, "_asarray": np.asarray, "_python": python, "_program": compiled}
+    namespace = {"_NATIVE": NATIVE, "_asarray": np.asarray, "_program": compiled}
     switch = define(spec.name, params, lines, f"<{name} switch>", namespace)
     switch.program = compiled
     return switch

@@ -96,11 +96,12 @@ class EquivalenceRow:
         return self.max_ulp <= self.tolerance_ulps
 
 
-def _check_sweep(trials: int, tolerance_ulps: float) -> None:
-    """Refuse a trial count that is not an integer >= 0 and a tolerance
-    that is not a finite number >= 0; a bool is neither."""
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 0:
-        raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
+def _check_sweep(trials: int, seed: int, tolerance_ulps: float) -> None:
+    """Refuse a trial count or a seed that is not an integer >= 0 and a
+    tolerance that is not a finite number >= 0; a bool is none of them."""
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     if isinstance(tolerance_ulps, (bool, np.bool_)) or not 0 <= tolerance_ulps < math.inf:
         raise ValueError(f"tolerance_ulps must be finite and >= 0, got {tolerance_ulps!r}")
 
@@ -123,7 +124,7 @@ def check_routine(
 ) -> EquivalenceRow:
     """Compare the vector backend against the scalar one on `trials` random
     operand sets of one routine."""
-    _check_sweep(trials, tolerance_ulps)
+    _check_sweep(trials, seed, tolerance_ulps)
     check_fits(routine, precision, trials, 2)  # its operands and both results; refuses an unknown routine or precision
     index, itemsize, in_place, scalar, vector = _case(routine, precision)
     operands = random_operands(routine, [seed, index, itemsize], precision, batch=trials)
@@ -177,11 +178,18 @@ def check_all(
     tolerance_ulps: float = DEFAULT_TOLERANCE_ULPS,
     inject_fault: bool = False,
 ) -> EquivalenceReport:
-    """Sweep a set of routines (None: all fifteen) over both precisions."""
-    _check_sweep(trials, tolerance_ulps)
+    """Sweep a set of routines (None: all fifteen) over a set of precisions
+    (both by default). ValueError for an empty set, or a bare string where
+    a set of names belongs."""
+    _check_sweep(trials, seed, tolerance_ulps)
+    if isinstance(routines, str) or isinstance(precisions, str):
+        raise ValueError("routines and precisions are collections of names, not one string")
     names = list(ROUTINE_NAMES) if routines is None else list(routines)
+    precisions = list(precisions)
     if not names:
         raise ValueError("no routines to check: pass None for all fifteen")
+    if not precisions:
+        raise ValueError("no precisions to check")
     for name in names:
         for precision in precisions:
             check_fits(name, precision, trials, 2)

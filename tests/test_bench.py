@@ -199,6 +199,11 @@ def test_config_validation():
             BenchConfig(routine="mult_su3_mat_vec", **{field: bench._REPS_CAP + 1})
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             BenchConfig(routine="mult_su3_mat_vec", **{field: 2.5})
+    # A bool is not a count.
+    for field in ("repetitions", "warmup", "batch_sites"):
+        for bad in (True, False):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                BenchConfig(routine="mult_su3_mat_vec", **{field: bad})
     # Refused, not timed on the lattice the truncated extents make.
     with pytest.raises(ValueError, match="integers"):
         BenchConfig(routine="mult_su3_mat_vec", mode="streaming", dims=(2.9, 2, 2, 2))

@@ -105,29 +105,30 @@ def test_flops_lane_ops_table():
     assert proc.stdout.splitlines()[1] == "mult_su3_mat_vec,18,18,15,3,3"
 
 
-# Every tally is derived, not transcribed: a table kernel's from its gather
-# table (simd.lane_op_count), an elementwise kernel's from its traced real
-# operations, paired. A broadcast component is counted once, however many
-# outputs share it: mult_su3_nn's row operand supplies each of its 18
-# components to all three output columns, and the half-Wilson kernels' matrix
-# supplies each of its 18 to both halves in the same way, so all three show
-# 18 broadcasts.
+# Every tally is derived, not transcribed: each is read off the pack plan the
+# vector backend's native loop is emitted from (simd.lane_op_count), and
+# test_native holds each double loop's instructions to it. A broadcast
+# component is counted once, however many outputs share it: mult_su3_nn's row
+# operand supplies each of its 18 components to all three output columns, and
+# the half-Wilson kernels' matrix supplies each of its 18 to both halves in
+# the same way, so all three show 18 broadcasts. A swapped pair load is
+# counted once, however many products read it.
 LANE_OPS_CSV = """\
 routine,broadcasts,packed_mults,packed_adds,swaps,negates
 add_su3_vector,0,0,3,0,0
 mult_adj_su3_mat_hwvec,18,36,30,6,6
 mult_adj_su3_mat_vec,18,18,15,3,3
-mult_adj_su3_mat_vec_4dir,72,72,60,12,12
-mult_adj_su3_mat_4vec,72,72,60,12,12
+mult_adj_su3_mat_vec_4dir,72,72,60,3,12
+mult_adj_su3_mat_4vec,72,72,60,3,12
 mult_su3_an,18,54,45,9,9
 mult_su3_mat_hwvec,18,36,30,6,6
 mult_su3_na,18,54,45,9,9
 mult_su3_nn,18,54,45,9,9
 mult_su3_mat_vec,18,18,15,3,3
-mult_su3_mat_vec_sum_4dir,72,72,69,3,3
+mult_su3_mat_vec_sum_4dir,72,72,69,12,3
 scalar_mult_add_su3_matrix,1,9,9,0,0
 scalar_mult_add_su3_vector,1,3,3,0,0
-su3_projector,6,18,9,9,9
+su3_projector,6,18,9,3,9
 sub_four_su3_vecs,0,0,12,0,0
 """
 

@@ -471,6 +471,24 @@ def test_each_loop_is_plain_or_packed_as_its_backend_and_none_is_fused():
 
 @needs_native
 @pytest.mark.parametrize("routine", ROUTINE_NAMES)
+def test_each_double_vector_loop_performs_its_lane_tallies(routine):
+    # The lane tallies are read off the pack plan; the built double loop
+    # performs exactly them: a broadcast is one unpcklpd, a product or a
+    # sign one mulpd, an add one addpd or subpd, a swapped pair load one
+    # shufpd, however many operations read it. Single is not checked: it
+    # broadcasts with shufps, which its swaps also use.
+    loop = re.search(rf"static const struct kernel {entry('vector', routine)}_kernel = {{.*, (\w+)_d, \w+_f}};", _source()).group(1)
+    code = _disassembly()[f"{loop}_d"]
+    count = {op: len(re.findall(rf"\b{op}\b", code)) for op in ("unpcklpd", "mulpd", "addpd", "subpd", "shufpd")}
+    lanes = simd.lane_op_count(routine)
+    assert count["unpcklpd"] == lanes.broadcasts
+    assert count["mulpd"] == lanes.packed_mults + lanes.negates
+    assert count["addpd"] + count["subpd"] == lanes.packed_adds
+    assert count["shufpd"] == lanes.swaps
+
+
+@needs_native
+@pytest.mark.parametrize("routine", ROUTINE_NAMES)
 @pytest.mark.parametrize("kind", BACKEND_NAMES)
 def test_native_source_is_the_trace(kind, routine, precision):
     # Each entry's loop (the first entry's of its backend, where traces are

@@ -7,6 +7,7 @@ a changed sign is a different tree."""
 import pytest
 
 from su3bench import ROUTINE_NAMES, scalar, simd
+from su3bench.trace import level_order
 
 
 def normal_form(trace) -> tuple:
@@ -46,8 +47,21 @@ def test_the_backends_traces_compute_one_expression(routine):
     ours, theirs = scalar.routine_trace(routine), simd.routine_trace(routine)
     assert ours.operands == theirs.operands
     assert normal_form(ours) == normal_form(theirs)
-    # Two sources: only add_su3_vector's body is the same record in both.
+    # The elementwise vector traces are the scalar ones in level order, the
+    # same record only where the scalar trace is in level order already.
     assert (ours == theirs) == (routine == "add_su3_vector")
+
+
+def test_level_order_keeps_each_expression_and_gives_the_vector_traces():
+    # Every vector trace is in level order, the pairing native.pack_plan
+    # reads; an elementwise one is the scalar trace put in that order, and
+    # reordering a scalar trace changes no result's expression.
+    for routine in ROUTINE_NAMES:
+        ours, theirs = scalar.routine_trace(routine), simd.routine_trace(routine)
+        assert level_order(theirs) == theirs, routine
+        if routine not in simd.CONTRACTIONS:
+            assert theirs == level_order(ours), routine
+        assert normal_form(level_order(ours)) == normal_form(ours), routine
 
 
 def test_a_flipped_sign_or_a_reversed_accumulation_is_detected():

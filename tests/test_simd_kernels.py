@@ -349,12 +349,13 @@ def test_batch_apply_writes_any_result_layout(kind, routine, precision):
 
 @pytest.mark.parametrize("routine", TABLE_KERNELS)
 def test_lane_ops_derived_from_the_table(routine):
-    # lane_op_count reads its tallies off the recipe's trace (they are
-    # pinned in test_cli): each packed product broadcasts one component into
-    # both lanes of a pair, so the products come in lane pairs that share
-    # their left factor and read two adjacent components of the pair
-    # operand, in order or swapped, and every component read is one of the
-    # operands' (in range).
+    # The recipe's trace pairs as native.pack_plan packs it (lane_op_count
+    # tallies that plan; test_cli pins the tallies, test_native the loops'
+    # instructions): each packed product broadcasts one component into both
+    # lanes of a pair, so the products come in lane pairs that share their
+    # left factor and read two adjacent components of the pair operand, in
+    # order or swapped, and every component read is one of the operands'
+    # (in range).
     trace = simd.routine_trace(routine)
     where = {x: (k, i) for k, names in enumerate(trace.operands) for i, x in enumerate(names)}
     results = {result for result, *_ in trace.steps}

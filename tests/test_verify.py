@@ -16,6 +16,10 @@ from su3bench import get_backend, types, verify
     {"tolerance_ulps": float("nan")},
     {"tolerance_ulps": float("inf")},
     {"tolerance_ulps": -1.0},
+    {"seed": 1.5},
+    {"seed": "7"},
+    {"seed": True},
+    {"seed": -1},
 ])
 def test_sweep_rejects_bad_arguments_before_running(kwargs, monkeypatch):
     with pytest.raises(ValueError):
@@ -54,6 +58,27 @@ def test_check_all_rejects_an_empty_routine_list(monkeypatch):
     monkeypatch.setattr(verify, "check_routine", must_not_run)
     with pytest.raises(ValueError, match="no routines"):
         verify.check_all(routines=[])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"precisions": ()},
+    {"routines": "mult_su3_mat_vec"},
+    {"precisions": "double"},
+])
+def test_check_all_rejects_an_empty_or_bare_string_set(kwargs, monkeypatch):
+    # No precision would pass with no rows; a string would be read as its
+    # characters.
+    def must_not_run(*args, **kw):
+        raise AssertionError("check_all ran a routine for a set it should refuse")
+
+    monkeypatch.setattr(verify, "check_routine", must_not_run)
+    with pytest.raises(ValueError, match="no precisions|one string"):
+        verify.check_all(**{"routines": ["mult_su3_mat_vec"], **kwargs})
+
+
+def test_a_numpy_integer_seed_is_accepted():
+    row = verify.check_routine("mult_su3_mat_vec", trials=4, seed=np.int64(7))
+    assert row == verify.check_routine("mult_su3_mat_vec", trials=4, seed=7)
 
 
 def test_zero_trials_and_zero_tolerance_are_accepted():
