@@ -48,7 +48,7 @@ from .backends import BACKEND_NAMES, get_backend
 from .flops import flop_count
 from .lattice import Lattice4D, SiteBuffer
 from .simd import LANES, capability
-from .types import OPERAND_SHAPES, check_fits, dtype_for, random_operands, routine_spec
+from .types import OPERAND_SHAPES, check_fits, dtype_for, is_natural, random_operands, routine_spec
 
 _active = threading.Lock()
 # A configuration's bounds, so that no run is open-ended: at most _REPS_CAP
@@ -94,6 +94,8 @@ class BenchConfig:
             raise ValueError(f"warmup must be an integer from 0 to {_REPS_CAP}")
         if not _count(self.batch_sites) or self.batch_sites < 1:
             raise ValueError("batch_sites must be an integer >= 1")
+        if not is_natural(self.seed):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0 <= self.min_region_s <= MAX_REGION_S:
             raise ValueError(f"min_region_s must be from 0 to {MAX_REGION_S:g} seconds")
         if self.mode == "streaming":

@@ -3,7 +3,8 @@ extension, and the checked entries that run them.
 
 Every trace becomes one C function per precision that runs it over n sites:
 each backend's ``routine_trace`` of each routine, the scalar bodies', the
-vector backend's contraction recipes' and its numpy elementwise bodies'. A site
+vector backend's contraction recipes' and its elementwise traces' (the scalar
+traces with their steps in level order, ``trace.level_order``). A site
 loads every component it reads, then performs the trace's steps in its
 order, in the operands' own precision (``double`` or ``float``; x86-64 C
 rounds a float operation to float), then stores every result component.
@@ -77,8 +78,27 @@ bits are numpy's by construction. Only the order of the multiplies differs
 from the serial stream's: consecutive outputs do not wait on each other's
 128-bit multiply. The serial step, ``pcg64_next``, only seeds the stream.
 
+Where the host has AVX-512F and AVX-512DQ, a wide fill (``fill_wide``) draws
+the first ``n - n % 16`` outputs first, 16 a step: two zmm registers of 8
+64-bit lanes hold the hi and lo words of 16 consecutive outputs' states,
+and every lane steps by ``s -> s * M**16 + C16`` with ``C16 = inc *
+(M**15 + ... + M + 1)``, both computed once per call on ``unsigned
+__int128``. A lane's 128-bit multiply is built from 64-bit words: the low
+word's product by ``mullo``, its high word from four 32-bit products
+(``vpmuludq``), the cross terms by ``mullo``, and the carry of the add. Its
+output is the same XSL-RR (``vprorvq`` by each lane's own count), the same
+conversion of ``x >> 11`` to double, multiply by ``2**-52`` and subtract of
+1.0, one operation at a time, then a conversion to float in single, so each
+lane gives ``put``'s bits. The states of the first two outputs it does not
+draw start the two chains, which draw the rest; on any other host they
+draw every output. The fill is compiled for its own target
+(``__attribute__((target("avx512f,avx512dq")))``) and chosen once, when the
+module is initialised, by ``__builtin_cpu_supports``; the rest of the module
+stays SSE2 code, and ``uniform_fill()`` says which loops run.
+
 gcc builds the module with ``-ffp-contract=off`` (no fused multiply-add,
-which would round once where the trace rounds twice) and
+which would round once where the trace rounds twice, in the site loops and
+the wide fill alike) and
 ``-fno-tree-vectorize`` (no packed arithmetic but the vector loops' own),
 synchronously and with a timeout, on the first call of ``load`` in a
 process, which the first ``get_backend`` or kernel call makes; importing the
@@ -89,7 +109,8 @@ to a temporary file and renamed into place, so a cached module is loaded
 without emitting anything and concurrent builds do not collide; its source
 is kept beside it. Where there is no compiler or no numpy header, the build
 fails or the module does not load, ``load`` returns None, ``status`` says
-why, and every call runs its Python path.
+why, and every call runs its Python path. A module of other traces or of
+another version of this file stays in ``build/`` until ``prune`` removes it.
 """
 from __future__ import annotations
 
@@ -477,13 +498,13 @@ static inline void put(char *p, Py_ssize_t i, int single, pcg128 state)
         st_d(p, i, u);
 }
 
-/* Outputs 0 to n - 1 into p from the two chains (see uniform), in one
-   precision: inlined into each branch of uniform with `single` a
-   constant, so that no output tests the type. */
-static inline __attribute__((always_inline)) void fill(char *p, Py_ssize_t n, int single, pcg128 s0, pcg128 s1, pcg128 m2, pcg128 c2)
+/* Outputs i to n - 1 into p from the two chains (see uniform), s0 the
+   state of output i and s1 that of output i + 1, in one precision: inlined
+   into each branch of uniform with `single` a constant, so that no output
+   tests the type. */
+static inline __attribute__((always_inline)) void fill(char *p, Py_ssize_t i, Py_ssize_t n, int single, pcg128 s0, pcg128 s1, pcg128 m2, pcg128 c2)
 {
-    Py_ssize_t i;
-    for (i = 0; i + 1 < n; i += 2) {
+    for (; i + 1 < n; i += 2) {
         put(p, i, single, s0);
         put(p, i + 1, single, s1);
         s0 = s0 * m2 + c2;
@@ -492,6 +513,94 @@ static inline __attribute__((always_inline)) void fill(char *p, Py_ssize_t n, in
     if (i < n)
         put(p, i, single, s0);
 }
+
+static int wide; /* whether uniform runs fill_wide before fill; set once, at module init */
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+
+#define WIDE 16 /* outputs a step of fill_wide: two registers of 8 lanes */
+#define AVX512 __attribute__((target("avx512f,avx512dq")))
+
+/* Each lane's state s -> s * m + c (mod 2**128), its hi and lo words apart,
+   m_lo_hi32 the high half of m's lo word: the low word of lo * m_lo is
+   mullo; its high word is summed from the four products of the words' 32-bit
+   halves (mul_epu32 reads a lane's low half); the cross terms lo * m_hi and
+   hi * m_lo count only mod 2**64; and the low word's add carries one into
+   the high word where it wraps. */
+static inline AVX512 __attribute__((always_inline)) void lcg8(__m512i *hi, __m512i *lo, __m512i m_lo, __m512i m_lo_hi32, __m512i m_hi, __m512i c_lo, __m512i c_hi)
+{
+    const __m512i a = *lo, a_hi32 = _mm512_srli_epi64(a, 32), low32 = _mm512_set1_epi64(0xffffffff);
+    const __m512i p00 = _mm512_mul_epu32(a, m_lo), p01 = _mm512_mul_epu32(a, m_lo_hi32);
+    const __m512i p10 = _mm512_mul_epu32(a_hi32, m_lo), p11 = _mm512_mul_epu32(a_hi32, m_lo_hi32);
+    const __m512i mid = _mm512_add_epi64(_mm512_srli_epi64(p00, 32),
+                                         _mm512_add_epi64(_mm512_and_si512(p01, low32), _mm512_and_si512(p10, low32)));
+    const __m512i high = _mm512_add_epi64(_mm512_add_epi64(p11, _mm512_srli_epi64(mid, 32)),
+                                          _mm512_add_epi64(_mm512_srli_epi64(p01, 32), _mm512_srli_epi64(p10, 32)));
+    const __m512i h = _mm512_add_epi64(_mm512_add_epi64(high, c_hi),
+                                       _mm512_add_epi64(_mm512_mullo_epi64(a, m_hi), _mm512_mullo_epi64(*hi, m_lo)));
+    const __m512i l = _mm512_add_epi64(_mm512_mullo_epi64(a, m_lo), c_lo);
+    *hi = _mm512_mask_add_epi64(h, _mm512_cmplt_epu64_mask(l, c_lo), h, _mm512_set1_epi64(1));
+    *lo = l;
+}
+
+/* Outputs i to i + 7 into p from their states, as put stores each: the
+   XSL-RR rotate, then (x >> 11) * 2**-52 - 1.0 in double, one operation
+   at a time, and in single that double converted. */
+static inline AVX512 __attribute__((always_inline)) void put8(char *p, Py_ssize_t i, int single, __m512i hi, __m512i lo)
+{
+    const __m512i x = _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(hi, 58));
+    const __m512d u = _mm512_sub_pd(_mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(x, 11)), _mm512_set1_pd(1.0 / 4503599627370496.0)),
+                                    _mm512_set1_pd(1.0));
+    if (single)
+        _mm256_storeu_ps((float *)p + i, _mm512_cvtpd_ps(u));
+    else
+        _mm512_storeu_pd((double *)p + i, u);
+}
+
+/* fill_wide's loop in one precision, `single` a constant. */
+static inline AVX512 __attribute__((always_inline)) Py_ssize_t wide_loop(char *p, Py_ssize_t n, int single, uint64_t hi[WIDE], uint64_t lo[WIDE], pcg128 m, pcg128 c)
+{
+    const __m512i m_lo = _mm512_set1_epi64((long long)(uint64_t)m), m_lo_hi32 = _mm512_set1_epi64((long long)((uint64_t)m >> 32));
+    const __m512i m_hi = _mm512_set1_epi64((long long)(uint64_t)(m >> 64));
+    const __m512i c_lo = _mm512_set1_epi64((long long)(uint64_t)c), c_hi = _mm512_set1_epi64((long long)(uint64_t)(c >> 64));
+    __m512i hi0 = _mm512_loadu_si512(hi), lo0 = _mm512_loadu_si512(lo), hi1 = _mm512_loadu_si512(hi + 8), lo1 = _mm512_loadu_si512(lo + 8);
+    Py_ssize_t i;
+    for (i = 0; i + WIDE <= n; i += WIDE) {
+        put8(p, i, single, hi0, lo0);
+        put8(p, i + 8, single, hi1, lo1);
+        lcg8(&hi0, &lo0, m_lo, m_lo_hi32, m_hi, c_lo, c_hi);
+        lcg8(&hi1, &lo1, m_lo, m_lo_hi32, m_hi, c_lo, c_hi);
+    }
+    _mm512_storeu_si512(hi, hi0);
+    _mm512_storeu_si512(lo, lo0);
+    return i;
+}
+
+/* Outputs 0 to n - n % WIDE - 1 into p, 16 a step: lane k of register r
+   holds the state of output 16j + 8r + k, and every lane steps by
+   s -> s * M**16 + C16 (mod 2**128), 16 steps of s -> s * M + inc, with
+   C16 = inc * (M**15 + ... + M + 1). s0 and s1, the states of outputs 0 and
+   1, become those of the first two outputs it does not draw, from which fill
+   draws the rest. Returns how many it drew. */
+static AVX512 Py_ssize_t fill_wide(char *p, Py_ssize_t n, int single, pcg128 *s0, pcg128 *s1, pcg128 inc)
+{
+    uint64_t hi[WIDE], lo[WIDE];
+    pcg128 s = *s0, m = 1, c = 0;
+    Py_ssize_t i;
+    for (i = 0; i < WIDE; i++) {
+        hi[i] = (uint64_t)(s >> 64);
+        lo[i] = (uint64_t)s;
+        s = s * PCG_MULTIPLIER + inc;
+        m *= PCG_MULTIPLIER;
+        c = c * PCG_MULTIPLIER + inc;
+    }
+    i = single ? wide_loop(p, n, 1, hi, lo, m, c) : wide_loop(p, n, 0, hi, lo, m, c);
+    *s0 = (pcg128)hi[0] << 64 | lo[0];
+    *s1 = (pcg128)hi[1] << 64 | lo[1];
+    return i;
+}
+#endif
 
 /* uniform(seed, out): fill out, a C-contiguous float64 or float32 array,
    with the first out.size doubles u of numpy.random.default_rng(seed).random(),
@@ -502,7 +611,9 @@ static inline __attribute__((always_inline)) void fill(char *p, Py_ssize_t n, in
    on each other's 128-bit multiply: s0 holds the state of output i and s1
    that of output i + 1, and each steps two outputs at once,
    s -> s * M**2 + (inc * M + inc), which is two steps of s -> s * M + inc
-   (mod 2**128). An odd last output comes from s0. */
+   (mod 2**128). An odd last output comes from s0. Where the host has
+   AVX-512F and DQ, fill_wide draws the outputs up to the last multiple of
+   16 first, and the chains start from where it stops. */
 static PyObject *uniform(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     struct seed_sequence s = {.hash = 0x43b0d7e5u};
@@ -511,8 +622,8 @@ static PyObject *uniform(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
     pcg128 s0, s1, m2, c2;
     PyObject *const *items;
     PyArrayObject *a;
-    Py_ssize_t count, i;
-    int r;
+    Py_ssize_t count, i, n;
+    int r, single;
     if (nargs != 2) {
         PyErr_Format(PyExc_TypeError, "uniform takes 2 arguments (%zd given)", nargs);
         return NULL;
@@ -544,17 +655,31 @@ static PyObject *uniform(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
     s1 = s0 * PCG_MULTIPLIER + g.inc;
     m2 = PCG_MULTIPLIER * PCG_MULTIPLIER;
     c2 = g.inc * PCG_MULTIPLIER + g.inc;
-    if (PyArray_TYPE(a) == NPY_DOUBLE)
-        fill(PyArray_BYTES(a), PyArray_SIZE(a), 0, s0, s1, m2, c2);
+    n = PyArray_SIZE(a);
+    single = PyArray_TYPE(a) == NPY_FLOAT;
+    i = 0;
+#if defined(__x86_64__)
+    if (wide)
+        i = fill_wide(PyArray_BYTES(a), n, single, &s0, &s1, g.inc);
+#endif
+    if (single)
+        fill(PyArray_BYTES(a), i, n, 1, s0, s1, m2, c2);
     else
-        fill(PyArray_BYTES(a), PyArray_SIZE(a), 1, s0, s1, m2, c2);
+        fill(PyArray_BYTES(a), i, n, 0, s0, s1, m2, c2);
     Py_INCREF(a);
     return (PyObject *)a;
+}
+
+/* uniform_fill(): which loops uniform draws with on this host. */
+static PyObject *uniform_fill(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(args))
+{
+    return PyUnicode_FromString(wide ? "AVX-512 wide fill, then the two-chain scalar fill" : "two-chain scalar fill");
 }
 
 static PyMethodDef methods[] = {
     {"dispatchers", dispatchers, METH_VARARGS, "dispatchers(entries, apply, batch_apply): a backend's checked apply and batch_apply in C"},
     {"uniform", (PyCFunction)(void (*)(void))uniform, METH_FASTCALL, "uniform(seed, out): numpy.random.default_rng(seed).random() scaled to 2u - 1 into out"},
+    {"uniform_fill", uniform_fill, METH_NOARGS, "uniform_fill(): which loops uniform draws with on this host"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -566,6 +691,9 @@ PyMODINIT_FUNC PyInit_su3native(void)
     PyObject *m, *f;
     size_t i;
     import_array();
+#if defined(__x86_64__)
+    wide = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
+#endif
     if (!(out_name = PyUnicode_InternFromString("out")) || !(module_name = PyUnicode_FromString(module.m_name))
         || !(m = PyModule_Create(&module)))
         return NULL;
@@ -599,6 +727,27 @@ def load():
 def status() -> str:
     """The loaded module's path, "not built yet", or why it is unavailable."""
     return "not built yet" if _state is None else _state[1]
+
+
+def draw() -> str:
+    """Which loops draw ``types.random_operands``' components from a seed:
+    the module's (its ``uniform_fill``), "numpy" where it is unavailable, or
+    "not built yet"."""
+    if _state is None:
+        return "not built yet"
+    return "numpy" if _state[0] is None else _state[0].uniform_fill()
+
+
+def prune() -> list[Path]:
+    """Remove every module and source in ``BUILD`` that another version of
+    the traces or of this file built (another key than the current one), and
+    return them. Never called on load: checkouts that share ``BUILD`` would
+    rebuild each other's modules."""
+    current = f"su3native_{_key(_entries())}."
+    stale = sorted(path for path in BUILD.glob("su3native_*") if path.is_file() and not path.name.startswith(current))
+    for path in stale:
+        path.unlink()
+    return stale
 
 
 def dispatchers(kind: str, apply, batch_apply) -> dict:

@@ -195,9 +195,9 @@ def capability() -> dict:
     """Report what runs the packed recipe on this host: the register it
     models (width and lanes per precision, which the lane bound reads; the
     native loops fill two lanes in either precision), how its sequence
-    runs, and the native extension: its path once loaded, "not built yet"
+    runs, the native extension (its path once loaded, "not built yet"
     before the first kernel call of this process, or why it is
-    unavailable."""
+    unavailable) and which loops draw seeded operands (``native.draw``)."""
     features: list[str] = []
     for mod in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
         try:
@@ -216,4 +216,5 @@ def capability() -> dict:
         "machine": platform.machine(),
         "cpu_features": features,
         "native": native.status() if (native := sys.modules.get(f"{__package__}.native")) else "not built yet",
+        "draw": native.draw() if native else "not built yet",
     }

@@ -144,6 +144,11 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
+def is_natural(value) -> bool:
+    """Whether `value` is an int or numpy integer >= 0; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
 def check_fits(routine: str, precision: str | np.dtype, objects: int, results: int) -> None:
     """Refuse (ValueError) a run of `routine` in `precision` over `objects`
     operand sets whose operand arrays and `results` result arrays (an

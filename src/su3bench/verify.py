@@ -46,7 +46,7 @@ from functools import cache
 import numpy as np
 
 from .backends import get_backend
-from .types import ROUTINE_NAMES, check_fits, dtype_for, random_operands, routine_spec
+from .types import ROUTINE_NAMES, check_fits, dtype_for, is_natural, random_operands, routine_spec
 
 DEFAULT_TOLERANCE_ULPS = 2.0
 DEFAULT_TRIALS = 10_000
@@ -100,7 +100,7 @@ def _check_sweep(trials: int, seed: int, tolerance_ulps: float) -> None:
     """Refuse a trial count or a seed that is not an integer >= 0 and a
     tolerance that is not a finite number >= 0; a bool is none of them."""
     for name, value in (("trials", trials), ("seed", seed)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+        if not is_natural(value):
             raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     if isinstance(tolerance_ulps, (bool, np.bool_)) or not 0 <= tolerance_ulps < math.inf:
         raise ValueError(f"tolerance_ulps must be finite and >= 0, got {tolerance_ulps!r}")

@@ -204,6 +204,13 @@ def test_config_validation():
         for bad in (True, False):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 BenchConfig(routine="mult_su3_mat_vec", **{field: bad})
+    # A seed is an integer >= 0, as check_routine takes it: numpy would
+    # refuse a float or a negative int only once the run starts, and take
+    # True as the seed 1.
+    for bad in (1.5, True, -1):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            BenchConfig("mult_su3_nn", seed=bad, repetitions=1, warmup=0, min_region_s=0)
+    BenchConfig("mult_su3_nn", seed=np.int64(7), repetitions=1, warmup=0, min_region_s=0)
     # Refused, not timed on the lattice the truncated extents make.
     with pytest.raises(ValueError, match="integers"):
         BenchConfig(routine="mult_su3_mat_vec", mode="streaming", dims=(2.9, 2, 2, 2))

@@ -5,6 +5,7 @@ arithmetic, no per-call temporaries, nothing at import, and the Python paths
 where there is no compiler or no numpy header."""
 import datetime
 import gc
+import importlib.util
 import re
 import shutil
 import subprocess
@@ -369,7 +370,7 @@ def test_dispatchers_take_only_the_modules_entries():
 @needs_native
 def test_every_export_is_a_builtin_function_of_the_module():
     exports = {name: value for name, value in vars(MODULE).items() if not name.startswith("_")}
-    assert sorted(exports) == sorted(ENTRIES + ("dispatchers", "uniform"))
+    assert sorted(exports) == sorted(ENTRIES + ("dispatchers", "uniform", "uniform_fill"))
     for name, value in exports.items():
         assert type(value) is type(len) and value.__module__ == "su3native" and value.__name__ == name
 
@@ -402,8 +403,11 @@ def test_uniform_refuses_what_it_does_not_take():
 def test_uniform_draws_numpys_stream_at_every_length(seed, dtype):
     # The stream runs as two chains, each stepping two outputs at once, and
     # an odd last output comes from the first; every length from 0 to 9 and
-    # some odd ones hold each output, and the tail, to numpy's.
-    for n in [*range(10), 11, 37, 127, 4609]:
+    # some odd ones hold each output, and the tail, to numpy's. Where the
+    # wide fill runs, it draws 16 outputs a step and hands the chains the
+    # rest: lengths below 16 run the chains alone, the others both and the
+    # hand-over, up to 12288, the largest draw of a verify sweep.
+    for n in [*range(10), 11, 15, 16, 17, 31, 32, 33, 37, 127, 255, 256, 257, 4609, 12288]:
         out = np.full(n, 7.0, dtype)
         assert MODULE.uniform(seed, out) is out
         want = (np.random.default_rng(seed).random(n) * 2 - 1).astype(dtype)
@@ -423,6 +427,33 @@ def test_emitted_source_compiles_without_warnings(tmp_path):
                            "-o", str(tmp_path / "su3native.so"), str(source)],
                           capture_output=True, text=True, timeout=native.TIMEOUT_S)
     assert proc.returncode == 0, proc.stderr
+
+
+@needs_native
+def test_without_the_wide_fill_uniform_draws_the_same_bits(tmp_path):
+    # The module as a compiler for another host sees it, its x86-64 blocks
+    # left out, under -Wall -Wextra -Werror: uniform runs the two chains
+    # alone, to numpy's bits at every length the wide fill hands over at.
+    source = tmp_path / "su3native.c"
+    with source.open("w") as f:
+        native._emit(f.write, native._entries())
+    text = source.read_text()
+    assert text.count("#if defined(__x86_64__)") == 3
+    source.write_text(text.replace("#if defined(__x86_64__)", "#if 0"))
+    built = tmp_path / f"su3native{sysconfig.get_config_var('EXT_SUFFIX')}"
+    include = sysconfig.get_paths()["include"]
+    proc = subprocess.run([native.COMPILER, *native.FLAGS, "-Wall", "-Wextra", "-Werror", "-I", include, "-I", native.NUMPY_INCLUDE,
+                           "-o", str(built), str(source)], capture_output=True, text=True, timeout=native.TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
+    spec = importlib.util.spec_from_file_location("su3native", built)
+    portable = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(portable)
+    assert portable.uniform_fill() == "two-chain scalar fill"
+    for dtype in (np.float64, np.float32):
+        for n in (15, 16, 17, 33, 257, 12288):
+            out = np.full(n, 7.0, dtype)
+            assert portable.uniform([41, 3, 8], out) is out
+            assert out.tobytes() == (np.random.default_rng([41, 3, 8]).random(n) * 2 - 1).astype(dtype).tobytes(), n
 
 
 @cache
@@ -467,6 +498,19 @@ def test_each_loop_is_plain_or_packed_as_its_backend_and_none_is_fused():
         else:
             assert packed and not plain, (name, plain)
     assert [name for name, text in code.items() if FUSED.search(text)] == []
+
+
+@needs_native
+def test_the_wide_fill_is_avx512_code():
+    # Where the host has AVX-512F and DQ, uniform runs fill_wide, whose
+    # lanes multiply 32-bit halves in zmm registers and rotate each output
+    # by its own count; gcc emits these only under the function's target.
+    if not MODULE.uniform_fill().startswith("AVX-512"):
+        pytest.skip(f"no AVX-512F and DQ on this host: uniform runs the {MODULE.uniform_fill()}")
+    wide = [text for name, text in _disassembly().items() if name.partition(".")[0] == "fill_wide"]
+    assert len(wide) == 1
+    for op in ("vpmuludq", "vprorvq"):
+        assert re.search(rf"\b{op}\b.*%zmm", wide[0]), op
 
 
 @needs_native
@@ -559,6 +603,25 @@ def test_module_builds_where_a_compiler_exists():
 @needs_native
 def test_capability_reports_the_loaded_module():
     assert simd.capability()["native"] == MODULE.__file__ == native.status()
+    assert simd.capability()["draw"] == MODULE.uniform_fill() == native.draw()
+    assert native.draw() in ("AVX-512 wide fill, then the two-chain scalar fill", "two-chain scalar fill")
+
+
+def test_prune_removes_only_other_keys(tmp_path, monkeypatch):
+    # Modules and sources of other keys go; the current key's stay, with
+    # its build's temporary files, and so does anything else in the directory.
+    current = f"su3native_{native._key(native._entries())}"
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    keep = [f"{current}.c", f"{current}{suffix}", f"{current}.abc123.c", "notes.txt"]
+    stale = [f"su3native_{'0' * 16}.c", f"su3native_{'0' * 16}{suffix}", f"su3native_{'1' * 16}.cpython-39-x86_64-linux-gnu.so"]
+    for name in keep + stale:
+        (tmp_path / name).write_text("")
+    monkeypatch.setattr(native, "BUILD", tmp_path)
+    assert native.prune() == sorted(tmp_path / name for name in stale)
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(keep)
+    assert native.prune() == []
+    monkeypatch.setattr(native, "BUILD", tmp_path / "absent")
+    assert native.prune() == []
 
 
 def test_import_and_flop_table_import_no_native():
@@ -585,6 +648,7 @@ def _digests_without(tmp_path, setting: str, value: str) -> str:
         "setattr(native, sys.argv[4], sys.argv[5])\n"
         "import test_digests\n"
         "assert test_digests.output_digest() == test_digests.EXPECTED\n"
+        "assert capability()['draw'] == 'numpy'\n"
         "print(native.load(), capability()['native'])\n"
     )
     src = str(Path(su3bench.__file__).resolve().parents[1])
