@@ -47,8 +47,8 @@ import numpy as np
 from .backends import BACKEND_NAMES, get_backend
 from .flops import flop_count
 from .lattice import Lattice4D, SiteBuffer
-from .simd import LANES, capability
-from .types import OPERAND_SHAPES, check_fits, dtype_for, is_natural, random_operands, routine_spec
+from .simd import capability
+from .types import OPERAND_SHAPES, PRECISIONS, check_fits, dtype_for, is_natural, random_operands, routine_spec
 
 _active = threading.Lock()
 # A configuration's bounds, so that no run is open-ended: at most _REPS_CAP
@@ -58,8 +58,6 @@ _REPS_CAP = 1_000_000_000
 MAX_REGION_S = 60.0
 # The default repetition count covers about this many site-invocations.
 DEFAULT_SITES = 1_000_000
-
-LANE_BOUND = {precision: float(lanes) for precision, lanes in LANES.items()}
 
 CSV_COLUMNS = ("routine", "backend", "precision", "mode", "alignment", "reps", "elapsed_s", "invocations_per_s", "flops_per_s")
 SPEEDUP_COLUMNS = ("routine", "precision", "mode", "alignment", "t_ref_s", "t_vec_s", "ratio", "lane_bound", "anomalous")
@@ -310,16 +308,18 @@ def speedup_row(
 ) -> SpeedupRow:
     """Build one ratio row from per-invocation (or same-workload) times.
 
-    A ratio beyond the packed-lane width (2 for double, 4 for single) cannot
-    come from lane parallelism alone and is flagged anomalous rather than
-    celebrated.
+    The bound is the lanes the vector loops run (``native.PACK``, 2 in
+    either precision; importing ``native`` builds nothing): a ratio beyond
+    it cannot come from lane parallelism alone and is flagged anomalous
+    rather than celebrated.
     """
+    from .native import PACK
+
     if t_ref_s <= 0 or t_vec_s <= 0:
         raise ValueError("times must be positive")
-    try:
-        bound = LANE_BOUND[precision]
-    except KeyError:
-        raise ValueError(f"unknown precision {precision!r}") from None
+    if precision not in PRECISIONS:
+        raise ValueError(f"unknown precision {precision!r}")
+    bound = float(PACK["vector"])
     ratio = t_ref_s / t_vec_s
     return SpeedupRow(
         routine=routine,

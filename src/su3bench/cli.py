@@ -83,18 +83,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="hot-loop timing of one or more kernels")
     p.add_argument("--routine", type=_routine_list, required=True, help="comma-separated names or 'all'")
-    p.add_argument("--backend", choices=("scalar", "vector", "both"), default="vector")
+    p.add_argument("--backend", choices=("scalar", "vector", "both"), help="default: vector")
     p.add_argument("--reps", type=int, help="calls to time (default: about 10^6 sites' worth)")
     p.add_argument("--warmup", type=int, default=3)
     p.add_argument("--batch-sites", type=int, default=1)
     p.add_argument("--min-region-ms", type=float, default=10.0)
-    p.add_argument("--speedup", action="store_true", help="emit scalar/vector time ratios (implies --backend both)")
+    p.add_argument("--speedup", action="store_true", help="emit scalar/vector time ratios (times both backends)")
     _add_common(p)
     p.set_defaults(handler=_cmd_bench, mode="hot", dims=None, alignment="aligned")
 
     p = sub.add_parser("lattice-bench", help="streaming sweeps over aligned lattice fields")
     p.add_argument("--routine", type=_routine_list, required=True)
-    p.add_argument("--backend", choices=("scalar", "vector", "both"), default="vector")
+    p.add_argument("--backend", choices=("scalar", "vector", "both"), help="default: vector")
     p.add_argument("--dims", type=_dims, default=(4, 4, 4, 4), help="lattice extents, e.g. 8,4,4,4")
     p.add_argument("--alignment", choices=("aligned", "unaligned", "both"), default="aligned")
     p.add_argument("--sweeps", dest="reps", metavar="SWEEPS", type=int, default=1, help="minimum full-lattice sweeps to time")
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model", help="analytical speedup model and shipped reference data")
     p.add_argument("--scenario", help="time-components file: 'role.field = value' lines, or .csv")
     p.add_argument("--sweep", type=_float_list, help="overheads to add to both configurations")
-    p.add_argument("--sweep-component", choices=perfmodel.SHARED_FIELDS, default="t_comm")
+    p.add_argument("--sweep-component", choices=perfmodel.SHARED_FIELDS, help="the component --sweep adds to (default: t_comm)")
     p.add_argument("--bounds", action="store_true", help="per-routine mix fractions and lane bounds")
     p.add_argument("--mix", help="instruction-mix csv (default: the shipped table)")
     p.add_argument("--history", choices=("applications", "kernels", "alignment"), help="show shipped historical measurements")
@@ -143,7 +143,9 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 def _cmd_bench(args) -> tuple[str, int]:
     """`bench` and `lattice-bench`: one record per routine, backend and alignment."""
-    backends = ("scalar", "vector") if args.speedup or args.backend == "both" else (args.backend,)
+    if args.speedup and args.backend not in (None, "both"):
+        raise ValueError(f"--backend {args.backend} is not for --speedup, which times both backends")
+    backends = ("scalar", "vector") if args.speedup or args.backend == "both" else (args.backend or "vector",)
     alignments = ("aligned", "unaligned") if args.alignment == "both" else (args.alignment,)
     records = [
         bench.run(
@@ -180,13 +182,19 @@ def _cmd_model(args) -> tuple[str, int]:
     sections: list[str] = []
     if not (args.scenario or args.bounds or args.history):
         raise ModelInputError("nothing to do: pass --scenario, --bounds, or --history")
+    for option, value, needs, given in (("--sweep", args.sweep, "--scenario", args.scenario),
+                                        ("--sweep-component", args.sweep_component, "--sweep", args.sweep),
+                                        ("--mix", args.mix, "--bounds", args.bounds)):
+        if value is not None and not given:
+            raise ModelInputError(f"{option} is for {needs}, which was not given")
     if args.scenario:
         scenario = perfmodel.load_scenario(args.scenario)
         normal, accel = scenario["normal"], scenario["accel"]
         if args.sweep:
-            curve = perfmodel.degradation_curve(normal, accel, args.sweep, component=args.sweep_component)
+            component = args.sweep_component or "t_comm"
+            curve = perfmodel.degradation_curve(normal, accel, args.sweep, component=component)
             rows = [
-                {"overhead": o, "component": args.sweep_component, "predicted_speedup": s}
+                {"overhead": o, "component": component, "predicted_speedup": s}
                 for o, s in zip(args.sweep, curve)
             ]
             sections.append(format_rows(rows, ("overhead", "component", "predicted_speedup"), args.format))

@@ -76,7 +76,7 @@ comes from the first. Every output's state is the serial stream's, and its
 XSL-RR output, double and store are computed from that state alone, so the
 bits are numpy's by construction. Only the order of the multiplies differs
 from the serial stream's: consecutive outputs do not wait on each other's
-128-bit multiply. The serial step, ``pcg64_next``, only seeds the stream.
+128-bit multiply.
 
 Where the host has AVX-512F and AVX-512DQ, a wide fill (``fill_wide``) draws
 the first ``n - n % 16`` outputs first, 16 a step: two zmm registers of 8
@@ -135,7 +135,6 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-tree-vectorize",
          "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION")
 NUMPY_INCLUDE = np.get_include()
 TIMEOUT_S = 300
-MAX_ARGS = 8
 _TYPES = (("d", "double"), ("f", "float"))  # loop name suffix and C type of each precision
 PACK = {"scalar": 1, "vector": 2}  # trace steps to a C step in each backend's loops: plain, or the recipe's lane pairs
 
@@ -180,7 +179,7 @@ struct kernel {
 };
 
 #define KERNEL "su3native.kernel" /* the name of a capsule of a struct kernel */
-#define MAX_ARGS %(max_args)d
+#define MAX_ARGS %(max_args)d /* the most arguments an entry takes: its operands, and out unless in place */
 #define MAX_RANK %(max_rank)d
 #define DIMS(x) PyArray_DIMS((PyArrayObject *)(x))
 
@@ -468,22 +467,9 @@ static void generate_state(struct seed_sequence *s, uint64_t state[4])
 __extension__ typedef unsigned __int128 pcg128;
 #define PCG_MULTIPLIER ((pcg128)2549297995355413924ULL << 64 | 4865540595714422341ULL)
 
-struct pcg64 {
-    pcg128 state, inc;
-};
-
-static uint64_t pcg64_next(struct pcg64 *g)
-{
-    uint64_t x;
-    unsigned rot;
-    g->state = g->state * PCG_MULTIPLIER + g->inc;
-    x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
-    rot = (unsigned)(g->state >> 122);
-    return x >> rot | x << (-rot & 63);
-}
-
 /* Output i of uniform from its state, stored in double or (single) in
-   float: the XSL-RR output pcg64_next gives for that state, then
+   float: the XSL-RR output of that state (its two words xor'ed, rotated
+   right by its top six bits), then
    (x >> 11) * 2**-52 - 1.0 in double, which is u = (x >> 11) * 2**-53,
    u *= 2.0, u -= 1.0: x >> 11 is below 2**53, and a power-of-two scaling
    of it is exact. */
@@ -617,9 +603,8 @@ static AVX512 Py_ssize_t fill_wide(char *p, Py_ssize_t n, int single, pcg128 *s0
 static PyObject *uniform(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     struct seed_sequence s = {.hash = 0x43b0d7e5u};
-    struct pcg64 g;
     uint64_t state[4];
-    pcg128 s0, s1, m2, c2;
+    pcg128 inc, s0, s1, m2, c2;
     PyObject *const *items;
     PyArrayObject *a;
     Py_ssize_t count, i, n;
@@ -646,21 +631,21 @@ static PyObject *uniform(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
             Py_RETURN_NOTIMPLEMENTED;
         }
     generate_state(&s, state);
-    g.state = 0; /* pcg_setseq_128_srandom_r(initstate = s0 << 64 | s1, initseq = s2 << 64 | s3) */
-    g.inc = ((pcg128)state[2] << 64 | state[3]) << 1 | 1;
-    pcg64_next(&g);
-    g.state += (pcg128)state[0] << 64 | state[1];
-    pcg64_next(&g);
-    s0 = g.state * PCG_MULTIPLIER + g.inc;
-    s1 = s0 * PCG_MULTIPLIER + g.inc;
+    /* pcg_setseq_128_srandom_r(initstate = s0 << 64 | s1, initseq = s2 << 64 | s3):
+       from state 0 one step (to inc), initstate added, and one more step;
+       output 0 is drawn from the state one step on. */
+    inc = ((pcg128)state[2] << 64 | state[3]) << 1 | 1;
+    s0 = (((pcg128)state[0] << 64 | state[1]) + inc) * PCG_MULTIPLIER + inc;
+    s0 = s0 * PCG_MULTIPLIER + inc;
+    s1 = s0 * PCG_MULTIPLIER + inc;
     m2 = PCG_MULTIPLIER * PCG_MULTIPLIER;
-    c2 = g.inc * PCG_MULTIPLIER + g.inc;
+    c2 = inc * PCG_MULTIPLIER + inc;
     n = PyArray_SIZE(a);
     single = PyArray_TYPE(a) == NPY_FLOAT;
     i = 0;
 #if defined(__x86_64__)
     if (wide)
-        i = fill_wide(PyArray_BYTES(a), n, single, &s0, &s1, g.inc);
+        i = fill_wide(PyArray_BYTES(a), n, single, &s0, &s1, inc);
 #endif
     if (single)
         fill(PyArray_BYTES(a), i, n, 1, s0, s1, m2, c2);
@@ -835,12 +820,11 @@ def _build(entries, stem: str, path: Path) -> None:
 
 def _emit(write, entries) -> None:
     """Write the module's C source through `write`, a line at a time."""
-    write(_PRELUDE % {"max_args": MAX_ARGS, "max_rank": max(map(len, OPERAND_SHAPES.values()))})
+    write(_PRELUDE % {"max_args": max(len(spec.operands) + (not spec.in_place) for spec in ROUTINES.values()),
+                      "max_rank": max(map(len, OPERAND_SHAPES.values()))})
     loops: dict = {}  # (lanes, trace) -> the entry whose loops run it
     for name, trace, spec, lanes in entries:
         kinds = spec.operands if spec.in_place else spec.operands + (spec.result,)
-        if len(kinds) > MAX_ARGS:
-            raise ValueError(f"{name} takes {len(kinds)} arguments; the module takes at most {MAX_ARGS}")
         first = loops.setdefault((lanes, trace), name)
         if first == name:
             for code, ctype in _TYPES:

@@ -9,10 +9,10 @@ the (re*re, re*im) and (im*re, im*im) lane sums into the complex result.
 Where the native module is built, this backend's site loops run that
 sequence packed (``native.pack_plan``): each lane pair of the trace is one
 SSE2 operation on two lanes, two doubles to a 128-bit register, or in
-single a 2-lane pair of floats (half the register, whose four single lanes
-the model counts). Each lane performs its own step in IEEE arithmetic, so
-the arithmetic sequence per output component is the recipe's, which keeps
-it bitwise equal to the scalar reference.
+single a 2-lane pair of floats (half the register). Each lane performs its
+own step in IEEE arithmetic, so the arithmetic sequence per output
+component is the recipe's, which keeps it bitwise equal to the scalar
+reference.
 
 The eleven contraction kernels (mat-vec, adjoint mat-vec, the three matrix
 products, both half-Wilson kernels, the four-direction kernels and
@@ -47,13 +47,13 @@ the kernels as they are. A kernel is ``kernel(*operands, out) -> out`` (the
 in-place ``sub_four_su3_vecs`` takes no ``out``) and checks nothing:
 ``Backend.apply`` and ``Backend.batch_apply`` are the checked entry points,
 and they allocate or check ``out``. The module holds only the contractions'
-arithmetic, the lane counts per precision and the lane tallies, read off
-the pack plan the native loops are emitted from (``lane_op_count``).
+arithmetic and the lane tallies, read off the pack plan the native loops
+are emitted from (``lane_op_count``); how many lanes those loops run is
+``native.PACK``'s alone.
 """
 from __future__ import annotations
 
 import platform
-import sys
 from dataclasses import dataclass
 from functools import cache
 
@@ -63,9 +63,7 @@ from . import scalar
 from .trace import Trace, kernel, level_order, operand_names
 from .types import OPERAND_SHAPES, PRECISIONS, ROUTINES, routine_spec
 
-# The packed register, and how many lanes of each precision it holds: 2 double, 4 single.
-WIDTH_BITS = 128
-LANES = {name: WIDTH_BITS // (8 * dt.itemsize) for name, dt in PRECISIONS.items()}
+WIDTH_BITS = 128  # the SSE register the packed loops run in
 
 
 def _recipe(routine: str, terms: int, x_at, y_at, conj: bool) -> Trace:
@@ -147,7 +145,8 @@ globals().update({routine: kernel("vector", spec, routine_trace) for routine, sp
 @dataclass(frozen=True)
 class LaneOpCount:
     """Packed-lane operation tally for one kernel invocation, as the native
-    vector loop performs it, two lanes to an operation.
+    vector loop performs it, ``native.PACK["vector"]`` lanes to an operation
+    in either precision.
 
     broadcasts: components loaded alone and broadcast across a lane pair
     (matrix elements, or the conjugated operand's components, or the real
@@ -192,12 +191,16 @@ def lane_op_count(routine: str) -> LaneOpCount:
 
 
 def capability() -> dict:
-    """Report what runs the packed recipe on this host: the register it
-    models (width and lanes per precision, which the lane bound reads; the
-    native loops fill two lanes in either precision), how its sequence
-    runs, the native extension (its path once loaded, "not built yet"
-    before the first kernel call of this process, or why it is
-    unavailable) and which loops draw seeded operands (``native.draw``)."""
+    """Report what runs the packed recipe on this host: the register its
+    loops run in, the lanes they fill per precision (``native.PACK``, which
+    the speedup rows' lane bound reads too), how its sequence runs, the
+    native extension (its path once loaded, "not built yet" before the first
+    kernel call of this process, or why it is unavailable) and which loops
+    draw seeded operands (``native.draw``); importing ``native`` builds
+    nothing."""
+    from . import native
+
+    lanes = native.PACK["vector"]
     features: list[str] = []
     for mod in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
         try:
@@ -207,14 +210,14 @@ def capability() -> dict:
         except (ImportError, AttributeError):
             continue
     return {
-        "backend": "recipe lane sequence: packed native C, SSE2 (double: 2 lanes; single: 2-lane pairs), "
+        "backend": f"recipe lane sequence: packed native C, SSE2 ({lanes} lanes in either precision), "
                    "where the module is built, else compiled numpy over sites",
         "width_bits": WIDTH_BITS,
-        "lanes": dict(LANES),
+        "lanes": {precision: lanes for precision in PRECISIONS},
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
         "cpu_features": features,
-        "native": native.status() if (native := sys.modules.get(f"{__package__}.native")) else "not built yet",
-        "draw": native.draw() if native else "not built yet",
+        "native": native.status(),
+        "draw": native.draw(),
     }

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from su3bench import bench, flops, get_backend, lattice, perfmodel, scalar, simd, types, verify
+from su3bench import bench, flops, get_backend, lattice, native, perfmodel, scalar, simd, types, verify
 from su3bench.bench import BenchConfig
 from symterms import sym_matrix, sym_vector, terms
 from tutil import adjoint, run_kernel
@@ -241,12 +241,15 @@ def test_criterion_09_performance_trends():
     vector_faster = times[("vector", "double")] < times[("scalar", "double")]
     single_at_least_double = rows["single"].ratio >= rows["double"].ratio
     # The flagging logic is the gating part: ratios beyond the lane width
-    # must be marked anomalous, at and below it must not be.
+    # the vector loops run (native.PACK, in either precision) must be marked
+    # anomalous, at and below it must not be.
+    lanes = native.PACK["vector"]
     flag_logic = (
         bench.speedup_row("mult_su3_mat_vec", "double", 2.1, 1.0).anomalous
         and not bench.speedup_row("mult_su3_mat_vec", "double", 2.0, 1.0).anomalous
-        and bench.speedup_row("mult_su3_mat_vec", "single", 4.1, 1.0).anomalous
-        and not bench.speedup_row("mult_su3_mat_vec", "single", 3.9, 1.0).anomalous
+        and all(bench.speedup_row("mult_su3_mat_vec", precision, lanes + 0.1, 1.0).anomalous
+                and not bench.speedup_row("mult_su3_mat_vec", precision, lanes, 1.0).anomalous
+                for precision in PRECISIONS)
         and all(r.anomalous == (r.ratio > r.lane_bound) for r in rows.values())
     )
     soft = []

@@ -298,9 +298,12 @@ def test_speedup_row_ratio_and_flag():
     tame = bench.speedup_row("mult_su3_mat_vec", "double", t_ref_s=7.13, t_vec_s=4.05)
     assert tame.ratio == pytest.approx(1.76, abs=0.01)
     assert not tame.anomalous
-    wide = bench.speedup_row("mult_su3_mat_vec", "single", t_ref_s=3.9, t_vec_s=1.0)
-    assert not wide.anomalous  # 3.9 is under the 4-lane bound
-    assert bench.speedup_row("mult_su3_mat_vec", "single", 4.1, 1.0).anomalous
+    # The bound is the lanes the vector loops run, in either precision.
+    bound = native.PACK["vector"]
+    for precision in ("double", "single"):
+        at = bench.speedup_row("mult_su3_mat_vec", precision, t_ref_s=bound, t_vec_s=1.0)
+        assert at.lane_bound == bound and not at.anomalous
+        assert bench.speedup_row("mult_su3_mat_vec", precision, bound + 0.1, 1.0).anomalous
 
 
 def test_speedup_row_validation():

@@ -402,6 +402,31 @@ def test_model_missing_scenario_file():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args, error", [
+    (("model", "--history", "alignment", "--sweep", "1,2"), "--sweep is for --scenario, which was not given"),
+    (("model", "--history", "alignment", "--sweep-component", "t_noncomp"), "--sweep-component is for --sweep, which was not given"),
+    (("model", "--history", "alignment", "--mix", "/nonexistent"), "--mix is for --bounds, which was not given"),
+    (("bench", "--routine", "mult_su3_nn", "--speedup", "--backend", "scalar"),
+     "--backend scalar is not for --speedup, which times both backends"),
+    (("bench", "--routine", "mult_su3_nn", "--speedup", "--backend", "vector"),
+     "--backend vector is not for --speedup, which times both backends"),
+], ids=["sweep", "sweep-component", "mix", "speedup-scalar", "speedup-vector"])
+def test_a_setting_the_section_ignores_is_refused(args, error, capsys):
+    # Refused before any work (no file opened, nothing timed), with one line.
+    assert cli.main(list(args)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"su3bench: error: {error}"]
+
+
+def test_sweep_alone_adds_to_t_comm(tmp_path, capsys):
+    scenario = tmp_path / "serial.scenario"
+    scenario.write_text("normal.t_comp_accel = 220\naccel.t_comp_accel = 135\n", encoding="utf-8")
+    assert cli.main(["model", "--scenario", str(scenario), "--sweep", "0,10", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "overhead,component,predicted_speedup"
+    assert [row.split(",")[1] for row in rows[1:]] == ["t_comm", "t_comm"]
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "report.csv"
     proc = run_cli(

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import sysconfig
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
@@ -513,22 +514,48 @@ def test_the_wide_fill_is_avx512_code():
         assert re.search(rf"\b{op}\b.*%zmm", wide[0]), op
 
 
+def _vector_loop_ops(routine: str, code: str) -> Counter:
+    """The instructions of the routine's vector loop in one precision (code
+    "d" or "f"), from objdump: each counted by its mnemonic, and one with
+    an immediate operand also by both ("shufps $0xe0")."""
+    loop = re.search(rf"static const struct kernel {entry('vector', routine)}_kernel = {{.*, (\w+)_d, \w+_f}};", _source()).group(1)
+    count = Counter()
+    for mnemonic, immediate in re.findall(r"^\s*[0-9a-f]+:\s+(\S+)(?:\s+(\$0x[0-9a-f]+),)?", _disassembly()[f"{loop}_{code}"], re.M):
+        count[mnemonic] += 1
+        if immediate:
+            count[f"{mnemonic} {immediate}"] += 1
+    return count
+
+
 @needs_native
 @pytest.mark.parametrize("routine", ROUTINE_NAMES)
 def test_each_double_vector_loop_performs_its_lane_tallies(routine):
     # The lane tallies are read off the pack plan; the built double loop
     # performs exactly them: a broadcast is one unpcklpd, a product or a
     # sign one mulpd, an add one addpd or subpd, a swapped pair load one
-    # shufpd, however many operations read it. Single is not checked: it
-    # broadcasts with shufps, which its swaps also use.
-    loop = re.search(rf"static const struct kernel {entry('vector', routine)}_kernel = {{.*, (\w+)_d, \w+_f}};", _source()).group(1)
-    code = _disassembly()[f"{loop}_d"]
-    count = {op: len(re.findall(rf"\b{op}\b", code)) for op in ("unpcklpd", "mulpd", "addpd", "subpd", "shufpd")}
+    # shufpd, however many operations read it.
+    count = _vector_loop_ops(routine, "d")
     lanes = simd.lane_op_count(routine)
     assert count["unpcklpd"] == lanes.broadcasts
     assert count["mulpd"] == lanes.packed_mults + lanes.negates
     assert count["addpd"] + count["subpd"] == lanes.packed_adds
     assert count["shufpd"] == lanes.swaps
+
+
+@needs_native
+@pytest.mark.parametrize("routine", ROUTINE_NAMES)
+def test_each_single_vector_loop_performs_its_lane_tallies(routine):
+    # The same tallies in the single loop, whose two lanes are the low half
+    # of an xmm register: a broadcast is one shufps $0xe0 (lane 0 into lane
+    # 1), a swapped pair load one shufps $0xe1, and no other shuffle; a
+    # product or a sign one mulps, an add one addps or subps.
+    count = _vector_loop_ops(routine, "f")
+    lanes = simd.lane_op_count(routine)
+    assert count["shufps $0xe0"] == lanes.broadcasts
+    assert count["shufps $0xe1"] == lanes.swaps
+    assert count["shufps"] == lanes.broadcasts + lanes.swaps
+    assert count["mulps"] == lanes.packed_mults + lanes.negates
+    assert count["addps"] + count["subps"] == lanes.packed_adds
 
 
 @needs_native

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from su3bench import BACKEND_NAMES, bench, get_backend, scalar, simd, types, verify
+from su3bench import BACKEND_NAMES, bench, get_backend, native, scalar, simd, types, verify
 from su3bench.trace import BLOCK
 from symterms import sym_matrix, sym_vector
 from tutil import run_kernel
@@ -272,10 +272,15 @@ def test_kernel_table_matches_registry():
     assert all(VECTOR.kernels[name] is getattr(simd, name) for name in ALL)
 
 
-def test_lanes_follow_the_dtype_width():
+def test_lanes_are_read_off_the_vector_loops():
+    # One lane count, the vector loops' (native.PACK): the capability report
+    # and the speedup rows' bound read it in both precisions. The register
+    # the loops run in is SSE's 128 bits.
+    lanes = native.PACK["vector"]
     assert simd.WIDTH_BITS == 128
-    assert simd.LANES == {"double": 2, "single": 4}
-    assert bench.LANE_BOUND == {"double": 2.0, "single": 4.0}
+    assert simd.capability()["lanes"] == {precision: lanes for precision in types.PRECISIONS}
+    for precision in types.PRECISIONS:
+        assert bench.speedup_row("mult_su3_mat_vec", precision, 1.0, 1.0).lane_bound == lanes
 
 
 def test_lane_op_table_consistent_with_flop_counts():
@@ -389,7 +394,7 @@ def test_capability_report():
     cap = simd.capability()
     assert "native C" in cap["backend"] and "numpy" in cap["backend"]
     assert cap["width_bits"] == 128
-    assert cap["lanes"] == {"double": 2, "single": 4}
+    assert cap["lanes"] == {precision: native.PACK["vector"] for precision in types.PRECISIONS}
     assert isinstance(cap["cpu_features"], list)
 
 
