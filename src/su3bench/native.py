@@ -2,9 +2,9 @@
 extension, and the checked entries that run them.
 
 Every trace becomes one C function per precision that runs it over n sites:
-each backend's ``routine_trace`` of each routine, the scalar bodies', the
-vector backend's contraction recipes' and its elementwise traces' (the scalar
-traces with their steps in level order, ``trace.level_order``). A site
+each backend's ``routine_trace`` of each routine, the scalar bodies' and
+the vector backend's (the scalar traces paired, ``trace.paired``, with their
+steps in level order, ``trace.level_order``). A site
 loads every component it reads, then performs the trace's steps in its
 order, in the operands' own precision (``double`` or ``float``; x86-64 C
 rounds a float operation to float), then stores every result component.

@@ -2,9 +2,8 @@
 every kernel of both backends.
 
 A trace is recorded by running a scalar kernel body on ``Sym`` values
-(``record``) or written from a contraction's index maps (``simd._recipe``);
-both name operand components by one rule (``operand_names``). The vector
-backend's elementwise traces are the scalar ones with their steps in
+(``record``). The vector backend's traces are the scalar ones, paired
+(``paired``: results 2k and 2k + 1 walked in lockstep) and put in
 dependency order (``level_order``), so their isomorphic steps stand side by
 side. Each backend's ``routine_trace`` gives the trace of each of its
 fifteen kernels. ``kernel`` builds every kernel from its trace: it offers a
@@ -65,20 +64,13 @@ class Sym:
 
 
 class Trace(NamedTuple):
-    """One call of a kernel body (or of a contraction's recipe at one site)
-    as straight-line code over named reals. A name that is neither an
-    operand component nor a step result is a literal (the recipes' +-1
-    signs)."""
+    """One call of a kernel body as straight-line code over named reals. A
+    name that is neither an operand component nor a step result is a
+    literal (the +-1 signs of a paired trace)."""
 
     operands: tuple[tuple[str, ...], ...]  # each operand's components, in memory order (a real factor has one)
     steps: tuple[tuple[str, str, str, str], ...]  # (result, left, op, right), in the order performed
     results: tuple[str, ...]  # what was stored in each result component, in index order
-
-
-def operand_names(spec: RoutineSpec) -> tuple[tuple[str, ...], ...]:
-    """Each operand's component names in memory order, as a trace names
-    them: ``x{k}_{i}`` is component i of operand k."""
-    return tuple(tuple(f"x{k}_{i}" for i in range(OPERAND_SIZES[kind])) for k, kind in enumerate(spec.operands))
 
 
 def record(spec: RoutineSpec, body) -> Trace:
@@ -86,9 +78,9 @@ def record(spec: RoutineSpec, body) -> Trace:
     and record every step: a real factor is one ``Sym``, any other operand
     and ``out`` object arrays of them. TypeError if the body does what the
     trace cannot emit, or leaves a result component that no step or operand
-    of this call gave."""
+    of this call gave. Component i of operand k is named ``x{k}_{i}``."""
     tape: list = []
-    names = operand_names(spec)
+    names = tuple(tuple(f"x{k}_{i}" for i in range(OPERAND_SIZES[kind])) for k, kind in enumerate(spec.operands))
     # [()] takes a real factor's one Sym out of its 0-d array.
     operands = [np.array([Sym(x, tape) for x in row], dtype=object).reshape(OPERAND_SHAPES[kind])[()]
                 for kind, row in zip(spec.operands, names)]
@@ -100,6 +92,45 @@ def record(spec: RoutineSpec, body) -> Trace:
     if not all(isinstance(sym, Sym) and sym.tape is tape for sym in stored):
         raise TypeError(f"{spec.name}: the body left a result component untraced")
     return Trace(names, tuple(tape), tuple(sym.name for sym in stored))
+
+
+def paired(trace: Trace) -> Trace:
+    """`trace` with the expression trees of results 2k and 2k + 1 walked
+    in lockstep, each pair of matching steps performed one after the other,
+    step 2k's first (superword-level pairing, Larsen & Amarasinghe, PLDI
+    2000). Where one tree has a ``-`` and the other a ``+``, each right
+    operand is first multiplied by its +-1 literal and both are then added,
+    which is exact. Every other step keeps its operands; only the steps the
+    results read are performed. ValueError for an odd number of results,
+    or where the two trees differ in shape: a leaf against a step, or two
+    other different operations."""
+    steps = {result: (left, op, right) for result, left, op, right in trace.steps}
+    sign = {"-": "-1.0", "+": "1.0"}
+    out: list = []
+
+    def emit(a: tuple, b: tuple) -> tuple:
+        out.extend([(f"t{len(out)}", *a), (f"t{len(out) + 1}", *b)])
+        return out[-2][0], out[-1][0]
+
+    def walk(x: str, y: str, where: str) -> tuple:
+        if x not in steps and y not in steps:
+            return x, y
+        if x not in steps or y not in steps:
+            raise ValueError(f"{where} do not pair: {x} against {y}, a leaf against a step")
+        (xl, xo, xr), (yl, yo, yr) = steps[x], steps[y]
+        if xo != yo and {xo, yo} != {"-", "+"}:
+            raise ValueError(f"{where} do not pair: {x} = {xl} {xo} {xr} against {y} = {yl} {yo} {yr}")
+        left, right = walk(xl, yl, where), walk(xr, yr, where)
+        if xo != yo:
+            right = emit((right[0], "*", sign[xo]), (right[1], "*", sign[yo]))
+            xo = yo = "+"
+        return emit((left[0], xo, right[0]), (left[1], yo, right[1]))
+
+    if len(trace.results) % 2:
+        raise ValueError(f"{len(trace.results)} results do not pair")
+    results = [walk(x, y, f"results {2 * k} and {2 * k + 1}")
+               for k, (x, y) in enumerate(zip(trace.results[0::2], trace.results[1::2]))]
+    return Trace(trace.operands, tuple(out), tuple(x for pair in results for x in pair))
 
 
 def level_order(trace: Trace) -> Trace:
@@ -150,7 +181,8 @@ def program(trace: Trace, name: str, in_place: bool):
     Result components whose expressions have one shape (the same
     operations, each leaf drawn from the same operand, or a literal) form a
     group: ``mult_su3_nn``'s nine real parts are one, its nine imaginary
-    parts another, and every lane of a recipe one, whatever its sign.
+    parts another, and every lane of a paired contraction one, whatever its
+    sign.
     A step result is written in parentheses where it is used, so every
     operation keeps the trace's operands and association (one used twice
     is evaluated twice; no kernel's trace reuses one); a literal is read

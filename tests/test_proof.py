@@ -6,8 +6,8 @@ arithmetic. Association is never rewritten, so a changed order of adds or
 a changed sign is a different tree."""
 import pytest
 
-from su3bench import ROUTINE_NAMES, scalar, simd
-from su3bench.trace import level_order
+from su3bench import ROUTINE_NAMES, ROUTINES, scalar, simd
+from su3bench.trace import level_order, paired, record
 
 
 def normal_form(trace) -> tuple:
@@ -54,14 +54,27 @@ def test_the_backends_traces_compute_one_expression(routine):
 
 def test_level_order_keeps_each_expression_and_gives_the_vector_traces():
     # Every vector trace is in level order, the pairing native.pack_plan
-    # reads; an elementwise one is the scalar trace put in that order, and
+    # reads; each is the scalar trace paired and put in that order, and
     # reordering a scalar trace changes no result's expression.
     for routine in ROUTINE_NAMES:
         ours, theirs = scalar.routine_trace(routine), simd.routine_trace(routine)
         assert level_order(theirs) == theirs, routine
-        if routine not in simd.CONTRACTIONS:
-            assert theirs == level_order(ours), routine
+        assert theirs == level_order(paired(ours)), routine
         assert normal_form(level_order(ours)) == normal_form(ours), routine
+
+
+def test_paired_refuses_trees_of_different_shape():
+    # A leaf against a step, two different operations other than - and +,
+    # or a result without a partner: no lane pair performs them.
+    trace = scalar.routine_trace("add_su3_vector")
+    result, left, _, right = trace.steps[1]
+    leaf = trace._replace(results=trace.results[:1] + trace.operands[0][1:2] + trace.results[2:])
+    product = trace._replace(steps=trace.steps[:1] + ((result, left, "*", right),) + trace.steps[2:])
+    for broken in (leaf, product):
+        with pytest.raises(ValueError, match="results 0 and 1 do not pair"):
+            paired(broken)
+    with pytest.raises(ValueError, match="5 results do not pair"):
+        paired(trace._replace(results=trace.results[:5]))
 
 
 def test_a_flipped_sign_or_a_reversed_accumulation_is_detected():
@@ -71,9 +84,12 @@ def test_a_flipped_sign_or_a_reversed_accumulation_is_detected():
     k = next(k for k, (_, _, op, right) in enumerate(trace.steps) if op == "*" and right == "-1.0")
     result, left, op, _ = trace.steps[k]
     flipped = trace._replace(steps=trace.steps[:k] + ((result, left, op, "1.0"),) + trace.steps[k + 1:])
-    terms, x_at, y_at, conj = simd.CONTRACTIONS["mult_su3_nn"]
-    reversed_terms = simd._recipe(
-        "mult_su3_nn", terms, lambda i, k, j: x_at(i, k, terms - 1 - j), lambda i, k, j: y_at(i, k, terms - 1 - j), conj
-    )
+
+    def reversed_nn(a, b, out):
+        # mult_su3_nn's body with the term axis j reversed.
+        scalar._store(out.swapaxes(0, 1), scalar._contract(a[:, ::-1], b[::-1].swapaxes(0, 1), False))
+        return out
+
+    reversed_terms = level_order(paired(record(ROUTINES["mult_su3_nn"], reversed_nn)))
     for broken in (flipped, reversed_terms):
         assert normal_form(broken) != want

@@ -1,4 +1,6 @@
 """The README's examples, run against the code they describe."""
+import importlib
+import operator
 import re
 import shlex
 from pathlib import Path
@@ -81,3 +83,20 @@ def test_layout_lists_exactly_the_package_modules():
     listed = re.findall(r"^  (\w+\.py) ", block, re.M)
     modules = sorted(p.name for p in (ROOT / "src" / "su3bench").glob("*.py") if not p.name.startswith("__"))
     assert sorted(listed) == modules and len(listed) == len(set(listed))
+
+
+def test_module_references_name_what_exists():
+    # Each backticked `module.attr` whose module is one of the package's
+    # (`native.PACK`, `trace.level_order`; a file name such as `native.py`
+    # aside) resolves, so prose naming deleted code fails here.
+    modules = {p.stem for p in (ROOT / "src" / "su3bench").glob("*.py")}
+    references = {ref for ref in re.findall(r"`(\w+(?:\.\w+)+)`", README)
+                  if ref.split(".")[0] in modules and not ref.endswith(".py")}
+    missing = []
+    for ref in sorted(references):
+        module, attrs = ref.split(".", 1)
+        try:
+            operator.attrgetter(attrs)(importlib.import_module(f"su3bench.{module}"))
+        except AttributeError:
+            missing.append(ref)
+    assert references and missing == []

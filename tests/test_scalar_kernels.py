@@ -14,7 +14,7 @@ import oracles
 from su3bench import BACKEND_NAMES, get_backend, scalar, simd, types
 from su3bench.trace import Sym, Trace, program
 from test_flops import EXPECTED
-from tutil import adjoint, max_ulp, random_unitary, rel_norm_err, run_kernel, zeros
+from tutil import CONTRACTIONS, adjoint, max_ulp, random_unitary, rel_norm_err, run_kernel, zeros
 
 ALL = types.ROUTINE_NAMES
 SCALAR = get_backend("scalar")
@@ -129,7 +129,7 @@ def test_trace_performs_the_counted_operations(routine):
     assert ops.count("+") + ops.count("-") == adds == len(ops) - mults
 
 
-@pytest.mark.parametrize("routine", simd.CONTRACTIONS)
+@pytest.mark.parametrize("routine", CONTRACTIONS)
 def test_contractions_follow_the_summation_convention(routine):
     # The scalar module docstring's convention, read off the trace: each
     # result component is one add or subtract of two real product sums, and

@@ -6,7 +6,7 @@ import pytest
 from su3bench import BACKEND_NAMES, bench, get_backend, native, scalar, simd, types, verify
 from su3bench.trace import BLOCK
 from symterms import sym_matrix, sym_vector
-from tutil import run_kernel
+from tutil import CONTRACTIONS, run_kernel
 
 ALL = types.ROUTINE_NAMES
 SCALAR = get_backend("scalar")
@@ -306,7 +306,7 @@ def test_lane_op_count_spot_values():
         simd.lane_op_count("nonesuch")
 
 
-TABLE_KERNELS = tuple(simd.CONTRACTIONS)
+TABLE_KERNELS = CONTRACTIONS
 
 
 @pytest.mark.parametrize("routine", TABLE_KERNELS)

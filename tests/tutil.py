@@ -8,6 +8,13 @@ import numpy as np
 from su3bench import types, verify
 from su3bench.perfmodel import MIX_HEADER
 
+# The eleven routines whose bodies are one complex contraction (``scalar._contract``).
+CONTRACTIONS = (
+    "mult_su3_mat_vec", "mult_adj_su3_mat_vec", "mult_su3_nn", "mult_su3_an", "mult_su3_na",
+    "mult_su3_mat_hwvec", "mult_adj_su3_mat_hwvec", "mult_adj_su3_mat_vec_4dir", "mult_adj_su3_mat_4vec",
+    "mult_su3_mat_vec_sum_4dir", "su3_projector",
+)
+
 
 def zeros(kind: str, precision: str = "double") -> np.ndarray:
     return np.zeros(types.OPERAND_SHAPES[kind], dtype=types.dtype_for(precision))
