@@ -96,6 +96,19 @@ draw every output. The fill is compiled for its own target
 module is initialised, by ``__builtin_cpu_supports``; the rest of the module
 stays SSE2 code, and ``uniform_fill()`` says which loops run.
 
+The module's ``equal(a, b)`` is ``verify.check_routine``'s equality pass:
+True or False, as numpy's ``not (a != b).any()`` answers (a NaN equals
+nothing, itself included; ``-0.0`` equals ``+0.0``), for two exact,
+C-contiguous, native-order arrays of one shape and one dtype, float64 or
+float32. Any other pair it leaves to numpy and returns ``NotImplemented``.
+It compares with the packed loops' two-lane vectors (``v2d``, ``v2f``),
+eight components a step into four independent masks, as gcc vectorises no
+plain loop here. It is emitted after ``uniform``, so the source up to the
+end of ``uniform`` is as it was, and on ELF hosts it goes to a text section
+of its own (``.text.equal``) that the linker places after ``.text``, so the
+site loops and dispatchers keep their addresses in the binary: gcc orders
+the functions of ``.text`` by its call graph, not by the source.
+
 gcc builds the module with ``-ffp-contract=off`` (no fused multiply-add,
 which would round once where the trace rounds twice, in the site loops and
 the wide fill alike) and
@@ -661,10 +674,67 @@ static PyObject *uniform_fill(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(a
     return PyUnicode_FromString(wide ? "AVX-512 wide fill, then the two-chain scalar fill" : "two-chain scalar fill");
 }
 
+/* equal and its loops go to a text section of their own, which the linker
+   places after .text: gcc orders functions by its call graph, not by the
+   source, and in .text they would move the dispatchers. */
+#if defined(__ELF__)
+#define AFTER_TEXT __attribute__((section(".text.equal")))
+#else
+#define AFTER_TEXT
+#endif
+
+/* equal_d and equal_f: whether the n doubles (or floats) at p and q are
+   pairwise equal, in IEEE comparison: a NaN equals nothing, and -0.0 equals
+   +0.0. Eight components a step, as four two-lane compares whose lanes are
+   all ones where a pair differs, each or'ed into a mask of its own (or'ed
+   into one, gcc tests them lane by lane); then two a step, then the last
+   one alone. */
+#define EQUAL(code)                                                              \
+    AFTER_TEXT static int equal_##code(const char *p, const char *q, Py_ssize_t n) \
+    {                                                                            \
+        v2##code##_lanes ne = {0, 0}, ne1 = ne, ne2 = ne, ne3 = ne;              \
+        Py_ssize_t i;                                                            \
+        for (i = 0; i + 8 <= n; i += 8) {                                        \
+            ne |= ld2_##code(p, i) != ld2_##code(q, i);                          \
+            ne1 |= ld2_##code(p, i + 2) != ld2_##code(q, i + 2);                 \
+            ne2 |= ld2_##code(p, i + 4) != ld2_##code(q, i + 4);                 \
+            ne3 |= ld2_##code(p, i + 6) != ld2_##code(q, i + 6);                 \
+        }                                                                        \
+        for (; i + 2 <= n; i += 2)                                               \
+            ne |= ld2_##code(p, i) != ld2_##code(q, i);                          \
+        ne |= ne1 | ne2 | ne3;                                                   \
+        return !(ne[0] | ne[1]) && (i == n || ld_##code(p, i) == ld_##code(q, i)); \
+    }
+EQUAL(d)
+EQUAL(f)
+
+/* equal(a, b): not (a != b).any() for two exact, C-contiguous, native-order
+   arrays of one shape and one dtype, float64 or float32, as True or False.
+   NotImplemented for any other pair. */
+AFTER_TEXT static PyObject *equal(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyArrayObject *a, *b;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "equal takes 2 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    a = (PyArrayObject *)args[0];
+    b = (PyArrayObject *)args[1];
+    if (!PyArray_CheckExact(a) || !PyArray_CheckExact(b) || !PyArray_IS_C_CONTIGUOUS(a) || !PyArray_IS_C_CONTIGUOUS(b)
+        || !PyArray_ISNOTSWAPPED(a) || !PyArray_ISNOTSWAPPED(b) || PyArray_TYPE(a) != PyArray_TYPE(b)
+        || (PyArray_TYPE(a) != NPY_DOUBLE && PyArray_TYPE(a) != NPY_FLOAT)
+        || PyArray_NDIM(a) != PyArray_NDIM(b) || memcmp(PyArray_DIMS(a), PyArray_DIMS(b), PyArray_NDIM(a) * sizeof(npy_intp)))
+        Py_RETURN_NOTIMPLEMENTED;
+    if ((PyArray_TYPE(a) == NPY_DOUBLE ? equal_d : equal_f)(PyArray_BYTES(a), PyArray_BYTES(b), PyArray_SIZE(a)))
+        Py_RETURN_TRUE;
+    Py_RETURN_FALSE;
+}
+
 static PyMethodDef methods[] = {
     {"dispatchers", dispatchers, METH_VARARGS, "dispatchers(entries, apply, batch_apply): a backend's checked apply and batch_apply in C"},
     {"uniform", (PyCFunction)(void (*)(void))uniform, METH_FASTCALL, "uniform(seed, out): numpy.random.default_rng(seed).random() scaled to 2u - 1 into out"},
     {"uniform_fill", uniform_fill, METH_NOARGS, "uniform_fill(): which loops uniform draws with on this host"},
+    {"equal", (PyCFunction)(void (*)(void))equal, METH_FASTCALL, "equal(a, b): not (a != b).any() for two C-contiguous arrays of one shape and dtype"},
     {NULL, NULL, 0, NULL},
 };
 

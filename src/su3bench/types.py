@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -94,20 +94,6 @@ ROUTINES: dict[str, RoutineSpec] = {
 }
 
 ROUTINE_NAMES = tuple(ROUTINES)
-
-
-def _draw_layout(spec: RoutineSpec) -> tuple[int, tuple]:
-    """One operand set's components, and each operand's (first component,
-    end, per-object shape) in it, in operand order: how ``random_operands``
-    cuts one object's draw."""
-    layout, end = [], 0
-    for kind in spec.operands:
-        end += OPERAND_SIZES[kind]
-        layout.append((end - OPERAND_SIZES[kind], end, OPERAND_SHAPES[kind]))
-    return end, tuple(layout)
-
-
-_DRAWS = {name: _draw_layout(spec) for name, spec in ROUTINES.items()}
 
 
 def dtype_for(precision: str | np.dtype) -> np.dtype:
@@ -221,40 +207,59 @@ def random_operands(
     what ``Generator.uniform(-1, 1)`` computes from it, so the components
     are those that one ``uniform`` call per operand would draw. The
     operands are views of the one array, converted to the precision once.
+    `batch` is None (one set, no batch axis) or an integer >= 0; ValueError
+    for anything else, a bool included.
 
     A seed that is an exact int >= 0, or a list or tuple of them, is drawn
     by the native module in one pass, with no Generator built: numpy's
     SeedSequence and PCG64 stream, bit for bit. Any other seed, or a host
     without the module, takes ``default_rng``, so its errors are numpy's.
     """
-    draw = _DRAWS.get(routine)
-    if draw is None:
-        routine_spec(routine)  # raises: an unknown routine
-    dt = dtype_for(precision)
-    prefix, objects = ((), 1) if batch is None else ((batch,), batch)
-    per_object, layout = draw
-    size = objects * per_object
-    # Only these forms can reach the module, so no other loads (or builds) it.
-    u = _native_uniform(rng, size, dt) if type(rng) in (int, list, tuple) else None
+    try:
+        dt, size, cuts = _cuts(routine, precision, batch)
+    except TypeError:  # an unhashable argument: refused as the uncached derivation refuses it
+        dt, size, cuts = _cuts.__wrapped__(routine, precision, batch)
+    u = None
+    if type(rng) in (int, list, tuple):  # only these forms can reach the module, so no other loads (or builds) it
+        uniform = _uniform if _uniform is not None else _bind_uniform()
+        if uniform:
+            u = np.empty(size, dt)
+            if uniform(rng, u) is NotImplemented:
+                u = None
     if u is None:
         u = np.random.default_rng(rng).random(size)
         u *= 2.0
         u -= 1.0
         u = u.astype(dt, copy=False)
-    return [u[objects * start:objects * end].reshape(prefix + shape) for start, end, shape in layout]
+    return [u[start:end].reshape(shape) for start, end, shape in cuts]
 
 
-_native = None  # su3bench.native, imported on the first draw
+@lru_cache(maxsize=256, typed=True)
+def _cuts(routine: str, precision: str | np.dtype, batch: int | None) -> tuple:
+    """(dtype, components, cuts) of one draw of `routine`'s operands in
+    `precision` at `batch`, derived once per case: each operand is
+    components ``start`` to ``end`` of the draw, shaped ``shape``, one
+    ``(start, end, shape)`` an operand in operand order. Typed, so that a
+    bool or a float batch is refused rather than found under its int."""
+    spec = routine_spec(routine)
+    dt = dtype_for(precision)
+    if batch is not None and not is_natural(batch):
+        raise ValueError(f"batch must be None or a non-negative integer, got {batch!r}")
+    prefix, objects = ((), 1) if batch is None else ((batch,), batch)
+    cuts, end = [], 0
+    for kind in spec.operands:
+        end += objects * OPERAND_SIZES[kind]
+        cuts.append((end - objects * OPERAND_SIZES[kind], end, prefix + OPERAND_SHAPES[kind]))
+    return dt, end, tuple(cuts)
 
 
-def _native_uniform(seed, size: int, dt: np.dtype) -> np.ndarray | None:
-    """`size` components of `seed`'s draw, each ``2 * u - 1`` in `dt`, from
-    the native module; None where it is unavailable or does not take `seed`."""
-    global _native
-    if _native is None:
-        from . import native as _native  # not at import: counting operations builds nothing
-    module = _native.load()
-    if module is None:
-        return None
-    out = np.empty(size, dt)
-    return None if module.uniform(seed, out) is NotImplemented else out
+_uniform = None  # the native module's uniform, or False where it is unavailable; bound on the first draw from a seed
+
+
+def _bind_uniform():
+    """Bind ``_uniform`` from the native module, loading (or building) it."""
+    global _uniform
+    from . import native  # not at import: counting operations builds nothing
+    module = native.load()
+    _uniform = False if module is None else module.uniform
+    return _uniform

@@ -20,14 +20,20 @@ seed key, ``[seed, routine index, itemsize]``: ``random_operands`` draws the
 bits ``np.random.default_rng(key)`` would, in the native module's one pass
 where it is built (see ``native``), so no Generator is made per check.
 
-``check_routine`` measures only the components where the two outputs
-differ: an equal component (``-0.0`` and ``+0.0`` included) has error 0 by
-definition, so floors are computed for the trials holding a difference and
-``ulp_error`` runs on the differing components alone. The row it reports is
-the one the metric gives over every component: the largest error (NaN
-counting as largest) at its first occurrence in memory order, or 0 at
-component 0 when nothing differs; only a nonzero error is located with
-``np.unravel_index``.
+``check_routine`` first asks the native module's ``equal`` whether the two
+outputs are equal componentwise (see ``native``), the question numpy's
+``not (cand != ref).any()`` answers: a NaN equals nothing, ``-0.0`` equals
+``+0.0``. A passing check stops there, with no error measured and no index
+located: every error is 0, so the row is ``max_ulp`` 0 at component 0, as
+the metric over every component gives it. Any other answer (a difference,
+or ``NotImplemented`` where the module is unavailable or does not take the
+arrays) measures only the components where the two outputs differ: an
+equal component has error 0 by definition, so floors are computed for the
+trials holding a difference and ``ulp_error`` runs on the differing
+components alone. The row it reports is the one the metric gives over
+every component: the largest error (NaN counting as largest) at its first
+occurrence in memory order, or 0 at component 0 when every error is 0;
+only a nonzero error is located with ``np.unravel_index``.
 
 Before anything is drawn, ``check_routine`` and ``check_all`` refuse
 (``ValueError``) a case whose operands and two results would need more
@@ -84,12 +90,18 @@ class EquivalenceRow:
 
     def __init__(self, routine: str, precision: str, trials: int, seed: int, tolerance_ulps: float,
                  max_ulp: float, worst_trial: int, worst_component: tuple[int, ...]) -> None:
-        # The fields in one dict, set once: a frozen dataclass's own
-        # __init__ makes one object.__setattr__ call per field.
-        object.__setattr__(self, "__dict__", {
-            "routine": routine, "precision": precision, "trials": trials, "seed": seed, "tolerance_ulps": tolerance_ulps,
-            "max_ulp": max_ulp, "worst_trial": worst_trial, "worst_component": worst_component,
-        })
+        # The fields stored in the instance dict: a frozen dataclass's own
+        # __init__ makes one object.__setattr__ call per field, and replacing
+        # the dict whole costs more than filling the one the instance has.
+        fields = self.__dict__
+        fields["routine"] = routine
+        fields["precision"] = precision
+        fields["trials"] = trials
+        fields["seed"] = seed
+        fields["tolerance_ulps"] = tolerance_ulps
+        fields["max_ulp"] = max_ulp
+        fields["worst_trial"] = worst_trial
+        fields["worst_component"] = worst_component
 
     @property
     def passed(self) -> bool:
@@ -99,6 +111,9 @@ class EquivalenceRow:
 def _check_sweep(trials: int, seed: int, tolerance_ulps: float) -> None:
     """Refuse a trial count or a seed that is not an integer >= 0 and a
     tolerance that is not a finite number >= 0; a bool is none of them."""
+    if type(trials) is int and type(seed) is int and type(tolerance_ulps) is float \
+            and trials >= 0 and seed >= 0 and 0.0 <= tolerance_ulps < math.inf:
+        return
     for name, value in (("trials", trials), ("seed", seed)):
         if not is_natural(value):
             raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
@@ -112,6 +127,18 @@ def _case(routine: str, precision) -> tuple:
     of a check of `routine` in `precision`, derived once per case."""
     return (ROUTINE_NAMES.index(routine), dtype_for(precision).itemsize, routine_spec(routine).in_place,
             get_backend("scalar"), get_backend("vector"))
+
+
+_equal = None  # the native module's equal, or a stand-in that declines where it is unavailable; bound on the first check
+
+
+def _bind_equal():
+    """Bind ``_equal`` from the native module, which the backends have loaded."""
+    global _equal
+    from . import native  # not at import: importing the package builds nothing
+    module = native.load()
+    _equal = (lambda candidate, reference: NotImplemented) if module is None else module.equal
+    return _equal
 
 
 def check_routine(
@@ -141,10 +168,12 @@ def check_routine(
         dt = cand.dtype
         scale0 = dt.type(max(float(np.abs(ref[0]).max()), 1.0))
         cand.reshape(-1)[0] += dt.type(64) * np.spacing(scale0)
+    worst_trial, worst_component = (0, (0,) * (ref.ndim - 1)) if trials else (-1, ())
+    if (_equal or _bind_equal())(cand, ref) is True:  # every error is 0
+        return EquivalenceRow(routine, precision, trials, seed, tolerance_ulps, 0.0, worst_trial, worst_component)
     # Equal components have error 0, so only differing ones are measured.
     differ = (cand != ref).reshape(-1).nonzero()[0]
     max_ulp = 0.0
-    worst_trial, worst_component = (0, (0,) * (ref.ndim - 1)) if trials else (-1, ())
     if differ.size:
         per_trial = math.prod(ref.shape[1:])
         trial, of_trial = np.unique(differ // per_trial, return_inverse=True)

@@ -371,7 +371,7 @@ def test_dispatchers_take_only_the_modules_entries():
 @needs_native
 def test_every_export_is_a_builtin_function_of_the_module():
     exports = {name: value for name, value in vars(MODULE).items() if not name.startswith("_")}
-    assert sorted(exports) == sorted(ENTRIES + ("dispatchers", "uniform", "uniform_fill"))
+    assert sorted(exports) == sorted(ENTRIES + ("dispatchers", "uniform", "uniform_fill", "equal"))
     for name, value in exports.items():
         assert type(value) is type(len) and value.__module__ == "su3native" and value.__name__ == name
 
@@ -413,6 +413,54 @@ def test_uniform_draws_numpys_stream_at_every_length(seed, dtype):
         assert MODULE.uniform(seed, out) is out
         want = (np.random.default_rng(seed).random(n) * 2 - 1).astype(dtype)
         assert out.tobytes() == want.tobytes(), n
+
+
+def _equal_pairs(dtype):
+    """(a, b) pairs of `dtype` that differ, or not, where a comparison can
+    go wrong: NaN in one or both, signed zeros, infinities, subnormals, and
+    one difference at the first, a middle and the last component, at lengths
+    that reach each of equal's loops: eight components a step, two a step,
+    and the last one alone."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    for n in (0, 1, 2, 3, 5, 17):
+        a = np.linspace(-1, 1, n).astype(dtype)
+        yield a, a.copy()
+        for k in sorted({0, n // 2, n - 1} if n else set()):
+            for x, y in [(1.0, np.nextafter(dtype(1), dtype(2))), (np.nan, 0.5), (np.nan, np.nan), (-0.0, 0.0),
+                         (np.inf, np.inf), (np.inf, -np.inf), (-np.inf, 1.0), (tiny, tiny), (tiny, 2 * tiny), (tiny, 0.0)]:
+                p, q = a.copy(), a.copy()
+                p[k], q[k] = x, y
+                yield p, q
+                yield q, p
+    shaped = np.arange(24, dtype=dtype).reshape(2, 3, 4)
+    yield shaped, shaped.copy()
+    yield shaped, shaped + 1
+
+
+@needs_native
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@np.errstate(over="ignore", invalid="ignore")
+def test_equal_answers_as_numpys_not_equal_does(dtype):
+    for a, b in _equal_pairs(dtype):
+        assert MODULE.equal(a, b) is (not (a != b).any()), (a, b)
+
+
+@needs_native
+def test_equal_declines_what_it_does_not_take():
+    # Anything but two exact, C-contiguous, native-order float64 or float32
+    # arrays of one dtype and shape is NotImplemented, so that check_routine
+    # compares through numpy.
+    class Subclass(np.ndarray):
+        pass
+
+    a = np.zeros((4, 3, 2))
+    for x, y in [(a[:, ::2], a[:, ::2].copy()), (a, a.astype(np.float32)), (a, a.reshape(4, 6)), (a, a[:3]),
+                 (a, a.tolist()), (a.tolist(), a), (a.astype(np.float16), a.astype(np.float16)),
+                 (a.astype(">f8"), a.astype(">f8")), (a.view(Subclass), a), (a.astype(np.int64), a.astype(np.int64)),
+                 (a.T, a.T.copy())]:
+        assert MODULE.equal(x, y) is NotImplemented
+    with pytest.raises(TypeError):
+        MODULE.equal(a)
 
 
 def test_emitted_source_compiles_without_warnings(tmp_path):
@@ -666,16 +714,20 @@ def test_import_and_flop_table_import_no_native():
 def _digests_without(tmp_path, setting: str, value: str) -> str:
     """Run the digest test in a fresh process with native.BUILD an empty
     directory under tmp_path and `setting` of native set to `value`, silently
-    (-W error), and return what it printed: native.load() and the
-    capability report's native entry. Nothing may be built."""
+    (-W error), and return what it printed last: native.load() and the
+    capability report's native entry. Nothing may be built. Its check_all
+    rows, with and without inject_fault, are this process's, where the
+    native module's equality pass ends each passing check."""
     code = (
         "import sys, pathlib; sys.path[:0] = sys.argv[1:3]\n"
-        "from su3bench import capability, native\n"
+        "from su3bench import capability, check_all, native\n"
         "native.BUILD = pathlib.Path(sys.argv[3])\n"
         "setattr(native, sys.argv[4], sys.argv[5])\n"
         "import test_digests\n"
         "assert test_digests.output_digest() == test_digests.EXPECTED\n"
         "assert capability()['draw'] == 'numpy'\n"
+        "for fault in (False, True):\n"
+        "    print(repr(check_all(trials=64, seed=5, inject_fault=fault).rows))\n"
         "print(native.load(), capability()['native'])\n"
     )
     src = str(Path(su3bench.__file__).resolve().parents[1])
@@ -686,7 +738,9 @@ def _digests_without(tmp_path, setting: str, value: str) -> str:
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert list(build.iterdir()) == []
-    return proc.stdout.strip()
+    *rows, printed = proc.stdout.strip().splitlines()
+    assert rows == [repr(su3bench.check_all(trials=64, seed=5, inject_fault=fault).rows) for fault in (False, True)]
+    return printed
 
 
 def test_without_a_compiler_the_python_paths_give_the_digests(tmp_path):

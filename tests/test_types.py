@@ -196,7 +196,25 @@ def test_seeds_the_native_path_does_not_take_go_through_default_rng(seed):
 def test_a_seed_draws_the_same_bits_without_the_module(seed, monkeypatch):
     want = [_bits(types.random_operands(routine, seed, "single", 2)) for routine in types.ROUTINE_NAMES]
     monkeypatch.setattr(native, "_state", (None, "unavailable"))
+    monkeypatch.setattr(types, "_uniform", None)  # bound again on the next draw, from the module now unavailable
     assert [_bits(types.random_operands(routine, seed, "single", 2)) for routine in types.ROUTINE_NAMES] == want
+
+
+@pytest.mark.parametrize("batch", [True, False, 1.5, -1, np.int64(-2), "3", [2]], ids=repr)
+@pytest.mark.parametrize("form", ["seed", "generator"])
+def test_random_operands_refuses_a_batch_that_is_not_an_integer_of_at_least_0(batch, form):
+    rng = [5, 1] if form == "seed" else np.random.default_rng([5, 1])
+    for precision in ("double", "single"):
+        with pytest.raises(ValueError, match="batch must be None or a non-negative integer"):
+            types.random_operands("scalar_mult_add_su3_vector", rng, precision, batch)
+    if form == "generator":
+        assert rng.random() == np.random.default_rng([5, 1]).random()  # nothing was drawn
+
+
+def test_random_operands_takes_a_numpy_integer_batch():
+    got = types.random_operands("mult_su3_nn", [5, 1], "single", np.int64(3))
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in types.random_operands("mult_su3_nn", [5, 1], "single", 3)]
+    assert [x.shape for x in got] == [(3, 3, 3, 2)] * 2
 
 
 def test_random_operands_deterministic(precision):

@@ -152,10 +152,16 @@ def _crafted_pairs(precision, trials=9):
     ]
 
 
+@pytest.mark.parametrize("compare", ["equal", "numpy"])
 @pytest.mark.parametrize("inject_fault", [False, True])
 @pytest.mark.parametrize("precision", ["double", "single"])
 @np.errstate(invalid="ignore", over="ignore")
-def test_row_equals_the_full_array_computation(precision, inject_fault, monkeypatch):
+def test_row_equals_the_full_array_computation(precision, inject_fault, compare, monkeypatch):
+    # Both paths: the native module's equality pass as built, which ends a
+    # check with no difference, and the differ path alone, as where the
+    # module is unavailable.
+    if compare == "numpy":
+        monkeypatch.setattr(verify, "_equal", lambda candidate, reference: NotImplemented)
     for name, cand, ref, trials in _crafted_pairs(precision):
         for kind, result in (("scalar", ref), ("vector", cand)):
             monkeypatch.setattr(get_backend(kind), "batch_apply", lambda routine, operands, result=result: result)
@@ -206,6 +212,15 @@ def test_a_passing_rows_worst_index_is_component_0(routine, precision):
     worst = np.unravel_index(0, types.result_shape(types.routine_spec(routine), (3,)))
     assert row.passed and row.max_ulp == 0.0
     assert (row.worst_trial, row.worst_component) == (int(worst[0]), tuple(int(k) for k in worst[1:]))
+
+
+@pytest.mark.parametrize("inject_fault", [False, True])
+def test_the_equality_pass_and_the_differ_path_give_the_same_rows(inject_fault, monkeypatch):
+    # Every case's row, whichever path answers it.
+    rows = verify.check_all(trials=64, seed=5, inject_fault=inject_fault).rows
+    monkeypatch.setattr(verify, "_equal", lambda candidate, reference: NotImplemented)
+    assert verify.check_all(trials=64, seed=5, inject_fault=inject_fault).rows == rows
+    assert all(row.passed is not inject_fault for row in rows)
 
 
 def test_a_case_beyond_physical_memory_is_refused_before_drawing(monkeypatch):
