@@ -65,8 +65,16 @@ in ``out``'s precision by a loop of that precision: the bits of
 (``u = (x >> 11) * 2**-53; u *= 2.0; u -= 1.0``, as the power-of-two
 scalings are exact).
 Any other seed or ``out`` it leaves untouched and returns
-``NotImplemented``, and the draw goes through numpy. It is emitted after
-the site loops and dispatchers, so their emitted source is as it was.
+``NotImplemented``, and the draw goes through numpy. Its
+``operands(seed, layout)`` is ``random_operands``' native path: it reads
+the case's layout as ``types._cuts`` derives it, ``(dtype, size, cuts)``
+with every number a plain int, draws ``size`` components into a new array
+as ``uniform`` does, and returns a list of the operands as views of it cut
+in C (``PyArray_NewFromDescr`` over the draw's bytes, then
+``PyArray_SetBaseObject`` to the draw, so the draw lives as long as a
+view), with no numpy slice or reshape. A cut outside the draw, or a layout
+of any other form, is a ValueError; a seed ``uniform`` does not take,
+``NotImplemented``.
 
 PCG64 is a 128-bit LCG, ``s -> s * M + inc``, so two of its steps are one
 step ``s -> s * M**2 + (inc * M + inc)`` (mod 2**128), and the stream runs
@@ -78,23 +86,34 @@ bits are numpy's by construction. Only the order of the multiplies differs
 from the serial stream's: consecutive outputs do not wait on each other's
 128-bit multiply.
 
-Where the host has AVX-512F and AVX-512DQ, a wide fill (``fill_wide``) draws
-the first ``n - n % 16`` outputs first, 16 a step: two zmm registers of 8
-64-bit lanes hold the hi and lo words of 16 consecutive outputs' states,
-and every lane steps by ``s -> s * M**16 + C16`` with ``C16 = inc *
-(M**15 + ... + M + 1)``, both computed once per call on ``unsigned
-__int128``. A lane's 128-bit multiply is built from 64-bit words: the low
-word's product by ``mullo``, its high word from four 32-bit products
-(``vpmuludq``), the cross terms by ``mullo``, and the carry of the add. Its
-output is the same XSL-RR (``vprorvq`` by each lane's own count), the same
+Where the host has AVX-512F, AVX-512DQ and AVX-512 IFMA, a wide fill
+(``fill_wide``) draws the first ``n - n % 16`` outputs first, 16 a step:
+two groups of three zmm registers of 8 64-bit lanes hold 16 consecutive
+outputs' states in 52-bit limbs, ``s = l0 + l1 * 2**52 + l2 * 2**104``
+(``l2 < 2**24``), and every lane steps by ``s -> s * M**16 + C16`` with
+``C16 = inc * (M**15 + ... + M + 1)``, both computed once per call on
+``unsigned __int128`` and split into limbs alike. A product ``li * mj``
+weighs ``2**(52 (i + j))``; ``vpmadd52luq`` adds its low 52 bits into the
+limb of that weight, ``vpmadd52huq`` its high 52 bits into the next, each
+into ``C16``'s limb, so the adds cost nothing. Products at ``2**156`` and
+above vanish mod ``2**128``, so 9 count: ``l0 m0`` low and high, ``l0 m1``
+and ``l1 m0`` low and high, and ``l0 m2``, ``l1 m1`` and ``l2 m0`` low.
+Then two carries, ``a1 += a0 >> 52`` and ``a2 += a1 >> 52``; no limb is
+masked in the step, as a product reads bits 0 to 51 of each and ``l2``
+counts only mod ``2**24``. Its output is the same XSL-RR of ``hi = l1 >>
+12 | l2 << 40`` and ``lo = l0 | l1 << 52``, masks and all in two
+``vpternlogq`` (``l1`` rotated by 12 supplies both of its parts), rotated
+by ``l2 >> 18`` (``vprorvq``, each lane by its own count), then the same
 conversion of ``x >> 11`` to double, multiply by ``2**-52`` and subtract of
 1.0, one operation at a time, then a conversion to float in single, so each
 lane gives ``put``'s bits. The states of the first two outputs it does not
-draw start the two chains, which draw the rest; on any other host they
-draw every output. The fill is compiled for its own target
-(``__attribute__((target("avx512f,avx512dq")))``) and chosen once, when the
-module is initialised, by ``__builtin_cpu_supports``; the rest of the module
-stays SSE2 code, and ``uniform_fill()`` says which loops run.
+draw start the two chains, which draw the rest; on any other host,
+AVX-512 hosts without IFMA among them, they draw every output. The fill is
+compiled for its own target
+(``__attribute__((target("avx512f,avx512dq,avx512ifma")))``) and chosen
+once, when the module is initialised, by ``__builtin_cpu_supports``; the
+rest of the module stays SSE2 code, and ``uniform_fill()`` says which loops
+run.
 
 The module's ``equal(a, b)`` is ``verify.check_routine``'s equality pass:
 True or False, as numpy's ``not (a != b).any()`` answers (a NaN equals
@@ -103,15 +122,18 @@ C-contiguous, native-order arrays of one shape and one dtype, float64 or
 float32. Any other pair it leaves to numpy and returns ``NotImplemented``.
 It compares with the packed loops' two-lane vectors (``v2d``, ``v2f``),
 eight components a step into four independent masks, as gcc vectorises no
-plain loop here. It is emitted after ``uniform``, so the source up to the
-end of ``uniform`` is as it was, and on ELF hosts it goes to a text section
-of its own (``.text.equal``) that the linker places after ``.text``, so the
-site loops and dispatchers keep their addresses in the binary: gcc orders
-the functions of ``.text`` by its call graph, not by the source.
+plain loop here.
+
+The draw, the views, ``equal`` and the module's init are emitted after the
+site loops and dispatchers, whose emitted source they leave as it is, and
+on ELF hosts every function among them goes to a text section of its own
+(``.text.after``) that the linker places after ``.text``, so that a change
+to them moves no site loop or dispatcher in the binary: gcc orders the
+functions of ``.text`` by its call graph, not by the source.
 
 gcc builds the module with ``-ffp-contract=off`` (no fused multiply-add,
 which would round once where the trace rounds twice, in the site loops and
-the wide fill alike) and
+the wide fill's doubles alike; ``vpmadd52`` is exact integer arithmetic) and
 ``-fno-tree-vectorize`` (no packed arithmetic but the vector loops' own),
 synchronously and with a timeout, on the first call of ``load`` in a
 process, which the first ``get_backend`` or kernel call makes; importing the
@@ -375,6 +397,16 @@ done:
     return result;
 }
 
+/* Everything below goes to a text section of its own (.text.after), which
+   the linker places after .text: gcc orders the functions of .text by its
+   call graph, not by the source, and among them these would move the site
+   loops and the dispatchers. */
+#if defined(__ELF__)
+#define AFTER_TEXT __attribute__((section(".text.after")))
+#else
+#define AFTER_TEXT
+#endif
+
 /* numpy's SeedSequence (numpy/random/bit_generator.pyx) with its pool of
    four words, fed its entropy one uint32 word at a time. */
 struct seed_sequence {
@@ -382,7 +414,7 @@ struct seed_sequence {
     Py_ssize_t words;
 };
 
-static uint32_t hashmix(struct seed_sequence *s, uint32_t value)
+AFTER_TEXT static uint32_t hashmix(struct seed_sequence *s, uint32_t value)
 {
     value ^= s->hash;
     s->hash *= 0x931e8875u;
@@ -390,14 +422,14 @@ static uint32_t hashmix(struct seed_sequence *s, uint32_t value)
     return value ^ value >> 16;
 }
 
-static uint32_t mix(uint32_t x, uint32_t y)
+AFTER_TEXT static uint32_t mix(uint32_t x, uint32_t y)
 {
     const uint32_t result = 0xca01f9ddu * x - 0x4973f715u * y;
     return result ^ result >> 16;
 }
 
 /* Every pool word into every other, once the first four words are in. */
-static void mix_pool(struct seed_sequence *s)
+AFTER_TEXT static void mix_pool(struct seed_sequence *s)
 {
     int src, dst;
     for (src = 0; src < 4; src++)
@@ -406,7 +438,7 @@ static void mix_pool(struct seed_sequence *s)
                 s->pool[dst] = mix(s->pool[dst], hashmix(s, s->pool[src]));
 }
 
-static void feed(struct seed_sequence *s, uint32_t word)
+AFTER_TEXT static void feed(struct seed_sequence *s, uint32_t word)
 {
     int dst;
     if (s->words < 4)
@@ -424,7 +456,7 @@ static void feed(struct seed_sequence *s, uint32_t word)
    word, any other value its little-endian words up to the highest nonzero
    one. Returns 1, 0 (feeding nothing more) if v is not an exact int >= 0,
    or -1 with an error set. */
-static int feed_int(struct seed_sequence *s, PyObject *v)
+AFTER_TEXT static int feed_int(struct seed_sequence *s, PyObject *v)
 {
     long long low;
     int overflow, wide = 0;
@@ -456,7 +488,7 @@ static int feed_int(struct seed_sequence *s, PyObject *v)
 }
 
 /* SeedSequence.generate_state(4, numpy.uint64) of what s was fed. */
-static void generate_state(struct seed_sequence *s, uint64_t state[4])
+AFTER_TEXT static void generate_state(struct seed_sequence *s, uint64_t state[4])
 {
     uint32_t hash = 0x8b51f9ddu, w[8];
     int i;
@@ -480,13 +512,41 @@ static void generate_state(struct seed_sequence *s, uint64_t state[4])
 __extension__ typedef unsigned __int128 pcg128;
 #define PCG_MULTIPLIER ((pcg128)2549297995355413924ULL << 64 | 4865540595714422341ULL)
 
-/* Output i of uniform from its state, stored in double or (single) in
+/* The stream of seed, an exact int >= 0 or a list or tuple of them, as
+   numpy's PCG64 seeds it from s = SeedSequence(seed).generate_state(4,
+   uint64): pcg_setseq_128_srandom_r(initstate = s0 << 64 | s1, initseq =
+   s2 << 64 | s3), which from state 0 steps once (to inc), adds initstate
+   and steps again; output 0 is drawn from the state one step on. Returns
+   1, with *state that of output 0 and *inc the increment; 0, having read
+   nothing more, for any other seed; -1 with an error set. */
+AFTER_TEXT static int seed_stream(PyObject *seed, pcg128 *state, pcg128 *inc)
+{
+    struct seed_sequence s = {.hash = 0x43b0d7e5u};
+    uint64_t words[4];
+    PyObject *const *items = &seed;
+    Py_ssize_t count = 1, i;
+    int r;
+    if (PyList_CheckExact(seed) || PyTuple_CheckExact(seed)) {
+        items = PySequence_Fast_ITEMS(seed);
+        count = PySequence_Fast_GET_SIZE(seed);
+    }
+    for (i = 0; i < count; i++)
+        if ((r = feed_int(&s, items[i])) <= 0)
+            return r;
+    generate_state(&s, words);
+    *inc = ((pcg128)words[2] << 64 | words[3]) << 1 | 1;
+    *state = (((pcg128)words[0] << 64 | words[1]) + *inc) * PCG_MULTIPLIER + *inc;
+    *state = *state * PCG_MULTIPLIER + *inc;
+    return 1;
+}
+
+/* Output i of the draw from its state, stored in double or (single) in
    float: the XSL-RR output of that state (its two words xor'ed, rotated
    right by its top six bits), then
    (x >> 11) * 2**-52 - 1.0 in double, which is u = (x >> 11) * 2**-53,
    u *= 2.0, u -= 1.0: x >> 11 is below 2**53, and a power-of-two scaling
    of it is exact. */
-static inline void put(char *p, Py_ssize_t i, int single, pcg128 state)
+AFTER_TEXT static inline void put(char *p, Py_ssize_t i, int single, pcg128 state)
 {
     const uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
     const unsigned rot = (unsigned)(state >> 122);
@@ -497,11 +557,11 @@ static inline void put(char *p, Py_ssize_t i, int single, pcg128 state)
         st_d(p, i, u);
 }
 
-/* Outputs i to n - 1 into p from the two chains (see uniform), s0 the
-   state of output i and s1 that of output i + 1, in one precision: inlined
-   into each branch of uniform with `single` a constant, so that no output
-   tests the type. */
-static inline __attribute__((always_inline)) void fill(char *p, Py_ssize_t i, Py_ssize_t n, int single, pcg128 s0, pcg128 s1, pcg128 m2, pcg128 c2)
+/* Outputs i to n - 1 into p from the two chains (see draw), s0 the state
+   of output i and s1 that of output i + 1, in one precision: inlined into
+   each branch of draw with `single` a constant, so that no output tests
+   the type. */
+AFTER_TEXT static inline __attribute__((always_inline)) void fill(char *p, Py_ssize_t i, Py_ssize_t n, int single, pcg128 s0, pcg128 s1, pcg128 m2, pcg128 c2)
 {
     for (; i + 1 < n; i += 2) {
         put(p, i, single, s0);
@@ -513,42 +573,52 @@ static inline __attribute__((always_inline)) void fill(char *p, Py_ssize_t i, Py
         put(p, i, single, s0);
 }
 
-static int wide; /* whether uniform runs fill_wide before fill; set once, at module init */
+static int wide; /* whether draw runs fill_wide before fill; set once, at module init */
 
 #if defined(__x86_64__)
 #include <immintrin.h>
 
 #define WIDE 16 /* outputs a step of fill_wide: two registers of 8 lanes */
-#define AVX512 __attribute__((target("avx512f,avx512dq")))
+#define IFMA __attribute__((target("avx512f,avx512dq,avx512ifma")))
+#define LIMB ((1ULL << 52) - 1) /* a 52-bit limb's bits */
+#define AND_XOR 0x6a /* vpternlogq's table of (a & b) ^ c */
 
-/* Each lane's state s -> s * m + c (mod 2**128), its hi and lo words apart,
-   m_lo_hi32 the high half of m's lo word: the low word of lo * m_lo is
-   mullo; its high word is summed from the four products of the words' 32-bit
-   halves (mul_epu32 reads a lane's low half); the cross terms lo * m_hi and
-   hi * m_lo count only mod 2**64; and the low word's add carries one into
-   the high word where it wraps. */
-static inline AVX512 __attribute__((always_inline)) void lcg8(__m512i *hi, __m512i *lo, __m512i m_lo, __m512i m_lo_hi32, __m512i m_hi, __m512i c_lo, __m512i c_hi)
+/* Each lane's state s -> s * m + c (mod 2**128) on 52-bit limbs: l holds
+   s = l0 + l1 * 2**52 + l2 * 2**104, and m and c are split alike (m2 and
+   c2 below 2**24). A product li * mj weighs 2**(52 (i + j)): vpmadd52luq
+   adds its low 52 bits to the limb of that weight, vpmadd52huq its high 52
+   bits to the next. Those at 2**156 and above are 0 mod 2**128, so 9 count,
+   each added to c's limb of its weight: l0 m0 low (into a0); l0 m0 high,
+   l0 m1 and l1 m0 low (a1); l0 m1 and l1 m0 high, l0 m2, l1 m1 and l2 m0
+   low (a2). Then the carries, a1 += a0 >> 52 and a2 += a1 >> 52. No limb
+   is masked: a product reads bits 0 to 51 of each, and l2 counts mod
+   2**24, which its bits above 23 leave as it is (they move the products
+   l2 m0 by multiples of 2**128). */
+static inline IFMA __attribute__((always_inline)) void lcg8(__m512i l[3], const __m512i m[3], const __m512i c[3])
 {
-    const __m512i a = *lo, a_hi32 = _mm512_srli_epi64(a, 32), low32 = _mm512_set1_epi64(0xffffffff);
-    const __m512i p00 = _mm512_mul_epu32(a, m_lo), p01 = _mm512_mul_epu32(a, m_lo_hi32);
-    const __m512i p10 = _mm512_mul_epu32(a_hi32, m_lo), p11 = _mm512_mul_epu32(a_hi32, m_lo_hi32);
-    const __m512i mid = _mm512_add_epi64(_mm512_srli_epi64(p00, 32),
-                                         _mm512_add_epi64(_mm512_and_si512(p01, low32), _mm512_and_si512(p10, low32)));
-    const __m512i high = _mm512_add_epi64(_mm512_add_epi64(p11, _mm512_srli_epi64(mid, 32)),
-                                          _mm512_add_epi64(_mm512_srli_epi64(p01, 32), _mm512_srli_epi64(p10, 32)));
-    const __m512i h = _mm512_add_epi64(_mm512_add_epi64(high, c_hi),
-                                       _mm512_add_epi64(_mm512_mullo_epi64(a, m_hi), _mm512_mullo_epi64(*hi, m_lo)));
-    const __m512i l = _mm512_add_epi64(_mm512_mullo_epi64(a, m_lo), c_lo);
-    *hi = _mm512_mask_add_epi64(h, _mm512_cmplt_epu64_mask(l, c_lo), h, _mm512_set1_epi64(1));
-    *lo = l;
+    const __m512i a0 = _mm512_madd52lo_epu64(c[0], l[0], m[0]);
+    __m512i a1 = _mm512_madd52hi_epu64(c[1], l[0], m[0]), a2 = _mm512_madd52hi_epu64(c[2], l[0], m[1]);
+    a1 = _mm512_madd52lo_epu64(_mm512_madd52lo_epu64(a1, l[0], m[1]), l[1], m[0]);
+    a2 = _mm512_madd52lo_epu64(_mm512_madd52lo_epu64(_mm512_madd52hi_epu64(a2, l[1], m[0]), l[0], m[2]), l[1], m[1]);
+    a2 = _mm512_madd52lo_epu64(a2, l[2], m[0]);
+    a1 = _mm512_add_epi64(a1, _mm512_srli_epi64(a0, 52));
+    l[0] = a0;
+    l[1] = a1;
+    l[2] = _mm512_add_epi64(a2, _mm512_srli_epi64(a1, 52));
 }
 
 /* Outputs i to i + 7 into p from their states, as put stores each: the
-   XSL-RR rotate, then (x >> 11) * 2**-52 - 1.0 in double, one operation
-   at a time, and in single that double converted. */
-static inline AVX512 __attribute__((always_inline)) void put8(char *p, Py_ssize_t i, int single, __m512i hi, __m512i lo)
+   XSL-RR output of the words hi = l1 >> 12 | l2 << 40 and lo = l0 | l1 <<
+   52 (l0's and l1's bits 0 to 51, l2's 0 to 23), which is lo ^ hi = l0 ^
+   (l1 >> 12 | l1 << 52) ^ l2 << 40, the middle term l1 rotated right by
+   12 with its bits 40 to 51 cleared; rotated by the state's top six bits,
+   l2 >> 18 (vprorvq reads its count mod 64); then (x >> 11) * 2**-52 - 1.0
+   in double, one operation at a time, and in single that double
+   converted. */
+static inline IFMA __attribute__((always_inline)) void put8(char *p, Py_ssize_t i, int single, const __m512i l[3])
 {
-    const __m512i x = _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(hi, 58));
+    const __m512i l1_l2 = _mm512_ternarylogic_epi64(_mm512_ror_epi64(l[1], 12), _mm512_set1_epi64((long long)~(LIMB >> 40 << 40)), _mm512_slli_epi64(l[2], 40), AND_XOR);
+    const __m512i x = _mm512_rorv_epi64(_mm512_ternarylogic_epi64(l[0], _mm512_set1_epi64(LIMB), l1_l2, AND_XOR), _mm512_srli_epi64(l[2], 18));
     const __m512d u = _mm512_sub_pd(_mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(x, 11)), _mm512_set1_pd(1.0 / 4503599627370496.0)),
                                     _mm512_set1_pd(1.0));
     if (single)
@@ -558,70 +628,105 @@ static inline AVX512 __attribute__((always_inline)) void put8(char *p, Py_ssize_
 }
 
 /* fill_wide's loop in one precision, `single` a constant. */
-static inline AVX512 __attribute__((always_inline)) Py_ssize_t wide_loop(char *p, Py_ssize_t n, int single, uint64_t hi[WIDE], uint64_t lo[WIDE], pcg128 m, pcg128 c)
+static inline IFMA __attribute__((always_inline)) Py_ssize_t wide_loop(char *p, Py_ssize_t n, int single, uint64_t l[3][WIDE], const uint64_t m[3], const uint64_t c[3])
 {
-    const __m512i m_lo = _mm512_set1_epi64((long long)(uint64_t)m), m_lo_hi32 = _mm512_set1_epi64((long long)((uint64_t)m >> 32));
-    const __m512i m_hi = _mm512_set1_epi64((long long)(uint64_t)(m >> 64));
-    const __m512i c_lo = _mm512_set1_epi64((long long)(uint64_t)c), c_hi = _mm512_set1_epi64((long long)(uint64_t)(c >> 64));
-    __m512i hi0 = _mm512_loadu_si512(hi), lo0 = _mm512_loadu_si512(lo), hi1 = _mm512_loadu_si512(hi + 8), lo1 = _mm512_loadu_si512(lo + 8);
+    const __m512i ms[3] = {_mm512_set1_epi64((long long)m[0]), _mm512_set1_epi64((long long)m[1]), _mm512_set1_epi64((long long)m[2])};
+    const __m512i cs[3] = {_mm512_set1_epi64((long long)c[0]), _mm512_set1_epi64((long long)c[1]), _mm512_set1_epi64((long long)c[2])};
+    __m512i a[3], b[3];
     Py_ssize_t i;
-    for (i = 0; i + WIDE <= n; i += WIDE) {
-        put8(p, i, single, hi0, lo0);
-        put8(p, i + 8, single, hi1, lo1);
-        lcg8(&hi0, &lo0, m_lo, m_lo_hi32, m_hi, c_lo, c_hi);
-        lcg8(&hi1, &lo1, m_lo, m_lo_hi32, m_hi, c_lo, c_hi);
+    for (i = 0; i < 3; i++) {
+        a[i] = _mm512_loadu_si512(l[i]);
+        b[i] = _mm512_loadu_si512(l[i] + 8);
     }
-    _mm512_storeu_si512(hi, hi0);
-    _mm512_storeu_si512(lo, lo0);
+    for (i = 0; i + WIDE <= n; i += WIDE) {
+        put8(p, i, single, a);
+        put8(p, i + 8, single, b);
+        lcg8(a, ms, cs);
+        lcg8(b, ms, cs);
+    }
+    _mm512_storeu_si512(l[0], a[0]);
+    _mm512_storeu_si512(l[1], a[1]);
+    _mm512_storeu_si512(l[2], a[2]);
     return i;
 }
 
+/* Limb k of x, bits 52 k to 52 k + 51. */
+AFTER_TEXT static inline uint64_t limb(pcg128 x, int k)
+{
+    return (uint64_t)(x >> 52 * k) & LIMB;
+}
+
+/* The state in lane j of limbs l, of which l0 and l1 count only their bits
+   0 to 51 and l2 its bits 0 to 23. */
+AFTER_TEXT static inline pcg128 join(uint64_t l[3][WIDE], int j)
+{
+    return (pcg128)(l[2][j] & 0xffffff) << 104 | (pcg128)(l[1][j] & LIMB) << 52 | (l[0][j] & LIMB);
+}
+
 /* Outputs 0 to n - n % WIDE - 1 into p, 16 a step: lane k of register r
-   holds the state of output 16j + 8r + k, and every lane steps by
+   holds the state of output 16j + 8r + k in limbs, and every lane steps by
    s -> s * M**16 + C16 (mod 2**128), 16 steps of s -> s * M + inc, with
    C16 = inc * (M**15 + ... + M + 1). s0 and s1, the states of outputs 0 and
    1, become those of the first two outputs it does not draw, from which fill
    draws the rest. Returns how many it drew. */
-static AVX512 Py_ssize_t fill_wide(char *p, Py_ssize_t n, int single, pcg128 *s0, pcg128 *s1, pcg128 inc)
+AFTER_TEXT static IFMA Py_ssize_t fill_wide(char *p, Py_ssize_t n, int single, pcg128 *s0, pcg128 *s1, pcg128 inc)
 {
-    uint64_t hi[WIDE], lo[WIDE];
-    pcg128 s = *s0, m = 1, c = 0;
+    uint64_t l[3][WIDE], m[3], c[3];
+    pcg128 s = *s0, mk = 1, ck = 0;
     Py_ssize_t i;
+    int k;
     for (i = 0; i < WIDE; i++) {
-        hi[i] = (uint64_t)(s >> 64);
-        lo[i] = (uint64_t)s;
+        for (k = 0; k < 3; k++)
+            l[k][i] = limb(s, k);
         s = s * PCG_MULTIPLIER + inc;
-        m *= PCG_MULTIPLIER;
-        c = c * PCG_MULTIPLIER + inc;
+        mk *= PCG_MULTIPLIER;
+        ck = ck * PCG_MULTIPLIER + inc;
     }
-    i = single ? wide_loop(p, n, 1, hi, lo, m, c) : wide_loop(p, n, 0, hi, lo, m, c);
-    *s0 = (pcg128)hi[0] << 64 | lo[0];
-    *s1 = (pcg128)hi[1] << 64 | lo[1];
+    for (k = 0; k < 3; k++) {
+        m[k] = limb(mk, k);
+        c[k] = limb(ck, k);
+    }
+    i = single ? wide_loop(p, n, 1, l, m, c) : wide_loop(p, n, 0, l, m, c);
+    *s0 = join(l, 0);
+    *s1 = join(l, 1);
     return i;
 }
 #endif
+
+/* Outputs 0 to n - 1 of a stream into p, in double or (single) float, s0
+   the state of output 0 and inc the stream's increment. The stream runs as
+   two chains, so that consecutive outputs do not wait on each other's
+   128-bit multiply: one holds the state of output i and the other that of
+   output i + 1, and each steps two outputs at once, s -> s * M**2 + (inc *
+   M + inc), which is two steps of s -> s * M + inc (mod 2**128). An odd
+   last output comes from the first. Where the host has AVX-512 IFMA,
+   fill_wide draws the outputs up to the last multiple of 16 first, and the
+   chains start from where it stops. */
+AFTER_TEXT static void draw(char *p, Py_ssize_t n, int single, pcg128 s0, pcg128 inc)
+{
+    pcg128 s1 = s0 * PCG_MULTIPLIER + inc;
+    const pcg128 m2 = PCG_MULTIPLIER * PCG_MULTIPLIER, c2 = inc * PCG_MULTIPLIER + inc;
+    Py_ssize_t i = 0;
+#if defined(__x86_64__)
+    if (wide)
+        i = fill_wide(p, n, single, &s0, &s1, inc);
+#endif
+    if (single)
+        fill(p, i, n, 1, s0, s1, m2, c2);
+    else
+        fill(p, i, n, 0, s0, s1, m2, c2);
+}
 
 /* uniform(seed, out): fill out, a C-contiguous float64 or float32 array,
    with the first out.size doubles u of numpy.random.default_rng(seed).random(),
    each as u *= 2.0, u - 1.0 in double, stored in out's precision. seed is
    an exact int >= 0 or a list or tuple of them. Returns out, or
-   NotImplemented, having written nothing, for any other seed or out.
-   The stream runs as two chains, so that consecutive outputs do not wait
-   on each other's 128-bit multiply: s0 holds the state of output i and s1
-   that of output i + 1, and each steps two outputs at once,
-   s -> s * M**2 + (inc * M + inc), which is two steps of s -> s * M + inc
-   (mod 2**128). An odd last output comes from s0. Where the host has
-   AVX-512F and DQ, fill_wide draws the outputs up to the last multiple of
-   16 first, and the chains start from where it stops. */
-static PyObject *uniform(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+   NotImplemented, having written nothing, for any other seed or out. */
+AFTER_TEXT static PyObject *uniform(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    struct seed_sequence s = {.hash = 0x43b0d7e5u};
-    uint64_t state[4];
-    pcg128 inc, s0, s1, m2, c2;
-    PyObject *const *items;
+    pcg128 state, inc;
     PyArrayObject *a;
-    Py_ssize_t count, i, n;
-    int r, single;
+    int r;
     if (nargs != 2) {
         PyErr_Format(PyExc_TypeError, "uniform takes 2 arguments (%zd given)", nargs);
         return NULL;
@@ -630,58 +735,108 @@ static PyObject *uniform(PyObject *Py_UNUSED(module), PyObject *const *args, Py_
     if (!PyArray_CheckExact(a) || !PyArray_IS_C_CONTIGUOUS(a) || !PyArray_ISNOTSWAPPED(a) || !PyArray_ISWRITEABLE(a)
         || (PyArray_TYPE(a) != NPY_DOUBLE && PyArray_TYPE(a) != NPY_FLOAT))
         Py_RETURN_NOTIMPLEMENTED;
-    if (PyList_CheckExact(args[0]) || PyTuple_CheckExact(args[0])) {
-        items = PySequence_Fast_ITEMS(args[0]);
-        count = PySequence_Fast_GET_SIZE(args[0]);
-    } else {
-        items = args;
-        count = 1;
+    if ((r = seed_stream(args[0], &state, &inc)) <= 0) {
+        if (r < 0)
+            return NULL;
+        Py_RETURN_NOTIMPLEMENTED;
     }
-    for (i = 0; i < count; i++)
-        if ((r = feed_int(&s, items[i])) <= 0) {
-            if (r < 0)
-                return NULL;
-            Py_RETURN_NOTIMPLEMENTED;
-        }
-    generate_state(&s, state);
-    /* pcg_setseq_128_srandom_r(initstate = s0 << 64 | s1, initseq = s2 << 64 | s3):
-       from state 0 one step (to inc), initstate added, and one more step;
-       output 0 is drawn from the state one step on. */
-    inc = ((pcg128)state[2] << 64 | state[3]) << 1 | 1;
-    s0 = (((pcg128)state[0] << 64 | state[1]) + inc) * PCG_MULTIPLIER + inc;
-    s0 = s0 * PCG_MULTIPLIER + inc;
-    s1 = s0 * PCG_MULTIPLIER + inc;
-    m2 = PCG_MULTIPLIER * PCG_MULTIPLIER;
-    c2 = inc * PCG_MULTIPLIER + inc;
-    n = PyArray_SIZE(a);
-    single = PyArray_TYPE(a) == NPY_FLOAT;
-    i = 0;
-#if defined(__x86_64__)
-    if (wide)
-        i = fill_wide(PyArray_BYTES(a), n, single, &s0, &s1, inc);
-#endif
-    if (single)
-        fill(PyArray_BYTES(a), i, n, 1, s0, s1, m2, c2);
-    else
-        fill(PyArray_BYTES(a), i, n, 0, s0, s1, m2, c2);
+    draw(PyArray_BYTES(a), PyArray_SIZE(a), PyArray_TYPE(a) == NPY_FLOAT, state, inc);
     Py_INCREF(a);
     return (PyObject *)a;
 }
 
-/* uniform_fill(): which loops uniform draws with on this host. */
-static PyObject *uniform_fill(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(args))
+/* Whether v is an exact int from 0 to PY_SSIZE_T_MAX, stored in *x. */
+AFTER_TEXT static int natural(PyObject *v, npy_intp *x)
 {
-    return PyUnicode_FromString(wide ? "AVX-512 wide fill, then the two-chain scalar fill" : "two-chain scalar fill");
+    int overflow;
+    long long value;
+    if (!PyLong_CheckExact(v))
+        return 0;
+    value = PyLong_AsLongLongAndOverflow(v, &overflow);
+    if (overflow || value < 0 || value > PY_SSIZE_T_MAX)
+        return 0;
+    *x = (npy_intp)value;
+    return 1;
 }
 
-/* equal and its loops go to a text section of their own, which the linker
-   places after .text: gcc orders functions by its call graph, not by the
-   source, and in .text they would move the dispatchers. */
-#if defined(__ELF__)
-#define AFTER_TEXT __attribute__((section(".text.equal")))
-#else
-#define AFTER_TEXT
-#endif
+/* operands(seed, layout): types.random_operands' operands drawn from seed,
+   each a view of one draw cut in C. layout is (dtype, size, cuts), as
+   types._cuts derives it: float64 or float32 in native order; the size of
+   the draw; and a cut (start, end, shape) an operand, its components start
+   to end - 1 of the draw in C order, all of them exact ints. The draw is a
+   new array of size components, filled as uniform fills one; each view a
+   C-contiguous, writeable array over its components whose base is the
+   draw, which it keeps alive. Returns a list of the views, or
+   NotImplemented, having allocated nothing, for a seed uniform does not
+   take. ValueError for a layout of any other form, a cut outside the draw
+   among them. */
+AFTER_TEXT static PyObject *operands(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *layout, *cuts, *flat, *views;
+    PyArray_Descr *descr;
+    npy_intp size, start[MAX_ARGS], dims[MAX_ARGS][1 + MAX_RANK];
+    int nd[MAX_ARGS], r;
+    Py_ssize_t count, i, j;
+    pcg128 state, inc;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "operands takes 2 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    layout = args[1];
+    if (!PyTuple_CheckExact(layout) || PyTuple_GET_SIZE(layout) != 3 || !PyArray_DescrCheck(PyTuple_GET_ITEM(layout, 0))
+        || !natural(PyTuple_GET_ITEM(layout, 1), &size) || !PyTuple_CheckExact(cuts = PyTuple_GET_ITEM(layout, 2))
+        || (count = PyTuple_GET_SIZE(cuts)) > MAX_ARGS) /* a cut an operand, and an entry takes every operand */
+        goto refused;
+    descr = (PyArray_Descr *)PyTuple_GET_ITEM(layout, 0);
+    if ((descr->type_num != NPY_DOUBLE && descr->type_num != NPY_FLOAT) || !PyArray_ISNBO(descr->byteorder))
+        goto refused;
+    for (i = 0; i < count; i++) {
+        PyObject *cut = PyTuple_GET_ITEM(cuts, i), *shape;
+        npy_intp end, n = 1;
+        if (!PyTuple_CheckExact(cut) || PyTuple_GET_SIZE(cut) != 3 || !natural(PyTuple_GET_ITEM(cut, 0), &start[i])
+            || !natural(PyTuple_GET_ITEM(cut, 1), &end) || !PyTuple_CheckExact(shape = PyTuple_GET_ITEM(cut, 2))
+            || PyTuple_GET_SIZE(shape) > 1 + MAX_RANK)
+            goto refused;
+        nd[i] = (int)PyTuple_GET_SIZE(shape);
+        for (j = 0; j < nd[i]; j++)
+            if (!natural(PyTuple_GET_ITEM(shape, j), &dims[i][j]) || __builtin_mul_overflow(n, dims[i][j], &n))
+                goto refused;
+        if (start[i] > end || end > size || end - start[i] != n)
+            goto refused;
+    }
+    if ((r = seed_stream(args[0], &state, &inc)) <= 0) {
+        if (r < 0)
+            return NULL;
+        Py_RETURN_NOTIMPLEMENTED;
+    }
+    Py_INCREF(descr); /* which the constructor steals */
+    if (!(flat = PyArray_NewFromDescr(&PyArray_Type, descr, 1, &size, NULL, NULL, 0, NULL)))
+        return NULL;
+    draw(PyArray_BYTES((PyArrayObject *)flat), size, descr->type_num == NPY_FLOAT, state, inc);
+    for (views = PyList_New(count), i = 0; views && i < count; i++) {
+        PyObject *view;
+        Py_INCREF(descr);
+        view = PyArray_NewFromDescr(&PyArray_Type, descr, nd[i], dims[i], NULL,
+                                    PyArray_BYTES((PyArrayObject *)flat) + start[i] * PyArray_ITEMSIZE((PyArrayObject *)flat), NPY_ARRAY_CARRAY, NULL);
+        if (view) {
+            PyList_SET_ITEM(views, i, view);
+            Py_INCREF(flat); /* which SetBaseObject steals, even where it fails */
+        }
+        if (!view || PyArray_SetBaseObject((PyArrayObject *)view, flat) < 0)
+            Py_CLEAR(views);
+    }
+    Py_DECREF(flat);
+    return views;
+refused:
+    PyErr_SetString(PyExc_ValueError, "operands: layout is not (dtype, size, cuts) with every cut inside the draw");
+    return NULL;
+}
+
+/* uniform_fill(): which loops draw on this host. */
+AFTER_TEXT static PyObject *uniform_fill(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(args))
+{
+    return PyUnicode_InternFromString(wide ? "AVX-512 IFMA fill, then the two-chain scalar fill" : "two-chain scalar fill");
+}
 
 /* equal_d and equal_f: whether the n doubles (or floats) at p and q are
    pairwise equal, in IEEE comparison: a NaN equals nothing, and -0.0 equals
@@ -733,6 +888,7 @@ AFTER_TEXT static PyObject *equal(PyObject *Py_UNUSED(module), PyObject *const *
 static PyMethodDef methods[] = {
     {"dispatchers", dispatchers, METH_VARARGS, "dispatchers(entries, apply, batch_apply): a backend's checked apply and batch_apply in C"},
     {"uniform", (PyCFunction)(void (*)(void))uniform, METH_FASTCALL, "uniform(seed, out): numpy.random.default_rng(seed).random() scaled to 2u - 1 into out"},
+    {"operands", (PyCFunction)(void (*)(void))operands, METH_FASTCALL, "operands(seed, layout): random_operands' views of one uniform draw from seed"},
     {"uniform_fill", uniform_fill, METH_NOARGS, "uniform_fill(): which loops uniform draws with on this host"},
     {"equal", (PyCFunction)(void (*)(void))equal, METH_FASTCALL, "equal(a, b): not (a != b).any() for two C-contiguous arrays of one shape and dtype"},
     {NULL, NULL, 0, NULL},
@@ -741,15 +897,15 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, .m_name = "su3native", .m_size = -1, .m_methods = methods};
 
 /* The module: dispatchers, and each entry of the table bound to a capsule of its kernel. */
-PyMODINIT_FUNC PyInit_su3native(void)
+AFTER_TEXT PyMODINIT_FUNC PyInit_su3native(void)
 {
     PyObject *m, *f;
     size_t i;
     import_array();
 #if defined(__x86_64__)
-    wide = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
+    wide = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512ifma");
 #endif
-    if (!(out_name = PyUnicode_InternFromString("out")) || !(module_name = PyUnicode_FromString(module.m_name))
+    if (!(out_name = PyUnicode_InternFromString("out")) || !(module_name = PyUnicode_InternFromString(module.m_name))
         || !(m = PyModule_Create(&module)))
         return NULL;
     for (i = 0; i < Py_ARRAY_LENGTH(table); i++) {

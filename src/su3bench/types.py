@@ -206,31 +206,33 @@ def random_operands(
     gives every component's double in operand order, and ``2 * u - 1`` is
     what ``Generator.uniform(-1, 1)`` computes from it, so the components
     are those that one ``uniform`` call per operand would draw. The
-    operands are views of the one array, converted to the precision once.
-    `batch` is None (one set, no batch axis) or an integer >= 0; ValueError
-    for anything else, a bool included.
+    operands are C-contiguous, writeable views of the one array, converted
+    to the precision once; each call draws an array of its own. `batch` is
+    None (one set, no batch axis) or an integer >= 0; ValueError for
+    anything else, a bool included.
 
     A seed that is an exact int >= 0, or a list or tuple of them, is drawn
-    by the native module in one pass, with no Generator built: numpy's
-    SeedSequence and PCG64 stream, bit for bit. Any other seed, or a host
-    without the module, takes ``default_rng``, so its errors are numpy's.
+    by the native module's ``operands`` in one pass, with no Generator
+    built: numpy's SeedSequence and PCG64 stream, bit for bit, into a new
+    array whose views it cuts in C from the case's cached layout. Any other
+    seed, or a host without the module, takes ``default_rng``, so its
+    errors are numpy's.
     """
     try:
-        dt, size, cuts = _cuts(routine, precision, batch)
+        layout = _cuts(routine, precision, batch)
     except TypeError:  # an unhashable argument: refused as the uncached derivation refuses it
-        dt, size, cuts = _cuts.__wrapped__(routine, precision, batch)
-    u = None
+        layout = _cuts.__wrapped__(routine, precision, batch)
     if type(rng) in (int, list, tuple):  # only these forms can reach the module, so no other loads (or builds) it
-        uniform = _uniform if _uniform is not None else _bind_uniform()
-        if uniform:
-            u = np.empty(size, dt)
-            if uniform(rng, u) is NotImplemented:
-                u = None
-    if u is None:
-        u = np.random.default_rng(rng).random(size)
-        u *= 2.0
-        u -= 1.0
-        u = u.astype(dt, copy=False)
+        operands = _operands if _operands is not None else _bind_operands()
+        if operands:
+            drawn = operands(rng, layout)
+            if drawn is not NotImplemented:
+                return drawn
+    dt, size, cuts = layout
+    u = np.random.default_rng(rng).random(size)
+    u *= 2.0
+    u -= 1.0
+    u = u.astype(dt, copy=False)
     return [u[start:end].reshape(shape) for start, end, shape in cuts]
 
 
@@ -239,13 +241,15 @@ def _cuts(routine: str, precision: str | np.dtype, batch: int | None) -> tuple:
     """(dtype, components, cuts) of one draw of `routine`'s operands in
     `precision` at `batch`, derived once per case: each operand is
     components ``start`` to ``end`` of the draw, shaped ``shape``, one
-    ``(start, end, shape)`` an operand in operand order. Typed, so that a
-    bool or a float batch is refused rather than found under its int."""
+    ``(start, end, shape)`` an operand in operand order. Every number is a
+    plain int, a numpy integer batch's too, as the native ``operands``
+    reads it. Typed, so that a bool or a float batch is refused rather than
+    found under its int."""
     spec = routine_spec(routine)
     dt = dtype_for(precision)
     if batch is not None and not is_natural(batch):
         raise ValueError(f"batch must be None or a non-negative integer, got {batch!r}")
-    prefix, objects = ((), 1) if batch is None else ((batch,), batch)
+    prefix, objects = ((), 1) if batch is None else ((int(batch),), int(batch))
     cuts, end = [], 0
     for kind in spec.operands:
         end += objects * OPERAND_SIZES[kind]
@@ -253,13 +257,13 @@ def _cuts(routine: str, precision: str | np.dtype, batch: int | None) -> tuple:
     return dt, end, tuple(cuts)
 
 
-_uniform = None  # the native module's uniform, or False where it is unavailable; bound on the first draw from a seed
+_operands = None  # the native module's operands, or False where it is unavailable; bound on the first draw from a seed
 
 
-def _bind_uniform():
-    """Bind ``_uniform`` from the native module, loading (or building) it."""
-    global _uniform
+def _bind_operands():
+    """Bind ``_operands`` from the native module, loading (or building) it."""
+    global _operands
     from . import native  # not at import: counting operations builds nothing
     module = native.load()
-    _uniform = False if module is None else module.uniform
-    return _uniform
+    _operands = False if module is None else module.operands
+    return _operands

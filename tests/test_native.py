@@ -371,7 +371,7 @@ def test_dispatchers_take_only_the_modules_entries():
 @needs_native
 def test_every_export_is_a_builtin_function_of_the_module():
     exports = {name: value for name, value in vars(MODULE).items() if not name.startswith("_")}
-    assert sorted(exports) == sorted(ENTRIES + ("dispatchers", "uniform", "uniform_fill", "equal"))
+    assert sorted(exports) == sorted(ENTRIES + ("dispatchers", "uniform", "operands", "uniform_fill", "equal"))
     for name, value in exports.items():
         assert type(value) is type(len) and value.__module__ == "su3native" and value.__name__ == name
 
@@ -413,6 +413,57 @@ def test_uniform_draws_numpys_stream_at_every_length(seed, dtype):
         assert MODULE.uniform(seed, out) is out
         want = (np.random.default_rng(seed).random(n) * 2 - 1).astype(dtype)
         assert out.tobytes() == want.tobytes(), n
+
+
+# Seeds whose streams put the wide fill's limb arithmetic through many
+# states: ints of one to four words and above 2**64, check_routine's keys,
+# and other list and tuple keys.
+LIMB_SEEDS = [0, 1, 2**32 - 1, 2**63 + 1, 2**64 + 5, 2**127 + 3, 2**128 - 1, 2**200 + 7, [], [0, 0], (2**64 + 5, 7, 2**40),
+              list(range(9))] + [[20020614, k, itemsize] for k in range(15) for itemsize in (4, 8) if k % 3 == 0] + [[k, 99] for k in range(10)]
+
+
+@needs_native
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_the_limb_arithmetic_draws_numpys_stream(dtype):
+    # The wide fill steps 52-bit limbs and hands the rest to the two chains:
+    # one step short of a multiple of 16, a multiple, one past it, and
+    # check_routine's lengths, each output's bytes numpy's.
+    assert len(LIMB_SEEDS) >= 32
+    for seed in LIMB_SEEDS:
+        for n in [16 * k + d for k in (1, 2, 64) for d in (-1, 0, 1)] + [4099, 12288]:
+            out = np.full(n, 7.0, dtype)
+            assert MODULE.uniform(seed, out) is out
+            want = (np.random.default_rng(seed).random(n) * 2 - 1).astype(dtype)
+            assert out.tobytes() == want.tobytes(), (seed, n)
+
+
+@needs_native
+def test_operands_refuses_a_layout_it_cannot_cut():
+    # operands reads types._cuts' layout, (dtype, size, cuts), every number
+    # a plain int: a cut that overruns the draw, or a layout of any other
+    # form, is a ValueError before anything is drawn; a seed uniform does not
+    # take is NotImplemented. No call leaks a reference to the dtype.
+    layout = types._cuts("mult_su3_nn", "double", 2)
+    dt, size, cuts = layout
+    assert size == 72 and cuts == ((0, 36, (2, 3, 3, 2)), (36, 72, (2, 3, 3, 2)))
+    refused = [(dt, size - 1, cuts), (dt, size, ((0, 36, (2, 3, 3, 2)), (36, 73, (2, 3, 3, 2)))),
+               (dt, size, ((-1, 35, (2, 3, 3, 2)),)), (dt, size, ((36, 0, (0,)),)), (dt, size, ((0, 36, (2, 3, 3, 3)),)),
+               (dt, size, ((0, 0, (2**40, 2**40, 2**40, 0)),)), (dt, size, ((0, 36, (36, 1, 1, 1, 1, 1)),)),
+               (dt, size, ((0, 36, (np.int64(2), 3, 3, 2)),)), (dt, np.int64(size), cuts), (dt, size, list(cuts)),
+               (dt, size, cuts * 3), (np.dtype(np.float16), size, cuts), (np.dtype(">f8"), size, cuts), ("f8", size, cuts),
+               (dt, size), [dt, size, cuts], None]
+    before = sys.getrefcount(dt)
+    for bad in refused:
+        with pytest.raises(ValueError, match="layout"):
+            MODULE.operands(5, bad)
+    for seed in (-1, np.int64(5), [1, None], 2.0):
+        assert MODULE.operands(seed, layout) is NotImplemented
+    for _ in range(10):
+        MODULE.operands([5, 1], layout)
+    assert sys.getrefcount(dt) == before
+    assert [x.shape for x in MODULE.operands(5, (dt, size, ((1, 37, (36,)),)))] == [(36,)]
+    with pytest.raises(TypeError):
+        MODULE.operands(5)
 
 
 def _equal_pairs(dtype):
@@ -551,15 +602,55 @@ def test_each_loop_is_plain_or_packed_as_its_backend_and_none_is_fused():
 
 @needs_native
 def test_the_wide_fill_is_avx512_code():
-    # Where the host has AVX-512F and DQ, uniform runs fill_wide, whose
-    # lanes multiply 32-bit halves in zmm registers and rotate each output
-    # by its own count; gcc emits these only under the function's target.
+    # Where the host has AVX-512 IFMA, uniform runs fill_wide, whose lanes
+    # multiply 52-bit limbs in zmm registers, the low and the high halves of
+    # each product added into a limb, and rotate each output by its own
+    # count; gcc emits these only under the function's target.
     if not MODULE.uniform_fill().startswith("AVX-512"):
-        pytest.skip(f"no AVX-512F and DQ on this host: uniform runs the {MODULE.uniform_fill()}")
+        pytest.skip(f"no AVX-512 IFMA on this host: uniform runs the {MODULE.uniform_fill()}")
     wide = [text for name, text in _disassembly().items() if name.partition(".")[0] == "fill_wide"]
     assert len(wide) == 1
-    for op in ("vpmuludq", "vprorvq"):
+    for op in ("vpmadd52luq", "vpmadd52huq", "vprorvq"):
         assert re.search(rf"\b{op}\b.*%zmm", wide[0]), op
+
+
+@needs_native
+def test_code_after_the_dispatchers_sits_after_text(tmp_path):
+    # Every function the source defines after the dispatchers (the seeded
+    # draw, the operand views, equal and the module's init) goes to the
+    # section .text.after, and the site loops and dispatchers stay in .text:
+    # gcc orders the functions of .text by its call graph, not by the
+    # source, so the later code would otherwise move the earlier. In the
+    # module the linker places the section after .text.
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        pytest.skip("objdump not found")
+    source = _source()
+    head, tail = source.split("\n#define AFTER_TEXT ", 1)
+    after = set(re.findall(r"^\S[^\n;]*?\b(\w+)\([^;{]*\)\n\{", tail, re.M))
+    after |= {f"equal_{code}" for code in re.findall(r"^EQUAL\((\w)\)$", tail, re.M)}
+    before = set(re.findall(r"^\S[^\n;]*?\b(\w+)\([^;{]*\)\n\{", head, re.M))
+    assert {"equal_d", "equal_f"} <= after and {"scalar_mult_su3_nn_d", "vector_mult_su3_nn_f"} <= before
+    obj = tmp_path / "su3native.o"
+    (tmp_path / "su3native.c").write_text(source)
+    include = sysconfig.get_paths()["include"]
+    subprocess.run([native.COMPILER, *native.FLAGS, "-c", "-I", include, "-I", native.NUMPY_INCLUDE, "-o", str(obj), str(tmp_path / "su3native.c")],
+                   check=True, timeout=native.TIMEOUT_S)
+
+    def functions(path) -> dict:
+        """Each function symbol's name, less any suffix gcc gave a clone -> (section, address)."""
+        text = subprocess.run([objdump, "-t", str(path)], capture_output=True, text=True, timeout=120, check=True).stdout
+        return {name.partition(".")[0]: (section, int(address, 16))
+                for address, section, name in re.findall(r"^([0-9a-f]+) .{6}F (\S+)\t[0-9a-f]+\s+(\S+)$", text, re.M)}
+
+    sections = functions(obj)
+    after, before = after & sections.keys(), before & sections.keys()  # those gcc did not inline
+    assert {"fill_wide", "draw", "uniform", "operands", "equal", "PyInit_su3native"} <= after
+    assert {"run", "entry", "dispatch", "dispatchers"} <= before
+    assert {name: sections[name][0] for name in after} == dict.fromkeys(after, ".text.after")
+    assert {name: sections[name][0] for name in before} == dict.fromkeys(before, ".text")
+    placed = functions(MODULE.__file__)
+    assert max(placed[name][1] for name in before) < min(placed[name][1] for name in after)
 
 
 def _vector_loop_ops(routine: str, code: str) -> Counter:
@@ -679,7 +770,7 @@ def test_module_builds_where_a_compiler_exists():
 def test_capability_reports_the_loaded_module():
     assert simd.capability()["native"] == MODULE.__file__ == native.status()
     assert simd.capability()["draw"] == MODULE.uniform_fill() == native.draw()
-    assert native.draw() in ("AVX-512 wide fill, then the two-chain scalar fill", "two-chain scalar fill")
+    assert native.draw() in ("AVX-512 IFMA fill, then the two-chain scalar fill", "two-chain scalar fill")
 
 
 def test_prune_removes_only_other_keys(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -196,7 +198,7 @@ def test_seeds_the_native_path_does_not_take_go_through_default_rng(seed):
 def test_a_seed_draws_the_same_bits_without_the_module(seed, monkeypatch):
     want = [_bits(types.random_operands(routine, seed, "single", 2)) for routine in types.ROUTINE_NAMES]
     monkeypatch.setattr(native, "_state", (None, "unavailable"))
-    monkeypatch.setattr(types, "_uniform", None)  # bound again on the next draw, from the module now unavailable
+    monkeypatch.setattr(types, "_operands", None)  # bound again on the next draw, from the module now unavailable
     assert [_bits(types.random_operands(routine, seed, "single", 2)) for routine in types.ROUTINE_NAMES] == want
 
 
@@ -209,6 +211,38 @@ def test_random_operands_refuses_a_batch_that_is_not_an_integer_of_at_least_0(ba
             types.random_operands("scalar_mult_add_su3_vector", rng, precision, batch)
     if form == "generator":
         assert rng.random() == np.random.default_rng([5, 1]).random()  # nothing was drawn
+
+
+FLAGS = ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE", "ALIGNED", "WRITEBACKIFCOPY")
+
+
+def _views(ops):
+    """Each operand's bits, type, dtype, shape and flags."""
+    return [(*_bits([x])[0], tuple(x.flags[flag] for flag in FLAGS)) for x in ops]
+
+
+@pytest.mark.parametrize("batch", [None, 0, 1, 7, np.int64(128)], ids=repr)
+def test_a_seeds_views_are_the_generator_paths(batch):
+    # The native path cuts each operand from its draw in C: the same bytes,
+    # type, dtype, shape and flags (C-contiguous, writeable, a view) as the
+    # Generator path's slices, arrays of their own on every call, and the
+    # draw freed with the last of them.
+    for precision in ("double", "single"):
+        for routine in types.ROUTINE_NAMES:
+            key = [7, types.ROUTINE_NAMES.index(routine)]
+            want = types.random_operands(routine, np.random.default_rng(key), precision, batch)
+            with pytest.MonkeyPatch.context() as patch:
+                _generator_free(patch)
+                got, again = (types.random_operands(routine, key, precision, batch) for _ in range(2))
+            assert type(got) is list and _views(got) == _views(want) == _views(again), (routine, precision)
+            assert all(x.flags.c_contiguous and x.flags.writeable for x in got)
+            assert not any(np.shares_memory(x, y) for x in got for y in again)
+            if NATIVE:
+                draw = got[0].base
+                assert type(draw) is np.ndarray and draw.ndim == 1 and all(x.base is draw for x in got)
+                freed = weakref.ref(draw)
+                del draw, got
+                assert freed() is None
 
 
 def test_random_operands_takes_a_numpy_integer_batch():
