@@ -54,27 +54,25 @@ the call, as it came, to the backend's generic method, as it does every call
 of another form (another keyword, a positional ``out``, an unknown
 routine). So neither changes a result or an error message.
 
-The module's ``uniform(seed, out)`` draws ``types.random_operands``'
-components from a seed in one pass with no ``Generator`` built: numpy's
-``SeedSequence`` mixing of the seed's uint32 words (read as numpy's
-``_coerce_to_uint32_array`` reads an int >= 0 or a list or tuple of them),
-PCG64 seeded from its ``generate_state(4, uint64)``, the XSL-RR output on
-``unsigned __int128``, then ``(x >> 11) * 2**-52 - 1.0`` in double, stored
-in ``out``'s precision by a loop of that precision: the bits of
-``default_rng(seed).random()`` scaled as ``random_operands`` scales them
-(``u = (x >> 11) * 2**-53; u *= 2.0; u -= 1.0``, as the power-of-two
-scalings are exact).
-Any other seed or ``out`` it leaves untouched and returns
-``NotImplemented``, and the draw goes through numpy. Its
-``operands(seed, layout)`` is ``random_operands``' native path: it reads
-the case's layout as ``types._cuts`` derives it, ``(dtype, size, cuts)``
-with every number a plain int, draws ``size`` components into a new array
-as ``uniform`` does, and returns a list of the operands as views of it cut
-in C (``PyArray_NewFromDescr`` over the draw's bytes, then
-``PyArray_SetBaseObject`` to the draw, so the draw lives as long as a
-view), with no numpy slice or reshape. A cut outside the draw, or a layout
-of any other form, is a ValueError; a seed ``uniform`` does not take,
-``NotImplemented``.
+The module's ``operands(seed, layout)`` is ``types.random_operands``'
+native path. It draws the case's components from a seed in one pass with
+no ``Generator`` built: numpy's ``SeedSequence`` mixing of the seed's
+uint32 words (read as numpy's ``_coerce_to_uint32_array`` reads an int >= 0
+or a list or tuple of them), PCG64 seeded from its ``generate_state(4,
+uint64)``, the XSL-RR output on ``unsigned __int128``, then ``(x >> 11) *
+2**-52 - 1.0`` in double, stored in the layout's precision by a loop of
+that precision: the bits of ``default_rng(seed).random()`` scaled as
+``random_operands`` scales them (``u = (x >> 11) * 2**-53; u *= 2.0; u -=
+1.0``, as the power-of-two scalings are exact). It reads the case's layout
+as ``types._cuts`` derives it, ``(dtype, size, cuts)`` with every number a
+plain int, draws ``size`` components into a new array, and returns a list
+of the operands as views of it cut in C (``PyArray_NewFromDescr`` over the
+draw's bytes, then ``PyArray_SetBaseObject`` to the draw, so the draw lives
+as long as a view), with no numpy slice or reshape; a layout of one cut
+``(0, n, (n,))`` gives the first ``n`` components as one flat array. Any
+other seed it leaves untouched and returns ``NotImplemented``, having
+allocated nothing, and the draw goes through numpy. A cut outside the
+draw, or a layout of any other form, is a ValueError.
 
 PCG64 is a 128-bit LCG, ``s -> s * M + inc``, so two of its steps are one
 step ``s -> s * M**2 + (inc * M + inc)`` (mod 2**128), and the stream runs
@@ -717,34 +715,6 @@ AFTER_TEXT static void draw(char *p, Py_ssize_t n, int single, pcg128 s0, pcg128
         fill(p, i, n, 0, s0, s1, m2, c2);
 }
 
-/* uniform(seed, out): fill out, a C-contiguous float64 or float32 array,
-   with the first out.size doubles u of numpy.random.default_rng(seed).random(),
-   each as u *= 2.0, u - 1.0 in double, stored in out's precision. seed is
-   an exact int >= 0 or a list or tuple of them. Returns out, or
-   NotImplemented, having written nothing, for any other seed or out. */
-AFTER_TEXT static PyObject *uniform(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    pcg128 state, inc;
-    PyArrayObject *a;
-    int r;
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError, "uniform takes 2 arguments (%zd given)", nargs);
-        return NULL;
-    }
-    a = (PyArrayObject *)args[1];
-    if (!PyArray_CheckExact(a) || !PyArray_IS_C_CONTIGUOUS(a) || !PyArray_ISNOTSWAPPED(a) || !PyArray_ISWRITEABLE(a)
-        || (PyArray_TYPE(a) != NPY_DOUBLE && PyArray_TYPE(a) != NPY_FLOAT))
-        Py_RETURN_NOTIMPLEMENTED;
-    if ((r = seed_stream(args[0], &state, &inc)) <= 0) {
-        if (r < 0)
-            return NULL;
-        Py_RETURN_NOTIMPLEMENTED;
-    }
-    draw(PyArray_BYTES(a), PyArray_SIZE(a), PyArray_TYPE(a) == NPY_FLOAT, state, inc);
-    Py_INCREF(a);
-    return (PyObject *)a;
-}
-
 /* Whether v is an exact int from 0 to PY_SSIZE_T_MAX, stored in *x. */
 AFTER_TEXT static int natural(PyObject *v, npy_intp *x)
 {
@@ -764,12 +734,14 @@ AFTER_TEXT static int natural(PyObject *v, npy_intp *x)
    types._cuts derives it: float64 or float32 in native order; the size of
    the draw; and a cut (start, end, shape) an operand, its components start
    to end - 1 of the draw in C order, all of them exact ints. The draw is a
-   new array of size components, filled as uniform fills one; each view a
-   C-contiguous, writeable array over its components whose base is the
-   draw, which it keeps alive. Returns a list of the views, or
-   NotImplemented, having allocated nothing, for a seed uniform does not
-   take. ValueError for a layout of any other form, a cut outside the draw
-   among them. */
+   new array of the first size doubles u of
+   numpy.random.default_rng(seed).random(), each as u *= 2.0, u - 1.0 in
+   double, stored in its precision; each view a C-contiguous, writeable
+   array over its components whose base is the draw, which it keeps alive.
+   Returns a list of the views, or NotImplemented, having allocated nothing,
+   for a seed that is not an exact int >= 0 or a list or tuple of them.
+   ValueError for a layout of any other form, a cut outside the draw among
+   them. */
 AFTER_TEXT static PyObject *operands(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *layout, *cuts, *flat, *views;
@@ -887,9 +859,8 @@ AFTER_TEXT static PyObject *equal(PyObject *Py_UNUSED(module), PyObject *const *
 
 static PyMethodDef methods[] = {
     {"dispatchers", dispatchers, METH_VARARGS, "dispatchers(entries, apply, batch_apply): a backend's checked apply and batch_apply in C"},
-    {"uniform", (PyCFunction)(void (*)(void))uniform, METH_FASTCALL, "uniform(seed, out): numpy.random.default_rng(seed).random() scaled to 2u - 1 into out"},
     {"operands", (PyCFunction)(void (*)(void))operands, METH_FASTCALL, "operands(seed, layout): random_operands' views of one uniform draw from seed"},
-    {"uniform_fill", uniform_fill, METH_NOARGS, "uniform_fill(): which loops uniform draws with on this host"},
+    {"uniform_fill", uniform_fill, METH_NOARGS, "uniform_fill(): which loops operands draws with on this host"},
     {"equal", (PyCFunction)(void (*)(void))equal, METH_FASTCALL, "equal(a, b): not (a != b).any() for two C-contiguous arrays of one shape and dtype"},
     {NULL, NULL, 0, NULL},
 };

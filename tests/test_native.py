@@ -371,37 +371,33 @@ def test_dispatchers_take_only_the_modules_entries():
 @needs_native
 def test_every_export_is_a_builtin_function_of_the_module():
     exports = {name: value for name, value in vars(MODULE).items() if not name.startswith("_")}
-    assert sorted(exports) == sorted(ENTRIES + ("dispatchers", "uniform", "operands", "uniform_fill", "equal"))
+    assert sorted(exports) == sorted(ENTRIES + ("dispatchers", "operands", "uniform_fill", "equal"))
     for name, value in exports.items():
         assert type(value) is type(len) and value.__module__ == "su3native" and value.__name__ == name
 
 
-@needs_native
-def test_uniform_refuses_what_it_does_not_take():
-    # It writes only a C-contiguous, writeable, native-order float64 or
-    # float32 array, from an exact int >= 0 or a list or tuple of them;
-    # anything else it leaves untouched and returns NotImplemented, so that
-    # types.random_operands draws through numpy.
-    def filled(dtype="f8"):
-        return np.full(6, 7.0, dtype)
+def _draw(module, seed, n: int, dtype) -> np.ndarray:
+    """The first `n` components of `seed`'s draw in `dtype`, from `module`'s
+    operands with a layout of one flat cut."""
+    return module.operands(seed, (np.dtype(dtype), n, ((0, n, (n,)),)))[0]
 
-    good = filled()
-    assert MODULE.uniform([1, 2], good) is good and not (good == 7.0).any()
-    read_only = filled()
-    read_only.flags.writeable = False
-    for seed, out in [(1, filled("f2")), (1, filled(">f8")), (1, read_only), (1, np.full((3, 4), 7.0)[:, ::2]),
-                      (1, filled().tolist()), (-1, filled()), (True, filled()), (2.5, filled()), (np.int64(1), filled()),
-                      ([1, -1], filled()), ([1, 2**70, None], filled()), ([[1]], filled()), (None, filled())]:
-        assert MODULE.uniform(seed, out) is NotImplemented
-        assert np.asarray(out).tolist() == np.full(np.shape(out), 7.0).tolist()
-    with pytest.raises(TypeError):
-        MODULE.uniform(1)
+
+@needs_native
+def test_operands_refuses_a_seed_it_does_not_take():
+    # It draws from an exact int >= 0 or a list or tuple of them; for any
+    # other seed it returns NotImplemented, so that types.random_operands
+    # draws through numpy.
+    good = _draw(MODULE, [1, 2], 6, np.float64)
+    assert good.tolist() == (np.random.default_rng([1, 2]).random(6) * 2 - 1).tolist()
+    layout = (np.dtype(np.float64), 6, ((0, 6, (6,)),))
+    for seed in [-1, True, 2.5, np.int64(1), [1, -1], [1, 2**70, None], [[1]], None]:
+        assert MODULE.operands(seed, layout) is NotImplemented, seed
 
 
 @needs_native
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("seed", [0, 2**64 + 5, [41, 3, 8]])
-def test_uniform_draws_numpys_stream_at_every_length(seed, dtype):
+def test_operands_draws_numpys_stream_at_every_length(seed, dtype):
     # The stream runs as two chains, each stepping two outputs at once, and
     # an odd last output comes from the first; every length from 0 to 9 and
     # some odd ones hold each output, and the tail, to numpy's. Where the
@@ -409,10 +405,8 @@ def test_uniform_draws_numpys_stream_at_every_length(seed, dtype):
     # rest: lengths below 16 run the chains alone, the others both and the
     # hand-over, up to 12288, the largest draw of a verify sweep.
     for n in [*range(10), 11, 15, 16, 17, 31, 32, 33, 37, 127, 255, 256, 257, 4609, 12288]:
-        out = np.full(n, 7.0, dtype)
-        assert MODULE.uniform(seed, out) is out
         want = (np.random.default_rng(seed).random(n) * 2 - 1).astype(dtype)
-        assert out.tobytes() == want.tobytes(), n
+        assert _draw(MODULE, seed, n, dtype).tobytes() == want.tobytes(), n
 
 
 # Seeds whose streams put the wide fill's limb arithmetic through many
@@ -431,18 +425,16 @@ def test_the_limb_arithmetic_draws_numpys_stream(dtype):
     assert len(LIMB_SEEDS) >= 32
     for seed in LIMB_SEEDS:
         for n in [16 * k + d for k in (1, 2, 64) for d in (-1, 0, 1)] + [4099, 12288]:
-            out = np.full(n, 7.0, dtype)
-            assert MODULE.uniform(seed, out) is out
             want = (np.random.default_rng(seed).random(n) * 2 - 1).astype(dtype)
-            assert out.tobytes() == want.tobytes(), (seed, n)
+            assert _draw(MODULE, seed, n, dtype).tobytes() == want.tobytes(), (seed, n)
 
 
 @needs_native
 def test_operands_refuses_a_layout_it_cannot_cut():
     # operands reads types._cuts' layout, (dtype, size, cuts), every number
     # a plain int: a cut that overruns the draw, or a layout of any other
-    # form, is a ValueError before anything is drawn; a seed uniform does not
-    # take is NotImplemented. No call leaks a reference to the dtype.
+    # form, is a ValueError before anything is drawn; a seed it does not take
+    # is NotImplemented. No call leaks a reference to the dtype.
     layout = types._cuts("mult_su3_nn", "double", 2)
     dt, size, cuts = layout
     assert size == 72 and cuts == ((0, 36, (2, 3, 3, 2)), (36, 72, (2, 3, 3, 2)))
@@ -530,9 +522,9 @@ def test_emitted_source_compiles_without_warnings(tmp_path):
 
 
 @needs_native
-def test_without_the_wide_fill_uniform_draws_the_same_bits(tmp_path):
+def test_without_the_wide_fill_operands_draws_the_same_bits(tmp_path):
     # The module as a compiler for another host sees it, its x86-64 blocks
-    # left out, under -Wall -Wextra -Werror: uniform runs the two chains
+    # left out, under -Wall -Wextra -Werror: operands runs the two chains
     # alone, to numpy's bits at every length the wide fill hands over at.
     source = tmp_path / "su3native.c"
     with source.open("w") as f:
@@ -551,9 +543,8 @@ def test_without_the_wide_fill_uniform_draws_the_same_bits(tmp_path):
     assert portable.uniform_fill() == "two-chain scalar fill"
     for dtype in (np.float64, np.float32):
         for n in (15, 16, 17, 33, 257, 12288):
-            out = np.full(n, 7.0, dtype)
-            assert portable.uniform([41, 3, 8], out) is out
-            assert out.tobytes() == (np.random.default_rng([41, 3, 8]).random(n) * 2 - 1).astype(dtype).tobytes(), n
+            want = (np.random.default_rng([41, 3, 8]).random(n) * 2 - 1).astype(dtype)
+            assert _draw(portable, [41, 3, 8], n, dtype).tobytes() == want.tobytes(), n
 
 
 @cache
@@ -602,12 +593,12 @@ def test_each_loop_is_plain_or_packed_as_its_backend_and_none_is_fused():
 
 @needs_native
 def test_the_wide_fill_is_avx512_code():
-    # Where the host has AVX-512 IFMA, uniform runs fill_wide, whose lanes
+    # Where the host has AVX-512 IFMA, operands runs fill_wide, whose lanes
     # multiply 52-bit limbs in zmm registers, the low and the high halves of
     # each product added into a limb, and rotate each output by its own
     # count; gcc emits these only under the function's target.
     if not MODULE.uniform_fill().startswith("AVX-512"):
-        pytest.skip(f"no AVX-512 IFMA on this host: uniform runs the {MODULE.uniform_fill()}")
+        pytest.skip(f"no AVX-512 IFMA on this host: operands runs the {MODULE.uniform_fill()}")
     wide = [text for name, text in _disassembly().items() if name.partition(".")[0] == "fill_wide"]
     assert len(wide) == 1
     for op in ("vpmadd52luq", "vpmadd52huq", "vprorvq"):
@@ -645,7 +636,7 @@ def test_code_after_the_dispatchers_sits_after_text(tmp_path):
 
     sections = functions(obj)
     after, before = after & sections.keys(), before & sections.keys()  # those gcc did not inline
-    assert {"fill_wide", "draw", "uniform", "operands", "equal", "PyInit_su3native"} <= after
+    assert {"fill_wide", "operands", "equal", "PyInit_su3native"} <= after
     assert {"run", "entry", "dispatch", "dispatchers"} <= before
     assert {name: sections[name][0] for name in after} == dict.fromkeys(after, ".text.after")
     assert {name: sections[name][0] for name in before} == dict.fromkeys(before, ".text")
