@@ -305,21 +305,24 @@ def speedup_row(
     t_vec_s: float,
     mode: str = "hot",
     alignment: str = "aligned",
+    lanes: int | None = None,
 ) -> SpeedupRow:
     """Build one ratio row from per-invocation (or same-workload) times.
 
-    The bound is the lanes the vector loops run (``native.PACK``, 2 in
-    either precision; importing ``native`` builds nothing): a ratio beyond
-    it cannot come from lane parallelism alone and is flagged anomalous
-    rather than celebrated.
+    The bound is the sites one register step of the vector loop runs:
+    `lanes`, or by default those of this host's loop of the routine in
+    that precision (``native.lanes``: 4 in double and 8 in single where it
+    runs site-lane in AVX2 registers, else the recipe's 2; importing
+    ``native`` builds nothing). A ratio beyond it cannot come from lane
+    parallelism alone and is flagged anomalous rather than celebrated.
     """
-    from .native import PACK
+    from .native import lanes as host_lanes
 
     if t_ref_s <= 0 or t_vec_s <= 0:
         raise ValueError("times must be positive")
     if precision not in PRECISIONS:
         raise ValueError(f"unknown precision {precision!r}")
-    bound = float(PACK["vector"])
+    bound = float(host_lanes(routine, precision) if lanes is None else lanes)
     ratio = t_ref_s / t_vec_s
     return SpeedupRow(
         routine=routine,

@@ -233,7 +233,7 @@ def _cmd_model(args) -> tuple[str, int]:
         sections.append(format_rows(rows, ("mode", "precision", "lattice", "variant", "t_ref_s", "t_vec_s", "ratio"), args.format))
     elif args.history == "kernels":
         srows = [
-            bench.speedup_row(t.routine, "double", t.reference_s, t.vector_s)
+            bench.speedup_row(t.routine, "double", t.reference_s, t.vector_s, lanes=2)  # the 2002 loops: two doubles in SSE2's 128 bits
             for t in perfmodel.load_kernel_history()
             if t.vector_s is not None and t.reference_s is not None
         ]

@@ -29,6 +29,32 @@ Loads and stores go through ``memcpy``, which needs no alignment, so a
 literals. Identical traces of one backend (``mult_adj_su3_mat_4vec`` is
 ``mult_adj_su3_mat_vec_4dir``) share one pair of loops.
 
+The vector backend's batch loops of the routines ``site_lane`` takes run
+one site a lane (Grid's virtual nodes, Boyle et al., arXiv:1512.03487):
+those whose scalar trace has more steps than operand components it reads,
+the ten contractions and ``su3_projector``, decided from the trace; the four
+elementwise routines keep the recipe, which beats site-lane on them. Their
+site-lane loop runs the scalar trace in level order over blocks of L sites,
+L = ``REGISTER_BYTES`` (32, an AVX2 register) over the item size, 4 doubles
+(``v4d``) or 8 floats (``v8f``): it loads each operand's components of the
+block's sites through in-register transposes of 128-bit rows (double: two
+sites' rows into the halves of a register, then ``unpck{lo,hi}pd``;
+single: a 4 x 4 transpose in each half, the last row of a component count
+that is not a multiple of 4 overlapping the one before), performs each
+trace step as one vertical operation on all L lanes, and stores the results
+through the inverse transposes, every load of a block before its first
+store. Each lane performs the scalar trace's own steps in IEEE arithmetic,
+so the bits are the scalar backend's by construction, and an ``out`` that
+is an operand is read before it is written. The loops are compiled for
+their own target (``__attribute__((target("avx2")))``, no FMA) and chosen
+once, when the module is initialised, by ``__builtin_cpu_supports("avx2")``:
+``run`` then hands the first ``n - n % L`` sites of a call to the site-lane
+loop and the rest to the recipe, so a single site (``apply``), a remainder,
+and every site on a host without AVX2 or not x86-64 run the recipe.
+``lanes`` gives the sites one register step of a routine's batch loop
+runs, per precision, on this host; the speedup rows' lane bound and the
+capability report read it.
+
 Every callable the module exports is a builtin function bound to its data.
 Each backend's routine has one METH_FASTCALL entry, named by
 ``trace.entry`` (``vector_mult_su3_nn``), for the kernels' own calls:
@@ -110,7 +136,7 @@ AVX-512 hosts without IFMA among them, they draw every output. The fill is
 compiled for its own target
 (``__attribute__((target("avx512f,avx512dq,avx512ifma")))``) and chosen
 once, when the module is initialised, by ``__builtin_cpu_supports``; the
-rest of the module stays SSE2 code, and ``uniform_fill()`` says which loops
+rest of the module stays SSE2 code, and ``operands_fill()`` says which loops
 run.
 
 The module's ``equal(a, b)`` is ``verify.check_routine``'s equality pass:
@@ -130,37 +156,40 @@ to them moves no site loop or dispatcher in the binary: gcc orders the
 functions of ``.text`` by its call graph, not by the source.
 
 gcc builds the module with ``-ffp-contract=off`` (no fused multiply-add,
-which would round once where the trace rounds twice, in the site loops and
-the wide fill's doubles alike; ``vpmadd52`` is exact integer arithmetic) and
-``-fno-tree-vectorize`` (no packed arithmetic but the vector loops' own),
-synchronously and with a timeout, on the first call of ``load`` in a
-process, which the first ``get_backend`` or kernel call makes; importing the
-package or counting operations imports not even this module. The module
-goes to the source checkout's git-ignored ``build/`` under a name keyed by a hash of
-this file, the traces, and numpy's version and include directory, written
-to a temporary file and renamed into place, so a cached module is loaded
-without emitting anything and concurrent builds do not collide; its source
-is kept beside it. Where there is no compiler or no numpy header, the build
-fails or the module does not load, ``load`` returns None, ``status`` says
-why, and every call runs its Python path. A module of other traces or of
-another version of this file stays in ``build/`` until ``prune`` removes it.
+which would round once where the trace rounds twice, in the site loops, the
+site-lane loops and the wide fill's doubles alike; ``vpmadd52`` is exact
+integer arithmetic) and ``-fno-tree-vectorize`` (no packed arithmetic but
+the vector loops' own), synchronously and with a timeout, on the first call
+of ``load`` in a process, which the first ``get_backend`` or kernel call
+makes; importing the package or counting operations imports not even this
+module. The module goes to the source checkout's git-ignored ``build/``
+under a name keyed by a hash of this file, the traces, and numpy's version
+and include directory, written to a temporary file and renamed into place,
+so a cached module is loaded without emitting anything and concurrent
+builds do not collide; its source is kept beside it. Where there is no
+compiler or no numpy header, the build fails or the module does not load,
+``load`` returns None, ``status`` says why, and every call runs its Python
+path. A module of other traces or of another version of this file stays in
+``build/`` until ``prune`` removes it.
 """
 from __future__ import annotations
 
 import hashlib
+import importlib
 import importlib.util
 import os
 import shutil
 import subprocess
 import sysconfig
 import tempfile
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from .backends import _BACKENDS
-from .trace import entry
-from .types import OPERAND_SHAPES, ROUTINES
+from .trace import entry, level_order
+from .types import OPERAND_SHAPES, PRECISIONS, ROUTINES
 
 BUILD = Path(__file__).resolve().parents[2] / "build"
 COMPILER = "gcc"
@@ -170,6 +199,7 @@ NUMPY_INCLUDE = np.get_include()
 TIMEOUT_S = 300
 _TYPES = (("d", "double"), ("f", "float"))  # loop name suffix and C type of each precision
 PACK = {"scalar": 1, "vector": 2}  # trace steps to a C step in each backend's loops: plain, or the recipe's lane pairs
+REGISTER_BYTES = 32  # an AVX2 register, which the vector backend's site-lane loops fill with one site a lane
 
 _PRELUDE = r"""#define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -202,14 +232,19 @@ typedef void (*site_loop)(Py_ssize_t n, char *const *p, const Py_ssize_t *step);
 /* One entry: its operand count; whether it works in place on operand 0
    (else a result argument follows the operands); each argument's
    per-object rank, -1 for a real factor, and the per-object shapes of
-   them all in one table; and its loops over double and float sites. */
+   them all in one table; its loops over double and float sites; and its
+   site-lane loops over blocks of REGISTER bytes of sites a component, or
+   NULL where it has none. */
 struct kernel {
     Py_ssize_t operands;
     int in_place;
     const int *ranks;
     const npy_intp *dims;
-    site_loop d, f;
+    site_loop d, f, lanes_d, lanes_f;
 };
+
+#define REGISTER %(register)d /* bytes of a site-lane loop's register: its lanes are REGISTER / item size */
+static int avx2; /* whether run starts with the site-lane loops; set once, at module init */
 
 #define KERNEL "su3native.kernel" /* the name of a capsule of a struct kernel */
 #define MAX_ARGS %(max_args)d /* the most arguments an entry takes: its operands, and out unless in place */
@@ -239,6 +274,7 @@ static PyObject *run(const struct kernel *k, int rank, PyObject *const *operands
     Py_ssize_t step[MAX_ARGS + 1], n = 1, size, i, j;
     double floats[MAX_ARGS];
     const npy_intp *batch, *dims = k->dims;
+    site_loop lanes;
     const Py_ssize_t nargs = count + (out != Py_None), slots = k->operands + !k->in_place, target = k->in_place ? 0 : k->operands;
 
     if (count != k->operands || (out == Py_None ? rank < 0 && !k->in_place : k->in_place))
@@ -300,6 +336,14 @@ static PyObject *run(const struct kernel *k, int rank, PyObject *const *operands
         Py_INCREF(args[target]);
     p[k->operands] = p[target];
     step[k->operands] = step[target];
+    lanes = type == NPY_DOUBLE ? k->lanes_d : k->lanes_f;
+    if (avx2 && lanes && n >= REGISTER / size) { /* whole blocks site-lane, the rest as before */
+        const Py_ssize_t blocks = n - n %% (REGISTER / size);
+        lanes(blocks, p, step);
+        for (i = 0; i <= k->operands; i++)
+            p[i] += blocks * step[i];
+        n -= blocks;
+    }
     (type == NPY_DOUBLE ? k->d : k->f)(n, p, step);
     return args[target];
 }
@@ -315,6 +359,65 @@ static PyObject *entry(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return run(k, -1, args, k->operands, k->in_place ? Py_None : args[k->operands]);
 }
 
+"""
+
+# The site-lane loops' registers and transposes: x86-64 code compiled for
+# AVX2, where each loop of ``_emit_lanes`` follows.
+_LANES = r"""
+#if defined(__x86_64__)
+#include <immintrin.h>
+
+#define AVX2 __attribute__((target("avx2")))
+
+/* A site-lane loop's registers: one site a lane, 4 doubles or 8 floats. */
+typedef double v4d __attribute__((vector_size(32)));
+typedef float v8f __attribute__((vector_size(32)));
+
+/* Components k and k + 1 of the 4 sites s bytes apart from p, site j in
+   lane j of each: sites 0 and 2, and 1 and 3, as 128-bit rows into the
+   halves of one register each, then their low and their high components. */
+static inline AVX2 void ld4_d(const char *p, Py_ssize_t s, Py_ssize_t k, v4d *x, v4d *y)
+{
+    const __m256d r02 = _mm256_loadu2_m128d((const double *)(p + 2 * s) + k, (const double *)p + k);
+    const __m256d r13 = _mm256_loadu2_m128d((const double *)(p + 3 * s) + k, (const double *)(p + s) + k);
+    *x = _mm256_unpacklo_pd(r02, r13);
+    *y = _mm256_unpackhi_pd(r02, r13);
+}
+
+/* ld4_d's inverse: x and y into components k and k + 1 of the 4 sites. */
+static inline AVX2 void st4_d(char *p, Py_ssize_t s, Py_ssize_t k, v4d x, v4d y)
+{
+    _mm256_storeu2_m128d((double *)(p + 2 * s) + k, (double *)p + k, _mm256_unpacklo_pd(x, y));
+    _mm256_storeu2_m128d((double *)(p + 3 * s) + k, (double *)(p + s) + k, _mm256_unpackhi_pd(x, y));
+}
+
+/* Components k to k + 3 of the 8 sites s bytes apart from p, site j in lane
+   j of each: sites j and j + 4 as 128-bit rows into the halves of one
+   register, and a 4 x 4 transpose in each half. */
+static inline AVX2 void ld8_f(const char *p, Py_ssize_t s, Py_ssize_t k, v8f *w, v8f *x, v8f *y, v8f *z)
+{
+    const __m256 r04 = _mm256_loadu2_m128((const float *)(p + 4 * s) + k, (const float *)p + k);
+    const __m256 r15 = _mm256_loadu2_m128((const float *)(p + 5 * s) + k, (const float *)(p + s) + k);
+    const __m256 r26 = _mm256_loadu2_m128((const float *)(p + 6 * s) + k, (const float *)(p + 2 * s) + k);
+    const __m256 r37 = _mm256_loadu2_m128((const float *)(p + 7 * s) + k, (const float *)(p + 3 * s) + k);
+    const __m256 lo01 = _mm256_unpacklo_ps(r04, r15), hi01 = _mm256_unpackhi_ps(r04, r15);
+    const __m256 lo23 = _mm256_unpacklo_ps(r26, r37), hi23 = _mm256_unpackhi_ps(r26, r37);
+    *w = _mm256_shuffle_ps(lo01, lo23, 0x44);
+    *x = _mm256_shuffle_ps(lo01, lo23, 0xee);
+    *y = _mm256_shuffle_ps(hi01, hi23, 0x44);
+    *z = _mm256_shuffle_ps(hi01, hi23, 0xee);
+}
+
+/* ld8_f's inverse: w, x, y and z into components k to k + 3 of the 8 sites. */
+static inline AVX2 void st8_f(char *p, Py_ssize_t s, Py_ssize_t k, v8f w, v8f x, v8f y, v8f z)
+{
+    const __m256 lo01 = _mm256_unpacklo_ps(w, x), hi01 = _mm256_unpackhi_ps(w, x);
+    const __m256 lo23 = _mm256_unpacklo_ps(y, z), hi23 = _mm256_unpackhi_ps(y, z);
+    _mm256_storeu2_m128((float *)(p + 4 * s) + k, (float *)p + k, _mm256_shuffle_ps(lo01, lo23, 0x44));
+    _mm256_storeu2_m128((float *)(p + 5 * s) + k, (float *)(p + s) + k, _mm256_shuffle_ps(lo01, lo23, 0xee));
+    _mm256_storeu2_m128((float *)(p + 6 * s) + k, (float *)(p + 2 * s) + k, _mm256_shuffle_ps(hi01, hi23, 0x44));
+    _mm256_storeu2_m128((float *)(p + 7 * s) + k, (float *)(p + 3 * s) + k, _mm256_shuffle_ps(hi01, hi23, 0xee));
+}
 """
 
 # The dispatchers and the module's init, after the entries' table.
@@ -804,8 +907,8 @@ refused:
     return NULL;
 }
 
-/* uniform_fill(): which loops draw on this host. */
-AFTER_TEXT static PyObject *uniform_fill(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(args))
+/* operands_fill(): which loops operands draws with on this host. */
+AFTER_TEXT static PyObject *operands_fill(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(args))
 {
     return PyUnicode_InternFromString(wide ? "AVX-512 IFMA fill, then the two-chain scalar fill" : "two-chain scalar fill");
 }
@@ -860,7 +963,7 @@ AFTER_TEXT static PyObject *equal(PyObject *Py_UNUSED(module), PyObject *const *
 static PyMethodDef methods[] = {
     {"dispatchers", dispatchers, METH_VARARGS, "dispatchers(entries, apply, batch_apply): a backend's checked apply and batch_apply in C"},
     {"operands", (PyCFunction)(void (*)(void))operands, METH_FASTCALL, "operands(seed, layout): random_operands' views of one uniform draw from seed"},
-    {"uniform_fill", uniform_fill, METH_NOARGS, "uniform_fill(): which loops operands draws with on this host"},
+    {"operands_fill", operands_fill, METH_NOARGS, "operands_fill(): which loops operands draws with on this host"},
     {"equal", (PyCFunction)(void (*)(void))equal, METH_FASTCALL, "equal(a, b): not (a != b).any() for two C-contiguous arrays of one shape and dtype"},
     {NULL, NULL, 0, NULL},
 };
@@ -875,6 +978,7 @@ AFTER_TEXT PyMODINIT_FUNC PyInit_su3native(void)
     import_array();
 #if defined(__x86_64__)
     wide = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512ifma");
+    avx2 = __builtin_cpu_supports("avx2");
 #endif
     if (!(out_name = PyUnicode_InternFromString("out")) || !(module_name = PyUnicode_InternFromString(module.m_name))
         || !(m = PyModule_Create(&module)))
@@ -913,11 +1017,42 @@ def status() -> str:
 
 def draw() -> str:
     """Which loops draw ``types.random_operands``' components from a seed:
-    the module's (its ``uniform_fill``), "numpy" where it is unavailable, or
+    the module's (its ``operands_fill``), "numpy" where it is unavailable, or
     "not built yet"."""
     if _state is None:
         return "not built yet"
-    return "numpy" if _state[0] is None else _state[0].uniform_fill()
+    return "numpy" if _state[0] is None else _state[0].operands_fill()
+
+
+@cache
+def cpu_features() -> frozenset:
+    """The CPU features numpy's dispatch found on this host (cpuid, and the
+    register state the OS saves, as ``__builtin_cpu_supports`` reads them in
+    the module's init); empty where numpy does not say."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            umath = importlib.import_module(name)
+            return frozenset(k for k, v in umath.__cpu_features__.items() if v)
+        except (ImportError, AttributeError):
+            continue
+    return frozenset()
+
+
+def lanes(routine: str, precision: str) -> int:
+    """The sites one register step of the vector backend's batch loop of
+    `routine` runs in `precision` on this host: one site a lane of an AVX2
+    register (``REGISTER_BYTES`` over the item size, 4 in double and 8 in
+    single) where the routine runs site-lane (``site_lane``) and the host
+    has AVX2, else the recipe's ``PACK["vector"]``, 2 in either precision.
+    The speedup rows' lane bound, the capability report and the census read
+    it; it builds nothing. ValueError for an unknown routine or precision."""
+    if precision not in PRECISIONS:
+        raise ValueError(f"unknown precision {precision!r}; expected one of {sorted(PRECISIONS)}")
+    if routine not in ROUTINES:
+        raise ValueError(f"unknown routine {routine!r}")
+    if "AVX2" in cpu_features() and site_lane(_BACKENDS["scalar"].routine_trace(routine)):
+        return REGISTER_BYTES // PRECISIONS[precision].itemsize
+    return PACK["vector"]
 
 
 def prune() -> list[Path]:
@@ -965,11 +1100,21 @@ def _load_or_build() -> tuple:
 
 
 def _entries() -> list[tuple]:
-    """(entry name, trace, routine spec, lanes) for every routine of every
-    backend; a trace takes the routine's operands in the routine's order,
-    and its loops run `lanes` of its steps as one (``PACK``)."""
-    return [(entry(kind, routine), backend.routine_trace(routine), spec, PACK[kind])
+    """(entry name, trace, routine spec, lanes, site-lane trace) for every
+    routine of every backend; a trace takes the routine's operands in the
+    routine's order, and its loops run `lanes` of its steps as one
+    (``PACK``). The site-lane trace, the scalar trace in level order, is the
+    vector backend's where ``site_lane`` holds, else None."""
+    return [(entry(kind, routine), backend.routine_trace(routine), spec, PACK[kind],
+             _site_lane_trace(routine) if kind == "vector" else None)
             for kind, backend in _BACKENDS.items() for routine, spec in ROUTINES.items()]
+
+
+def _site_lane_trace(routine: str):
+    """The trace the vector backend's site-lane loops of `routine` run, or
+    None where ``site_lane`` does not hold."""
+    trace = _BACKENDS["scalar"].routine_trace(routine)
+    return level_order(trace) if site_lane(trace) else None
 
 
 def _key(entries) -> str:
@@ -1018,9 +1163,16 @@ def _build(entries, stem: str, path: Path) -> None:
 def _emit(write, entries) -> None:
     """Write the module's C source through `write`, a line at a time."""
     write(_PRELUDE % {"max_args": max(len(spec.operands) + (not spec.in_place) for spec in ROUTINES.values()),
-                      "max_rank": max(map(len, OPERAND_SHAPES.values()))})
+                      "max_rank": max(map(len, OPERAND_SHAPES.values())), "register": REGISTER_BYTES})
+    write(_LANES)
+    blocks: dict = {}  # site-lane trace -> the loops that run it, named by its first entry
+    for name, *_, lane_trace in entries:
+        if lane_trace is not None and blocks.setdefault(lane_trace, f"{name}_lanes") == f"{name}_lanes":
+            for code, ctype in _TYPES:
+                _emit_lanes(write, f"{name}_lanes_{code}", lane_trace, code, ctype)
+    write("\n#define LANES(loop) loop\n#else\n#define LANES(loop) NULL\n#endif\n")
     loops: dict = {}  # (lanes, trace) -> the entry whose loops run it
-    for name, trace, spec, lanes in entries:
+    for name, trace, spec, lanes, lane_trace in entries:
         kinds = spec.operands if spec.in_place else spec.operands + (spec.result,)
         first = loops.setdefault((lanes, trace), name)
         if first == name:
@@ -1028,10 +1180,12 @@ def _emit(write, entries) -> None:
                 _emit_loop(write, f"{name}_{code}", trace, code, ctype, lanes)
         ranks = [-1 if kind == "scalar" else len(OPERAND_SHAPES[kind]) for kind in kinds]
         dims = [d for kind in kinds for d in OPERAND_SHAPES[kind]]
+        block = blocks.get(lane_trace)
+        wide = f"LANES({block}_d), LANES({block}_f)" if block else "NULL, NULL"
         write(f"\nstatic const int {name}_ranks[] = {{{', '.join(map(str, ranks))}}};\n")
         write(f"static const npy_intp {name}_dims[] = {{{', '.join(map(str, dims))}}};\n")
         write(f"static const struct kernel {name}_kernel = {{{len(spec.operands)}, {int(spec.in_place)}, "
-              f"{name}_ranks, {name}_dims, {first}_d, {first}_f}};\n")
+              f"{name}_ranks, {name}_dims, {first}_d, {first}_f, {wide}}};\n")
     write("\nstatic struct {\n    PyMethodDef def;\n    const struct kernel *k;\n} table[] = {\n")
     for name, *_ in entries:
         doc = f"{name}(*operands, out): its trace over the sites of C-contiguous float64 or float32 arrays"
@@ -1102,11 +1256,7 @@ def _emit_loop(write, name: str, trace, code: str, ctype: str, lanes: int) -> No
         return f"({vtype}){{{', '.join(x if (x,) in values else repr(float(x)) for x in value)}}}"
 
     m = len(trace.operands)
-    write(f"\nstatic void {name}(Py_ssize_t n, char *const *p, const Py_ssize_t *step)\n{{\n")
-    write(f"    const char {', '.join(f'*a{k} = p[{k}]' for k in range(m))};\n")
-    write(f"    char *c = p[{m}];\n")
-    write(f"    const Py_ssize_t {', '.join(f's{k} = step[{k}]' for k in range(m + 1))};\n")
-    write(f"    for (; n > 0; n--, {', '.join(f'a{k} += s{k}' for k in range(m))}, c += s{m}) {{\n")
+    _emit_head(write, name, m, 1)
     for value, (k, i) in loads:
         one = len(value) == 1
         write(f"        const {ctype if one else vtype} {c(value)} = ld{'' if one else wide}_{code}(a{k}, {i});\n")
@@ -1114,4 +1264,69 @@ def _emit_loop(write, name: str, trace, code: str, ctype: str, lanes: int) -> No
         write(f"        const {vtype} {c(result)} = {c(left)} {op} {c(right)};\n")
     for i, value in stores:
         write(f"        st{wide}_{code}(c, {i}, {c(value)});\n")
+    write("    }\n}\n")
+
+
+def _emit_head(write, name: str, operands: int, sites: int, attributes: str = "") -> None:
+    """A site loop's signature and the head of its walk over n sites,
+    `sites` a step, each operand from a0 on and the result at c."""
+    m = operands
+    walk = ("n--", [f"a{k} += s{k}" for k in range(m)] + [f"c += s{m}"]) if sites == 1 else \
+        (f"n -= {sites}", [f"a{k} += {sites} * s{k}" for k in range(m)] + [f"c += {sites} * s{m}"])
+    write(f"\n{attributes}static void {name}(Py_ssize_t n, char *const *p, const Py_ssize_t *step)\n{{\n")
+    write(f"    const char {', '.join(f'*a{k} = p[{k}]' for k in range(m))};\n")
+    write(f"    char *c = p[{m}];\n")
+    write(f"    const Py_ssize_t {', '.join(f's{k} = step[{k}]' for k in range(m + 1))};\n")
+    write(f"    for (; n > 0; {walk[0]}, {', '.join(walk[1])}) {{\n")
+
+
+def site_lane(trace) -> bool:
+    """Whether the vector backend runs `trace` site-lane: where it has more
+    steps than operand components it reads. A site-lane block pays a
+    transpose for every component it loads or stores, and gains on every
+    step; the ten contractions and ``su3_projector`` pass, the four
+    elementwise routines, which perform one or two steps a component, do
+    not, and keep the recipe, which beats site-lane on them."""
+    read = {x for _, left, _, right in trace.steps for x in (left, right)} | set(trace.results)
+    return len(trace.steps) > len(read & {x for row in trace.operands for x in row})
+
+
+def _emit_lanes(write, name: str, trace, code: str, ctype: str) -> None:
+    """`trace` over n sites, n a multiple of its lanes, one site a lane of
+    an AVX2 register (``REGISTER_BYTES`` over the item size: 4 doubles or
+    8 floats). Per block of sites: load every operand's components through
+    transposes of 128-bit rows (``ld4_d``: 2 components of 4 sites;
+    ``ld8_f``: 4 of 8, the last row of a component count that is not a
+    multiple of 4 overlapping the one before), perform each step once as one
+    vertical operation on the lanes, in the trace's order, then store the
+    results through the inverse transposes: every load of a block comes
+    before its first store."""
+    itemsize = np.dtype(code).itemsize
+    lanes, row = REGISTER_BYTES // itemsize, 16 // itemsize
+    vtype = f"v{lanes}{code}"
+
+    def rows(names: tuple) -> list:
+        """(first component, its row's names) for the rows that cover `names`."""
+        if len(names) < row:
+            raise ValueError(f"{len(names)} components do not fill a {16 * 8}-bit row of {ctype}")
+        starts = list(range(0, len(names) - row + 1, row)) + ([len(names) - row] if len(names) % row else [])
+        return [(i, names[i:i + row]) for i in starts]
+
+    def c(value: str) -> str:
+        return value if value in defined else f"(({ctype}){float(value)!r})"  # any other name is a literal
+
+    m = len(trace.operands)
+    read = {x for _, left, _, right in trace.steps for x in (left, right)} | set(trace.results)
+    defined = {result for result, _, _, _ in trace.steps}
+    _emit_head(write, name, m, lanes, "AVX2\n")
+    for k, names in enumerate(trace.operands):
+        if read & set(names):
+            write(f"        {vtype} {', '.join(names)};\n")
+            for i, group in rows(names):
+                write(f"        ld{lanes}_{code}(a{k}, s{k}, {i}, {', '.join('&' + x for x in group)});\n")
+            defined |= set(names)
+    for result, left, op, right in trace.steps:
+        write(f"        const {vtype} {result} = {c(left)} {op} {c(right)};\n")
+    for i, group in rows(trace.results):
+        write(f"        st{lanes}_{code}(c, s{m}, {i}, {', '.join(map(c, group))});\n")
     write("    }\n}\n")

@@ -12,7 +12,12 @@ SSE2 operation on two lanes, two doubles to a 128-bit register, or in
 single a 2-lane pair of floats (half the register). Each lane performs its
 own step in IEEE arithmetic, so the arithmetic sequence per output
 component is the recipe's, which keeps it bitwise equal to the scalar
-reference.
+reference. On a host with AVX2, the batch loops of the ten contractions and
+``su3_projector`` (``native.site_lane``: more trace steps than loaded
+components) run their whole blocks of sites site-lane instead: one site a
+lane of a 256-bit register, 4 in double and 8 in single, each lane
+performing the scalar trace's own steps, with the recipe for the sites past
+the last block and for single-site ``apply``; ``native`` says how.
 
 Every kernel's trace is the scalar reference's, paired (``trace.paired``)
 and put in dependency order (``trace.level_order``), so this module writes
@@ -47,8 +52,8 @@ in-place ``sub_four_su3_vecs`` takes no ``out``) and checks nothing:
 ``Backend.apply`` and ``Backend.batch_apply`` are the checked entry points,
 and they allocate or check ``out``. The module holds only the kernels and
 the lane tallies, read off the pack plan the native loops are emitted from
-(``lane_op_count``); how many lanes those loops run is ``native.PACK``'s
-alone.
+(``lane_op_count``); how many sites a register step of a batch loop runs
+is ``native.lanes``' alone.
 """
 from __future__ import annotations
 
@@ -61,9 +66,6 @@ import numpy as np
 from . import scalar
 from .trace import Trace, kernel, level_order, paired
 from .types import PRECISIONS, ROUTINES, routine_spec
-
-WIDTH_BITS = 128  # the SSE register the packed loops run in
-
 
 @cache
 def routine_trace(routine: str) -> Trace:
@@ -126,33 +128,33 @@ def lane_op_count(routine: str) -> LaneOpCount:
 
 
 def capability() -> dict:
-    """Report what runs the packed recipe on this host: the register its
-    loops run in, the lanes they fill per precision (``native.PACK``, which
-    the speedup rows' lane bound reads too), how its sequence runs, the
-    native extension (its path once loaded, "not built yet" before the first
-    kernel call of this process, or why it is unavailable) and which loops
-    draw seeded operands (``native.draw``); importing ``native`` builds
-    nothing."""
+    """Report what runs the vector backend's batch loops on this host: the
+    register its widest loops run in, the sites a register step of them
+    runs per precision (the most ``native.lanes`` gives any routine, which
+    the speedup rows' lane bound reads per routine), how they run, the
+    native extension (its path once loaded, "not built yet" before the
+    first kernel call of this process, or why it is unavailable) and which
+    loops draw seeded operands (``native.draw``); it builds nothing."""
     from . import native
 
-    lanes = native.PACK["vector"]
-    features: list[str] = []
-    for mod in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
-        try:
-            umath = __import__(mod, fromlist=["__cpu_features__"])
-            features = sorted(k for k, v in umath.__cpu_features__.items() if v)
-            break
-        except (ImportError, AttributeError):
-            continue
+    lanes = {precision: max(native.lanes(routine, precision) for routine in ROUTINES) for precision in PRECISIONS}
+    if lanes["double"] > native.PACK["vector"]:
+        wide = [routine for routine in ROUTINES if native.lanes(routine, "double") == lanes["double"]]
+        backend = (f"site-lane native C, AVX2 ({lanes['double']} lanes double, {lanes['single']} single) over whole "
+                   f"blocks of sites for the {len(wide)} routines with more steps than loaded components, the packed "
+                   f"SSE2 recipe ({native.PACK['vector']} lanes) for the others and the sites past the last block, "
+                   "where the module is built, else compiled numpy over sites")
+    else:
+        backend = (f"recipe lane sequence: packed native C, SSE2 ({native.PACK['vector']} lanes in either precision), "
+                   "where the module is built, else compiled numpy over sites")
     return {
-        "backend": f"recipe lane sequence: packed native C, SSE2 ({lanes} lanes in either precision), "
-                   "where the module is built, else compiled numpy over sites",
-        "width_bits": WIDTH_BITS,
-        "lanes": {precision: lanes for precision in PRECISIONS},
+        "backend": backend,
+        "width_bits": 8 * lanes["double"] * PRECISIONS["double"].itemsize,
+        "lanes": lanes,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "cpu_features": features,
+        "cpu_features": sorted(native.cpu_features()),
         "native": native.status(),
         "draw": native.draw(),
     }

@@ -240,15 +240,16 @@ def test_criterion_09_performance_trends():
     }
     vector_faster = times[("vector", "double")] < times[("scalar", "double")]
     single_at_least_double = rows["single"].ratio >= rows["double"].ratio
-    # The flagging logic is the gating part: ratios beyond the lane width
-    # the vector loops run (native.PACK, in either precision) must be marked
-    # anomalous, at and below it must not be.
-    lanes = native.PACK["vector"]
+    # The flagging logic is the gating part: ratios beyond the lanes this
+    # host's vector loop of the routine runs (native.lanes, per precision)
+    # must be marked anomalous, at and below it must not be.
+    lanes = {precision: native.lanes("mult_su3_mat_vec", precision) for precision in PRECISIONS}
     flag_logic = (
-        bench.speedup_row("mult_su3_mat_vec", "double", 2.1, 1.0).anomalous
-        and not bench.speedup_row("mult_su3_mat_vec", "double", 2.0, 1.0).anomalous
-        and all(bench.speedup_row("mult_su3_mat_vec", precision, lanes + 0.1, 1.0).anomalous
-                and not bench.speedup_row("mult_su3_mat_vec", precision, lanes, 1.0).anomalous
+        bench.speedup_row("mult_su3_mat_vec", "double", lanes["double"] + 0.1, 1.0).anomalous
+        and not bench.speedup_row("mult_su3_mat_vec", "double", lanes["double"], 1.0).anomalous
+        and all(bench.speedup_row("mult_su3_mat_vec", precision, lanes[precision] + 0.1, 1.0).anomalous
+                and not bench.speedup_row("mult_su3_mat_vec", precision, lanes[precision], 1.0).anomalous
+                and rows[precision].lane_bound == lanes[precision]
                 for precision in PRECISIONS)
         and all(r.anomalous == (r.ratio > r.lane_bound) for r in rows.values())
     )

@@ -162,7 +162,7 @@ def test_streaming_calls_never_reach_the_generic_checks(backend, precision, monk
 def test_environment_capture():
     rec = bench.run(_cfg())
     env = rec.environment
-    assert env["capability"]["width_bits"] == 128
+    assert env["capability"]["width_bits"] == 64 * max(native.lanes(routine, "double") for routine in ROUTINE_NAMES)
     assert "clock_resolution_s" in env
 
 
@@ -294,16 +294,20 @@ def test_config_is_checked_without_the_native_module():
 def test_speedup_row_ratio_and_flag():
     row = bench.speedup_row("su3_projector", "double", t_ref_s=16.14, t_vec_s=4.09)
     assert row.ratio == pytest.approx(3.946, abs=1e-3)
-    assert row.anomalous  # beyond the 2-lane bound
+    assert row.anomalous == (row.ratio > native.lanes("su3_projector", "double"))  # beyond 2 lanes, within 4
+    assert bench.speedup_row("su3_projector", "double", t_ref_s=16.14, t_vec_s=4.09, lanes=2).anomalous
     tame = bench.speedup_row("mult_su3_mat_vec", "double", t_ref_s=7.13, t_vec_s=4.05)
     assert tame.ratio == pytest.approx(1.76, abs=0.01)
     assert not tame.anomalous
-    # The bound is the lanes the vector loops run, in either precision.
-    bound = native.PACK["vector"]
-    for precision in ("double", "single"):
-        at = bench.speedup_row("mult_su3_mat_vec", precision, t_ref_s=bound, t_vec_s=1.0)
-        assert at.lane_bound == bound and not at.anomalous
-        assert bench.speedup_row("mult_su3_mat_vec", precision, bound + 0.1, 1.0).anomalous
+    # The bound is the lanes this host's vector loop of the routine runs, in
+    # each precision, or the lanes given.
+    for routine in ("mult_su3_mat_vec", "add_su3_vector"):
+        for precision in ("double", "single"):
+            bound = native.lanes(routine, precision)
+            at = bench.speedup_row(routine, precision, t_ref_s=bound, t_vec_s=1.0)
+            assert at.lane_bound == bound and not at.anomalous
+            assert bench.speedup_row(routine, precision, bound + 0.1, 1.0).anomalous
+            assert bench.speedup_row(routine, precision, 2.1, 1.0, lanes=2).lane_bound == 2.0
 
 
 def test_speedup_row_validation():
@@ -320,11 +324,11 @@ def test_speedup_reciprocity():
 
 
 def test_speedup_table_pairing_rules():
-    ref = _record(backend="scalar", elapsed_s=4.0)
+    ref = _record(backend="scalar", elapsed_s=9.0)
     vec = _record(backend="vector", elapsed_s=1.0)
     rows = bench.speedup_table([(ref, vec)])
-    assert rows[0].ratio == pytest.approx(4.0)
-    assert rows[0].anomalous
+    assert rows[0].ratio == pytest.approx(9.0)
+    assert rows[0].anomalous  # beyond any loop's lanes
     with pytest.raises(ValueError):
         bench.speedup_table([(vec, ref)])  # wrong order
     other = _record(routine="mult_su3_nn", backend="vector")

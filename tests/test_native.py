@@ -22,7 +22,7 @@ import pytest
 
 import su3bench
 from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Backend, Lattice4D, SiteBuffer, backends, get_backend, native, simd, types
-from su3bench.trace import NATIVE, Trace, entry
+from su3bench.trace import NATIVE, Trace, entry, level_order
 from test_simd_kernels import _special_sets
 
 MODULE = native.load()
@@ -124,6 +124,54 @@ def test_native_matches_the_python_paths(kind, routine, precision, python_paths)
                     got = _run(kernel, spec, call_ops, alias)
                 with python_paths():
                     want = _run(kernel, spec, call_ops, alias)
+                assert _same(got, want), (n, alias)
+
+
+ELEMENTWISE = ("add_su3_vector", "scalar_mult_add_su3_matrix", "scalar_mult_add_su3_vector", "sub_four_su3_vecs")
+SITE_LANE = tuple(routine for routine in ROUTINE_NAMES if routine not in ELEMENTWISE)
+
+
+def test_site_lane_takes_the_contractions_by_their_traces():
+    # The rule reads the scalar trace, not a list: the ten contractions and
+    # su3_projector have more steps than loaded components, the four
+    # elementwise routines do not. Their batch loops fill REGISTER_BYTES of
+    # sites a component where the host has AVX2, else the recipe's lanes.
+    scalar_backend = get_backend("scalar")
+    assert [routine for routine in ROUTINE_NAMES if native.site_lane(scalar_backend.routine_trace(routine))] == list(SITE_LANE)
+    assert len(SITE_LANE) == 11
+    avx2 = "AVX2" in native.cpu_features()
+    for precision, dtype in types.PRECISIONS.items():
+        wide = native.REGISTER_BYTES // dtype.itemsize if avx2 else native.PACK["vector"]
+        assert {routine: native.lanes(routine, precision) for routine in ROUTINE_NAMES} == {
+            routine: wide if routine in SITE_LANE else native.PACK["vector"] for routine in ROUTINE_NAMES}
+    for bad in (("mult_su3_zz", "double"), ("mult_su3_nn", "half")):
+        with pytest.raises(ValueError):
+            native.lanes(*bad)
+
+
+@needs_native
+@pytest.mark.parametrize("routine", SITE_LANE)
+@np.errstate(invalid="ignore", over="ignore")
+def test_site_lane_blocks_give_the_scalar_backends_bits(routine, precision, python_paths):
+    # The vector backend's batch loop runs whole blocks of L sites site-lane
+    # and the rest through the recipe: batches of 0, 1, L - 1, L, L + 1,
+    # 2L + 3 and 128 sites give the scalar backend's bits, with a fresh
+    # result and with out one of the operands (operand 0 where the shapes
+    # match), as every load of a block comes before its first store.
+    spec = types.routine_spec(routine)
+    lanes = native.lanes(routine, precision)
+    vector = get_backend("vector")
+    scalar_kernel = get_backend("scalar").kernels[routine]
+    for n in sorted({0, 1, lanes - 1, lanes, lanes + 1, 2 * lanes + 3, 128}):
+        sets = _operand_sets(routine, precision, n) if n else [types.random_operands(routine, np.random.default_rng(0), precision, batch=0)]
+        for ops in sets:
+            for call_ops, alias in _calls(spec, ops):
+                with python_paths():
+                    want = _run(scalar_kernel, spec, call_ops, alias)
+                copies = [op.copy() for op in call_ops]
+                out = copies[alias] if alias is not None else None
+                got = vector.batch_apply(routine, copies, out=out)
+                assert out is None or got is out
                 assert _same(got, want), (n, alias)
 
 
@@ -371,7 +419,7 @@ def test_dispatchers_take_only_the_modules_entries():
 @needs_native
 def test_every_export_is_a_builtin_function_of_the_module():
     exports = {name: value for name, value in vars(MODULE).items() if not name.startswith("_")}
-    assert sorted(exports) == sorted(ENTRIES + ("dispatchers", "operands", "uniform_fill", "equal"))
+    assert sorted(exports) == sorted(ENTRIES + ("dispatchers", "operands", "operands_fill", "equal"))
     for name, value in exports.items():
         assert type(value) is type(len) and value.__module__ == "su3native" and value.__name__ == name
 
@@ -524,13 +572,14 @@ def test_emitted_source_compiles_without_warnings(tmp_path):
 @needs_native
 def test_without_the_wide_fill_operands_draws_the_same_bits(tmp_path):
     # The module as a compiler for another host sees it, its x86-64 blocks
+    # (the site-lane loops, the wide fill and the init's tests of the CPU)
     # left out, under -Wall -Wextra -Werror: operands runs the two chains
     # alone, to numpy's bits at every length the wide fill hands over at.
     source = tmp_path / "su3native.c"
     with source.open("w") as f:
         native._emit(f.write, native._entries())
     text = source.read_text()
-    assert text.count("#if defined(__x86_64__)") == 3
+    assert text.count("#if defined(__x86_64__)") == 4
     source.write_text(text.replace("#if defined(__x86_64__)", "#if 0"))
     built = tmp_path / f"su3native{sysconfig.get_config_var('EXT_SUFFIX')}"
     include = sysconfig.get_paths()["include"]
@@ -540,11 +589,21 @@ def test_without_the_wide_fill_operands_draws_the_same_bits(tmp_path):
     spec = importlib.util.spec_from_file_location("su3native", built)
     portable = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(portable)
-    assert portable.uniform_fill() == "two-chain scalar fill"
+    assert portable.operands_fill() == "two-chain scalar fill"
     for dtype in (np.float64, np.float32):
         for n in (15, 16, 17, 33, 257, 12288):
             want = (np.random.default_rng([41, 3, 8]).random(n) * 2 - 1).astype(dtype)
             assert _draw(portable, [41, 3, 8], n, dtype).tobytes() == want.tobytes(), n
+    # Nor does it run the site-lane loops: the recipe runs every site of the
+    # vector entries, to the digests of the module as built here.
+    for routine in ROUTINE_NAMES:
+        spec = types.routine_spec(routine)
+        for precision in types.PRECISIONS:
+            ops = types.random_operands(routine, np.random.default_rng(11), precision, batch=19)
+            outs = [] if spec.in_place else [np.empty((19,) + types.OPERAND_SHAPES[spec.result], ops[0].dtype)]
+            got, want = ([op.copy() for op in ops] + [out.copy() for out in outs] for _ in range(2))
+            name = entry("vector", routine)
+            assert getattr(portable, name)(*got).tobytes() == getattr(MODULE, name)(*want).tobytes(), (routine, precision)
 
 
 @cache
@@ -592,13 +651,35 @@ def test_each_loop_is_plain_or_packed_as_its_backend_and_none_is_fused():
 
 
 @needs_native
+@pytest.mark.parametrize("routine", SITE_LANE)
+def test_each_site_lane_loop_performs_its_trace_in_ymm_registers(routine, precision):
+    # Where the host has AVX2 the site-lane loop runs: per block, one ymm
+    # vmulpd or vmulps per multiply of the scalar trace, one vaddp or vsubp
+    # per add or subtract, no other float arithmetic and nothing fused.
+    if "AVX2" not in native.cpu_features():
+        pytest.skip("no AVX2 on this host: the recipe runs every site")
+    trace = get_backend("scalar").routine_trace(routine)
+    loop = _loops("vector", routine)[1]
+    assert loop is not None
+    code = _disassembly()[f"{loop}_{'d' if precision == 'double' else 'f'}"]
+    suffix = "pd" if precision == "double" else "ps"
+    arithmetic = re.findall(r"^\s*[0-9a-f]+:\s+(v?(?:mul|add|sub|div)[ps][sd])\s+(.*)$", code, re.M)
+    assert all(op.endswith(suffix) and "%ymm" in args for op, args in arithmetic), arithmetic
+    count = Counter(op for op, _ in arithmetic)
+    assert count[f"vmul{suffix}"] == sum(op == "*" for _, _, op, _ in trace.steps)
+    assert count[f"vadd{suffix}"] + count[f"vsub{suffix}"] == sum(op in "+-" for _, _, op, _ in trace.steps)
+    assert sum(count.values()) == len(trace.steps)
+    assert not FUSED.search(code)
+
+
+@needs_native
 def test_the_wide_fill_is_avx512_code():
     # Where the host has AVX-512 IFMA, operands runs fill_wide, whose lanes
     # multiply 52-bit limbs in zmm registers, the low and the high halves of
     # each product added into a limb, and rotate each output by its own
     # count; gcc emits these only under the function's target.
-    if not MODULE.uniform_fill().startswith("AVX-512"):
-        pytest.skip(f"no AVX-512 IFMA on this host: operands runs the {MODULE.uniform_fill()}")
+    if not MODULE.operands_fill().startswith("AVX-512"):
+        pytest.skip(f"no AVX-512 IFMA on this host: operands runs the {MODULE.operands_fill()}")
     wide = [text for name, text in _disassembly().items() if name.partition(".")[0] == "fill_wide"]
     assert len(wide) == 1
     for op in ("vpmadd52luq", "vpmadd52huq", "vprorvq"):
@@ -644,11 +725,18 @@ def test_code_after_the_dispatchers_sits_after_text(tmp_path):
     assert max(placed[name][1] for name in before) < min(placed[name][1] for name in after)
 
 
+def _loops(kind: str, routine: str) -> tuple:
+    """The loops the entry's kernel runs, named less their precision
+    suffix: its loop, and its site-lane loop or None."""
+    return re.search(rf"static const struct kernel {entry(kind, routine)}_kernel = {{.*, (\w+)_d, \w+_f, "
+                     r"(?:LANES\((\w+)_d\), LANES\(\w+_f\)|NULL, NULL)};", _source()).groups()
+
+
 def _vector_loop_ops(routine: str, code: str) -> Counter:
     """The instructions of the routine's vector loop in one precision (code
     "d" or "f"), from objdump: each counted by its mnemonic, and one with
     an immediate operand also by both ("shufps $0xe0")."""
-    loop = re.search(rf"static const struct kernel {entry('vector', routine)}_kernel = {{.*, (\w+)_d, \w+_f}};", _source()).group(1)
+    loop = _loops("vector", routine)[0]
     count = Counter()
     for mnemonic, immediate in re.findall(r"^\s*[0-9a-f]+:\s+(\S+)(?:\s+(\$0x[0-9a-f]+),)?", _disassembly()[f"{loop}_{code}"], re.M):
         count[mnemonic] += 1
@@ -699,11 +787,32 @@ def test_native_source_is_the_trace(kind, routine, precision):
     # each operand's lanes read from a register its name spells, a swap of
     # one, or a vector of two components or signs; each load its name's
     # adjacent components and each store its results' registers.
+    # A site-lane loop (the vector backend's, where site_lane holds): the
+    # scalar trace in level order, one line a step, each on whole registers
+    # of sites; each load a 128-bit row of its operand's adjacent
+    # components, the rows covering them all, and each store the results'
+    # registers, the rows covering every result.
     code, ctype = {"double": ("d", "double"), "single": ("f", "float")}[precision]
     text = _source()
     trace = get_backend(kind).routine_trace(routine)
-    loop = re.search(rf"static const struct kernel {entry(kind, routine)}_kernel = {{.*, (\w+)_d, \w+_f}};", text).group(1)
+    loop, lanes_loop = _loops(kind, routine)
     assert loop.startswith(f"{kind}_")
+    if lanes_loop:
+        lanes, row = native.REGISTER_BYTES // types.PRECISIONS[precision].itemsize, 16 // types.PRECISIONS[precision].itemsize
+        scalar_trace = level_order(get_backend("scalar").routine_trace(routine))
+        body = text.split(f"AVX2\nstatic void {lanes_loop}_{code}(")[1].split("\n}\n")[0]
+        steps = re.findall(rf"const v{lanes}{code} (t\d+) = (\S+) ([*+-]) (\S+);", body)
+        assert steps == list(scalar_trace.steps) and body.count(f"const v{lanes}{code} ") == len(steps)
+        loads = re.findall(rf"ld{lanes}_{code}\(a(\d+), s\1, (\d+), (.*)\);", body)
+        covered = set()
+        for k, i, names in loads:
+            k, i = int(k), int(i)
+            assert names.split(", ") == [f"&{x}" for x in scalar_trace.operands[k][i:i + row]] and len(names.split(", ")) == row
+            covered |= set(scalar_trace.operands[k][i:i + row])
+        assert covered == {x for names in scalar_trace.operands for x in names}
+        stores = re.findall(rf"st{lanes}_{code}\(c, s{len(trace.operands)}, (\d+), (.*)\);", body)
+        assert all(names.split(", ") == list(scalar_trace.results[int(i):int(i) + row]) for i, names in stores)
+        assert {int(i) + j for i, _ in stores for j in range(row)} == set(range(len(scalar_trace.results)))
     body = text.split(f"static void {loop}_{code}(")[1].split("\n}\n")[0]
     if native.PACK[kind] == 1:
         steps = re.findall(rf"const {ctype} (t\d+) = (\S+) ([*+-]) (\S+);", body)
@@ -760,7 +869,7 @@ def test_module_builds_where_a_compiler_exists():
 @needs_native
 def test_capability_reports_the_loaded_module():
     assert simd.capability()["native"] == MODULE.__file__ == native.status()
-    assert simd.capability()["draw"] == MODULE.uniform_fill() == native.draw()
+    assert simd.capability()["draw"] == MODULE.operands_fill() == native.draw()
     assert native.draw() in ("AVX-512 IFMA fill, then the two-chain scalar fill", "two-chain scalar fill")
 
 

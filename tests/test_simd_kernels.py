@@ -273,14 +273,17 @@ def test_kernel_table_matches_registry():
 
 
 def test_lanes_are_read_off_the_vector_loops():
-    # One lane count, the vector loops' (native.PACK): the capability report
-    # and the speedup rows' bound read it in both precisions. The register
-    # the loops run in is SSE's 128 bits.
-    lanes = native.PACK["vector"]
-    assert simd.WIDTH_BITS == 128
-    assert simd.capability()["lanes"] == {precision: lanes for precision in types.PRECISIONS}
+    # One source of the lanes, native.lanes: the speedup rows' bound reads it
+    # per routine and precision, the capability report its most per
+    # precision and the register width from that: 128 bits where every loop
+    # runs the recipe, 256 where the contractions run site-lane in AVX2.
+    cap = simd.capability()
     for precision in types.PRECISIONS:
-        assert bench.speedup_row("mult_su3_mat_vec", precision, 1.0, 1.0).lane_bound == lanes
+        lanes = {routine: native.lanes(routine, precision) for routine in ALL}
+        assert cap["lanes"][precision] == max(lanes.values())
+        for routine in ALL:
+            assert bench.speedup_row(routine, precision, 1.0, 1.0).lane_bound == lanes[routine]
+    assert cap["width_bits"] == 64 * cap["lanes"]["double"] == (256 if "AVX2" in native.cpu_features() else 128)
 
 
 def test_lane_op_table_consistent_with_flop_counts():
@@ -393,8 +396,8 @@ def test_lane_ops_tally_the_table_trace(routine):
 def test_capability_report():
     cap = simd.capability()
     assert "native C" in cap["backend"] and "numpy" in cap["backend"]
-    assert cap["width_bits"] == 128
-    assert cap["lanes"] == {precision: native.PACK["vector"] for precision in types.PRECISIONS}
+    assert cap["width_bits"] in (128, 256)
+    assert cap["lanes"] == {precision: max(native.lanes(routine, precision) for routine in ALL) for precision in types.PRECISIONS}
     assert isinstance(cap["cpu_features"], list)
 
 
