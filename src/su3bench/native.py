@@ -1270,14 +1270,12 @@ def _emit_loop(write, name: str, trace, code: str, ctype: str, lanes: int) -> No
 def _emit_head(write, name: str, operands: int, sites: int, attributes: str = "") -> None:
     """A site loop's signature and the head of its walk over n sites,
     `sites` a step, each operand from a0 on and the result at c."""
-    m = operands
-    walk = ("n--", [f"a{k} += s{k}" for k in range(m)] + [f"c += s{m}"]) if sites == 1 else \
-        (f"n -= {sites}", [f"a{k} += {sites} * s{k}" for k in range(m)] + [f"c += {sites} * s{m}"])
+    m, by = operands, "" if sites == 1 else f"{sites} * "
     write(f"\n{attributes}static void {name}(Py_ssize_t n, char *const *p, const Py_ssize_t *step)\n{{\n")
     write(f"    const char {', '.join(f'*a{k} = p[{k}]' for k in range(m))};\n")
     write(f"    char *c = p[{m}];\n")
     write(f"    const Py_ssize_t {', '.join(f's{k} = step[{k}]' for k in range(m + 1))};\n")
-    write(f"    for (; n > 0; {walk[0]}, {', '.join(walk[1])}) {{\n")
+    write(f"    for (; n > 0; n -= {sites}, {', '.join(f'a{k} += {by}s{k}' for k in range(m))}, c += {by}s{m}) {{\n")
 
 
 def site_lane(trace) -> bool:
@@ -1292,15 +1290,16 @@ def site_lane(trace) -> bool:
 
 
 def _emit_lanes(write, name: str, trace, code: str, ctype: str) -> None:
-    """`trace` over n sites, n a multiple of its lanes, one site a lane of
-    an AVX2 register (``REGISTER_BYTES`` over the item size: 4 doubles or
-    8 floats). Per block of sites: load every operand's components through
-    transposes of 128-bit rows (``ld4_d``: 2 components of 4 sites;
-    ``ld8_f``: 4 of 8, the last row of a component count that is not a
-    multiple of 4 overlapping the one before), perform each step once as one
-    vertical operation on the lanes, in the trace's order, then store the
-    results through the inverse transposes: every load of a block comes
-    before its first store."""
+    """`trace`, whose steps read only operand components and step results
+    (a scalar trace), over n sites, n a multiple of its lanes, one site a
+    lane of an AVX2 register (``REGISTER_BYTES`` over the item size: 4
+    doubles or 8 floats). Per block of sites: load every operand's
+    components through transposes of 128-bit rows (``ld4_d``: 2 components
+    of 4 sites; ``ld8_f``: 4 of 8, the last row of a component count that
+    is not a multiple of 4 overlapping the one before), perform each step
+    once as one vertical operation on the lanes, in the trace's order, then
+    store the results through the inverse transposes: every load of a block
+    comes before its first store."""
     itemsize = np.dtype(code).itemsize
     lanes, row = REGISTER_BYTES // itemsize, 16 // itemsize
     vtype = f"v{lanes}{code}"
@@ -1312,21 +1311,14 @@ def _emit_lanes(write, name: str, trace, code: str, ctype: str) -> None:
         starts = list(range(0, len(names) - row + 1, row)) + ([len(names) - row] if len(names) % row else [])
         return [(i, names[i:i + row]) for i in starts]
 
-    def c(value: str) -> str:
-        return value if value in defined else f"(({ctype}){float(value)!r})"  # any other name is a literal
-
     m = len(trace.operands)
-    read = {x for _, left, _, right in trace.steps for x in (left, right)} | set(trace.results)
-    defined = {result for result, _, _, _ in trace.steps}
     _emit_head(write, name, m, lanes, "AVX2\n")
     for k, names in enumerate(trace.operands):
-        if read & set(names):
-            write(f"        {vtype} {', '.join(names)};\n")
-            for i, group in rows(names):
-                write(f"        ld{lanes}_{code}(a{k}, s{k}, {i}, {', '.join('&' + x for x in group)});\n")
-            defined |= set(names)
+        write(f"        {vtype} {', '.join(names)};\n")
+        for i, group in rows(names):
+            write(f"        ld{lanes}_{code}(a{k}, s{k}, {i}, {', '.join('&' + x for x in group)});\n")
     for result, left, op, right in trace.steps:
-        write(f"        const {vtype} {result} = {c(left)} {op} {c(right)};\n")
+        write(f"        const {vtype} {result} = {left} {op} {right};\n")
     for i, group in rows(trace.results):
-        write(f"        st{lanes}_{code}(c, s{m}, {i}, {', '.join(map(c, group))});\n")
+        write(f"        st{lanes}_{code}(c, s{m}, {i}, {', '.join(group)});\n")
     write("    }\n}\n")
