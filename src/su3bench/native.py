@@ -1038,6 +1038,7 @@ def cpu_features() -> frozenset:
     return frozenset()
 
 
+@cache
 def lanes(routine: str, precision: str) -> int:
     """The sites one register step of the vector backend's batch loop of
     `routine` runs in `precision` on this host: one site a lane of an AVX2

@@ -139,9 +139,9 @@ def capability() -> dict:
 
     lanes = {precision: max(native.lanes(routine, precision) for routine in ROUTINES) for precision in PRECISIONS}
     if lanes["double"] > native.PACK["vector"]:
-        wide = [routine for routine in ROUTINES if native.lanes(routine, "double") == lanes["double"]]
+        wide = sum(native.lanes(routine, "double") == lanes["double"] for routine in ROUTINES)
         backend = (f"site-lane native C, AVX2 ({lanes['double']} lanes double, {lanes['single']} single) over whole "
-                   f"blocks of sites for the {len(wide)} routines with more steps than loaded components, the packed "
+                   f"blocks of sites for the {wide} routines with more steps than loaded components, the packed "
                    f"SSE2 recipe ({native.PACK['vector']} lanes) for the others and the sites past the last block, "
                    "where the module is built, else compiled numpy over sites")
     else:
