@@ -653,11 +653,14 @@ def test_each_loop_is_plain_or_packed_as_its_backend_and_none_is_fused():
 @needs_native
 @pytest.mark.parametrize("routine", SITE_LANE)
 def test_each_site_lane_loop_performs_its_trace_in_ymm_registers(routine, precision):
-    # Where the host has AVX2 the site-lane loop runs: per block, one ymm
-    # vmulpd or vmulps per multiply of the scalar trace, one vaddp or vsubp
-    # per add or subtract, no other float arithmetic and nothing fused.
-    if "AVX2" not in native.cpu_features():
+    # Where the host has AVX2 (native.lanes) the site-lane loop runs: per
+    # block, one ymm vmulpd or vmulps per multiply of the scalar trace, one
+    # vaddp or vsubp per add or subtract, no other float arithmetic and
+    # nothing fused.
+    lanes = native.lanes(routine, precision)
+    if lanes == native.PACK["vector"]:
         pytest.skip("no AVX2 on this host: the recipe runs every site")
+    assert lanes * types.PRECISIONS[precision].itemsize * 8 == 256  # one ymm register of sites
     trace = get_backend("scalar").routine_trace(routine)
     loop = _loops("vector", routine)[1]
     assert loop is not None
