@@ -136,24 +136,36 @@ AVX-512 hosts without IFMA among them, they draw every output. The fill is
 compiled for its own target
 (``__attribute__((target("avx512f,avx512dq,avx512ifma")))``) and chosen
 once, when the module is initialised, by ``__builtin_cpu_supports``; the
-rest of the module stays SSE2 code, and ``operands_fill()`` says which loops
+rest of the draw stays SSE2 code, and ``operands_fill()`` says which loops
 run.
 
-The module's ``equal(a, b)`` is ``verify.check_routine``'s equality pass:
-True or False, as numpy's ``not (a != b).any()`` answers (a NaN equals
-nothing, itself included; ``-0.0`` equals ``+0.0``), for two exact,
-C-contiguous, native-order arrays of one shape and one dtype, float64 or
-float32. Any other pair it leaves to numpy and returns ``NotImplemented``.
-It compares with the packed loops' two-lane vectors (``v2d``, ``v2f``),
-eight components a step into four independent masks, as gcc vectorises no
-plain loop here.
+The module's ``check(scalar_entry, vector_entry, operands)`` is
+``verify.check_routine``'s passing path in one call. It takes two of the
+module's entries, as ``dispatchers`` does (a TypeError for anything else),
+runs each one's kernel through ``run`` on the list or tuple ``operands`` at
+batch rank 1 into a fresh result (the in-place routine on a copy of operand
+0 made in C for each, so the caller's stays as it was), then answers True
+or False, as numpy's ``not (a != b).any()`` answers over the two results (a
+NaN equals nothing, itself included; ``-0.0`` equals ``+0.0``), and frees
+them. Where ``run`` declines either call, or the two results differ in
+shape, it returns ``NotImplemented`` and ``check_routine`` takes its full
+path. The compare runs 32 bytes a step, one ``_CMP_NEQ_UQ`` compare of an
+AVX2 register or'ed into a mask, under ``target("avx2")`` where the init
+found AVX2; the rest of the components, and all of them on any other host,
+go through the packed loops' two-lane vectors (``v2d``, ``v2f``), eight
+components a step into four independent masks, as gcc vectorises no plain
+loop here.
 
-The draw, the views, ``equal`` and the module's init are emitted after the
+The draw, the views, ``check`` and the module's init are emitted after the
 site loops and dispatchers, whose emitted source they leave as it is, and
 on ELF hosts every function among them goes to a text section of its own
 (``.text.after``) that the linker places after ``.text``, so that a change
 to them moves no site loop or dispatcher in the binary: gcc orders the
-functions of ``.text`` by its call graph, not by the source.
+functions of ``.text`` by its call graph, not by the source. Their size
+still counts in gcc's ``inline-unit-growth`` limit for the whole unit,
+which decides how many of the single site-lane loops' ``ld8_f`` calls are
+inlined; a change to them can change those loops' code, and with it the
+addresses of the site-lane loops after them.
 
 gcc builds the module with ``-ffp-contract=off`` (no fused multiply-add,
 which would round once where the trace rounds twice, in the site loops, the
@@ -938,33 +950,114 @@ AFTER_TEXT static PyObject *operands_fill(PyObject *Py_UNUSED(module), PyObject 
 EQUAL(d)
 EQUAL(f)
 
-/* equal(a, b): not (a != b).any() for two exact, C-contiguous, native-order
-   arrays of one shape and one dtype, float64 or float32, as True or False.
-   NotImplemented for any other pair. */
-AFTER_TEXT static PyObject *equal(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+#if defined(__x86_64__)
+/* equal_d's and equal_f's question for n components, n a multiple of a
+   register's lanes, 32 bytes a step under AVX2: one compare a step whose
+   lanes are all ones where a pair is unordered or unequal (_CMP_NEQ_UQ: a
+   NaN equals nothing, -0.0 equals +0.0), or'ed into one mask. */
+AFTER_TEXT static AVX2 int equal_avx2_d(const char *p, const char *q, Py_ssize_t n)
 {
+    __m256d ne = _mm256_setzero_pd();
+    Py_ssize_t i;
+    for (i = 0; i < n; i += 4)
+        ne = _mm256_or_pd(ne, _mm256_cmp_pd(_mm256_loadu_pd((const double *)p + i), _mm256_loadu_pd((const double *)q + i), _CMP_NEQ_UQ));
+    return _mm256_testz_pd(ne, ne);
+}
+
+AFTER_TEXT static AVX2 int equal_avx2_f(const char *p, const char *q, Py_ssize_t n)
+{
+    __m256 ne = _mm256_setzero_ps();
+    Py_ssize_t i;
+    for (i = 0; i < n; i += 8)
+        ne = _mm256_or_ps(ne, _mm256_cmp_ps(_mm256_loadu_ps((const float *)p + i), _mm256_loadu_ps((const float *)q + i), _CMP_NEQ_UQ));
+    return _mm256_testz_ps(ne, ne);
+}
+#endif
+
+/* Whether a and b, fresh results of one dtype, float64 or float32, and one
+   size, are equal componentwise, as numpy's not (a != b).any() answers:
+   where the init set avx2, whole registers of components through the AVX2
+   loop, then the rest through the SSE2 one. */
+AFTER_TEXT static int same(PyArrayObject *a, PyArrayObject *b)
+{
+    const char *p = PyArray_BYTES(a), *q = PyArray_BYTES(b);
+    const int single = PyArray_TYPE(a) == NPY_FLOAT;
+    const Py_ssize_t n = PyArray_SIZE(a), size = single ? sizeof(float) : sizeof(double);
+    Py_ssize_t i = 0;
+#if defined(__x86_64__)
+    if (avx2) {
+        i = n - n % (REGISTER / size);
+        if (!(single ? equal_avx2_f : equal_avx2_d)(p, q, i))
+            return 0;
+    }
+#endif
+    return (single ? equal_f : equal_d)(p + i * size, q + i * size, n - i);
+}
+
+/* check(scalar_entry, vector_entry, operands): verify.check_routine's
+   passing path. Runs each entry's kernel through run on `operands`, a list
+   or tuple, at batch rank 1 into a fresh result (the in-place routine on a
+   copy of operand 0 of its own, so the caller's is left as it was), then
+   answers whether the two results are equal componentwise (same) and frees
+   them: True or False. NotImplemented where run declines either call, or
+   the two results differ in shape. TypeError for an entry that is not one
+   of this module's. */
+AFTER_TEXT static PyObject *check(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    const struct kernel *k[2];
+    PyObject *items[MAX_ARGS], *results[2] = {NULL, NULL}, *answer = Py_NotImplemented;
     PyArrayObject *a, *b;
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError, "equal takes 2 arguments (%zd given)", nargs);
+    Py_ssize_t count;
+    int i;
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "check takes 3 arguments (%zd given)", nargs);
         return NULL;
     }
-    a = (PyArrayObject *)args[0];
-    b = (PyArrayObject *)args[1];
-    if (!PyArray_CheckExact(a) || !PyArray_CheckExact(b) || !PyArray_IS_C_CONTIGUOUS(a) || !PyArray_IS_C_CONTIGUOUS(b)
-        || !PyArray_ISNOTSWAPPED(a) || !PyArray_ISNOTSWAPPED(b) || PyArray_TYPE(a) != PyArray_TYPE(b)
-        || (PyArray_TYPE(a) != NPY_DOUBLE && PyArray_TYPE(a) != NPY_FLOAT)
-        || PyArray_NDIM(a) != PyArray_NDIM(b) || memcmp(PyArray_DIMS(a), PyArray_DIMS(b), PyArray_NDIM(a) * sizeof(npy_intp)))
+    for (i = 0; i < 2; i++) {
+        if (!PyCFunction_Check(args[i]) || PyCFunction_GET_FUNCTION(args[i]) != (PyCFunction)(void (*)(void))entry) {
+            PyErr_Format(PyExc_TypeError, "%R is not an entry of this module", args[i]);
+            return NULL;
+        }
+        if (!(k[i] = PyCapsule_GetPointer(PyCFunction_GET_SELF(args[i]), KERNEL)))
+            return NULL;
+    }
+    if (!(PyList_CheckExact(args[2]) || PyTuple_CheckExact(args[2])) || (count = PySequence_Fast_GET_SIZE(args[2])) != k[0]->operands)
         Py_RETURN_NOTIMPLEMENTED;
-    if ((PyArray_TYPE(a) == NPY_DOUBLE ? equal_d : equal_f)(PyArray_BYTES(a), PyArray_BYTES(b), PyArray_SIZE(a)))
-        Py_RETURN_TRUE;
-    Py_RETURN_FALSE;
+    for (i = 0; i < 2; i++) {
+        memcpy(items, PySequence_Fast_ITEMS(args[2]), count * sizeof *items);
+        if (k[i]->in_place) {
+            if (!PyArray_CheckExact(items[0]))
+                goto done;
+            if (!(items[0] = PyArray_NewCopy((PyArrayObject *)items[0], NPY_CORDER)))
+                goto failed;
+        }
+        results[i] = run(k[i], 1, items, count, Py_None);
+        if (k[i]->in_place) /* run's result, if any, holds a reference of its own */
+            Py_DECREF(items[0]);
+        if (!results[i])
+            goto failed;
+        if (results[i] == Py_NotImplemented)
+            goto done;
+    }
+    a = (PyArrayObject *)results[0];
+    b = (PyArrayObject *)results[1];
+    if (PyArray_NDIM(a) == PyArray_NDIM(b) && !memcmp(PyArray_DIMS(a), PyArray_DIMS(b), PyArray_NDIM(a) * sizeof(npy_intp)))
+        answer = same(a, b) ? Py_True : Py_False;
+done:
+    Py_XDECREF(results[0]);
+    Py_XDECREF(results[1]);
+    Py_INCREF(answer);
+    return answer;
+failed: /* with an error set, and results[1] not made */
+    Py_XDECREF(results[0]);
+    return NULL;
 }
 
 static PyMethodDef methods[] = {
     {"dispatchers", dispatchers, METH_VARARGS, "dispatchers(entries, apply, batch_apply): a backend's checked apply and batch_apply in C"},
     {"operands", (PyCFunction)(void (*)(void))operands, METH_FASTCALL, "operands(seed, layout): random_operands' views of one uniform draw from seed"},
     {"operands_fill", operands_fill, METH_NOARGS, "operands_fill(): which loops operands draws with on this host"},
-    {"equal", (PyCFunction)(void (*)(void))equal, METH_FASTCALL, "equal(a, b): not (a != b).any() for two C-contiguous arrays of one shape and dtype"},
+    {"check", (PyCFunction)(void (*)(void))check, METH_FASTCALL, "check(scalar_entry, vector_entry, operands): whether the two kernels' results on a batch are equal"},
     {NULL, NULL, 0, NULL},
 };
 

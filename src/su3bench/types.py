@@ -150,7 +150,7 @@ def check_fits(routine: str, precision: str | np.dtype, objects: int, results: i
 @cache
 def _object_bytes(routine: str, precision: str | np.dtype, results: int) -> int:
     """Bytes of one operand set of `routine` in `precision` and `results`
-    results; cached, as ``check_routine`` asks on every call."""
+    results; cached, as ``check_fits`` asks on every call."""
     spec = routine_spec(routine)
     components = sum(OPERAND_SIZES[kind] for kind in spec.operands) + results * OPERAND_SIZES[spec.result]
     return components * dtype_for(precision).itemsize
@@ -216,10 +216,17 @@ def random_operands(
     built: numpy's SeedSequence and PCG64 stream, bit for bit, into a new
     array whose views it cuts in C from the case's cached layout. Any other
     seed, or a host without the module, takes ``default_rng``, so its
-    errors are numpy's.
+    errors are numpy's. A layout of an exact str routine and precision and
+    an exact int or None batch is looked up in a plain dict first, the typed
+    ``_cuts`` cache after it.
     """
+    exact = batch is None or type(batch) is int  # a bool or a float batch equals and hashes as its int
     try:
-        layout = _cuts(routine, precision, batch)
+        layout = _layouts.get((routine, precision, batch)) if exact else None
+        if layout is None:
+            layout = _cuts(routine, precision, batch)
+            if exact and type(routine) is str and type(precision) is str and len(_layouts) < _LAYOUTS_KEPT:
+                _layouts[routine, precision, batch] = layout
     except TypeError:  # an unhashable argument: refused as the uncached derivation refuses it
         layout = _cuts.__wrapped__(routine, precision, batch)
     if type(rng) in (int, list, tuple):  # only these forms can reach the module, so no other loads (or builds) it
@@ -236,7 +243,11 @@ def random_operands(
     return [u[start:end].reshape(shape) for start, end, shape in cuts]
 
 
-@lru_cache(maxsize=256, typed=True)
+_LAYOUTS_KEPT = 256  # the most layouts each of the two caches keeps
+_layouts: dict = {}  # (routine, precision, batch) -> _cuts' layout, for an exact str, str and int or None
+
+
+@lru_cache(maxsize=_LAYOUTS_KEPT, typed=True)
 def _cuts(routine: str, precision: str | np.dtype, batch: int | None) -> tuple:
     """(dtype, components, cuts) of one draw of `routine`'s operands in
     `precision` at `batch`, derived once per case: each operand is

@@ -20,25 +20,34 @@ seed key, ``[seed, routine index, itemsize]``: ``random_operands`` draws the
 bits ``np.random.default_rng(key)`` would, in the native module's one pass
 where it is built (see ``native``), so no Generator is made per check.
 
-``check_routine`` first asks the native module's ``equal`` whether the two
-outputs are equal componentwise (see ``native``), the question numpy's
-``not (cand != ref).any()`` answers: a NaN equals nothing, ``-0.0`` equals
-``+0.0``. A passing check stops there, with no error measured and no index
-located: every error is 0, so the row is ``max_ulp`` 0 at component 0, as
-the metric over every component gives it. Any other answer (a difference,
-or ``NotImplemented`` where the module is unavailable or does not take the
-arrays) measures only the components where the two outputs differ: an
-equal component has error 0 by definition, so floors are computed for the
-trials holding a difference and ``ulp_error`` runs on the differing
-components alone. The row it reports is the one the metric gives over
-every component: the largest error (NaN counting as largest) at its first
-occurrence in memory order, or 0 at component 0 when every error is 0;
-only a nonzero error is located with ``np.unravel_index``.
+A passing check is one native call (see ``native``). Once its arguments
+pass an exact-type test, ``check_routine`` reads the case's record, derived
+once per routine and precision: the seed key's index and itemsize, the two
+backends' native entries, the bytes of one operand set and both results,
+and a passing row's component index. It applies the memory rule below,
+draws the operands, and asks the module's ``check`` to run both backends'
+loops on them and compare the two outputs componentwise, the question
+numpy's ``not (cand != ref).any()`` answers: a NaN equals nothing, ``-0.0``
+equals ``+0.0``. Where the answer is True, every error is 0, so the row is
+``max_ulp`` 0 at component 0, as the metric over every component gives it.
+
+Every other call takes the full path: ``inject_fault``, an answer of False
+or ``NotImplemented`` (on the operands already drawn), an argument the
+exact-type test or the record does not take, and a host without the
+module. It runs the backends' ``batch_apply`` and measures only the
+components where the two outputs differ: an equal component has error 0 by
+definition, so floors are computed for the trials holding a difference and
+``ulp_error`` runs on the differing components alone. The row it reports is
+the one the metric gives over every component: the largest error (NaN
+counting as largest) at its first occurrence in memory order, or 0 at
+component 0 when every error is 0; only a nonzero error is located with
+``np.unravel_index``. So both paths give one row and one message for one
+call.
 
 Before anything is drawn, ``check_routine`` and ``check_all`` refuse
 (``ValueError``) a case whose operands and two results would need more
 bytes than the host's physical memory, the rule ``bench`` applies to its
-runs: each array alone could pass the kernel's overcommit check while all
+runs, with the host's memory read on every call: each array alone could pass the kernel's overcommit check while all
 of them together do not fit, and the process would be killed partway
 through the draw.
 """
@@ -47,12 +56,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cache
-
 import numpy as np
 
+from . import types
 from .backends import get_backend
-from .types import ROUTINE_NAMES, check_fits, dtype_for, is_natural, random_operands, routine_spec
+from .trace import entry
+from .types import OPERAND_SHAPES, PRECISIONS, ROUTINE_NAMES, ROUTINES, _object_bytes, check_fits, dtype_for, is_natural, \
+    random_operands, routine_spec
 
 DEFAULT_TOLERANCE_ULPS = 2.0
 DEFAULT_TRIALS = 10_000
@@ -121,24 +131,36 @@ def _check_sweep(trials: int, seed: int, tolerance_ulps: float) -> None:
         raise ValueError(f"tolerance_ulps must be finite and >= 0, got {tolerance_ulps!r}")
 
 
-@cache
-def _case(routine: str, precision) -> tuple:
-    """(routine index, itemsize, in place, scalar backend, vector backend)
-    of a check of `routine` in `precision`, derived once per case."""
-    return (ROUTINE_NAMES.index(routine), dtype_for(precision).itemsize, routine_spec(routine).in_place,
-            get_backend("scalar"), get_backend("vector"))
+_cases: dict = {}  # (routine, precision) -> the case's record (see _case)
+_check = None  # the native module's check; bound on the first passing-path check
 
 
-_equal = None  # the native module's equal, or a stand-in that declines where it is unavailable; bound on the first check
-
-
-def _bind_equal():
-    """Bind ``_equal`` from the native module, which the backends have loaded."""
-    global _equal
+def _case(routine, precision):
+    """The record of a check of `routine` in `precision` that a passing check
+    reads, derived once and kept in ``_cases``: (routine index, itemsize,
+    scalar entry, vector entry, bytes of one operand set and both results,
+    a passing row's component index). False, also kept, where the native
+    module is unavailable. None, kept nowhere, for a name that is not an
+    exact str of a routine or a precision: the full path refuses it, or
+    derives the case itself."""
+    if type(routine) is not str or type(precision) is not str or routine not in ROUTINES or precision not in PRECISIONS:
+        return None
     from . import native  # not at import: importing the package builds nothing
     module = native.load()
-    _equal = (lambda candidate, reference: NotImplemented) if module is None else module.equal
-    return _equal
+    record = False if module is None else (
+        ROUTINE_NAMES.index(routine), PRECISIONS[precision].itemsize,
+        getattr(module, entry("scalar", routine)), getattr(module, entry("vector", routine)),
+        _object_bytes(routine, precision, 2), (0,) * len(OPERAND_SHAPES[ROUTINES[routine].result]))
+    _cases[routine, precision] = record
+    return record
+
+
+def _bind_check():
+    """Bind ``_check`` from the native module, which a case's record loaded."""
+    global _check
+    from . import native
+    _check = native.load().check
+    return _check
 
 
 def check_routine(
@@ -151,11 +173,36 @@ def check_routine(
 ) -> EquivalenceRow:
     """Compare the vector backend against the scalar one on `trials` random
     operand sets of one routine."""
+    if type(trials) is int and type(seed) is int and type(tolerance_ulps) is float and inject_fault is False \
+            and trials >= 0 and seed >= 0 and 0.0 <= tolerance_ulps < math.inf:
+        try:
+            case = _cases[routine, precision]
+        except KeyError:
+            case = _case(routine, precision)
+        except TypeError:  # an unhashable name, which the full path refuses
+            case = None
+        if case:
+            index, itemsize, scalar, vector, set_bytes, component = case
+            limit = types.physical_memory_bytes()
+            if limit is None or trials * set_bytes <= limit:  # else the full path refuses the case
+                operands = random_operands(routine, [seed, index, itemsize], precision, batch=trials)
+                if (_check or _bind_check())(scalar, vector, operands) is True:  # every error is 0
+                    return EquivalenceRow(routine, precision, trials, seed, tolerance_ulps, 0.0,
+                                          0 if trials else -1, component if trials else ())
+                return _measure(routine, precision, trials, seed, tolerance_ulps, inject_fault, operands)
     _check_sweep(trials, seed, tolerance_ulps)
     check_fits(routine, precision, trials, 2)  # its operands and both results; refuses an unknown routine or precision
-    index, itemsize, in_place, scalar, vector = _case(routine, precision)
-    operands = random_operands(routine, [seed, index, itemsize], precision, batch=trials)
-    if in_place:  # each backend writes its own copy of operand 0
+    key = [seed, ROUTINE_NAMES.index(routine), dtype_for(precision).itemsize]
+    return _measure(routine, precision, trials, seed, tolerance_ulps, inject_fault,
+                    random_operands(routine, key, precision, batch=trials))
+
+
+def _measure(routine: str, precision, trials: int, seed: int, tolerance_ulps: float, inject_fault: bool,
+             operands: list) -> EquivalenceRow:
+    """The row of a check on its drawn `operands`, from the backends'
+    ``batch_apply``, measured where the two outputs differ."""
+    scalar, vector = get_backend("scalar"), get_backend("vector")
+    if routine_spec(routine).in_place:  # each backend writes its own copy of operand 0
         ref = scalar.batch_apply(routine, [operands[0].copy(), *operands[1:]])
         cand = vector.batch_apply(routine, [operands[0].copy(), *operands[1:]])
     else:
@@ -169,8 +216,6 @@ def check_routine(
         scale0 = dt.type(max(float(np.abs(ref[0]).max()), 1.0))
         cand.reshape(-1)[0] += dt.type(64) * np.spacing(scale0)
     worst_trial, worst_component = (0, (0,) * (ref.ndim - 1)) if trials else (-1, ())
-    if (_equal or _bind_equal())(cand, ref) is True:  # every error is 0
-        return EquivalenceRow(routine, precision, trials, seed, tolerance_ulps, 0.0, worst_trial, worst_component)
     # Equal components have error 0, so only differing ones are measured.
     differ = (cand != ref).reshape(-1).nonzero()[0]
     max_ulp = 0.0

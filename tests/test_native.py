@@ -419,7 +419,7 @@ def test_dispatchers_take_only_the_modules_entries():
 @needs_native
 def test_every_export_is_a_builtin_function_of_the_module():
     exports = {name: value for name, value in vars(MODULE).items() if not name.startswith("_")}
-    assert sorted(exports) == sorted(ENTRIES + ("dispatchers", "operands", "operands_fill", "equal"))
+    assert sorted(exports) == sorted(ENTRIES + ("dispatchers", "operands", "operands_fill", "check"))
     for name, value in exports.items():
         assert type(value) is type(len) and value.__module__ == "su3native" and value.__name__ == name
 
@@ -506,52 +506,138 @@ def test_operands_refuses_a_layout_it_cannot_cut():
         MODULE.operands(5)
 
 
-def _equal_pairs(dtype):
-    """(a, b) pairs of `dtype` that differ, or not, where a comparison can
-    go wrong: NaN in one or both, signed zeros, infinities, subnormals, and
-    one difference at the first, a middle and the last component, at lengths
-    that reach each of equal's loops: eight components a step, two a step,
-    and the last one alone."""
-    tiny = np.finfo(dtype).smallest_subnormal
-    for n in (0, 1, 2, 3, 5, 17):
-        a = np.linspace(-1, 1, n).astype(dtype)
-        yield a, a.copy()
-        for k in sorted({0, n // 2, n - 1} if n else set()):
-            for x, y in [(1.0, np.nextafter(dtype(1), dtype(2))), (np.nan, 0.5), (np.nan, np.nan), (-0.0, 0.0),
-                         (np.inf, np.inf), (np.inf, -np.inf), (-np.inf, 1.0), (tiny, tiny), (tiny, 2 * tiny), (tiny, 0.0)]:
-                p, q = a.copy(), a.copy()
-                p[k], q[k] = x, y
-                yield p, q
-                yield q, p
-    shaped = np.arange(24, dtype=dtype).reshape(2, 3, 4)
-    yield shaped, shaped.copy()
-    yield shaped, shaped + 1
+def _check_entries(first, second):
+    """The module's entries of two (backend, routine) pairs."""
+    return [getattr(MODULE, entry(kind, routine)) for kind, routine in (first, second)]
 
 
 @needs_native
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_check_passes_every_routine_at_every_length(precision):
+    # Both backends' loops agree bitwise, so check answers True for every
+    # routine: at 0 and 1 sites, one short of and one past a site-lane block
+    # (REGISTER_BYTES over the item size), and at check_routine's 128. It
+    # writes no operand, the in-place routine's included, and takes a tuple
+    # as it takes a list.
+    block = native.REGISTER_BYTES // types.dtype_for(precision).itemsize
+    for routine in ROUTINE_NAMES:
+        scalar, vector = _check_entries(("scalar", routine), ("vector", routine))
+        for n in (0, 1, block - 1, block + 1, 128):
+            operands = types.random_operands(routine, [9, n], precision, batch=n)
+            before = [x.tobytes() for x in operands]
+            assert MODULE.check(scalar, vector, operands) is True, (routine, n)
+            assert MODULE.check(scalar, vector, tuple(operands)) is True, (routine, n)
+            assert [x.tobytes() for x in operands] == before, (routine, n)
+
+
+def _check_cases(precision):
+    """(first, second, operands) cases of check, each entry a (backend,
+    routine) pair: one special value at every component of an elementwise
+    sum, at lengths that reach the 32-byte loop and each tail of the SSE2
+    one; two routines of one signature on all-signed-zero operands (equal
+    results whose zeros differ in sign) and on drawn ones; and every
+    routine's random and special-value sets."""
+    dt = types.dtype_for(precision)
+    tiny = np.finfo(dt).smallest_subnormal
+    rng = np.random.default_rng([44, dt.itemsize])
+    for n in (1, 2, 3, 5):
+        a, b = types.random_operands("add_su3_vector", [44, n], precision, batch=n)
+        for k in range(a.size):
+            for x, y in [(np.nan, 0.5), (np.inf, -np.inf), (np.inf, 1.0), (-0.0, 0.0), (tiny, tiny)]:
+                p, q = a.copy(), b.copy()
+                p.reshape(-1)[k], q.reshape(-1)[k] = x, y
+                yield ("scalar", "add_su3_vector"), ("vector", "add_su3_vector"), [p, q]
+    for pair in [("mult_su3_nn", "mult_su3_na"), ("mult_su3_an", "mult_su3_nn"), ("mult_su3_mat_vec", "mult_adj_su3_mat_vec")]:
+        for n in (0, 1, 4, 7, 9, 17):
+            drawn = types.random_operands(pair[0], [45, n], precision, batch=n)
+            zeros = [np.where(rng.random(x.shape) < 0.5, -0.0, 0.0).astype(dt) for x in drawn]
+            for kind in BACKEND_NAMES:
+                yield (kind, pair[0]), (kind, pair[1]), zeros
+                yield (kind, pair[0]), (kind, pair[1]), drawn
+    for routine in ROUTINE_NAMES:
+        for n in (1, 9):
+            for operands in _operand_sets(routine, precision, n):
+                yield ("scalar", routine), ("vector", routine), operands
+
+
+@needs_native
+@pytest.mark.parametrize("precision", ["double", "single"])
 @np.errstate(over="ignore", invalid="ignore")
-def test_equal_answers_as_numpys_not_equal_does(dtype):
-    for a, b in _equal_pairs(dtype):
-        assert MODULE.equal(a, b) is (not (a != b).any()), (a, b)
+def test_check_answers_as_numpys_not_equal_does(precision):
+    # check's answer is numpy's not (first != second).any() over the two
+    # results: a NaN equals nothing, -0.0 equals +0.0. The cases reach a
+    # True answer over equal bits and over differing signed zeros, and a
+    # False one.
+    answers = Counter()
+    for first, second, operands in _check_cases(precision):
+        results = [get_backend(kind).batch_apply(routine, [operands[0].copy(), *operands[1:]]) for kind, routine in (first, second)]
+        want = not (results[0] != results[1]).any()
+        assert MODULE.check(*_check_entries(first, second), operands) is want, (first, second, operands)
+        answers[want, results[0].tobytes() == results[1].tobytes()] += 1
+    assert answers[True, True] and answers[True, False] and answers[False, False], answers
 
 
 @needs_native
-def test_equal_declines_what_it_does_not_take():
-    # Anything but two exact, C-contiguous, native-order float64 or float32
-    # arrays of one dtype and shape is NotImplemented, so that check_routine
-    # compares through numpy.
+def test_check_declines_what_run_declines():
+    # Any call run does not take, from either entry, is NotImplemented, as
+    # are two routines whose results differ in shape; check_routine then
+    # takes its full path.
+    scalar, vector = _check_entries(("scalar", "mult_su3_nn"), ("vector", "mult_su3_nn"))
+    a, b = types.random_operands("mult_su3_nn", [6], "double", batch=4)
+
     class Subclass(np.ndarray):
         pass
 
-    a = np.zeros((4, 3, 2))
-    for x, y in [(a[:, ::2], a[:, ::2].copy()), (a, a.astype(np.float32)), (a, a.reshape(4, 6)), (a, a[:3]),
-                 (a, a.tolist()), (a.tolist(), a), (a.astype(np.float16), a.astype(np.float16)),
-                 (a.astype(">f8"), a.astype(">f8")), (a.view(Subclass), a), (a.astype(np.int64), a.astype(np.int64)),
-                 (a.T, a.T.copy())]:
-        assert MODULE.equal(x, y) is NotImplemented
+    for operands in [iter([a, b]), np.stack([a, b]), [a], [a, b, b], [a, tuple(b)], [a, b.tolist()], [a, b.astype(np.float32)],
+                     [a, b[:3]], [a[0], b[0]], [a[:, ::-1], b], [a.view(Subclass), b], [a.astype(np.float16), b.astype(np.float16)],
+                     [a.astype(">f8"), b.astype(">f8")]]:
+        assert MODULE.check(scalar, vector, operands) is NotImplemented, operands
+        assert MODULE.check(vector, scalar, operands) is NotImplemented, operands
+    ops = types.random_operands("sub_four_su3_vecs", [6], "double", batch=4)
+    for operands in [[ops[0].tolist(), *ops[1:]], [ops[0].astype(np.float16), *ops[1:]], ops[:4]]:
+        assert MODULE.check(*_check_entries(("scalar", "sub_four_su3_vecs"), ("vector", "sub_four_su3_vecs")), operands) is NotImplemented
+    x, y = types.random_operands("add_su3_vector", [6], "double", batch=4)
+    assert MODULE.check(*_check_entries(("scalar", "add_su3_vector"), ("scalar", "su3_projector")), [x, y]) is NotImplemented
+
+
+@needs_native
+def test_check_takes_only_this_modules_entries():
+    # Each of its first two arguments must be an entry of this module, as
+    # dispatchers requires: anything else is a TypeError, a dispatcher of
+    # the module and an entry's capsule among them.
+    scalar, vector = _check_entries(("scalar", "mult_su3_nn"), ("vector", "mult_su3_nn"))
+    a, b = types.random_operands("mult_su3_nn", [6], "double", batch=4)
+    for bad in (len, scalar.__self__, get_backend("vector").batch_apply, MODULE.check, "scalar_mult_su3_nn", None):
+        for entries in ((bad, vector), (scalar, bad)):
+            with pytest.raises(TypeError, match="is not an entry of this module"):
+                MODULE.check(*entries, [a, b])
     with pytest.raises(TypeError):
-        MODULE.equal(a)
+        MODULE.check(scalar, vector)
+
+
+@needs_native
+def test_check_keeps_the_callers_operands_and_frees_its_results():
+    # The in-place routine runs on a copy of operand 0 for each backend, so
+    # the caller's operand 0, read-only or not, is left as it was; no call
+    # keeps a reference to an operand or leaves a result or a copy behind.
+    scalar, vector = _check_entries(("scalar", "sub_four_su3_vecs"), ("vector", "sub_four_su3_vecs"))
+    operands = types.random_operands("sub_four_su3_vecs", [3], "double", batch=64)
+    snapshot = operands[0].copy()
+    refs = [sys.getrefcount(x) for x in operands]
+    tracemalloc.start()
+    try:
+        assert MODULE.check(scalar, vector, operands) is True
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(50):
+            assert MODULE.check(scalar, vector, operands) is True
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < snapshot.nbytes
+    assert operands[0].tobytes() == snapshot.tobytes()
+    assert [sys.getrefcount(x) for x in operands] == refs
+    operands[0].flags.writeable = False
+    assert MODULE.check(scalar, vector, operands) is True
 
 
 def test_emitted_source_compiles_without_warnings(tmp_path):
@@ -572,14 +658,16 @@ def test_emitted_source_compiles_without_warnings(tmp_path):
 @needs_native
 def test_without_the_wide_fill_operands_draws_the_same_bits(tmp_path):
     # The module as a compiler for another host sees it, its x86-64 blocks
-    # (the site-lane loops, the wide fill and the init's tests of the CPU)
-    # left out, under -Wall -Wextra -Werror: operands runs the two chains
-    # alone, to numpy's bits at every length the wide fill hands over at.
+    # (the site-lane loops, the wide fill, check's AVX2 compare and the
+    # init's tests of the CPU) left out, under -Wall -Wextra -Werror:
+    # operands runs the two chains alone, to numpy's bits at every length
+    # the wide fill hands over at, and check compares with the SSE2 loop
+    # alone, to the answers of the module as built here.
     source = tmp_path / "su3native.c"
     with source.open("w") as f:
         native._emit(f.write, native._entries())
     text = source.read_text()
-    assert text.count("#if defined(__x86_64__)") == 4
+    assert text.count("#if defined(__x86_64__)") == 6
     source.write_text(text.replace("#if defined(__x86_64__)", "#if 0"))
     built = tmp_path / f"su3native{sysconfig.get_config_var('EXT_SUFFIX')}"
     include = sysconfig.get_paths()["include"]
@@ -604,6 +692,10 @@ def test_without_the_wide_fill_operands_draws_the_same_bits(tmp_path):
             got, want = ([op.copy() for op in ops] + [out.copy() for out in outs] for _ in range(2))
             name = entry("vector", routine)
             assert getattr(portable, name)(*got).tobytes() == getattr(MODULE, name)(*want).tobytes(), (routine, precision)
+    for precision in types.PRECISIONS:
+        for first, second, operands in _check_cases(precision):
+            entries = [getattr(portable, entry(kind, routine)) for kind, routine in (first, second)]
+            assert portable.check(*entries, operands) is MODULE.check(*_check_entries(first, second), operands), (first, second)
 
 
 @cache
@@ -692,20 +784,22 @@ def test_the_wide_fill_is_avx512_code():
 @needs_native
 def test_code_after_the_dispatchers_sits_after_text(tmp_path):
     # Every function the source defines after the dispatchers (the seeded
-    # draw, the operand views, equal and the module's init) goes to the
-    # section .text.after, and the site loops and dispatchers stay in .text:
-    # gcc orders the functions of .text by its call graph, not by the
-    # source, so the later code would otherwise move the earlier. In the
-    # module the linker places the section after .text.
+    # draw, the operand views, check and its compare loops, and the module's
+    # init) goes to the section .text.after, and the site loops and
+    # dispatchers stay in .text: gcc orders the functions of .text by its
+    # call graph, not by the source, so the later code would otherwise move
+    # the earlier. In the module the linker places the section after .text.
     objdump = shutil.which("objdump")
     if objdump is None:
         pytest.skip("objdump not found")
     source = _source()
     head, tail = source.split("\n#define AFTER_TEXT ", 1)
-    after = set(re.findall(r"^\S[^\n;]*?\b(\w+)\([^;{]*\)\n\{", tail, re.M))
+    definition = r"^[^\s#][^\n;]*?\b(\w+)\([^;{]*\)\n\{"  # a function's head, not a preprocessor line's parentheses
+    after = set(re.findall(definition, tail, re.M))
     after |= {f"equal_{code}" for code in re.findall(r"^EQUAL\((\w)\)$", tail, re.M)}
-    before = set(re.findall(r"^\S[^\n;]*?\b(\w+)\([^;{]*\)\n\{", head, re.M))
-    assert {"equal_d", "equal_f"} <= after and {"scalar_mult_su3_nn_d", "vector_mult_su3_nn_f"} <= before
+    before = set(re.findall(definition, head, re.M))
+    assert {"equal_d", "equal_f", "equal_avx2_d", "equal_avx2_f", "same", "check"} <= after
+    assert {"scalar_mult_su3_nn_d", "vector_mult_su3_nn_f"} <= before
     obj = tmp_path / "su3native.o"
     (tmp_path / "su3native.c").write_text(source)
     include = sysconfig.get_paths()["include"]
@@ -720,7 +814,7 @@ def test_code_after_the_dispatchers_sits_after_text(tmp_path):
 
     sections = functions(obj)
     after, before = after & sections.keys(), before & sections.keys()  # those gcc did not inline
-    assert {"fill_wide", "operands", "equal", "PyInit_su3native"} <= after
+    assert {"fill_wide", "operands", "check", "PyInit_su3native"} <= after
     assert {"run", "entry", "dispatch", "dispatchers"} <= before
     assert {name: sections[name][0] for name in after} == dict.fromkeys(after, ".text.after")
     assert {name: sections[name][0] for name in before} == dict.fromkeys(before, ".text")
@@ -896,8 +990,8 @@ def test_prune_removes_only_other_keys(tmp_path, monkeypatch):
 def test_import_and_flop_table_import_no_native():
     # Set-up time includes importing the package and counting operations;
     # neither may import the emitter, let alone start a compiler, or bind a
-    # dispatcher.
-    code = ("import sys, su3bench; su3bench.flop_table(); print('su3bench.native' in sys.modules, "
+    # dispatcher. verify binds the module on its first check, not on import.
+    code = ("import sys, su3bench, su3bench.verify; su3bench.flop_table(); print('su3bench.native' in sys.modules, "
             "any(vars(b).keys() & {'apply', 'batch_apply'} for b in su3bench.backends._BACKENDS.values()), "
             "su3bench.capability()['native'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
@@ -911,7 +1005,7 @@ def _digests_without(tmp_path, setting: str, value: str) -> str:
     (-W error), and return what it printed last: native.load() and the
     capability report's native entry. Nothing may be built. Its check_all
     rows, with and without inject_fault, are this process's, where the
-    native module's equality pass ends each passing check."""
+    native module's check ends each passing check."""
     code = (
         "import sys, pathlib; sys.path[:0] = sys.argv[1:3]\n"
         "from su3bench import capability, check_all, native\n"

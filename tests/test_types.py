@@ -251,6 +251,22 @@ def test_random_operands_takes_a_numpy_integer_batch():
     assert [x.shape for x in got] == [(3, 3, 3, 2)] * 2
 
 
+def test_a_kept_layout_refuses_what_the_typed_cache_refuses():
+    # random_operands looks up an exact str, str and int or None layout in a
+    # plain dict before the typed cache. A bool and a float equal and hash as
+    # their int, so neither finds batch=1's layout; a numpy integer draws its
+    # int's bits, and an unhashable precision is refused as the derivation
+    # refuses it.
+    want = types.random_operands("mult_su3_nn", [5, 2], "double", 1)
+    assert ("mult_su3_nn", "double", 1) in types._layouts
+    for batch in (True, 1.0):
+        with pytest.raises(ValueError, match="batch must be None or a non-negative integer"):
+            types.random_operands("mult_su3_nn", [5, 2], "double", batch)
+    assert _views(types.random_operands("mult_su3_nn", [5, 2], "double", np.int64(1))) == _views(want)
+    with pytest.raises(ValueError, match="unsupported dtype"):
+        types.random_operands("mult_su3_nn", [5, 2], [], 1)
+
+
 def test_random_operands_deterministic(precision):
     a = types.random_operands("mult_su3_nn", np.random.default_rng(7), precision)
     b = types.random_operands("mult_su3_nn", np.random.default_rng(7), precision)

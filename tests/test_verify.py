@@ -152,17 +152,18 @@ def _crafted_pairs(precision, trials=9):
     ]
 
 
-@pytest.mark.parametrize("compare", ["equal", "numpy"])
+@pytest.mark.parametrize("compare", ["check", "numpy"])
 @pytest.mark.parametrize("inject_fault", [False, True])
 @pytest.mark.parametrize("precision", ["double", "single"])
 @np.errstate(invalid="ignore", over="ignore")
 def test_row_equals_the_full_array_computation(precision, inject_fault, compare, monkeypatch):
-    # Both paths: the native module's equality pass as built, which ends a
-    # check with no difference, and the differ path alone, as where the
-    # module is unavailable.
-    if compare == "numpy":
-        monkeypatch.setattr(verify, "_equal", lambda candidate, reference: NotImplemented)
+    # Both paths: the passing path, where the native check answers True for
+    # a pair with no difference (its answer on each crafted pair is numpy's,
+    # as the module's tests hold it), and the differ path alone, as where
+    # the module is unavailable.
     for name, cand, ref, trials in _crafted_pairs(precision):
+        answer = (not (cand != ref).any()) if compare == "check" else NotImplemented
+        monkeypatch.setattr(verify, "_check", lambda scalar, vector, operands, answer=answer: answer)
         for kind, result in (("scalar", ref), ("vector", cand)):
             monkeypatch.setattr(get_backend(kind), "batch_apply", lambda routine, operands, result=result: result)
         row = verify.check_routine("mult_su3_nn", precision, trials=trials, inject_fault=inject_fault)
@@ -218,7 +219,7 @@ def test_a_passing_rows_worst_index_is_component_0(routine, precision):
 def test_the_equality_pass_and_the_differ_path_give_the_same_rows(inject_fault, monkeypatch):
     # Every case's row, whichever path answers it.
     rows = verify.check_all(trials=64, seed=5, inject_fault=inject_fault).rows
-    monkeypatch.setattr(verify, "_equal", lambda candidate, reference: NotImplemented)
+    monkeypatch.setattr(verify, "_check", lambda scalar, vector, operands: NotImplemented)
     assert verify.check_all(trials=64, seed=5, inject_fault=inject_fault).rows == rows
     assert all(row.passed is not inject_fault for row in rows)
 
@@ -237,3 +238,46 @@ def test_a_case_beyond_physical_memory_is_refused_before_drawing(monkeypatch):
     monkeypatch.setattr(verify, "check_routine", must_not_run)
     with pytest.raises(ValueError, match="physical memory"):
         verify.check_all(routines=["mult_su3_mat_vec", "mult_su3_nn"], trials=101)
+
+
+def test_a_warm_case_beyond_physical_memory_is_refused_before_drawing(monkeypatch):
+    # The passing path reads the host's memory on every call, so a limit
+    # that falls after the case's record is derived still refuses the case
+    # before anything is drawn or run.
+    def must_not_run(*args, **kw):
+        raise AssertionError("drew or checked a case that does not fit")
+
+    assert verify.check_routine("mult_su3_nn", trials=4).passed
+    monkeypatch.setattr(types, "physical_memory_bytes", lambda: 72 * 8 * 100)
+    assert verify.check_routine("mult_su3_nn", trials=100).passed
+    monkeypatch.setattr(verify, "random_operands", must_not_run)
+    monkeypatch.setattr(verify, "_check", must_not_run)
+    with pytest.raises(ValueError, match="physical memory"):
+        verify.check_routine("mult_su3_nn", trials=101)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": True}, "trials must be a non-negative integer, got True"),
+    ({"trials": -1}, "trials must be a non-negative integer, got -1"),
+    ({"trials": 2.0}, "trials must be a non-negative integer, got 2.0"),
+    ({"seed": False}, "seed must be a non-negative integer, got False"),
+    ({"seed": -3}, "seed must be a non-negative integer, got -3"),
+    ({"seed": 7.0}, "seed must be a non-negative integer, got 7.0"),
+    ({"tolerance_ulps": True}, "tolerance_ulps must be finite and >= 0, got True"),
+    ({"tolerance_ulps": -1.0}, "tolerance_ulps must be finite and >= 0, got -1.0"),
+], ids=repr)
+def test_a_warm_case_refuses_bad_arguments_with_the_same_messages(kwargs, message):
+    # Once a case's record is derived, an argument the exact-type test does
+    # not take still meets the full path's checks and their words.
+    assert verify.check_routine("mult_su3_mat_vec", "single", trials=4).passed
+    with pytest.raises(ValueError) as refused:
+        verify.check_routine("mult_su3_mat_vec", "single", **{"trials": 4, **kwargs})
+    assert str(refused.value) == message
+
+
+def test_a_warm_case_takes_numpy_arguments_on_the_full_path():
+    # numpy integers and floats are not the exact types the passing path
+    # takes; the full path gives their row.
+    row = verify.check_routine("mult_su3_an", "double", trials=5, seed=3, tolerance_ulps=1.0)
+    assert verify.check_routine("mult_su3_an", np.dtype(np.float64), trials=np.int64(5), seed=np.int64(3),
+                                tolerance_ulps=np.float64(1.0)) == dataclasses.replace(row, precision=np.dtype(np.float64))
