@@ -47,15 +47,16 @@ call.
 Before anything is drawn, ``check_routine`` and ``check_all`` refuse
 (``ValueError``) a case whose operands and two results would need more
 bytes than the host's physical memory, the rule ``bench`` applies to its
-runs, with the host's memory read on every call: each array alone could pass the kernel's overcommit check while all
-of them together do not fit, and the process would be killed partway
-through the draw.
+runs, with the host's memory read on every call: each array alone could
+pass the kernel's overcommit check while all of them together do not fit,
+and the process would be killed partway through the draw.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import types

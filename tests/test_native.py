@@ -590,7 +590,7 @@ def test_check_declines_what_run_declines():
 
     for operands in [iter([a, b]), np.stack([a, b]), [a], [a, b, b], [a, tuple(b)], [a, b.tolist()], [a, b.astype(np.float32)],
                      [a, b[:3]], [a[0], b[0]], [a[:, ::-1], b], [a.view(Subclass), b], [a.astype(np.float16), b.astype(np.float16)],
-                     [a.astype(">f8"), b.astype(">f8")]]:
+                     [a.astype(">f8"), b.astype(">f8")], [a.astype(np.int64), b.astype(np.int64)]]:
         assert MODULE.check(scalar, vector, operands) is NotImplemented, operands
         assert MODULE.check(vector, scalar, operands) is NotImplemented, operands
     ops = types.random_operands("sub_four_su3_vecs", [6], "double", batch=4)
