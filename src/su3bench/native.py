@@ -149,12 +149,9 @@ or False, as numpy's ``not (a != b).any()`` answers over the two results (a
 NaN equals nothing, itself included; ``-0.0`` equals ``+0.0``), and frees
 them. Where ``run`` declines either call, or the two results differ in
 shape, it returns ``NotImplemented`` and ``check_routine`` takes its full
-path. The compare runs 32 bytes a step, one ``_CMP_NEQ_UQ`` compare of an
-AVX2 register or'ed into a mask, under ``target("avx2")`` where the init
-found AVX2; the rest of the components, and all of them on any other host,
-go through the packed loops' two-lane vectors (``v2d``, ``v2f``), eight
-components a step into four independent masks, as gcc vectorises no plain
-loop here.
+path. The compare runs on the packed loops' two-lane vectors (``v2d``,
+``v2f``), eight components a step into four independent masks, as gcc
+vectorises no plain loop here.
 
 The draw, the views, ``check`` and the module's init are emitted after the
 site loops and dispatchers, whose emitted source they leave as it is, and
@@ -163,9 +160,9 @@ on ELF hosts every function among them goes to a text section of its own
 to them moves no site loop or dispatcher in the binary: gcc orders the
 functions of ``.text`` by its call graph, not by the source. Their size
 still counts in gcc's ``inline-unit-growth`` limit for the whole unit,
-which decides how many of the single site-lane loops' ``ld8_f`` calls are
-inlined; a change to them can change those loops' code, and with it the
-addresses of the site-lane loops after them.
+which decides which calls of a small function gcc inlines; so the
+site-lane loops' transposes are ``always_inline``, and no loop's code
+depends on it.
 
 gcc builds the module with ``-ffp-contract=off`` (no fused multiply-add,
 which would round once where the trace rounds twice, in the site loops, the
@@ -380,6 +377,10 @@ _LANES = r"""
 #include <immintrin.h>
 
 #define AVX2 __attribute__((target("avx2")))
+/* The transposes below, inlined at every call: left to gcc, whether a call
+   is inlined depends on the size of the whole unit (its inline-unit-growth
+   limit), so code anywhere in the module could change the loops' code. */
+#define TRANSPOSE __attribute__((always_inline)) AVX2
 
 /* A site-lane loop's registers: one site a lane, 4 doubles or 8 floats. */
 typedef double v4d __attribute__((vector_size(32)));
@@ -388,7 +389,7 @@ typedef float v8f __attribute__((vector_size(32)));
 /* Components k and k + 1 of the 4 sites s bytes apart from p, site j in
    lane j of each: sites 0 and 2, and 1 and 3, as 128-bit rows into the
    halves of one register each, then their low and their high components. */
-static inline AVX2 void ld4_d(const char *p, Py_ssize_t s, Py_ssize_t k, v4d *x, v4d *y)
+static inline TRANSPOSE void ld4_d(const char *p, Py_ssize_t s, Py_ssize_t k, v4d *x, v4d *y)
 {
     const __m256d r02 = _mm256_loadu2_m128d((const double *)(p + 2 * s) + k, (const double *)p + k);
     const __m256d r13 = _mm256_loadu2_m128d((const double *)(p + 3 * s) + k, (const double *)(p + s) + k);
@@ -397,7 +398,7 @@ static inline AVX2 void ld4_d(const char *p, Py_ssize_t s, Py_ssize_t k, v4d *x,
 }
 
 /* ld4_d's inverse: x and y into components k and k + 1 of the 4 sites. */
-static inline AVX2 void st4_d(char *p, Py_ssize_t s, Py_ssize_t k, v4d x, v4d y)
+static inline TRANSPOSE void st4_d(char *p, Py_ssize_t s, Py_ssize_t k, v4d x, v4d y)
 {
     _mm256_storeu2_m128d((double *)(p + 2 * s) + k, (double *)p + k, _mm256_unpacklo_pd(x, y));
     _mm256_storeu2_m128d((double *)(p + 3 * s) + k, (double *)(p + s) + k, _mm256_unpackhi_pd(x, y));
@@ -406,7 +407,7 @@ static inline AVX2 void st4_d(char *p, Py_ssize_t s, Py_ssize_t k, v4d x, v4d y)
 /* Components k to k + 3 of the 8 sites s bytes apart from p, site j in lane
    j of each: sites j and j + 4 as 128-bit rows into the halves of one
    register, and a 4 x 4 transpose in each half. */
-static inline AVX2 void ld8_f(const char *p, Py_ssize_t s, Py_ssize_t k, v8f *w, v8f *x, v8f *y, v8f *z)
+static inline TRANSPOSE void ld8_f(const char *p, Py_ssize_t s, Py_ssize_t k, v8f *w, v8f *x, v8f *y, v8f *z)
 {
     const __m256 r04 = _mm256_loadu2_m128((const float *)(p + 4 * s) + k, (const float *)p + k);
     const __m256 r15 = _mm256_loadu2_m128((const float *)(p + 5 * s) + k, (const float *)(p + s) + k);
@@ -421,7 +422,7 @@ static inline AVX2 void ld8_f(const char *p, Py_ssize_t s, Py_ssize_t k, v8f *w,
 }
 
 /* ld8_f's inverse: w, x, y and z into components k to k + 3 of the 8 sites. */
-static inline AVX2 void st8_f(char *p, Py_ssize_t s, Py_ssize_t k, v8f w, v8f x, v8f y, v8f z)
+static inline TRANSPOSE void st8_f(char *p, Py_ssize_t s, Py_ssize_t k, v8f w, v8f x, v8f y, v8f z)
 {
     const __m256 lo01 = _mm256_unpacklo_ps(w, x), hi01 = _mm256_unpackhi_ps(w, x);
     const __m256 lo23 = _mm256_unpacklo_ps(y, z), hi23 = _mm256_unpackhi_ps(y, z);
@@ -950,58 +951,14 @@ AFTER_TEXT static PyObject *operands_fill(PyObject *Py_UNUSED(module), PyObject 
 EQUAL(d)
 EQUAL(f)
 
-#if defined(__x86_64__)
-/* equal_d's and equal_f's question for n components, n a multiple of a
-   register's lanes, 32 bytes a step under AVX2: one compare a step whose
-   lanes are all ones where a pair is unordered or unequal (_CMP_NEQ_UQ: a
-   NaN equals nothing, -0.0 equals +0.0), or'ed into one mask. */
-AFTER_TEXT static AVX2 int equal_avx2_d(const char *p, const char *q, Py_ssize_t n)
-{
-    __m256d ne = _mm256_setzero_pd();
-    Py_ssize_t i;
-    for (i = 0; i < n; i += 4)
-        ne = _mm256_or_pd(ne, _mm256_cmp_pd(_mm256_loadu_pd((const double *)p + i), _mm256_loadu_pd((const double *)q + i), _CMP_NEQ_UQ));
-    return _mm256_testz_pd(ne, ne);
-}
-
-AFTER_TEXT static AVX2 int equal_avx2_f(const char *p, const char *q, Py_ssize_t n)
-{
-    __m256 ne = _mm256_setzero_ps();
-    Py_ssize_t i;
-    for (i = 0; i < n; i += 8)
-        ne = _mm256_or_ps(ne, _mm256_cmp_ps(_mm256_loadu_ps((const float *)p + i), _mm256_loadu_ps((const float *)q + i), _CMP_NEQ_UQ));
-    return _mm256_testz_ps(ne, ne);
-}
-#endif
-
-/* Whether a and b, fresh results of one dtype, float64 or float32, and one
-   size, are equal componentwise, as numpy's not (a != b).any() answers:
-   where the init set avx2, whole registers of components through the AVX2
-   loop, then the rest through the SSE2 one. */
-AFTER_TEXT static int same(PyArrayObject *a, PyArrayObject *b)
-{
-    const char *p = PyArray_BYTES(a), *q = PyArray_BYTES(b);
-    const int single = PyArray_TYPE(a) == NPY_FLOAT;
-    const Py_ssize_t n = PyArray_SIZE(a), size = single ? sizeof(float) : sizeof(double);
-    Py_ssize_t i = 0;
-#if defined(__x86_64__)
-    if (avx2) {
-        i = n - n % (REGISTER / size);
-        if (!(single ? equal_avx2_f : equal_avx2_d)(p, q, i))
-            return 0;
-    }
-#endif
-    return (single ? equal_f : equal_d)(p + i * size, q + i * size, n - i);
-}
-
 /* check(scalar_entry, vector_entry, operands): verify.check_routine's
    passing path. Runs each entry's kernel through run on `operands`, a list
    or tuple, at batch rank 1 into a fresh result (the in-place routine on a
    copy of operand 0 of its own, so the caller's is left as it was), then
-   answers whether the two results are equal componentwise (same) and frees
-   them: True or False. NotImplemented where run declines either call, or
-   the two results differ in shape. TypeError for an entry that is not one
-   of this module's. */
+   answers whether the two results are equal componentwise (equal_d or
+   equal_f) and frees them: True or False. NotImplemented where run
+   declines either call, or the two results differ in shape. TypeError for
+   an entry that is not one of this module's. */
 AFTER_TEXT static PyObject *check(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     const struct kernel *k[2];
@@ -1042,7 +999,7 @@ AFTER_TEXT static PyObject *check(PyObject *Py_UNUSED(module), PyObject *const *
     a = (PyArrayObject *)results[0];
     b = (PyArrayObject *)results[1];
     if (PyArray_NDIM(a) == PyArray_NDIM(b) && !memcmp(PyArray_DIMS(a), PyArray_DIMS(b), PyArray_NDIM(a) * sizeof(npy_intp)))
-        answer = same(a, b) ? Py_True : Py_False;
+        answer = (PyArray_TYPE(a) == NPY_DOUBLE ? equal_d : equal_f)(PyArray_BYTES(a), PyArray_BYTES(b), PyArray_SIZE(a)) ? Py_True : Py_False;
 done:
     Py_XDECREF(results[0]);
     Py_XDECREF(results[1]);

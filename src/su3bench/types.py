@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -141,7 +141,13 @@ def check_fits(routine: str, precision: str | np.dtype, objects: int, results: i
     in-place routine's snapshot counts as one) need more bytes than the
     host's physical memory, before anything is allocated: the arrays would
     fit one at a time and the process be killed partway through."""
-    need = objects * _object_bytes(routine, precision, results)
+    check_bytes(routine, objects * _object_bytes(routine, precision, results))
+
+
+def check_bytes(routine: str, need: int) -> None:
+    """``check_fits``' rule for a run of `routine` whose arrays need `need`
+    bytes: ValueError where they are more than the host's physical memory,
+    read on every call."""
     limit = physical_memory_bytes()
     if limit is not None and need > limit:
         raise ValueError(f"{routine} needs {need} bytes of operand and result arrays, more than the {limit} bytes of physical memory")
@@ -217,18 +223,15 @@ def random_operands(
     array whose views it cuts in C from the case's cached layout. Any other
     seed, or a host without the module, takes ``default_rng``, so its
     errors are numpy's. A layout of an exact str routine and precision and
-    an exact int or None batch is looked up in a plain dict first, the typed
-    ``_cuts`` cache after it.
+    an exact int or None batch is kept in ``_layouts``; any other is derived
+    on each call, as a bool or a float batch equals and hashes as its int.
     """
-    exact = batch is None or type(batch) is int  # a bool or a float batch equals and hashes as its int
-    try:
-        layout = _layouts.get((routine, precision, batch)) if exact else None
-        if layout is None:
-            layout = _cuts(routine, precision, batch)
-            if exact and type(routine) is str and type(precision) is str and len(_layouts) < _LAYOUTS_KEPT:
-                _layouts[routine, precision, batch] = layout
-    except TypeError:  # an unhashable argument: refused as the uncached derivation refuses it
-        layout = _cuts.__wrapped__(routine, precision, batch)
+    exact = type(routine) is str and type(precision) is str and (batch is None or type(batch) is int)
+    layout = _layouts.get((routine, precision, batch)) if exact else None
+    if layout is None:
+        layout = _cuts(routine, precision, batch)
+        if exact and len(_layouts) < _LAYOUTS_KEPT:
+            _layouts[routine, precision, batch] = layout
     if type(rng) in (int, list, tuple):  # only these forms can reach the module, so no other loads (or builds) it
         operands = _operands if _operands is not None else _bind_operands()
         if operands:
@@ -243,19 +246,17 @@ def random_operands(
     return [u[start:end].reshape(shape) for start, end, shape in cuts]
 
 
-_LAYOUTS_KEPT = 256  # the most layouts each of the two caches keeps
+_LAYOUTS_KEPT = 256  # the most layouts _layouts keeps
 _layouts: dict = {}  # (routine, precision, batch) -> _cuts' layout, for an exact str, str and int or None
 
 
-@lru_cache(maxsize=_LAYOUTS_KEPT, typed=True)
 def _cuts(routine: str, precision: str | np.dtype, batch: int | None) -> tuple:
     """(dtype, components, cuts) of one draw of `routine`'s operands in
-    `precision` at `batch`, derived once per case: each operand is
+    `precision` at `batch`, kept per case in ``_layouts``: each operand is
     components ``start`` to ``end`` of the draw, shaped ``shape``, one
     ``(start, end, shape)`` an operand in operand order. Every number is a
     plain int, a numpy integer batch's too, as the native ``operands``
-    reads it. Typed, so that a bool or a float batch is refused rather than
-    found under its int."""
+    reads it."""
     spec = routine_spec(routine)
     dt = dtype_for(precision)
     if batch is not None and not is_natural(batch):

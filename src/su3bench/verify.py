@@ -20,29 +20,30 @@ seed key, ``[seed, routine index, itemsize]``: ``random_operands`` draws the
 bits ``np.random.default_rng(key)`` would, in the native module's one pass
 where it is built (see ``native``), so no Generator is made per check.
 
-A passing check is one native call (see ``native``). Once its arguments
-pass an exact-type test, ``check_routine`` reads the case's record, derived
-once per routine and precision: the seed key's index and itemsize, the two
-backends' native entries, the bytes of one operand set and both results,
-and a passing row's component index. It applies the memory rule below,
-draws the operands, and asks the module's ``check`` to run both backends'
-loops on them and compare the two outputs componentwise, the question
-numpy's ``not (cand != ref).any()`` answers: a NaN equals nothing, ``-0.0``
-equals ``+0.0``. Where the answer is True, every error is 0, so the row is
+A passing check is one native call (see ``native``). After the argument
+checks, ``check_routine`` reads the case's record, derived once per routine
+and precision: the seed key's index and itemsize, the bytes of one operand
+set and both results, a passing row's component index and the two
+backends' native entries. It applies the memory rule below, draws the
+operands, and asks the module's ``check`` to run both backends' loops on
+them and compare the two outputs componentwise, the question numpy's
+``not (cand != ref).any()`` answers: a NaN equals nothing, ``-0.0`` equals
+``+0.0``. Where the answer is True, every error is 0, so the row is
 ``max_ulp`` 0 at component 0, as the metric over every component gives it.
+A passing check so calls neither backend's ``batch_apply``; perfbench's
+traced replay of it (``replay_check``) still times the draw, both
+``batch_apply`` calls and ``ulp_error``, a path it no longer takes.
 
-Every other call takes the full path: ``inject_fault``, an answer of False
-or ``NotImplemented`` (on the operands already drawn), an argument the
-exact-type test or the record does not take, and a host without the
-module. It runs the backends' ``batch_apply`` and measures only the
-components where the two outputs differ: an equal component has error 0 by
-definition, so floors are computed for the trials holding a difference and
-``ulp_error`` runs on the differing components alone. The row it reports is
-the one the metric gives over every component: the largest error (NaN
-counting as largest) at its first occurrence in memory order, or 0 at
-component 0 when every error is 0; only a nonzero error is located with
-``np.unravel_index``. So both paths give one row and one message for one
-call.
+Every other call takes the full path on the operands already drawn:
+``inject_fault``, an answer of False or ``NotImplemented``, and a host
+without the module. It runs the backends' ``batch_apply`` and measures only
+the components where the two outputs differ: an equal component has error
+0 by definition, so floors are computed for the trials holding a difference
+and ``ulp_error`` runs on the differing components alone. The row it
+reports is the one the metric gives over every component: the largest
+error (NaN counting as largest) at its first occurrence in memory order, or
+0 at component 0 when every error is 0; only a nonzero error is located
+with ``np.unravel_index``. So both paths give one row for one call.
 
 Before anything is drawn, ``check_routine`` and ``check_all`` refuse
 (``ValueError``) a case whose operands and two results would need more
@@ -56,13 +57,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from . import types
 from .backends import get_backend
 from .trace import entry
-from .types import OPERAND_SHAPES, PRECISIONS, ROUTINE_NAMES, ROUTINES, _object_bytes, check_fits, dtype_for, is_natural, \
+from .types import OPERAND_SHAPES, ROUTINE_NAMES, _object_bytes, check_bytes, check_fits, dtype_for, is_natural, \
     random_operands, routine_spec
 
 DEFAULT_TOLERANCE_ULPS = 2.0
@@ -132,28 +133,24 @@ def _check_sweep(trials: int, seed: int, tolerance_ulps: float) -> None:
         raise ValueError(f"tolerance_ulps must be finite and >= 0, got {tolerance_ulps!r}")
 
 
-_cases: dict = {}  # (routine, precision) -> the case's record (see _case)
 _check = None  # the native module's check; bound on the first passing-path check
 
 
-def _case(routine, precision):
-    """The record of a check of `routine` in `precision` that a passing check
-    reads, derived once and kept in ``_cases``: (routine index, itemsize,
-    scalar entry, vector entry, bytes of one operand set and both results,
-    a passing row's component index). False, also kept, where the native
-    module is unavailable. None, kept nowhere, for a name that is not an
-    exact str of a routine or a precision: the full path refuses it, or
-    derives the case itself."""
-    if type(routine) is not str or type(precision) is not str or routine not in ROUTINES or precision not in PRECISIONS:
-        return None
-    from . import native  # not at import: importing the package builds nothing
+@cache
+def _case(routine: str, precision) -> tuple:
+    """(routine index, itemsize, bytes of one operand set and both results,
+    a passing row's component index, scalar entry, vector entry) of a check
+    of `routine` in `precision`, derived once per case. The entries are the
+    native module's, loaded here (not at import: importing the package
+    builds nothing), or None where it is unavailable. ValueError for an
+    unknown routine or precision, in ``check_fits``' words."""
+    set_bytes = _object_bytes(routine, precision, 2)
+    from . import native
     module = native.load()
-    record = False if module is None else (
-        ROUTINE_NAMES.index(routine), PRECISIONS[precision].itemsize,
-        getattr(module, entry("scalar", routine)), getattr(module, entry("vector", routine)),
-        _object_bytes(routine, precision, 2), (0,) * len(OPERAND_SHAPES[ROUTINES[routine].result]))
-    _cases[routine, precision] = record
-    return record
+    entries = (None, None) if module is None else \
+        (getattr(module, entry("scalar", routine)), getattr(module, entry("vector", routine)))
+    return (ROUTINE_NAMES.index(routine), dtype_for(precision).itemsize, set_bytes,
+            (0,) * len(OPERAND_SHAPES[routine_spec(routine).result]), *entries)
 
 
 def _bind_check():
@@ -174,34 +171,14 @@ def check_routine(
 ) -> EquivalenceRow:
     """Compare the vector backend against the scalar one on `trials` random
     operand sets of one routine."""
-    if type(trials) is int and type(seed) is int and type(tolerance_ulps) is float and inject_fault is False \
-            and trials >= 0 and seed >= 0 and 0.0 <= tolerance_ulps < math.inf:
-        try:
-            case = _cases[routine, precision]
-        except KeyError:
-            case = _case(routine, precision)
-        except TypeError:  # an unhashable name, which the full path refuses
-            case = None
-        if case:
-            index, itemsize, scalar, vector, set_bytes, component = case
-            limit = types.physical_memory_bytes()
-            if limit is None or trials * set_bytes <= limit:  # else the full path refuses the case
-                operands = random_operands(routine, [seed, index, itemsize], precision, batch=trials)
-                if (_check or _bind_check())(scalar, vector, operands) is True:  # every error is 0
-                    return EquivalenceRow(routine, precision, trials, seed, tolerance_ulps, 0.0,
-                                          0 if trials else -1, component if trials else ())
-                return _measure(routine, precision, trials, seed, tolerance_ulps, inject_fault, operands)
     _check_sweep(trials, seed, tolerance_ulps)
-    check_fits(routine, precision, trials, 2)  # its operands and both results; refuses an unknown routine or precision
-    key = [seed, ROUTINE_NAMES.index(routine), dtype_for(precision).itemsize]
-    return _measure(routine, precision, trials, seed, tolerance_ulps, inject_fault,
-                    random_operands(routine, key, precision, batch=trials))
-
-
-def _measure(routine: str, precision, trials: int, seed: int, tolerance_ulps: float, inject_fault: bool,
-             operands: list) -> EquivalenceRow:
-    """The row of a check on its drawn `operands`, from the backends'
-    ``batch_apply``, measured where the two outputs differ."""
+    index, itemsize, set_bytes, component, scalar_entry, vector_entry = _case(routine, precision)
+    check_bytes(routine, trials * set_bytes)  # its operands and both results, before anything is drawn
+    operands = random_operands(routine, [seed, index, itemsize], precision, batch=trials)
+    if not inject_fault and scalar_entry is not None \
+            and (_check or _bind_check())(scalar_entry, vector_entry, operands) is True:  # every error is 0
+        return EquivalenceRow(routine, precision, trials, seed, tolerance_ulps, 0.0,
+                              0 if trials else -1, component if trials else ())
     scalar, vector = get_backend("scalar"), get_backend("vector")
     if routine_spec(routine).in_place:  # each backend writes its own copy of operand 0
         ref = scalar.batch_apply(routine, [operands[0].copy(), *operands[1:]])

@@ -251,12 +251,11 @@ def test_random_operands_takes_a_numpy_integer_batch():
     assert [x.shape for x in got] == [(3, 3, 3, 2)] * 2
 
 
-def test_a_kept_layout_refuses_what_the_typed_cache_refuses():
-    # random_operands looks up an exact str, str and int or None layout in a
-    # plain dict before the typed cache. A bool and a float equal and hash as
-    # their int, so neither finds batch=1's layout; a numpy integer draws its
-    # int's bits, and an unhashable precision is refused as the derivation
-    # refuses it.
+def test_a_kept_layout_refuses_what_its_derivation_refuses():
+    # random_operands keeps an exact str, str and int or None layout in a
+    # plain dict. A bool and a float equal and hash as their int, so neither
+    # may find batch=1's layout; a numpy integer draws its int's bits, and an
+    # unhashable precision is refused as the derivation refuses it.
     want = types.random_operands("mult_su3_nn", [5, 2], "double", 1)
     assert ("mult_su3_nn", "double", 1) in types._layouts
     for batch in (True, 1.0):

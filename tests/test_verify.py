@@ -267,17 +267,17 @@ def test_a_warm_case_beyond_physical_memory_is_refused_before_drawing(monkeypatc
     ({"tolerance_ulps": -1.0}, "tolerance_ulps must be finite and >= 0, got -1.0"),
 ], ids=repr)
 def test_a_warm_case_refuses_bad_arguments_with_the_same_messages(kwargs, message):
-    # Once a case's record is derived, an argument the exact-type test does
-    # not take still meets the full path's checks and their words.
+    # Once a case's record is derived, a bad argument is still refused
+    # before the record is read, in the same words.
     assert verify.check_routine("mult_su3_mat_vec", "single", trials=4).passed
     with pytest.raises(ValueError) as refused:
         verify.check_routine("mult_su3_mat_vec", "single", **{"trials": 4, **kwargs})
     assert str(refused.value) == message
 
 
-def test_a_warm_case_takes_numpy_arguments_on_the_full_path():
-    # numpy integers and floats are not the exact types the passing path
-    # takes; the full path gives their row.
+def test_a_warm_case_gives_numpy_arguments_the_same_row():
+    # A numpy dtype, integers and float reach the same record and the same
+    # row as the plain names and numbers, with the precision as given.
     row = verify.check_routine("mult_su3_an", "double", trials=5, seed=3, tolerance_ulps=1.0)
     assert verify.check_routine("mult_su3_an", np.dtype(np.float64), trials=np.int64(5), seed=np.int64(3),
                                 tolerance_ulps=np.float64(1.0)) == dataclasses.replace(row, precision=np.dtype(np.float64))
