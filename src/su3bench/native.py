@@ -3,8 +3,7 @@ extension, and the checked entries that run them.
 
 Every trace becomes one C function per precision that runs it over n sites:
 each backend's ``routine_trace`` of each routine, the scalar bodies' and
-the vector backend's (the scalar traces paired, ``trace.paired``, with their
-steps in level order, ``trace.level_order``). A site
+the vector backend's (the scalar traces paired, ``trace.paired``). A site
 loads every component it reads, then performs the trace's steps in its
 order, in the operands' own precision (``double`` or ``float``; x86-64 C
 rounds a float operation to float), then stores every result component.
@@ -34,7 +33,7 @@ one site a lane (Grid's virtual nodes, Boyle et al., arXiv:1512.03487):
 those whose scalar trace has more steps than operand components it reads,
 the ten contractions and ``su3_projector``, decided from the trace; the four
 elementwise routines keep the recipe, which beats site-lane on them. Their
-site-lane loop runs the scalar trace in level order over blocks of L sites,
+site-lane loop runs the scalar trace itself over blocks of L sites,
 L = ``REGISTER_BYTES`` (32, an AVX2 register) over the item size, 4 doubles
 (``v4d``) or 8 floats (``v8f``): it loads each operand's components of the
 block's sites through in-register transposes of 128-bit rows (double: two
@@ -197,7 +196,7 @@ from pathlib import Path
 import numpy as np
 
 from .backends import _BACKENDS
-from .trace import entry, level_order
+from .trace import entry
 from .types import OPERAND_SHAPES, PRECISIONS, ROUTINES
 
 BUILD = Path(__file__).resolve().parents[2] / "build"
@@ -1101,7 +1100,7 @@ def lanes(routine: str, precision: str) -> int:
         raise ValueError(f"unknown precision {precision!r}; expected one of {sorted(PRECISIONS)}")
     if routine not in ROUTINES:
         raise ValueError(f"unknown routine {routine!r}")
-    if "AVX2" in cpu_features() and site_lane(_BACKENDS["scalar"].routine_trace(routine)):
+    if "AVX2" in cpu_features() and _site_lane_trace(routine) is not None:
         return REGISTER_BYTES // PRECISIONS[precision].itemsize
     return PACK["vector"]
 
@@ -1154,8 +1153,8 @@ def _entries() -> list[tuple]:
     """(entry name, trace, routine spec, lanes, site-lane trace) for every
     routine of every backend; a trace takes the routine's operands in the
     routine's order, and its loops run `lanes` of its steps as one
-    (``PACK``). The site-lane trace, the scalar trace in level order, is the
-    vector backend's where ``site_lane`` holds, else None."""
+    (``PACK``). The site-lane trace, the vector backend's where
+    ``site_lane`` holds (else None), is the scalar trace."""
     return [(entry(kind, routine), backend.routine_trace(routine), spec, PACK[kind],
              _site_lane_trace(routine) if kind == "vector" else None)
             for kind, backend in _BACKENDS.items() for routine, spec in ROUTINES.items()]
@@ -1165,7 +1164,7 @@ def _site_lane_trace(routine: str):
     """The trace the vector backend's site-lane loops of `routine` run, or
     None where ``site_lane`` does not hold."""
     trace = _BACKENDS["scalar"].routine_trace(routine)
-    return level_order(trace) if site_lane(trace) else None
+    return trace if site_lane(trace) else None
 
 
 def _key(entries) -> str:

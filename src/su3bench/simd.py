@@ -19,30 +19,30 @@ lane of a 256-bit register, 4 in double and 8 in single, each lane
 performing the scalar trace's own steps, with the recipe for the sites past
 the last block and for single-site ``apply``; ``native`` says how.
 
-Every kernel's trace is the scalar reference's, paired (``trace.paired``)
-and put in dependency order (``trace.level_order``), so this module writes
-no arithmetic of its own. Pairing walks the expression trees of results 2k
-and 2k + 1, the real and imaginary parts of one complex entry, in lockstep,
-so a step of one and its match in the other stand side by side and pack
-into one lane pair. In the eleven contractions (mat-vec, adjoint mat-vec,
-the three matrix products, both half-Wilson kernels, the four-direction
-kernels and ``mult_su3_mat_vec_sum_4dir``, ``su3_projector``) the matched
-products share their broadcast factor, a component of the scalar body's row
-operand (the matrix's, or for ``mult_su3_na`` and ``su3_projector`` the
-conjugated operand's, ``scalar._contract``), and read the other operand's
-(re, im) pair in order, or with its lanes swapped for the imaginary-part
-broadcast. The closing subtract of one part and add of the other (real and
-imaginary, or the reverse where a factor is conjugated) become one multiply
-of each part's right sum by its +-1 sign (exact) and one combining add.
-``routine_trace`` gives each kernel's trace, and ``trace.kernel`` builds
-every kernel from it: the trace's native site loop (``native``) where it
-takes the call (C-contiguous float64 and float32 operands, one object or
-stacked; no per-call temporaries), and otherwise the trace's Python program
-(``trace.program``: numpy operations over the sites, a single object as one
-site). Every output component sees the same products, added in the same
-order, as in the scalar reference (``tests/test_proof.py`` proves it from
-the two backends' traces), so no path moves a bit; where a NaN arises is
-the same on every path, but its sign and payload bits may differ.
+Every kernel's trace is the scalar reference's, paired (``trace.paired``),
+so this module writes no arithmetic of its own. Pairing walks the expression
+trees of results 2k and 2k + 1, the real and imaginary parts of one complex
+entry, in lockstep, so a step of one and its match in the other stand side
+by side and pack into one lane pair. In the eleven contractions (mat-vec,
+adjoint mat-vec, the three matrix products, both half-Wilson kernels, the
+four-direction kernels and ``mult_su3_mat_vec_sum_4dir``, ``su3_projector``)
+the matched products share their broadcast factor, a component of the scalar
+body's row operand (the matrix's, or for ``mult_su3_na`` and
+``su3_projector`` the conjugated operand's, ``scalar._contract``), and read
+the other operand's (re, im) pair in order, or with its lanes swapped for
+the imaginary-part broadcast. The closing subtract of one part and add of
+the other (real and imaginary, or the reverse where a factor is conjugated)
+become one multiply of each part's right sum by its +-1 sign (exact) and one
+combining add. ``routine_trace`` gives each kernel's trace, and
+``trace.kernel`` builds every kernel from it: the trace's native site loop
+(``native``) where it takes the call (C-contiguous float64 and float32
+operands, one object or stacked; no per-call temporaries), and otherwise the
+trace's Python program (``trace.program``: numpy operations over the sites,
+a single object as one site). Every output component sees the same products,
+added in the same order, as in the scalar reference (``tests/test_proof.py``
+proves it from the two backends' traces), so no path moves a bit; where a
+NaN arises is the same on every path, but its sign and payload bits may
+differ.
 
 Every kernel accepts operands with any shared leading batch shape in front
 of the per-object shape documented in the scalar reference, so the vector
@@ -64,15 +64,15 @@ from functools import cache
 import numpy as np
 
 from . import scalar
-from .trace import Trace, kernel, level_order, paired
+from .trace import Trace, kernel, paired
 from .types import PRECISIONS, ROUTINES, routine_spec
 
 @cache
 def routine_trace(routine: str) -> Trace:
     """The trace of the routine's kernel: the scalar reference's trace,
-    paired (``trace.paired``) and in level order (``trace.level_order``);
-    cached, as the program and the native loops read the same record."""
-    return level_order(paired(scalar.routine_trace(routine)))
+    paired (``trace.paired``); cached, as the program and the native loops
+    read the same record."""
+    return paired(scalar.routine_trace(routine))
 
 
 # The fifteen kernels, each running its trace.

@@ -3,14 +3,14 @@ every kernel of both backends.
 
 A trace is recorded by running a scalar kernel body on ``Sym`` values
 (``record``). The vector backend's traces are the scalar ones, paired
-(``paired``: results 2k and 2k + 1 walked in lockstep) and put in
-dependency order (``level_order``), so their isomorphic steps stand side by
-side. Each backend's ``routine_trace`` gives the trace of each of its
-fifteen kernels. ``kernel`` builds every kernel from its trace: it offers a
-call to the trace's native entry (``native``, named by ``entry`` and looked
-up in ``NATIVE``) first, as ``entry(*operands, out)``, and runs a call the
-entry refuses as the trace's compiled ``program``, the reference the native
-loops are tested against bit for bit.
+(``paired``: results 2k and 2k + 1 walked in lockstep), so their
+isomorphic steps stand side by side. Each backend's ``routine_trace``
+gives the trace of each of its fifteen kernels. ``kernel`` builds every
+kernel from its trace: it offers a call to the trace's native entry
+(``native``, named by ``entry`` and looked up in ``NATIVE``) first, as
+``entry(*operands, out)``, and runs a call the entry refuses as the
+trace's compiled ``program``, the reference the native loops are tested
+against bit for bit.
 """
 from __future__ import annotations
 
@@ -131,22 +131,6 @@ def paired(trace: Trace) -> Trace:
     results = [walk(x, y, f"results {2 * k} and {2 * k + 1}")
                for k, (x, y) in enumerate(zip(trace.results[0::2], trace.results[1::2]))]
     return Trace(trace.operands, tuple(out), tuple(x for pair in results for x in pair))
-
-
-def level_order(trace: Trace) -> Trace:
-    """`trace` with its steps sorted by dependency depth (a step's is one
-    more than the deepest step it reads; an operand component or a literal
-    is at depth 0), in trace order within a depth, and renamed ``t0, t1, ...``
-    in that order. Every step keeps its operands, so the arithmetic is the
-    trace's."""
-    depth: dict = {}
-    for result, left, _, right in trace.steps:
-        depth[result] = 1 + max(depth.get(left, 0), depth.get(right, 0))
-    steps = sorted(trace.steps, key=lambda step: depth[step[0]])
-    names = {step[0]: f"t{k}" for k, step in enumerate(steps)}
-    return Trace(trace.operands, tuple((names[result], names.get(left, left), op, names.get(right, right))
-                                       for result, left, op, right in steps),
-                 tuple(names.get(x, x) for x in trace.results))
 
 
 def define(name: str, params: list[str], lines: list[str], filename: str, namespace: dict):

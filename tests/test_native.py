@@ -22,7 +22,7 @@ import pytest
 
 import su3bench
 from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Backend, Lattice4D, SiteBuffer, backends, get_backend, native, simd, types
-from su3bench.trace import NATIVE, Trace, entry, level_order
+from su3bench.trace import NATIVE, Trace, entry
 from test_simd_kernels import _special_sets
 
 MODULE = native.load()
@@ -899,7 +899,7 @@ def test_native_source_is_the_trace(kind, routine, precision):
     # one, or a vector of two components or signs; each load its name's
     # adjacent components and each store its results' registers.
     # A site-lane loop (the vector backend's, where site_lane holds): the
-    # scalar trace in level order, one line a step, each on whole registers
+    # scalar trace itself, one line a step, each on whole registers
     # of sites; each load a 128-bit row of its operand's adjacent
     # components, the rows covering them all, and each store the results'
     # registers, the rows covering every result.
@@ -910,7 +910,7 @@ def test_native_source_is_the_trace(kind, routine, precision):
     assert loop.startswith(f"{kind}_")
     if lanes_loop:
         lanes, row = native.REGISTER_BYTES // types.PRECISIONS[precision].itemsize, 16 // types.PRECISIONS[precision].itemsize
-        scalar_trace = level_order(get_backend("scalar").routine_trace(routine))
+        scalar_trace = get_backend("scalar").routine_trace(routine)
         body = text.split(f"AVX2\nstatic void {lanes_loop}_{code}(")[1].split("\n}\n")[0]
         steps = re.findall(rf"const v{lanes}{code} (t\d+) = (\S+) ([*+-]) (\S+);", body)
         assert steps == list(scalar_trace.steps) and body.count(f"const v{lanes}{code} ") == len(steps)

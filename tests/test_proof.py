@@ -6,8 +6,8 @@ arithmetic. Association is never rewritten, so a changed order of adds or
 a changed sign is a different tree."""
 import pytest
 
-from su3bench import ROUTINE_NAMES, ROUTINES, scalar, simd
-from su3bench.trace import level_order, paired, record
+from su3bench import ROUTINE_NAMES, ROUTINES, native, scalar, simd
+from su3bench.trace import paired, record
 
 
 def normal_form(trace) -> tuple:
@@ -47,20 +47,20 @@ def test_the_backends_traces_compute_one_expression(routine):
     ours, theirs = scalar.routine_trace(routine), simd.routine_trace(routine)
     assert ours.operands == theirs.operands
     assert normal_form(ours) == normal_form(theirs)
-    # The elementwise vector traces are the scalar ones in level order, the
-    # same record only where the scalar trace is in level order already.
+    # Each vector trace is the scalar one paired: the same record only where
+    # the scalar trace already performs each lane pair's steps side by side.
     assert (ours == theirs) == (routine == "add_su3_vector")
 
 
-def test_level_order_keeps_each_expression_and_gives_the_vector_traces():
-    # Every vector trace is in level order, the pairing native.pack_plan
-    # reads; each is the scalar trace paired and put in that order, and
-    # reordering a scalar trace changes no result's expression.
+def test_pairing_keeps_each_expression_and_gives_the_vector_traces():
+    # Every vector trace is the scalar trace paired, each lane pair side by
+    # side at an even offset, which is all native.pack_plan reads; pairing
+    # changes no result's expression.
     for routine in ROUTINE_NAMES:
         ours, theirs = scalar.routine_trace(routine), simd.routine_trace(routine)
-        assert level_order(theirs) == theirs, routine
-        assert theirs == level_order(paired(ours)), routine
-        assert normal_form(level_order(ours)) == normal_form(ours), routine
+        assert theirs == paired(ours), routine
+        assert native.pack_plan(theirs, native.PACK["vector"]), routine
+        assert normal_form(theirs) == normal_form(ours), routine
 
 
 def test_paired_refuses_trees_of_different_shape():
@@ -90,6 +90,6 @@ def test_a_flipped_sign_or_a_reversed_accumulation_is_detected():
         scalar._store(out.swapaxes(0, 1), scalar._contract(a[:, ::-1], b[::-1].swapaxes(0, 1), False))
         return out
 
-    reversed_terms = level_order(paired(record(ROUTINES["mult_su3_nn"], reversed_nn)))
+    reversed_terms = paired(record(ROUTINES["mult_su3_nn"], reversed_nn))
     for broken in (flipped, reversed_terms):
         assert normal_form(broken) != want

@@ -87,7 +87,7 @@ def test_layout_lists_exactly_the_package_modules():
 
 def test_module_references_name_what_exists():
     # Each backticked `module.attr` whose module is one of the package's
-    # (`native.PACK`, `trace.level_order`; a file name such as `native.py`
+    # (`native.PACK`, `trace.paired`; a file name such as `native.py`
     # aside) resolves, so prose naming deleted code fails here.
     modules = {p.stem for p in (ROOT / "src" / "su3bench").glob("*.py")}
     references = {ref for ref in re.findall(r"`(\w+(?:\.\w+)+)`", README)
