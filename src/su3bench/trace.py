@@ -7,7 +7,8 @@ A trace is recorded by running a scalar kernel body on ``Sym`` values
 isomorphic steps stand side by side. Each backend's ``routine_trace``
 gives the trace of each of its fifteen kernels. ``kernel`` builds every
 kernel from its trace: it offers a call to the trace's native entry
-(``native``, named by ``entry`` and looked up in ``NATIVE``) first, as
+(``native``, named by ``entry`` and looked up in ``types.NATIVE``, the
+one map of the extension's exports) first, as
 ``entry(*operands, out)``, and runs a call the entry refuses as the
 trace's compiled ``program``, the reference the native loops are tested
 against bit for bit.
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .types import OPERAND_SHAPES, OPERAND_SIZES, RoutineSpec
+from .types import NATIVE, OPERAND_SHAPES, OPERAND_SIZES, RoutineSpec
 
 
 class Sym:
@@ -261,8 +262,9 @@ def kernel(kind: str, spec: RoutineSpec, trace_of):
     out`` (in place: ``kernel(x0, ...) -> x0``), run from
     ``trace_of(spec.name)``.
 
-    The kernel offers each call to the trace's native entry first, passing
-    the operands as they came, ``entry(*operands, out)``, and packing
+    The kernel offers each call to the trace's native entry first, read
+    from ``types.NATIVE`` under ``entry(kind, spec.name)`` on every call,
+    passing the operands as they came, ``entry(*operands, out)``, and packing
     nothing; a real factor reaches it converted to x0's dtype, as the
     program converts it. A call the entry does not take runs the trace's
     ``program``, compiled on first use. The program is also
@@ -291,24 +293,3 @@ def kernel(kind: str, spec: RoutineSpec, trace_of):
     switch.program = compiled
     return switch
 
-
-def not_taken(*args):
-    """The native entry where the extension is unavailable: it takes no call."""
-    return NotImplemented
-
-
-class _NativeEntries(dict):
-    """Entry name (``entry``) -> the native extension's entry (``native``),
-    looked up on a kernel's first call, which imports the extension and, on
-    a host's first use, builds it; ``not_taken`` where the extension is
-    unavailable."""
-
-    def __missing__(self, name: str):
-        from . import native
-
-        module = native.load()
-        found = self[name] = not_taken if module is None else getattr(module, name)
-        return found
-
-
-NATIVE = _NativeEntries()

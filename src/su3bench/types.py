@@ -218,11 +218,12 @@ def random_operands(
     anything else, a bool included.
 
     A seed that is an exact int >= 0, or a list or tuple of them, is drawn
-    by the native module's ``operands`` in one pass, with no Generator
-    built: numpy's SeedSequence and PCG64 stream, bit for bit, into a new
-    array whose views it cuts in C from the case's cached layout. Any other
-    seed, or a host without the module, takes ``default_rng``, so its
-    errors are numpy's. A layout of an exact str routine and precision and
+    by the native module's ``operands``, looked up in ``NATIVE``, in one
+    pass, with no Generator built: numpy's SeedSequence and PCG64 stream,
+    bit for bit, into a new array whose views it cuts in C from the case's
+    cached layout. A seed it does not take (``NotImplemented``), any other
+    seed, and a host without the module (``not_taken``) take
+    ``default_rng``, so their errors are numpy's. A layout of an exact str routine and precision and
     an exact int or None batch is kept in ``_layouts``; any other is derived
     on each call, as a bool or a float batch equals and hashes as its int.
     """
@@ -233,11 +234,9 @@ def random_operands(
         if exact and len(_layouts) < _LAYOUTS_KEPT:
             _layouts[routine, precision, batch] = layout
     if type(rng) in (int, list, tuple):  # only these forms can reach the module, so no other loads (or builds) it
-        operands = _operands if _operands is not None else _bind_operands()
-        if operands:
-            drawn = operands(rng, layout)
-            if drawn is not NotImplemented:
-                return drawn
+        drawn = NATIVE["operands"](rng, layout)
+        if drawn is not NotImplemented:
+            return drawn
     dt, size, cuts = layout
     u = np.random.default_rng(rng).random(size)
     u *= 2.0
@@ -269,13 +268,26 @@ def _cuts(routine: str, precision: str | np.dtype, batch: int | None) -> tuple:
     return dt, end, tuple(cuts)
 
 
-_operands = None  # the native module's operands, or False where it is unavailable; bound on the first draw from a seed
+def not_taken(*args):
+    """A native export where the extension is unavailable: it takes no call."""
+    return NotImplemented
 
 
-def _bind_operands():
-    """Bind ``_operands`` from the native module, loading (or building) it."""
-    global _operands
-    from . import native  # not at import: counting operations builds nothing
-    module = native.load()
-    _operands = False if module is None else module.operands
-    return _operands
+class _NativeEntries(dict):
+    """Export name -> the native extension's export of that name (see
+    ``native``): a kernel's entry (``trace.entry``), the seeded draw
+    (``operands``) or the equivalence check (``check``), looked up on its
+    first call, which imports the extension and, on a host's first use,
+    builds it; ``not_taken`` where the extension is unavailable. Every
+    call the package makes into the extension goes through this map, but
+    for the dispatchers ``get_backend`` binds (``native.dispatchers``)."""
+
+    def __missing__(self, name: str):
+        from . import native  # not at import: importing the package builds nothing
+
+        module = native.load()
+        found = self[name] = not_taken if module is None else getattr(module, name)
+        return found
+
+
+NATIVE = _NativeEntries()

@@ -25,8 +25,9 @@ checks, ``check_routine`` reads the case's record, derived once per routine
 and precision: the seed key's index and itemsize, the bytes of one operand
 set and both results, a passing row's component index and the two
 backends' native entries. It applies the memory rule below, draws the
-operands, and asks the module's ``check`` to run both backends' loops on
-them and compare the two outputs componentwise, the question numpy's
+operands, and asks the module's ``check``, looked up in ``NATIVE`` as the
+draw's ``operands`` and the kernels' entries are, to run both backends'
+loops on them and compare the two outputs componentwise, the question numpy's
 ``not (cand != ref).any()`` answers: a NaN equals nothing, ``-0.0`` equals
 ``+0.0``. Where the answer is True, every error is 0, so the row is
 ``max_ulp`` 0 at component 0, as the metric over every component gives it.
@@ -36,7 +37,7 @@ traced replay of it (``replay_check``) still times the draw, both
 
 Every other call takes the full path on the operands already drawn:
 ``inject_fault``, an answer of False or ``NotImplemented``, and a host
-without the module. It runs the backends' ``batch_apply`` and measures only
+without the module, where ``NATIVE``'s ``check`` is ``not_taken``. It runs the backends' ``batch_apply`` and measures only
 the components where the two outputs differ: an equal component has error
 0 by definition, so floors are computed for the trials holding a difference
 and ``ulp_error`` runs on the differing components alone. The row it
@@ -63,8 +64,8 @@ import numpy as np
 
 from .backends import get_backend
 from .trace import entry
-from .types import OPERAND_SHAPES, ROUTINE_NAMES, _object_bytes, check_bytes, check_fits, dtype_for, is_natural, \
-    random_operands, routine_spec
+from .types import NATIVE, OPERAND_SHAPES, ROUTINE_NAMES, _object_bytes, check_bytes, check_fits, dtype_for, \
+    is_natural, random_operands, routine_spec
 
 DEFAULT_TOLERANCE_ULPS = 2.0
 DEFAULT_TRIALS = 10_000
@@ -133,17 +134,15 @@ def _check_sweep(trials: int, seed: int, tolerance_ulps: float) -> None:
         raise ValueError(f"tolerance_ulps must be finite and >= 0, got {tolerance_ulps!r}")
 
 
-_check = None  # the native module's check; bound on the first passing-path check
-
-
 @cache
 def _case(routine: str, precision) -> tuple:
     """(routine index, itemsize, bytes of one operand set and both results,
     a passing row's component index, scalar entry, vector entry) of a check
     of `routine` in `precision`, derived once per case. The entries are the
-    native module's, loaded here (not at import: importing the package
-    builds nothing), or None where it is unavailable. ValueError for an
-    unknown routine or precision, in ``check_fits``' words."""
+    native module's own, not ``NATIVE``'s, as its ``check`` takes only
+    those, loaded here (not at import: importing the package builds
+    nothing), or None where it is unavailable. ValueError for an unknown
+    routine or precision, in ``check_fits``' words."""
     set_bytes = _object_bytes(routine, precision, 2)
     from . import native
     module = native.load()
@@ -151,14 +150,6 @@ def _case(routine: str, precision) -> tuple:
         (getattr(module, entry("scalar", routine)), getattr(module, entry("vector", routine)))
     return (ROUTINE_NAMES.index(routine), dtype_for(precision).itemsize, set_bytes,
             (0,) * len(OPERAND_SHAPES[routine_spec(routine).result]), *entries)
-
-
-def _bind_check():
-    """Bind ``_check`` from the native module, which a case's record loaded."""
-    global _check
-    from . import native
-    _check = native.load().check
-    return _check
 
 
 def check_routine(
@@ -175,8 +166,7 @@ def check_routine(
     index, itemsize, set_bytes, component, scalar_entry, vector_entry = _case(routine, precision)
     check_bytes(routine, trials * set_bytes)  # its operands and both results, before anything is drawn
     operands = random_operands(routine, [seed, index, itemsize], precision, batch=trials)
-    if not inject_fault and scalar_entry is not None \
-            and (_check or _bind_check())(scalar_entry, vector_entry, operands) is True:  # every error is 0
+    if not inject_fault and NATIVE["check"](scalar_entry, vector_entry, operands) is True:  # every error is 0
         return EquivalenceRow(routine, precision, trials, seed, tolerance_ulps, 0.0,
                               0 if trials else -1, component if trials else ())
     scalar, vector = get_backend("scalar"), get_backend("vector")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Backend, get_backend
-from su3bench.trace import NATIVE, entry, not_taken
+from su3bench.trace import NATIVE, entry
+from su3bench.types import not_taken
 
 settings.register_profile(
     "suite",
@@ -30,7 +31,10 @@ def precision(request):
 def python_paths():
     """A context manager under which every call runs its Python path: each
     backend's ``apply`` and ``batch_apply`` are the class's generic methods,
-    and no native entry takes a kernel's call."""
+    and every export in ``NATIVE`` is ``not_taken``, as where the module is
+    unavailable: no native entry takes a kernel's call, a seed is drawn
+    through ``default_rng`` and ``check_routine`` runs both backends'
+    ``batch_apply``."""
     @contextmanager
     def forced():
         with pytest.MonkeyPatch.context() as patch:
@@ -40,5 +44,7 @@ def python_paths():
                     patch.setattr(backend, form, getattr(Backend, form).__get__(backend))
                 for routine in ROUTINE_NAMES:
                     patch.setitem(NATIVE, entry(kind, routine), not_taken)
+            for export in ("operands", "check"):
+                patch.setitem(NATIVE, export, not_taken)
             yield
     return forced

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import su3bench
-from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Backend, Lattice4D, SiteBuffer, backends, get_backend, native, simd, types
+from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Backend, Lattice4D, SiteBuffer, backends, get_backend, native, simd, types, verify
 from su3bench.trace import NATIVE, Trace, entry
 from test_simd_kernels import _special_sets
 
@@ -312,6 +312,32 @@ def test_warm_batch_apply_allocates_only_its_result(kind, routine, python_paths)
     assert python_peak > nbytes + slack
     peak, nbytes = traced_peak()
     assert nbytes <= peak <= nbytes + slack
+
+
+@pytest.mark.parametrize("routine", ["mult_su3_nn", "scalar_mult_add_su3_vector", "sub_four_su3_vecs"])
+def test_python_paths_take_the_check_and_the_draw_from_the_module(routine, precision, python_paths, monkeypatch):
+    # Under the fixture a check runs both backends' generic batch_apply, as
+    # where the module is unavailable, and gives the native check's row; a
+    # seed builds its Generator and draws the module's bits.
+    generic, calls = Backend.batch_apply, Counter()
+
+    def counted(self, *args, **kwargs):
+        calls[self.kind] += 1
+        return generic(self, *args, **kwargs)
+
+    monkeypatch.setattr(Backend, "batch_apply", counted)  # before the fixture binds each backend's
+    row = verify.check_routine(routine, precision, trials=33, seed=9)
+    drawn = types.random_operands(routine, [9, 4], precision, 5)
+    default_rng, built = np.random.default_rng, []
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: built.append(args) or default_rng(*args))
+    calls.clear()
+    with python_paths():
+        assert verify.check_routine(routine, precision, trials=33, seed=9) == row
+        assert calls == {"scalar": 1, "vector": 1}
+        del built[:]
+        again = types.random_operands(routine, [9, 4], precision, 5)
+    assert built == [([9, 4],)]
+    assert [(x.dtype, x.shape, x.tobytes()) for x in again] == [(x.dtype, x.shape, x.tobytes()) for x in drawn]
 
 
 @needs_native

@@ -139,7 +139,7 @@ def test_random_operands_draw_what_per_operand_uniform_draws(batch, precision, f
                 assert mine.random() == theirs.random()
 
 
-NATIVE = native.load() is not None
+BUILT = native.load() is not None
 
 # Seeds of every width: multi-word ints, empty and all-zero sequences,
 # check_routine's keys, and entropy longer than SeedSequence's pool of four
@@ -151,7 +151,7 @@ SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 5, 2**128, [], [0], [
 
 def _generator_free(patch):
     """Make building a numpy Generator fail, where the native module draws."""
-    if NATIVE:
+    if BUILT:
         patch.setattr(np.random, "default_rng", lambda *a: pytest.fail("a seed built a Generator"))
 
 
@@ -197,8 +197,7 @@ def test_seeds_the_native_path_does_not_take_go_through_default_rng(seed):
 @pytest.mark.parametrize("seed", [0, 2**64 + 5, [verify.DEFAULT_SEED, 3, 8], list(range(9))], ids=repr)
 def test_a_seed_draws_the_same_bits_without_the_module(seed, monkeypatch):
     want = [_bits(types.random_operands(routine, seed, "single", 2)) for routine in types.ROUTINE_NAMES]
-    monkeypatch.setattr(native, "_state", (None, "unavailable"))
-    monkeypatch.setattr(types, "_operands", None)  # bound again on the next draw, from the module now unavailable
+    monkeypatch.setitem(types.NATIVE, "operands", types.not_taken)  # as where the module is unavailable
     assert [_bits(types.random_operands(routine, seed, "single", 2)) for routine in types.ROUTINE_NAMES] == want
 
 
@@ -237,7 +236,7 @@ def test_a_seeds_views_are_the_generator_paths(batch):
             assert type(got) is list and _views(got) == _views(want) == _views(again), (routine, precision)
             assert all(x.flags.c_contiguous and x.flags.writeable for x in got)
             assert not any(np.shares_memory(x, y) for x in got for y in again)
-            if NATIVE:
+            if BUILT:
                 draw = got[0].base
                 assert type(draw) is np.ndarray and draw.ndim == 1 and all(x.base is draw for x in got)
                 freed = weakref.ref(draw)

@@ -163,7 +163,7 @@ def test_row_equals_the_full_array_computation(precision, inject_fault, compare,
     # the module is unavailable.
     for name, cand, ref, trials in _crafted_pairs(precision):
         answer = (not (cand != ref).any()) if compare == "check" else NotImplemented
-        monkeypatch.setattr(verify, "_check", lambda scalar, vector, operands, answer=answer: answer)
+        monkeypatch.setitem(types.NATIVE, "check", lambda scalar, vector, operands, answer=answer: answer)
         for kind, result in (("scalar", ref), ("vector", cand)):
             monkeypatch.setattr(get_backend(kind), "batch_apply", lambda routine, operands, result=result: result)
         row = verify.check_routine("mult_su3_nn", precision, trials=trials, inject_fault=inject_fault)
@@ -219,7 +219,7 @@ def test_a_passing_rows_worst_index_is_component_0(routine, precision):
 def test_the_equality_pass_and_the_differ_path_give_the_same_rows(inject_fault, monkeypatch):
     # Every case's row, whichever path answers it.
     rows = verify.check_all(trials=64, seed=5, inject_fault=inject_fault).rows
-    monkeypatch.setattr(verify, "_check", lambda scalar, vector, operands: NotImplemented)
+    monkeypatch.setitem(types.NATIVE, "check", lambda scalar, vector, operands: NotImplemented)
     assert verify.check_all(trials=64, seed=5, inject_fault=inject_fault).rows == rows
     assert all(row.passed is not inject_fault for row in rows)
 
@@ -251,7 +251,7 @@ def test_a_warm_case_beyond_physical_memory_is_refused_before_drawing(monkeypatc
     monkeypatch.setattr(types, "physical_memory_bytes", lambda: 72 * 8 * 100)
     assert verify.check_routine("mult_su3_nn", trials=100).passed
     monkeypatch.setattr(verify, "random_operands", must_not_run)
-    monkeypatch.setattr(verify, "_check", must_not_run)
+    monkeypatch.setitem(types.NATIVE, "check", must_not_run)
     with pytest.raises(ValueError, match="physical memory"):
         verify.check_routine("mult_su3_nn", trials=101)
 
