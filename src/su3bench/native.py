@@ -166,8 +166,11 @@ depends on it.
 gcc builds the module with ``-ffp-contract=off`` (no fused multiply-add,
 which would round once where the trace rounds twice, in the site loops, the
 site-lane loops and the wide fill's doubles alike; ``vpmadd52`` is exact
-integer arithmetic) and ``-fno-tree-vectorize`` (no packed arithmetic but
-the vector loops' own), synchronously and with a timeout, on the first call
+integer arithmetic), ``-fno-tree-vectorize`` (no packed arithmetic but
+the vector loops' own) and ``-DNDEBUG``, as CPython builds its extensions
+(the headers' ``assert`` calls, whose messages name the source's path, are
+compiled out, so the machine code does not depend on where the checkout
+is), synchronously and with a timeout, on the first call
 of ``load`` in a process, which the first ``get_backend`` or kernel call
 makes; importing the package or counting operations imports not even this
 module. The module goes to the source checkout's git-ignored ``build/``
@@ -201,7 +204,7 @@ from .types import OPERAND_SHAPES, PRECISIONS, ROUTINES
 
 BUILD = Path(__file__).resolve().parents[2] / "build"
 COMPILER = "gcc"
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-tree-vectorize",
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-tree-vectorize", "-DNDEBUG",
          "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION")
 NUMPY_INCLUDE = np.get_include()
 TIMEOUT_S = 300

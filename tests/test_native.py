@@ -768,6 +768,15 @@ def test_each_loop_is_plain_or_packed_as_its_backend_and_none_is_fused():
 
 
 @needs_native
+def test_the_module_is_built_without_asserts():
+    # -DNDEBUG compiles out the headers' assert calls, whose messages name
+    # the source file, so nothing in the module names where it was built.
+    built = Path(MODULE.__file__).read_bytes()
+    assert b"__assert_fail" not in built
+    assert str(native.BUILD).encode() not in built
+
+
+@needs_native
 @pytest.mark.parametrize("routine", SITE_LANE)
 def test_each_site_lane_loop_performs_its_trace_in_ymm_registers(routine, precision):
     # Where the host has AVX2 (native.lanes) the site-lane loop runs: per
