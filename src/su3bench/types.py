@@ -223,9 +223,10 @@ def random_operands(
     bit for bit, into a new array whose views it cuts in C from the case's
     cached layout. A seed it does not take (``NotImplemented``), any other
     seed, and a host without the module (``not_taken``) take
-    ``default_rng``, so their errors are numpy's. A layout of an exact str routine and precision and
-    an exact int or None batch is kept in ``_layouts``; any other is derived
-    on each call, as a bool or a float batch equals and hashes as its int.
+    ``default_rng``, so their errors are numpy's. A layout of an exact str
+    routine and precision and an exact int or None batch is kept in
+    ``_layouts``; any other is derived on each call, as a bool or a float
+    batch equals and hashes as its int.
     """
     exact = type(routine) is str and type(precision) is str and (batch is None or type(batch) is int)
     layout = _layouts.get((routine, precision, batch)) if exact else None

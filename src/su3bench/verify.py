@@ -27,8 +27,8 @@ set and both results, a passing row's component index and the two
 backends' native entries. It applies the memory rule below, draws the
 operands, and asks the module's ``check``, looked up in ``NATIVE`` as the
 draw's ``operands`` and the kernels' entries are, to run both backends'
-loops on them and compare the two outputs componentwise, the question numpy's
-``not (cand != ref).any()`` answers: a NaN equals nothing, ``-0.0`` equals
+loops on them and compare the two outputs componentwise, the question
+numpy's ``not (cand != ref).any()`` answers: a NaN equals nothing, ``-0.0`` equals
 ``+0.0``. Where the answer is True, every error is 0, so the row is
 ``max_ulp`` 0 at component 0, as the metric over every component gives it.
 A passing check so calls neither backend's ``batch_apply``; perfbench's
@@ -37,10 +37,11 @@ traced replay of it (``replay_check``) still times the draw, both
 
 Every other call takes the full path on the operands already drawn:
 ``inject_fault``, an answer of False or ``NotImplemented``, and a host
-without the module, where ``NATIVE``'s ``check`` is ``not_taken``. It runs the backends' ``batch_apply`` and measures only
-the components where the two outputs differ: an equal component has error
-0 by definition, so floors are computed for the trials holding a difference
-and ``ulp_error`` runs on the differing components alone. The row it
+without the module, where ``NATIVE``'s ``check`` is ``not_taken``. It
+runs the backends' ``batch_apply`` and measures only the components where
+the two outputs differ: an equal component has error 0 by definition, so
+floors are computed for the trials holding a difference and ``ulp_error``
+runs on the differing components alone. The row it
 reports is the one the metric gives over every component: the largest
 error (NaN counting as largest) at its first occurrence in memory order, or
 0 at component 0 when every error is 0; only a nonzero error is located

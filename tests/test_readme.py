@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from su3bench import cli
+from su3bench import cli, native
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -100,3 +100,13 @@ def test_module_references_name_what_exists():
         except AttributeError:
             missing.append(ref)
     assert references and missing == []
+
+
+def test_the_modules_exports_named_exist():
+    # Each "the module's `x`" names an export of the built native module,
+    # so prose naming a removed export fails here.
+    module = native.load()
+    if module is None:
+        pytest.skip(f"native extension unavailable: {native.status()}")
+    named = set(re.findall(r"\b[Tt]he\s+module's\s+`(\w+)", README))
+    assert named and sorted(name for name in named if not hasattr(module, name)) == []
