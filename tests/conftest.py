@@ -5,8 +5,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from su3bench import BACKEND_NAMES, ROUTINE_NAMES, Backend, get_backend
-from su3bench.trace import NATIVE, entry
-from su3bench.types import not_taken
+from su3bench.trace import entry
+from su3bench.types import NATIVE, not_taken
 
 settings.register_profile(
     "suite",

@@ -334,7 +334,7 @@ def test_python_paths_take_the_check_and_the_draw_from_the_module(routine, preci
     with python_paths():
         assert verify.check_routine(routine, precision, trials=33, seed=9) == row
         assert calls == {"scalar": 1, "vector": 1}
-        del built[:]
+        built.clear()
         again = types.random_operands(routine, [9, 4], precision, 5)
     assert built == [([9, 4],)]
     assert [(x.dtype, x.shape, x.tobytes()) for x in again] == [(x.dtype, x.shape, x.tobytes()) for x in drawn]
